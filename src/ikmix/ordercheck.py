@@ -15,16 +15,22 @@ with the witness that produced it.  Comparisons carry a relative-absolute
 tolerance tau = 1e-12 * (1 + magnitude) so that ties never flip verdicts.
 
 Grid points where the compared quantities underflow float64 (below
-1e-300) are skipped and counted; when more than 10% of the grid is
-skipped the verdict is inconclusive rather than a claim built on zeros.
-Pointwise checks skip only when both sides underflow; ratio checks skip
-when either side does, since the quotient is then meaningless.
+1e-300) are skipped and counted in skipped_points; points where either
+compared value is NaN or infinite are unusable too and counted apart in
+nonfinite_points.  When more than 10% of the grid is unusable the
+verdict is inconclusive rather than a claim built on zeros or NaN.
+Pointwise checks skip for underflow only when both sides underflow;
+ratio checks skip when either side does, since the quotient is then
+meaningless.
 
 Witness semantics: for pointwise checks, (x, lhs, rhs) are the two
 compared values at the offending x.  For monotonicity checks, x is the
 right endpoint of the offending step and lhs/rhs are the ratio at the
-left and right endpoints.  refined_crossing, when present, is a bisection
-root of the deciding sign function inside one grid step.
+left and right endpoints.  refined_crossing, when present, is a root of
+the deciding sign function inside one grid step, found by a batched
+bracket search: each round evaluates 64 interior points of the bracket
+in one vectorised call and keeps the first sign change, down to a
+relative width of 1e-9.
 """
 
 from __future__ import annotations
@@ -61,7 +67,8 @@ __all__ = [
 _TOL = 1e-12
 _UNDERFLOW = 1e-300
 _SKIP_FRACTION = 0.10
-_BISECT_RELWIDTH = 1e-9
+_REFINE_RELWIDTH = 1e-9
+_REFINE_BATCH = 64
 _SLOPE_OFFSET = 1e-6
 
 ORDER_KINDS = ("st", "rh", "lr", "r_rh")
@@ -134,6 +141,7 @@ class OrderVerdict:
     refined_crossing: float | None = None
     reason: str | None = None
     skipped_points: int = 0
+    nonfinite_points: int = 0
     grid: Grid = field(default=DEFAULT_GRID)
 
     def to_dict(self) -> dict:
@@ -144,6 +152,7 @@ class OrderVerdict:
             "refined_crossing": self.refined_crossing,
             "reason": self.reason,
             "skipped_points": self.skipped_points,
+            "nonfinite_points": self.nonfinite_points,
             "grid": self.grid.to_dict(),
         }
 
@@ -153,41 +162,61 @@ class OrderVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_sign(fn, lo: float, hi: float) -> float | None:
-    """Root of a sign change of fn inside [lo, hi] to relative width 1e-9,
-    or None when the endpoints do not straddle zero."""
-    flo, fhi = fn(lo), fn(hi)
+def _refine_crossing(fn, lo: float, hi: float) -> float | None:
+    """Root of a sign change of fn inside [lo, hi], or None.
+
+    fn is vectorised: it maps an array of x to an array of values.  The
+    endpoints are evaluated in one call; None when either is non-finite
+    or they do not straddle zero.  Each round then evaluates
+    _REFINE_BATCH equally spaced interior points in one call and keeps
+    the first sign change, until the bracket is no wider than 1e-9 * hi.
+    A round with any non-finite value gives None, so no root is ever
+    decided on NaN.
+    """
+    flo, fhi = fn(np.array([lo, hi]))
     if not (math.isfinite(flo) and math.isfinite(fhi)):
         return None
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if (flo > 0) == (fhi > 0):
+    positive = flo > 0
+    if (fhi > 0) == positive:
         return None
-    while (hi - lo) > _BISECT_RELWIDTH * hi:
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
+    width = _REFINE_RELWIDTH * hi
+    while hi - lo > width:
+        xs = np.linspace(lo, hi, _REFINE_BATCH + 2)[1:-1]
+        vals = fn(xs)
+        if not np.all(np.isfinite(vals)):
+            return None
+        changed = (vals == 0.0) | ((vals > 0) != positive)
+        if not np.any(changed):
+            lo = float(xs[-1])
+            continue
+        j = int(np.argmax(changed))
+        if vals[j] == 0.0:
+            return float(xs[j])
+        if j > 0:
+            lo = float(xs[j - 1])
+        hi = float(xs[j])
     return 0.5 * (lo + hi)
 
 
-def _too_many_skips(verdict_kind: str, grid: Grid, skip: np.ndarray) -> OrderVerdict | None:
+def _unusable(kind: str, grid: Grid, skip: np.ndarray,
+              nonfinite: np.ndarray) -> OrderVerdict | None:
+    """Inconclusive verdict when more than 10% of the grid is unusable.
+    Passing this gate leaves at least two usable points on any grid."""
     n_skip = int(np.count_nonzero(skip))
-    if n_skip > _SKIP_FRACTION * skip.size:
-        return OrderVerdict(
-            kind=verdict_kind,
-            status="inconclusive",
-            reason=f"{n_skip} of {skip.size} grid points underflowed float64",
-            skipped_points=n_skip,
-            grid=grid,
-        )
-    return None
+    n_nonfinite = int(np.count_nonzero(nonfinite))
+    if n_skip + n_nonfinite <= _SKIP_FRACTION * grid.points:
+        return None
+    causes = []
+    if n_skip:
+        causes.append(f"{n_skip} of {grid.points} grid points underflowed float64")
+    if n_nonfinite:
+        causes.append(f"{n_nonfinite} of {grid.points} grid points were non-finite (NaN or inf)")
+    return OrderVerdict(kind=kind, status="inconclusive", reason="; ".join(causes),
+                        skipped_points=n_skip, nonfinite_points=n_nonfinite, grid=grid)
 
 
 def _check_ratio_monotone(
@@ -201,31 +230,31 @@ def _check_ratio_monotone(
 ) -> OrderVerdict:
     """Common body of the lr / r-rh checks and the rh ratio criterion."""
     xs = grid.xs()
-    skip = (num < _UNDERFLOW) | (den < _UNDERFLOW)
-    bad = _too_many_skips(kind, grid, skip)
+    nonfinite = ~(np.isfinite(num) & np.isfinite(den))
+    skip = ~nonfinite & ((num < _UNDERFLOW) | (den < _UNDERFLOW))
+    bad = _unusable(kind, grid, skip, nonfinite)
     if bad is not None:
         return bad
-    idx = np.nonzero(~skip)[0]
-    if idx.size < 2:
-        return OrderVerdict(kind=kind, status="inconclusive",
-                            reason="fewer than two usable grid points",
-                            skipped_points=int(np.count_nonzero(skip)), grid=grid)
+    n_skip = int(np.count_nonzero(skip))
+    n_nonfinite = int(np.count_nonzero(nonfinite))
+    idx = np.nonzero(~(skip | nonfinite))[0]
     r = num[idx] / den[idx]
     diffs = np.diff(r)
     tau = _TOL * (1.0 + np.abs(r[:-1]))
     viol = diffs < -tau if nondecreasing else diffs > tau
-    n_skip = int(np.count_nonzero(skip))
     if not np.any(viol):
-        return OrderVerdict(kind=kind, status="holds_on_grid",
-                            skipped_points=n_skip, grid=grid)
+        return OrderVerdict(kind=kind, status="holds_on_grid", skipped_points=n_skip,
+                            nonfinite_points=n_nonfinite, grid=grid)
     k = int(np.argmax(viol))
     x_lo, x_hi = float(xs[idx[k]]), float(xs[idx[k + 1]])
     witness = Witness(x=x_hi, lhs=float(r[k]), rhs=float(r[k + 1]))
 
-    def slope(x: float) -> float:
-        return ratio_fn(x * (1.0 + _SLOPE_OFFSET)) - ratio_fn(x * (1.0 - _SLOPE_OFFSET))
+    def slope(x: np.ndarray) -> np.ndarray:
+        # both offsets in one ratio_fn call: one evaluation per mixture per round
+        r = ratio_fn(np.concatenate((x * (1.0 + _SLOPE_OFFSET), x * (1.0 - _SLOPE_OFFSET))))
+        return r[:x.size] - r[x.size:]
 
-    refined = _bisect_sign(slope, x_lo, x_hi)
+    refined = _refine_crossing(slope, x_lo, x_hi)
     direction = "nondecreasing" if nondecreasing else "nonincreasing"
     return OrderVerdict(
         kind=kind,
@@ -234,6 +263,7 @@ def _check_ratio_monotone(
         refined_crossing=refined,
         reason=f"ratio fails to be {direction} on the step ending at x={x_hi!r}",
         skipped_points=n_skip,
+        nonfinite_points=n_nonfinite,
         grid=grid,
     )
 
@@ -248,23 +278,26 @@ def check_st(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) ->
     xs = grid.xs()
     s1 = mixture_sf(xs, m1)
     s2 = mixture_sf(xs, m2)
-    skip = (s1 < _UNDERFLOW) & (s2 < _UNDERFLOW)
-    bad = _too_many_skips("st", grid, skip)
+    nonfinite = ~(np.isfinite(s1) & np.isfinite(s2))
+    skip = ~nonfinite & (s1 < _UNDERFLOW) & (s2 < _UNDERFLOW)
+    bad = _unusable("st", grid, skip, nonfinite)
     if bad is not None:
         return bad
-    tau = _TOL * (1.0 + np.maximum(np.abs(s1), np.abs(s2)))
-    viol = ~skip & (s1 > s2 + tau)
     n_skip = int(np.count_nonzero(skip))
+    n_nonfinite = int(np.count_nonzero(nonfinite))
+    usable = ~(skip | nonfinite)
+    tau = _TOL * (1.0 + np.maximum(np.abs(s1), np.abs(s2)))
+    viol = usable & (s1 > s2 + tau)
     if not np.any(viol):
-        return OrderVerdict(kind="st", status="holds_on_grid",
-                            skipped_points=n_skip, grid=grid)
+        return OrderVerdict(kind="st", status="holds_on_grid", skipped_points=n_skip,
+                            nonfinite_points=n_nonfinite, grid=grid)
     k = int(np.argmax(viol))
     witness = Witness(x=float(xs[k]), lhs=float(s1[k]), rhs=float(s2[k]))
     refined = None
-    if k > 0 and not skip[k - 1]:
+    if k > 0 and usable[k - 1]:
         d_prev = s1[k - 1] - s2[k - 1]
         if d_prev < 0.0:
-            refined = _bisect_sign(
+            refined = _refine_crossing(
                 lambda x: mixture_sf(x, m1) - mixture_sf(x, m2),
                 float(xs[k - 1]), float(xs[k]),
             )
@@ -275,6 +308,7 @@ def check_st(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) ->
         refined_crossing=refined,
         reason=f"sf(m1) exceeds sf(m2) at x={witness.x!r}",
         skipped_points=n_skip,
+        nonfinite_points=n_nonfinite,
         grid=grid,
     )
 
@@ -290,16 +324,25 @@ def check_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) ->
     xs = grid.xs()
     F1 = mixture_cdf(xs, m1)
     F2 = mixture_cdf(xs, m2)
-    skip = (F1 < _UNDERFLOW) | (F2 < _UNDERFLOW)
-    bad = _too_many_skips("rh", grid, skip)
+    nonfinite = ~(np.isfinite(F1) & np.isfinite(F2))
+    skip = ~nonfinite & ((F1 < _UNDERFLOW) | (F2 < _UNDERFLOW))
+    bad = _unusable("rh", grid, skip, nonfinite)
     if bad is not None:
         return bad
-    idx = np.nonzero(~skip)[0]
-    if idx.size < 2:
-        return OrderVerdict(kind="rh", status="inconclusive",
-                            reason="fewer than two usable grid points",
-                            skipped_points=int(np.count_nonzero(skip)), grid=grid)
+    # reversed hazards only where both cdfs are usable; a point where
+    # either of them is non-finite is unusable for both criteria
+    idx = np.nonzero(~(skip | nonfinite))[0]
+    r1 = mixture_reversed_hazard(xs[idx], m1)
+    r2 = mixture_reversed_hazard(xs[idx], m2)
+    finite = np.isfinite(r1) & np.isfinite(r2)
+    if not np.all(finite):
+        nonfinite[idx[~finite]] = True
+        bad = _unusable("rh", grid, skip, nonfinite)
+        if bad is not None:
+            return bad
+        idx, r1, r2 = idx[finite], r1[finite], r2[finite]
     n_skip = int(np.count_nonzero(skip))
+    n_nonfinite = int(np.count_nonzero(nonfinite))
 
     ratio = F2[idx] / F1[idx]
     diffs = np.diff(ratio)
@@ -307,8 +350,6 @@ def check_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) ->
     ratio_violated = bool(np.any(diffs < -tau_r))
 
     xv = xs[idx]
-    r1 = mixture_reversed_hazard(xv, m1)
-    r2 = mixture_reversed_hazard(xv, m2)
     tau_p = _TOL * (1.0 + np.maximum(np.abs(r1), np.abs(r2)))
     pt_viol = r1 > r2 + tau_p
     pt_violated = bool(np.any(pt_viol))
@@ -320,18 +361,19 @@ def check_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) ->
             status="inconclusive",
             reason=f"the two rh criteria disagree (only {which} flagged a violation)",
             skipped_points=n_skip,
+            nonfinite_points=n_nonfinite,
             grid=grid,
         )
     if not pt_violated:
-        return OrderVerdict(kind="rh", status="holds_on_grid",
-                            skipped_points=n_skip, grid=grid)
+        return OrderVerdict(kind="rh", status="holds_on_grid", skipped_points=n_skip,
+                            nonfinite_points=n_nonfinite, grid=grid)
     k = int(np.argmax(pt_viol))
     witness = Witness(x=float(xv[k]), lhs=float(r1[k]), rhs=float(r2[k]))
     refined = None
     if k > 0:
         d_prev = r1[k - 1] - r2[k - 1]
         if d_prev < 0.0:
-            refined = _bisect_sign(
+            refined = _refine_crossing(
                 lambda x: mixture_reversed_hazard(x, m1) - mixture_reversed_hazard(x, m2),
                 float(xv[k - 1]), float(xv[k]),
             )
@@ -342,6 +384,7 @@ def check_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) ->
         refined_crossing=refined,
         reason=f"rh(m1) exceeds rh(m2) at x={witness.x!r}, confirmed by the cdf ratio",
         skipped_points=n_skip,
+        nonfinite_points=n_nonfinite,
         grid=grid,
     )
 
@@ -395,7 +438,8 @@ def difference_curve(m1: FiniteMixture, m2: FiniteMixture, grid: Grid,
 
     which = 'sf' gives sf(m1) - sf(m2); the ratio variants give the m1/m2
     quotient of the named function.  Rows are (x, value, defined) in
-    ascending x; a row is undefined when its denominator underflows.
+    ascending x; a row is undefined when its denominator underflows or
+    its value is not finite.
     """
     xs = grid.xs()
     if which == "sf":
@@ -419,6 +463,7 @@ def difference_curve(m1: FiniteMixture, m2: FiniteMixture, grid: Grid,
             vals = np.where(defined, num / np.where(defined, den, 1.0), np.nan)
     else:
         raise DomainError(f"unknown curve kind {which!r}; expected one of {CURVE_KINDS}")
+    defined &= np.isfinite(vals)
     return [(float(x), float(v), bool(d)) for x, v, d in zip(xs, vals, defined)]
 
 

@@ -1,15 +1,22 @@
 """Grid machinery, the four order checks, witness refinement against
-independently bracketed sign changes, and curve extraction."""
+independently bracketed sign changes, the batched crossing search against
+a scalar bisection oracle, and curve extraction."""
 
 from __future__ import annotations
 
 import csv
+import math
+import warnings
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from ikmix import ordercheck
 from ikmix import (
     DEFAULT_GRID,
+    ORDER_KINDS,
     DomainError,
     FiniteMixture,
     Grid,
@@ -27,8 +34,14 @@ from ikmix.theorems import (
     check_theorem_3_3,
     check_theorem_3_4_or_3_5,
     check_theorem_3_7_to_3_9,
+    check_theorem_3_10,
     check_theorem_3_12,
 )
+from ikmix.mixture import mixture_pdf, mixture_reversed_hazard, mixture_sf
+from ikmix.scan import ScanConfig, draw_sample
+
+T310_GAP_PROBE = (Path(__file__).resolve().parents[1]
+                  / "scripts" / "scan_configs" / "t310_gap_probe.json")
 
 
 def _mix(weights, alphas, betas) -> FiniteMixture:
@@ -156,6 +169,178 @@ class TestWitnessRefinement:
         assert 0.3 < v.refined_crossing < 0.95
 
 
+def _scalar_bisect(fn, lo: float, hi: float) -> float | None:
+    """The scalar bisection the batched search replaced, kept as the
+    reference: one evaluation of a scalar fn per step, to relative width
+    1e-9, None when the endpoints do not straddle zero."""
+    flo, fhi = fn(lo), fn(hi)
+    if not (math.isfinite(flo) and math.isfinite(fhi)):
+        return None
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0) == (fhi > 0):
+        return None
+    while (hi - lo) > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        fmid = fn(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+def _oracle_refine(fn, lo, hi):
+    return _scalar_bisect(lambda x: float(fn(np.array([x]))[0]), lo, hi)
+
+
+def _ratio_fn(kind, m1, m2):
+    """The ratio whose central-difference slope lr and r_rh refine."""
+    if kind == "lr":
+        return lambda x: mixture_pdf(x, m2) / mixture_pdf(x, m1)
+    return lambda x: mixture_reversed_hazard(x, m1) / mixture_reversed_hazard(x, m2)
+
+
+def _slope_root_resolution(kind, m1, m2, lo, hi) -> float:
+    """How far apart two float64 roots of the lr / r_rh slope in [lo, hi]
+    can lie.  Each ratio value carries up to 8 ulp of rounding (component
+    powers and logs, compensated sums, quotients), so the slope, a
+    difference of two of them, is uncertain by 16 eps |ratio|; the root
+    is uncertain by that over the slope's rate of change, and two roots
+    inside that band differ by at most twice as much."""
+    ratio = _ratio_fn(kind, m1, m2)
+    ends = np.array([lo, hi])
+    slope = ratio(ends * (1.0 + 1e-6)) - ratio(ends * (1.0 - 1e-6))
+    noise = 16.0 * np.finfo(float).eps * float(np.max(np.abs(ratio(ends))))
+    return 2.0 * noise * (hi - lo) / abs(float(slope[1] - slope[0]))
+
+
+@pytest.fixture(scope="module")
+def oracle_cases(catalog):
+    """Every fixture orientation on the default grid and 200 seeded draws
+    from the t310_gap_probe ranges on its grid, each checked under all
+    four kinds with the batched search and with the scalar oracle."""
+    pairs = []
+    for fid in catalog.ids():
+        po = catalog.checker_report(fid).orientation
+        pairs.append((fid, po.kind, po.lhs, po.rhs, DEFAULT_GRID))
+    config = ScanConfig.from_file(T310_GAP_PROBE)
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    for i in range(200):
+        q = draw_sample(config, rng)
+        po = check_theorem_3_10(q["beta"], q["beta_star"], q["alpha"],
+                                q["p"], q["p_star"]).orientation
+        pairs.append((f"draw {i}", po.kind, po.lhs, po.rhs, config.grid))
+    cases = []
+    for label, own_kind, m1, m2, grid in pairs:
+        for kind in ORDER_KINDS:
+            # ce3.4 has 0/0 reversed hazards; the warnings are recorded so
+            # that the test can require the verdict to count those points
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                new = check_order(kind, m1, m2, grid)
+                with pytest.MonkeyPatch.context() as mpatch:
+                    mpatch.setattr(ordercheck, "_refine_crossing", _oracle_refine)
+                    old = check_order(kind, m1, m2, grid)
+            cases.append((label, own_kind, kind, m1, m2, grid, new, old, bool(caught)))
+    return cases
+
+
+def _counted(fn):
+    def wrapper(x):
+        wrapper.calls += 1
+        return fn(x)
+    wrapper.calls = 0
+    return wrapper
+
+
+def _budget(lo, hi) -> int:
+    return 1 + math.ceil(math.log((hi - lo) / (1e-9 * hi)) / math.log(65))
+
+
+class TestBatchedRefinement:
+    def test_verdicts_match_scalar_bisection(self, oracle_cases):
+        refined = 0
+        for label, _, kind, _, _, _, new, old, warned in oracle_cases:
+            a, b = new.to_dict(), old.to_dict()
+            a.pop("refined_crossing"), b.pop("refined_crossing")
+            assert a == b, (label, kind)
+            assert (new.refined_crossing is None) == (old.refined_crossing is None), (label, kind)
+            # a NaN or inf produced on the grid is counted, never silent
+            assert warned == (new.nonfinite_points > 0), (label, kind)
+            refined += new.refined_crossing is not None
+        assert len(oracle_cases) == 4 * 215
+        assert refined > 50
+
+    def test_crossings_agree_with_scalar_bisection(self, oracle_cases):
+        for label, own_kind, kind, m1, m2, grid, new, old, _ in oracle_cases:
+            if new.refined_crossing is None:
+                continue
+            tol = 1e-9 * abs(old.refined_crossing)
+            fixture_own_kind = kind == own_kind and not label.startswith("draw")
+            if kind in ("lr", "r_rh") and not fixture_own_kind:
+                # a ratio's slope is noise-limited near its root
+                xs = grid.xs()
+                k = int(np.searchsorted(xs, new.witness.x))
+                tol += _slope_root_resolution(kind, m1, m2, float(xs[k - 1]), float(xs[k]))
+            assert abs(new.refined_crossing - old.refined_crossing) <= tol, (label, kind)
+
+    def test_lr_crossings_against_mpmath(self, oracle_cases):
+        def mp_pdf(x, m):
+            return mp.fsum(
+                mp.mpf(w) * c.alpha * c.beta * (1 + x) ** (-(c.alpha + 1))
+                * (1 - (1 + x) ** (-c.alpha)) ** (c.beta - 1)
+                for w, c in zip(m.weights, m.components))
+
+        checked = 0
+        for label, own_kind, kind, m1, m2, grid, new, _, _ in oracle_cases:
+            if kind != "lr" or new.refined_crossing is None:
+                continue
+            if not (label.startswith("draw") or (label == "ce3.7" and own_kind == "lr")):
+                continue
+            xs = grid.xs()
+            k = int(np.searchsorted(xs, new.witness.x))
+            with mp.workdps(40):
+                root = mp.findroot(
+                    lambda x: mp.diff(lambda t: mp_pdf(t, m2) / mp_pdf(t, m1), x),
+                    (mp.mpf(float(xs[k - 1])), mp.mpf(float(xs[k]))), solver="anderson")
+            assert abs(new.refined_crossing - float(root)) <= 1e-6 * float(root), label
+            checked += 1
+        assert checked >= 6
+
+    def test_no_straddle_costs_one_call(self):
+        fn = _counted(lambda x: x - 5.0)
+        assert ordercheck._refine_crossing(fn, 1.0, 2.0) is None
+        assert fn.calls == 1
+
+    @pytest.mark.parametrize("lo, hi, root", [
+        (1.0, 1.0092, 1.0041), (0.1, 10.0, 3.3), (2e-4, 2.2e-4, 2.13e-4)])
+    def test_refined_call_budget(self, lo, hi, root):
+        fn = _counted(lambda x: x - root)
+        got = ordercheck._refine_crossing(fn, lo, hi)
+        assert abs(got - root) <= 1e-9 * hi
+        assert fn.calls <= _budget(lo, hi)
+
+    def test_mixture_call_budget(self, catalog):
+        po = catalog.checker_report("ce3.1").orientation
+        v = check_order(po.kind, po.lhs, po.rhs)
+        xs = DEFAULT_GRID.xs()
+        k = int(np.searchsorted(xs, v.witness.x))
+        lo, hi = float(xs[k - 1]), float(xs[k])
+        fn = _counted(lambda x: mixture_sf(x, po.lhs) - mixture_sf(x, po.rhs))
+        assert ordercheck._refine_crossing(fn, lo, hi) == v.refined_crossing
+        assert 1 < fn.calls <= _budget(lo, hi)
+
+    def test_nonfinite_round_returns_none(self):
+        fn = _counted(lambda x: np.where((x > 1.0) & (x < 2.0), np.nan, x - 1.5))
+        assert ordercheck._refine_crossing(fn, 1.0, 2.0) is None
+        assert fn.calls == 2
+
+
 class TestRatioChecks:
     def test_lr_direction(self):
         # density ratio of (a, b2)/(a, b1) is monotone in the b2 > b1 sense
@@ -183,6 +368,20 @@ class TestRatioChecks:
         assert v.skipped_points > 10
         assert "underflow" in v.reason
 
+    def test_nonfinite_points_go_inconclusive(self):
+        # the reversed hazards are 0/0 or x/0 at 740 of the 2000 grid
+        # points; NaN compares False against the underflow gate and in
+        # np.diff, so without the non-finite gate this reads "violated"
+        m1 = _mix((0.5, 0.5), (1.0, 1.0), (400.0, 300.0))
+        m2 = _mix((0.3, 0.7), (1.0, 1.0), (400.0, 300.0))
+        with pytest.warns(RuntimeWarning):
+            v = check_r_rh(m1, m2)
+        assert v.status == "inconclusive"
+        assert v.skipped_points == 0
+        assert v.nonfinite_points == 740
+        assert "non-finite" in v.reason and "underflow" not in v.reason
+        assert v.to_dict()["nonfinite_points"] == 740
+
     def test_unknown_kind_rejected(self):
         m = _mix((1.0,), (1.0,), (1.0,))
         with pytest.raises(DomainError):
@@ -208,6 +407,14 @@ class TestCurves:
         deep = _mix((1.0,), (50.0,), (140.0,))
         rows = difference_curve(m1, deep, Grid(1e-4, 3e-4, 20), "pdf_ratio")
         assert any(not d for _, _, d in rows)
+
+    def test_nonfinite_rows_undefined(self):
+        m1 = _mix((0.5, 0.5), (1.0, 1.0), (400.0, 300.0))
+        m2 = _mix((0.3, 0.7), (1.0, 1.0), (1.0, 2.0))
+        with pytest.warns(RuntimeWarning):
+            rows = difference_curve(m1, m2, DEFAULT_GRID, "rh_ratio")
+        assert all(d == math.isfinite(v) for _, v, d in rows)
+        assert sum(not d for _, _, d in rows) == 740
 
     def test_unknown_kind(self):
         m = _mix((1.0,), (1.0,), (1.0,))
