@@ -12,14 +12,14 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from ikmix import DEFAULT_GRID, FixtureCatalog, Grid, difference_curve, write_curve_csv
-
-_CURVE_FOR_KIND = {
-    "st": "sf",
-    "rh": "cdf_ratio",
-    "lr": "pdf_ratio",
-    "r_rh": "rh_ratio",
-}
+from ikmix import (
+    CURVE_FOR_KIND,
+    DEFAULT_GRID,
+    FixtureCatalog,
+    Grid,
+    difference_curve,
+    write_curve_csv,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -37,7 +37,7 @@ def main(argv: list[str] | None = None) -> int:
     for fid in catalog.ids():
         report = catalog.checker_report(fid)
         po = report.orientation
-        curve_kind = _CURVE_FOR_KIND[po.kind]
+        curve_kind = CURVE_FOR_KIND[po.kind]
         rows = difference_curve(po.lhs, po.rhs, grid, curve_kind)
         path = outdir / f"{fid.replace('.', '_')}_{curve_kind}.csv"
         write_curve_csv(rows, path)

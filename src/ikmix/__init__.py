@@ -15,7 +15,6 @@ from .ikdist import (
 from .mixture import (
     FiniteMixture,
     mixture_cdf,
-    mixture_from_matrix,
     mixture_pdf,
     mixture_quantile,
     mixture_reversed_hazard,
@@ -35,6 +34,8 @@ from .majorization import (
     weak_supermajorizes,
 )
 from .ordercheck import (
+    CURVE_FOR_KIND,
+    CURVE_KINDS,
     DEFAULT_GRID,
     ORDER_KINDS,
     Grid,
@@ -49,6 +50,8 @@ from .ordercheck import (
     write_curve_csv,
 )
 from .theorems import (
+    CHECKERS,
+    SCAN_LAYOUTS,
     THEOREM_IDS,
     ConditionReport,
     Hypothesis,
@@ -88,82 +91,3 @@ from .fixtures import FixtureCatalog, FixtureResult, run_fixture
 from .scan import SCANNABLE_THEOREMS, ScanConfig, ScanReport, run_scan
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DomainError",
-    "IKParams",
-    "ik_cdf",
-    "ik_pdf",
-    "ik_sf",
-    "ik_reversed_hazard",
-    "ik_quantile",
-    "FiniteMixture",
-    "mixture_from_matrix",
-    "mixture_cdf",
-    "mixture_sf",
-    "mixture_pdf",
-    "mixture_reversed_hazard",
-    "mixture_quantile",
-    "neumaier_sum",
-    "ParamMatrix2xN",
-    "TTransform",
-    "apply_t_transform",
-    "chain_majorization_verify",
-    "in_script_l",
-    "infer_t_transform_2x2",
-    "majorizes",
-    "schur_probe",
-    "weak_submajorizes",
-    "weak_supermajorizes",
-    "Grid",
-    "DEFAULT_GRID",
-    "ORDER_KINDS",
-    "OrderVerdict",
-    "Witness",
-    "check_order",
-    "check_st",
-    "check_rh",
-    "check_lr",
-    "check_r_rh",
-    "difference_curve",
-    "write_curve_csv",
-    "THEOREM_IDS",
-    "Hypothesis",
-    "PredictedOrder",
-    "ConditionReport",
-    "VerificationOutcome",
-    "verify_prediction",
-    "check_theorem_3_1",
-    "check_corollary_3_1",
-    "check_theorem_3_2",
-    "check_theorem_3_3",
-    "check_theorem_3_4_or_3_5",
-    "check_theorem_3_6",
-    "check_theorem_3_7_to_3_9",
-    "check_corollary_3_2",
-    "check_corollary_3_3",
-    "check_theorem_3_10",
-    "check_theorem_3_11",
-    "check_theorem_3_12",
-    "SignReport",
-    "delta1",
-    "delta2",
-    "xi_310",
-    "xi_310_via_power_sums",
-    "xi_311",
-    "xi_312_prime",
-    "k1",
-    "fd_central",
-    "sweep_delta1",
-    "sweep_delta2",
-    "sweep_xi_310",
-    "sweep_xi_311",
-    "sweep_xi_312",
-    "FixtureCatalog",
-    "FixtureResult",
-    "run_fixture",
-    "SCANNABLE_THEOREMS",
-    "ScanConfig",
-    "ScanReport",
-    "run_scan",
-]

@@ -28,17 +28,7 @@ from .mixture import (
     mixture_sf,
 )
 from .ordercheck import DEFAULT_GRID, Grid, check_order
-from .theorems import (
-    ConditionReport,
-    check_theorem_3_1,
-    check_theorem_3_2,
-    check_theorem_3_3,
-    check_theorem_3_4_or_3_5,
-    check_theorem_3_7_to_3_9,
-    check_theorem_3_10,
-    check_theorem_3_11,
-    check_theorem_3_12,
-)
+from .theorems import CHECKERS, ConditionReport
 
 __all__ = ["FixtureCatalog", "FixtureResult", "CheckOutcome", "run_fixture"]
 
@@ -80,47 +70,27 @@ class FixtureResult:
                 "checks": [c.to_dict() for c in self.checks]}
 
 
-def _dispatch_checker(theorem: str, kwargs: dict) -> ConditionReport:
-    if theorem == "T3.1":
-        return check_theorem_3_1(kwargs["alpha"], kwargs["beta"],
-                                 kwargs["p"], kwargs["p_star"])
-    if theorem == "T3.2":
-        return check_theorem_3_2(kwargs["beta"], kwargs["alpha"],
-                                 kwargs["p"], kwargs["p_star"])
-    if theorem == "T3.3":
-        return check_theorem_3_3(kwargs["alpha"], kwargs["alpha_star"],
-                                 kwargs["beta"], kwargs["p"])
-    if theorem in ("T3.4", "T3.5"):
-        return check_theorem_3_4_or_3_5(
-            ParamMatrix2xN.from_dict(kwargs["p_mat"]),
-            ParamMatrix2xN.from_dict(kwargs["q_mat"]),
-            [TTransform.from_dict(t) for t in kwargs["ts"]],
-            kwargs["beta"])
-    if theorem in ("T3.7", "T3.8", "T3.9"):
-        return check_theorem_3_7_to_3_9(
-            ParamMatrix2xN.from_dict(kwargs["p_mat"]),
-            ParamMatrix2xN.from_dict(kwargs["q_mat"]),
-            [TTransform.from_dict(t) for t in kwargs["ts"]],
-            kwargs["alpha"], kwargs.get("variant", theorem[1:]))
-    if theorem == "T3.10":
-        return check_theorem_3_10(kwargs["beta"], kwargs["beta_star"],
-                                  kwargs["alpha"], kwargs["p"], kwargs["p_star"])
-    if theorem == "T3.11":
-        return check_theorem_3_11(kwargs["p"], kwargs["alpha"], kwargs["beta"],
-                                  kwargs["p_star"], kwargs["alpha_star"],
-                                  kwargs["beta_star"])
-    if theorem == "T3.12":
-        return check_theorem_3_12(kwargs["p"], kwargs["alpha"], kwargs["beta"],
-                                  kwargs["p_star"], kwargs["alpha_star"],
-                                  kwargs["beta_star"])
-    raise DomainError(f"no checker wired for {theorem!r}")
+def _checker_report(theorem: str, kwargs: dict) -> ConditionReport:
+    """Decode the JSON matrices and transforms, then call the registered
+    checker with the fixture's arguments."""
+    try:
+        checker = CHECKERS[theorem]
+    except KeyError:
+        raise DomainError(f"no checker wired for {theorem!r}") from None
+    kwargs = dict(kwargs)
+    for key in ("p_mat", "q_mat"):
+        if key in kwargs:
+            kwargs[key] = ParamMatrix2xN.from_dict(kwargs[key])
+    if "ts" in kwargs:
+        kwargs["ts"] = [TTransform.from_dict(t) for t in kwargs["ts"]]
+    return checker(**kwargs)
 
 
 def run_fixture(fixture: dict, grid: Grid = DEFAULT_GRID) -> FixtureResult:
     fid = fixture["id"]
     checks: list[CheckOutcome] = []
 
-    report = _dispatch_checker(fixture["theorem"], fixture["checker"])
+    report = _checker_report(fixture["theorem"], fixture["checker"])
 
     # 1. hypothesis booleans, compared exactly
     got = {h.name: h.held for h in report.hypotheses}
@@ -224,7 +194,7 @@ class FixtureCatalog:
     def checker_report(self, fixture_id: str) -> ConditionReport:
         """Run just the hypothesis checker, without the grid verdict."""
         fx = self.load(fixture_id)
-        return _dispatch_checker(fx["theorem"], fx["checker"])
+        return _checker_report(fx["theorem"], fx["checker"])
 
     def run(self, fixture_id: str, grid: Grid = DEFAULT_GRID) -> FixtureResult:
         return run_fixture(self.load(fixture_id), grid)

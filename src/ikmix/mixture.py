@@ -16,7 +16,6 @@ from .ikdist import DomainError, IKParams, ik_cdf, ik_pdf, ik_quantile, ik_sf
 
 __all__ = [
     "FiniteMixture",
-    "mixture_from_matrix",
     "mixture_cdf",
     "mixture_sf",
     "mixture_pdf",
@@ -89,10 +88,21 @@ class FiniteMixture:
     def betas(self) -> tuple[float, ...]:
         return tuple(c.beta for c in self.components)
 
-    # -- JSON round trip ----------------------------------------------------
-    #
-    # {"weights": [...], "alpha": [...] | scalar, "beta": [...] | scalar}
-    # A scalar alpha or beta broadcasts across all components.
+    @classmethod
+    def build(cls, weights, alpha, beta) -> "FiniteMixture":
+        """Mixture of IK(alpha_i, beta_i) components with the given weights.
+        A scalar alpha or beta broadcasts across all components; a vector
+        must have one entry per weight."""
+        weights = tuple(weights)
+        n = len(weights)
+        alphas = (alpha,) * n if np.isscalar(alpha) else tuple(alpha)
+        betas = (beta,) * n if np.isscalar(beta) else tuple(beta)
+        if len(alphas) != n or len(betas) != n:
+            raise DomainError(f"{n} weights vs {len(alphas)} alphas and {len(betas)} betas")
+        return cls(weights, tuple(IKParams(a, b) for a, b in zip(alphas, betas)))
+
+    # JSON round trip: {"weights": [...], "alpha": [...] | scalar,
+    # "beta": [...] | scalar}, read through build.
 
     @classmethod
     def from_dict(cls, obj: dict) -> "FiniteMixture":
@@ -102,13 +112,7 @@ class FiniteMixture:
             beta = obj["beta"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"mixture dict needs weights/alpha/beta: {exc}") from exc
-        n = len(weights)
-        alphas = [alpha] * n if np.isscalar(alpha) else list(alpha)
-        betas = [beta] * n if np.isscalar(beta) else list(beta)
-        if len(alphas) != n or len(betas) != n:
-            raise DomainError("alpha/beta length does not match weights")
-        comps = tuple(IKParams(a, b) for a, b in zip(alphas, betas))
-        return cls(tuple(weights), comps)
+        return cls.build(weights, alpha, beta)
 
     def to_dict(self) -> dict:
         return {
@@ -116,22 +120,6 @@ class FiniteMixture:
             "alpha": list(self.alphas),
             "beta": list(self.betas),
         }
-
-
-def mixture_from_matrix(row1, row2, *, varying: str, fixed: float) -> FiniteMixture:
-    """Build a mixture from a 2xN parameter matrix.
-
-    row1 holds the weights.  row2 holds whichever shape parameter varies
-    by component ("alpha" or "beta"); the other one is shared and passed
-    as `fixed`.
-    """
-    if varying == "alpha":
-        comps = tuple(IKParams(a, fixed) for a in row2)
-    elif varying == "beta":
-        comps = tuple(IKParams(fixed, b) for b in row2)
-    else:
-        raise DomainError(f"varying must be 'alpha' or 'beta', got {varying!r}")
-    return FiniteMixture(tuple(float(w) for w in row1), comps)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ikdist import DomainError
-from .mixture import FiniteMixture, neumaier_sum
+from .mixture import (
+    FiniteMixture,
+    mixture_cdf,
+    mixture_pdf,
+    mixture_reversed_hazard,
+    neumaier_sum,
+)
 
 __all__ = [
     "SignReport",
@@ -315,18 +321,9 @@ def sweep_delta2(p, beta, alpha: float, xs) -> SignReport:
     return _summarize("delta2", xs, values)
 
 
-def _mix(weights, alphas, betas) -> FiniteMixture:
-    from .ikdist import IKParams
-
-    return FiniteMixture(tuple(weights),
-                         tuple(IKParams(a, b) for a, b in zip(alphas, betas)))
-
-
 def sweep_xi_310(p, beta, p_star, beta_star, alpha: float, xs) -> SignReport:
-    from .mixture import mixture_cdf, mixture_pdf, mixture_reversed_hazard
-
-    m1 = _mix(p, [alpha] * len(tuple(p)), beta)
-    m2 = _mix(p_star, [alpha] * len(tuple(p_star)), beta_star)
+    m1 = FiniteMixture.build(p, alpha, beta)
+    m2 = FiniteMixture.build(p_star, alpha, beta_star)
     values, derivs, fds = [], [], []
     for x in xs:
         v = xi_310(p, beta, p_star, beta_star, alpha, x)
@@ -338,29 +335,27 @@ def sweep_xi_310(p, beta, p_star, beta_star, alpha: float, xs) -> SignReport:
     return _summarize("xi_310", xs, values, derivs, fds)
 
 
-def sweep_xi_311(p, alpha, beta, p_star, alpha_star, beta_star, xs) -> SignReport:
-    from .mixture import mixture_cdf
-
-    m1 = _mix(p, alpha, beta)
-    m2 = _mix(p_star, alpha_star, beta_star)
+def _sweep_ratio(function_id: str, xi, evaluator, p, alpha, beta,
+                 p_star, alpha_star, beta_star, xs) -> SignReport:
+    """xi against d/dx [f(m1)/f(m2)] = xi / f(m2)^2 for the mixture
+    function f = evaluator, and that derivative against its finite
+    difference."""
+    m1 = FiniteMixture.build(p, alpha, beta)
+    m2 = FiniteMixture.build(p_star, alpha_star, beta_star)
     values, derivs, fds = [], [], []
     for x in xs:
-        v = xi_311(p, alpha, beta, p_star, alpha_star, beta_star, x)
+        v = xi(p, alpha, beta, p_star, alpha_star, beta_star, x)
         values.append(v)
-        derivs.append(v / mixture_cdf(x, m2) ** 2)
-        fds.append(fd_central(lambda y: mixture_cdf(y, m1) / mixture_cdf(y, m2), x))
-    return _summarize("xi_311", xs, values, derivs, fds)
+        derivs.append(v / evaluator(x, m2) ** 2)
+        fds.append(fd_central(lambda y: evaluator(y, m1) / evaluator(y, m2), x))
+    return _summarize(function_id, xs, values, derivs, fds)
+
+
+def sweep_xi_311(p, alpha, beta, p_star, alpha_star, beta_star, xs) -> SignReport:
+    return _sweep_ratio("xi_311", xi_311, mixture_cdf,
+                        p, alpha, beta, p_star, alpha_star, beta_star, xs)
 
 
 def sweep_xi_312(p, alpha, beta, p_star, alpha_star, beta_star, xs) -> SignReport:
-    from .mixture import mixture_pdf
-
-    m1 = _mix(p, alpha, beta)
-    m2 = _mix(p_star, alpha_star, beta_star)
-    values, derivs, fds = [], [], []
-    for x in xs:
-        v = xi_312_prime(p, alpha, beta, p_star, alpha_star, beta_star, x)
-        values.append(v)
-        derivs.append(v / mixture_pdf(x, m2) ** 2)
-        fds.append(fd_central(lambda y: mixture_pdf(y, m1) / mixture_pdf(y, m2), x))
-    return _summarize("xi_312_prime", xs, values, derivs, fds)
+    return _sweep_ratio("xi_312_prime", xi_312_prime, mixture_pdf,
+                        p, alpha, beta, p_star, alpha_star, beta_star, xs)

@@ -60,6 +60,8 @@ __all__ = [
     "check_lr",
     "check_r_rh",
     "check_order",
+    "CURVE_FOR_KIND",
+    "CURVE_KINDS",
     "difference_curve",
     "write_curve_csv",
 ]
@@ -219,17 +221,34 @@ def _unusable(kind: str, grid: Grid, skip: np.ndarray,
                         skipped_points=n_skip, nonfinite_points=n_nonfinite, grid=grid)
 
 
-def _check_ratio_monotone(
-    kind: str,
-    grid: Grid,
-    num: np.ndarray,
-    den: np.ndarray,
-    ratio_fn,
-    *,
-    nondecreasing: bool,
-) -> OrderVerdict:
-    """Common body of the lr / r-rh checks and the rh ratio criterion."""
+def _pointwise_verdict(kind: str, grid: Grid, xs: np.ndarray, v1: np.ndarray,
+                       v2: np.ndarray, viol: np.ndarray, usable: np.ndarray, diff_fn,
+                       reason: str, n_skip: int, n_nonfinite: int) -> OrderVerdict:
+    """Common tail of the st and rh checks: v1 <= v2 holds unless viol
+    flags a point, and then fails first there.  The crossing of
+    diff_fn = v1 - v2 is refined inside the step from the previous point
+    when that point is usable and strictly ordered.  reason is a template
+    for the witness x."""
+    if not np.any(viol):
+        return OrderVerdict(kind=kind, status="holds_on_grid", skipped_points=n_skip,
+                            nonfinite_points=n_nonfinite, grid=grid)
+    k = int(np.argmax(viol))
+    witness = Witness(x=float(xs[k]), lhs=float(v1[k]), rhs=float(v2[k]))
+    refined = None
+    if k > 0 and usable[k - 1] and v1[k - 1] - v2[k - 1] < 0.0:
+        refined = _refine_crossing(diff_fn, float(xs[k - 1]), float(xs[k]))
+    return OrderVerdict(kind=kind, status="violated", witness=witness,
+                        refined_crossing=refined, reason=reason.format(witness.x),
+                        skipped_points=n_skip, nonfinite_points=n_nonfinite, grid=grid)
+
+
+def _check_ratio_monotone(kind: str, grid: Grid, fn, top: FiniteMixture,
+                          bottom: FiniteMixture, *, nondecreasing: bool) -> OrderVerdict:
+    """Common body of the lr and r-rh checks: the ratio fn(top)/fn(bottom)
+    of the mixture function fn must be monotone in the named direction."""
     xs = grid.xs()
+    num = fn(xs, top)
+    den = fn(xs, bottom)
     nonfinite = ~(np.isfinite(num) & np.isfinite(den))
     skip = ~nonfinite & ((num < _UNDERFLOW) | (den < _UNDERFLOW))
     bad = _unusable(kind, grid, skip, nonfinite)
@@ -250,8 +269,9 @@ def _check_ratio_monotone(
     witness = Witness(x=x_hi, lhs=float(r[k]), rhs=float(r[k + 1]))
 
     def slope(x: np.ndarray) -> np.ndarray:
-        # both offsets in one ratio_fn call: one evaluation per mixture per round
-        r = ratio_fn(np.concatenate((x * (1.0 + _SLOPE_OFFSET), x * (1.0 - _SLOPE_OFFSET))))
+        # both offsets in one call: one evaluation per mixture per round
+        both = np.concatenate((x * (1.0 + _SLOPE_OFFSET), x * (1.0 - _SLOPE_OFFSET)))
+        r = fn(both, top) / fn(both, bottom)
         return r[:x.size] - r[x.size:]
 
     refined = _refine_crossing(slope, x_lo, x_hi)
@@ -288,29 +308,9 @@ def check_st(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) ->
     usable = ~(skip | nonfinite)
     tau = _TOL * (1.0 + np.maximum(np.abs(s1), np.abs(s2)))
     viol = usable & (s1 > s2 + tau)
-    if not np.any(viol):
-        return OrderVerdict(kind="st", status="holds_on_grid", skipped_points=n_skip,
-                            nonfinite_points=n_nonfinite, grid=grid)
-    k = int(np.argmax(viol))
-    witness = Witness(x=float(xs[k]), lhs=float(s1[k]), rhs=float(s2[k]))
-    refined = None
-    if k > 0 and usable[k - 1]:
-        d_prev = s1[k - 1] - s2[k - 1]
-        if d_prev < 0.0:
-            refined = _refine_crossing(
-                lambda x: mixture_sf(x, m1) - mixture_sf(x, m2),
-                float(xs[k - 1]), float(xs[k]),
-            )
-    return OrderVerdict(
-        kind="st",
-        status="violated",
-        witness=witness,
-        refined_crossing=refined,
-        reason=f"sf(m1) exceeds sf(m2) at x={witness.x!r}",
-        skipped_points=n_skip,
-        nonfinite_points=n_nonfinite,
-        grid=grid,
-    )
+    return _pointwise_verdict("st", grid, xs, s1, s2, viol, usable,
+                              lambda x: mixture_sf(x, m1) - mixture_sf(x, m2),
+                              "sf(m1) exceeds sf(m2) at x={!r}", n_skip, n_nonfinite)
 
 
 def check_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
@@ -364,53 +364,22 @@ def check_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) ->
             nonfinite_points=n_nonfinite,
             grid=grid,
         )
-    if not pt_violated:
-        return OrderVerdict(kind="rh", status="holds_on_grid", skipped_points=n_skip,
-                            nonfinite_points=n_nonfinite, grid=grid)
-    k = int(np.argmax(pt_viol))
-    witness = Witness(x=float(xv[k]), lhs=float(r1[k]), rhs=float(r2[k]))
-    refined = None
-    if k > 0:
-        d_prev = r1[k - 1] - r2[k - 1]
-        if d_prev < 0.0:
-            refined = _refine_crossing(
-                lambda x: mixture_reversed_hazard(x, m1) - mixture_reversed_hazard(x, m2),
-                float(xv[k - 1]), float(xv[k]),
-            )
-    return OrderVerdict(
-        kind="rh",
-        status="violated",
-        witness=witness,
-        refined_crossing=refined,
-        reason=f"rh(m1) exceeds rh(m2) at x={witness.x!r}, confirmed by the cdf ratio",
-        skipped_points=n_skip,
-        nonfinite_points=n_nonfinite,
-        grid=grid,
-    )
+    # idx keeps usable points only, so every previous point is usable
+    return _pointwise_verdict(
+        "rh", grid, xv, r1, r2, pt_viol, np.ones_like(pt_viol),
+        lambda x: mixture_reversed_hazard(x, m1) - mixture_reversed_hazard(x, m2),
+        "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", n_skip, n_nonfinite)
 
 
 def check_lr(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
     """m1 <= m2 in the likelihood ratio order: pdf(m2)/pdf(m1) nondecreasing."""
-    xs = grid.xs()
-    f1 = mixture_pdf(xs, m1)
-    f2 = mixture_pdf(xs, m2)
-    return _check_ratio_monotone(
-        "lr", grid, f2, f1,
-        lambda x: mixture_pdf(x, m2) / mixture_pdf(x, m1),
-        nondecreasing=True,
-    )
+    return _check_ratio_monotone("lr", grid, mixture_pdf, m2, m1, nondecreasing=True)
 
 
 def check_r_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
     """m1 <= m2 in the reversed-hazard-ratio sense: rh(m1)/rh(m2) nonincreasing."""
-    xs = grid.xs()
-    r1 = mixture_reversed_hazard(xs, m1)
-    r2 = mixture_reversed_hazard(xs, m2)
-    return _check_ratio_monotone(
-        "r_rh", grid, r1, r2,
-        lambda x: mixture_reversed_hazard(x, m1) / mixture_reversed_hazard(x, m2),
-        nondecreasing=False,
-    )
+    return _check_ratio_monotone("r_rh", grid, mixture_reversed_hazard, m1, m2,
+                                 nondecreasing=False)
 
 
 _CHECKS = {"st": check_st, "rh": check_rh, "lr": check_lr, "r_rh": check_r_rh}
@@ -429,7 +398,16 @@ def check_order(kind: str, m1: FiniteMixture, m2: FiniteMixture,
 # curve extraction
 # ---------------------------------------------------------------------------
 
-CURVE_KINDS = ("sf", "cdf_ratio", "pdf_ratio", "rh_ratio")
+# the curve that shows each order kind: the sf difference for st, the m1/m2
+# ratio of the named function for the others
+CURVE_FOR_KIND = {"st": "sf", "rh": "cdf_ratio", "lr": "pdf_ratio", "r_rh": "rh_ratio"}
+CURVE_KINDS = tuple(CURVE_FOR_KIND.values())
+
+_RATIO_CURVES = {
+    "cdf_ratio": mixture_cdf,
+    "pdf_ratio": mixture_pdf,
+    "rh_ratio": mixture_reversed_hazard,
+}
 
 
 def difference_curve(m1: FiniteMixture, m2: FiniteMixture, grid: Grid,
@@ -445,19 +423,9 @@ def difference_curve(m1: FiniteMixture, m2: FiniteMixture, grid: Grid,
     if which == "sf":
         vals = mixture_sf(xs, m1) - mixture_sf(xs, m2)
         defined = np.ones_like(vals, dtype=bool)
-    elif which == "cdf_ratio":
-        num, den = mixture_cdf(xs, m1), mixture_cdf(xs, m2)
-        defined = den >= _UNDERFLOW
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(defined, num / np.where(defined, den, 1.0), np.nan)
-    elif which == "pdf_ratio":
-        num, den = mixture_pdf(xs, m1), mixture_pdf(xs, m2)
-        defined = den >= _UNDERFLOW
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(defined, num / np.where(defined, den, 1.0), np.nan)
-    elif which == "rh_ratio":
-        num = mixture_reversed_hazard(xs, m1)
-        den = mixture_reversed_hazard(xs, m2)
+    elif which in _RATIO_CURVES:
+        fn = _RATIO_CURVES[which]
+        num, den = fn(xs, m1), fn(xs, m2)
         defined = den >= _UNDERFLOW
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(defined, num / np.where(defined, den, 1.0), np.nan)

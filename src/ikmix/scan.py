@@ -20,15 +20,7 @@ import numpy as np
 
 from .ikdist import DomainError
 from .ordercheck import DEFAULT_GRID, Grid, check_order
-from .theorems import (
-    ConditionReport,
-    check_theorem_3_1,
-    check_theorem_3_2,
-    check_theorem_3_3,
-    check_theorem_3_10,
-    check_theorem_3_11,
-    check_theorem_3_12,
-)
+from .theorems import CHECKERS, SCAN_LAYOUTS, ConditionReport
 
 __all__ = [
     "SCANNABLE_THEOREMS",
@@ -40,40 +32,7 @@ __all__ = [
     "run_scan",
 ]
 
-# parameter layout per theorem: (name, kind) in draw order; kind is
-# "scalar", "vector" (one positive value per component) or "weights"
-# (drawn per component, then normalised to sum one)
-_PARAM_LAYOUT: dict[str, tuple[tuple[str, str], ...]] = {
-    "T3.1": (("alpha", "vector"), ("beta", "scalar"),
-             ("p", "weights"), ("p_star", "weights")),
-    "T3.2": (("beta", "vector"), ("alpha", "scalar"),
-             ("p", "weights"), ("p_star", "weights")),
-    "T3.3": (("alpha", "vector"), ("alpha_star", "vector"),
-             ("beta", "scalar"), ("p", "weights")),
-    "T3.10": (("beta", "vector"), ("beta_star", "vector"),
-              ("alpha", "scalar"), ("p", "weights"), ("p_star", "weights")),
-    "T3.11": (("p", "weights"), ("alpha", "vector"), ("beta", "vector"),
-              ("p_star", "weights"), ("alpha_star", "vector"),
-              ("beta_star", "vector")),
-    "T3.12": (("p", "weights"), ("alpha", "vector"), ("beta", "vector"),
-              ("p_star", "weights"), ("alpha_star", "vector"),
-              ("beta_star", "vector")),
-}
-
-_CHECKERS = {
-    "T3.1": lambda q: check_theorem_3_1(q["alpha"], q["beta"], q["p"], q["p_star"]),
-    "T3.2": lambda q: check_theorem_3_2(q["beta"], q["alpha"], q["p"], q["p_star"]),
-    "T3.3": lambda q: check_theorem_3_3(q["alpha"], q["alpha_star"], q["beta"], q["p"]),
-    "T3.10": lambda q: check_theorem_3_10(q["beta"], q["beta_star"], q["alpha"],
-                                          q["p"], q["p_star"]),
-    "T3.11": lambda q: check_theorem_3_11(q["p"], q["alpha"], q["beta"],
-                                          q["p_star"], q["alpha_star"], q["beta_star"]),
-    "T3.12": lambda q: check_theorem_3_12(q["p"], q["alpha"], q["beta"],
-                                          q["p_star"], q["alpha_star"], q["beta_star"]),
-}
-
-SCANNABLE_THEOREMS = tuple(sorted(
-    _PARAM_LAYOUT, key=lambda t: tuple(int(s) for s in t[1:].split("."))))
+SCANNABLE_THEOREMS = tuple(SCAN_LAYOUTS)
 
 CATEGORIES = (
     "soundness_alarm",
@@ -119,7 +78,7 @@ class ScanConfig:
     grid: Grid = field(default=DEFAULT_GRID)
 
     def __post_init__(self) -> None:
-        if self.theorem not in _PARAM_LAYOUT:
+        if self.theorem not in SCAN_LAYOUTS:
             raise DomainError(
                 f"scan supports {SCANNABLE_THEOREMS}, got {self.theorem!r}")
         if int(self.samples) < 1:
@@ -130,7 +89,7 @@ class ScanConfig:
             raise DomainError("n_components must be >= 2")
         object.__setattr__(self, "samples", int(self.samples))
         object.__setattr__(self, "n_components", int(self.n_components))
-        layout = _PARAM_LAYOUT[self.theorem]
+        layout = SCAN_LAYOUTS[self.theorem]
         missing = [n for n, _ in layout if n not in self.ranges]
         if missing:
             raise DomainError(f"ranges missing for {missing}")
@@ -176,7 +135,7 @@ class ScanConfig:
 def draw_sample(config: ScanConfig, rng: np.random.Generator) -> dict:
     """One parameter set, drawn in the fixed layout order."""
     out: dict = {}
-    for name, kind in _PARAM_LAYOUT[config.theorem]:
+    for name, kind in SCAN_LAYOUTS[config.theorem]:
         pairs = config.ranges[name]
         vals = [rng.uniform(lo, hi) if hi > lo else lo for lo, hi in pairs]
         if kind == "scalar":
@@ -238,13 +197,13 @@ def _categorise(report: ConditionReport, verdict_status: str) -> str:
 
 def run_scan(config: ScanConfig) -> ScanReport:
     rng = np.random.Generator(np.random.Philox(config.seed))
-    checker = _CHECKERS[config.theorem]
+    checker = CHECKERS[config.theorem]
     counts = {c: 0 for c in CATEGORIES}
     alarms: list[ScanFinding] = []
     free_holds: list[ScanFinding] = []
     for index in range(config.samples):
         params = draw_sample(config, rng)
-        report = checker(params)
+        report = checker(**params)
         po = report.orientation
         verdict = check_order(po.kind, po.lhs, po.rhs, config.grid)
         category = _categorise(report, verdict.status)

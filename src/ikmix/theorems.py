@@ -7,6 +7,10 @@ decide an order themselves; when every hypothesis holds they expose the
 predicted order in the normal form lhs <= rhs for the named order kind,
 and verify_prediction hands that claim to the grid engine.
 
+CHECKERS maps every condition id to its checker and is the one place
+where ids meet code; SCAN_LAYOUTS gives the draw layout of the ids that
+can be region-scanned.
+
 Hypothesis comparisons between real numbers carry 1e-12 slack so ties
 count as satisfied.
 """
@@ -14,10 +18,11 @@ count as satisfied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .ikdist import DomainError, IKParams
+from .ikdist import DomainError
 from .majorization import (
     ParamMatrix2xN,
     TTransform,
@@ -28,7 +33,7 @@ from .majorization import (
     weak_submajorizes,
     weak_supermajorizes,
 )
-from .mixture import FiniteMixture, mixture_from_matrix
+from .mixture import FiniteMixture
 from .ordercheck import DEFAULT_GRID, Grid, OrderVerdict, check_order
 
 __all__ = [
@@ -36,6 +41,8 @@ __all__ = [
     "PredictedOrder",
     "ConditionReport",
     "VerificationOutcome",
+    "CHECKERS",
+    "SCAN_LAYOUTS",
     "THEOREM_IDS",
     "check_theorem_3_1",
     "check_theorem_3_2",
@@ -53,12 +60,6 @@ __all__ = [
 ]
 
 _SLACK = 1e-12
-
-THEOREM_IDS = (
-    "T3.1", "T3.2", "T3.3", "T3.4", "T3.5", "T3.6",
-    "T3.7", "T3.8", "T3.9", "T3.10", "T3.11", "T3.12",
-    "C3.1", "C3.2", "C3.3",
-)
 
 
 @dataclass(frozen=True)
@@ -169,19 +170,6 @@ def _vec(v, name: str) -> tuple[float, ...]:
     return tuple(float(x) for x in arr)
 
 
-def _mix_alpha(weights, alphas, beta: float) -> FiniteMixture:
-    return FiniteMixture(tuple(weights), tuple(IKParams(a, beta) for a in alphas))
-
-
-def _mix_beta(weights, betas, alpha: float) -> FiniteMixture:
-    return FiniteMixture(tuple(weights), tuple(IKParams(alpha, b) for b in betas))
-
-
-def _mix_full(weights, alphas, betas) -> FiniteMixture:
-    return FiniteMixture(tuple(weights),
-                         tuple(IKParams(a, b) for a, b in zip(alphas, betas)))
-
-
 def _script_l_hyp(name: str, row1, row2, what: str) -> Hypothesis:
     pm = ParamMatrix2xN(tuple(row1), tuple(row2))
     held = in_script_l(pm)
@@ -206,46 +194,43 @@ def _pairwise_gaps(v: tuple[float, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def check_theorem_3_1(alpha, beta: float, p, p_star) -> ConditionReport:
-    """Weight shift under a common beta; concludes mixture(p*) <= mixture(p)
-    in the usual stochastic order."""
+def _weight_shift_common_beta(theorem_id: str, alpha, beta: float, p, p_star,
+                              relation) -> ConditionReport:
+    """Both weight vectors oppositely ordered to alpha, plus the weight
+    relation (name, predicate(p, p*), detail if held, detail if not);
+    concludes mixture(p*) <= mixture(p) in the usual stochastic order."""
     alpha = _vec(alpha, "alpha")
     p = _vec(p, "p")
     p_star = _vec(p_star, "p_star")
-    sub = weak_submajorizes(p, p_star)
+    name, predicate, held_detail, failed_detail = relation
+    held = predicate(p, p_star)
     hyps = (
         _script_l_hyp("alpha_p_in_script_l", p, alpha, "(p, alpha)"),
         _script_l_hyp("alpha_p_star_in_script_l", p_star, alpha, "(p*, alpha)"),
-        Hypothesis("p_star_weakly_submajorized_by_p", sub,
-                   "ascending suffix sums of p dominate those of p*" if sub
-                   else "some ascending suffix sum of p falls below p*'s"),
+        Hypothesis(name, held, held_detail if held else failed_detail),
     )
     orientation = PredictedOrder(
         "st",
-        _mix_alpha(p_star, alpha, beta), _mix_alpha(p, alpha, beta),
+        FiniteMixture.build(p_star, alpha, beta), FiniteMixture.build(p, alpha, beta),
         "mixture with shifted weights p*", "mixture with original weights p",
     )
-    return ConditionReport("T3.1", hyps, orientation)
+    return ConditionReport(theorem_id, hyps, orientation)
+
+
+def check_theorem_3_1(alpha, beta: float, p, p_star) -> ConditionReport:
+    """Weight shift under a common beta; concludes mixture(p*) <= mixture(p)
+    in the usual stochastic order."""
+    return _weight_shift_common_beta("T3.1", alpha, beta, p, p_star, (
+        "p_star_weakly_submajorized_by_p", weak_submajorizes,
+        "ascending suffix sums of p dominate those of p*",
+        "some ascending suffix sum of p falls below p*'s"))
 
 
 def check_corollary_3_1(alpha, beta: float, p, p_star) -> ConditionReport:
     """Plain-majorization variant of T3.1 (same conclusion)."""
-    alpha = _vec(alpha, "alpha")
-    p = _vec(p, "p")
-    p_star = _vec(p_star, "p_star")
-    maj = majorizes(p, p_star)
-    hyps = (
-        _script_l_hyp("alpha_p_in_script_l", p, alpha, "(p, alpha)"),
-        _script_l_hyp("alpha_p_star_in_script_l", p_star, alpha, "(p*, alpha)"),
-        Hypothesis("p_star_majorized_by_p", maj,
-                   f"majorizes(p, p*) = {maj}"),
-    )
-    orientation = PredictedOrder(
-        "st",
-        _mix_alpha(p_star, alpha, beta), _mix_alpha(p, alpha, beta),
-        "mixture with shifted weights p*", "mixture with original weights p",
-    )
-    return ConditionReport("C3.1", hyps, orientation)
+    return _weight_shift_common_beta("C3.1", alpha, beta, p, p_star, (
+        "p_star_majorized_by_p", majorizes,
+        "majorizes(p, p*) = True", "majorizes(p, p*) = False"))
 
 
 def check_theorem_3_2(beta, alpha: float, p, p_star) -> ConditionReport:
@@ -264,7 +249,7 @@ def check_theorem_3_2(beta, alpha: float, p, p_star) -> ConditionReport:
     )
     orientation = PredictedOrder(
         "st",
-        _mix_beta(p, beta, alpha), _mix_beta(p_star, beta, alpha),
+        FiniteMixture.build(p, alpha, beta), FiniteMixture.build(p_star, alpha, beta),
         "mixture with original weights p", "mixture with shifted weights p*",
     )
     return ConditionReport("T3.2", hyps, orientation)
@@ -287,7 +272,7 @@ def check_theorem_3_3(alpha, alpha_star, beta: float, p) -> ConditionReport:
     )
     orientation = PredictedOrder(
         "st",
-        _mix_alpha(p, alpha_star, beta), _mix_alpha(p, alpha, beta),
+        FiniteMixture.build(p, alpha_star, beta), FiniteMixture.build(p, alpha, beta),
         "mixture with shifted shapes alpha*", "mixture with original shapes alpha",
     )
     return ConditionReport("T3.3", hyps, orientation)
@@ -298,10 +283,53 @@ def check_theorem_3_3(alpha, alpha_star, beta: float, p) -> ConditionReport:
 # ---------------------------------------------------------------------------
 
 
+def _chain(ts) -> tuple[TTransform, ...]:
+    ts = tuple(ts)
+    if not ts:
+        raise DomainError("a T-transform chain needs at least one transform")
+    return ts
+
+
 def _chain_hyp(p: ParamMatrix2xN, q: ParamMatrix2xN, ts: tuple[TTransform, ...]) -> Hypothesis:
     ok = chain_majorization_verify(p, q, ts)
     return Hypothesis("chain_reproduces_q", ok,
                       f"{len(ts)} transform(s) {'reproduce' if ok else 'do not reproduce'} q from p")
+
+
+def _p_mat_hyp(p_mat: ParamMatrix2xN, shape: str) -> Hypothesis:
+    held = in_script_l(p_mat)
+    return Hypothesis("p_mat_in_script_l", held,
+                      f"rows of (p, {shape}) {'are' if held else 'are not'} oppositely ordered")
+
+
+def _common_pair_hyp(ts: tuple[TTransform, ...]) -> Hypothesis:
+    pairs = {tuple(sorted(t.pair)) for t in ts}
+    return Hypothesis("common_pair_chain", len(pairs) == 1,
+                      f"transforms act on column pairs {sorted(pairs)}")
+
+
+def _alpha_matrix_order(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN, beta: float,
+                        q_label: str = "mixture built from the transformed matrix q",
+                        ) -> PredictedOrder:
+    """(weights, alpha) rows under a shared beta: mixture(q) <= mixture(p)."""
+    return PredictedOrder(
+        "st",
+        FiniteMixture.build(q_mat.row1, q_mat.row2, beta),
+        FiniteMixture.build(p_mat.row1, p_mat.row2, beta),
+        q_label, "mixture built from the source matrix p",
+    )
+
+
+def _beta_matrix_order(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
+                       alpha: float) -> PredictedOrder:
+    """(weights, beta) rows under a shared alpha: mixture(p) <= mixture(q)."""
+    return PredictedOrder(
+        "st",
+        FiniteMixture.build(p_mat.row1, alpha, p_mat.row2),
+        FiniteMixture.build(q_mat.row1, alpha, q_mat.row2),
+        "mixture built from the source matrix p",
+        "mixture built from the transformed matrix q",
+    )
 
 
 def check_theorem_3_4_or_3_5(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
@@ -309,31 +337,17 @@ def check_theorem_3_4_or_3_5(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
     """(weights, alpha) matrix chained onto q by T-transforms with shared
     beta in (0,1); concludes mixture(q) <= mixture(p) in the usual order.
     One transform reports as T3.4, a longer chain as T3.5."""
-    ts = tuple(ts)
-    hyps = (
-        _beta_unit_hyp(beta),
-        Hypothesis("p_mat_in_script_l", in_script_l(p_mat),
-                   "rows of (p, alpha) are oppositely ordered" if in_script_l(p_mat)
-                   else "rows of (p, alpha) are not oppositely ordered"),
-        _chain_hyp(p_mat, q_mat, ts),
-    )
-    orientation = PredictedOrder(
-        "st",
-        mixture_from_matrix(q_mat.row1, q_mat.row2, varying="alpha", fixed=beta),
-        mixture_from_matrix(p_mat.row1, p_mat.row2, varying="alpha", fixed=beta),
-        "mixture built from the transformed matrix q",
-        "mixture built from the source matrix p",
-    )
-    return ConditionReport("T3.4" if len(ts) == 1 else "T3.5", hyps, orientation)
+    ts = _chain(ts)
+    hyps = (_beta_unit_hyp(beta), _p_mat_hyp(p_mat, "alpha"), _chain_hyp(p_mat, q_mat, ts))
+    return ConditionReport("T3.4" if len(ts) == 1 else "T3.5", hyps,
+                           _alpha_matrix_order(p_mat, q_mat, beta))
 
 
 def check_theorem_3_6(p_mat: ParamMatrix2xN, ts, beta: float) -> ConditionReport:
     """Staged variant: the chain may leave the oppositely-ordered class only
     at its final step.  q is the chain result itself, so the hypotheses are
     the stagewise memberships."""
-    ts = tuple(ts)
-    if not ts:
-        raise DomainError("staged chain needs at least one transform")
+    ts = _chain(ts)
     hyps = [_beta_unit_hyp(beta)]
     stage = p_mat
     for i, t in enumerate(ts):
@@ -342,15 +356,18 @@ def check_theorem_3_6(p_mat: ParamMatrix2xN, ts, beta: float) -> ConditionReport
             f"stage_{i}_in_script_l", ok,
             f"matrix before transform {i + 1} {'is' if ok else 'is not'} oppositely ordered"))
         stage = apply_t_transform(stage, t)
-    q_mat = stage
-    orientation = PredictedOrder(
-        "st",
-        mixture_from_matrix(q_mat.row1, q_mat.row2, varying="alpha", fixed=beta),
-        mixture_from_matrix(p_mat.row1, p_mat.row2, varying="alpha", fixed=beta),
-        "mixture built from the chain result",
-        "mixture built from the source matrix p",
-    )
-    return ConditionReport("T3.6", tuple(hyps), orientation)
+    return ConditionReport("T3.6", tuple(hyps), _alpha_matrix_order(
+        p_mat, stage, beta, "mixture built from the chain result"))
+
+
+def check_corollary_3_2(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
+                        ts, beta: float) -> ConditionReport:
+    """Chain of T-transforms acting on one fixed column pair (their product
+    is again a single T-transform); otherwise as T3.5."""
+    ts = _chain(ts)
+    hyps = (_beta_unit_hyp(beta), _p_mat_hyp(p_mat, "alpha"), _common_pair_hyp(ts),
+            _chain_hyp(p_mat, q_mat, ts))
+    return ConditionReport("C3.2", hyps, _alpha_matrix_order(p_mat, q_mat, beta))
 
 
 def check_theorem_3_7_to_3_9(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
@@ -361,10 +378,8 @@ def check_theorem_3_7_to_3_9(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
     intermediate memberships."""
     if variant not in ("3.7", "3.8", "3.9"):
         raise DomainError(f"variant must be 3.7, 3.8 or 3.9, got {variant!r}")
-    ts = tuple(ts)
-    hyps = [Hypothesis("p_mat_in_script_l", in_script_l(p_mat),
-                       "rows of (p, beta) are oppositely ordered" if in_script_l(p_mat)
-                       else "rows of (p, beta) are not oppositely ordered")]
+    ts = _chain(ts)
+    hyps = [_p_mat_hyp(p_mat, "beta")]
     if variant == "3.9":
         stage = p_mat
         for i, t in enumerate(ts[:-1]):
@@ -374,62 +389,15 @@ def check_theorem_3_7_to_3_9(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
                 f"stage_{i + 1}_in_script_l", ok,
                 f"matrix after transform {i + 1} {'is' if ok else 'is not'} oppositely ordered"))
     hyps.append(_chain_hyp(p_mat, q_mat, ts))
-    orientation = PredictedOrder(
-        "st",
-        mixture_from_matrix(p_mat.row1, p_mat.row2, varying="beta", fixed=alpha),
-        mixture_from_matrix(q_mat.row1, q_mat.row2, varying="beta", fixed=alpha),
-        "mixture built from the source matrix p",
-        "mixture built from the transformed matrix q",
-    )
-    return ConditionReport(f"T{variant}", tuple(hyps), orientation)
-
-
-def check_corollary_3_2(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
-                        ts, beta: float) -> ConditionReport:
-    """Chain of T-transforms acting on one fixed column pair (their product
-    is again a single T-transform); otherwise as T3.5."""
-    ts = tuple(ts)
-    pairs = {tuple(sorted(t.pair)) for t in ts}
-    common = len(pairs) == 1
-    hyps = (
-        _beta_unit_hyp(beta),
-        Hypothesis("p_mat_in_script_l", in_script_l(p_mat),
-                   f"in_script_l(p) = {in_script_l(p_mat)}"),
-        Hypothesis("common_pair_chain", common,
-                   f"transforms act on column pairs {sorted(pairs)}"),
-        _chain_hyp(p_mat, q_mat, ts),
-    )
-    orientation = PredictedOrder(
-        "st",
-        mixture_from_matrix(q_mat.row1, q_mat.row2, varying="alpha", fixed=beta),
-        mixture_from_matrix(p_mat.row1, p_mat.row2, varying="alpha", fixed=beta),
-        "mixture built from the transformed matrix q",
-        "mixture built from the source matrix p",
-    )
-    return ConditionReport("C3.2", hyps, orientation)
+    return ConditionReport(f"T{variant}", tuple(hyps), _beta_matrix_order(p_mat, q_mat, alpha))
 
 
 def check_corollary_3_3(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
                         ts, alpha: float) -> ConditionReport:
     """Common-pair chain on a (weights, beta) matrix; otherwise as T3.8."""
-    ts = tuple(ts)
-    pairs = {tuple(sorted(t.pair)) for t in ts}
-    common = len(pairs) == 1
-    hyps = (
-        Hypothesis("p_mat_in_script_l", in_script_l(p_mat),
-                   f"in_script_l(p) = {in_script_l(p_mat)}"),
-        Hypothesis("common_pair_chain", common,
-                   f"transforms act on column pairs {sorted(pairs)}"),
-        _chain_hyp(p_mat, q_mat, ts),
-    )
-    orientation = PredictedOrder(
-        "st",
-        mixture_from_matrix(p_mat.row1, p_mat.row2, varying="beta", fixed=alpha),
-        mixture_from_matrix(q_mat.row1, q_mat.row2, varying="beta", fixed=alpha),
-        "mixture built from the source matrix p",
-        "mixture built from the transformed matrix q",
-    )
-    return ConditionReport("C3.3", hyps, orientation)
+    ts = _chain(ts)
+    hyps = (_p_mat_hyp(p_mat, "beta"), _common_pair_hyp(ts), _chain_hyp(p_mat, q_mat, ts))
+    return ConditionReport("C3.3", hyps, _beta_matrix_order(p_mat, q_mat, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -454,61 +422,105 @@ def check_theorem_3_10(beta, beta_star, alpha: float, p, p_star) -> ConditionRep
     )
     orientation = PredictedOrder(
         "r_rh",
-        _mix_beta(p, beta, alpha), _mix_beta(p_star, beta_star, alpha),
+        FiniteMixture.build(p, alpha, beta), FiniteMixture.build(p_star, alpha, beta_star),
         "mixture with tightly clustered betas", "mixture with spread betas",
     )
     return ConditionReport("T3.10", hyps, orientation)
 
 
+def _plain_and_starred(p, alpha, beta, p_star, alpha_star, beta_star):
+    plain = (_vec(p, "p"), _vec(alpha, "alpha"), _vec(beta, "beta"))
+    starred = (_vec(p_star, "p_star"), _vec(alpha_star, "alpha_star"),
+               _vec(beta_star, "beta_star"))
+    return plain, starred
+
+
+def _separated(theorem_id: str, kind: str, texts: tuple[str, ...],
+               lhs, rhs) -> ConditionReport:
+    """lhs and rhs are the (weights, alpha, beta) of the predicted smaller
+    and larger mixture.  The hypotheses ask every rhs alpha to lie below
+    every lhs alpha and every lhs alpha*beta below every rhs one.  texts
+    holds the two hypothesis names, their detail templates (filled with
+    max, min of each comparison) and the two labels."""
+    a_name, a_detail, prod_name, prod_detail, lhs_label, rhs_label = texts
+    (_, alpha_lhs, beta_lhs), (_, alpha_rhs, beta_rhs) = lhs, rhs
+    prod_lhs = tuple(a * b for a, b in zip(alpha_lhs, beta_lhs))
+    prod_rhs = tuple(a * b for a, b in zip(alpha_rhs, beta_rhs))
+    hyps = (
+        Hypothesis(a_name, max(alpha_rhs) <= min(alpha_lhs) + _SLACK,
+                   a_detail.format(max(alpha_rhs), min(alpha_lhs))),
+        Hypothesis(prod_name, max(prod_lhs) <= min(prod_rhs) + _SLACK,
+                   prod_detail.format(max(prod_lhs), min(prod_rhs))),
+    )
+    orientation = PredictedOrder(kind, FiniteMixture.build(*lhs), FiniteMixture.build(*rhs),
+                                 lhs_label, rhs_label)
+    return ConditionReport(theorem_id, hyps, orientation)
+
+
 def check_theorem_3_11(p, alpha, beta, p_star, alpha_star, beta_star) -> ConditionReport:
     """Separation condition for the reversed hazard order between two fully
     heterogeneous mixtures: mixture(alpha, beta; p) <= mixture(alpha*, beta*; p*)."""
-    p = _vec(p, "p")
-    alpha = _vec(alpha, "alpha")
-    beta = _vec(beta, "beta")
-    p_star = _vec(p_star, "p_star")
-    alpha_star = _vec(alpha_star, "alpha_star")
-    beta_star = _vec(beta_star, "beta_star")
-    a_ok = max(alpha_star) <= min(alpha) + _SLACK
-    prod = tuple(a * b for a, b in zip(alpha, beta))
-    prod_star = tuple(a * b for a, b in zip(alpha_star, beta_star))
-    p_ok = max(prod) <= min(prod_star) + _SLACK
-    hyps = (
-        Hypothesis("alpha_star_max_below_alpha_min", a_ok,
-                   f"max(alpha*) = {max(alpha_star)!r} vs min(alpha) = {min(alpha)!r}"),
-        Hypothesis("alpha_beta_products_below_starred", p_ok,
-                   f"max(alpha*beta) = {max(prod)!r} vs min(alpha**beta*) = {min(prod_star)!r}"),
-    )
-    orientation = PredictedOrder(
-        "rh",
-        _mix_full(p, alpha, beta), _mix_full(p_star, alpha_star, beta_star),
+    plain, starred = _plain_and_starred(p, alpha, beta, p_star, alpha_star, beta_star)
+    return _separated("T3.11", "rh", (
+        "alpha_star_max_below_alpha_min", "max(alpha*) = {0!r} vs min(alpha) = {1!r}",
+        "alpha_beta_products_below_starred",
+        "max(alpha*beta) = {0!r} vs min(alpha**beta*) = {1!r}",
         "mixture with larger alphas", "mixture with larger alpha*beta products",
-    )
-    return ConditionReport("T3.11", hyps, orientation)
+    ), plain, starred)
 
 
 def check_theorem_3_12(p, alpha, beta, p_star, alpha_star, beta_star) -> ConditionReport:
     """Separation condition for the likelihood ratio order:
-    mixture(alpha*, beta*; p*) <= mixture(alpha, beta; p)."""
-    p = _vec(p, "p")
-    alpha = _vec(alpha, "alpha")
-    beta = _vec(beta, "beta")
-    p_star = _vec(p_star, "p_star")
-    alpha_star = _vec(alpha_star, "alpha_star")
-    beta_star = _vec(beta_star, "beta_star")
-    a_ok = max(alpha) <= min(alpha_star) + _SLACK
-    prod = tuple(a * b for a, b in zip(alpha, beta))
-    prod_star = tuple(a * b for a, b in zip(alpha_star, beta_star))
-    p_ok = min(prod) >= max(prod_star) - _SLACK
-    hyps = (
-        Hypothesis("alpha_max_below_alpha_star_min", a_ok,
-                   f"max(alpha) = {max(alpha)!r} vs min(alpha*) = {min(alpha_star)!r}"),
-        Hypothesis("alpha_beta_products_above_starred", p_ok,
-                   f"min(alpha*beta) = {min(prod)!r} vs max(alpha**beta*) = {max(prod_star)!r}"),
-    )
-    orientation = PredictedOrder(
-        "lr",
-        _mix_full(p_star, alpha_star, beta_star), _mix_full(p, alpha, beta),
+    mixture(alpha*, beta*; p*) <= mixture(alpha, beta; p), i.e. T3.11 with
+    the roles of the two mixtures swapped."""
+    plain, starred = _plain_and_starred(p, alpha, beta, p_star, alpha_star, beta_star)
+    return _separated("T3.12", "lr", (
+        "alpha_max_below_alpha_star_min", "max(alpha) = {0!r} vs min(alpha*) = {1!r}",
+        "alpha_beta_products_above_starred",
+        "min(alpha*beta) = {1!r} vs max(alpha**beta*) = {0!r}",
         "mixture with smaller alpha*beta products", "mixture with larger products",
-    )
-    return ConditionReport("T3.12", hyps, orientation)
+    ), starred, plain)
+
+
+# ---------------------------------------------------------------------------
+# the registry
+# ---------------------------------------------------------------------------
+
+CHECKERS = {
+    "T3.1": check_theorem_3_1,
+    "T3.2": check_theorem_3_2,
+    "T3.3": check_theorem_3_3,
+    "T3.4": check_theorem_3_4_or_3_5,
+    "T3.5": check_theorem_3_4_or_3_5,
+    "T3.6": check_theorem_3_6,
+    "T3.7": check_theorem_3_7_to_3_9,
+    "T3.8": partial(check_theorem_3_7_to_3_9, variant="3.8"),
+    "T3.9": partial(check_theorem_3_7_to_3_9, variant="3.9"),
+    "T3.10": check_theorem_3_10,
+    "T3.11": check_theorem_3_11,
+    "T3.12": check_theorem_3_12,
+    "C3.1": check_corollary_3_1,
+    "C3.2": check_corollary_3_2,
+    "C3.3": check_corollary_3_3,
+}
+
+THEOREM_IDS = tuple(CHECKERS)
+
+# (name, kind) per checker argument, in argument order, which is also the
+# scan's draw order; kind is "scalar", "vector" (one positive value per
+# component) or "weights" (drawn per component, then normalised to sum one)
+_SEPARATION_LAYOUT = (("p", "weights"), ("alpha", "vector"), ("beta", "vector"),
+                      ("p_star", "weights"), ("alpha_star", "vector"),
+                      ("beta_star", "vector"))
+SCAN_LAYOUTS: dict[str, tuple[tuple[str, str], ...]] = {
+    "T3.1": (("alpha", "vector"), ("beta", "scalar"),
+             ("p", "weights"), ("p_star", "weights")),
+    "T3.2": (("beta", "vector"), ("alpha", "scalar"),
+             ("p", "weights"), ("p_star", "weights")),
+    "T3.3": (("alpha", "vector"), ("alpha_star", "vector"),
+             ("beta", "scalar"), ("p", "weights")),
+    "T3.10": (("beta", "vector"), ("beta_star", "vector"),
+              ("alpha", "scalar"), ("p", "weights"), ("p_star", "weights")),
+    "T3.11": _SEPARATION_LAYOUT,
+    "T3.12": _SEPARATION_LAYOUT,
+}

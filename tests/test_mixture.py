@@ -18,7 +18,6 @@ from ikmix import (
     ik_quantile,
     ik_sf,
     mixture_cdf,
-    mixture_from_matrix,
     mixture_pdf,
     mixture_quantile,
     mixture_reversed_hazard,
@@ -72,12 +71,14 @@ class TestConstruction:
                                      "beta": 1.0})
 
     def test_from_matrix_variants(self):
-        ma = mixture_from_matrix((0.4, 0.6), (1.0, 9.0), varying="alpha", fixed=0.5)
+        ma = FiniteMixture.build((0.4, 0.6), (1.0, 9.0), 0.5)
         assert ma.alphas == (1.0, 9.0) and ma.betas == (0.5, 0.5)
-        mb = mixture_from_matrix((0.4, 0.6), (1.0, 9.0), varying="beta", fixed=0.5)
+        mb = FiniteMixture.build((0.4, 0.6), 0.5, (1.0, 9.0))
         assert mb.betas == (1.0, 9.0) and mb.alphas == (0.5, 0.5)
-        with pytest.raises(DomainError):
-            mixture_from_matrix((0.4, 0.6), (1.0, 9.0), varying="gamma", fixed=0.5)
+        with pytest.raises(DomainError, match="2 weights vs 3 alphas"):
+            FiniteMixture.build((0.4, 0.6), (1.0, 9.0, 2.0), 0.5)
+        with pytest.raises(DomainError, match="1 betas"):
+            FiniteMixture.build((0.4, 0.6), 0.5, (1.0,))
 
 
 class TestFrozenValues:

@@ -3,16 +3,22 @@ orientation construction, grid confrontation, and the staged chain."""
 
 from __future__ import annotations
 
+import inspect
+from functools import partial
+
 import numpy as np
 import pytest
 
 from conftest import random_script_l2
 from ikmix import (
+    CHECKERS,
+    SCAN_LAYOUTS,
     DomainError,
     Grid,
     ParamMatrix2xN,
     THEOREM_IDS,
     TTransform,
+    apply_t_transform,
     check_corollary_3_1,
     check_corollary_3_2,
     check_corollary_3_3,
@@ -28,6 +34,7 @@ from ikmix import (
     mixture_sf,
     verify_prediction,
 )
+from ikmix import theorems
 
 rng = np.random.default_rng(42)
 
@@ -68,6 +75,75 @@ class TestReportShape:
         assert rep.orientation.rhs.weights == p
         assert rep.orientation.lhs.alphas == alpha
         assert set(rep.orientation.lhs.betas) == {beta}
+
+
+def _chained(pm, ts):
+    for t in ts:
+        pm = apply_t_transform(pm, t)
+    return pm
+
+
+_PM2 = ParamMatrix2xN((0.6, 0.4), (1.0, 9.0))
+_ONE = (TTransform(0.3, (1, 2)),)
+_TWO = (TTransform(0.3, (1, 2)), TTransform(0.3, (1, 2)))
+_PM3 = ParamMatrix2xN((0.5, 0.2, 0.3), (1.0, 3.0, 2.0))
+_STAGED = (TTransform(0.9, (1, 2)), TTransform(0.7, (2, 3)))
+_SEPARATION = dict(p=(0.3, 0.7), alpha=(3.0, 4.0), beta=(1.0, 2.0),
+                   p_star=(0.6, 0.4), alpha_star=(1.0, 2.0), beta_star=(5.0, 6.0))
+
+# minimal valid inputs per id: two transforms for T3.5, a staged chain
+# on three columns for T3.6 and T3.9
+MINIMAL_INPUTS = {
+    "T3.1": dict(alpha=(2.0, 1.0), beta=1.0, p=(0.3, 0.7), p_star=(0.4, 0.6)),
+    "T3.2": dict(beta=(2.0, 1.0), alpha=1.0, p=(0.3, 0.7), p_star=(0.4, 0.6)),
+    "T3.3": dict(alpha=(2.0, 1.0), alpha_star=(1.5, 0.8), beta=0.5, p=(0.3, 0.7)),
+    "T3.4": dict(p_mat=_PM2, q_mat=_chained(_PM2, _ONE), ts=_ONE, beta=0.5),
+    "T3.5": dict(p_mat=_PM2, q_mat=_chained(_PM2, _TWO), ts=_TWO, beta=0.5),
+    "T3.6": dict(p_mat=_PM3, ts=_STAGED, beta=0.5),
+    "T3.7": dict(p_mat=_PM2, q_mat=_chained(_PM2, _ONE), ts=_ONE, alpha=0.5),
+    "T3.8": dict(p_mat=_PM2, q_mat=_chained(_PM2, _TWO), ts=_TWO, alpha=0.5),
+    "T3.9": dict(p_mat=_PM3, q_mat=_chained(_PM3, _STAGED), ts=_STAGED, alpha=0.5),
+    "T3.10": dict(beta=(0.1, 0.2), beta_star=(0.5, 1.0), alpha=2.0,
+                  p=(0.4, 0.6), p_star=(0.5, 0.5)),
+    "T3.11": _SEPARATION,
+    "T3.12": _SEPARATION,
+    "C3.1": dict(alpha=(2.0, 1.0), beta=1.0, p=(0.3, 0.7), p_star=(0.4, 0.6)),
+    "C3.2": dict(p_mat=_PM2, q_mat=_chained(_PM2, _TWO), ts=_TWO, beta=0.5),
+    "C3.3": dict(p_mat=_PM2, q_mat=_chained(_PM2, _TWO), ts=_TWO, alpha=0.5),
+}
+
+
+class TestRegistry:
+    def test_ids_are_the_registry_keys(self):
+        assert THEOREM_IDS == tuple(CHECKERS) == tuple(MINIMAL_INPUTS)
+
+    @pytest.mark.parametrize("tid", THEOREM_IDS)
+    def test_checker_reports_its_own_id(self, tid):
+        assert CHECKERS[tid](**MINIMAL_INPUTS[tid]).theorem_id == tid
+
+    def test_entries_are_the_public_checkers(self):
+        # plain module-level functions, so that wrapping a checker by name
+        # also wraps its registry entry; only the 3.8/3.9 variants are
+        # partials of the 3.7 checker
+        for tid, fn in CHECKERS.items():
+            if isinstance(fn, partial):
+                assert fn.func is theorems.check_theorem_3_7_to_3_9, tid
+                assert fn.keywords == {"variant": tid[1:]}
+            else:
+                assert getattr(theorems, fn.__name__) is fn, tid
+
+    @pytest.mark.parametrize("tid", sorted(SCAN_LAYOUTS))
+    def test_scan_layout_is_the_argument_order(self, tid):
+        names = [name for name, _ in SCAN_LAYOUTS[tid]]
+        assert names == list(inspect.signature(CHECKERS[tid]).parameters)
+
+    @pytest.mark.parametrize("tid", ["T3.4", "T3.5", "T3.6", "T3.7", "T3.8", "T3.9",
+                                     "C3.2", "C3.3"])
+    def test_empty_chain_rejected(self, tid):
+        full = dict(p_mat=_PM2, q_mat=_PM2, ts=[], beta=0.5, alpha=0.5)
+        params = inspect.signature(CHECKERS[tid]).parameters
+        with pytest.raises(DomainError, match="at least one transform"):
+            CHECKERS[tid](**{k: v for k, v in full.items() if k in params})
 
 
 class TestWeightShiftCheckers:
