@@ -94,19 +94,57 @@ def _ret(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
-def _log_u(xs: np.ndarray, alpha: float) -> np.ndarray:
-    """log u(x) for u = 1 - (1+x)^(-alpha); -inf exactly at x = 0.
+_LOG2 = math.log(2.0)
+
+
+def _log_u(L: np.ndarray, alpha) -> np.ndarray:
+    """log u(x) for u = 1 - (1+x)^(-alpha), from L = log1p(x); -inf
+    exactly at x = 0.  alpha may be a column of shape (k, 1), giving one
+    row per alpha.
 
     Split at t = 1/2: for t = (1+x)^(-alpha) close to 1 the expm1 form
     log(-expm1(-y)) keeps the leading digits of the tiny u, while for t
     close to 0 the log1p form log1p(-exp(-y)) keeps the tiny log u.
-    Each branch is relative-accurate on its half, which the other is not.
+    Each branch is relative-accurate on its half, which the other is not,
+    and each is evaluated only on its own half.
     """
-    y = alpha * np.log1p(xs)
+    y = alpha * L
+    large = y > _LOG2
+    small = ~large
+    neg_y = np.negative(y)
+    out = np.empty_like(y)
     with np.errstate(divide="ignore"):
-        small_u = np.log(-np.expm1(-y))
-        large_u = np.log1p(-np.exp(-y))
-    return np.where(y > math.log(2.0), large_u, small_u)
+        np.expm1(neg_y, out=out, where=small)
+        np.exp(neg_y, out=out, where=large)
+        np.negative(out, out=out)
+        np.log(out, out=out, where=small)
+        np.log1p(out, out=out, where=large)
+    return out
+
+
+# The formulas below take log u from _log_u and broadcast like it, so the
+# mixture evaluators share them with the single-component ones.
+
+
+def _cdf(beta, log_u: np.ndarray) -> np.ndarray:
+    return np.exp(beta * log_u)
+
+
+def _sf(beta, log_u: np.ndarray) -> np.ndarray:
+    return -np.expm1(beta * log_u)
+
+
+def _pdf(log_ab, alpha, beta, L: np.ndarray, log_u: np.ndarray) -> np.ndarray:
+    """Density from log_ab = log(alpha) + log(beta), L = log1p(x) and log u.
+
+    (beta-1) * log u is +inf at x=0 for beta<1 and -inf for beta>1, which
+    exponentiates to the correct boundary value in both cases.  For
+    beta = 1 the term is left out, since it would be 0 * -inf there.
+    """
+    logf = log_ab - (alpha + 1.0) * L
+    with np.errstate(invalid="ignore", over="ignore"):
+        logf = np.where(beta == 1.0, logf, logf + (beta - 1.0) * log_u)
+        return np.exp(logf)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +155,7 @@ def _log_u(xs: np.ndarray, alpha: float) -> np.ndarray:
 def ik_cdf(x, params: IKParams):
     """Distribution function; exactly 0.0 at x = 0 and increasing to 1."""
     xs, scalar = _as_x(x)
-    out = np.exp(params.beta * _log_u(xs, params.alpha))
+    out = _cdf(params.beta, _log_u(np.log1p(xs), params.alpha))
     return _ret(out, scalar)
 
 
@@ -128,7 +166,7 @@ def ik_sf(x, params: IKParams):
     cdf is within an ulp of 1.
     """
     xs, scalar = _as_x(x)
-    out = -np.expm1(params.beta * _log_u(xs, params.alpha))
+    out = _sf(params.beta, _log_u(np.log1p(xs), params.alpha))
     return _ret(out, scalar)
 
 
@@ -143,15 +181,7 @@ def ik_pdf(x, params: IKParams):
     xs, scalar = _as_x(x)
     a, b = params.alpha, params.beta
     L = np.log1p(xs)
-    log_ab = math.log(a) + math.log(b)
-    if b == 1.0:
-        logf = log_ab - (a + 1.0) * L
-    else:
-        # (b-1) * log u is +inf at x=0 for b<1 and -inf for b>1, which
-        # exponentiates to the correct boundary value in both cases.
-        logf = log_ab - (a + 1.0) * L + (b - 1.0) * _log_u(xs, a)
-    with np.errstate(over="ignore"):
-        out = np.exp(logf)
+    out = _pdf(math.log(a) + math.log(b), a, b, L, _log_u(L, a))
     return _ret(out, scalar)
 
 

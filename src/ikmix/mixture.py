@@ -1,8 +1,15 @@
 """Finite mixtures of inverted-Kumaraswamy components.
 
-Mixture evaluations sum the weighted component values in component order
-with Neumaier compensation, so results are deterministic and the rounding
-error stays independent of the number of components.
+All four evaluators (cdf, sf, pdf, reversed hazard) run through one
+blocked kernel.  It validates x and takes log1p(x) once, then walks the
+components in blocks of at most 8192 values: each block computes log u
+once for its rows, broadcasting a column of alphas against log1p(x), and
+derives every requested quantity from it with the same formulas as the
+single-component functions in ikdist.  The weighted rows are added in
+component order with Neumaier compensation, so results are
+deterministic, the rounding error stays independent of the number of
+components, and every value is bit for bit the sum of the single-
+component evaluations.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ikdist import DomainError, IKParams, ik_cdf, ik_pdf, ik_quantile, ik_sf
+from .ikdist import DomainError, IKParams, _as_x, _cdf, _log_u, _pdf, _sf, ik_quantile
 
 __all__ = [
     "FiniteMixture",
@@ -25,6 +32,8 @@ __all__ = [
 ]
 
 _RAW_WEIGHT_TOL = 1e-6
+# largest (components x points) block the kernel evaluates at once: 64 KiB
+_BLOCK_VALUES = 8192
 
 
 def neumaier_sum(terms):
@@ -95,8 +104,8 @@ class FiniteMixture:
         must have one entry per weight."""
         weights = tuple(weights)
         n = len(weights)
-        alphas = (alpha,) * n if np.isscalar(alpha) else tuple(alpha)
-        betas = (beta,) * n if np.isscalar(beta) else tuple(beta)
+        alphas = _per_component("alpha", alpha, n)
+        betas = _per_component("beta", beta, n)
         if len(alphas) != n or len(betas) != n:
             raise DomainError(f"{n} weights vs {len(alphas)} alphas and {len(betas)} betas")
         return cls(weights, tuple(IKParams(a, b) for a, b in zip(alphas, betas)))
@@ -122,42 +131,125 @@ class FiniteMixture:
         }
 
 
+def _per_component(name: str, value, n: int) -> tuple:
+    """A scalar repeated n times, or the entries of an iterable."""
+    if np.isscalar(value):
+        return (value,) * n
+    try:
+        return tuple(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a real number or a list of them, "
+                          f"got {value!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # evaluators (component order is the summation order, always)
 # ---------------------------------------------------------------------------
 
 
+class _RowSum:
+    """Neumaier sum of non-negative rows, added in order.
+
+    For s, t >= 0, |s| >= |t| exactly when max(s, t) == s, so the
+    compensation term of neumaier_sum is (max(s, t) - total) + min(s, t);
+    where s == t both of its branches give the same value, sign of zero
+    included.  The buffers are preallocated, so adding a row allocates
+    nothing.
+    """
+
+    def __init__(self, first: np.ndarray) -> None:
+        self.s = first.copy()
+        self.total = np.empty_like(self.s)
+        self.hi = np.empty_like(self.s)
+        self.lo = np.empty_like(self.s)
+        self.c = np.zeros_like(self.s)
+
+    def add(self, t: np.ndarray) -> None:
+        s, total, hi, lo = self.s, self.total, self.hi, self.lo
+        np.add(s, t, out=total)
+        np.maximum(s, t, out=hi)
+        np.minimum(s, t, out=lo)
+        np.subtract(hi, total, out=hi)
+        np.add(hi, lo, out=hi)
+        np.add(self.c, hi, out=self.c)
+        self.s, self.total = total, s
+
+    def result(self) -> np.ndarray:
+        return self.s + self.c
+
+
+def _evaluate(x, m: FiniteMixture, names: tuple[str, ...]) -> tuple:
+    """One value of m per name in names (a subset of cdf, sf, pdf, rh) at x.
+
+    x is validated and log1p(x) taken once; log u is computed once per
+    block of components and shared by every name.  A pdf point where a
+    component term is infinite (x = 0 with beta < 1) is infinite; its
+    terms are summed as 0 so the compensation stays finite.  rh is
+    pdf/cdf and needs x > 0.
+    """
+    if "rh" in names and np.any(np.atleast_1d(np.asarray(x, dtype=float)) <= 0.0):
+        raise DomainError("reversed hazard requires x > 0")
+    xs, scalar = _as_x(x)
+    L = np.log1p(xs.ravel())
+    want_cdf = "cdf" in names or "rh" in names
+    want_pdf = "pdf" in names or "rh" in names
+    weights = np.array(m.weights)[:, None]
+    alphas = np.array(m.alphas)[:, None]
+    betas = np.array(m.betas)[:, None]
+    if want_pdf:
+        log_ab = np.array([math.log(a) + math.log(b)
+                           for a, b in zip(m.alphas, m.betas)])[:, None]
+        inf_mask = np.zeros(L.shape, dtype=bool)
+    rows = max(1, _BLOCK_VALUES // L.size)
+    sums: dict[str, _RowSum] = {}
+    for start in range(0, m.n, rows):
+        block = slice(start, start + rows)
+        a, b, w = alphas[block], betas[block], weights[block]
+        log_u = _log_u(L, a)
+        terms = {}
+        if want_cdf:
+            terms["cdf"] = w * _cdf(b, log_u)
+        if "sf" in names:
+            terms["sf"] = w * _sf(b, log_u)
+        if want_pdf:
+            pdf = w * _pdf(log_ab[block], a, b, L, log_u)
+            inf = np.isinf(pdf)
+            if inf.any():
+                inf_mask |= inf.any(axis=0)
+                pdf[inf] = 0.0
+            terms["pdf"] = pdf
+        for name, block_rows in terms.items():
+            rows_left = iter(block_rows)
+            if name not in sums:
+                sums[name] = _RowSum(next(rows_left))
+            for row in rows_left:
+                sums[name].add(row)
+    out = {name: acc.result() for name, acc in sums.items()}
+    if want_pdf and inf_mask.any():
+        out["pdf"] = np.where(inf_mask, np.inf, out["pdf"])
+    if "rh" in names:
+        out["rh"] = out["pdf"] / out["cdf"]
+    return tuple(float(out[name][0]) if scalar else out[name].reshape(xs.shape)
+                 for name in names)
+
+
 def mixture_cdf(x, m: FiniteMixture):
-    return neumaier_sum(w * ik_cdf(x, c) for w, c in zip(m.weights, m.components))
+    return _evaluate(x, m, ("cdf",))[0]
 
 
 def mixture_sf(x, m: FiniteMixture):
-    return neumaier_sum(w * ik_sf(x, c) for w, c in zip(m.weights, m.components))
+    return _evaluate(x, m, ("sf",))[0]
 
 
 def mixture_pdf(x, m: FiniteMixture):
     """Mixture density.  At x = 0 any component with beta < 1 diverges, and
     the mixture inherits the boundary infinity."""
-    terms = [w * ik_pdf(x, c) for w, c in zip(m.weights, m.components)]
-    if any(np.any(np.isinf(t)) for t in terms):
-        inf_mask = np.zeros_like(np.asarray(terms[0], dtype=float), dtype=bool)
-        for t in terms:
-            inf_mask |= np.isinf(np.asarray(t, dtype=float))
-        finite_terms = [np.where(inf_mask, 0.0, t) for t in terms]
-        out = np.where(inf_mask, np.inf, neumaier_sum(finite_terms))
-        return float(out) if out.ndim == 0 else out
-    return neumaier_sum(terms)
+    return _evaluate(x, m, ("pdf",))[0]
 
 
 def mixture_reversed_hazard(x, m: FiniteMixture):
     """pdf/cdf of the mixture, defined on x > 0."""
-    xs = np.asarray(x, dtype=float)
-    if np.any(np.atleast_1d(xs) <= 0.0):
-        raise DomainError("reversed hazard requires x > 0")
-    num = mixture_pdf(x, m)
-    den = mixture_cdf(x, m)
-    out = np.asarray(num, dtype=float) / np.asarray(den, dtype=float)
-    return float(out) if out.ndim == 0 else out
+    return _evaluate(x, m, ("rh",))[0]
 
 
 def mixture_quantile(u: float, m: FiniteMixture) -> float:

@@ -44,6 +44,7 @@ import numpy as np
 from .ikdist import DomainError
 from .mixture import (
     FiniteMixture,
+    _evaluate,
     mixture_cdf,
     mixture_pdf,
     mixture_reversed_hazard,
@@ -319,11 +320,13 @@ def check_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) ->
     Two equivalent formulations are evaluated independently: the cdf ratio
     cdf(m2)/cdf(m1) must be nondecreasing, and the reversed hazards must
     satisfy rh(m1) <= rh(m2) pointwise.  Agreement is required; a split
-    decision signals numerical trouble and yields inconclusive.
+    decision signals numerical trouble and yields inconclusive.  Both
+    criteria come from one kernel pass per mixture that returns its cdf
+    and pdf; the reversed hazards are pdf/cdf at the usable points.
     """
     xs = grid.xs()
-    F1 = mixture_cdf(xs, m1)
-    F2 = mixture_cdf(xs, m2)
+    F1, f1 = _evaluate(xs, m1, ("cdf", "pdf"))
+    F2, f2 = _evaluate(xs, m2, ("cdf", "pdf"))
     nonfinite = ~(np.isfinite(F1) & np.isfinite(F2))
     skip = ~nonfinite & ((F1 < _UNDERFLOW) | (F2 < _UNDERFLOW))
     bad = _unusable("rh", grid, skip, nonfinite)
@@ -332,8 +335,8 @@ def check_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) ->
     # reversed hazards only where both cdfs are usable; a point where
     # either of them is non-finite is unusable for both criteria
     idx = np.nonzero(~(skip | nonfinite))[0]
-    r1 = mixture_reversed_hazard(xs[idx], m1)
-    r2 = mixture_reversed_hazard(xs[idx], m2)
+    r1 = f1[idx] / F1[idx]
+    r2 = f2[idx] / F2[idx]
     finite = np.isfinite(r1) & np.isfinite(r2)
     if not np.all(finite):
         nonfinite[idx[~finite]] = True

@@ -129,6 +129,14 @@ class TestEval:
         assert rc == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_null_parameter_exits_1(self, capsys, tmp_path):
+        m = write_mixture(tmp_path / "null.json", [1.0], None, 1.0)
+        rc = main(["eval", "--mixture", m, "--x", "1", "--fn", "cdf"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "alpha must be a real number" in err
+        assert "Traceback" not in err
+
 
 # ---------------------------------------------------------------------------
 # order

@@ -1,7 +1,10 @@
-"""Mixture construction, JSON round trip, frozen catalog values, and the
-compensated-summation guarantees."""
+"""Mixture construction, JSON round trip, frozen catalog values, the
+compensated-summation guarantees, and the blocked kernel's bit identity
+with a per-component reference."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_mixture
+from ikmix import ikdist, mixture
 from ikmix import (
     DomainError,
     FiniteMixture,
@@ -79,6 +83,13 @@ class TestConstruction:
             FiniteMixture.build((0.4, 0.6), (1.0, 9.0, 2.0), 0.5)
         with pytest.raises(DomainError, match="1 betas"):
             FiniteMixture.build((0.4, 0.6), 0.5, (1.0,))
+
+    @pytest.mark.parametrize("bad", [None, object()])
+    def test_non_iterable_parameter_is_a_domain_error(self, bad):
+        with pytest.raises(DomainError, match="alpha must be a real number"):
+            FiniteMixture.build((1.0,), bad, 1.0)
+        with pytest.raises(DomainError, match="beta must be a real number"):
+            FiniteMixture.from_dict({"weights": [1.0], "alpha": 1.0, "beta": bad})
 
 
 class TestFrozenValues:
@@ -199,3 +210,194 @@ class TestNeumaierSum:
         # the last ulp, which is exactly why the evaluation order is pinned
         terms = [0.1, 0.2, 0.3, -0.4, 1e-17]
         assert neumaier_sum(terms) == neumaier_sum(list(terms))
+
+
+# ---------------------------------------------------------------------------
+# the blocked kernel against the per-component evaluators it replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_cdf(x, m):
+    return neumaier_sum(w * ik_cdf(x, c) for w, c in zip(m.weights, m.components))
+
+
+def _ref_sf(x, m):
+    return neumaier_sum(w * ik_sf(x, c) for w, c in zip(m.weights, m.components))
+
+
+def _ref_pdf(x, m):
+    terms = [w * ik_pdf(x, c) for w, c in zip(m.weights, m.components)]
+    if any(np.any(np.isinf(t)) for t in terms):
+        inf_mask = np.zeros_like(np.asarray(terms[0], dtype=float), dtype=bool)
+        for t in terms:
+            inf_mask |= np.isinf(np.asarray(t, dtype=float))
+        finite_terms = [np.where(inf_mask, 0.0, t) for t in terms]
+        out = np.where(inf_mask, np.inf, neumaier_sum(finite_terms))
+        return float(out) if out.ndim == 0 else out
+    return neumaier_sum(terms)
+
+
+def _ref_rh(x, m):
+    xs = np.asarray(x, dtype=float)
+    if np.any(np.atleast_1d(xs) <= 0.0):
+        raise DomainError("reversed hazard requires x > 0")
+    out = np.asarray(_ref_pdf(x, m), dtype=float) / np.asarray(_ref_cdf(x, m), dtype=float)
+    return float(out) if out.ndim == 0 else out
+
+
+EVALUATORS = [(mixture_cdf, _ref_cdf), (mixture_sf, _ref_sf),
+              (mixture_pdf, _ref_pdf), (mixture_reversed_hazard, _ref_rh)]
+
+
+def _assert_bit_identical(got, want):
+    assert type(got) is type(want)
+    got_a, want_a = np.asarray(got), np.asarray(want)
+    assert got_a.dtype == want_a.dtype and got_a.shape == want_a.shape
+    np.testing.assert_array_equal(np.signbit(got_a), np.signbit(want_a))
+    assert got_a.tobytes() == want_a.tobytes()
+
+
+def _spread_mixture(rng, n):
+    raw = rng.uniform(0.05, 1.0, size=n)
+    alphas = 10.0 ** rng.uniform(-1.5, 2.0, size=n)
+    betas = 10.0 ** rng.uniform(-1.5, 2.5, size=n)
+    betas[::4] = 1.0
+    return FiniteMixture.build(tuple(raw / raw.sum()), tuple(alphas), tuple(betas))
+
+
+class TestKernelBitIdentity:
+    @pytest.mark.parametrize("points", [500, 2000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 50, 70])
+    def test_grid(self, n, points):
+        # 2000 points give 4 rows per block, 500 give 16: components span
+        # several blocks, and n is not always a multiple of the block
+        m = _spread_mixture(np.random.default_rng(1000 * n + points), n)
+        xs = np.geomspace(1e-4, 1e4, points)
+        for fn, ref in EVALUATORS:
+            _assert_bit_identical(fn(xs, m), ref(xs, m))
+
+    @pytest.mark.parametrize("n", [1, 3, 70])
+    def test_scalar_x(self, n):
+        m = _spread_mixture(np.random.default_rng(n), n)
+        for x in (1e-300, 1e-4, 0.37, 1.0, 250.0, 1e300):
+            for fn, ref in EVALUATORS:
+                _assert_bit_identical(fn(x, m), ref(x, m))
+
+    @pytest.mark.parametrize("beta", [0.4, 1.0, 3.0])
+    def test_zero_boundary(self, beta):
+        m = FiniteMixture.build((0.2, 0.5, 0.3), (0.7, 2.0, 5.0), (1.5, beta, 2.5))
+        xs = np.array([0.0, 1e-300, 1e-3, 1.0, 1e300])
+        for fn, ref in EVALUATORS[:3]:
+            _assert_bit_identical(fn(xs, m), ref(xs, m))
+            _assert_bit_identical(fn(0.0, m), ref(0.0, m))
+        assert np.isinf(mixture_pdf(0.0, m)) == (beta < 1.0)
+        with pytest.raises(DomainError, match="x > 0"):
+            mixture_reversed_hazard(xs, m)
+
+    def test_extreme_x(self):
+        m = _spread_mixture(np.random.default_rng(5), 9)
+        xs = np.array([1e-300, 1e-200, 1e200, 1e300])
+        for fn, ref in EVALUATORS:
+            _assert_bit_identical(fn(xs, m), ref(xs, m))
+            _assert_bit_identical(fn(xs[:1], m), ref(xs[:1], m))
+
+    def test_shape_is_kept(self):
+        m = _spread_mixture(np.random.default_rng(6), 4)
+        xs = np.geomspace(1e-3, 1e3, 12).reshape(3, 4)
+        for fn, ref in EVALUATORS:
+            _assert_bit_identical(fn(xs, m), ref(xs, m))
+
+    def test_one_pass_gives_every_name(self):
+        m = _spread_mixture(np.random.default_rng(8), 11)
+        xs = np.geomspace(1e-4, 1e4, 300)
+        got = mixture._evaluate(xs, m, ("cdf", "sf", "pdf", "rh"))
+        for value, (_, ref) in zip(got, EVALUATORS):
+            _assert_bit_identical(value, ref(xs, m))
+
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
+           st.integers(min_value=1, max_value=40),
+           st.integers(min_value=1, max_value=700))
+    @settings(max_examples=60, deadline=None)
+    def test_random_mixtures(self, seed, n, points):
+        r = np.random.default_rng(seed)
+        m = _spread_mixture(r, n)
+        xs = np.sort(10.0 ** r.uniform(-6.0, 6.0, size=points))
+        with np.errstate(all="ignore"):
+            for fn, ref in EVALUATORS:
+                _assert_bit_identical(fn(xs, m), ref(xs, m))
+
+
+    @pytest.mark.parametrize("points", [1, 700, 2000, 9000])
+    def test_rows_are_added_in_component_order(self, monkeypatch, points):
+        # a compensated sum of positive terms rarely depends on their order,
+        # so the order is checked on the rows themselves
+        added = []
+
+        class Recording(mixture._RowSum):
+            def __init__(self, first):
+                added.append(first.copy())
+                super().__init__(first)
+
+            def add(self, t):
+                added.append(t.copy())
+                super().add(t)
+
+        monkeypatch.setattr(mixture, "_RowSum", Recording)
+        m = _spread_mixture(np.random.default_rng(points), 13)
+        xs = np.geomspace(1e-3, 1e3, points)
+        mixture_sf(xs, m)
+        want = [w * ik_sf(xs, c) for w, c in zip(m.weights, m.components)]
+        assert [r.tobytes() for r in added] == [r.tobytes() for r in want]
+
+
+def _two_branch_log_u(L, alpha):
+    """log u with both branches evaluated everywhere and one picked by
+    np.where, as before each branch ran only on its own half."""
+    y = alpha * L
+    with np.errstate(divide="ignore"):
+        small_u = np.log(-np.expm1(-y))
+        large_u = np.log1p(-np.exp(-y))
+    return np.where(y > math.log(2.0), large_u, small_u)
+
+
+class TestLogU:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_two_branch_form(self, seed):
+        # unsorted x, so the two halves interleave in short runs
+        r = np.random.default_rng(seed)
+        x = np.concatenate([[0.0, 5e-324, 1e-300, 1e300],
+                            10.0 ** r.uniform(-300.0, 300.0, size=3000),
+                            r.uniform(0.0, 3.0, size=3000)])
+        L = np.log1p(x)
+        alphas = 10.0 ** r.uniform(-3.0, 3.0, size=(5, 1))
+        got = ikdist._log_u(L, alphas)
+        assert got.tobytes() == _two_branch_log_u(L, alphas).tobytes()
+        for k in range(alphas.shape[0]):
+            assert ikdist._log_u(L, float(alphas[k, 0])).tobytes() == got[k].tobytes()
+
+
+class TestRowSum:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_neumaier_sum(self, seed):
+        r = np.random.default_rng(seed)
+        rows, width = int(r.integers(1, 12)), 400
+        terms = 10.0 ** r.uniform(-300.0, 300.0, size=(rows, width))
+        tiny = np.finfo(float).tiny
+        special = np.array([0.0, -0.0, tiny / 2.0, tiny / 2 ** 40, 5e-324, tiny, 1.0])
+        pick = r.random(size=terms.shape) < 0.3
+        terms[pick] = r.choice(special, size=int(pick.sum()))
+        acc = mixture._RowSum(terms[0])
+        for row in terms[1:]:
+            acc.add(row)
+        got, want = acc.result(), neumaier_sum(list(terms))
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        assert got.tobytes() == want.tobytes()
+
+    def test_signed_zero_rows(self):
+        for rows in ([[-0.0, 0.0, -0.0]], [[-0.0, -0.0, 0.0], [-0.0, 0.0, 0.0]],
+                     [[0.0, -0.0, -0.0], [-0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]):
+            terms = [np.array(row) for row in rows]
+            acc = mixture._RowSum(terms[0])
+            for row in terms[1:]:
+                acc.add(row)
+            assert acc.result().tobytes() == neumaier_sum(terms).tobytes()

@@ -37,7 +37,7 @@ from ikmix.theorems import (
     check_theorem_3_10,
     check_theorem_3_12,
 )
-from ikmix.mixture import mixture_pdf, mixture_reversed_hazard, mixture_sf
+from ikmix.mixture import mixture_cdf, mixture_pdf, mixture_reversed_hazard, mixture_sf
 from ikmix.scan import ScanConfig, draw_sample
 
 T310_GAP_PROBE = (Path(__file__).resolve().parents[1]
@@ -386,6 +386,78 @@ class TestRatioChecks:
         m = _mix((1.0,), (1.0,), (1.0,))
         with pytest.raises(DomainError):
             check_order("hazard", m, m)
+
+
+def _reference_check_rh(m1, m2, grid=DEFAULT_GRID):
+    """check_rh as it was before the cdf and pdf came from one kernel
+    pass: the cdfs from mixture_cdf, and the reversed hazards at the
+    usable points from mixture_reversed_hazard, which recomputes them."""
+    xs = grid.xs()
+    F1 = mixture_cdf(xs, m1)
+    F2 = mixture_cdf(xs, m2)
+    nonfinite = ~(np.isfinite(F1) & np.isfinite(F2))
+    skip = ~nonfinite & ((F1 < ordercheck._UNDERFLOW) | (F2 < ordercheck._UNDERFLOW))
+    bad = ordercheck._unusable("rh", grid, skip, nonfinite)
+    if bad is not None:
+        return bad
+    idx = np.nonzero(~(skip | nonfinite))[0]
+    r1 = mixture_reversed_hazard(xs[idx], m1)
+    r2 = mixture_reversed_hazard(xs[idx], m2)
+    finite = np.isfinite(r1) & np.isfinite(r2)
+    if not np.all(finite):
+        nonfinite[idx[~finite]] = True
+        bad = ordercheck._unusable("rh", grid, skip, nonfinite)
+        if bad is not None:
+            return bad
+        idx, r1, r2 = idx[finite], r1[finite], r2[finite]
+    n_skip = int(np.count_nonzero(skip))
+    n_nonfinite = int(np.count_nonzero(nonfinite))
+    ratio = F2[idx] / F1[idx]
+    tau_r = ordercheck._TOL * (1.0 + np.abs(ratio[:-1]))
+    ratio_violated = bool(np.any(np.diff(ratio) < -tau_r))
+    tau_p = ordercheck._TOL * (1.0 + np.maximum(np.abs(r1), np.abs(r2)))
+    pt_viol = r1 > r2 + tau_p
+    if ratio_violated != bool(np.any(pt_viol)):
+        which = "cdf-ratio monotonicity" if ratio_violated else "pointwise reversed hazards"
+        return ordercheck.OrderVerdict(
+            kind="rh", status="inconclusive",
+            reason=f"the two rh criteria disagree (only {which} flagged a violation)",
+            skipped_points=n_skip, nonfinite_points=n_nonfinite, grid=grid)
+    return ordercheck._pointwise_verdict(
+        "rh", grid, xs[idx], r1, r2, pt_viol, np.ones_like(pt_viol),
+        lambda x: mixture_reversed_hazard(x, m1) - mixture_reversed_hazard(x, m2),
+        "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", n_skip, n_nonfinite)
+
+
+def _with_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        out = fn(*args)
+    return out, sorted({str(w.message) for w in caught})
+
+
+class TestRhOnePass:
+    """check_rh takes cdf and pdf from one kernel pass per mixture; its
+    verdicts are unchanged against the two-pass reference."""
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, Grid(1e-4, 3e-4, 200)])
+    def test_fixture_orientations(self, catalog, grid):
+        for fid in catalog.ids():
+            po = catalog.checker_report(fid).orientation
+            for m1, m2 in ((po.lhs, po.rhs), (po.rhs, po.lhs)):
+                got = _with_warnings(check_rh, m1, m2, grid)
+                want = _with_warnings(_reference_check_rh, m1, m2, grid)
+                assert got[0].to_dict() == want[0].to_dict(), (fid, grid)
+                assert got[1] == want[1], fid
+
+    def test_nonfinite_pair(self):
+        m1 = _mix((0.5, 0.5), (1.0, 1.0), (400.0, 300.0))
+        m2 = _mix((0.3, 0.7), (1.0, 1.0), (400.0, 300.0))
+        for a, b in ((m1, m2), (m2, m1)):
+            got, got_warned = _with_warnings(check_rh, a, b)
+            want, want_warned = _with_warnings(_reference_check_rh, a, b)
+            assert got.to_dict() == want.to_dict()
+            assert got_warned == want_warned
 
 
 class TestCurves:
