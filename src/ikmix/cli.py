@@ -26,14 +26,13 @@ import sys
 from .ikdist import DomainError, IKParams, ik_cdf, ik_pdf, ik_quantile, ik_reversed_hazard, ik_sf
 from .fixtures import FixtureCatalog
 from .mixture import (
+    EVALUATORS,
     FiniteMixture,
-    mixture_cdf,
-    mixture_pdf,
     mixture_quantile,
-    mixture_reversed_hazard,
     mixture_sf,
 )
-from .ordercheck import DEFAULT_GRID, Grid, check_order, difference_curve, write_curve_csv
+from .ordercheck import (DEFAULT_GRID, ORDER_KINDS, Grid, check_order, difference_curve,
+                         write_curve_csv)
 from .scan import ScanConfig, run_scan
 
 __all__ = ["main"]
@@ -46,6 +45,10 @@ EXIT_USAGE = 2
 EXIT_VIOLATED = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_ALARM = 5
+
+# accepted spellings of the library's order and curve kind names
+_ALIASES = {"r-rh": "r_rh", "cdfratio": "cdf_ratio", "pdfratio": "pdf_ratio",
+            "rhratio": "rh_ratio"}
 
 
 def _resolve_grid(spec: str | None) -> Grid:
@@ -94,13 +97,10 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             other = _load_mixture(args.against)
             _print_value(mixture_sf(args.x, m) - mixture_sf(args.x, other))
             return EXIT_OK
-        fn = {"cdf": mixture_cdf, "pdf": mixture_pdf, "sf": mixture_sf,
-              "rh": mixture_reversed_hazard, "quantile": mixture_quantile}[args.fn]
+        fn = mixture_quantile if args.fn == "quantile" else EVALUATORS[args.fn]
         _print_value(fn(args.x, m))
         return EXIT_OK
 
-    if args.dist != "ik":
-        parser.error(f"unknown --dist {args.dist!r}")
     if args.alpha is None or args.beta is None:
         parser.error("--dist ik needs both --alpha and --beta")
     if args.fn == "sfdiff":
@@ -114,7 +114,7 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_order(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    kind = args.kind.replace("-", "_")
+    kind = _ALIASES.get(args.kind, args.kind)
     m1 = _load_mixture(args.m1)
     m2 = _load_mixture(args.m2)
     verdict = check_order(kind, m1, m2, _resolve_grid(args.grid))
@@ -154,9 +154,8 @@ def _cmd_curve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         if args.m2 is None:
             parser.error(f"--which {args.which} needs --m2 FILE")
         m2 = _load_mixture(args.m2)
-        internal = {"sfdiff": "sf", "cdfratio": "cdf_ratio",
-                    "pdfratio": "pdf_ratio", "rhratio": "rh_ratio"}[args.which]
-        rows = difference_curve(m1, m2, grid, internal)
+        which = "sf" if args.which == "sfdiff" else _ALIASES.get(args.which, args.which)
+        rows = difference_curve(m1, m2, grid, which)
     write_curve_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
@@ -187,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a distribution or mixture function")
-    p_eval.add_argument("--dist", default="ik")
+    p_eval.add_argument("--dist", default="ik", choices=["ik"])
     p_eval.add_argument("--alpha", type=float)
     p_eval.add_argument("--beta", type=float)
     p_eval.add_argument("--mixture", metavar="FILE")
@@ -201,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_eval)
 
     p_order = sub.add_parser("order", help="check a stochastic order between two mixtures")
-    p_order.add_argument("--kind", required=True, choices=["st", "rh", "lr", "r-rh", "r_rh"])
+    p_order.add_argument("--kind", required=True, choices=[*ORDER_KINDS, "r-rh"])
     p_order.add_argument("--m1", required=True, metavar="FILE")
     p_order.add_argument("--m2", required=True, metavar="FILE")
     p_order.add_argument("--grid", metavar="SPEC")
@@ -215,7 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="write a comparison curve as CSV")
     p_curve.add_argument("--which", required=True,
-                         choices=["sf", "sfdiff", "cdfratio", "pdfratio", "rhratio"])
+                         choices=["sf", "sfdiff", "cdf_ratio", "pdf_ratio", "rh_ratio",
+                                  "cdfratio", "pdfratio", "rhratio"])
     p_curve.add_argument("--m1", required=True, metavar="FILE")
     p_curve.add_argument("--m2", metavar="FILE")
     p_curve.add_argument("--out", required=True, metavar="FILE")
@@ -235,10 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

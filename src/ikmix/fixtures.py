@@ -21,12 +21,7 @@ from .majorization import (
     apply_t_transform,
     infer_t_transform_2x2,
 )
-from .mixture import (
-    mixture_cdf,
-    mixture_pdf,
-    mixture_reversed_hazard,
-    mixture_sf,
-)
+from .mixture import EVALUATORS, mixture_sf
 from .ordercheck import DEFAULT_GRID, Grid, check_order
 from .theorems import CHECKERS, ConditionReport
 
@@ -34,13 +29,6 @@ __all__ = ["FixtureCatalog", "FixtureResult", "CheckOutcome", "run_fixture"]
 
 _ENTRYWISE_TOL = 1e-12
 _OMEGA_TOL = 1e-12
-
-_QUANTITY_FNS = {
-    "cdf": mixture_cdf,
-    "pdf": mixture_pdf,
-    "sf": mixture_sf,
-    "rh": mixture_reversed_hazard,
-}
 
 
 @dataclass(frozen=True)
@@ -134,7 +122,7 @@ def run_fixture(fixture: dict, grid: Grid = DEFAULT_GRID) -> FixtureResult:
             have = mixture_sf(x, minuend) - mixture_sf(x, subtrahend)
             label = f"value:sfdiff@x={x:g}"
         else:
-            fn = _QUANTITY_FNS[ev["quantity"]]
+            fn = EVALUATORS[ev["quantity"]]
             m = po.lhs if ev["mixture"] == "lhs" else po.rhs
             have = fn(x, m)
             label = f"value:{ev['quantity']}({ev['mixture']})@x={x:g}"
@@ -172,24 +160,22 @@ class FixtureCatalog:
         root = resources.files("ikmix") / "fixtures"
         manifest = json.loads((root / "manifest.json").read_text())
         self._fixtures: dict[str, dict] = {}
-        self._order: list[str] = []
         for entry in manifest["fixtures"]:
             data = json.loads((root / entry["file"]).read_text())
             if data["id"] != entry["id"]:
                 raise DomainError(
                     f"manifest id {entry['id']!r} vs file id {data['id']!r}")
             self._fixtures[entry["id"]] = data
-            self._order.append(entry["id"])
 
     def ids(self) -> list[str]:
-        return list(self._order)
+        return list(self._fixtures)
 
     def load(self, fixture_id: str) -> dict:
         try:
             return self._fixtures[fixture_id]
         except KeyError:
             raise DomainError(f"unknown fixture {fixture_id!r}; "
-                              f"known ids: {', '.join(self._order)}") from None
+                              f"known ids: {', '.join(self._fixtures)}") from None
 
     def checker_report(self, fixture_id: str) -> ConditionReport:
         """Run just the hypothesis checker, without the grid verdict."""
@@ -200,4 +186,4 @@ class FixtureCatalog:
         return run_fixture(self.load(fixture_id), grid)
 
     def run_all(self, grid: Grid = DEFAULT_GRID) -> list[FixtureResult]:
-        return [self.run(fid, grid) for fid in self._order]
+        return [self.run(fid, grid) for fid in self._fixtures]

@@ -22,6 +22,7 @@ import numpy as np
 from .ikdist import DomainError, IKParams, _as_x, _cdf, _log_u, _pdf, _sf, ik_quantile
 
 __all__ = [
+    "EVALUATORS",
     "FiniteMixture",
     "mixture_cdf",
     "mixture_sf",
@@ -250,6 +251,12 @@ def mixture_pdf(x, m: FiniteMixture):
 def mixture_reversed_hazard(x, m: FiniteMixture):
     """pdf/cdf of the mixture, defined on x > 0."""
     return _evaluate(x, m, ("rh",))[0]
+
+
+# the one name -> evaluator table; it holds the public functions themselves,
+# so code that replaces one of them by name reaches the table too
+EVALUATORS = {"cdf": mixture_cdf, "sf": mixture_sf, "pdf": mixture_pdf,
+              "rh": mixture_reversed_hazard}
 
 
 def mixture_quantile(u: float, m: FiniteMixture) -> float:

@@ -1,6 +1,8 @@
 """Grid verification and refutation of stochastic orders between mixtures.
 
-Four checks, all sharing the same discipline:
+Each of the four checks comes down to one of two tests on the grid: a
+pointwise comparison within tolerance, or a ratio whose every step must
+move in one direction (_bad_steps).
 
   st    sf(m1) <= sf(m2) pointwise
   rh    cdf(m2)/cdf(m1) nondecreasing AND reversed hazards pointwise
@@ -14,14 +16,14 @@ grid, not a proof.  violated, by contrast, is a hard refutation and comes
 with the witness that produced it.  Comparisons carry a relative-absolute
 tolerance tau = 1e-12 * (1 + magnitude) so that ties never flip verdicts.
 
-Grid points where the compared quantities underflow float64 (below
-1e-300) are skipped and counted in skipped_points; points where either
-compared value is NaN or infinite are unusable too and counted apart in
-nonfinite_points.  When more than 10% of the grid is unusable the
-verdict is inconclusive rather than a claim built on zeros or NaN.
-Pointwise checks skip for underflow only when both sides underflow;
-ratio checks skip when either side does, since the quotient is then
-meaningless.
+Every check passes one usable-point gate (_gate).  Grid points where the
+compared quantities underflow float64 (below 1e-300) are skipped and
+counted in skipped_points; points where either compared value is NaN or
+infinite are unusable too and counted apart in nonfinite_points.  When
+more than 10% of the grid is unusable the verdict is inconclusive rather
+than a claim built on zeros or NaN.  st skips a point for underflow only
+when both sides underflow; rh, lr and r-rh skip it when either side does,
+since the quotient is then meaningless.
 
 Witness semantics: for pointwise checks, (x, lhs, rhs) are the two
 compared values at the offending x.  For monotonicity checks, x is the
@@ -35,17 +37,17 @@ relative width of 1e-9.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .ikdist import DomainError
 from .mixture import (
+    EVALUATORS,
     FiniteMixture,
     _evaluate,
-    mixture_cdf,
     mixture_pdf,
     mixture_reversed_hazard,
     mixture_sf,
@@ -73,8 +75,6 @@ _SKIP_FRACTION = 0.10
 _REFINE_RELWIDTH = 1e-9
 _REFINE_BATCH = 64
 _SLOPE_OFFSET = 1e-6
-
-ORDER_KINDS = ("st", "rh", "lr", "r_rh")
 
 
 @dataclass(frozen=True)
@@ -205,42 +205,55 @@ def _refine_crossing(fn, lo: float, hi: float) -> float | None:
     return 0.5 * (lo + hi)
 
 
-def _unusable(kind: str, grid: Grid, skip: np.ndarray,
-              nonfinite: np.ndarray) -> OrderVerdict | None:
-    """Inconclusive verdict when more than 10% of the grid is unusable.
-    Passing this gate leaves at least two usable points on any grid."""
+def _gate(kind: str, grid: Grid, skip: np.ndarray, nonfinite: np.ndarray):
+    """The usable-point gate of every check: the usable mask and a maker
+    for the check's verdict, with kind, grid and both counts filled in.
+    Over 10% of the grid unusable gives mask None and the inconclusive
+    maker; passing leaves at least two usable points on any grid."""
     n_skip = int(np.count_nonzero(skip))
     n_nonfinite = int(np.count_nonzero(nonfinite))
+    verdict = partial(OrderVerdict, kind=kind, grid=grid, skipped_points=n_skip,
+                      nonfinite_points=n_nonfinite)
     if n_skip + n_nonfinite <= _SKIP_FRACTION * grid.points:
-        return None
+        return ~(skip | nonfinite), verdict
     causes = []
     if n_skip:
         causes.append(f"{n_skip} of {grid.points} grid points underflowed float64")
     if n_nonfinite:
         causes.append(f"{n_nonfinite} of {grid.points} grid points were non-finite (NaN or inf)")
-    return OrderVerdict(kind=kind, status="inconclusive", reason="; ".join(causes),
-                        skipped_points=n_skip, nonfinite_points=n_nonfinite, grid=grid)
+    return None, partial(verdict, status="inconclusive", reason="; ".join(causes))
 
 
-def _pointwise_verdict(kind: str, grid: Grid, xs: np.ndarray, v1: np.ndarray,
-                       v2: np.ndarray, viol: np.ndarray, usable: np.ndarray, diff_fn,
-                       reason: str, n_skip: int, n_nonfinite: int) -> OrderVerdict:
-    """Common tail of the st and rh checks: v1 <= v2 holds unless viol
-    flags a point, and then fails first there.  The crossing of
+def _exceeds(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Points where v1 > v2 beyond the tolerance."""
+    return v1 > v2 + _TOL * (1.0 + np.maximum(np.abs(v1), np.abs(v2)))
+
+
+def _bad_steps(r: np.ndarray, nondecreasing: bool) -> np.ndarray:
+    """Steps of r that break monotonicity in the named direction beyond
+    the tolerance; entry k is the step from r[k] to r[k + 1]."""
+    diffs = np.diff(r)
+    tau = _TOL * (1.0 + np.abs(r[:-1]))
+    return diffs < -tau if nondecreasing else diffs > tau
+
+
+def _pointwise_verdict(verdict, xs: np.ndarray, v1: np.ndarray, v2: np.ndarray,
+                       usable: np.ndarray, diff_fn, reason: str) -> OrderVerdict:
+    """Common tail of the st and rh checks: v1 <= v2 must hold at every
+    usable point, and fails first where it does not.  The crossing of
     diff_fn = v1 - v2 is refined inside the step from the previous point
     when that point is usable and strictly ordered.  reason is a template
     for the witness x."""
+    viol = usable & _exceeds(v1, v2)
     if not np.any(viol):
-        return OrderVerdict(kind=kind, status="holds_on_grid", skipped_points=n_skip,
-                            nonfinite_points=n_nonfinite, grid=grid)
+        return verdict(status="holds_on_grid")
     k = int(np.argmax(viol))
     witness = Witness(x=float(xs[k]), lhs=float(v1[k]), rhs=float(v2[k]))
     refined = None
     if k > 0 and usable[k - 1] and v1[k - 1] - v2[k - 1] < 0.0:
         refined = _refine_crossing(diff_fn, float(xs[k - 1]), float(xs[k]))
-    return OrderVerdict(kind=kind, status="violated", witness=witness,
-                        refined_crossing=refined, reason=reason.format(witness.x),
-                        skipped_points=n_skip, nonfinite_points=n_nonfinite, grid=grid)
+    return verdict(status="violated", witness=witness, refined_crossing=refined,
+                   reason=reason.format(witness.x))
 
 
 def _check_ratio_monotone(kind: str, grid: Grid, fn, top: FiniteMixture,
@@ -252,20 +265,15 @@ def _check_ratio_monotone(kind: str, grid: Grid, fn, top: FiniteMixture,
     den = fn(xs, bottom)
     nonfinite = ~(np.isfinite(num) & np.isfinite(den))
     skip = ~nonfinite & ((num < _UNDERFLOW) | (den < _UNDERFLOW))
-    bad = _unusable(kind, grid, skip, nonfinite)
-    if bad is not None:
-        return bad
-    n_skip = int(np.count_nonzero(skip))
-    n_nonfinite = int(np.count_nonzero(nonfinite))
-    idx = np.nonzero(~(skip | nonfinite))[0]
+    usable, verdict = _gate(kind, grid, skip, nonfinite)
+    if usable is None:
+        return verdict()
+    idx = np.nonzero(usable)[0]
     r = num[idx] / den[idx]
-    diffs = np.diff(r)
-    tau = _TOL * (1.0 + np.abs(r[:-1]))
-    viol = diffs < -tau if nondecreasing else diffs > tau
-    if not np.any(viol):
-        return OrderVerdict(kind=kind, status="holds_on_grid", skipped_points=n_skip,
-                            nonfinite_points=n_nonfinite, grid=grid)
-    k = int(np.argmax(viol))
+    bad = _bad_steps(r, nondecreasing)
+    if not np.any(bad):
+        return verdict(status="holds_on_grid")
+    k = int(np.argmax(bad))
     x_lo, x_hi = float(xs[idx[k]]), float(xs[idx[k + 1]])
     witness = Witness(x=x_hi, lhs=float(r[k]), rhs=float(r[k + 1]))
 
@@ -277,16 +285,8 @@ def _check_ratio_monotone(kind: str, grid: Grid, fn, top: FiniteMixture,
 
     refined = _refine_crossing(slope, x_lo, x_hi)
     direction = "nondecreasing" if nondecreasing else "nonincreasing"
-    return OrderVerdict(
-        kind=kind,
-        status="violated",
-        witness=witness,
-        refined_crossing=refined,
-        reason=f"ratio fails to be {direction} on the step ending at x={x_hi!r}",
-        skipped_points=n_skip,
-        nonfinite_points=n_nonfinite,
-        grid=grid,
-    )
+    return verdict(status="violated", witness=witness, refined_crossing=refined,
+                   reason=f"ratio fails to be {direction} on the step ending at x={x_hi!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +301,12 @@ def check_st(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) ->
     s2 = mixture_sf(xs, m2)
     nonfinite = ~(np.isfinite(s1) & np.isfinite(s2))
     skip = ~nonfinite & (s1 < _UNDERFLOW) & (s2 < _UNDERFLOW)
-    bad = _unusable("st", grid, skip, nonfinite)
-    if bad is not None:
-        return bad
-    n_skip = int(np.count_nonzero(skip))
-    n_nonfinite = int(np.count_nonzero(nonfinite))
-    usable = ~(skip | nonfinite)
-    tau = _TOL * (1.0 + np.maximum(np.abs(s1), np.abs(s2)))
-    viol = usable & (s1 > s2 + tau)
-    return _pointwise_verdict("st", grid, xs, s1, s2, viol, usable,
+    usable, verdict = _gate("st", grid, skip, nonfinite)
+    if usable is None:
+        return verdict()
+    return _pointwise_verdict(verdict, xs, s1, s2, usable,
                               lambda x: mixture_sf(x, m1) - mixture_sf(x, m2),
-                              "sf(m1) exceeds sf(m2) at x={!r}", n_skip, n_nonfinite)
+                              "sf(m1) exceeds sf(m2) at x={!r}")
 
 
 def check_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
@@ -329,49 +324,30 @@ def check_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) ->
     F2, f2 = _evaluate(xs, m2, ("cdf", "pdf"))
     nonfinite = ~(np.isfinite(F1) & np.isfinite(F2))
     skip = ~nonfinite & ((F1 < _UNDERFLOW) | (F2 < _UNDERFLOW))
-    bad = _unusable("rh", grid, skip, nonfinite)
-    if bad is not None:
-        return bad
+    usable, verdict = _gate("rh", grid, skip, nonfinite)
+    if usable is None:
+        return verdict()
     # reversed hazards only where both cdfs are usable; a point where
     # either of them is non-finite is unusable for both criteria
-    idx = np.nonzero(~(skip | nonfinite))[0]
+    idx = np.nonzero(usable)[0]
     r1 = f1[idx] / F1[idx]
     r2 = f2[idx] / F2[idx]
     finite = np.isfinite(r1) & np.isfinite(r2)
-    if not np.all(finite):
-        nonfinite[idx[~finite]] = True
-        bad = _unusable("rh", grid, skip, nonfinite)
-        if bad is not None:
-            return bad
-        idx, r1, r2 = idx[finite], r1[finite], r2[finite]
-    n_skip = int(np.count_nonzero(skip))
-    n_nonfinite = int(np.count_nonzero(nonfinite))
-
-    ratio = F2[idx] / F1[idx]
-    diffs = np.diff(ratio)
-    tau_r = _TOL * (1.0 + np.abs(ratio[:-1]))
-    ratio_violated = bool(np.any(diffs < -tau_r))
-
-    xv = xs[idx]
-    tau_p = _TOL * (1.0 + np.maximum(np.abs(r1), np.abs(r2)))
-    pt_viol = r1 > r2 + tau_p
-    pt_violated = bool(np.any(pt_viol))
-
-    if ratio_violated != pt_violated:
+    nonfinite[idx[~finite]] = True
+    usable, verdict = _gate("rh", grid, skip, nonfinite)
+    if usable is None:
+        return verdict()
+    idx, r1, r2 = idx[finite], r1[finite], r2[finite]
+    ratio_violated = bool(np.any(_bad_steps(F2[idx] / F1[idx], nondecreasing=True)))
+    if ratio_violated != bool(np.any(_exceeds(r1, r2))):
         which = "cdf-ratio monotonicity" if ratio_violated else "pointwise reversed hazards"
-        return OrderVerdict(
-            kind="rh",
-            status="inconclusive",
-            reason=f"the two rh criteria disagree (only {which} flagged a violation)",
-            skipped_points=n_skip,
-            nonfinite_points=n_nonfinite,
-            grid=grid,
-        )
+        return verdict(status="inconclusive",
+                       reason=f"the two rh criteria disagree (only {which} flagged a violation)")
     # idx keeps usable points only, so every previous point is usable
     return _pointwise_verdict(
-        "rh", grid, xv, r1, r2, pt_viol, np.ones_like(pt_viol),
+        verdict, xs[idx], r1, r2, np.ones(idx.size, dtype=bool),
         lambda x: mixture_reversed_hazard(x, m1) - mixture_reversed_hazard(x, m2),
-        "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", n_skip, n_nonfinite)
+        "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio")
 
 
 def check_lr(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
@@ -386,6 +362,7 @@ def check_r_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) 
 
 
 _CHECKS = {"st": check_st, "rh": check_rh, "lr": check_lr, "r_rh": check_r_rh}
+ORDER_KINDS = tuple(_CHECKS)
 
 
 def check_order(kind: str, m1: FiniteMixture, m2: FiniteMixture,
@@ -406,12 +383,6 @@ def check_order(kind: str, m1: FiniteMixture, m2: FiniteMixture,
 CURVE_FOR_KIND = {"st": "sf", "rh": "cdf_ratio", "lr": "pdf_ratio", "r_rh": "rh_ratio"}
 CURVE_KINDS = tuple(CURVE_FOR_KIND.values())
 
-_RATIO_CURVES = {
-    "cdf_ratio": mixture_cdf,
-    "pdf_ratio": mixture_pdf,
-    "rh_ratio": mixture_reversed_hazard,
-}
-
 
 def difference_curve(m1: FiniteMixture, m2: FiniteMixture, grid: Grid,
                      which: str) -> list[tuple[float, float, bool]]:
@@ -422,26 +393,26 @@ def difference_curve(m1: FiniteMixture, m2: FiniteMixture, grid: Grid,
     ascending x; a row is undefined when its denominator underflows or
     its value is not finite.
     """
+    if which not in CURVE_KINDS:
+        raise DomainError(f"unknown curve kind {which!r}; expected one of {CURVE_KINDS}")
     xs = grid.xs()
     if which == "sf":
         vals = mixture_sf(xs, m1) - mixture_sf(xs, m2)
         defined = np.ones_like(vals, dtype=bool)
-    elif which in _RATIO_CURVES:
-        fn = _RATIO_CURVES[which]
+    else:
+        fn = EVALUATORS[which.removesuffix("_ratio")]
         num, den = fn(xs, m1), fn(xs, m2)
         defined = den >= _UNDERFLOW
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(defined, num / np.where(defined, den, 1.0), np.nan)
-    else:
-        raise DomainError(f"unknown curve kind {which!r}; expected one of {CURVE_KINDS}")
     defined &= np.isfinite(vals)
     return [(float(x), float(v), bool(d)) for x, v, d in zip(xs, vals, defined)]
 
 
 def write_curve_csv(rows: list[tuple[float, float, bool]], path) -> None:
-    """CSV with header x,value,defined; 17 significant digits throughout."""
+    """CSV with header x,value,defined; 17 significant digits throughout.
+    The bytes are the csv module's: no field needs quoting, lines end in \\r\\n."""
+    lines = ["x,value,defined"]
+    lines += [f"{x:.17g},{v:.17g},{'true' if d else 'false'}" for x, v, d in rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value", "defined"])
-        for x, v, d in rows:
-            writer.writerow([format(x, ".17g"), format(v, ".17g"), "true" if d else "false"])
+        fh.write("\r\n".join(lines) + "\r\n")

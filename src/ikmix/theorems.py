@@ -26,6 +26,7 @@ from .ikdist import DomainError
 from .majorization import (
     ParamMatrix2xN,
     TTransform,
+    _vec as _finite_vec,
     apply_t_transform,
     chain_majorization_verify,
     in_script_l,
@@ -164,9 +165,9 @@ def verify_prediction(report: ConditionReport, grid: Grid = DEFAULT_GRID) -> Ver
 
 
 def _vec(v, name: str) -> tuple[float, ...]:
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise DomainError(f"{name} must be a nonempty positive finite vector")
+    arr = _finite_vec(v, name)
+    if np.any(arr <= 0):
+        raise DomainError(f"{name} must be positive")
     return tuple(float(x) for x in arr)
 
 

@@ -276,6 +276,18 @@ class TestCurve:
         main(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("alias, name", [("cdfratio", "cdf_ratio"),
+                                             ("pdfratio", "pdf_ratio"),
+                                             ("rhratio", "rh_ratio")])
+    def test_alias_writes_the_canonical_bytes(self, tmp_path, narrow, wide, alias, name):
+        paths = {}
+        for which in (alias, name):
+            paths[which] = tmp_path / f"{which}.csv"
+            rc = main(["curve", "--which", which, "--m1", narrow, "--m2", wide,
+                       "--grid", "1e-3:1e3:80:log", "--out", str(paths[which])])
+            assert rc == 0
+        assert paths[alias].read_bytes() == paths[name].read_bytes()
+
     def test_single_sf_rejects_m2(self, tmp_path, narrow, wide):
         with pytest.raises(SystemExit) as exc:
             main(["curve", "--which", "sf", "--m1", narrow, "--m2", wide,

@@ -249,6 +249,14 @@ EVALUATORS = [(mixture_cdf, _ref_cdf), (mixture_sf, _ref_sf),
               (mixture_pdf, _ref_pdf), (mixture_reversed_hazard, _ref_rh)]
 
 
+def test_evaluator_table_holds_the_public_functions():
+    # code that replaces an evaluator by name reaches the table only when
+    # it holds the module's functions themselves
+    assert mixture.EVALUATORS == {"cdf": mixture.mixture_cdf, "sf": mixture.mixture_sf,
+                                  "pdf": mixture.mixture_pdf,
+                                  "rh": mixture.mixture_reversed_hazard}
+
+
 def _assert_bit_identical(got, want):
     assert type(got) is type(want)
     got_a, want_a = np.asarray(got), np.asarray(want)

@@ -104,6 +104,18 @@ class TestStOrder:
         b = check_st(m1, m2).to_dict()
         assert a == b
 
+    def test_skips_only_where_both_sides_underflow(self):
+        # sf of IK(150, 1) underflows beyond x ~ 100, sf of IK(20, 1) never
+        # does on the default grid, and sf of IK(140, 1) underflows too
+        steep = _mix((1.0,), (150.0,), (1.0,))
+        mild = _mix((1.0,), (20.0,), (1.0,))
+        v = check_st(steep, mild)
+        assert (v.status, v.skipped_points) == ("holds_on_grid", 0)
+        both = check_st(steep, _mix((1.0,), (140.0,), (1.0,)))
+        assert both.status == "inconclusive"
+        assert both.skipped_points == 465
+        assert both.reason == "465 of 2000 grid points underflowed float64"
+
     def test_grid_doubling_keeps_holds(self, catalog):
         coarse = _orientation_verdict(catalog, "ex3.1")
         fine = _orientation_verdict(catalog, "ex3.1", Grid(1e-4, 1e4, 4000))
@@ -388,6 +400,49 @@ class TestRatioChecks:
             check_order("hazard", m, m)
 
 
+# The usable-point gate and the pointwise tail of the two-pass check_rh,
+# copied here so that the reference shares no decision code with the
+# checks it is compared against.
+
+
+def _reference_unusable(kind, grid, skip, nonfinite):
+    """Inconclusive verdict when more than 10% of the grid is unusable.
+    Passing this gate leaves at least two usable points on any grid."""
+    n_skip = int(np.count_nonzero(skip))
+    n_nonfinite = int(np.count_nonzero(nonfinite))
+    if n_skip + n_nonfinite <= ordercheck._SKIP_FRACTION * grid.points:
+        return None
+    causes = []
+    if n_skip:
+        causes.append(f"{n_skip} of {grid.points} grid points underflowed float64")
+    if n_nonfinite:
+        causes.append(f"{n_nonfinite} of {grid.points} grid points were non-finite (NaN or inf)")
+    return ordercheck.OrderVerdict(kind=kind, status="inconclusive", reason="; ".join(causes),
+                                   skipped_points=n_skip, nonfinite_points=n_nonfinite,
+                                   grid=grid)
+
+
+def _reference_pointwise_verdict(kind, grid, xs, v1, v2, viol, usable, diff_fn,
+                                 reason, n_skip, n_nonfinite):
+    """v1 <= v2 holds unless viol flags a point, and then fails first
+    there.  The crossing of diff_fn = v1 - v2 is refined inside the step
+    from the previous point when that point is usable and strictly
+    ordered.  reason is a template for the witness x."""
+    if not np.any(viol):
+        return ordercheck.OrderVerdict(kind=kind, status="holds_on_grid",
+                                       skipped_points=n_skip,
+                                       nonfinite_points=n_nonfinite, grid=grid)
+    k = int(np.argmax(viol))
+    witness = ordercheck.Witness(x=float(xs[k]), lhs=float(v1[k]), rhs=float(v2[k]))
+    refined = None
+    if k > 0 and usable[k - 1] and v1[k - 1] - v2[k - 1] < 0.0:
+        refined = ordercheck._refine_crossing(diff_fn, float(xs[k - 1]), float(xs[k]))
+    return ordercheck.OrderVerdict(kind=kind, status="violated", witness=witness,
+                                   refined_crossing=refined, reason=reason.format(witness.x),
+                                   skipped_points=n_skip, nonfinite_points=n_nonfinite,
+                                   grid=grid)
+
+
 def _reference_check_rh(m1, m2, grid=DEFAULT_GRID):
     """check_rh as it was before the cdf and pdf came from one kernel
     pass: the cdfs from mixture_cdf, and the reversed hazards at the
@@ -397,7 +452,7 @@ def _reference_check_rh(m1, m2, grid=DEFAULT_GRID):
     F2 = mixture_cdf(xs, m2)
     nonfinite = ~(np.isfinite(F1) & np.isfinite(F2))
     skip = ~nonfinite & ((F1 < ordercheck._UNDERFLOW) | (F2 < ordercheck._UNDERFLOW))
-    bad = ordercheck._unusable("rh", grid, skip, nonfinite)
+    bad = _reference_unusable("rh", grid, skip, nonfinite)
     if bad is not None:
         return bad
     idx = np.nonzero(~(skip | nonfinite))[0]
@@ -406,7 +461,7 @@ def _reference_check_rh(m1, m2, grid=DEFAULT_GRID):
     finite = np.isfinite(r1) & np.isfinite(r2)
     if not np.all(finite):
         nonfinite[idx[~finite]] = True
-        bad = ordercheck._unusable("rh", grid, skip, nonfinite)
+        bad = _reference_unusable("rh", grid, skip, nonfinite)
         if bad is not None:
             return bad
         idx, r1, r2 = idx[finite], r1[finite], r2[finite]
@@ -423,7 +478,7 @@ def _reference_check_rh(m1, m2, grid=DEFAULT_GRID):
             kind="rh", status="inconclusive",
             reason=f"the two rh criteria disagree (only {which} flagged a violation)",
             skipped_points=n_skip, nonfinite_points=n_nonfinite, grid=grid)
-    return ordercheck._pointwise_verdict(
+    return _reference_pointwise_verdict(
         "rh", grid, xs[idx], r1, r2, pt_viol, np.ones_like(pt_viol),
         lambda x: mixture_reversed_hazard(x, m1) - mixture_reversed_hazard(x, m2),
         "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", n_skip, n_nonfinite)
@@ -459,8 +514,42 @@ class TestRhOnePass:
             assert got.to_dict() == want.to_dict()
             assert got_warned == want_warned
 
+    @pytest.mark.parametrize("grid, nonfinite", [(Grid(1.5e-306, 1e-303, 200), 7),
+                                                 (Grid(1.2e-306, 1e-305, 200), 43)])
+    def test_overflowing_reversed_hazards(self, grid, nonfinite):
+        # with alpha = 1e306 both cdfs are usable near x = 1e-306, but the
+        # beta = 1000 component's pdf/cdf overflows there: such points
+        # count as non-finite, and the gate applies again
+        m1 = _mix((1.0,), (1e306,), (1000.0,))
+        m2 = _mix((1.0,), (1e306,), (1.0,))
+        for a, b in ((m1, m2), (m2, m1)):
+            got, got_warned = _with_warnings(check_rh, a, b, grid)
+            want, want_warned = _with_warnings(_reference_check_rh, a, b, grid)
+            assert got.to_dict() == want.to_dict()
+            assert got_warned == want_warned
+            assert got.nonfinite_points == nonfinite
+
+
+def _reference_curve_csv(rows, path):
+    """The curve CSV written through the csv module's default dialect."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "value", "defined"])
+        for x, v, d in rows:
+            writer.writerow([format(x, ".17g"), format(v, ".17g"), "true" if d else "false"])
+
 
 class TestCurves:
+    def test_csv_bytes_match_the_csv_module(self, tmp_path):
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                   1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0, 1e-4]
+        rows = [(x, v, d) for x in special for v in special for d in (True, False)]
+        for name, case in (("empty", []), ("special", rows)):
+            got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
+            write_curve_csv(case, got)
+            _reference_curve_csv(case, want)
+            assert got.read_bytes() == want.read_bytes(), name
+
     def test_self_difference_is_zero(self):
         m = _mix((0.4, 0.6), (1.0, 2.0), (0.5, 1.5))
         rows = difference_curve(m, m, Grid(1e-2, 1e2, 50), "sf")

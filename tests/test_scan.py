@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from ikmix import DomainError, Grid
+from ikmix.theorems import CHECKERS
 from ikmix.scan import (
     CATEGORIES,
     SCANNABLE_THEOREMS,
@@ -14,6 +18,8 @@ from ikmix.scan import (
 )
 
 import numpy as np
+
+SCAN_CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "scan_configs"
 
 
 def point(*vals):
@@ -217,3 +223,24 @@ class TestRunScan:
         assert report.counts["order_holds_without_hypotheses"] == 3
         assert len(report.holds_without_hypotheses) == 3
         assert report.holds_without_hypotheses[0].witness is None
+
+
+@pytest.mark.parametrize("config, fid", [("ex31_point.json", "ex3.1"),
+                                         ("ce36_point.json", "ce3.6")])
+def test_point_config_encodes_its_fixture(catalog, config, fid):
+    """The single-point scan configs hold the theorem and checker inputs
+    of their fixture exactly: every range is [v, v] with v taken from the
+    fixture, so a scan of them replays the fixture's checker report."""
+    cfg = json.loads((SCAN_CONFIGS / config).read_text())
+    fx = catalog.load(fid)
+    assert cfg["theorem"] == fx["theorem"]
+    assert set(cfg["ranges"]) == set(fx["checker"])
+    for name, value in fx["checker"].items():
+        if isinstance(value, list):
+            assert cfg["ranges"][name] == point(*value), name
+            assert cfg["n_components"] == len(value), name
+        else:
+            assert cfg["ranges"][name] == [value, value], name
+    config = ScanConfig.from_dict(cfg)
+    params = draw_sample(config, np.random.Generator(np.random.Philox(config.seed)))
+    assert CHECKERS[fx["theorem"]](**params).to_dict() == catalog.checker_report(fid).to_dict()

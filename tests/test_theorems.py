@@ -168,6 +168,16 @@ class TestWeightShiftCheckers:
         assert cor.all_held and thm.all_held
         assert cor.theorem_id == "C3.1"
 
+    @pytest.mark.parametrize("alpha, message", [
+        ((), "alpha must be a nonempty 1-d vector"),
+        (((0.5, 0.4),), "alpha must be a nonempty 1-d vector"),
+        ((0.5, float("nan"), 0.3), "alpha must be finite"),
+        ((0.5, 0.0, 0.3), "alpha must be positive"),
+    ])
+    def test_vector_inputs_are_validated(self, alpha, message):
+        with pytest.raises(DomainError, match=message):
+            check_theorem_3_1(alpha, 1.0, (0.2, 0.2, 0.6), (0.3, 0.3, 0.4))
+
     def test_common_alpha_variant(self, catalog):
         fx = catalog.load("ex3.2")
         rep = check_theorem_3_2(**fx["checker"])
