@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Write, or compare, every output that must stay byte-identical.
+
+    python3 scripts/golden.py DIR               write the outputs into DIR
+    python3 scripts/golden.py --compare A B     diff two such directories
+
+DIR receives, from the ikmix under this checkout's src/:
+
+  reproduce_all.stdout, reproduce_all.exit   ikmix reproduce --all
+  scan_<config>.stdout, .report.json, .exit  ikmix scan on each
+                                             scripts/scan_configs/*.json
+  curves/*.csv                               scripts/dump_curves.py
+
+To check a change against its parent, run the script in a checkout of
+each and compare the two directories; --compare exits 1 on any missing,
+extra or differing file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_CLI = "import sys; from ikmix.cli import main; sys.exit(main())"
+
+
+def _run(args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env.pop("IKMIX_GRID", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
+                          stdout=subprocess.PIPE, check=False)
+
+
+def _record(outdir: Path, name: str, proc: subprocess.CompletedProcess) -> None:
+    (outdir / f"{name}.stdout").write_bytes(proc.stdout)
+    (outdir / f"{name}.exit").write_text(f"{proc.returncode}\n")
+
+
+def write(outdir: Path) -> None:
+    outdir = outdir.resolve()
+    outdir.mkdir(parents=True, exist_ok=True)
+    _record(outdir, "reproduce_all", _run(["-c", _CLI, "reproduce", "--all"]))
+    for config in sorted((ROOT / "scripts" / "scan_configs").glob("*.json")):
+        report = outdir / f"scan_{config.stem}.report.json"
+        _record(outdir, f"scan_{config.stem}",
+                _run(["-c", _CLI, "scan", str(config), "--out", str(report)]))
+    curves = _run([str(ROOT / "scripts" / "dump_curves.py"), "--outdir", str(outdir / "curves")])
+    if curves.returncode != 0:
+        raise SystemExit(f"dump_curves.py exited {curves.returncode}")
+
+
+def compare(a: Path, b: Path) -> int:
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    problems = [f"only in {a}: {p}" for p in sorted(files_a - files_b)]
+    problems += [f"only in {b}: {p}" for p in sorted(files_b - files_a)]
+    problems += [f"differs: {p}" for p in sorted(files_a & files_b)
+                 if (a / p).read_bytes() != (b / p).read_bytes()]
+    for line in problems:
+        print(line)
+    print(f"{len(files_a & files_b)} common files, {len(problems)} differences")
+    return 1 if problems else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("dirs", nargs="+", type=Path, metavar="DIR")
+    parser.add_argument("--compare", action="store_true",
+                        help="compare two directories written by this script")
+    args = parser.parse_args(argv)
+    if args.compare:
+        if len(args.dirs) != 2:
+            parser.error("--compare takes two directories")
+        return compare(*args.dirs)
+    if len(args.dirs) != 1:
+        parser.error("give one output directory")
+    write(args.dirs[0])
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -148,8 +148,7 @@ def _cmd_curve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             parser.error("--which sf tabulates a single mixture; drop --m2 "
                          "or use sfdiff")
         xs = grid.xs()
-        vals = mixture_sf(xs, m1)
-        rows = [(float(x), float(v), True) for x, v in zip(xs, vals)]
+        rows = list(zip(xs.tolist(), mixture_sf(xs, m1).tolist(), [True] * xs.size))
     else:
         if args.m2 is None:
             parser.error(f"--which {args.which} needs --m2 FILE")

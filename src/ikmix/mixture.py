@@ -10,6 +10,9 @@ component order with Neumaier compensation, so results are
 deterministic, the rounding error stays independent of the number of
 components, and every value is bit for bit the sum of the single-
 component evaluations.
+
+The batched bracket search (_refine_crossing) behind mixture_quantile
+and the order checks' crossings lives here too.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ __all__ = [
 _RAW_WEIGHT_TOL = 1e-6
 # largest (components x points) block the kernel evaluates at once: 64 KiB
 _BLOCK_VALUES = 8192
+# interior points the bracket search evaluates per round
+_REFINE_BATCH = 64
 
 
 def neumaier_sum(terms):
@@ -260,11 +265,15 @@ EVALUATORS = {"cdf": mixture_cdf, "sf": mixture_sf, "pdf": mixture_pdf,
 
 
 def mixture_quantile(u: float, m: FiniteMixture) -> float:
-    """Invert the mixture cdf by bisection.
+    """Invert the mixture cdf with the batched bracket search.
 
     The component quantiles bracket the answer: at max_i Q_i(u) every
     component cdf is already >= u, so the mixture cdf is too, and the
-    min gives the matching lower bound.  Bisect to relative width 1e-12.
+    min gives the matching lower bound.  The root of cdf - u is searched
+    in y = log1p(x), down to a width of 5e-13 in y, which is a width of
+    5e-13 * (1 + x) <= 1e-12 * max(1, x) in x at the answer.  When
+    rounding leaves both ends of the bracket on one side of u, the end
+    nearer the root is the answer: lo if cdf(lo) >= u, else hi.
     """
     u = float(u)
     if not (0.0 < u < 1.0):
@@ -273,12 +282,50 @@ def mixture_quantile(u: float, m: FiniteMixture) -> float:
     lo, hi = min(qs), max(qs)
     if hi <= lo:
         return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mixture_cdf(mid, m) < u:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
+    y = _refine_crossing(lambda y: mixture_cdf(np.expm1(y), m) - u,
+                         math.log1p(lo), math.log1p(hi), 5e-13)
+    if y is None:
+        return lo if mixture_cdf(lo, m) >= u else hi
+    return math.expm1(y)
+
+
+def _refine_crossing(fn, lo: float, hi: float, width: float | None = None) -> float | None:
+    """Root of a sign change of fn inside [lo, hi], or None.
+
+    fn is vectorised: it maps an array of x to an array of values.  The
+    endpoints are evaluated in one call; None when either is non-finite
+    or they do not straddle zero.  Each round then evaluates
+    _REFINE_BATCH equally spaced interior points in one call and keeps
+    the first sign change, until the bracket is no wider than width
+    (by default 1e-9 * hi, the relative width of the order checks'
+    crossings).  A round with any non-finite value gives None, so no
+    root is ever decided on NaN.
+    """
+    flo, fhi = fn(np.array([lo, hi]))
+    if not (math.isfinite(flo) and math.isfinite(fhi)):
+        return None
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    positive = flo > 0
+    if (fhi > 0) == positive:
+        return None
+    if width is None:
+        width = 1e-9 * hi
+    while hi - lo > width:
+        xs = np.linspace(lo, hi, _REFINE_BATCH + 2)[1:-1]
+        vals = fn(xs)
+        if not np.all(np.isfinite(vals)):
+            return None
+        changed = (vals == 0.0) | ((vals > 0) != positive)
+        if not np.any(changed):
+            lo = float(xs[-1])
+            continue
+        j = int(np.argmax(changed))
+        if vals[j] == 0.0:
+            return float(xs[j])
+        if j > 0:
+            lo = float(xs[j - 1])
+        hi = float(xs[j])
     return 0.5 * (lo + hi)

@@ -32,14 +32,18 @@ left and right endpoints.  refined_crossing, when present, is a root of
 the deciding sign function inside one grid step, found by a batched
 bracket search: each round evaluates 64 interior points of the bracket
 in one vectorised call and keeps the first sign change, down to a
-relative width of 1e-9.
+relative width of 1e-9.  A violated verdict runs that search the first
+time its crossing is read, with the search function bound when the check
+ran; to_dict(), equality, hashing and repr read it.  Scans and fixture
+replays read only status and witness, so they never run it.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -48,6 +52,7 @@ from .mixture import (
     EVALUATORS,
     FiniteMixture,
     _evaluate,
+    _refine_crossing,
     mixture_pdf,
     mixture_reversed_hazard,
     mixture_sf,
@@ -72,8 +77,6 @@ __all__ = [
 _TOL = 1e-12
 _UNDERFLOW = 1e-300
 _SKIP_FRACTION = 0.10
-_REFINE_RELWIDTH = 1e-9
-_REFINE_BATCH = 64
 _SLOPE_OFFSET = 1e-6
 
 
@@ -98,9 +101,18 @@ class Grid:
         object.__setattr__(self, "points", int(self.points))
 
     def xs(self) -> np.ndarray:
-        if self.spacing == "logarithmic":
-            return np.geomspace(self.x_min, self.x_max, self.points)
-        return np.linspace(self.x_min, self.x_max, self.points)
+        """The grid points, computed on the first call and returned as the
+        same read-only array from then on.  The array is kept outside the
+        dataclass fields, so equality, hashing and repr ignore it."""
+        xs = self.__dict__.get("_xs")
+        if xs is None:
+            if self.spacing == "logarithmic":
+                xs = np.geomspace(self.x_min, self.x_max, self.points)
+            else:
+                xs = np.linspace(self.x_min, self.x_max, self.points)
+            xs.flags.writeable = False
+            self.__dict__["_xs"] = xs
+        return xs
 
     @classmethod
     def from_spec(cls, spec: str) -> "Grid":
@@ -136,16 +148,38 @@ class Witness:
         return {"x": self.x, "lhs": self.lhs, "rhs": self.rhs}
 
 
+class _Crossing:
+    """The refined_crossing field of OrderVerdict.  It holds a float or
+    None, or a pending search given as a zero-argument callable, which
+    runs on the first read; its result replaces it."""
+
+    def __get__(self, verdict, owner=None):
+        if verdict is None:
+            return None  # the field's default
+        value = verdict.__dict__["_refined_crossing"]
+        if callable(value):
+            value = verdict.__dict__["_refined_crossing"] = value()
+        return value
+
+    def __set__(self, verdict, value) -> None:
+        verdict.__dict__["_refined_crossing"] = value
+
+
 @dataclass(frozen=True)
 class OrderVerdict:
     kind: str
     status: str  # holds_on_grid | violated | inconclusive
     witness: Witness | None = None
-    refined_crossing: float | None = None
+    refined_crossing: float | None = _Crossing()
     reason: str | None = None
     skipped_points: int = 0
     nonfinite_points: int = 0
     grid: Grid = field(default=DEFAULT_GRID)
+
+    def __getstate__(self) -> dict:
+        # copies and pickles carry the crossing, not the pending search
+        _ = self.refined_crossing
+        return self.__dict__
 
     def to_dict(self) -> dict:
         return {
@@ -163,46 +197,6 @@ class OrderVerdict:
 # ---------------------------------------------------------------------------
 # shared machinery
 # ---------------------------------------------------------------------------
-
-
-def _refine_crossing(fn, lo: float, hi: float) -> float | None:
-    """Root of a sign change of fn inside [lo, hi], or None.
-
-    fn is vectorised: it maps an array of x to an array of values.  The
-    endpoints are evaluated in one call; None when either is non-finite
-    or they do not straddle zero.  Each round then evaluates
-    _REFINE_BATCH equally spaced interior points in one call and keeps
-    the first sign change, until the bracket is no wider than 1e-9 * hi.
-    A round with any non-finite value gives None, so no root is ever
-    decided on NaN.
-    """
-    flo, fhi = fn(np.array([lo, hi]))
-    if not (math.isfinite(flo) and math.isfinite(fhi)):
-        return None
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    positive = flo > 0
-    if (fhi > 0) == positive:
-        return None
-    width = _REFINE_RELWIDTH * hi
-    while hi - lo > width:
-        xs = np.linspace(lo, hi, _REFINE_BATCH + 2)[1:-1]
-        vals = fn(xs)
-        if not np.all(np.isfinite(vals)):
-            return None
-        changed = (vals == 0.0) | ((vals > 0) != positive)
-        if not np.any(changed):
-            lo = float(xs[-1])
-            continue
-        j = int(np.argmax(changed))
-        if vals[j] == 0.0:
-            return float(xs[j])
-        if j > 0:
-            lo = float(xs[j - 1])
-        hi = float(xs[j])
-    return 0.5 * (lo + hi)
 
 
 def _gate(kind: str, grid: Grid, skip: np.ndarray, nonfinite: np.ndarray):
@@ -242,8 +236,8 @@ def _pointwise_verdict(verdict, xs: np.ndarray, v1: np.ndarray, v2: np.ndarray,
     """Common tail of the st and rh checks: v1 <= v2 must hold at every
     usable point, and fails first where it does not.  The crossing of
     diff_fn = v1 - v2 is refined inside the step from the previous point
-    when that point is usable and strictly ordered.  reason is a template
-    for the witness x."""
+    when that point is usable and strictly ordered, on first read.  reason
+    is a template for the witness x."""
     viol = usable & _exceeds(v1, v2)
     if not np.any(viol):
         return verdict(status="holds_on_grid")
@@ -251,7 +245,7 @@ def _pointwise_verdict(verdict, xs: np.ndarray, v1: np.ndarray, v2: np.ndarray,
     witness = Witness(x=float(xs[k]), lhs=float(v1[k]), rhs=float(v2[k]))
     refined = None
     if k > 0 and usable[k - 1] and v1[k - 1] - v2[k - 1] < 0.0:
-        refined = _refine_crossing(diff_fn, float(xs[k - 1]), float(xs[k]))
+        refined = partial(_refine_crossing, diff_fn, float(xs[k - 1]), float(xs[k]))
     return verdict(status="violated", witness=witness, refined_crossing=refined,
                    reason=reason.format(witness.x))
 
@@ -283,9 +277,9 @@ def _check_ratio_monotone(kind: str, grid: Grid, fn, top: FiniteMixture,
         r = fn(both, top) / fn(both, bottom)
         return r[:x.size] - r[x.size:]
 
-    refined = _refine_crossing(slope, x_lo, x_hi)
     direction = "nondecreasing" if nondecreasing else "nonincreasing"
-    return verdict(status="violated", witness=witness, refined_crossing=refined,
+    return verdict(status="violated", witness=witness,
+                   refined_crossing=partial(_refine_crossing, slope, x_lo, x_hi),
                    reason=f"ratio fails to be {direction} on the step ending at x={x_hi!r}")
 
 
@@ -406,13 +400,23 @@ def difference_curve(m1: FiniteMixture, m2: FiniteMixture, grid: Grid,
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(defined, num / np.where(defined, den, 1.0), np.nan)
     defined &= np.isfinite(vals)
-    return [(float(x), float(v), bool(d)) for x, v, d in zip(xs, vals, defined)]
+    return list(zip(xs.tolist(), vals.tolist(), defined.tolist()))
+
+
+@lru_cache(maxsize=1)
+def _x_column(bits: bytes) -> tuple[str, ...]:
+    """The formatted x fields, each with its comma, of the float64 values
+    whose bytes are bits.  Keyed on the bytes, not the floats, because
+    0.0 == -0.0 but they print differently."""
+    return tuple(f"{x:.17g}," for x in array("d", bits))
 
 
 def write_curve_csv(rows: list[tuple[float, float, bool]], path) -> None:
     """CSV with header x,value,defined; 17 significant digits throughout.
-    The bytes are the csv module's: no field needs quoting, lines end in \\r\\n."""
+    The bytes are the csv module's: no field needs quoting, lines end in \\r\\n.
+    The x column is formatted once for consecutive calls on the same x values."""
+    xs = _x_column(array("d", [row[0] for row in rows]).tobytes())
     lines = ["x,value,defined"]
-    lines += [f"{x:.17g},{v:.17g},{'true' if d else 'false'}" for x, v, d in rows]
+    lines += [f"{x}{v:.17g},{'true' if d else 'false'}" for x, (_, v, d) in zip(xs, rows)]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +191,60 @@ class TestQuantile:
         for u in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(DomainError):
                 mixture_quantile(u, m)
+
+    # the third mixture's component quantiles run from 0.02 to 1.6e7 at
+    # u = 0.9, where the answer is 45
+    WIDE = ((0.2, 0.3, 0.5), (0.1, 1.0, 30.0), (0.5, 2.0, 50.0))
+
+    @pytest.mark.parametrize("weights, alphas, betas", [
+        ((0.5, 0.5), (1.0, 1.0), (1.0, 2.0)),
+        ((0.3, 0.7), (0.5, 4.0), (0.7, 9.0)),
+        WIDE])
+    def test_against_mpmath_inversion(self, weights, alphas, betas):
+        m = _mix(weights, alphas, betas)
+        for u in (0.01, 0.3, 0.5, 0.9):
+            with mp.workdps(40):
+                level = mp.mpf(u)
+                terms = [(mp.mpf(w), mp.mpf(a), mp.mpf(b))
+                         for w, a, b in zip(weights, alphas, betas)]
+                qs = [(1 - level ** (1 / b)) ** (-1 / a) - 1 for _, a, b in terms]
+                root = float(mp.findroot(
+                    lambda x: mp.fsum(w * (1 - (1 + x) ** -a) ** b for w, a, b in terms) - level,
+                    (min(qs), max(qs)), solver="anderson"))
+            assert abs(mixture_quantile(u, m) - root) <= 1e-12 * max(1.0, root), u
+
+    @pytest.mark.parametrize("weights, alphas, betas", [
+        ((1e-17, 1.0), (30.0, 1.0), (50.0, 2.0)),
+        ((1.0, 1e-17), (1.0, 0.3), (2.0, 0.5))])
+    def test_bracket_within_rounding(self, monkeypatch, weights, alphas, betas):
+        # a component of weight 1e-17 stretches the bracket to its own
+        # quantile, while the answer is the IK(1, 2) quantile at the other
+        # end; rounding can leave cdf - u of one sign at both ends, and
+        # the quantile must then return the end nearer the root
+        unbracketed = []
+        search = mixture._refine_crossing
+
+        def spy(*args):
+            root = search(*args)
+            if root is None:
+                unbracketed.append(args[1:3])
+            return root
+
+        monkeypatch.setattr(mixture, "_refine_crossing", spy)
+        m = _mix(weights, alphas, betas)
+        for u in np.linspace(0.01, 0.99, 100):
+            want = ik_quantile(float(u), IKParams(1.0, 2.0))
+            assert abs(mixture_quantile(float(u), m) - want) <= 1e-12 * max(1.0, want), u
+        assert unbracketed
+
+    def test_few_vectorised_cdf_calls(self, monkeypatch):
+        sizes = []
+        cdf = mixture.mixture_cdf
+        monkeypatch.setattr(mixture, "mixture_cdf",
+                            lambda x, m: sizes.append(np.size(x)) or cdf(x, m))
+        mixture_quantile(0.9, _mix(*self.WIDE))
+        assert len(sizes) <= 10
+        assert max(sizes) == 64
 
 
 class TestNeumaierSum:

@@ -4,8 +4,11 @@ a scalar bisection oracle, and curve extraction."""
 
 from __future__ import annotations
 
+import copy
 import csv
+import dataclasses
 import math
+import pickle
 import warnings
 from pathlib import Path
 
@@ -37,8 +40,9 @@ from ikmix.theorems import (
     check_theorem_3_10,
     check_theorem_3_12,
 )
+from ikmix.fixtures import run_fixture
 from ikmix.mixture import mixture_cdf, mixture_pdf, mixture_reversed_hazard, mixture_sf
-from ikmix.scan import ScanConfig, draw_sample
+from ikmix.scan import ScanConfig, draw_sample, run_scan
 
 T310_GAP_PROBE = (Path(__file__).resolve().parents[1]
                   / "scripts" / "scan_configs" / "t310_gap_probe.json")
@@ -82,6 +86,26 @@ class TestGrid:
     def test_linear_spacing(self):
         g = Grid(1.0, 3.0, 5, "linear")
         np.testing.assert_allclose(g.xs(), [1.0, 1.5, 2.0, 2.5, 3.0])
+
+    @pytest.mark.parametrize("args, fresh", [
+        ((1e-4, 1e4, 2000, "logarithmic"), lambda: np.geomspace(1e-4, 1e4, 2000)),
+        ((1e-4, 1e3, 500, "logarithmic"), lambda: np.geomspace(1e-4, 1e3, 500)),
+        ((0.5, 2.0, 7, "linear"), lambda: np.linspace(0.5, 2.0, 7))])
+    def test_points_are_computed_once_and_read_only(self, args, fresh):
+        g = Grid(*args)
+        xs = g.xs()
+        assert g.xs() is xs
+        assert xs.tobytes() == fresh().tobytes()
+        assert not xs.flags.writeable
+        with pytest.raises(ValueError):
+            xs[0] = 1.0
+        # the cached array is no field: a grid that has computed its
+        # points still equals, hashes and prints as one that has not
+        untouched = Grid(*args)
+        assert g == untouched and hash(g) == hash(untouched)
+        assert repr(g) == repr(untouched) and g.to_dict() == untouched.to_dict()
+        assert [f.name for f in dataclasses.fields(Grid)] == ["x_min", "x_max", "points",
+                                                              "spacing"]
 
 
 class TestStOrder:
@@ -251,13 +275,18 @@ def oracle_cases(catalog):
     for label, own_kind, m1, m2, grid in pairs:
         for kind in ORDER_KINDS:
             # ce3.4 has 0/0 reversed hazards; the warnings are recorded so
-            # that the test can require the verdict to count those points
+            # that the test can require the verdict to count those points.
+            # Crossings are computed on first read, so both are read inside
+            # the blocks: their warnings are recorded too, and old's search
+            # runs while the oracle is patched in.
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
                 new = check_order(kind, m1, m2, grid)
+                _ = new.refined_crossing
                 with pytest.MonkeyPatch.context() as mpatch:
                     mpatch.setattr(ordercheck, "_refine_crossing", _oracle_refine)
                     old = check_order(kind, m1, m2, grid)
+                    _ = old.refined_crossing
             cases.append((label, own_kind, kind, m1, m2, grid, new, old, bool(caught)))
     return cases
 
@@ -485,9 +514,12 @@ def _reference_check_rh(m1, m2, grid=DEFAULT_GRID):
 
 
 def _with_warnings(fn, *args):
+    """fn's verdict and the warnings raised by the check and by reading
+    its crossing, which is computed on first read."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         out = fn(*args)
+        _ = out.refined_crossing
     return out, sorted({str(w.message) for w in caught})
 
 
@@ -550,6 +582,23 @@ class TestCurves:
             _reference_curve_csv(case, want)
             assert got.read_bytes() == want.read_bytes(), name
 
+    def test_x_column_cache_keeps_signed_zeros_apart(self, tmp_path):
+        # 0.0 == -0.0, so a cache keyed on the floats would print one as
+        # the other on consecutive calls
+        for i, x in enumerate((0.0, -0.0, 0.0, 1e-4)):
+            rows = [(x, 1.0, True), (1.0, -0.0, False)]
+            got, want = tmp_path / f"{i}.csv", tmp_path / f"{i}_ref.csv"
+            write_curve_csv(rows, got)
+            _reference_curve_csv(rows, want)
+            assert got.read_bytes() == want.read_bytes(), x
+
+    def test_rows_hold_python_floats_and_bools(self):
+        m1 = _mix((1.0,), (1.0,), (1.0,))
+        deep = _mix((1.0,), (50.0,), (140.0,))
+        for which in ("sf", "pdf_ratio"):
+            rows = difference_curve(m1, deep, Grid(1e-4, 3e-4, 20), which)
+            assert {tuple(type(f) for f in row) for row in rows} == {(float, float, bool)}
+
     def test_self_difference_is_zero(self):
         m = _mix((0.4, 0.6), (1.0, 2.0), (0.5, 1.5))
         rows = difference_curve(m, m, Grid(1e-2, 1e2, 50), "sf")
@@ -598,3 +647,185 @@ class TestCurves:
         # 17 significant digits survive the string round trip
         assert float(parsed[3][0]) == rows[2][0]
         assert float(parsed[3][1]) == rows[2][1]
+
+
+# The bracket search as the checks ran it before crossings were computed
+# on first read, kept as the eager reference: it shares no code with the
+# library's search.
+
+
+def _eager_refine(fn, lo: float, hi: float) -> float | None:
+    flo, fhi = fn(np.array([lo, hi]))
+    if not (math.isfinite(flo) and math.isfinite(fhi)):
+        return None
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    positive = flo > 0
+    if (fhi > 0) == positive:
+        return None
+    width = 1e-9 * hi
+    while hi - lo > width:
+        xs = np.linspace(lo, hi, 66)[1:-1]
+        vals = fn(xs)
+        if not np.all(np.isfinite(vals)):
+            return None
+        changed = (vals == 0.0) | ((vals > 0) != positive)
+        if not np.any(changed):
+            lo = float(xs[-1])
+            continue
+        j = int(np.argmax(changed))
+        if vals[j] == 0.0:
+            return float(xs[j])
+        if j > 0:
+            lo = float(xs[j - 1])
+        hi = float(xs[j])
+    return 0.5 * (lo + hi)
+
+
+def _eager_crossing(kind, m1, m2, grid, witness_x):
+    """(searched, crossing) of a violated verdict, computed at once: the
+    bracket is the grid step from the previous usable point to the
+    witness.  st and rh search v1 - v2 when that point is strictly
+    ordered (st also needs it to be the grid's previous point); lr and
+    r_rh always search the central-difference slope of their ratio."""
+    xs = grid.xs()
+    k = int(np.searchsorted(xs, witness_x))
+    with np.errstate(all="ignore"):
+        if kind == "st":
+            fn = mixture_sf
+            v1, v2 = fn(xs, m1), fn(xs, m2)
+            usable = np.isfinite(v1) & np.isfinite(v2) & ~((v1 < 1e-300) & (v2 < 1e-300))
+        elif kind == "rh":
+            fn = mixture_reversed_hazard
+            F1, F2 = mixture_cdf(xs, m1), mixture_cdf(xs, m2)
+            v1, v2 = mixture_pdf(xs, m1) / F1, mixture_pdf(xs, m2) / F2
+            usable = (np.isfinite(F1) & np.isfinite(F2) & (F1 >= 1e-300) & (F2 >= 1e-300)
+                      & np.isfinite(v1) & np.isfinite(v2))
+        else:
+            fn, top, bottom = ((mixture_pdf, m2, m1) if kind == "lr"
+                               else (mixture_reversed_hazard, m1, m2))
+            num, den = fn(xs, top), fn(xs, bottom)
+            usable = (np.isfinite(num) & np.isfinite(den)
+                      & (num >= 1e-300) & (den >= 1e-300))
+    before = np.nonzero(usable[:k])[0]
+    if before.size == 0:
+        return False, None
+    prev = int(before[-1])
+    lo, hi = float(xs[prev]), float(xs[k])
+    if kind in ("st", "rh"):
+        if (kind == "st" and prev != k - 1) or not v1[prev] - v2[prev] < 0.0:
+            return False, None
+        return True, _eager_refine(lambda x: fn(x, m1) - fn(x, m2), lo, hi)
+
+    def slope(x):
+        both = np.concatenate((x * (1.0 + 1e-6), x * (1.0 - 1e-6)))
+        r = fn(both, top) / fn(both, bottom)
+        return r[:x.size] - r[x.size:]
+
+    return True, _eager_refine(slope, lo, hi)
+
+
+def _counting_refiner(monkeypatch):
+    """Patch the checks' bracket search with a wrapper that counts calls."""
+    real = ordercheck._refine_crossing
+
+    def counted(*args):
+        counted.calls += 1
+        return real(*args)
+
+    counted.calls = 0
+    monkeypatch.setattr(ordercheck, "_refine_crossing", counted)
+    return counted
+
+
+class TestLazyCrossing:
+    """A violated verdict searches for its crossing on the first read."""
+
+    def test_read_crossings_equal_the_eager_search(self, catalog, monkeypatch):
+        pairs = []
+        for fid in catalog.ids():
+            po = catalog.checker_report(fid).orientation
+            for grid in (DEFAULT_GRID, Grid(1e-4, 3e-4, 200)):
+                pairs += [(po.lhs, po.rhs, grid), (po.rhs, po.lhs, grid)]
+        config = ScanConfig.from_file(T310_GAP_PROBE)
+        rng = np.random.Generator(np.random.Philox(config.seed))
+        for _ in range(200):
+            q = draw_sample(config, rng)
+            po = check_theorem_3_10(q["beta"], q["beta_star"], q["alpha"],
+                                    q["p"], q["p_star"]).orientation
+            pairs.append((po.lhs, po.rhs, config.grid))
+        refiner = _counting_refiner(monkeypatch)
+        searched = refined = 0
+        with warnings.catch_warnings():
+            # ce3.4's 0/0 reversed hazards; warnings are compared elsewhere
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cases = [(kind, m1, m2, grid, check_order(kind, m1, m2, grid))
+                     for m1, m2, grid in pairs for kind in ORDER_KINDS]
+            assert refiner.calls == 0
+            for kind, m1, m2, grid, v in cases:
+                want = (_eager_crossing(kind, m1, m2, grid, v.witness.x)
+                        if v.status == "violated" else (False, None))
+                # repr tells every float64 apart, so this is bit for bit
+                assert repr(v.refined_crossing) == repr(want[1]), (kind, grid, m1, m2)
+                searched += want[0]
+                refined += want[1] is not None
+        assert len(cases) == 4 * (4 * 15 + 200)
+        assert refiner.calls == searched
+        assert searched > 500 and refined > 100
+
+    def test_scans_and_fixture_replays_never_search(self, catalog, monkeypatch):
+        refiner = _counting_refiner(monkeypatch)
+        report = run_scan(dataclasses.replace(ScanConfig.from_file(T310_GAP_PROBE),
+                                              samples=50))
+        assert report.alarm_count > 40
+        assert sum(not r.passed for r in catalog.run_all()) == 2
+        assert run_fixture(catalog.load("ce3.1")).passed
+        assert refiner.calls == 0
+        # the counter does see a search once a crossing is read
+        po = catalog.checker_report("ce3.1").orientation
+        v = check_order(po.kind, po.lhs, po.rhs)
+        assert refiner.calls == 0
+        assert v.refined_crossing is not None
+        _ = v.refined_crossing
+        assert refiner.calls == 1
+
+    def test_search_is_bound_when_the_check_runs(self, catalog):
+        po = catalog.checker_report("ce3.1").orientation
+        with pytest.MonkeyPatch.context() as mpatch:
+            mpatch.setattr(ordercheck, "_refine_crossing", lambda fn, lo, hi: 0.6875)
+            patched = check_order(po.kind, po.lhs, po.rhs)
+        assert patched.refined_crossing == 0.6875
+        assert check_order(po.kind, po.lhs, po.rhs).refined_crossing != 0.6875
+
+    def test_read_and_unread_verdicts_agree(self, catalog):
+        po = catalog.checker_report("ce3.1").orientation
+
+        def fresh():
+            return check_order(po.kind, po.lhs, po.rhs)
+
+        read = fresh()
+        crossing = read.refined_crossing
+        assert crossing is not None
+        assert read == fresh() and fresh() == read
+        assert hash(fresh()) == hash(read)
+        assert repr(fresh()) == repr(read)
+        assert fresh().to_dict() == read.to_dict()
+        assert fresh().to_dict()["refined_crossing"] == crossing
+        unread = fresh()
+        copied = copy.copy(unread)
+        assert copied.refined_crossing == crossing
+        assert pickle.loads(pickle.dumps(fresh())) == read
+        assert dataclasses.replace(fresh(), reason="r").refined_crossing == crossing
+        assert dataclasses.replace(unread, reason="r").refined_crossing == crossing
+        assert unread.refined_crossing == crossing
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            read.refined_crossing = 0.5
+
+    def test_eager_values_still_construct(self):
+        v = ordercheck.OrderVerdict(kind="st", status="violated", refined_crossing=0.25)
+        assert v.refined_crossing == 0.25
+        assert v.to_dict()["refined_crossing"] == 0.25
+        assert ordercheck.OrderVerdict(kind="st", status="holds_on_grid").refined_crossing is None
+        assert v == ordercheck.OrderVerdict(kind="st", status="violated", refined_crossing=0.25)
