@@ -11,7 +11,7 @@ broke.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from .ikdist import DomainError
@@ -37,8 +37,7 @@ class CheckOutcome:
     passed: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"label": self.label, "passed": self.passed, "detail": self.detail}
+    to_dict = asdict
 
 
 @dataclass(frozen=True)

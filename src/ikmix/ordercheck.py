@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -130,9 +130,7 @@ class Grid:
             raise DomainError(f"unknown spacing {parts[3]!r}")
         return cls(x_min, x_max, points, spacing)
 
-    def to_dict(self) -> dict:
-        return {"x_min": self.x_min, "x_max": self.x_max,
-                "points": self.points, "spacing": self.spacing}
+    to_dict = asdict
 
 
 DEFAULT_GRID = Grid(1e-4, 1e4, 2000, "logarithmic")
@@ -144,8 +142,7 @@ class Witness:
     lhs: float
     rhs: float
 
-    def to_dict(self) -> dict:
-        return {"x": self.x, "lhs": self.lhs, "rhs": self.rhs}
+    to_dict = asdict
 
 
 class _Crossing:
@@ -181,17 +178,9 @@ class OrderVerdict:
         _ = self.refined_crossing
         return self.__dict__
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "status": self.status,
-            "witness": self.witness.to_dict() if self.witness else None,
-            "refined_crossing": self.refined_crossing,
-            "reason": self.reason,
-            "skipped_points": self.skipped_points,
-            "nonfinite_points": self.nonfinite_points,
-            "grid": self.grid.to_dict(),
-        }
+    # the field order is the key order; asdict reads refined_crossing
+    # through its descriptor
+    to_dict = asdict
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ count as satisfied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -69,8 +69,7 @@ class Hypothesis:
     held: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "held": self.held, "detail": self.detail}
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -141,9 +140,7 @@ class VerificationOutcome:
     status: str
     verdict: OrderVerdict | None = None
 
-    def to_dict(self) -> dict:
-        return {"status": self.status,
-                "verdict": self.verdict.to_dict() if self.verdict else None}
+    to_dict = asdict
 
 
 def verify_prediction(report: ConditionReport, grid: Grid = DEFAULT_GRID) -> VerificationOutcome:

@@ -829,3 +829,45 @@ class TestLazyCrossing:
         assert v.to_dict()["refined_crossing"] == 0.25
         assert ordercheck.OrderVerdict(kind="st", status="holds_on_grid").refined_crossing is None
         assert v == ordercheck.OrderVerdict(kind="st", status="violated", refined_crossing=0.25)
+
+
+def test_to_dict_keeps_the_literal_keys_and_order(catalog):
+    # the dict literals these classes built before to_dict became
+    # dataclasses.asdict, compared by value and by key order
+    from ikmix.fixtures import CheckOutcome
+    from ikmix.theorems import Hypothesis, VerificationOutcome
+
+    def literal(obj):
+        if isinstance(obj, Grid):
+            return {"x_min": obj.x_min, "x_max": obj.x_max,
+                    "points": obj.points, "spacing": obj.spacing}
+        if isinstance(obj, ordercheck.Witness):
+            return {"x": obj.x, "lhs": obj.lhs, "rhs": obj.rhs}
+        if isinstance(obj, ordercheck.OrderVerdict):
+            return {"kind": obj.kind, "status": obj.status,
+                    "witness": literal(obj.witness) if obj.witness else None,
+                    "refined_crossing": obj.refined_crossing, "reason": obj.reason,
+                    "skipped_points": obj.skipped_points,
+                    "nonfinite_points": obj.nonfinite_points, "grid": literal(obj.grid)}
+        if isinstance(obj, Hypothesis):
+            return {"name": obj.name, "held": obj.held, "detail": obj.detail}
+        if isinstance(obj, CheckOutcome):
+            return {"label": obj.label, "passed": obj.passed, "detail": obj.detail}
+        return {"status": obj.status, "verdict": literal(obj.verdict) if obj.verdict else None}
+
+    def items(d):
+        return [(k, items(v) if isinstance(v, dict) else v) for k, v in d.items()]
+
+    po = catalog.checker_report("ce3.1").orientation
+    verdicts = [check_order(kind, a, b) for kind in ORDER_KINDS
+                for a, b in ((po.lhs, po.rhs), (po.rhs, po.lhs))]
+    verdicts += [check_st(po.lhs, po.lhs),
+                 check_st(_mix((1.0,), (150.0,), (1.0,)), _mix((1.0,), (140.0,), (1.0,)))]
+    assert {v.status for v in verdicts} == {"violated", "holds_on_grid", "inconclusive"}
+    objects = [DEFAULT_GRID, Grid(1.0, 2.0, 5, "linear"), verdicts[0].witness, *verdicts,
+               Hypothesis("h", True, "d"), CheckOutcome("c", False, "d"),
+               VerificationOutcome("consistent", verdicts[1]),
+               VerificationOutcome("not_applicable")]
+    for obj in objects:
+        # unread and read crossings alike
+        assert items(obj.to_dict()) == items(literal(obj)), obj
