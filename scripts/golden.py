@@ -11,6 +11,9 @@ DIR receives, from the ikmix under this checkout's src/:
                                              scripts/scan_configs/*.json
   curves/*.csv                               scripts/dump_curves.py
 
+Every run turns RuntimeWarnings into errors, so a warning shows up as a
+changed .exit file rather than as noise on stderr.
+
 To check a change against its parent, run the script in a checkout of
 each and compare the two directories; --compare exits 1 on any missing,
 extra or differing file.
@@ -33,8 +36,8 @@ def _run(args: list[str]) -> subprocess.CompletedProcess:
     env.pop("IKMIX_GRID", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
-                          stdout=subprocess.PIPE, check=False)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args], env=env,
+                          cwd=ROOT, stdout=subprocess.PIPE, check=False)
 
 
 def _record(outdir: Path, name: str, proc: subprocess.CompletedProcess) -> None:
