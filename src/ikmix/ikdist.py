@@ -123,28 +123,24 @@ def _log_u(L: np.ndarray, alpha) -> np.ndarray:
 
 
 # The formulas below take log u from _log_u and broadcast like it, so the
-# mixture evaluators share them with the single-component ones.
+# mixture kernel shares them with the single-component evaluators.
 
 
-def _cdf(beta, log_u: np.ndarray) -> np.ndarray:
-    return np.exp(beta * log_u)
+def _log_cdf(beta, log_u: np.ndarray) -> np.ndarray:
+    return beta * log_u
 
 
 def _sf(beta, log_u: np.ndarray) -> np.ndarray:
     return -np.expm1(beta * log_u)
 
 
-def _pdf(log_ab, alpha, beta, L: np.ndarray, log_u: np.ndarray) -> np.ndarray:
-    """Density from log_ab = log(alpha) + log(beta), L = log1p(x) and log u.
-
-    (beta-1) * log u is +inf at x=0 for beta<1 and -inf for beta>1, which
-    exponentiates to the correct boundary value in both cases.  For
-    beta = 1 the term is left out, since it would be 0 * -inf there.
-    """
+def _log_pdf(log_ab, alpha, beta, L: np.ndarray, log_u: np.ndarray) -> np.ndarray:
+    """log density from log_ab = log(alpha) + log(beta), L = log1p(x) and log u.
+    At x = 0, (beta-1) * log u is the log of the boundary value, +inf for
+    beta < 1 and -inf for beta > 1; for beta = 1 it is left out (0 * -inf)."""
     logf = log_ab - (alpha + 1.0) * L
-    with np.errstate(invalid="ignore", over="ignore"):
-        logf = np.where(beta == 1.0, logf, logf + (beta - 1.0) * log_u)
-        return np.exp(logf)
+    with np.errstate(invalid="ignore"):
+        return np.where(beta == 1.0, logf, logf + (beta - 1.0) * log_u)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +151,7 @@ def _pdf(log_ab, alpha, beta, L: np.ndarray, log_u: np.ndarray) -> np.ndarray:
 def ik_cdf(x, params: IKParams):
     """Distribution function; exactly 0.0 at x = 0 and increasing to 1."""
     xs, scalar = _as_x(x)
-    out = _cdf(params.beta, _log_u(np.log1p(xs), params.alpha))
+    out = np.exp(_log_cdf(params.beta, _log_u(np.log1p(xs), params.alpha)))
     return _ret(out, scalar)
 
 
@@ -181,7 +177,8 @@ def ik_pdf(x, params: IKParams):
     xs, scalar = _as_x(x)
     a, b = params.alpha, params.beta
     L = np.log1p(xs)
-    out = _pdf(math.log(a) + math.log(b), a, b, L, _log_u(L, a))
+    with np.errstate(over="ignore"):
+        out = np.exp(_log_pdf(math.log(a) + math.log(b), a, b, L, _log_u(L, a)))
     return _ret(out, scalar)
 
 

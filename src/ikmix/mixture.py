@@ -1,15 +1,15 @@
 """Finite mixtures of inverted-Kumaraswamy components.
 
 All four evaluators (cdf, sf, pdf, reversed hazard) run through one
-blocked kernel.  It validates x and takes log1p(x) once, then walks the
-components in blocks of at most 8192 values: each block computes log u
-once for its rows, broadcasting a column of alphas against log1p(x), and
-derives every requested quantity from it with the same formulas as the
-single-component functions in ikdist.  The weighted rows are added in
-component order with Neumaier compensation, so results are
-deterministic, the rounding error stays independent of the number of
-components, and every value is bit for bit the sum of the single-
-component evaluations.
+blocked kernel, _evaluate, which returns logs.  It validates x and takes
+log1p(x) once, then walks the components in blocks of at most 8192
+values: each block computes log u once for its rows and derives every
+requested component log from it with the formulas of ikdist.  The cdf
+and pdf terms are summed by a max-shifted log-sum-exp (Blanchard, Higham
+and Higham, IMA J. Numer. Anal. 2021), so a mixture whose values lie far
+below or above float64 still has a finite log.  The public evaluators
+are exp of those logs; the reversed hazard is exp(log pdf - log cdf),
+never 0/0.
 
 The batched bracket search (_refine_crossing) behind mixture_quantile
 and the order checks' crossings lives here too.
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ikdist import DomainError, IKParams, _as_x, _cdf, _log_u, _pdf, _sf, ik_quantile
+from .ikdist import DomainError, IKParams, _as_x, _log_cdf, _log_pdf, _log_u, _sf, ik_quantile
 
 __all__ = [
     "EVALUATORS",
@@ -38,6 +38,8 @@ __all__ = [
 _RAW_WEIGHT_TOL = 1e-6
 # largest (components x points) block the kernel evaluates at once: 64 KiB
 _BLOCK_VALUES = 8192
+# the largest float, the bound of a log-sum-exp shift
+_LOG_MAX = float(np.finfo(float).max)
 # interior points the bracket search evaluates per round
 _REFINE_BATCH = 64
 
@@ -149,113 +151,104 @@ def _per_component(name: str, value, n: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# evaluators (component order is the summation order, always)
+# evaluators
 # ---------------------------------------------------------------------------
 
 
-class _RowSum:
-    """Neumaier sum of non-negative rows, added in order.
+def _add_block(sums: dict, name: str, w: np.ndarray, log_terms: np.ndarray,
+               slopes: np.ndarray | None = None) -> None:
+    """Add one block of component logs to the running log-sum-exp of name,
+    sums[name] = [shift, scaled sum(, scaled slope sum)], whose weighted
+    sum is exp(shift) * scaled sum.  The block is shifted by its largest
+    log, so its scaled terms w * exp(log - shift) are at most w; the
+    running pair keeps the larger shift and scales the other side down by
+    exp(-|difference|).  Shifts are clipped to the finite range, so a
+    column of zeros (log -inf) never keeps its shift and an infinite term
+    gives inf.  log_terms is overwritten."""
+    shift = np.clip(log_terms.max(axis=0), -_LOG_MAX, _LOG_MAX)
+    scaled = np.exp(np.subtract(log_terms, shift, out=log_terms), out=log_terms)
+    scaled *= w
+    block = [shift, scaled.sum(axis=0)]
+    if slopes is not None:
+        block.append((scaled * slopes).sum(axis=0))
+    run = sums.setdefault(name, block)
+    if run is block:
+        return
+    d = shift - run[0]
+    down = np.exp(-np.abs(d))
+    keep_scale, block_scale = np.where(d > 0.0, down, 1.0), np.where(d > 0.0, 1.0, down)
+    for acc, part in zip(run[1:], block[1:]):
+        acc *= keep_scale
+        acc += part * block_scale
+    np.maximum(run[0], shift, out=run[0])
 
-    For s, t >= 0, |s| >= |t| exactly when max(s, t) == s, so the
-    compensation term of neumaier_sum is (max(s, t) - total) + min(s, t);
-    where s == t both of its branches give the same value, sign of zero
-    included.  The buffers are preallocated, so adding a row allocates
-    nothing.
+
+def _evaluate(x, m: FiniteMixture, names: tuple[str, ...], slope: bool = False) -> tuple:
+    """The logs of m's cdf, sf, pdf or reversed hazard (rh) at x, one per
+    name in names, followed with slope=True by the slope d/dx log pdf.
+
+    The cdf and pdf terms are summed by _add_block; the sf terms lie in
+    [0, 1] and are added as they are.  log rh is log pdf - log cdf.  The
+    slope is the mean of the component slopes under the pdf sum's softmax
+    weights: g_i = ((beta_i-1) alpha_i / expm1(alpha_i L) - (alpha_i+1)) /
+    (1+x) = -(alpha_i+1)/(1+x) + (beta_i-1) alpha_i (1+x)^(-alpha_i-1) / u_i.
     """
-
-    def __init__(self, first: np.ndarray) -> None:
-        self.s = first.copy()
-        self.total = np.empty_like(self.s)
-        self.hi = np.empty_like(self.s)
-        self.lo = np.empty_like(self.s)
-        self.c = np.zeros_like(self.s)
-
-    def add(self, t: np.ndarray) -> None:
-        s, total, hi, lo = self.s, self.total, self.hi, self.lo
-        np.add(s, t, out=total)
-        np.maximum(s, t, out=hi)
-        np.minimum(s, t, out=lo)
-        np.subtract(hi, total, out=hi)
-        np.add(hi, lo, out=hi)
-        np.add(self.c, hi, out=self.c)
-        self.s, self.total = total, s
-
-    def result(self) -> np.ndarray:
-        return self.s + self.c
-
-
-def _evaluate(x, m: FiniteMixture, names: tuple[str, ...]) -> tuple:
-    """One value of m per name in names (a subset of cdf, sf, pdf, rh) at x.
-
-    x is validated and log1p(x) taken once; log u is computed once per
-    block of components and shared by every name.  A pdf point where a
-    component term is infinite (x = 0 with beta < 1) is infinite; its
-    terms are summed as 0 so the compensation stays finite.  rh is
-    pdf/cdf and needs x > 0.
-    """
-    if "rh" in names and np.any(np.atleast_1d(np.asarray(x, dtype=float)) <= 0.0):
-        raise DomainError("reversed hazard requires x > 0")
     xs, scalar = _as_x(x)
-    L = np.log1p(xs.ravel())
+    flat = xs.ravel()
+    L = np.log1p(flat)
+    weights, alphas, betas = (np.array(v)[:, None] for v in (m.weights, m.alphas, m.betas))
+    log_ab = np.log(alphas) + np.log(betas)
     want_cdf = "cdf" in names or "rh" in names
-    want_pdf = "pdf" in names or "rh" in names
-    weights = np.array(m.weights)[:, None]
-    alphas = np.array(m.alphas)[:, None]
-    betas = np.array(m.betas)[:, None]
-    if want_pdf:
-        log_ab = np.array([math.log(a) + math.log(b)
-                           for a, b in zip(m.alphas, m.betas)])[:, None]
-        inf_mask = np.zeros(L.shape, dtype=bool)
+    want_pdf = slope or "pdf" in names or "rh" in names
     rows = max(1, _BLOCK_VALUES // L.size)
-    sums: dict[str, _RowSum] = {}
-    for start in range(0, m.n, rows):
-        block = slice(start, start + rows)
-        a, b, w = alphas[block], betas[block], weights[block]
-        log_u = _log_u(L, a)
-        terms = {}
-        if want_cdf:
-            terms["cdf"] = w * _cdf(b, log_u)
-        if "sf" in names:
-            terms["sf"] = w * _sf(b, log_u)
-        if want_pdf:
-            pdf = w * _pdf(log_ab[block], a, b, L, log_u)
-            inf = np.isinf(pdf)
-            if inf.any():
-                inf_mask |= inf.any(axis=0)
-                pdf[inf] = 0.0
-            terms["pdf"] = pdf
-        for name, block_rows in terms.items():
-            rows_left = iter(block_rows)
-            if name not in sums:
-                sums[name] = _RowSum(next(rows_left))
-            for row in rows_left:
-                sums[name].add(row)
-    out = {name: acc.result() for name, acc in sums.items()}
-    if want_pdf and inf_mask.any():
-        out["pdf"] = np.where(inf_mask, np.inf, out["pdf"])
-    if "rh" in names:
-        out["rh"] = out["pdf"] / out["cdf"]
-    return tuple(float(out[name][0]) if scalar else out[name].reshape(xs.shape)
-                 for name in names)
+    sums: dict[str, list] = {}
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for start in range(0, m.n, rows):
+            block = slice(start, start + rows)
+            a, b, w = alphas[block], betas[block], weights[block]
+            log_u = _log_u(L, a)
+            if want_cdf:
+                _add_block(sums, "cdf", w, _log_cdf(b, log_u))
+            if "sf" in names:  # terms in [0, 1], linear from expm1: no shift needed
+                sums.setdefault("sf", [0.0, 0.0])[1] += (w * _sf(b, log_u)).sum(axis=0)
+            if want_pdf:
+                slopes = ((b - 1.0) * a / np.expm1(a * L) - (a + 1.0)) / (1.0 + flat) \
+                    if slope else None
+                _add_block(sums, "pdf", w, _log_pdf(log_ab[block], a, b, L, log_u), slopes)
+        logs = {name: acc[0] + np.log(acc[1]) for name, acc in sums.items()}
+        if "rh" in names:
+            logs["rh"] = logs["pdf"] - logs["cdf"]
+        out = [logs[name] for name in names]
+        if slope:
+            out.append(sums["pdf"][2] / sums["pdf"][1])
+    return tuple(float(v[0]) if scalar else v.reshape(xs.shape) for v in out)
+
+
+def _exp(log_values):
+    with np.errstate(over="ignore"):
+        out = np.exp(log_values)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def mixture_cdf(x, m: FiniteMixture):
-    return _evaluate(x, m, ("cdf",))[0]
+    return _exp(_evaluate(x, m, ("cdf",))[0])
 
 
 def mixture_sf(x, m: FiniteMixture):
-    return _evaluate(x, m, ("sf",))[0]
+    return _exp(_evaluate(x, m, ("sf",))[0])
 
 
 def mixture_pdf(x, m: FiniteMixture):
     """Mixture density.  At x = 0 any component with beta < 1 diverges, and
     the mixture inherits the boundary infinity."""
-    return _evaluate(x, m, ("pdf",))[0]
+    return _exp(_evaluate(x, m, ("pdf",))[0])
 
 
 def mixture_reversed_hazard(x, m: FiniteMixture):
     """pdf/cdf of the mixture, defined on x > 0."""
-    return _evaluate(x, m, ("rh",))[0]
+    if np.any(np.asarray(x, dtype=float) <= 0.0):
+        raise DomainError("reversed hazard requires x > 0")
+    return _exp(_evaluate(x, m, ("rh",))[0])
 
 
 # the one name -> evaluator table; it holds the public functions themselves,
@@ -269,11 +262,10 @@ def mixture_quantile(u: float, m: FiniteMixture) -> float:
 
     The component quantiles bracket the answer: at max_i Q_i(u) every
     component cdf is already >= u, so the mixture cdf is too, and the
-    min gives the matching lower bound.  The root of cdf - u is searched
-    in y = log1p(x), down to a width of 5e-13 in y, which is a width of
-    5e-13 * (1 + x) <= 1e-12 * max(1, x) in x at the answer.  When
-    rounding leaves both ends of the bracket on one side of u, the end
-    nearer the root is the answer: lo if cdf(lo) >= u, else hi.
+    min gives the matching lower bound.  The root of log cdf - log u is
+    searched in y = log x down to a width of 5e-13, a relative width of
+    5e-13 in x at any scale.  When rounding leaves both ends of the
+    bracket on one side of u, the answer is lo if cdf(lo) >= u, else hi.
     """
     u = float(u)
     if not (0.0 < u < 1.0):
@@ -282,11 +274,12 @@ def mixture_quantile(u: float, m: FiniteMixture) -> float:
     lo, hi = min(qs), max(qs)
     if hi <= lo:
         return lo
-    y = _refine_crossing(lambda y: mixture_cdf(np.expm1(y), m) - u,
-                         math.log1p(lo), math.log1p(hi), 5e-13)
+    # lo is 0 where u^(1/beta) underflows; the search starts at 5e-324 then
+    y = _refine_crossing(lambda y: _evaluate(np.exp(y), m, ("cdf",))[0] - math.log(u),
+                         math.log(max(lo, 5e-324)), math.log(hi), 5e-13)
     if y is None:
         return lo if mixture_cdf(lo, m) >= u else hi
-    return math.expm1(y)
+    return math.exp(y)
 
 
 def _refine_crossing(fn, lo: float, hi: float, width: float | None = None) -> float | None:

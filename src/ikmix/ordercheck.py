@@ -1,41 +1,40 @@
 """Grid verification and refutation of stochastic orders between mixtures.
 
 Each of the four checks comes down to one of two tests on the grid: a
-pointwise comparison within tolerance, or a ratio whose every step must
-move in one direction (_bad_steps).
+pointwise comparison within tolerance, or a log ratio whose every step
+must move in one direction (_bad_steps).
 
   st    sf(m1) <= sf(m2) pointwise
-  rh    cdf(m2)/cdf(m1) nondecreasing AND reversed hazards pointwise
-        ordered; the two criteria must agree or the verdict degrades to
+  rh    log cdf(m2) - log cdf(m1) nondecreasing AND log rh(m1) <= log rh(m2)
+        pointwise; the two criteria must agree or the verdict degrades to
         inconclusive
-  lr    pdf(m2)/pdf(m1) nondecreasing  (m1 <= m2 in likelihood ratio)
-  r-rh  rh(m1)/rh(m2) nonincreasing
+  lr    log pdf(m2) - log pdf(m1) nondecreasing  (m1 <= m2 in likelihood ratio)
+  r-rh  log rh(m1) - log rh(m2) nonincreasing
 
 A verdict of holds_on_grid is exactly that: a statement about the sampled
 grid, not a proof.  violated, by contrast, is a hard refutation and comes
-with the witness that produced it.  Comparisons carry a relative-absolute
-tolerance tau = 1e-12 * (1 + magnitude) so that ties never flip verdicts.
+with the witness that produced it.  Comparisons carry a tolerance
+tau = 1e-12 * (1 + scale) so that ties never flip verdicts; the scale is
+the larger sf for st and, for the log tests, the largest |log| a value
+is built from, since a log rounds in proportion to its size.
 
-Every check passes one usable-point gate (_gate).  Grid points where the
-compared quantities underflow float64 (below 1e-300) are skipped and
-counted in skipped_points; points where either compared value is NaN or
-infinite are unusable too and counted apart in nonfinite_points.  When
-more than 10% of the grid is unusable the verdict is inconclusive rather
-than a claim built on zeros or NaN.  st skips a point for underflow only
-when both sides underflow; rh, lr and r-rh skip it when either side does,
-since the quotient is then meaningless.
+Every check passes one usable-point gate (_gate): points where a compared
+value or log is NaN or infinite are counted in nonfinite_points, and st
+also skips the points where both survival functions underflow float64
+(below 1e-300), counted in skipped_points.  When more than 10% of the
+grid is unusable the verdict is inconclusive.
 
 Witness semantics: for pointwise checks, (x, lhs, rhs) are the two
-compared values at the offending x.  For monotonicity checks, x is the
-right endpoint of the offending step and lhs/rhs are the ratio at the
-left and right endpoints.  refined_crossing, when present, is a root of
-the deciding sign function inside one grid step, found by a batched
-bracket search: each round evaluates 64 interior points of the bracket
-in one vectorised call and keeps the first sign change, down to a
-relative width of 1e-9.  A violated verdict runs that search the first
-time its crossing is read, with the search function bound when the check
-ran; to_dict(), equality, hashing and repr read it.  Scans and fixture
-replays read only status and witness, so they never run it.
+compared values (sf or rh) at the offending x.  For monotonicity checks,
+x is the right endpoint of the offending step and lhs/rhs are the ratio
+at its two ends.  refined_crossing, when present, is a root inside one
+grid step found by the batched bracket search (64 interior points per
+vectorised round, down to a relative width of 1e-9): of the difference
+of the compared values for st and rh, and of the closed-form slope of
+the log ratio for lr and r-rh.  A violated verdict runs that search the
+first time its crossing is read, with the search function bound when the
+check ran; to_dict(), equality, hashing and repr read it.  Scans and
+fixture replays read only status and witness, so they never run it.
 """
 
 from __future__ import annotations
@@ -48,15 +47,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .ikdist import DomainError
-from .mixture import (
-    EVALUATORS,
-    FiniteMixture,
-    _evaluate,
-    _refine_crossing,
-    mixture_pdf,
-    mixture_reversed_hazard,
-    mixture_sf,
-)
+from .mixture import FiniteMixture, _evaluate, _exp, _refine_crossing, mixture_sf
 
 __all__ = [
     "Grid",
@@ -77,7 +68,6 @@ __all__ = [
 _TOL = 1e-12
 _UNDERFLOW = 1e-300
 _SKIP_FRACTION = 0.10
-_SLOPE_OFFSET = 1e-6
 
 
 @dataclass(frozen=True)
@@ -188,7 +178,7 @@ class OrderVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _gate(kind: str, grid: Grid, skip: np.ndarray, nonfinite: np.ndarray):
+def _gate(kind: str, grid: Grid, nonfinite: np.ndarray, skip=False):
     """The usable-point gate of every check: the usable mask and a maker
     for the check's verdict, with kind, grid and both counts filled in.
     Over 10% of the grid unusable gives mask None and the inconclusive
@@ -207,31 +197,39 @@ def _gate(kind: str, grid: Grid, skip: np.ndarray, nonfinite: np.ndarray):
     return None, partial(verdict, status="inconclusive", reason="; ".join(causes))
 
 
-def _exceeds(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Points where v1 > v2 beyond the tolerance."""
-    return v1 > v2 + _TOL * (1.0 + np.maximum(np.abs(v1), np.abs(v2)))
+def _exceeds(v1: np.ndarray, v2: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Points where v1 > v2 beyond the tolerance _TOL * (1 + scale)."""
+    return v1 > v2 + _TOL * (1.0 + scale)
 
 
-def _bad_steps(r: np.ndarray, nondecreasing: bool) -> np.ndarray:
+def _bad_steps(r: np.ndarray, scale: np.ndarray, nondecreasing: bool) -> np.ndarray:
     """Steps of r that break monotonicity in the named direction beyond
-    the tolerance; entry k is the step from r[k] to r[k + 1]."""
+    the tolerance _TOL * (1 + scale) at the step's left end; entry k is
+    the step from r[k] to r[k + 1]."""
     diffs = np.diff(r)
-    tau = _TOL * (1.0 + np.abs(r[:-1]))
+    tau = _TOL * (1.0 + scale[:-1])
     return diffs < -tau if nondecreasing else diffs > tau
 
 
+def _magnitude(*logs: np.ndarray) -> np.ndarray:
+    """The tolerance scale of values built from logs: the largest |log|."""
+    return np.max(np.abs(logs), axis=0)
+
+
 def _pointwise_verdict(verdict, xs: np.ndarray, v1: np.ndarray, v2: np.ndarray,
-                       usable: np.ndarray, diff_fn, reason: str) -> OrderVerdict:
+                       scale: np.ndarray, usable: np.ndarray, diff_fn, reason: str,
+                       value=float) -> OrderVerdict:
     """Common tail of the st and rh checks: v1 <= v2 must hold at every
     usable point, and fails first where it does not.  The crossing of
     diff_fn = v1 - v2 is refined inside the step from the previous point
     when that point is usable and strictly ordered, on first read.  reason
-    is a template for the witness x."""
-    viol = usable & _exceeds(v1, v2)
+    is a template for the witness x; value maps v1 and v2 to the witness's
+    values."""
+    viol = usable & _exceeds(v1, v2, scale)
     if not np.any(viol):
         return verdict(status="holds_on_grid")
     k = int(np.argmax(viol))
-    witness = Witness(x=float(xs[k]), lhs=float(v1[k]), rhs=float(v2[k]))
+    witness = Witness(x=float(xs[k]), lhs=value(v1[k]), rhs=value(v2[k]))
     refined = None
     if k > 0 and usable[k - 1] and v1[k - 1] - v2[k - 1] < 0.0:
         refined = partial(_refine_crossing, diff_fn, float(xs[k - 1]), float(xs[k]))
@@ -239,37 +237,36 @@ def _pointwise_verdict(verdict, xs: np.ndarray, v1: np.ndarray, v2: np.ndarray,
                    reason=reason.format(witness.x))
 
 
-def _check_ratio_monotone(kind: str, grid: Grid, fn, top: FiniteMixture,
-                          bottom: FiniteMixture, *, nondecreasing: bool) -> OrderVerdict:
-    """Common body of the lr and r-rh checks: the ratio fn(top)/fn(bottom)
-    of the mixture function fn must be monotone in the named direction."""
+def _check_ratio_monotone(kind: str, grid: Grid, log_num: np.ndarray, log_den: np.ndarray,
+                          scale: np.ndarray, slope, *, nondecreasing: bool) -> OrderVerdict:
+    """Common body of the lr and r-rh checks: log_num - log_den must be
+    monotone on the grid in the named direction, within the tolerance of
+    scale.  A violated verdict refines the root of slope, the vectorised
+    derivative of that log ratio, inside the offending step."""
     xs = grid.xs()
-    num = fn(xs, top)
-    den = fn(xs, bottom)
-    nonfinite = ~(np.isfinite(num) & np.isfinite(den))
-    skip = ~nonfinite & ((num < _UNDERFLOW) | (den < _UNDERFLOW))
-    usable, verdict = _gate(kind, grid, skip, nonfinite)
+    with np.errstate(invalid="ignore"):
+        log_ratio = log_num - log_den
+    usable, verdict = _gate(kind, grid, ~np.isfinite(log_ratio))
     if usable is None:
         return verdict()
     idx = np.nonzero(usable)[0]
-    r = num[idx] / den[idx]
-    bad = _bad_steps(r, nondecreasing)
+    r = log_ratio[idx]
+    bad = _bad_steps(r, scale[idx], nondecreasing)
     if not np.any(bad):
         return verdict(status="holds_on_grid")
     k = int(np.argmax(bad))
     x_lo, x_hi = float(xs[idx[k]]), float(xs[idx[k + 1]])
-    witness = Witness(x=x_hi, lhs=float(r[k]), rhs=float(r[k + 1]))
-
-    def slope(x: np.ndarray) -> np.ndarray:
-        # both offsets in one call: one evaluation per mixture per round
-        both = np.concatenate((x * (1.0 + _SLOPE_OFFSET), x * (1.0 - _SLOPE_OFFSET)))
-        r = fn(both, top) / fn(both, bottom)
-        return r[:x.size] - r[x.size:]
-
+    witness = Witness(x=x_hi, lhs=_exp(r[k]), rhs=_exp(r[k + 1]))
     direction = "nondecreasing" if nondecreasing else "nonincreasing"
     return verdict(status="violated", witness=witness,
                    refined_crossing=partial(_refine_crossing, slope, x_lo, x_hi),
                    reason=f"ratio fails to be {direction} on the step ending at x={x_hi!r}")
+
+
+def _rh_slope(x, m: FiniteMixture) -> np.ndarray:
+    """d/dx log rh of m at x: d/dx log pdf - rh, since d/dx log cdf = rh."""
+    log_rh, slope = _evaluate(x, m, ("rh",), slope=True)
+    return slope - _exp(log_rh)
 
 
 # ---------------------------------------------------------------------------
@@ -284,63 +281,55 @@ def check_st(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) ->
     s2 = mixture_sf(xs, m2)
     nonfinite = ~(np.isfinite(s1) & np.isfinite(s2))
     skip = ~nonfinite & (s1 < _UNDERFLOW) & (s2 < _UNDERFLOW)
-    usable, verdict = _gate("st", grid, skip, nonfinite)
+    usable, verdict = _gate("st", grid, nonfinite, skip)
     if usable is None:
         return verdict()
-    return _pointwise_verdict(verdict, xs, s1, s2, usable,
+    return _pointwise_verdict(verdict, xs, s1, s2, np.maximum(s1, s2), usable,
                               lambda x: mixture_sf(x, m1) - mixture_sf(x, m2),
                               "sf(m1) exceeds sf(m2) at x={!r}")
 
 
 def check_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
-    """m1 <= m2 in the reversed hazard order.
-
-    Two equivalent formulations are evaluated independently: the cdf ratio
-    cdf(m2)/cdf(m1) must be nondecreasing, and the reversed hazards must
-    satisfy rh(m1) <= rh(m2) pointwise.  Agreement is required; a split
-    decision signals numerical trouble and yields inconclusive.  Both
-    criteria come from one kernel pass per mixture that returns its cdf
-    and pdf; the reversed hazards are pdf/cdf at the usable points.
-    """
+    """m1 <= m2 in the reversed hazard order: log cdf(m2) - log cdf(m1)
+    nondecreasing and, decided independently from the same kernel pass,
+    log rh(m1) <= log rh(m2) pointwise.  A split decision signals numerical
+    trouble and yields inconclusive."""
     xs = grid.xs()
-    F1, f1 = _evaluate(xs, m1, ("cdf", "pdf"))
-    F2, f2 = _evaluate(xs, m2, ("cdf", "pdf"))
-    nonfinite = ~(np.isfinite(F1) & np.isfinite(F2))
-    skip = ~nonfinite & ((F1 < _UNDERFLOW) | (F2 < _UNDERFLOW))
-    usable, verdict = _gate("rh", grid, skip, nonfinite)
+    F1, f1, h1 = _evaluate(xs, m1, ("cdf", "pdf", "rh"))
+    F2, f2, h2 = _evaluate(xs, m2, ("cdf", "pdf", "rh"))
+    usable, verdict = _gate("rh", grid, ~(np.isfinite(h1) & np.isfinite(h2)))
     if usable is None:
         return verdict()
-    # reversed hazards only where both cdfs are usable; a point where
-    # either of them is non-finite is unusable for both criteria
     idx = np.nonzero(usable)[0]
-    r1 = f1[idx] / F1[idx]
-    r2 = f2[idx] / F2[idx]
-    finite = np.isfinite(r1) & np.isfinite(r2)
-    nonfinite[idx[~finite]] = True
-    usable, verdict = _gate("rh", grid, skip, nonfinite)
-    if usable is None:
-        return verdict()
-    idx, r1, r2 = idx[finite], r1[finite], r2[finite]
-    ratio_violated = bool(np.any(_bad_steps(F2[idx] / F1[idx], nondecreasing=True)))
-    if ratio_violated != bool(np.any(_exceeds(r1, r2))):
+    h1, h2, scale = h1[idx], h2[idx], _magnitude(F1[idx], f1[idx], F2[idx], f2[idx])
+    ratio_violated = bool(np.any(_bad_steps(F2[idx] - F1[idx], scale, nondecreasing=True)))
+    if ratio_violated != bool(np.any(_exceeds(h1, h2, scale))):
         which = "cdf-ratio monotonicity" if ratio_violated else "pointwise reversed hazards"
         return verdict(status="inconclusive",
                        reason=f"the two rh criteria disagree (only {which} flagged a violation)")
     # idx keeps usable points only, so every previous point is usable
     return _pointwise_verdict(
-        verdict, xs[idx], r1, r2, np.ones(idx.size, dtype=bool),
-        lambda x: mixture_reversed_hazard(x, m1) - mixture_reversed_hazard(x, m2),
-        "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio")
+        verdict, xs[idx], h1, h2, scale, np.ones(idx.size, dtype=bool),
+        lambda x: _evaluate(x, m1, ("rh",))[0] - _evaluate(x, m2, ("rh",))[0],
+        "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", _exp)
 
 
 def check_lr(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
     """m1 <= m2 in the likelihood ratio order: pdf(m2)/pdf(m1) nondecreasing."""
-    return _check_ratio_monotone("lr", grid, mixture_pdf, m2, m1, nondecreasing=True)
+    f1 = _evaluate(grid.xs(), m1, ("pdf",))[0]
+    f2 = _evaluate(grid.xs(), m2, ("pdf",))[0]
+    return _check_ratio_monotone(
+        "lr", grid, f2, f1, _magnitude(f1, f2),
+        lambda x: _evaluate(x, m2, (), slope=True)[0] - _evaluate(x, m1, (), slope=True)[0],
+        nondecreasing=True)
 
 
 def check_r_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
     """m1 <= m2 in the reversed-hazard-ratio sense: rh(m1)/rh(m2) nonincreasing."""
-    return _check_ratio_monotone("r_rh", grid, mixture_reversed_hazard, m1, m2,
+    F1, f1, h1 = _evaluate(grid.xs(), m1, ("cdf", "pdf", "rh"))
+    F2, f2, h2 = _evaluate(grid.xs(), m2, ("cdf", "pdf", "rh"))
+    return _check_ratio_monotone("r_rh", grid, h1, h2, _magnitude(F1, f1, F2, f2),
+                                 lambda x: _rh_slope(x, m1) - _rh_slope(x, m2),
                                  nondecreasing=False)
 
 
@@ -372,8 +361,8 @@ def difference_curve(m1: FiniteMixture, m2: FiniteMixture, grid: Grid,
     """Tabulate the comparison curve between two mixtures.
 
     which = 'sf' gives sf(m1) - sf(m2); the ratio variants give the m1/m2
-    quotient of the named function.  Rows are (x, value, defined) in
-    ascending x; a row is undefined when its denominator underflows or
+    quotient of the named function, as exp of the difference of its logs.
+    Rows are (x, value, defined) in ascending x; a row is undefined when
     its value is not finite.
     """
     if which not in CURVE_KINDS:
@@ -381,15 +370,11 @@ def difference_curve(m1: FiniteMixture, m2: FiniteMixture, grid: Grid,
     xs = grid.xs()
     if which == "sf":
         vals = mixture_sf(xs, m1) - mixture_sf(xs, m2)
-        defined = np.ones_like(vals, dtype=bool)
     else:
-        fn = EVALUATORS[which.removesuffix("_ratio")]
-        num, den = fn(xs, m1), fn(xs, m2)
-        defined = den >= _UNDERFLOW
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(defined, num / np.where(defined, den, 1.0), np.nan)
-    defined &= np.isfinite(vals)
-    return list(zip(xs.tolist(), vals.tolist(), defined.tolist()))
+        name = which.removesuffix("_ratio")
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.exp(_evaluate(xs, m1, (name,))[0] - _evaluate(xs, m2, (name,))[0])
+    return list(zip(xs.tolist(), vals.tolist(), np.isfinite(vals).tolist()))
 
 
 @lru_cache(maxsize=1)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -162,13 +163,34 @@ class TestOrder:
         assert out["witness"]["lhs"] > out["witness"]["rhs"]
 
     def test_inconclusive_exit_4(self, capsys, tmp_path):
-        deep = write_mixture(tmp_path / "deep.json", [1.0], 50.0, 140.0)
-        rc = main(["order", "--kind", "lr", "--m1", deep, "--m2", deep,
-                   "--grid", "1e-4:3e-4:100:log"])
+        # alpha * x underflows to 0 on most of this grid, so the pdf of
+        # IK(1e-20, 2) is exactly 0 there and its log -inf
+        tiny = write_mixture(tmp_path / "tiny.json", [1.0], 1e-20, 2.0)
+        plain = write_mixture(tmp_path / "plain.json", [1.0], 1.0, 2.0)
+        rc = main(["order", "--kind", "lr", "--m1", tiny, "--m2", plain,
+                   "--grid", "1e-310:1e-300:100:log"])
         assert rc == 4
         out = json.loads(capsys.readouterr().out)
         assert out["status"] == "inconclusive"
-        assert "underflow" in out["reason"]
+        assert "non-finite" in out["reason"]
+
+    def test_deep_tail_exit_codes_match_mpmath(self, capsys, tmp_path):
+        # the pdfs lie near exp(-740) on this grid, below float64; the
+        # ratio pdf(IK(50, 141)) / pdf(IK(50, 140)) is 141/140 * u, which
+        # rises with x, so m1 = IK(50, 140) <= m2 = IK(50, 141) in lr
+        deep = write_mixture(tmp_path / "deep.json", [1.0], 50.0, 140.0)
+        deeper = write_mixture(tmp_path / "deeper.json", [1.0], 50.0, 141.0)
+        with mp.workdps(40):
+            ratios = [mp.mpf(141) / 140 * -mp.expm1(-50 * mp.log1p(mp.mpf(float(x))))
+                      for x in np.geomspace(1e-4, 3e-4, 100)]
+        assert all(b > a for a, b in zip(ratios, ratios[1:]))
+        for m1, m2, rc_want, status in ((deep, deeper, 0, "holds_on_grid"),
+                                        (deeper, deep, 3, "violated")):
+            rc = main(["order", "--kind", "lr", "--m1", m1, "--m2", m2,
+                       "--grid", "1e-4:3e-4:100:log"])
+            out = json.loads(capsys.readouterr().out)
+            assert (rc, out["status"]) == (rc_want, status)
+            assert out["skipped_points"] == out["nonfinite_points"] == 0
 
     def test_reversed_rh_spellings_agree(self, capsys, narrow, wide):
         outs = []

@@ -1,6 +1,6 @@
 """Mixture construction, JSON round trip, frozen catalog values, the
-compensated-summation guarantees, and the blocked kernel's bit identity
-with a per-component reference."""
+compensated weight sum, and the log-sum-exp kernel's accuracy against
+50-digit mpmath and a per-component reference."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mixture
-from ikmix import ikdist, mixture
+from conftest import mp_mixture, random_mixture
+from ikmix import ikdist, mixture, ordercheck
 from ikmix import (
     DomainError,
     FiniteMixture,
@@ -237,11 +237,20 @@ class TestQuantile:
             assert abs(mixture_quantile(float(u), m) - want) <= 1e-12 * max(1.0, want), u
         assert unbracketed
 
+    def test_tiny_quantile_keeps_its_digits(self):
+        # the answer lies far below 1e-12, where a width absolute in x
+        # would leave no correct digit; the root is 50-digit mpmath's
+        m = _mix((0.9, 0.1), (150.0, 0.2), (400.0, 0.3))
+        got = mixture_quantile(1e-6, m)
+        assert abs(got - 1.0772173450159419e-16) <= 1e-12 * 1.0772173450159419e-16
+        assert mixture_cdf(got, m) == pytest.approx(1e-6, rel=1e-11)
+
     def test_few_vectorised_cdf_calls(self, monkeypatch):
+        # the search evaluates the log cdf through the kernel
         sizes = []
-        cdf = mixture.mixture_cdf
-        monkeypatch.setattr(mixture, "mixture_cdf",
-                            lambda x, m: sizes.append(np.size(x)) or cdf(x, m))
+        evaluate = mixture._evaluate
+        monkeypatch.setattr(mixture, "_evaluate",
+                            lambda x, m, names: sizes.append(np.size(x)) or evaluate(x, m, names))
         mixture_quantile(0.9, _mix(*self.WIDE))
         assert len(sizes) <= 10
         assert max(sizes) == 64
@@ -268,8 +277,11 @@ class TestNeumaierSum:
 
 
 # ---------------------------------------------------------------------------
-# the blocked kernel against the per-component evaluators it replaced
+# the log-sum-exp kernel against 50-digit mpmath and a per-component reference
 # ---------------------------------------------------------------------------
+
+
+# compensated sums of the single-component evaluators, on x > 0
 
 
 def _ref_cdf(x, m):
@@ -281,23 +293,12 @@ def _ref_sf(x, m):
 
 
 def _ref_pdf(x, m):
-    terms = [w * ik_pdf(x, c) for w, c in zip(m.weights, m.components)]
-    if any(np.any(np.isinf(t)) for t in terms):
-        inf_mask = np.zeros_like(np.asarray(terms[0], dtype=float), dtype=bool)
-        for t in terms:
-            inf_mask |= np.isinf(np.asarray(t, dtype=float))
-        finite_terms = [np.where(inf_mask, 0.0, t) for t in terms]
-        out = np.where(inf_mask, np.inf, neumaier_sum(finite_terms))
-        return float(out) if out.ndim == 0 else out
-    return neumaier_sum(terms)
+    return neumaier_sum(w * ik_pdf(x, c) for w, c in zip(m.weights, m.components))
 
 
 def _ref_rh(x, m):
-    xs = np.asarray(x, dtype=float)
-    if np.any(np.atleast_1d(xs) <= 0.0):
-        raise DomainError("reversed hazard requires x > 0")
-    out = np.asarray(_ref_pdf(x, m), dtype=float) / np.asarray(_ref_cdf(x, m), dtype=float)
-    return float(out) if out.ndim == 0 else out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.asarray(_ref_pdf(x, m)) / np.asarray(_ref_cdf(x, m))
 
 
 EVALUATORS = [(mixture_cdf, _ref_cdf), (mixture_sf, _ref_sf),
@@ -312,12 +313,17 @@ def test_evaluator_table_holds_the_public_functions():
                                   "rh": mixture.mixture_reversed_hazard}
 
 
-def _assert_bit_identical(got, want):
-    assert type(got) is type(want)
-    got_a, want_a = np.asarray(got), np.asarray(want)
-    assert got_a.dtype == want_a.dtype and got_a.shape == want_a.shape
-    np.testing.assert_array_equal(np.signbit(got_a), np.signbit(want_a))
-    assert got_a.tobytes() == want_a.tobytes()
+def _assert_close(got, want, floor=1e-300):
+    """got within 1e-13 relative of the reference want wherever want
+    exceeds floor, plus 4 eps per unit of |log want|: both sides round
+    values of that log, and exp turns its rounding into relative error.
+    Elsewhere got may only be as small."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    big = want > floor
+    rtol = 1e-13 + 4.0 * np.finfo(float).eps * np.abs(np.log(want[big]))
+    assert np.all(np.abs(got[big] - want[big]) <= rtol * want[big])
+    assert np.all(got[~big] <= 2 * floor)
 
 
 def _spread_mixture(rng, n):
@@ -328,7 +334,38 @@ def _spread_mixture(rng, n):
     return FiniteMixture.build(tuple(raw / raw.sum()), tuple(alphas), tuple(betas))
 
 
-class TestKernelBitIdentity:
+def _shapes_mixture(rng, n):
+    """n components whose betas run through < 1, = 1 and > 1 in turn."""
+    raw = rng.uniform(0.05, 1.0, size=n)
+    alphas = 10.0 ** rng.uniform(-0.3, 0.7, size=n)
+    betas = np.resize([0.4, 1.0, 3.0], n) * rng.uniform(0.8, 1.2, size=n)
+    betas[1::3] = 1.0
+    return FiniteMixture.build(tuple(raw / raw.sum()), tuple(alphas), tuple(betas))
+
+
+MP_POINTS = (0.0, 1e-300, 1e-4, 1.0, 1e4, 1e300)
+
+
+class TestKernelAccuracy:
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 70])
+    def test_against_mpmath(self, n):
+        # the one-component case has beta < 1; larger ones hold all three shapes
+        m = _shapes_mixture(np.random.default_rng(n), n)
+        xs = np.array(MP_POINTS)
+        got = {name: fn(xs[1:] if name == "rh" else xs, m)
+               for name, fn in mixture.EVALUATORS.items()}
+        for k, x in enumerate(MP_POINTS):
+            want = mp_mixture(x, m)
+            for name, values in got.items():
+                if name == "rh" and x == 0.0:
+                    continue
+                value = values[k - 1] if name == "rh" else values[k]
+                ref = float(want[name])
+                if ref > 1e-300 and math.isfinite(ref):
+                    assert abs(value - ref) <= 1e-13 * ref, (name, x, value, ref)
+                else:
+                    assert value == ref or value <= 2e-300, (name, x, value, ref)
+
     @pytest.mark.parametrize("points", [500, 2000])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 50, 70])
     def test_grid(self, n, points):
@@ -337,45 +374,67 @@ class TestKernelBitIdentity:
         m = _spread_mixture(np.random.default_rng(1000 * n + points), n)
         xs = np.geomspace(1e-4, 1e4, points)
         for fn, ref in EVALUATORS:
-            _assert_bit_identical(fn(xs, m), ref(xs, m))
+            _assert_close(fn(xs, m), ref(xs, m))
 
     @pytest.mark.parametrize("n", [1, 3, 70])
     def test_scalar_x(self, n):
         m = _spread_mixture(np.random.default_rng(n), n)
-        for x in (1e-300, 1e-4, 0.37, 1.0, 250.0, 1e300):
-            for fn, ref in EVALUATORS:
-                _assert_bit_identical(fn(x, m), ref(x, m))
+        xs = np.array([1e-300, 1e-4, 0.37, 1.0, 250.0, 1e300])
+        for fn, ref in EVALUATORS:
+            values = fn(xs, m)
+            for x, value in zip(xs, values):
+                got = fn(float(x), m)
+                assert type(got) is float
+                assert got == pytest.approx(value, rel=1e-15, abs=0.0)
+            _assert_close(values, ref(xs, m))
 
     @pytest.mark.parametrize("beta", [0.4, 1.0, 3.0])
     def test_zero_boundary(self, beta):
         m = FiniteMixture.build((0.2, 0.5, 0.3), (0.7, 2.0, 5.0), (1.5, beta, 2.5))
+        assert mixture_cdf(0.0, m) == 0.0
+        assert mixture_sf(0.0, m) == 1.0
+        want_pdf = {0.4: math.inf, 1.0: 0.5 * 2.0 * 1.0, 3.0: 0.0}[beta]
+        assert mixture_pdf(0.0, m) == pytest.approx(want_pdf, rel=1e-15)
         xs = np.array([0.0, 1e-300, 1e-3, 1.0, 1e300])
+        np.testing.assert_array_equal(mixture_pdf(xs, m)[:1], [want_pdf])
         for fn, ref in EVALUATORS[:3]:
-            _assert_bit_identical(fn(xs, m), ref(xs, m))
-            _assert_bit_identical(fn(0.0, m), ref(0.0, m))
-        assert np.isinf(mixture_pdf(0.0, m)) == (beta < 1.0)
+            _assert_close(fn(xs, m)[1:], ref(xs[1:], m))
         with pytest.raises(DomainError, match="x > 0"):
             mixture_reversed_hazard(xs, m)
 
     def test_extreme_x(self):
         m = _spread_mixture(np.random.default_rng(5), 9)
         xs = np.array([1e-300, 1e-200, 1e200, 1e300])
-        for fn, ref in EVALUATORS:
-            _assert_bit_identical(fn(xs, m), ref(xs, m))
-            _assert_bit_identical(fn(xs[:1], m), ref(xs[:1], m))
+        for name, fn in mixture.EVALUATORS.items():
+            values = fn(xs, m)
+            for x, value in zip(xs, values):
+                ref = float(mp_mixture(x, m)[name])
+                if ref > 1e-300 and math.isfinite(ref):
+                    assert value == pytest.approx(ref, rel=1e-13, abs=0.0), (name, x)
+                else:
+                    assert value == ref or value <= 2e-300, (name, x)
 
     def test_shape_is_kept(self):
         m = _spread_mixture(np.random.default_rng(6), 4)
-        xs = np.geomspace(1e-3, 1e3, 12).reshape(3, 4)
-        for fn, ref in EVALUATORS:
-            _assert_bit_identical(fn(xs, m), ref(xs, m))
+        xs = np.geomspace(1e-3, 1e3, 12)
+        for fn, _ in EVALUATORS:
+            got = fn(xs.reshape(3, 4), m)
+            assert got.shape == (3, 4)
+            assert got.tobytes() == fn(xs, m).tobytes()
 
     def test_one_pass_gives_every_name(self):
+        # each name's sum is independent of the others, so one pass for
+        # all of them gives the single passes' logs bit for bit
         m = _spread_mixture(np.random.default_rng(8), 11)
         xs = np.geomspace(1e-4, 1e4, 300)
-        got = mixture._evaluate(xs, m, ("cdf", "sf", "pdf", "rh"))
-        for value, (_, ref) in zip(got, EVALUATORS):
-            _assert_bit_identical(value, ref(xs, m))
+        names = ("cdf", "sf", "pdf", "rh")
+        logs = mixture._evaluate(xs, m, names, slope=True)
+        singles = [mixture._evaluate(xs, m, (name,))[0] for name in names]
+        singles.append(mixture._evaluate(xs, m, (), slope=True)[0])
+        for got, want in zip(logs, singles):
+            assert got.tobytes() == want.tobytes()
+        for (fn, _), log_value in zip(EVALUATORS, logs):
+            assert fn(xs, m).tobytes() == np.exp(log_value).tobytes()
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
            st.integers(min_value=1, max_value=40),
@@ -385,32 +444,52 @@ class TestKernelBitIdentity:
         r = np.random.default_rng(seed)
         m = _spread_mixture(r, n)
         xs = np.sort(10.0 ** r.uniform(-6.0, 6.0, size=points))
-        with np.errstate(all="ignore"):
-            for fn, ref in EVALUATORS:
-                _assert_bit_identical(fn(xs, m), ref(xs, m))
-
+        for fn, ref in EVALUATORS:
+            _assert_close(fn(xs, m), ref(xs, m))
 
     @pytest.mark.parametrize("points", [1, 700, 2000, 9000])
-    def test_rows_are_added_in_component_order(self, monkeypatch, points):
-        # a compensated sum of positive terms rarely depends on their order,
-        # so the order is checked on the rows themselves
-        added = []
-
-        class Recording(mixture._RowSum):
-            def __init__(self, first):
-                added.append(first.copy())
-                super().__init__(first)
-
-            def add(self, t):
-                added.append(t.copy())
-                super().add(t)
-
-        monkeypatch.setattr(mixture, "_RowSum", Recording)
+    def test_block_split(self, monkeypatch, points):
+        # one component per block runs the running shift through every
+        # rescale rule; the logs agree with the default blocks' to the
+        # rounding of a log of their size
         m = _spread_mixture(np.random.default_rng(points), 13)
         xs = np.geomspace(1e-3, 1e3, points)
-        mixture_sf(xs, m)
-        want = [w * ik_sf(xs, c) for w, c in zip(m.weights, m.components)]
-        assert [r.tobytes() for r in added] == [r.tobytes() for r in want]
+        names = ("cdf", "sf", "pdf")
+        blocked = mixture._evaluate(xs, m, names, slope=True)
+        monkeypatch.setattr(mixture, "_BLOCK_VALUES", 1)
+        for got, want in zip(mixture._evaluate(xs, m, names, slope=True), blocked):
+            assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + np.abs(want)))
+
+    @pytest.mark.parametrize("x", [1e-4, 0.3, 20.0])
+    def test_r_rh_slope_against_mpmath_diff(self, x):
+        # d/dx log rh = f'/f - rh, per mixture and as the r_rh slope of the
+        # README's minimal T3.10 pair, against mpmath's numerical derivative
+        m1 = _mix((0.5, 0.5), (1.0, 1.0), (1.0, 2.0))
+        m2 = _mix((0.9, 0.1), (1.0, 1.0), (1.0, 2.0))
+        def log_rh(t, m):
+            terms = [(w, c.alpha, c.beta, -mp.expm1(-c.alpha * mp.log1p(t)))
+                     for w, c in zip(m.weights, m.components)]
+            F = mp.fsum(w * u ** b for w, _, b, u in terms)
+            f = mp.fsum(w * a * b * (1 + t) ** (-a - 1) * u ** (b - 1) for w, a, b, u in terms)
+            return mp.log(f / F)
+
+        slopes = []
+        for m in (m1, m2):
+            with mp.workdps(40):
+                want = mp.diff(lambda t: log_rh(t, m), mp.mpf(x))
+            got = ordercheck._rh_slope(np.array([x]), m)[0]
+            assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
+            slopes.append((got, want))
+        (g1, w1), (g2, w2) = slopes
+        assert g1 - g2 == pytest.approx(float(w1 - w2), rel=1e-13, abs=1e-13 * abs(float(w1)))
+
+    def test_slope_against_mpmath(self):
+        m = _shapes_mixture(np.random.default_rng(12), 6)
+        xs = np.array([1e-4, 0.3, 1.0, 20.0, 1e3])
+        slopes = mixture._evaluate(xs, m, (), slope=True)[0]
+        for x, got in zip(xs, slopes):
+            want = float(mp_mixture(x, m)["slope"])
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), x
 
 
 def _two_branch_log_u(L, alpha):
@@ -439,28 +518,59 @@ class TestLogU:
             assert ikdist._log_u(L, float(alphas[k, 0])).tobytes() == got[k].tobytes()
 
 
-class TestRowSum:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_equals_neumaier_sum(self, seed):
-        r = np.random.default_rng(seed)
-        rows, width = int(r.integers(1, 12)), 400
-        terms = 10.0 ** r.uniform(-300.0, 300.0, size=(rows, width))
-        tiny = np.finfo(float).tiny
-        special = np.array([0.0, -0.0, tiny / 2.0, tiny / 2 ** 40, 5e-324, tiny, 1.0])
-        pick = r.random(size=terms.shape) < 0.3
-        terms[pick] = r.choice(special, size=int(pick.sum()))
-        acc = mixture._RowSum(terms[0])
-        for row in terms[1:]:
-            acc.add(row)
-        got, want = acc.result(), neumaier_sum(list(terms))
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-        assert got.tobytes() == want.tobytes()
+class TestLogSumExp:
+    """_add_block's running (shift, scaled sum) pair against mpmath."""
 
-    def test_signed_zero_rows(self):
-        for rows in ([[-0.0, 0.0, -0.0]], [[-0.0, -0.0, 0.0], [-0.0, 0.0, 0.0]],
-                     [[0.0, -0.0, -0.0], [-0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]):
-            terms = [np.array(row) for row in rows]
-            acc = mixture._RowSum(terms[0])
-            for row in terms[1:]:
-                acc.add(row)
-            assert acc.result().tobytes() == neumaier_sum(terms).tobytes()
+    @staticmethod
+    def _run(blocks, slopes=False):
+        sums = {}
+        for w, logs, g in blocks:
+            mixture._add_block(sums, "f", w, logs.copy(), g if slopes else None)
+        with np.errstate(divide="ignore"):
+            return sums["f"][0] + np.log(sums["f"][1]), sums["f"]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_against_mpmath(self, seed):
+        # logs from -800 to +700, with a block far above and one far below
+        # the others, so the running pair is rescaled in both directions
+        r = np.random.default_rng(seed)
+        width = 40
+        blocks = []
+        for b in range(int(r.integers(2, 7))):
+            rows = int(r.integers(1, 5))
+            logs = r.uniform(-800.0, 700.0, size=(rows, width))
+            logs[:, : width // 4] += 600.0 * (b % 2) - 300.0
+            pick = r.random(size=logs.shape) < 0.2
+            logs[pick] = -np.inf
+            blocks.append((r.uniform(1e-3, 1.0, size=(rows, 1)), logs,
+                           r.normal(size=(rows, width))))
+        got, sums = self._run(blocks, slopes=True)
+        slope = sums[2] / sums[1]
+        for j in range(width):
+            terms = [(mp.mpf(float(w[i, 0])), logs[i, j], g[i, j])
+                     for w, logs, g in blocks for i in range(logs.shape[0])
+                     if np.isfinite(logs[i, j])]
+            if not terms:
+                assert got[j] == -np.inf
+                continue
+            with mp.workdps(50):
+                total = mp.fsum(w * mp.exp(mp.mpf(float(l))) for w, l, _ in terms)
+                want = mp.log(total)
+                want_slope = mp.fsum(w * mp.exp(mp.mpf(float(l))) * mp.mpf(float(g))
+                                     for w, l, g in terms) / total
+            assert abs(got[j] - float(want)) <= 1e-15 * max(1.0, abs(float(want))), j
+            assert abs(slope[j] - float(want_slope)) <= 1e-12 * max(
+                1.0, max(abs(float(g)) for _, _, g in terms)), j
+
+    def test_infinite_logs(self):
+        w = np.ones((1, 3))
+        neg, pos = np.full((1, 3), -np.inf), np.full((1, 3), np.inf)
+        finite = np.array([[-900.0, 0.0, 650.0]])
+        assert np.all(self._run([(w, neg, None)])[0] == -np.inf)
+        # a block of zeros first, then finite terms: the running pair takes
+        # the later shift, however far below zero it lies
+        got = self._run([(w, neg, None), (w, finite, None), (w, neg, None)])[0]
+        np.testing.assert_allclose(got, finite[0], rtol=1e-15)
+        # an infinite term makes the sum infinite, before or after finite ones
+        assert np.all(self._run([(w, finite, None), (w, pos, None)])[0] == np.inf)
+        assert np.all(self._run([(w, pos, None), (w, finite, None)])[0] == np.inf)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import copy
 import csv
 import dataclasses
+import functools
 import math
 import pickle
 import warnings
@@ -16,7 +17,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ikmix import ordercheck
+from conftest import mp_mixture
+from ikmix import mixture, ordercheck
 from ikmix import (
     DEFAULT_GRID,
     ORDER_KINDS,
@@ -234,25 +236,83 @@ def _oracle_refine(fn, lo, hi):
     return _scalar_bisect(lambda x: float(fn(np.array([x]))[0]), lo, hi)
 
 
-def _ratio_fn(kind, m1, m2):
-    """The ratio whose central-difference slope lr and r_rh refine."""
+def _slope_terms(kind, m1, m2, x):
+    """The analytic slope of log(ratio) that lr and r_rh refine, and the sum
+    of the magnitudes of its terms: the mixtures' d/dx log pdf and, for
+    r_rh, their reversed hazards."""
+    parts = []
+    for m in (m1, m2):
+        log_rh, g = mixture._evaluate(x, m, ("rh",), slope=True)
+        parts.append((g, np.exp(log_rh)))
+    (g1, rh1), (g2, rh2) = parts
     if kind == "lr":
-        return lambda x: mixture_pdf(x, m2) / mixture_pdf(x, m1)
-    return lambda x: mixture_reversed_hazard(x, m1) / mixture_reversed_hazard(x, m2)
+        return g2 - g1, np.abs(g1) + np.abs(g2)
+    return (g1 - rh1) - (g2 - rh2), np.abs(g1) + rh1 + np.abs(g2) + rh2
 
 
 def _slope_root_resolution(kind, m1, m2, lo, hi) -> float:
     """How far apart two float64 roots of the lr / r_rh slope in [lo, hi]
-    can lie.  Each ratio value carries up to 8 ulp of rounding (component
-    powers and logs, compensated sums, quotients), so the slope, a
-    difference of two of them, is uncertain by 16 eps |ratio|; the root
-    is uncertain by that over the slope's rate of change, and two roots
-    inside that band differ by at most twice as much."""
-    ratio = _ratio_fn(kind, m1, m2)
-    ends = np.array([lo, hi])
-    slope = ratio(ends * (1.0 + 1e-6)) - ratio(ends * (1.0 - 1e-6))
-    noise = 16.0 * np.finfo(float).eps * float(np.max(np.abs(ratio(ends))))
+    can lie.  Each term of the slope carries up to 8 ulp of rounding, so
+    the slope is uncertain by 16 eps times the sum of its terms' sizes;
+    the root is uncertain by that over the slope's change across the
+    step, and two roots inside that band differ by at most twice as much."""
+    slope, size = _slope_terms(kind, m1, m2, np.array([lo, hi]))
+    noise = 16.0 * np.finfo(float).eps * float(np.max(size))
     return 2.0 * noise * (hi - lo) / abs(float(slope[1] - slope[0]))
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_at(x: float, m: FiniteMixture) -> dict:
+    return mp_mixture(x, m, 40)
+
+
+def _mp_status(kind, m1, m2, grid, verdict) -> str:
+    """The status 40-digit mpmath gives m1 <= m2 on the grid: violated when
+    some point (st, rh) or step (lr, r_rh) breaks the order by more than
+    1e-9 relative, holds when nothing breaks it by more than 1e-13.  A
+    violated verdict's witness must itself be a break in mpmath."""
+    fn = {"st": "sf", "rh": "rh", "lr": "pdf", "r_rh": "rh"}[kind]
+    xs = grid.xs()
+    v1 = [_mp_at(float(x), m1)[fn] for x in xs]
+    v2 = [_mp_at(float(x), m2)[fn] for x in xs]
+    if kind in ("st", "rh"):
+        breaks = [(a - b) / max(a, b) for a, b in zip(v1, v2)]
+    else:
+        r = [b / a for a, b in zip(v1, v2)] if kind == "lr" else [a / b for a, b in zip(v1, v2)]
+        sign = 1 if kind == "lr" else -1
+        breaks = [0] + [sign * (r[k] - r[k + 1]) / abs(r[k]) for k in range(len(r) - 1)]
+    if verdict.status == "violated":
+        assert breaks[int(np.searchsorted(xs, verdict.witness.x))] > 0
+    worst = max(breaks)
+    assert worst > 1e-9 or worst < 1e-13, worst
+    return "violated" if worst > 1e-9 else "holds_on_grid"
+
+
+def _mp_slope_root(kind, m1, m2, grid, witness_x):
+    """The 40-digit root of the lr or r_rh slope inside the grid step ending
+    at witness_x, by bisection to 1e-13, and the slope's change across the
+    step over the size of its terms."""
+    def slope(x):
+        a, b = mp_mixture(x, m1, 40), mp_mixture(x, m2, 40)
+        if kind == "lr":
+            return b["slope"] - a["slope"], abs(a["slope"]) + abs(b["slope"])
+        return ((a["slope"] - a["rh"]) - (b["slope"] - b["rh"]),
+                abs(a["slope"]) + a["rh"] + abs(b["slope"]) + b["rh"])
+
+    xs = grid.xs()
+    k = int(np.searchsorted(xs, witness_x))
+    lo, hi = float(xs[k - 1]), float(xs[k])
+    (s_lo, size), (s_hi, _) = slope(lo), slope(hi)
+    assert s_lo * s_hi < 0
+    with mp.workdps(40):
+        a, b = mp.mpf(lo), mp.mpf(hi)
+        while b - a > mp.mpf(10) ** -13 * b:
+            c = (a + b) / 2
+            if (slope(c)[0] > 0) == (s_lo > 0):
+                a = c
+            else:
+                b = c
+        return float((a + b) / 2), float(abs(s_hi - s_lo) / size)
 
 
 @pytest.fixture(scope="module")
@@ -331,27 +391,35 @@ class TestBatchedRefinement:
             assert abs(new.refined_crossing - old.refined_crossing) <= tol, (label, kind)
 
     def test_lr_crossings_against_mpmath(self, oracle_cases):
-        def mp_pdf(x, m):
-            return mp.fsum(
-                mp.mpf(w) * c.alpha * c.beta * (1 + x) ** (-(c.alpha + 1))
-                * (1 - (1 + x) ** (-c.alpha)) ** (c.beta - 1)
-                for w, c in zip(m.weights, m.components))
-
         checked = 0
         for label, own_kind, kind, m1, m2, grid, new, _, _ in oracle_cases:
             if kind != "lr" or new.refined_crossing is None:
                 continue
             if not (label.startswith("draw") or (label == "ce3.7" and own_kind == "lr")):
                 continue
-            xs = grid.xs()
-            k = int(np.searchsorted(xs, new.witness.x))
-            with mp.workdps(40):
-                root = mp.findroot(
-                    lambda x: mp.diff(lambda t: mp_pdf(t, m2) / mp_pdf(t, m1), x),
-                    (mp.mpf(float(xs[k - 1])), mp.mpf(float(xs[k]))), solver="anderson")
-            assert abs(new.refined_crossing - float(root)) <= 1e-6 * float(root), label
+            root, _ = _mp_slope_root(kind, m1, m2, grid, new.witness.x)
+            assert abs(new.refined_crossing - root) <= 1e-9 * root, label
             checked += 1
         assert checked >= 6
+
+    def test_r_rh_crossings_against_mpmath(self, oracle_cases):
+        # within 1e-9 of the 40-digit root wherever the slope changes by
+        # more than 1e-8 of its terms across the step; on a flatter step
+        # float64 rounding of the slope bounds the root, as on T3.10 draw
+        # 138, where the slope changes by 2e-9 of its terms
+        checked = flat = 0
+        for label, _, kind, m1, m2, grid, new, _, _ in oracle_cases:
+            if kind != "r_rh" or new.refined_crossing is None:
+                continue
+            root, steepness = _mp_slope_root(kind, m1, m2, grid, new.witness.x)
+            error = abs(new.refined_crossing - root) / root
+            if steepness > 1e-8:
+                assert error <= 1e-9, label
+                checked += 1
+            else:
+                assert error <= 1e-7, label
+                flat += 1
+        assert checked >= 5 and flat <= 1
 
     def test_no_straddle_costs_one_call(self):
         fn = _counted(lambda x: x - 5.0)
@@ -402,26 +470,48 @@ class TestRatioChecks:
         assert check_rh(m1, m2).status == "holds_on_grid"
         assert check_rh(m2, m1).status == "violated"
 
-    def test_underflow_fraction_goes_inconclusive(self):
-        m = _mix((1.0,), (50.0,), (140.0,))
-        v = check_lr(m, m, Grid(1e-4, 3e-4, 100))
-        assert v.status == "inconclusive"
-        assert v.skipped_points > 10
-        assert "underflow" in v.reason
+    def test_deep_tail_decided_against_mpmath(self):
+        # the cdfs and pdfs lie near exp(-740) on this grid, below float64;
+        # their logs decide every order, as 40-digit mpmath does
+        deep = _mix((0.5, 0.5), (50.0, 50.0), (140.0, 160.0))
+        deeper = _mix((0.3, 0.7), (50.0, 50.0), (140.0, 160.0))
+        grid = Grid(1e-4, 3e-4, 100)
+        assert mixture_pdf(1e-4, deep) < 1e-300
+        for kind in ORDER_KINDS:
+            for m1, m2 in ((deep, deeper), (deeper, deep)):
+                v = check_order(kind, m1, m2, grid)
+                assert v.skipped_points == v.nonfinite_points == 0
+                assert v.status == _mp_status(kind, m1, m2, grid, v), (kind, m1, m2)
+        assert check_lr(deep, deep, grid).status == "holds_on_grid"
 
-    def test_nonfinite_points_go_inconclusive(self):
-        # the reversed hazards are 0/0 or x/0 at 740 of the 2000 grid
-        # points; NaN compares False against the underflow gate and in
-        # np.diff, so without the non-finite gate this reads "violated"
+    def test_found_pair_is_decided_without_warnings(self):
+        # the linear reversed hazards of this pair are 0/0 at 740 of the
+        # 2000 grid points; their logs are finite everywhere
         m1 = _mix((0.5, 0.5), (1.0, 1.0), (400.0, 300.0))
         m2 = _mix((0.3, 0.7), (1.0, 1.0), (400.0, 300.0))
-        with pytest.warns(RuntimeWarning):
-            v = check_r_rh(m1, m2)
-        assert v.status == "inconclusive"
-        assert v.skipped_points == 0
-        assert v.nonfinite_points == 740
-        assert "non-finite" in v.reason and "underflow" not in v.reason
-        assert v.to_dict()["nonfinite_points"] == 740
+        for a, b in ((m1, m2), (m2, m1)):
+            v, caught = _with_warnings(check_r_rh, a, b)
+            assert caught == []
+            assert v.status != "inconclusive" and v.nonfinite_points == 0
+            assert v.status == _mp_status("r_rh", a, b, DEFAULT_GRID, v)
+        assert check_r_rh(m1, m2).status == "violated"
+
+    def test_nonfinite_points_go_inconclusive(self):
+        # alpha * x underflows to 0 below x = 4.9e-304, so u, the cdf and
+        # the pdf of IK(1e-20, 2) are exactly 0 there and their logs -inf
+        m1 = _mix((1.0,), (1e-20,), (2.0,))
+        m2 = _mix((1.0,), (1.0,), (2.0,))
+        grid = Grid(1e-310, 1e-300, 100)
+        zeros = int(np.count_nonzero(1e-20 * grid.xs() == 0.0))
+        assert zeros > 10
+        for kind in ("rh", "lr", "r_rh"):
+            v, caught = _with_warnings(check_order, kind, m1, m2, grid)
+            assert caught == []
+            assert v.status == "inconclusive"
+            assert v.skipped_points == 0
+            assert v.nonfinite_points == zeros
+            assert "non-finite" in v.reason and "underflow" not in v.reason
+            assert v.to_dict()["nonfinite_points"] == zeros
 
     def test_unknown_kind_rejected(self):
         m = _mix((1.0,), (1.0,), (1.0,))
@@ -429,88 +519,66 @@ class TestRatioChecks:
             check_order("hazard", m, m)
 
 
-# The usable-point gate and the pointwise tail of the two-pass check_rh,
-# copied here so that the reference shares no decision code with the
-# checks it is compared against.
+# The usable-point gate and the pointwise tail of check_rh, copied here so
+# that the reference shares no decision code with the checks it is
+# compared against.
 
 
-def _reference_unusable(kind, grid, skip, nonfinite):
+def _reference_unusable(kind, grid, nonfinite):
     """Inconclusive verdict when more than 10% of the grid is unusable.
     Passing this gate leaves at least two usable points on any grid."""
-    n_skip = int(np.count_nonzero(skip))
     n_nonfinite = int(np.count_nonzero(nonfinite))
-    if n_skip + n_nonfinite <= ordercheck._SKIP_FRACTION * grid.points:
+    if n_nonfinite <= ordercheck._SKIP_FRACTION * grid.points:
         return None
-    causes = []
-    if n_skip:
-        causes.append(f"{n_skip} of {grid.points} grid points underflowed float64")
-    if n_nonfinite:
-        causes.append(f"{n_nonfinite} of {grid.points} grid points were non-finite (NaN or inf)")
-    return ordercheck.OrderVerdict(kind=kind, status="inconclusive", reason="; ".join(causes),
-                                   skipped_points=n_skip, nonfinite_points=n_nonfinite,
-                                   grid=grid)
-
-
-def _reference_pointwise_verdict(kind, grid, xs, v1, v2, viol, usable, diff_fn,
-                                 reason, n_skip, n_nonfinite):
-    """v1 <= v2 holds unless viol flags a point, and then fails first
-    there.  The crossing of diff_fn = v1 - v2 is refined inside the step
-    from the previous point when that point is usable and strictly
-    ordered.  reason is a template for the witness x."""
-    if not np.any(viol):
-        return ordercheck.OrderVerdict(kind=kind, status="holds_on_grid",
-                                       skipped_points=n_skip,
-                                       nonfinite_points=n_nonfinite, grid=grid)
-    k = int(np.argmax(viol))
-    witness = ordercheck.Witness(x=float(xs[k]), lhs=float(v1[k]), rhs=float(v2[k]))
-    refined = None
-    if k > 0 and usable[k - 1] and v1[k - 1] - v2[k - 1] < 0.0:
-        refined = ordercheck._refine_crossing(diff_fn, float(xs[k - 1]), float(xs[k]))
-    return ordercheck.OrderVerdict(kind=kind, status="violated", witness=witness,
-                                   refined_crossing=refined, reason=reason.format(witness.x),
-                                   skipped_points=n_skip, nonfinite_points=n_nonfinite,
-                                   grid=grid)
+    return ordercheck.OrderVerdict(
+        kind=kind, status="inconclusive",
+        reason=f"{n_nonfinite} of {grid.points} grid points were non-finite (NaN or inf)",
+        nonfinite_points=n_nonfinite, grid=grid)
 
 
 def _reference_check_rh(m1, m2, grid=DEFAULT_GRID):
-    """check_rh as it was before the cdf and pdf came from one kernel
-    pass: the cdfs from mixture_cdf, and the reversed hazards at the
-    usable points from mixture_reversed_hazard, which recomputes them."""
+    """check_rh from separate kernel passes for each log cdf and log pdf,
+    with the decisions written out here: the log cdf ratio must not fall
+    and log rh(m1) must not exceed log rh(m2), each beyond 1e-12 times
+    (1 + the largest |log| at the point)."""
     xs = grid.xs()
-    F1 = mixture_cdf(xs, m1)
-    F2 = mixture_cdf(xs, m2)
-    nonfinite = ~(np.isfinite(F1) & np.isfinite(F2))
-    skip = ~nonfinite & ((F1 < ordercheck._UNDERFLOW) | (F2 < ordercheck._UNDERFLOW))
-    bad = _reference_unusable("rh", grid, skip, nonfinite)
+    F1, f1 = mixture._evaluate(xs, m1, ("cdf",))[0], mixture._evaluate(xs, m1, ("pdf",))[0]
+    F2, f2 = mixture._evaluate(xs, m2, ("cdf",))[0], mixture._evaluate(xs, m2, ("pdf",))[0]
+    with np.errstate(invalid="ignore"):
+        h1, h2 = f1 - F1, f2 - F2
+    nonfinite = ~(np.isfinite(h1) & np.isfinite(h2))
+    bad = _reference_unusable("rh", grid, nonfinite)
     if bad is not None:
         return bad
-    idx = np.nonzero(~(skip | nonfinite))[0]
-    r1 = mixture_reversed_hazard(xs[idx], m1)
-    r2 = mixture_reversed_hazard(xs[idx], m2)
-    finite = np.isfinite(r1) & np.isfinite(r2)
-    if not np.all(finite):
-        nonfinite[idx[~finite]] = True
-        bad = _reference_unusable("rh", grid, skip, nonfinite)
-        if bad is not None:
-            return bad
-        idx, r1, r2 = idx[finite], r1[finite], r2[finite]
-    n_skip = int(np.count_nonzero(skip))
+    idx = np.nonzero(~nonfinite)[0]
     n_nonfinite = int(np.count_nonzero(nonfinite))
-    ratio = F2[idx] / F1[idx]
-    tau_r = ordercheck._TOL * (1.0 + np.abs(ratio[:-1]))
-    ratio_violated = bool(np.any(np.diff(ratio) < -tau_r))
-    tau_p = ordercheck._TOL * (1.0 + np.maximum(np.abs(r1), np.abs(r2)))
-    pt_viol = r1 > r2 + tau_p
+    size = np.max(np.abs([F1[idx], f1[idx], F2[idx], f2[idx]]), axis=0)
+    tau = 1e-12 * (1.0 + size)
+    ratio_violated = bool(np.any(np.diff(F2[idx] - F1[idx]) < -tau[:-1]))
+    h1, h2 = h1[idx], h2[idx]
+    pt_viol = h1 > h2 + tau
     if ratio_violated != bool(np.any(pt_viol)):
         which = "cdf-ratio monotonicity" if ratio_violated else "pointwise reversed hazards"
         return ordercheck.OrderVerdict(
             kind="rh", status="inconclusive",
             reason=f"the two rh criteria disagree (only {which} flagged a violation)",
-            skipped_points=n_skip, nonfinite_points=n_nonfinite, grid=grid)
-    return _reference_pointwise_verdict(
-        "rh", grid, xs[idx], r1, r2, pt_viol, np.ones_like(pt_viol),
-        lambda x: mixture_reversed_hazard(x, m1) - mixture_reversed_hazard(x, m2),
-        "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", n_skip, n_nonfinite)
+            nonfinite_points=n_nonfinite, grid=grid)
+    if not np.any(pt_viol):
+        return ordercheck.OrderVerdict(kind="rh", status="holds_on_grid",
+                                       nonfinite_points=n_nonfinite, grid=grid)
+    k = int(np.argmax(pt_viol))
+    x = float(xs[idx[k]])
+    with np.errstate(over="ignore"):
+        witness = ordercheck.Witness(x=x, lhs=float(np.exp(h1[k])), rhs=float(np.exp(h2[k])))
+    refined = None
+    if k > 0 and h1[k - 1] - h2[k - 1] < 0.0:
+        refined = ordercheck._refine_crossing(
+            lambda x: mixture._evaluate(x, m1, ("rh",))[0] - mixture._evaluate(x, m2, ("rh",))[0],
+            float(xs[idx[k - 1]]), x)
+    return ordercheck.OrderVerdict(
+        kind="rh", status="violated", witness=witness, refined_crossing=refined,
+        reason=f"rh(m1) exceeds rh(m2) at x={x!r}, confirmed by the cdf ratio",
+        nonfinite_points=n_nonfinite, grid=grid)
 
 
 def _with_warnings(fn, *args):
@@ -524,8 +592,8 @@ def _with_warnings(fn, *args):
 
 
 class TestRhOnePass:
-    """check_rh takes cdf and pdf from one kernel pass per mixture; its
-    verdicts are unchanged against the two-pass reference."""
+    """check_rh takes log cdf and log pdf from one kernel pass per mixture;
+    its verdicts equal the reference's, which makes a pass for each."""
 
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, Grid(1e-4, 3e-4, 200)])
     def test_fixture_orientations(self, catalog, grid):
@@ -535,31 +603,46 @@ class TestRhOnePass:
                 got = _with_warnings(check_rh, m1, m2, grid)
                 want = _with_warnings(_reference_check_rh, m1, m2, grid)
                 assert got[0].to_dict() == want[0].to_dict(), (fid, grid)
-                assert got[1] == want[1], fid
+                assert got[1] == want[1] == [], fid
 
     def test_nonfinite_pair(self):
+        # the pair whose linear reversed hazards are 0/0 at 740 points
         m1 = _mix((0.5, 0.5), (1.0, 1.0), (400.0, 300.0))
         m2 = _mix((0.3, 0.7), (1.0, 1.0), (400.0, 300.0))
         for a, b in ((m1, m2), (m2, m1)):
             got, got_warned = _with_warnings(check_rh, a, b)
             want, want_warned = _with_warnings(_reference_check_rh, a, b)
             assert got.to_dict() == want.to_dict()
-            assert got_warned == want_warned
+            assert got_warned == want_warned == []
+            assert got.nonfinite_points == 0
 
-    @pytest.mark.parametrize("grid, nonfinite", [(Grid(1.5e-306, 1e-303, 200), 7),
-                                                 (Grid(1.2e-306, 1e-305, 200), 43)])
-    def test_overflowing_reversed_hazards(self, grid, nonfinite):
-        # with alpha = 1e306 both cdfs are usable near x = 1e-306, but the
-        # beta = 1000 component's pdf/cdf overflows there: such points
-        # count as non-finite, and the gate applies again
+    @pytest.mark.parametrize("grid", [Grid(1.5e-306, 1e-303, 200),
+                                      Grid(1.2e-306, 1e-305, 200)])
+    def test_huge_alpha_pair(self, grid):
+        # with alpha = 1e306 the beta = 1000 component's pdf/cdf overflows
+        # float64 near x = 1e-306; its log does not, and rh(m1) = 1000 rh(m2)
+        # exactly, so m1 <= m2 fails at the first point and m2 <= m1 holds
         m1 = _mix((1.0,), (1e306,), (1000.0,))
         m2 = _mix((1.0,), (1e306,), (1.0,))
-        for a, b in ((m1, m2), (m2, m1)):
+        for a, b, status in ((m1, m2, "violated"), (m2, m1, "holds_on_grid")):
             got, got_warned = _with_warnings(check_rh, a, b, grid)
-            want, want_warned = _with_warnings(_reference_check_rh, a, b, grid)
+            want, _ = _with_warnings(_reference_check_rh, a, b, grid)
             assert got.to_dict() == want.to_dict()
-            assert got_warned == want_warned
-            assert got.nonfinite_points == nonfinite
+            assert got_warned == []
+            assert got.nonfinite_points == 0
+            assert got.status == status
+        v = check_rh(m1, m2, grid)
+        assert v.witness.x == grid.x_min
+        assert v.witness.lhs == math.inf
+        assert float(mp_mixture(grid.x_min, m1)["rh"]) == math.inf
+        assert v.witness.rhs == pytest.approx(float(mp_mixture(grid.x_min, m2)["rh"]), rel=1e-13)
+
+
+def _with_curve_warnings(m1, m2, grid, which):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        rows = difference_curve(m1, m2, grid, which)
+    return rows, [str(w.message) for w in caught]
 
 
 def _reference_curve_csv(rows, path):
@@ -619,12 +702,30 @@ class TestCurves:
         assert any(not d for _, _, d in rows)
 
     def test_nonfinite_rows_undefined(self):
+        # the pdf of IK(1e-20, 2) is exactly 0 where alpha * x underflows,
+        # so the pdf ratio is inf there
+        m1 = _mix((1.0,), (1.0,), (2.0,))
+        m2 = _mix((1.0,), (1e-20,), (2.0,))
+        grid = Grid(1e-310, 1e-300, 100)
+        rows, caught = _with_curve_warnings(m1, m2, grid, "pdf_ratio")
+        assert caught == []
+        assert all(d == math.isfinite(v) for _, v, d in rows)
+        assert sum(not d for _, _, d in rows) == int(np.count_nonzero(1e-20 * grid.xs() == 0.0))
+
+    def test_found_pair_rows_are_defined(self):
+        # the linear reversed hazards of m1 are 0/0 at 740 of these points
         m1 = _mix((0.5, 0.5), (1.0, 1.0), (400.0, 300.0))
         m2 = _mix((0.3, 0.7), (1.0, 1.0), (1.0, 2.0))
-        with pytest.warns(RuntimeWarning):
-            rows = difference_curve(m1, m2, DEFAULT_GRID, "rh_ratio")
-        assert all(d == math.isfinite(v) for _, v, d in rows)
-        assert sum(not d for _, _, d in rows) == 740
+        rows, caught = _with_curve_warnings(m1, m2, DEFAULT_GRID, "rh_ratio")
+        assert caught == []
+        assert all(d for _, _, d in rows)
+        # log rh is log pdf - log cdf, where the logs reach -2200; each
+        # rounds to eps times its size, which exp makes relative error
+        for x, v, _ in rows[::199]:
+            want = mp_mixture(x, m1)["rh"] / mp_mixture(x, m2)["rh"]
+            size = sum(abs(v) for v in mixture._evaluate(x, m1, ("cdf", "pdf")))
+            rel = 1e-13 + 4.0 * np.finfo(float).eps * size
+            assert v == pytest.approx(float(want), rel=rel), x
 
     def test_unknown_kind(self):
         m = _mix((1.0,), (1.0,), (1.0,))
@@ -687,9 +788,9 @@ def _eager_refine(fn, lo: float, hi: float) -> float | None:
 def _eager_crossing(kind, m1, m2, grid, witness_x):
     """(searched, crossing) of a violated verdict, computed at once: the
     bracket is the grid step from the previous usable point to the
-    witness.  st and rh search v1 - v2 when that point is strictly
-    ordered (st also needs it to be the grid's previous point); lr and
-    r_rh always search the central-difference slope of their ratio."""
+    witness.  st and rh search v1 - v2 (sf, or log rh) when that point is
+    strictly ordered (st also needs it to be the grid's previous point);
+    lr and r_rh always search the analytic slope of their log ratio."""
     xs = grid.xs()
     k = int(np.searchsorted(xs, witness_x))
     with np.errstate(all="ignore"):
@@ -698,17 +799,14 @@ def _eager_crossing(kind, m1, m2, grid, witness_x):
             v1, v2 = fn(xs, m1), fn(xs, m2)
             usable = np.isfinite(v1) & np.isfinite(v2) & ~((v1 < 1e-300) & (v2 < 1e-300))
         elif kind == "rh":
-            fn = mixture_reversed_hazard
-            F1, F2 = mixture_cdf(xs, m1), mixture_cdf(xs, m2)
-            v1, v2 = mixture_pdf(xs, m1) / F1, mixture_pdf(xs, m2) / F2
-            usable = (np.isfinite(F1) & np.isfinite(F2) & (F1 >= 1e-300) & (F2 >= 1e-300)
-                      & np.isfinite(v1) & np.isfinite(v2))
+            def fn(x, m):
+                return mixture._evaluate(x, m, ("rh",))[0]
+            v1, v2 = fn(xs, m1), fn(xs, m2)
+            usable = np.isfinite(v1) & np.isfinite(v2)
         else:
-            fn, top, bottom = ((mixture_pdf, m2, m1) if kind == "lr"
-                               else (mixture_reversed_hazard, m1, m2))
-            num, den = fn(xs, top), fn(xs, bottom)
-            usable = (np.isfinite(num) & np.isfinite(den)
-                      & (num >= 1e-300) & (den >= 1e-300))
+            name = "pdf" if kind == "lr" else "rh"
+            usable = np.isfinite(mixture._evaluate(xs, m1, (name,))[0]
+                                 - mixture._evaluate(xs, m2, (name,))[0])
     before = np.nonzero(usable[:k])[0]
     if before.size == 0:
         return False, None
@@ -720,9 +818,12 @@ def _eager_crossing(kind, m1, m2, grid, witness_x):
         return True, _eager_refine(lambda x: fn(x, m1) - fn(x, m2), lo, hi)
 
     def slope(x):
-        both = np.concatenate((x * (1.0 + 1e-6), x * (1.0 - 1e-6)))
-        r = fn(both, top) / fn(both, bottom)
-        return r[:x.size] - r[x.size:]
+        terms = []
+        for m in (m1, m2):
+            log_rh, g = mixture._evaluate(x, m, ("rh",), slope=True)
+            with np.errstate(over="ignore"):
+                terms.append(g if kind == "lr" else g - np.exp(log_rh))
+        return terms[1] - terms[0] if kind == "lr" else terms[0] - terms[1]
 
     return True, _eager_refine(slope, lo, hi)
 
