@@ -414,28 +414,6 @@ class TestKernelAccuracy:
                 else:
                     assert value == ref or value <= 2e-300, (name, x)
 
-    def test_shape_is_kept(self):
-        m = _spread_mixture(np.random.default_rng(6), 4)
-        xs = np.geomspace(1e-3, 1e3, 12)
-        for fn, _ in EVALUATORS:
-            got = fn(xs.reshape(3, 4), m)
-            assert got.shape == (3, 4)
-            assert got.tobytes() == fn(xs, m).tobytes()
-
-    def test_one_pass_gives_every_name(self):
-        # each name's sum is independent of the others, so one pass for
-        # all of them gives the single passes' logs bit for bit
-        m = _spread_mixture(np.random.default_rng(8), 11)
-        xs = np.geomspace(1e-4, 1e4, 300)
-        names = ("cdf", "sf", "pdf", "rh")
-        logs = mixture._evaluate(xs, m, names, slope=True)
-        singles = [mixture._evaluate(xs, m, (name,))[0] for name in names]
-        singles.append(mixture._evaluate(xs, m, (), slope=True)[0])
-        for got, want in zip(logs, singles):
-            assert got.tobytes() == want.tobytes()
-        for (fn, _), log_value in zip(EVALUATORS, logs):
-            assert fn(xs, m).tobytes() == np.exp(log_value).tobytes()
-
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
            st.integers(min_value=1, max_value=40),
            st.integers(min_value=1, max_value=700))
@@ -490,6 +468,33 @@ class TestKernelAccuracy:
         for x, got in zip(xs, slopes):
             want = float(mp_mixture(x, m)["slope"])
             assert got == pytest.approx(want, rel=1e-13, abs=0.0), x
+
+
+class TestKernelBitIdentity:
+    """What the log-domain kernel still gives bit for bit: a reshaped x,
+    and one pass for several names against single passes."""
+
+    def test_shape_is_kept(self):
+        m = _spread_mixture(np.random.default_rng(6), 4)
+        xs = np.geomspace(1e-3, 1e3, 12)
+        for fn, _ in EVALUATORS:
+            got = fn(xs.reshape(3, 4), m)
+            assert got.shape == (3, 4)
+            assert got.tobytes() == fn(xs, m).tobytes()
+
+    def test_one_pass_gives_every_name(self):
+        # each name's sum is independent of the others, so one pass for
+        # all of them gives the single passes' logs bit for bit
+        m = _spread_mixture(np.random.default_rng(8), 11)
+        xs = np.geomspace(1e-4, 1e4, 300)
+        names = ("cdf", "sf", "pdf", "rh")
+        logs = mixture._evaluate(xs, m, names, slope=True)
+        singles = [mixture._evaluate(xs, m, (name,))[0] for name in names]
+        singles.append(mixture._evaluate(xs, m, (), slope=True)[0])
+        for got, want in zip(logs, singles):
+            assert got.tobytes() == want.tobytes()
+        for (fn, _), log_value in zip(EVALUATORS, logs):
+            assert fn(xs, m).tobytes() == np.exp(log_value).tobytes()
 
 
 def _two_branch_log_u(L, alpha):

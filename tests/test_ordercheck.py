@@ -616,14 +616,15 @@ class TestRhOnePass:
             assert got_warned == want_warned == []
             assert got.nonfinite_points == 0
 
-    @pytest.mark.parametrize("grid", [Grid(1.5e-306, 1e-303, 200),
-                                      Grid(1.2e-306, 1e-305, 200)])
-    def test_huge_alpha_pair(self, grid):
+    @pytest.mark.parametrize("grid, overflowing", [(Grid(1.5e-306, 1e-303, 200), 7),
+                                                   (Grid(1.2e-306, 1e-305, 200), 43)])
+    def test_overflowing_reversed_hazards(self, grid, overflowing):
         # with alpha = 1e306 the beta = 1000 component's pdf/cdf overflows
         # float64 near x = 1e-306; its log does not, and rh(m1) = 1000 rh(m2)
         # exactly, so m1 <= m2 fails at the first point and m2 <= m1 holds
         m1 = _mix((1.0,), (1e306,), (1000.0,))
         m2 = _mix((1.0,), (1e306,), (1.0,))
+        assert np.sum(mixture_reversed_hazard(grid.xs(), m1) == math.inf) == overflowing
         for a, b, status in ((m1, m2, "violated"), (m2, m1, "holds_on_grid")):
             got, got_warned = _with_warnings(check_rh, a, b, grid)
             want, _ = _with_warnings(_reference_check_rh, a, b, grid)
