@@ -1,15 +1,16 @@
 """Finite mixtures of inverted-Kumaraswamy components.
 
-All four evaluators (cdf, sf, pdf, reversed hazard) run through one
-blocked kernel, _evaluate, which returns logs.  It validates x and takes
-log1p(x) once, then walks the components in blocks of at most 8192
-values: each block computes log u once for its rows and derives every
-requested component log from it with the formulas of ikdist.  The cdf
-and pdf terms are summed by a max-shifted log-sum-exp (Blanchard, Higham
-and Higham, IMA J. Numer. Anal. 2021), so a mixture whose values lie far
-below or above float64 still has a finite log.  The public evaluators
-are exp of those logs; the reversed hazard is exp(log pdf - log cdf),
-never 0/0.
+The cdf, pdf and reversed hazard (rh) run through one blocked kernel,
+_evaluate, which returns logs.  It validates x and takes log1p(x) once,
+then walks the components in blocks of at most 8192 values (_blocks):
+each block computes log u once for its rows and derives every requested
+component log from it with the formulas of ikdist.  The terms are summed
+by a max-shifted log-sum-exp (Blanchard, Higham and Higham, IMA J.
+Numer. Anal. 2021), so a mixture whose values lie far below or above
+float64 still has a finite log.  The public evaluators are exp of those
+logs; the reversed hazard is exp(log pdf - log cdf), never 0/0.  The sf
+terms lie in [0, 1] and come linear from expm1, so mixture_sf adds them
+as they are, by a compensated sum in component order.
 
 The batched bracket search (_refine_crossing) behind mixture_quantile
 and the order checks' crossings lives here too.
@@ -155,6 +156,16 @@ def _per_component(name: str, value, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _blocks(m: FiniteMixture, points: int):
+    """m's weights, alphas and betas as columns, in component order and in
+    blocks of rows holding at most _BLOCK_VALUES values over points."""
+    weights, alphas, betas = (np.array(v)[:, None] for v in (m.weights, m.alphas, m.betas))
+    rows = max(1, _BLOCK_VALUES // points)
+    for start in range(0, m.n, rows):
+        block = slice(start, start + rows)
+        yield weights[block], alphas[block], betas[block]
+
+
 def _add_block(sums: dict, name: str, w: np.ndarray, log_terms: np.ndarray,
                slopes: np.ndarray | None = None) -> None:
     """Add one block of component logs to the running log-sum-exp of name,
@@ -184,37 +195,30 @@ def _add_block(sums: dict, name: str, w: np.ndarray, log_terms: np.ndarray,
 
 
 def _evaluate(x, m: FiniteMixture, names: tuple[str, ...], slope: bool = False) -> tuple:
-    """The logs of m's cdf, sf, pdf or reversed hazard (rh) at x, one per
-    name in names, followed with slope=True by the slope d/dx log pdf.
+    """The logs of m's cdf, pdf or reversed hazard (rh) at x, one per name
+    in names, followed with slope=True by the slope d/dx log pdf.
 
-    The cdf and pdf terms are summed by _add_block; the sf terms lie in
-    [0, 1] and are added as they are.  log rh is log pdf - log cdf.  The
-    slope is the mean of the component slopes under the pdf sum's softmax
-    weights: g_i = ((beta_i-1) alpha_i / expm1(alpha_i L) - (alpha_i+1)) /
-    (1+x) = -(alpha_i+1)/(1+x) + (beta_i-1) alpha_i (1+x)^(-alpha_i-1) / u_i.
+    The cdf and pdf terms are summed by _add_block; log rh is log pdf -
+    log cdf.  The slope is the mean of the component slopes under the pdf
+    sum's softmax weights: g_i = ((beta_i-1) alpha_i / expm1(alpha_i L) -
+    (alpha_i+1)) / (1+x) = -(alpha_i+1)/(1+x) + (beta_i-1) alpha_i
+    (1+x)^(-alpha_i-1) / u_i.
     """
     xs, scalar = _as_x(x)
     flat = xs.ravel()
     L = np.log1p(flat)
-    weights, alphas, betas = (np.array(v)[:, None] for v in (m.weights, m.alphas, m.betas))
-    log_ab = np.log(alphas) + np.log(betas)
     want_cdf = "cdf" in names or "rh" in names
     want_pdf = slope or "pdf" in names or "rh" in names
-    rows = max(1, _BLOCK_VALUES // L.size)
     sums: dict[str, list] = {}
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for start in range(0, m.n, rows):
-            block = slice(start, start + rows)
-            a, b, w = alphas[block], betas[block], weights[block]
+        for w, a, b in _blocks(m, L.size):
             log_u = _log_u(L, a)
             if want_cdf:
                 _add_block(sums, "cdf", w, _log_cdf(b, log_u))
-            if "sf" in names:  # terms in [0, 1], linear from expm1: no shift needed
-                sums.setdefault("sf", [0.0, 0.0])[1] += (w * _sf(b, log_u)).sum(axis=0)
             if want_pdf:
                 slopes = ((b - 1.0) * a / np.expm1(a * L) - (a + 1.0)) / (1.0 + flat) \
                     if slope else None
-                _add_block(sums, "pdf", w, _log_pdf(log_ab[block], a, b, L, log_u), slopes)
+                _add_block(sums, "pdf", w, _log_pdf(np.log(a) + np.log(b), a, b, L, log_u), slopes)
         logs = {name: acc[0] + np.log(acc[1]) for name, acc in sums.items()}
         if "rh" in names:
             logs["rh"] = logs["pdf"] - logs["cdf"]
@@ -235,7 +239,12 @@ def mixture_cdf(x, m: FiniteMixture):
 
 
 def mixture_sf(x, m: FiniteMixture):
-    return _exp(_evaluate(x, m, ("sf",))[0])
+    """Mixture survival function: the weighted component sfs, added row by
+    row in component order by neumaier_sum."""
+    xs, scalar = _as_x(x)
+    L = np.log1p(xs.ravel())
+    out = neumaier_sum(row for w, a, b in _blocks(m, L.size) for row in w * _sf(b, _log_u(L, a)))
+    return float(out[0]) if scalar else out.reshape(xs.shape)
 
 
 def mixture_pdf(x, m: FiniteMixture):
@@ -274,9 +283,12 @@ def mixture_quantile(u: float, m: FiniteMixture) -> float:
     lo, hi = min(qs), max(qs)
     if hi <= lo:
         return lo
-    # lo is 0 where u^(1/beta) underflows; the search starts at 5e-324 then
-    y = _refine_crossing(lambda y: _evaluate(np.exp(y), m, ("cdf",))[0] - math.log(u),
-                         math.log(max(lo, 5e-324)), math.log(hi), 5e-13)
+    # lo is 0 where u^(1/beta) rounds to 0; the search starts at 5e-324 then,
+    # where log cdf may be -inf (alpha * x underflows): clipped, it reads as
+    # below u, so the bracket's low end stays finite
+    y = _refine_crossing(
+        lambda y: np.maximum(_evaluate(np.exp(y), m, ("cdf",))[0], -_LOG_MAX) - math.log(u),
+        math.log(max(lo, 5e-324)), math.log(hi), 5e-13)
     if y is None:
         return lo if mixture_cdf(lo, m) >= u else hi
     return math.exp(y)

@@ -178,7 +178,7 @@ class OrderVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _gate(kind: str, grid: Grid, nonfinite: np.ndarray, skip=False):
+def _gate(kind: str, grid: Grid, skip: np.ndarray, nonfinite: np.ndarray):
     """The usable-point gate of every check: the usable mask and a maker
     for the check's verdict, with kind, grid and both counts filled in.
     Over 10% of the grid unusable gives mask None and the inconclusive
@@ -218,7 +218,7 @@ def _magnitude(*logs: np.ndarray) -> np.ndarray:
 
 def _pointwise_verdict(verdict, xs: np.ndarray, v1: np.ndarray, v2: np.ndarray,
                        scale: np.ndarray, usable: np.ndarray, diff_fn, reason: str,
-                       value=float) -> OrderVerdict:
+                       value) -> OrderVerdict:
     """Common tail of the st and rh checks: v1 <= v2 must hold at every
     usable point, and fails first where it does not.  The crossing of
     diff_fn = v1 - v2 is refined inside the step from the previous point
@@ -246,7 +246,7 @@ def _check_ratio_monotone(kind: str, grid: Grid, log_num: np.ndarray, log_den: n
     xs = grid.xs()
     with np.errstate(invalid="ignore"):
         log_ratio = log_num - log_den
-    usable, verdict = _gate(kind, grid, ~np.isfinite(log_ratio))
+    usable, verdict = _gate(kind, grid, False, ~np.isfinite(log_ratio))
     if usable is None:
         return verdict()
     idx = np.nonzero(usable)[0]
@@ -281,12 +281,12 @@ def check_st(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) ->
     s2 = mixture_sf(xs, m2)
     nonfinite = ~(np.isfinite(s1) & np.isfinite(s2))
     skip = ~nonfinite & (s1 < _UNDERFLOW) & (s2 < _UNDERFLOW)
-    usable, verdict = _gate("st", grid, nonfinite, skip)
+    usable, verdict = _gate("st", grid, skip, nonfinite)
     if usable is None:
         return verdict()
     return _pointwise_verdict(verdict, xs, s1, s2, np.maximum(s1, s2), usable,
                               lambda x: mixture_sf(x, m1) - mixture_sf(x, m2),
-                              "sf(m1) exceeds sf(m2) at x={!r}")
+                              "sf(m1) exceeds sf(m2) at x={!r}", float)
 
 
 def check_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
@@ -297,7 +297,7 @@ def check_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) ->
     xs = grid.xs()
     F1, f1, h1 = _evaluate(xs, m1, ("cdf", "pdf", "rh"))
     F2, f2, h2 = _evaluate(xs, m2, ("cdf", "pdf", "rh"))
-    usable, verdict = _gate("rh", grid, ~(np.isfinite(h1) & np.isfinite(h2)))
+    usable, verdict = _gate("rh", grid, False, ~(np.isfinite(h1) & np.isfinite(h2)))
     if usable is None:
         return verdict()
     idx = np.nonzero(usable)[0]

@@ -245,6 +245,18 @@ class TestQuantile:
         assert abs(got - 1.0772173450159419e-16) <= 1e-12 * 1.0772173450159419e-16
         assert mixture_cdf(got, m) == pytest.approx(1e-6, rel=1e-11)
 
+    @pytest.mark.parametrize("weights, alphas, betas, root", [
+        ((0.5, 0.5), (0.2, 0.3), (0.3, 400.0), 5.0396841995794835e-19),
+        ((0.7, 0.3), (0.1, 0.4), (0.25, 0.5), 4.1649108790579238e-23),
+    ])
+    def test_tiny_quantile_with_small_alphas(self, weights, alphas, betas, root):
+        # the smallest component quantile rounds to 0, so the search starts
+        # at 5e-324, where every alpha * x underflows and log cdf is -inf;
+        # the roots are 50-digit mpmath's
+        m = _mix(weights, alphas, betas)
+        assert min(ik_quantile(1e-6, c) for c in m.components) == 0.0
+        assert abs(mixture_quantile(1e-6, m) - root) <= 1e-12 * root
+
     def test_few_vectorised_cdf_calls(self, monkeypatch):
         # the search evaluates the log cdf through the kernel
         sizes = []
@@ -429,14 +441,17 @@ class TestKernelAccuracy:
     def test_block_split(self, monkeypatch, points):
         # one component per block runs the running shift through every
         # rescale rule; the logs agree with the default blocks' to the
-        # rounding of a log of their size
+        # rounding of a log of their size; the sf, added row by row in
+        # component order, does not depend on the blocks at all
         m = _spread_mixture(np.random.default_rng(points), 13)
         xs = np.geomspace(1e-3, 1e3, points)
-        names = ("cdf", "sf", "pdf")
+        names = ("cdf", "pdf", "rh")
         blocked = mixture._evaluate(xs, m, names, slope=True)
+        sf = mixture_sf(xs, m)
         monkeypatch.setattr(mixture, "_BLOCK_VALUES", 1)
         for got, want in zip(mixture._evaluate(xs, m, names, slope=True), blocked):
             assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + np.abs(want)))
+        assert mixture_sf(xs, m).tobytes() == sf.tobytes()
 
     @pytest.mark.parametrize("x", [1e-4, 0.3, 20.0])
     def test_r_rh_slope_against_mpmath_diff(self, x):
@@ -471,8 +486,9 @@ class TestKernelAccuracy:
 
 
 class TestKernelBitIdentity:
-    """What the log-domain kernel still gives bit for bit: a reshaped x,
-    and one pass for several names against single passes."""
+    """What the kernel gives bit for bit: a reshaped x, one pass for
+    several names against single passes, and the sf, which is summed
+    linearly in component order."""
 
     def test_shape_is_kept(self):
         m = _spread_mixture(np.random.default_rng(6), 4)
@@ -487,14 +503,22 @@ class TestKernelBitIdentity:
         # all of them gives the single passes' logs bit for bit
         m = _spread_mixture(np.random.default_rng(8), 11)
         xs = np.geomspace(1e-4, 1e4, 300)
-        names = ("cdf", "sf", "pdf", "rh")
+        names = ("cdf", "pdf", "rh")
         logs = mixture._evaluate(xs, m, names, slope=True)
         singles = [mixture._evaluate(xs, m, (name,))[0] for name in names]
         singles.append(mixture._evaluate(xs, m, (), slope=True)[0])
         for got, want in zip(logs, singles):
             assert got.tobytes() == want.tobytes()
-        for (fn, _), log_value in zip(EVALUATORS, logs):
-            assert fn(xs, m).tobytes() == np.exp(log_value).tobytes()
+        for name, log_value in zip(names, logs):
+            assert mixture.EVALUATORS[name](xs, m).tobytes() == np.exp(log_value).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 50, 70])
+    def test_sf_is_the_compensated_sum_of_ik_sf(self, n):
+        # the sf terms lie in [0, 1], so they are added as they are, in
+        # component order; x = 0 and 1e300 give the terms w_i and 0
+        m = _spread_mixture(np.random.default_rng(40 + n), n)
+        xs = np.concatenate([[0.0, 1e-300], np.geomspace(1e-4, 1e4, 2000), [1e300]])
+        assert mixture_sf(xs, m).tobytes() == _ref_sf(xs, m).tobytes()
 
 
 def _two_branch_log_u(L, alpha):
