@@ -43,6 +43,7 @@ from .ordercheck import (
     Witness,
     check_lr,
     check_order,
+    check_orders,
     check_r_rh,
     check_rh,
     check_st,

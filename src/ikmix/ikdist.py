@@ -195,9 +195,11 @@ def ik_reversed_hazard(x, params: IKParams):
 def ik_quantile(u, params: IKParams):
     """Inverse cdf on probabilities strictly inside (0, 1).
 
-    x = (1 - u^(1/beta))^(-1/alpha) - 1, arranged so that the inner
-    1 - u^(1/beta) is an expm1 (sharp for u near 1 or large beta) and the
-    outer -1 is an expm1 (sharp for x near 0).
+    x = (1 - u^(1/beta))^(-1/alpha) - 1, arranged so that the log of the
+    inner w = 1 - u^(1/beta) is _log_u's: log(-expm1(.)) while u^(1/beta)
+    >= 1/2 (sharp for u near 1 or large beta) and log1p(-exp(.)) below
+    (sharp for tiny quantiles, which would otherwise round w to 1 and x to
+    -0.0), and the outer -1 is an expm1 (sharp for x near 0).
     """
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
@@ -207,6 +209,7 @@ def ik_quantile(u, params: IKParams):
     if not np.all(np.isfinite(flat)) or np.any(flat <= 0.0) or np.any(flat >= 1.0):
         raise DomainError("quantile argument must lie strictly in (0, 1)")
     us = arr.reshape(1) if scalar else arr
-    w = -np.expm1(np.log(us) / params.beta)  # 1 - u^(1/beta)
-    out = np.expm1(-np.log(w) / params.alpha)
+    # log w for w = 1 - u^(1/beta) = 1 - exp(-y), with _log_u's split at 1/2
+    log_w = _log_u(-np.log(us) / params.beta, 1.0)
+    out = np.expm1(-log_w / params.alpha)
     return _ret(out, scalar)

@@ -4,7 +4,11 @@ The cdf, pdf and reversed hazard (rh) run through one blocked kernel,
 _evaluate, which returns logs.  It validates x and takes log1p(x) once,
 then walks the components in blocks of at most 8192 values (_blocks):
 each block computes log u once for its rows and derives every requested
-component log from it with the formulas of ikdist.  The terms are summed
+component log from it with the formulas of ikdist.  The kernel and the
+sf also take a tuple of mixtures with one component count and return one
+row per mixture, bit-identical to that mixture alone: the components are
+cut as for one mixture, and a block holds the same cut of several
+mixtures while it stays within 8192 values.  The terms are summed
 by a max-shifted log-sum-exp (Blanchard, Higham and Higham, IMA J.
 Numer. Anal. 2021), so a mixture whose values lie far below or above
 float64 still has a finite log.  The public evaluators are exp of those
@@ -156,26 +160,53 @@ def _per_component(name: str, value, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _blocks(m: FiniteMixture, points: int):
-    """m's weights, alphas and betas as columns, in component order and in
-    blocks of rows holding at most _BLOCK_VALUES values over points."""
-    weights, alphas, betas = (np.array(v)[:, None] for v in (m.weights, m.alphas, m.betas))
+def _blocks(ms: tuple, points: int):
+    """The weights, alphas and betas of the mixtures ms, which share one
+    component count, as columns of shape (components, mixtures, 1), in
+    blocks of at most _BLOCK_VALUES values over points.  The components
+    are cut as for one mixture, at most _BLOCK_VALUES // points to a cut;
+    mixtures are grouped while a group's largest cut holds at most
+    _BLOCK_VALUES values.  Yields, group by group in order, the list of the
+    group's cuts in component order, each a (weights, alphas, betas) array."""
+    n = ms[0].n
+    if any(m.n != n for m in ms):
+        raise DomainError("stacked mixtures must share one component count")
+    params = np.array([(m.weights, m.alphas, m.betas) for m in ms]).transpose(1, 2, 0)[..., None]
     rows = max(1, _BLOCK_VALUES // points)
-    for start in range(0, m.n, rows):
-        block = slice(start, start + rows)
-        yield weights[block], alphas[block], betas[block]
+    group = max(1, _BLOCK_VALUES // (min(rows, n) * points))
+    for start in range(0, len(ms), group):
+        block = params[:, :, start:start + group]
+        yield [block[:, c:c + rows] for c in range(0, n, rows)]
+
+
+def _stacked(x, ms, per_group) -> tuple:
+    """The rows of per_group(L, x, cuts) over the groups of _blocks, where L
+    is log1p(x) and per_group returns a tuple of (mixtures, points) arrays.
+    ms is one mixture, giving results shaped like x (a float for a scalar
+    x), or a tuple of mixtures with one component count, giving one row per
+    mixture; each row is bit-identical to that mixture's alone."""
+    xs, scalar = _as_x(x)
+    flat = xs.ravel()
+    stacked = isinstance(ms, tuple)
+    L = np.log1p(flat)
+    parts = [per_group(L, flat, cuts) for cuts in _blocks(ms if stacked else (ms,), L.size)]
+    out = parts[0] if len(parts) == 1 else [np.concatenate(v) for v in zip(*parts)]
+    if stacked:
+        return tuple(v.reshape((len(ms),) + np.shape(x)) for v in out)
+    return tuple(float(v[0, 0]) if scalar else v[0].reshape(xs.shape) for v in out)
 
 
 def _add_block(sums: dict, name: str, w: np.ndarray, log_terms: np.ndarray,
                slopes: np.ndarray | None = None) -> None:
     """Add one block of component logs to the running log-sum-exp of name,
     sums[name] = [shift, scaled sum(, scaled slope sum)], whose weighted
-    sum is exp(shift) * scaled sum.  The block is shifted by its largest
-    log, so its scaled terms w * exp(log - shift) are at most w; the
-    running pair keeps the larger shift and scales the other side down by
-    exp(-|difference|).  Shifts are clipped to the finite range, so a
-    column of zeros (log -inf) never keeps its shift and an infinite term
-    gives inf.  log_terms is overwritten."""
+    sum is exp(shift) * scaled sum.  The components run along the first
+    axis.  The block is shifted by its largest log, so its scaled terms
+    w * exp(log - shift) are at most w; the running pair keeps the larger
+    shift and scales the other side down by exp(-|difference|).  Shifts
+    are clipped to the finite range, so a column of zeros (log -inf) never
+    keeps its shift and an infinite term gives inf.  log_terms is
+    overwritten."""
     shift = np.clip(log_terms.max(axis=0), -_LOG_MAX, _LOG_MAX)
     scaled = np.exp(np.subtract(log_terms, shift, out=log_terms), out=log_terms)
     scaled *= w
@@ -194,9 +225,10 @@ def _add_block(sums: dict, name: str, w: np.ndarray, log_terms: np.ndarray,
     np.maximum(run[0], shift, out=run[0])
 
 
-def _evaluate(x, m: FiniteMixture, names: tuple[str, ...], slope: bool = False) -> tuple:
-    """The logs of m's cdf, pdf or reversed hazard (rh) at x, one per name
-    in names, followed with slope=True by the slope d/dx log pdf.
+def _evaluate(x, m, names: tuple[str, ...], slope: bool = False) -> tuple:
+    """The logs of the cdf, pdf or reversed hazard (rh) at x of m, one
+    mixture or a tuple of them (see _stacked), one per name in names,
+    followed with slope=True by the slope d/dx log pdf.
 
     The cdf and pdf terms are summed by _add_block; log rh is log pdf -
     log cdf.  The slope is the mean of the component slopes under the pdf
@@ -204,28 +236,30 @@ def _evaluate(x, m: FiniteMixture, names: tuple[str, ...], slope: bool = False) 
     (alpha_i+1)) / (1+x) = -(alpha_i+1)/(1+x) + (beta_i-1) alpha_i
     (1+x)^(-alpha_i-1) / u_i.
     """
-    xs, scalar = _as_x(x)
-    flat = xs.ravel()
-    L = np.log1p(flat)
     want_cdf = "cdf" in names or "rh" in names
     want_pdf = slope or "pdf" in names or "rh" in names
-    sums: dict[str, list] = {}
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for w, a, b in _blocks(m, L.size):
-            log_u = _log_u(L, a)
-            if want_cdf:
-                _add_block(sums, "cdf", w, _log_cdf(b, log_u))
-            if want_pdf:
-                slopes = ((b - 1.0) * a / np.expm1(a * L) - (a + 1.0)) / (1.0 + flat) \
-                    if slope else None
-                _add_block(sums, "pdf", w, _log_pdf(np.log(a) + np.log(b), a, b, L, log_u), slopes)
-        logs = {name: acc[0] + np.log(acc[1]) for name, acc in sums.items()}
-        if "rh" in names:
-            logs["rh"] = logs["pdf"] - logs["cdf"]
-        out = [logs[name] for name in names]
-        if slope:
-            out.append(sums["pdf"][2] / sums["pdf"][1])
-    return tuple(float(v[0]) if scalar else v.reshape(xs.shape) for v in out)
+
+    def group(L, flat, cuts):
+        sums: dict[str, list] = {}
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for w, a, b in cuts:
+                log_u = _log_u(L, a)
+                if want_cdf:
+                    _add_block(sums, "cdf", w, _log_cdf(b, log_u))
+                if want_pdf:
+                    slopes = ((b - 1.0) * a / np.expm1(a * L) - (a + 1.0)) / (1.0 + flat) \
+                        if slope else None
+                    _add_block(sums, "pdf", w, _log_pdf(np.log(a) + np.log(b), a, b, L, log_u),
+                               slopes)
+            logs = {name: acc[0] + np.log(acc[1]) for name, acc in sums.items()}
+            if "rh" in names:
+                logs["rh"] = logs["pdf"] - logs["cdf"]
+            out = [logs[name] for name in names]
+            if slope:
+                out.append(sums["pdf"][2] / sums["pdf"][1])
+        return out
+
+    return _stacked(x, m, group)
 
 
 def _exp(log_values):
@@ -241,10 +275,13 @@ def mixture_cdf(x, m: FiniteMixture):
 def mixture_sf(x, m: FiniteMixture):
     """Mixture survival function: the weighted component sfs, added row by
     row in component order by neumaier_sum."""
-    xs, scalar = _as_x(x)
-    L = np.log1p(xs.ravel())
-    out = neumaier_sum(row for w, a, b in _blocks(m, L.size) for row in w * _sf(b, _log_u(L, a)))
-    return float(out[0]) if scalar else out.reshape(xs.shape)
+    return _survival(x, m)
+
+
+def _survival(x, m):
+    """mixture_sf of m, one mixture or a tuple of them (see _stacked)."""
+    return _stacked(x, m, lambda L, flat, cuts: [neumaier_sum(
+        row for w, a, b in cuts for row in w * _sf(b, _log_u(L, a)))])[0]
 
 
 def mixture_pdf(x, m: FiniteMixture):
@@ -304,9 +341,10 @@ def _refine_crossing(fn, lo: float, hi: float, width: float | None = None) -> fl
     the first sign change, until the bracket is no wider than width
     (by default 1e-9 * hi, the relative width of the order checks'
     crossings).  A round with any non-finite value gives None, so no
-    root is ever decided on NaN.
+    root is ever decided on NaN; an inf - inf that makes one is no error.
     """
-    flo, fhi = fn(np.array([lo, hi]))
+    with np.errstate(invalid="ignore"):
+        flo, fhi = fn(np.array([lo, hi]))
     if not (math.isfinite(flo) and math.isfinite(fhi)):
         return None
     if flo == 0.0:
@@ -320,7 +358,8 @@ def _refine_crossing(fn, lo: float, hi: float, width: float | None = None) -> fl
         width = 1e-9 * hi
     while hi - lo > width:
         xs = np.linspace(lo, hi, _REFINE_BATCH + 2)[1:-1]
-        vals = fn(xs)
+        with np.errstate(invalid="ignore"):
+            vals = fn(xs)
         if not np.all(np.isfinite(vals)):
             return None
         changed = (vals == 0.0) | ((vals > 0) != positive)

@@ -18,6 +18,14 @@ tau = 1e-12 * (1 + scale) so that ties never flip verdicts; the scale is
 the larger sf for st and, for the log tests, the largest |log| a value
 is built from, since a log rounds in proportion to its size.
 
+The checks decide stacks of pairs: every array holds one row per pair,
+and the gate, the two tests, the witness, the reason and the pending
+crossing are worked out row by row.  check_orders decides a list of
+claims in one stack per kind and pair of component counts, cut into
+chunks of as many pairs as one kernel block of 8192 values holds (8
+pairs of 2-component mixtures on 500 points); check_order and the four
+check_* functions decide the stack of one.
+
 Every check passes one usable-point gate (_gate): points where a compared
 value or log is NaN or infinite are counted in nonfinite_points, and st
 also skips the points where both survival functions underflow float64
@@ -47,7 +55,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .ikdist import DomainError
-from .mixture import FiniteMixture, _evaluate, _exp, _refine_crossing, mixture_sf
+from .mixture import (_BLOCK_VALUES, FiniteMixture, _evaluate, _exp, _refine_crossing,
+                      _survival, mixture_sf)
 
 __all__ = [
     "Grid",
@@ -59,6 +68,7 @@ __all__ = [
     "check_lr",
     "check_r_rh",
     "check_order",
+    "check_orders",
     "CURVE_FOR_KIND",
     "CURVE_KINDS",
     "difference_curve",
@@ -174,41 +184,59 @@ class OrderVerdict:
 
 
 # ---------------------------------------------------------------------------
-# shared machinery
+# shared machinery: every array is stacked, one row per pair
 # ---------------------------------------------------------------------------
 
 
 def _gate(kind: str, grid: Grid, skip: np.ndarray, nonfinite: np.ndarray):
-    """The usable-point gate of every check: the usable mask and a maker
-    for the check's verdict, with kind, grid and both counts filled in.
-    Over 10% of the grid unusable gives mask None and the inconclusive
-    maker; passing leaves at least two usable points on any grid."""
-    n_skip = int(np.count_nonzero(skip))
-    n_nonfinite = int(np.count_nonzero(nonfinite))
-    verdict = partial(OrderVerdict, kind=kind, grid=grid, skipped_points=n_skip,
-                      nonfinite_points=n_nonfinite)
-    if n_skip + n_nonfinite <= _SKIP_FRACTION * grid.points:
-        return ~(skip | nonfinite), verdict
-    causes = []
-    if n_skip:
-        causes.append(f"{n_skip} of {grid.points} grid points underflowed float64")
-    if n_nonfinite:
-        causes.append(f"{n_nonfinite} of {grid.points} grid points were non-finite (NaN or inf)")
-    return None, partial(verdict, status="inconclusive", reason="; ".join(causes))
+    """The usable-point gate of every check: the usable mask and, per row,
+    a maker for the row's verdict with kind, grid and both counts filled
+    in.  A row with over 10% of the grid unusable gets its finished
+    inconclusive verdict in place of the maker; passing leaves at least
+    two usable points on any grid."""
+    makers = []
+    for n_skip, n_nonfinite in zip(skip.sum(axis=1).tolist(), nonfinite.sum(axis=1).tolist()):
+        verdict = partial(OrderVerdict, kind=kind, grid=grid, skipped_points=n_skip,
+                          nonfinite_points=n_nonfinite)
+        if n_skip + n_nonfinite > _SKIP_FRACTION * grid.points:
+            causes = []
+            if n_skip:
+                causes.append(f"{n_skip} of {grid.points} grid points underflowed float64")
+            if n_nonfinite:
+                causes.append(f"{n_nonfinite} of {grid.points} grid points were non-finite "
+                              "(NaN or inf)")
+            verdict = verdict(status="inconclusive", reason="; ".join(causes))
+        makers.append(verdict)
+    return ~(skip | nonfinite), makers
+
+
+def _previous(usable: np.ndarray, across_gaps: bool) -> np.ndarray:
+    """Per point, the index of the point before it if that one is usable,
+    or with across_gaps the last usable point before it; -1 if none."""
+    prev = np.full(usable.shape, -1)
+    before = np.where(usable[:, :-1], np.arange(usable.shape[1] - 1), -1)
+    prev[:, 1:] = np.maximum.accumulate(before, axis=1) if across_gaps else before
+    return prev
 
 
 def _exceeds(v1: np.ndarray, v2: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Points where v1 > v2 beyond the tolerance _TOL * (1 + scale)."""
-    return v1 > v2 + _TOL * (1.0 + scale)
+    with np.errstate(invalid="ignore"):
+        return v1 > v2 + _TOL * (1.0 + scale)
 
 
-def _bad_steps(r: np.ndarray, scale: np.ndarray, nondecreasing: bool) -> np.ndarray:
-    """Steps of r that break monotonicity in the named direction beyond
-    the tolerance _TOL * (1 + scale) at the step's left end; entry k is
-    the step from r[k] to r[k + 1]."""
-    diffs = np.diff(r)
-    tau = _TOL * (1.0 + scale[:-1])
-    return diffs < -tau if nondecreasing else diffs > tau
+def _bad_steps(r: np.ndarray, scale: np.ndarray, usable: np.ndarray, prev: np.ndarray,
+               nondecreasing: bool) -> np.ndarray:
+    """Steps of r between consecutive usable points that break monotonicity
+    in the named direction beyond the tolerance _TOL * (1 + scale) at the
+    step's left end; entry j is the step from point prev[j] to point j."""
+    # prev as indices into the flattened rows; a -1 reads the row's first
+    # point, and the mask below drops that step
+    left = np.maximum(prev, 0) + np.arange(0, r.size, r.shape[1])[:, None]
+    with np.errstate(invalid="ignore"):
+        diffs = r - r.take(left)
+    tau = _TOL * (1.0 + scale.take(left))
+    return (diffs < -tau if nondecreasing else diffs > tau) & usable & (prev >= 0)
 
 
 def _magnitude(*logs: np.ndarray) -> np.ndarray:
@@ -216,51 +244,67 @@ def _magnitude(*logs: np.ndarray) -> np.ndarray:
     return np.max(np.abs(logs), axis=0)
 
 
-def _pointwise_verdict(verdict, xs: np.ndarray, v1: np.ndarray, v2: np.ndarray,
-                       scale: np.ndarray, usable: np.ndarray, diff_fn, reason: str,
-                       value) -> OrderVerdict:
+def _first(mask: np.ndarray) -> list:
+    """Per row, the index of the first True, or None when there is none."""
+    return [k if hit else None for k, hit in zip(mask.argmax(axis=1).tolist(),
+                                                 mask.any(axis=1).tolist())]
+
+
+def _pointwise_verdicts(verdicts: list, xs: np.ndarray, v1: np.ndarray, v2: np.ndarray,
+                        viol: np.ndarray, prev: np.ndarray, gap, pairs, reason: str,
+                        value) -> list[OrderVerdict]:
     """Common tail of the st and rh checks: v1 <= v2 must hold at every
-    usable point, and fails first where it does not.  The crossing of
-    diff_fn = v1 - v2 is refined inside the step from the previous point
-    when that point is usable and strictly ordered, on first read.  reason
-    is a template for the witness x; value maps v1 and v2 to the witness's
-    values."""
-    viol = usable & _exceeds(v1, v2, scale)
-    if not np.any(viol):
-        return verdict(status="holds_on_grid")
-    k = int(np.argmax(viol))
-    witness = Witness(x=float(xs[k]), lhs=value(v1[k]), rhs=value(v2[k]))
-    refined = None
-    if k > 0 and usable[k - 1] and v1[k - 1] - v2[k - 1] < 0.0:
-        refined = partial(_refine_crossing, diff_fn, float(xs[k - 1]), float(xs[k]))
-    return verdict(status="violated", witness=witness, refined_crossing=refined,
-                   reason=reason.format(witness.x))
+    usable point, and fails first at the first point of viol.  The
+    crossing of gap(m1, m2, x) = v1 - v2 is refined, on first read, inside
+    the step from point prev[k] when that point is strictly ordered.
+    reason is a template for the witness x; value maps v1 and v2 to the
+    witness's values.  Rows whose verdict is already finished are kept."""
+    for i, k in enumerate(_first(viol)):
+        verdict = verdicts[i]
+        if isinstance(verdict, OrderVerdict):
+            continue
+        if k is None:
+            verdicts[i] = verdict(status="holds_on_grid")
+            continue
+        witness = Witness(x=float(xs[k]), lhs=value(v1[i, k]), rhs=value(v2[i, k]))
+        p, refined = prev[i, k], None
+        if p >= 0 and v1[i, p] - v2[i, p] < 0.0:
+            refined = partial(_refine_crossing, partial(gap, *pairs[i]), float(xs[p]),
+                              float(xs[k]))
+        verdicts[i] = verdict(status="violated", witness=witness, refined_crossing=refined,
+                              reason=reason.format(witness.x))
+    return verdicts
 
 
 def _check_ratio_monotone(kind: str, grid: Grid, log_num: np.ndarray, log_den: np.ndarray,
-                          scale: np.ndarray, slope, *, nondecreasing: bool) -> OrderVerdict:
+                          scale: np.ndarray, slope, pairs, *,
+                          nondecreasing: bool) -> list[OrderVerdict]:
     """Common body of the lr and r-rh checks: log_num - log_den must be
     monotone on the grid in the named direction, within the tolerance of
-    scale.  A violated verdict refines the root of slope, the vectorised
-    derivative of that log ratio, inside the offending step."""
+    scale.  A violated verdict refines the root of slope(m1, m2, x), the
+    vectorised derivative of that log ratio, inside the offending step."""
     xs = grid.xs()
     with np.errstate(invalid="ignore"):
         log_ratio = log_num - log_den
-    usable, verdict = _gate(kind, grid, False, ~np.isfinite(log_ratio))
-    if usable is None:
-        return verdict()
-    idx = np.nonzero(usable)[0]
-    r = log_ratio[idx]
-    bad = _bad_steps(r, scale[idx], nondecreasing)
-    if not np.any(bad):
-        return verdict(status="holds_on_grid")
-    k = int(np.argmax(bad))
-    x_lo, x_hi = float(xs[idx[k]]), float(xs[idx[k + 1]])
-    witness = Witness(x=x_hi, lhs=_exp(r[k]), rhs=_exp(r[k + 1]))
+    nonfinite = ~np.isfinite(log_ratio)
+    usable, verdicts = _gate(kind, grid, np.zeros_like(nonfinite), nonfinite)
+    prev = _previous(usable, across_gaps=True)
     direction = "nondecreasing" if nondecreasing else "nonincreasing"
-    return verdict(status="violated", witness=witness,
-                   refined_crossing=partial(_refine_crossing, slope, x_lo, x_hi),
-                   reason=f"ratio fails to be {direction} on the step ending at x={x_hi!r}")
+    for i, j in enumerate(_first(_bad_steps(log_ratio, scale, usable, prev, nondecreasing))):
+        verdict = verdicts[i]
+        if isinstance(verdict, OrderVerdict):
+            continue
+        if j is None:
+            verdicts[i] = verdict(status="holds_on_grid")
+            continue
+        p = prev[i, j]
+        x_lo, x_hi = float(xs[p]), float(xs[j])
+        witness = Witness(x=x_hi, lhs=_exp(log_ratio[i, p]), rhs=_exp(log_ratio[i, j]))
+        verdicts[i] = verdict(
+            status="violated", witness=witness,
+            refined_crossing=partial(_refine_crossing, partial(slope, *pairs[i]), x_lo, x_hi),
+            reason=f"ratio fails to be {direction} on the step ending at x={x_hi!r}")
+    return verdicts
 
 
 def _rh_slope(x, m: FiniteMixture) -> np.ndarray:
@@ -270,23 +314,107 @@ def _rh_slope(x, m: FiniteMixture) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the four checks
+# the four checks, each over a stack of pairs (m1s[i], m2s[i])
 # ---------------------------------------------------------------------------
 
 
-def check_st(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
-    """m1 <= m2 in the usual stochastic order: sf(m1) <= sf(m2) on the grid."""
+def _st(m1s: tuple, m2s: tuple, grid: Grid) -> list[OrderVerdict]:
     xs = grid.xs()
-    s1 = mixture_sf(xs, m1)
-    s2 = mixture_sf(xs, m2)
+    s1 = _survival(xs, m1s)
+    s2 = _survival(xs, m2s)
     nonfinite = ~(np.isfinite(s1) & np.isfinite(s2))
     skip = ~nonfinite & (s1 < _UNDERFLOW) & (s2 < _UNDERFLOW)
-    usable, verdict = _gate("st", grid, skip, nonfinite)
-    if usable is None:
-        return verdict()
-    return _pointwise_verdict(verdict, xs, s1, s2, np.maximum(s1, s2), usable,
-                              lambda x: mixture_sf(x, m1) - mixture_sf(x, m2),
-                              "sf(m1) exceeds sf(m2) at x={!r}", float)
+    usable, verdicts = _gate("st", grid, skip, nonfinite)
+    return _pointwise_verdicts(
+        verdicts, xs, s1, s2, usable & _exceeds(s1, s2, np.maximum(s1, s2)),
+        _previous(usable, across_gaps=False),
+        lambda m1, m2, x: mixture_sf(x, m1) - mixture_sf(x, m2), list(zip(m1s, m2s)),
+        "sf(m1) exceeds sf(m2) at x={!r}", float)
+
+
+def _rh(m1s: tuple, m2s: tuple, grid: Grid) -> list[OrderVerdict]:
+    xs = grid.xs()
+    F1, f1, h1 = _evaluate(xs, m1s, ("cdf", "pdf", "rh"))
+    F2, f2, h2 = _evaluate(xs, m2s, ("cdf", "pdf", "rh"))
+    nonfinite = ~(np.isfinite(h1) & np.isfinite(h2))
+    usable, verdicts = _gate("rh", grid, np.zeros_like(nonfinite), nonfinite)
+    prev = _previous(usable, across_gaps=True)
+    scale = _magnitude(F1, f1, F2, f2)
+    with np.errstate(invalid="ignore"):
+        ratio_bad = _bad_steps(F2 - F1, scale, usable, prev, nondecreasing=True).any(axis=1)
+    viol = usable & _exceeds(h1, h2, scale)
+    for i in np.flatnonzero(ratio_bad != viol.any(axis=1)).tolist():
+        if not isinstance(verdicts[i], OrderVerdict):
+            which = "cdf-ratio monotonicity" if ratio_bad[i] else "pointwise reversed hazards"
+            verdicts[i] = verdicts[i](
+                status="inconclusive",
+                reason=f"the two rh criteria disagree (only {which} flagged a violation)")
+    return _pointwise_verdicts(
+        verdicts, xs, h1, h2, viol, prev,
+        lambda m1, m2, x: _evaluate(x, m1, ("rh",))[0] - _evaluate(x, m2, ("rh",))[0],
+        list(zip(m1s, m2s)), "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", _exp)
+
+
+def _lr(m1s: tuple, m2s: tuple, grid: Grid) -> list[OrderVerdict]:
+    f1 = _evaluate(grid.xs(), m1s, ("pdf",))[0]
+    f2 = _evaluate(grid.xs(), m2s, ("pdf",))[0]
+    return _check_ratio_monotone(
+        "lr", grid, f2, f1, _magnitude(f1, f2),
+        lambda m1, m2, x: (_evaluate(x, m2, (), slope=True)[0]
+                           - _evaluate(x, m1, (), slope=True)[0]),
+        list(zip(m1s, m2s)), nondecreasing=True)
+
+
+def _r_rh(m1s: tuple, m2s: tuple, grid: Grid) -> list[OrderVerdict]:
+    F1, f1, h1 = _evaluate(grid.xs(), m1s, ("cdf", "pdf", "rh"))
+    F2, f2, h2 = _evaluate(grid.xs(), m2s, ("cdf", "pdf", "rh"))
+    return _check_ratio_monotone("r_rh", grid, h1, h2, _magnitude(F1, f1, F2, f2),
+                                 lambda m1, m2, x: _rh_slope(x, m1) - _rh_slope(x, m2),
+                                 list(zip(m1s, m2s)), nondecreasing=False)
+
+
+_CHECKS = {"st": _st, "rh": _rh, "lr": _lr, "r_rh": _r_rh}
+ORDER_KINDS = tuple(_CHECKS)
+
+
+def check_orders(claims, grid: Grid = DEFAULT_GRID) -> list[OrderVerdict]:
+    """Decide each claim (kind, m1, m2), that m1 <= m2 in the order kind,
+    on grid; the verdicts come in the claims' order.
+
+    The claims are decided in stacks, one per kind and pair of component
+    counts, cut into chunks of as many pairs as one kernel block holds,
+    _BLOCK_VALUES // (components * grid.points) with the larger count
+    (at least one): each chunk takes one kernel pass per side and one
+    vectorised decision, and each verdict is the one its pair gets alone.
+    """
+    claims = list(claims)
+    stacks: dict[tuple, list[int]] = {}
+    for i, (kind, m1, m2) in enumerate(claims):
+        if kind not in _CHECKS:
+            raise DomainError(f"unknown order kind {kind!r}; expected one of {ORDER_KINDS}")
+        stacks.setdefault((kind, m1.n, m2.n), []).append(i)
+    verdicts: list = [None] * len(claims)
+    for (kind, n1, n2), rows in stacks.items():
+        chunk = max(1, _BLOCK_VALUES // (max(n1, n2) * grid.points))
+        for start in range(0, len(rows), chunk):
+            part = rows[start:start + chunk]
+            decided = _CHECKS[kind](tuple(claims[i][1] for i in part),
+                                    tuple(claims[i][2] for i in part), grid)
+            for i, verdict in zip(part, decided):
+                verdicts[i] = verdict
+    return verdicts
+
+
+def check_order(kind: str, m1: FiniteMixture, m2: FiniteMixture,
+                grid: Grid = DEFAULT_GRID) -> OrderVerdict:
+    """m1 <= m2 in the order kind on grid: check_orders on one claim."""
+    return check_orders([(kind, m1, m2)], grid)[0]
+
+
+def check_st(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
+    """m1 <= m2 in the usual stochastic order: sf(m1) <= sf(m2) on the grid.
+    Points where both sfs underflow are skipped."""
+    return _st((m1,), (m2,), grid)[0]
 
 
 def check_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
@@ -294,56 +422,17 @@ def check_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) ->
     nondecreasing and, decided independently from the same kernel pass,
     log rh(m1) <= log rh(m2) pointwise.  A split decision signals numerical
     trouble and yields inconclusive."""
-    xs = grid.xs()
-    F1, f1, h1 = _evaluate(xs, m1, ("cdf", "pdf", "rh"))
-    F2, f2, h2 = _evaluate(xs, m2, ("cdf", "pdf", "rh"))
-    usable, verdict = _gate("rh", grid, False, ~(np.isfinite(h1) & np.isfinite(h2)))
-    if usable is None:
-        return verdict()
-    idx = np.nonzero(usable)[0]
-    h1, h2, scale = h1[idx], h2[idx], _magnitude(F1[idx], f1[idx], F2[idx], f2[idx])
-    ratio_violated = bool(np.any(_bad_steps(F2[idx] - F1[idx], scale, nondecreasing=True)))
-    if ratio_violated != bool(np.any(_exceeds(h1, h2, scale))):
-        which = "cdf-ratio monotonicity" if ratio_violated else "pointwise reversed hazards"
-        return verdict(status="inconclusive",
-                       reason=f"the two rh criteria disagree (only {which} flagged a violation)")
-    # idx keeps usable points only, so every previous point is usable
-    return _pointwise_verdict(
-        verdict, xs[idx], h1, h2, scale, np.ones(idx.size, dtype=bool),
-        lambda x: _evaluate(x, m1, ("rh",))[0] - _evaluate(x, m2, ("rh",))[0],
-        "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", _exp)
+    return _rh((m1,), (m2,), grid)[0]
 
 
 def check_lr(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
     """m1 <= m2 in the likelihood ratio order: pdf(m2)/pdf(m1) nondecreasing."""
-    f1 = _evaluate(grid.xs(), m1, ("pdf",))[0]
-    f2 = _evaluate(grid.xs(), m2, ("pdf",))[0]
-    return _check_ratio_monotone(
-        "lr", grid, f2, f1, _magnitude(f1, f2),
-        lambda x: _evaluate(x, m2, (), slope=True)[0] - _evaluate(x, m1, (), slope=True)[0],
-        nondecreasing=True)
+    return _lr((m1,), (m2,), grid)[0]
 
 
 def check_r_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
     """m1 <= m2 in the reversed-hazard-ratio sense: rh(m1)/rh(m2) nonincreasing."""
-    F1, f1, h1 = _evaluate(grid.xs(), m1, ("cdf", "pdf", "rh"))
-    F2, f2, h2 = _evaluate(grid.xs(), m2, ("cdf", "pdf", "rh"))
-    return _check_ratio_monotone("r_rh", grid, h1, h2, _magnitude(F1, f1, F2, f2),
-                                 lambda x: _rh_slope(x, m1) - _rh_slope(x, m2),
-                                 nondecreasing=False)
-
-
-_CHECKS = {"st": check_st, "rh": check_rh, "lr": check_lr, "r_rh": check_r_rh}
-ORDER_KINDS = tuple(_CHECKS)
-
-
-def check_order(kind: str, m1: FiniteMixture, m2: FiniteMixture,
-                grid: Grid = DEFAULT_GRID) -> OrderVerdict:
-    try:
-        fn = _CHECKS[kind]
-    except KeyError:
-        raise DomainError(f"unknown order kind {kind!r}; expected one of {ORDER_KINDS}") from None
-    return fn(m1, m2, grid)
+    return _r_rh((m1,), (m2,), grid)[0]
 
 
 # ---------------------------------------------------------------------------

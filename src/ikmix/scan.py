@@ -8,7 +8,10 @@ Draws whose hypotheses fail but whose order holds anyway are reported
 too, as a reminder that these conditions are sufficient, not necessary.
 
 The generator is counter-based (Philox), so a seed pins the exact
-sample stream on every platform.
+sample stream on every platform.  A scan draws every sample and runs its
+checker first, in draw order, and then decides all predicted orders
+together with check_orders, in stacks of draws; each verdict is the one
+its pair gets alone.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ikdist import DomainError
-from .ordercheck import DEFAULT_GRID, Grid, check_order
+from .ordercheck import DEFAULT_GRID, Grid, check_orders
 from .theorems import CHECKERS, SCAN_LAYOUTS, ConditionReport
 
 __all__ = [
@@ -198,14 +201,16 @@ def _categorise(report: ConditionReport, verdict_status: str) -> str:
 def run_scan(config: ScanConfig) -> ScanReport:
     rng = np.random.Generator(np.random.Philox(config.seed))
     checker = CHECKERS[config.theorem]
+    draws = []
+    for _ in range(config.samples):
+        params = draw_sample(config, rng)
+        draws.append((params, checker(**params)))
+    verdicts = check_orders([(r.orientation.kind, r.orientation.lhs, r.orientation.rhs)
+                             for _, r in draws], config.grid)
     counts = {c: 0 for c in CATEGORIES}
     alarms: list[ScanFinding] = []
     free_holds: list[ScanFinding] = []
-    for index in range(config.samples):
-        params = draw_sample(config, rng)
-        report = checker(**params)
-        po = report.orientation
-        verdict = check_order(po.kind, po.lhs, po.rhs, config.grid)
+    for index, ((params, report), verdict) in enumerate(zip(draws, verdicts)):
         category = _categorise(report, verdict.status)
         counts[category] += 1
         if category == "soundness_alarm":

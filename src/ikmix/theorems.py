@@ -179,12 +179,14 @@ def _beta_unit_hyp(beta: float) -> Hypothesis:
     return Hypothesis("beta_in_unit_interval", held, f"beta = {beta!r}")
 
 
-def _pairwise_gaps(v: tuple[float, ...]) -> np.ndarray:
-    arr = np.asarray(v)
-    if arr.size < 2:
+def _gap_extremes(v: tuple[float, ...]) -> tuple[float, float]:
+    """The largest and the smallest pairwise |gap| of v: max - min, and the
+    smallest difference of neighbours once v is sorted.  Rounding is
+    monotone, so these are the extremes of the rounded pairwise gaps."""
+    if len(v) < 2:
         raise DomainError("gap hypothesis needs at least two components")
-    diff = np.abs(arr[:, None] - arr[None, :])
-    return diff[np.triu_indices(arr.size, k=1)]
+    s = sorted(v)
+    return s[-1] - s[0], min(b - a for a, b in zip(s, s[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +412,8 @@ def check_theorem_3_10(beta, beta_star, alpha: float, p, p_star) -> ConditionRep
     beta_star = _vec(beta_star, "beta_star")
     p = _vec(p, "p")
     p_star = _vec(p_star, "p_star")
-    max_gap = float(np.max(_pairwise_gaps(beta)))
-    min_gap_star = float(np.min(_pairwise_gaps(beta_star)))
+    max_gap = _gap_extremes(beta)[0]
+    min_gap_star = _gap_extremes(beta_star)[1]
     held = max_gap <= min_gap_star + _SLACK
     hyps = (
         Hypothesis("beta_gap_dominated_by_beta_star_gap", held,

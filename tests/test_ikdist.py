@@ -3,6 +3,7 @@ round trips, derivative consistency, and shape monotonicity."""
 
 from __future__ import annotations
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,61 @@ class TestBoundary:
         xs = np.array([0.0, 0.5, 2.0, 10.0])
         assert ik_cdf(xs, p).shape == xs.shape
         np.testing.assert_allclose(ik_cdf(xs, p) + ik_sf(xs, p), 1.0, atol=1e-15)
+
+
+def _mp_quantile(u: float, alpha: float, beta: float) -> mp.mpf:
+    """(1 - u^(1/beta))^(-1/alpha) - 1 in 40-digit mpmath."""
+    with mp.workdps(40):
+        t = mp.power(mp.mpf(u), 1 / mp.mpf(beta))
+        return mp.expm1(-mp.log1p(-t) / alpha)
+
+
+def _quantile_tolerance(u, alpha: float, beta: float):
+    """Relative rounding the level's log carries into the quantile:
+    |log u|/beta eps, over alpha through the outer expm1, with room."""
+    return 8 * np.finfo(float).eps * (1.0 - np.log(u) / beta) / min(alpha, 1.0)
+
+
+def _expm1_quantile(u, alpha, beta):
+    """The quantile with log w taken as log(-expm1(.)) at every level."""
+    return np.expm1(-np.log(-np.expm1(np.log(u) / beta)) / alpha)
+
+
+class TestTinyQuantile:
+    """Below u^(1/beta) = 1/2 the quantile takes log w = log1p(-u^(1/beta)),
+    so w = 1 - u^(1/beta) no longer rounds to 1 and x to -0.0."""
+
+    @pytest.mark.parametrize("u, alpha, beta", [(1e-6, 0.2, 0.3), (1e-40, 1.0, 2.0)])
+    def test_reported_cases(self, u, alpha, beta):
+        assert _expm1_quantile(u, alpha, beta) == 0.0  # -0.0 before
+        x = ik_quantile(u, IKParams(alpha, beta))
+        assert x > 0.0
+        assert abs(x - _mp_quantile(u, alpha, beta)) <= _quantile_tolerance(u, alpha, beta) * x
+
+    @pytest.mark.parametrize("alpha, beta", [(0.2, 0.3), (1.0, 2.0), (3.0, 0.5), (0.7, 5.0),
+                                             (50.0, 0.1), (1.0, 1.0), (2.0, 40.0)])
+    def test_sweep_both_sides_of_the_split(self, alpha, beta):
+        # u^(1/beta) from 1e-300 to 0.999, densest around the split at 1/2
+        t = np.concatenate([np.geomspace(1e-300, 1e-3, 120), np.geomspace(1e-3, 0.999, 600)])
+        us = t ** beta
+        us = us[(us > 0.0) & (us < 1.0)]
+        got = ik_quantile(us, IKParams(alpha, beta))
+        assert np.all(got > 0.0) and not np.any(np.signbit(got))
+        split = np.log(us) / beta < -np.log(2.0)
+        old = _expm1_quantile(us, alpha, beta)
+        # at and above 1/2 the bytes are the expm1 form's
+        assert got[~split].tobytes() == old[~split].tobytes()
+        # below it, each value lies within the rounding of 40-digit mpmath,
+        # and where the expm1 form kept a digit, the worst error is no worse
+        worst_new = worst_old = 0.0
+        for x, x_old, u in zip(got[split], old[split], us[split]):
+            ref = _mp_quantile(u, alpha, beta)
+            err = float(abs(x - ref) / ref)
+            assert err <= _quantile_tolerance(u, alpha, beta)
+            if x_old != 0.0:
+                worst_new = max(worst_new, err)
+                worst_old = max(worst_old, float(abs(x_old - ref) / ref))
+        assert worst_new <= worst_old
 
 
 class TestQuantileRoundTrip:

@@ -5,6 +5,7 @@ compensated weight sum, and the log-sum-exp kernel's accuracy against
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -29,8 +30,12 @@ from ikmix import (
     mixture_sf,
     neumaier_sum,
 )
+from ikmix.scan import ScanConfig, run_scan
 
 rng = np.random.default_rng(42)
+
+T310_GAP_PROBE = (Path(__file__).resolve().parents[1]
+                  / "scripts" / "scan_configs" / "t310_gap_probe.json")
 
 
 def _mix(weights, alphas, betas) -> FiniteMixture:
@@ -248,13 +253,19 @@ class TestQuantile:
     @pytest.mark.parametrize("weights, alphas, betas, root", [
         ((0.5, 0.5), (0.2, 0.3), (0.3, 400.0), 5.0396841995794835e-19),
         ((0.7, 0.3), (0.1, 0.4), (0.25, 0.5), 4.1649108790579238e-23),
+        ((1.5e-6, 1 - 1.5e-6), (0.2, 0.3), (0.01, 400.0), 1.2298272132899069e-17),
     ])
     def test_tiny_quantile_with_small_alphas(self, weights, alphas, betas, root):
-        # the smallest component quantile rounds to 0, so the search starts
-        # at 5e-324, where every alpha * x underflows and log cdf is -inf;
-        # the roots are 50-digit mpmath's
+        # every alpha lies below 0.5, so alpha * 5e-324 underflows and log
+        # cdf is -inf there.  The smallest component quantile brackets the
+        # root from below: tiny for the first two mixtures (it rounded to
+        # -0.0 before ik_quantile took log w from log1p), and 0 for the
+        # third, whose u^(1/beta) underflows, so that the search starts at
+        # 5e-324; the roots are 50-digit mpmath's
         m = _mix(weights, alphas, betas)
-        assert min(ik_quantile(1e-6, c) for c in m.components) == 0.0
+        lo = min(ik_quantile(1e-6, c) for c in m.components)
+        assert 0.0 <= lo <= root and math.copysign(1.0, lo) == 1.0
+        assert (lo == 0.0) == (root > 1e-18)
         assert abs(mixture_quantile(1e-6, m) - root) <= 1e-12 * root
 
     def test_few_vectorised_cdf_calls(self, monkeypatch):
@@ -520,6 +531,66 @@ class TestKernelBitIdentity:
         xs = np.concatenate([[0.0, 1e-300], np.geomspace(1e-4, 1e4, 2000), [1e300]])
         assert mixture_sf(xs, m).tobytes() == _ref_sf(xs, m).tobytes()
 
+
+
+class TestKernelStacks:
+    """The kernel and the sf on a tuple of mixtures that share a component
+    count: one row per mixture, each bit-identical to that mixture alone,
+    in blocks of at most _BLOCK_VALUES values."""
+
+    NAMES = ("cdf", "pdf", "rh")
+
+    @pytest.mark.parametrize("block_values", [None, 1])
+    @pytest.mark.parametrize("n, points, rows", [(70, 2000, 1), (70, 2000, 2), (70, 2000, 5),
+                                                 (2, 500, 17), (3, 77, 40)])
+    def test_rows_are_bit_identical(self, monkeypatch, n, points, rows, block_values):
+        # 70 x 2000 cuts every mixture into blocks of 4 components; 2 x 500
+        # and 3 x 77 put 8 and 35 mixtures into one block, so 17 and 40
+        # rows span several groups; _BLOCK_VALUES = 1 gives one component
+        # of one mixture per block
+        if block_values is not None:
+            monkeypatch.setattr(mixture, "_BLOCK_VALUES", block_values)
+        r = np.random.default_rng(1000 * n + rows)
+        ms = tuple(_spread_mixture(r, n) for _ in range(rows))
+        xs = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, points - 1)])
+        stacked = mixture._evaluate(xs, ms, self.NAMES, slope=True)
+        assert all(v.shape == (rows, points) for v in stacked)
+        singles = [mixture._evaluate(xs, ms, (name,))[0] for name in self.NAMES]
+        sf = mixture._survival(xs, ms)
+        for i, m in enumerate(ms):
+            alone = mixture._evaluate(xs, m, self.NAMES, slope=True)
+            for got, want in zip(stacked, alone):
+                assert got[i].tobytes() == want.tobytes()
+            for got, want in zip(singles, alone):
+                assert got[i].tobytes() == want.tobytes()
+            assert sf[i].tobytes() == mixture_sf(xs, m).tobytes() == _ref_sf(xs, m).tobytes()
+
+    def test_shapes(self):
+        ms = tuple(_spread_mixture(np.random.default_rng(k), 3) for k in range(4))
+        xs = np.geomspace(1e-3, 1e3, 12)
+        assert mixture._evaluate(xs.reshape(3, 4), ms, ("cdf",))[0].shape == (4, 3, 4)
+        assert mixture._survival(xs.reshape(3, 4), ms).shape == (4, 3, 4)
+        scalar = mixture._evaluate(0.5, ms, ("pdf",))[0]
+        assert scalar.shape == (4,)
+        assert scalar.tolist() == [mixture._evaluate(0.5, m, ("pdf",))[0] for m in ms]
+
+    def test_component_counts_must_match(self):
+        r = np.random.default_rng(3)
+        with pytest.raises(DomainError, match="one component count"):
+            mixture._evaluate(1.0, (_spread_mixture(r, 2), _spread_mixture(r, 3)), ("cdf",))
+
+    def test_scan_blocks_stay_bounded(self, monkeypatch):
+        # every block passes through log u once: count its values over a
+        # 400-draw T3.10 scan (2 components, 500 points), whose chunks of
+        # 8 draws put 8 mixtures into each block
+        sizes = []
+        log_u = mixture._log_u
+        monkeypatch.setattr(mixture, "_log_u",
+                            lambda L, a: sizes.append(L.size * np.size(a)) or log_u(L, a))
+        report = run_scan(ScanConfig.from_file(T310_GAP_PROBE))
+        assert report.config.samples == 400
+        assert max(sizes) <= mixture._BLOCK_VALUES
+        assert max(sizes) == 8 * 2 * 500
 
 def _two_branch_log_u(L, alpha):
     """log u with both branches evaluated everywhere and one picked by

@@ -8,6 +8,7 @@ import copy
 import csv
 import dataclasses
 import functools
+import json
 import math
 import pickle
 import warnings
@@ -28,6 +29,7 @@ from ikmix import (
     IKParams,
     check_lr,
     check_order,
+    check_orders,
     check_r_rh,
     check_rh,
     check_st,
@@ -35,6 +37,8 @@ from ikmix import (
     write_curve_csv,
 )
 from ikmix.theorems import (
+    CHECKERS,
+    SCAN_LAYOUTS,
     check_theorem_3_1,
     check_theorem_3_3,
     check_theorem_3_4_or_3_5,
@@ -973,3 +977,132 @@ def test_to_dict_keeps_the_literal_keys_and_order(catalog):
     for obj in objects:
         # unread and read crossings alike
         assert items(obj.to_dict()) == items(literal(obj)), obj
+
+
+# ---------------------------------------------------------------------------
+# stacked decisions
+# ---------------------------------------------------------------------------
+
+
+_ALONE = {"st": check_st, "rh": check_rh, "lr": check_lr, "r_rh": check_r_rh}
+
+
+def _scan_claims(theorem: str, samples: int, seed: int) -> list:
+    """The predicted orders of a seeded 2-component scan of theorem over
+    wide ranges, so that hypotheses and orders both hold and fail."""
+    ranges = {name: [0.05, 1.0] if kind == "weights" else [0.3, 3.0]
+              for name, kind in SCAN_LAYOUTS[theorem]}
+    config = ScanConfig(theorem, samples, seed, ranges)
+    rng = np.random.Generator(np.random.Philox(seed))
+    claims = []
+    for _ in range(samples):
+        po = CHECKERS[theorem](**draw_sample(config, rng)).orientation
+        claims.append((po.kind, po.lhs, po.rhs))
+    return claims
+
+
+# pairs with unusable points: alpha = 1e-20 underflows alpha * x below
+# x = 5e-304, so log u is -inf there (non-finite points); alphas of 100
+# and more take both sfs below 1e-300 beyond x = 1e3 (skipped st points)
+_UNUSABLE_PAIRS = (
+    (_mix((0.5, 0.5), (1e-20, 1.0), (2.0, 3.0)), _mix((0.3, 0.7), (1e-20, 1.0), (2.5, 1.0))),
+    (_mix((0.3, 0.7), (1e-20, 1.0), (2.5, 1.0)), _mix((0.5, 0.5), (1e-20, 1.0), (2.0, 3.0))),
+    (_mix((0.5, 0.5), (1e-20, 1e-20), (2.0, 3.0)), _mix((0.5, 0.5), (1e-20, 1e-20), (3.0, 2.0))),
+    (_mix((0.5, 0.5), (100.0, 120.0), (2.0, 3.0)), _mix((0.4, 0.6), (100.0, 110.0), (1.5, 3.0))),
+    (_mix((0.4, 0.6), (100.0, 110.0), (1.5, 3.0)), _mix((0.5, 0.5), (100.0, 120.0), (2.0, 3.0))),
+)
+
+
+class TestStackedVerdicts:
+    """check_orders decides claims in stacks; every verdict must equal the
+    one its pair gets alone, crossing included."""
+
+    # on the first grid the non-finite pairs lose 5 points and the st
+    # pairs with large alphas skip 2; on the second, the non-finite pairs
+    # lose all but a third (inconclusive); on the third, st skips 26
+    # points.  4, 40 and 10 pairs of 2-component mixtures fill a chunk.
+    GRIDS = (Grid(1e-305, 3e3, 1000), Grid(1e-310, 1e-300, 100), Grid(1e-4, 3e3, 400))
+
+    @staticmethod
+    def _assert_alone(claims, verdicts, grid):
+        assert len(verdicts) == len(claims)
+        for (kind, m1, m2), v in zip(claims, verdicts):
+            # to_dict reads the crossing; json keeps NaN witnesses comparable
+            alone = _ALONE[kind](m1, m2, grid)
+            assert json.dumps(v.to_dict()) == json.dumps(alone.to_dict())
+            assert v == check_order(kind, m1, m2, grid)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("theorem", ["T3.1", "T3.2", "T3.3", "T3.10", "T3.11", "T3.12"])
+    def test_scans_with_unusable_rows(self, theorem, grid):
+        claims = _scan_claims(theorem, 16, seed=len(theorem) + int(grid.points))
+        kind = claims[0][0]
+        for k, (m1, m2) in enumerate(_UNUSABLE_PAIRS):
+            claims.insert(3 * k + 1, (kind, m1, m2))
+        verdicts = check_orders(claims, grid)
+        self._assert_alone(claims, verdicts, grid)
+        if grid is self.GRIDS[0]:
+            unusable = [v.skipped_points + v.nonfinite_points for v in verdicts]
+            assert any(unusable) and not all(unusable)
+
+    def test_unusable_rows_are_counted(self):
+        verdicts = check_orders([(kind, m1, m2) for kind in ORDER_KINDS
+                                 for m1, m2 in _UNUSABLE_PAIRS], self.GRIDS[0])
+        assert {v.status for v in verdicts} >= {"violated", "holds_on_grid"}
+        assert [v.nonfinite_points for v in verdicts[7::5]] == [5, 5, 5]
+        assert [v.skipped_points for v in verdicts[3:5]] == [2, 2]
+        assert verdicts[6].status == "inconclusive" and "disagree" in verdicts[6].reason
+        skipped = check_orders([("st", m1, m2) for m1, m2 in _UNUSABLE_PAIRS], self.GRIDS[2])
+        assert [v.skipped_points for v in skipped] == [0, 0, 0, 26, 26]
+        gated = check_orders([("rh", *_UNUSABLE_PAIRS[2])], self.GRIDS[1])[0]
+        assert gated.status == "inconclusive" and gated.nonfinite_points > 10
+
+    def test_mixed_kinds_and_counts_keep_their_order(self):
+        claims = [claim for theorem in ("T3.12", "T3.1", "T3.11", "T3.10")
+                  for claim in _scan_claims(theorem, 5, seed=3)]
+        claims.insert(7, ("lr", *_UNUSABLE_PAIRS[0]))
+        claims.insert(2, ("st", _mix((0.2, 0.3, 0.5), (1.0, 2.0, 3.0), (1.0, 1.0, 1.0)),
+                          _mix((1.0,), (2.0,), (1.0,))))
+        self._assert_alone(claims, check_orders(claims, self.GRIDS[2]), self.GRIDS[2])
+
+    def test_stack_of_one_and_none(self):
+        claim = _scan_claims("T3.10", 1, seed=5)
+        self._assert_alone(claim, check_orders(claim, self.GRIDS[2]), self.GRIDS[2])
+        assert check_orders([], self.GRIDS[2]) == []
+        with pytest.raises(DomainError, match="unknown order kind"):
+            check_orders(claim + [("hr", *claim[0][1:])])
+
+    @pytest.mark.parametrize("nondecreasing", [True, False])
+    def test_step_test_matches_compacted_rows(self, nondecreasing):
+        # the stacked step test against np.diff over each row's usable
+        # points, on rows with unusable points anywhere, ties and NaNs
+        r = np.random.default_rng(int(nondecreasing))
+        ratio = np.round(np.cumsum(r.normal(size=(40, 30)), axis=1), 1)
+        usable = r.random(size=ratio.shape) < 0.8
+        usable[0], usable[1], usable[2, 1:] = True, False, False
+        ratio[~usable & (r.random(size=ratio.shape) < 0.5)] = np.nan
+        scale = np.abs(r.normal(size=ratio.shape)) * 1e10
+        got = ordercheck._bad_steps(ratio, scale, usable, ordercheck._previous(usable, True),
+                                    nondecreasing)
+        for i in range(len(ratio)):
+            idx = np.flatnonzero(usable[i])
+            diffs = np.diff(ratio[i, idx])
+            tau = 1e-12 * (1.0 + scale[i, idx[:-1]])
+            want = np.zeros(ratio.shape[1], dtype=bool)
+            want[idx[1:]] = diffs < -tau if nondecreasing else diffs > tau
+            assert got[i].tolist() == want.tolist()
+
+    def test_scan_equals_a_draw_by_draw_loop(self):
+        config = dataclasses.replace(ScanConfig.from_file(T310_GAP_PROBE), samples=60)
+        rng = np.random.Generator(np.random.Philox(config.seed))
+        statuses, witnesses = [], []
+        for _ in range(config.samples):
+            po = CHECKERS[config.theorem](**draw_sample(config, rng)).orientation
+            v = check_order(po.kind, po.lhs, po.rhs, config.grid)
+            statuses.append(v.status)
+            witnesses.append(v.witness.to_dict() if v.witness else None)
+        report = run_scan(config)
+        alarms = {f.index: f.witness for f in report.soundness_alarms}
+        assert len(alarms) == statuses.count("violated") > 50
+        for index, witness in alarms.items():
+            assert witness == witnesses[index]

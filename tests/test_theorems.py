@@ -292,6 +292,20 @@ class TestTwoParameterCheckers:
                                      (0.1, 0.3, 0.6), (0.2, 0.3, 0.5))
         assert not rep_bad.all_held
 
+    def test_gap_extremes_equal_the_pairwise_gaps(self):
+        # max - min and the smallest neighbour difference of the sorted
+        # vector against the extremes of every rounded pairwise |gap|
+        r = np.random.default_rng(310)
+        for _ in range(2000):
+            n = int(r.integers(2, 8))
+            v = 10.0 ** r.uniform(-3.0, 3.0, size=n)
+            v[: int(r.integers(0, 2))] = v[-1]  # ties too
+            gaps = np.abs(v[:, None] - v[None, :])[np.triu_indices(n, k=1)]
+            got = theorems._gap_extremes(tuple(v.tolist()))
+            assert got == (float(gaps.max()), float(gaps.min()))
+        with pytest.raises(DomainError, match="at least two components"):
+            check_theorem_3_10((1.0,), (1.0,), 1.0, (1.0,), (1.0,))
+
     def test_separation_conditions(self, catalog):
         for fid, checker in (("ex3.7", check_theorem_3_11),
                              ("ce3.6", check_theorem_3_11),
