@@ -10,6 +10,10 @@ DIR receives, from the ikmix under this checkout's src/:
   scan_<config>.stdout, .report.json, .exit  ikmix scan on each
                                              scripts/scan_configs/*.json
   curves/*.csv                               scripts/dump_curves.py
+  verdicts.json, verdicts.exit               the to_dict() of every catalog
+                                             orientation under each order
+                                             kind, both ways round (crossings
+                                             read)
 
 Every run turns RuntimeWarnings into errors, so a warning shows up as a
 changed .exit file rather than as noise on stderr.
@@ -29,6 +33,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 _CLI = "import sys; from ikmix.cli import main; sys.exit(main())"
+# 15 fixtures x 4 kinds x 2 directions = 120 verdicts, as JSON on stdout
+_VERDICTS = """
+import json, sys
+from ikmix import ORDER_KINDS, FixtureCatalog, check_order
+catalog = FixtureCatalog()
+rows = []
+for fid in catalog.ids():
+    po = catalog.checker_report(fid).orientation
+    for kind in ORDER_KINDS:
+        for direction, m1, m2 in (("lhs<=rhs", po.lhs, po.rhs), ("rhs<=lhs", po.rhs, po.lhs)):
+            rows.append({"fixture": fid, "kind": kind, "claim": direction,
+                         "verdict": check_order(kind, m1, m2).to_dict()})
+json.dump(rows, sys.stdout, indent=1)
+sys.stdout.write("\\n")
+"""
 
 
 def _run(args: list[str]) -> subprocess.CompletedProcess:
@@ -53,6 +72,9 @@ def write(outdir: Path) -> None:
         report = outdir / f"scan_{config.stem}.report.json"
         _record(outdir, f"scan_{config.stem}",
                 _run(["-c", _CLI, "scan", str(config), "--out", str(report)]))
+    verdicts = _run(["-c", _VERDICTS])
+    (outdir / "verdicts.json").write_bytes(verdicts.stdout)
+    (outdir / "verdicts.exit").write_text(f"{verdicts.returncode}\n")
     curves = _run([str(ROOT / "scripts" / "dump_curves.py"), "--outdir", str(outdir / "curves")])
     if curves.returncode != 0:
         raise SystemExit(f"dump_curves.py exited {curves.returncode}")

@@ -41,12 +41,8 @@ from .ordercheck import (
     Grid,
     OrderVerdict,
     Witness,
-    check_lr,
     check_order,
     check_orders,
-    check_r_rh,
-    check_rh,
-    check_st,
     difference_curve,
     write_curve_csv,
 )

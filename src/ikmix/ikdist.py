@@ -26,6 +26,7 @@ DomainError rather than propagating NaNs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,8 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class IKParams:
-    """Shape-parameter pair; both entries must be positive finite reals."""
+    """Shape-parameter pair; both entries must be positive finite reals
+    (numpy scalars included, bools not), stored as floats."""
 
     alpha: float
     beta: float
@@ -55,7 +57,7 @@ class IKParams:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
+            if not isinstance(v, numbers.Real) or isinstance(v, bool):
                 raise DomainError(f"{name} must be a real number, got {v!r}")
             if not math.isfinite(v) or v <= 0:
                 raise DomainError(f"{name} must be positive and finite, got {v!r}")
@@ -68,12 +70,8 @@ class IKParams:
 # ---------------------------------------------------------------------------
 
 
-def _as_x(x, *, minimum: float = 0.0):
-    """Validate x and return (array, was_scalar).
-
-    minimum=0.0 admits the boundary x=0; minimum>0 excludes it (reversed
-    hazard is undefined there).
-    """
+def _as_x(x):
+    """Validate x, finite and >= 0, and return (array, was_scalar)."""
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr)
@@ -81,12 +79,8 @@ def _as_x(x, *, minimum: float = 0.0):
         raise DomainError("empty x array")
     if not np.all(np.isfinite(flat)):
         raise DomainError("x must be finite")
-    if minimum == 0.0:
-        if np.any(flat < 0.0):
-            raise DomainError("x must be >= 0")
-    else:
-        if np.any(flat <= 0.0):
-            raise DomainError("x must be > 0")
+    if np.any(flat < 0.0):
+        raise DomainError("x must be >= 0")
     return arr if not scalar else arr.reshape(1), scalar
 
 
@@ -184,7 +178,9 @@ def ik_pdf(x, params: IKParams):
 
 def ik_reversed_hazard(x, params: IKParams):
     """pdf/cdf on x > 0; the beta power cancels so only 1/u remains."""
-    xs, scalar = _as_x(x, minimum=np.finfo(float).tiny)
+    if np.any(np.asarray(x, dtype=float) <= 0.0):
+        raise DomainError("x must be > 0")
+    xs, scalar = _as_x(x)
     a, b = params.alpha, params.beta
     L = np.log1p(xs)
     u = -np.expm1(-a * L)

@@ -2,13 +2,14 @@
 
 The cdf, pdf and reversed hazard (rh) run through one blocked kernel,
 _evaluate, which returns logs.  It validates x and takes log1p(x) once,
-then walks the components in blocks of at most 8192 values (_blocks):
-each block computes log u once for its rows and derives every requested
-component log from it with the formulas of ikdist.  The kernel and the
-sf also take a tuple of mixtures with one component count and return one
-row per mixture, bit-identical to that mixture alone: the components are
-cut as for one mixture, and a block holds the same cut of several
-mixtures while it stays within 8192 values.  The terms are summed
+then walks the components in blocks of at most 8192 values per mixture
+(_stacked): each block computes log u once for its rows and derives
+every requested component log from it with the formulas of ikdist.  The
+kernel and the sf also take a tuple of mixtures with one component count
+and return one row per mixture, bit-identical to that mixture alone: the
+components are cut as for one mixture, and a block holds that cut of
+every mixture in the tuple, so the caller sizes the stack (only
+ordercheck.check_orders stacks, within 8192 values).  The terms are summed
 by a max-shifted log-sum-exp (Blanchard, Higham and Higham, IMA J.
 Numer. Anal. 2021), so a mixture whose values lie far below or above
 float64 still has a finite log.  The public evaluators are exp of those
@@ -41,7 +42,8 @@ __all__ = [
 ]
 
 _RAW_WEIGHT_TOL = 1e-6
-# largest (components x points) block the kernel evaluates at once: 64 KiB
+# largest (components x points) block of one mixture the kernel evaluates
+# at once, 64 KiB; check_orders stacks pairs within the same budget
 _BLOCK_VALUES = 8192
 # the largest float, the bound of a log-sum-exp shift
 _LOG_MAX = float(np.finfo(float).max)
@@ -92,7 +94,7 @@ class FiniteMixture:
         for comp in components:
             if not isinstance(comp, IKParams):
                 raise DomainError(f"components must be IKParams, got {comp!r}")
-        total = neumaier_sum(weights)
+        total = math.fsum(weights)
         if abs(total - 1.0) > _RAW_WEIGHT_TOL:
             raise DomainError(f"raw weights sum to {total!r}, beyond 1e-6 of 1")
         object.__setattr__(self, "weights", tuple(w / total for w in weights))
@@ -145,7 +147,9 @@ class FiniteMixture:
 
 
 def _per_component(name: str, value, n: int) -> tuple:
-    """A scalar repeated n times, or the entries of an iterable."""
+    """A scalar or 0-d array repeated n times, or the entries of an iterable."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
     if np.isscalar(value):
         return (value,) * n
     try:
@@ -160,38 +164,28 @@ def _per_component(name: str, value, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _blocks(ms: tuple, points: int):
-    """The weights, alphas and betas of the mixtures ms, which share one
-    component count, as columns of shape (components, mixtures, 1), in
-    blocks of at most _BLOCK_VALUES values over points.  The components
-    are cut as for one mixture, at most _BLOCK_VALUES // points to a cut;
-    mixtures are grouped while a group's largest cut holds at most
-    _BLOCK_VALUES values.  Yields, group by group in order, the list of the
-    group's cuts in component order, each a (weights, alphas, betas) array."""
-    n = ms[0].n
-    if any(m.n != n for m in ms):
-        raise DomainError("stacked mixtures must share one component count")
-    params = np.array([(m.weights, m.alphas, m.betas) for m in ms]).transpose(1, 2, 0)[..., None]
-    rows = max(1, _BLOCK_VALUES // points)
-    group = max(1, _BLOCK_VALUES // (min(rows, n) * points))
-    for start in range(0, len(ms), group):
-        block = params[:, :, start:start + group]
-        yield [block[:, c:c + rows] for c in range(0, n, rows)]
-
-
-def _stacked(x, ms, per_group) -> tuple:
-    """The rows of per_group(L, x, cuts) over the groups of _blocks, where L
-    is log1p(x) and per_group returns a tuple of (mixtures, points) arrays.
-    ms is one mixture, giving results shaped like x (a float for a scalar
-    x), or a tuple of mixtures with one component count, giving one row per
-    mixture; each row is bit-identical to that mixture's alone."""
+def _stacked(x, ms, kernel) -> tuple:
+    """The rows of kernel(L, x, cuts), where L is log1p(x) and kernel
+    returns a sequence of (mixtures, points) arrays.  ms is one mixture,
+    giving results shaped like x (a float for a scalar x), or a tuple of
+    mixtures with one component count, giving one row per mixture.  cuts
+    holds the weights, alphas and betas of the mixtures as columns of
+    shape (components, mixtures, 1), cut along the components, at most
+    _BLOCK_VALUES // points (at least one) to a (weights, alphas, betas)
+    array, in component order.  Every mixture is cut as it is alone, so
+    each row is bit-identical to that mixture's alone; how many mixtures
+    share a block is the caller's choice."""
     xs, scalar = _as_x(x)
     flat = xs.ravel()
-    stacked = isinstance(ms, tuple)
-    L = np.log1p(flat)
-    parts = [per_group(L, flat, cuts) for cuts in _blocks(ms if stacked else (ms,), L.size)]
-    out = parts[0] if len(parts) == 1 else [np.concatenate(v) for v in zip(*parts)]
-    if stacked:
+    stack = ms if isinstance(ms, tuple) else (ms,)
+    n = stack[0].n
+    if any(m.n != n for m in stack):
+        raise DomainError("stacked mixtures must share one component count")
+    params = np.array([(m.weights, m.alphas, m.betas) for m in stack])
+    params = params.transpose(1, 2, 0)[..., None]
+    rows = max(1, _BLOCK_VALUES // flat.size)
+    out = kernel(np.log1p(flat), flat, [params[:, c:c + rows] for c in range(0, n, rows)])
+    if stack is ms:
         return tuple(v.reshape((len(ms),) + np.shape(x)) for v in out)
     return tuple(float(v[0, 0]) if scalar else v[0].reshape(xs.shape) for v in out)
 
@@ -239,7 +233,7 @@ def _evaluate(x, m, names: tuple[str, ...], slope: bool = False) -> tuple:
     want_cdf = "cdf" in names or "rh" in names
     want_pdf = slope or "pdf" in names or "rh" in names
 
-    def group(L, flat, cuts):
+    def kernel(L, flat, cuts):
         sums: dict[str, list] = {}
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for w, a, b in cuts:
@@ -259,7 +253,7 @@ def _evaluate(x, m, names: tuple[str, ...], slope: bool = False) -> tuple:
                 out.append(sums["pdf"][2] / sums["pdf"][1])
         return out
 
-    return _stacked(x, m, group)
+    return _stacked(x, m, kernel)
 
 
 def _exp(log_values):

@@ -19,18 +19,20 @@ the larger sf for st and, for the log tests, the largest |log| a value
 is built from, since a log rounds in proportion to its size.
 
 The checks decide stacks of pairs: every array holds one row per pair,
-and the gate, the two tests, the witness, the reason and the pending
-crossing are worked out row by row.  check_orders decides a list of
-claims in one stack per kind and pair of component counts, cut into
+and the two tests run on the whole stack.  check_orders decides a list
+of claims in one stack per kind and pair of component counts, cut into
 chunks of as many pairs as one kernel block of 8192 values holds (8
-pairs of 2-component mixtures on 500 points); check_order and the four
-check_* functions decide the stack of one.
+pairs of 2-component mixtures on 500 points); it is the only code that
+sizes a stack, and check_order decides the stack of one.
 
-Every check passes one usable-point gate (_gate): points where a compared
+One row loop (_verdicts) builds every verdict.  Points where a compared
 value or log is NaN or infinite are counted in nonfinite_points, and st
 also skips the points where both survival functions underflow float64
 (below 1e-300), counted in skipped_points.  When more than 10% of the
-grid is unusable the verdict is inconclusive.
+grid is unusable the verdict is inconclusive; so is an rh verdict whose
+two criteria disagree.  Otherwise the row's first bad point, if any,
+gives the witness, the reason and the pending crossing (each test
+supplies that violation), and the verdict is violated.
 
 Witness semantics: for pointwise checks, (x, lhs, rhs) are the two
 compared values (sf or rh) at the offending x.  For monotonicity checks,
@@ -48,6 +50,7 @@ fixture replays read only status and witness, so they never run it.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
@@ -63,10 +66,6 @@ __all__ = [
     "DEFAULT_GRID",
     "Witness",
     "OrderVerdict",
-    "check_st",
-    "check_rh",
-    "check_lr",
-    "check_r_rh",
     "check_order",
     "check_orders",
     "CURVE_FOR_KIND",
@@ -96,7 +95,9 @@ class Grid:
             raise DomainError("grid bounds must be finite")
         if not (0.0 < self.x_min < self.x_max):
             raise DomainError("grid requires 0 < x_min < x_max")
-        if int(self.points) < 2:
+        if not isinstance(self.points, numbers.Integral) or isinstance(self.points, bool):
+            raise DomainError(f"grid points must be an integer, got {self.points!r}")
+        if self.points < 2:
             raise DomainError("grid needs at least 2 points")
         object.__setattr__(self, "points", int(self.points))
 
@@ -188,28 +189,6 @@ class OrderVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _gate(kind: str, grid: Grid, skip: np.ndarray, nonfinite: np.ndarray):
-    """The usable-point gate of every check: the usable mask and, per row,
-    a maker for the row's verdict with kind, grid and both counts filled
-    in.  A row with over 10% of the grid unusable gets its finished
-    inconclusive verdict in place of the maker; passing leaves at least
-    two usable points on any grid."""
-    makers = []
-    for n_skip, n_nonfinite in zip(skip.sum(axis=1).tolist(), nonfinite.sum(axis=1).tolist()):
-        verdict = partial(OrderVerdict, kind=kind, grid=grid, skipped_points=n_skip,
-                          nonfinite_points=n_nonfinite)
-        if n_skip + n_nonfinite > _SKIP_FRACTION * grid.points:
-            causes = []
-            if n_skip:
-                causes.append(f"{n_skip} of {grid.points} grid points underflowed float64")
-            if n_nonfinite:
-                causes.append(f"{n_nonfinite} of {grid.points} grid points were non-finite "
-                              "(NaN or inf)")
-            verdict = verdict(status="inconclusive", reason="; ".join(causes))
-        makers.append(verdict)
-    return ~(skip | nonfinite), makers
-
-
 def _previous(usable: np.ndarray, across_gaps: bool) -> np.ndarray:
     """Per point, the index of the point before it if that one is usable,
     or with across_gaps the last usable point before it; -1 if none."""
@@ -244,36 +223,53 @@ def _magnitude(*logs: np.ndarray) -> np.ndarray:
     return np.max(np.abs(logs), axis=0)
 
 
-def _first(mask: np.ndarray) -> list:
-    """Per row, the index of the first True, or None when there is none."""
-    return [k if hit else None for k, hit in zip(mask.argmax(axis=1).tolist(),
-                                                 mask.any(axis=1).tolist())]
+def _verdicts(kind: str, grid: Grid, skip: np.ndarray, nonfinite: np.ndarray,
+              bad: np.ndarray, violation, split: dict | None = None) -> list[OrderVerdict]:
+    """Each row's verdict, built once.  A row with over 10% of the grid
+    unusable (skip or nonfinite) is inconclusive and names each count;
+    passing leaves at least two usable points on any grid.  Then a row in
+    split is inconclusive with the reason it maps to; a row with no point
+    in bad holds on the grid; any other row is violated, with the
+    (witness, refined_crossing, reason) of violation(row, k) for its first
+    bad point k."""
+    verdicts = []
+    rows = zip(skip.sum(axis=1).tolist(), nonfinite.sum(axis=1).tolist(),
+               bad.any(axis=1).tolist(), bad.argmax(axis=1).tolist())
+    for i, (n_skip, n_nonfinite, any_bad, k) in enumerate(rows):
+        status, witness, crossing, reason = "holds_on_grid", None, None, None
+        if n_skip + n_nonfinite > _SKIP_FRACTION * grid.points:
+            causes = []
+            if n_skip:
+                causes.append(f"{n_skip} of {grid.points} grid points underflowed float64")
+            if n_nonfinite:
+                causes.append(f"{n_nonfinite} of {grid.points} grid points were non-finite "
+                              "(NaN or inf)")
+            status, reason = "inconclusive", "; ".join(causes)
+        elif split and i in split:
+            status, reason = "inconclusive", split[i]
+        elif any_bad:
+            status = "violated"
+            witness, crossing, reason = violation(i, k)
+        verdicts.append(OrderVerdict(kind, status, witness, crossing, reason, n_skip,
+                                     n_nonfinite, grid))
+    return verdicts
 
 
-def _pointwise_verdicts(verdicts: list, xs: np.ndarray, v1: np.ndarray, v2: np.ndarray,
-                        viol: np.ndarray, prev: np.ndarray, gap, pairs, reason: str,
-                        value) -> list[OrderVerdict]:
-    """Common tail of the st and rh checks: v1 <= v2 must hold at every
-    usable point, and fails first at the first point of viol.  The
-    crossing of gap(m1, m2, x) = v1 - v2 is refined, on first read, inside
-    the step from point prev[k] when that point is strictly ordered.
-    reason is a template for the witness x; value maps v1 and v2 to the
-    witness's values.  Rows whose verdict is already finished are kept."""
-    for i, k in enumerate(_first(viol)):
-        verdict = verdicts[i]
-        if isinstance(verdict, OrderVerdict):
-            continue
-        if k is None:
-            verdicts[i] = verdict(status="holds_on_grid")
-            continue
+def _pointwise(xs: np.ndarray, v1: np.ndarray, v2: np.ndarray, prev: np.ndarray, gap, pairs,
+               reason: str, value):
+    """The violation of the st and rh checks, where v1 <= v2 must hold at
+    every usable point.  The witness holds value(v1) and value(v2) at the
+    first bad point k; the crossing of gap(m1, m2, x) = v1 - v2 is
+    refined, on first read, inside the step from point prev[k] when that
+    point is strictly ordered; reason is a template for the witness x."""
+    def violation(i: int, k: int) -> tuple:
         witness = Witness(x=float(xs[k]), lhs=value(v1[i, k]), rhs=value(v2[i, k]))
         p, refined = prev[i, k], None
         if p >= 0 and v1[i, p] - v2[i, p] < 0.0:
             refined = partial(_refine_crossing, partial(gap, *pairs[i]), float(xs[p]),
                               float(xs[k]))
-        verdicts[i] = verdict(status="violated", witness=witness, refined_crossing=refined,
-                              reason=reason.format(witness.x))
-    return verdicts
+        return witness, refined, reason.format(witness.x)
+    return violation
 
 
 def _check_ratio_monotone(kind: str, grid: Grid, log_num: np.ndarray, log_den: np.ndarray,
@@ -287,24 +283,19 @@ def _check_ratio_monotone(kind: str, grid: Grid, log_num: np.ndarray, log_den: n
     with np.errstate(invalid="ignore"):
         log_ratio = log_num - log_den
     nonfinite = ~np.isfinite(log_ratio)
-    usable, verdicts = _gate(kind, grid, np.zeros_like(nonfinite), nonfinite)
+    usable = ~nonfinite
     prev = _previous(usable, across_gaps=True)
     direction = "nondecreasing" if nondecreasing else "nonincreasing"
-    for i, j in enumerate(_first(_bad_steps(log_ratio, scale, usable, prev, nondecreasing))):
-        verdict = verdicts[i]
-        if isinstance(verdict, OrderVerdict):
-            continue
-        if j is None:
-            verdicts[i] = verdict(status="holds_on_grid")
-            continue
+
+    def violation(i: int, j: int) -> tuple:
         p = prev[i, j]
         x_lo, x_hi = float(xs[p]), float(xs[j])
-        witness = Witness(x=x_hi, lhs=_exp(log_ratio[i, p]), rhs=_exp(log_ratio[i, j]))
-        verdicts[i] = verdict(
-            status="violated", witness=witness,
-            refined_crossing=partial(_refine_crossing, partial(slope, *pairs[i]), x_lo, x_hi),
-            reason=f"ratio fails to be {direction} on the step ending at x={x_hi!r}")
-    return verdicts
+        return (Witness(x=x_hi, lhs=_exp(log_ratio[i, p]), rhs=_exp(log_ratio[i, j])),
+                partial(_refine_crossing, partial(slope, *pairs[i]), x_lo, x_hi),
+                f"ratio fails to be {direction} on the step ending at x={x_hi!r}")
+
+    return _verdicts(kind, grid, np.zeros_like(nonfinite), nonfinite,
+                     _bad_steps(log_ratio, scale, usable, prev, nondecreasing), violation)
 
 
 def _rh_slope(x, m: FiniteMixture) -> np.ndarray:
@@ -324,12 +315,12 @@ def _st(m1s: tuple, m2s: tuple, grid: Grid) -> list[OrderVerdict]:
     s2 = _survival(xs, m2s)
     nonfinite = ~(np.isfinite(s1) & np.isfinite(s2))
     skip = ~nonfinite & (s1 < _UNDERFLOW) & (s2 < _UNDERFLOW)
-    usable, verdicts = _gate("st", grid, skip, nonfinite)
-    return _pointwise_verdicts(
-        verdicts, xs, s1, s2, usable & _exceeds(s1, s2, np.maximum(s1, s2)),
-        _previous(usable, across_gaps=False),
-        lambda m1, m2, x: mixture_sf(x, m1) - mixture_sf(x, m2), list(zip(m1s, m2s)),
-        "sf(m1) exceeds sf(m2) at x={!r}", float)
+    usable = ~(skip | nonfinite)
+    violation = _pointwise(xs, s1, s2, _previous(usable, across_gaps=False),
+                           lambda m1, m2, x: mixture_sf(x, m1) - mixture_sf(x, m2),
+                           list(zip(m1s, m2s)), "sf(m1) exceeds sf(m2) at x={!r}", float)
+    return _verdicts("st", grid, skip, nonfinite,
+                     usable & _exceeds(s1, s2, np.maximum(s1, s2)), violation)
 
 
 def _rh(m1s: tuple, m2s: tuple, grid: Grid) -> list[OrderVerdict]:
@@ -337,22 +328,21 @@ def _rh(m1s: tuple, m2s: tuple, grid: Grid) -> list[OrderVerdict]:
     F1, f1, h1 = _evaluate(xs, m1s, ("cdf", "pdf", "rh"))
     F2, f2, h2 = _evaluate(xs, m2s, ("cdf", "pdf", "rh"))
     nonfinite = ~(np.isfinite(h1) & np.isfinite(h2))
-    usable, verdicts = _gate("rh", grid, np.zeros_like(nonfinite), nonfinite)
+    usable = ~nonfinite
     prev = _previous(usable, across_gaps=True)
     scale = _magnitude(F1, f1, F2, f2)
     with np.errstate(invalid="ignore"):
         ratio_bad = _bad_steps(F2 - F1, scale, usable, prev, nondecreasing=True).any(axis=1)
     viol = usable & _exceeds(h1, h2, scale)
+    split = {}
     for i in np.flatnonzero(ratio_bad != viol.any(axis=1)).tolist():
-        if not isinstance(verdicts[i], OrderVerdict):
-            which = "cdf-ratio monotonicity" if ratio_bad[i] else "pointwise reversed hazards"
-            verdicts[i] = verdicts[i](
-                status="inconclusive",
-                reason=f"the two rh criteria disagree (only {which} flagged a violation)")
-    return _pointwise_verdicts(
-        verdicts, xs, h1, h2, viol, prev,
+        which = "cdf-ratio monotonicity" if ratio_bad[i] else "pointwise reversed hazards"
+        split[i] = f"the two rh criteria disagree (only {which} flagged a violation)"
+    violation = _pointwise(
+        xs, h1, h2, prev,
         lambda m1, m2, x: _evaluate(x, m1, ("rh",))[0] - _evaluate(x, m2, ("rh",))[0],
         list(zip(m1s, m2s)), "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", _exp)
+    return _verdicts("rh", grid, np.zeros_like(nonfinite), nonfinite, viol, violation, split)
 
 
 def _lr(m1s: tuple, m2s: tuple, grid: Grid) -> list[OrderVerdict]:
@@ -407,32 +397,9 @@ def check_orders(claims, grid: Grid = DEFAULT_GRID) -> list[OrderVerdict]:
 
 def check_order(kind: str, m1: FiniteMixture, m2: FiniteMixture,
                 grid: Grid = DEFAULT_GRID) -> OrderVerdict:
-    """m1 <= m2 in the order kind on grid: check_orders on one claim."""
+    """m1 <= m2 in the order kind (one of ORDER_KINDS) on grid:
+    check_orders on one claim."""
     return check_orders([(kind, m1, m2)], grid)[0]
-
-
-def check_st(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
-    """m1 <= m2 in the usual stochastic order: sf(m1) <= sf(m2) on the grid.
-    Points where both sfs underflow are skipped."""
-    return _st((m1,), (m2,), grid)[0]
-
-
-def check_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
-    """m1 <= m2 in the reversed hazard order: log cdf(m2) - log cdf(m1)
-    nondecreasing and, decided independently from the same kernel pass,
-    log rh(m1) <= log rh(m2) pointwise.  A split decision signals numerical
-    trouble and yields inconclusive."""
-    return _rh((m1,), (m2,), grid)[0]
-
-
-def check_lr(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
-    """m1 <= m2 in the likelihood ratio order: pdf(m2)/pdf(m1) nondecreasing."""
-    return _lr((m1,), (m2,), grid)[0]
-
-
-def check_r_rh(m1: FiniteMixture, m2: FiniteMixture, grid: Grid = DEFAULT_GRID) -> OrderVerdict:
-    """m1 <= m2 in the reversed-hazard-ratio sense: rh(m1)/rh(m2) nonincreasing."""
-    return _r_rh((m1,), (m2,), grid)[0]
 
 
 # ---------------------------------------------------------------------------

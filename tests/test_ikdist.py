@@ -44,6 +44,35 @@ class TestValidation:
         with pytest.raises(DomainError):
             ik_reversed_hazard(0.0, IKParams(1.0, 1.0))
 
+    @pytest.mark.parametrize("x", [0.0, -1.0, [1.0, 0.0], np.array([2.0, -0.5])])
+    def test_rh_error_names_the_positive_bound(self, x):
+        with pytest.raises(DomainError, match=r"^x must be > 0$"):
+            ik_reversed_hazard(x, IKParams(1.0, 1.0))
+
+    def test_rh_takes_every_positive_x(self):
+        # the only bound is x > 0: subnormal x are evaluated, and for
+        # IK(1, 1) near 0, u = x and rh = 1/x, which overflows at 5e-324
+        x = np.finfo(float).tiny / 2
+        assert ik_reversed_hazard(x, IKParams(1.0, 1.0)) == pytest.approx(1.0 / x, rel=1e-15)
+        with np.errstate(over="ignore"):
+            assert ik_reversed_hazard(5e-324, IKParams(1.0, 1.0)) == np.inf
+
+    @pytest.mark.parametrize("alpha, beta, want", [
+        (np.int64(2), 1, (2.0, 1.0)), (1.0, np.float32(1.0), (1.0, 1.0)),
+        (np.float32(0.5), np.int32(3), (0.5, 3.0)), (np.float64(0.25), 7, (0.25, 7.0))])
+    def test_numpy_scalars_are_stored_as_floats(self, alpha, beta, want):
+        p = IKParams(alpha, beta)
+        assert (p.alpha, p.beta) == want
+        assert type(p.alpha) is float and type(p.beta) is float
+
+    @pytest.mark.parametrize("bad", [np.float64("nan"), np.float32("inf"), np.int64(0),
+                                     np.float64(-1.0), True, np.bool_(True), "1.0"])
+    def test_bad_scalars_still_rejected(self, bad):
+        with pytest.raises(DomainError):
+            IKParams(bad, 1.0)
+        with pytest.raises(DomainError):
+            IKParams(1.0, bad)
+
     @pytest.mark.parametrize("u", [0.0, 1.0, -0.2, 1.5])
     def test_quantile_level_open_interval(self, u):
         with pytest.raises(DomainError):

@@ -65,6 +65,41 @@ class TestConstruction:
         m = FiniteMixture((0.30000004, 0.6999999), (IKParams(1, 1), IKParams(2, 1)))
         assert abs(sum(m.weights) - 1.0) <= 4e-16
 
+    def test_weights_are_divided_by_their_fsum(self):
+        r = np.random.default_rng(17)
+        for n in range(1, 8):
+            for _ in range(100):
+                raw = r.dirichlet(np.ones(n)) * (1.0 + r.uniform(-5e-7, 5e-7))
+                weights = tuple(raw.tolist())
+                m = FiniteMixture(weights, (IKParams(1, 1),) * n)
+                assert m.weights == tuple(w / math.fsum(weights) for w in weights)
+
+    def test_two_weights_total_as_the_compensated_sum(self):
+        # for two terms the compensated sum is s + e, where e is the exact
+        # rounding error of s = a + b, so it rounds back to s: fsum's value
+        r = np.random.default_rng(18)
+        for a, shift in zip(r.uniform(1e-6, 1.0, 2000), r.uniform(-5e-7, 5e-7, 2000)):
+            pair = (float(a), float(1.0 - a + shift))
+            assert math.fsum(pair).hex() == neumaier_sum(pair).hex()
+            m = FiniteMixture(pair, (IKParams(1, 1), IKParams(2, 1)))
+            assert m.weights == tuple(w / neumaier_sum(pair) for w in pair)
+
+    @pytest.mark.parametrize("alpha, beta, alphas, betas", [
+        (np.array([1, 2]), 1.0, (1.0, 2.0), (1.0, 1.0)),
+        (np.array(2.0), 1.0, (2.0, 2.0), (1.0, 1.0)),
+        (0.5, np.array(3), (0.5, 0.5), (3.0, 3.0)),
+        (np.float32(0.5), np.array([np.int64(1), np.int64(4)]), (0.5, 0.5), (1.0, 4.0))])
+    def test_build_takes_numpy_values(self, alpha, beta, alphas, betas):
+        m = FiniteMixture.build([0.5, 0.5], alpha, beta)
+        assert (m.alphas, m.betas) == (alphas, betas)
+        assert all(type(v) is float for v in m.alphas + m.betas)
+
+    @pytest.mark.parametrize("bad", [np.array(np.nan), np.array(np.inf), np.array(0.0),
+                                     np.array([1.0, -1.0]), np.array(True), np.array("1")])
+    def test_build_rejects_bad_numpy_values(self, bad):
+        with pytest.raises(DomainError):
+            FiniteMixture.build([0.5, 0.5], bad, 1.0)
+
     def test_from_dict_broadcast(self):
         m = FiniteMixture.from_dict({"weights": [0.25, 0.75], "alpha": 2.0,
                                      "beta": [0.5, 1.5]})
@@ -536,7 +571,7 @@ class TestKernelBitIdentity:
 class TestKernelStacks:
     """The kernel and the sf on a tuple of mixtures that share a component
     count: one row per mixture, each bit-identical to that mixture alone,
-    in blocks of at most _BLOCK_VALUES values."""
+    with the components cut as for each mixture alone."""
 
     NAMES = ("cdf", "pdf", "rh")
 
@@ -545,9 +580,9 @@ class TestKernelStacks:
                                                  (2, 500, 17), (3, 77, 40)])
     def test_rows_are_bit_identical(self, monkeypatch, n, points, rows, block_values):
         # 70 x 2000 cuts every mixture into blocks of 4 components; 2 x 500
-        # and 3 x 77 put 8 and 35 mixtures into one block, so 17 and 40
-        # rows span several groups; _BLOCK_VALUES = 1 gives one component
-        # of one mixture per block
+        # and 3 x 77 keep each mixture in one block, which holds all 17 and
+        # 40 rows; _BLOCK_VALUES = 1 gives one component of every mixture
+        # per block
         if block_values is not None:
             monkeypatch.setattr(mixture, "_BLOCK_VALUES", block_values)
         r = np.random.default_rng(1000 * n + rows)

@@ -27,12 +27,8 @@ from ikmix import (
     FiniteMixture,
     Grid,
     IKParams,
-    check_lr,
     check_order,
     check_orders,
-    check_r_rh,
-    check_rh,
-    check_st,
     difference_curve,
     write_curve_csv,
 )
@@ -89,6 +85,15 @@ class TestGrid:
         with pytest.raises(DomainError):
             Grid.from_spec(spec)
 
+    @pytest.mark.parametrize("points", [2.7, 2000.0, np.float64(500.0), "2000", True])
+    def test_points_must_be_an_integer(self, points):
+        with pytest.raises(DomainError, match="grid points must be an integer"):
+            Grid(1e-4, 1e4, points)
+
+    def test_numpy_int_points(self):
+        g = Grid(1e-4, 1e4, np.int64(2000))
+        assert g == DEFAULT_GRID and type(g.points) is int
+
     def test_linear_spacing(self):
         g = Grid(1.0, 3.0, 5, "linear")
         np.testing.assert_allclose(g.xs(), [1.0, 1.5, 2.0, 2.5, 3.0])
@@ -118,20 +123,20 @@ class TestStOrder:
     def test_beta_shift_dominates(self):
         lo = _mix((1.0,), (2.0,), (1.0,))
         hi = _mix((1.0,), (2.0,), (3.0,))
-        assert check_st(lo, hi).status == "holds_on_grid"
-        v = check_st(hi, lo)
+        assert check_order("st", lo, hi).status == "holds_on_grid"
+        v = check_order("st", hi, lo)
         assert v.status == "violated"
         assert v.witness is not None and v.witness.lhs > v.witness.rhs
 
     def test_identical_mixtures_hold(self):
         m = _mix((0.4, 0.6), (1.0, 2.0), (0.5, 1.5))
-        assert check_st(m, m).status == "holds_on_grid"
+        assert check_order("st", m, m).status == "holds_on_grid"
 
     def test_determinism(self):
         m1 = _mix((0.4, 0.6), (1.0, 2.0), (0.5, 1.5))
         m2 = _mix((0.6, 0.4), (1.0, 2.0), (0.5, 1.5))
-        a = check_st(m1, m2).to_dict()
-        b = check_st(m1, m2).to_dict()
+        a = check_order("st", m1, m2).to_dict()
+        b = check_order("st", m1, m2).to_dict()
         assert a == b
 
     def test_skips_only_where_both_sides_underflow(self):
@@ -139,9 +144,9 @@ class TestStOrder:
         # does on the default grid, and sf of IK(140, 1) underflows too
         steep = _mix((1.0,), (150.0,), (1.0,))
         mild = _mix((1.0,), (20.0,), (1.0,))
-        v = check_st(steep, mild)
+        v = check_order("st", steep, mild)
         assert (v.status, v.skipped_points) == ("holds_on_grid", 0)
-        both = check_st(steep, _mix((1.0,), (140.0,), (1.0,)))
+        both = check_order("st", steep, _mix((1.0,), (140.0,), (1.0,)))
         assert both.status == "inconclusive"
         assert both.skipped_points == 465
         assert both.reason == "465 of 2000 grid points underflowed float64"
@@ -459,20 +464,20 @@ class TestRatioChecks:
         # density ratio of (a, b2)/(a, b1) is monotone in the b2 > b1 sense
         m1 = _mix((1.0,), (2.0,), (1.0,))
         m2 = _mix((1.0,), (2.0,), (3.0,))
-        assert check_lr(m1, m2).status == "holds_on_grid"
-        assert check_lr(m2, m1).status == "violated"
+        assert check_order("lr", m1, m2).status == "holds_on_grid"
+        assert check_order("lr", m2, m1).status == "violated"
 
     def test_r_rh_direction(self):
         # reversed hazards: rh1/rh2 nonincreasing wants m2 ageing slower
         m1 = _mix((1.0,), (2.0,), (1.0,))
         m2 = _mix((1.0,), (2.0,), (3.0,))
-        assert check_r_rh(m2, m1).status == "holds_on_grid"
+        assert check_order("r_rh", m2, m1).status == "holds_on_grid"
 
     def test_rh_direction(self):
         m1 = _mix((1.0,), (2.0,), (1.0,))
         m2 = _mix((1.0,), (2.0,), (3.0,))
-        assert check_rh(m1, m2).status == "holds_on_grid"
-        assert check_rh(m2, m1).status == "violated"
+        assert check_order("rh", m1, m2).status == "holds_on_grid"
+        assert check_order("rh", m2, m1).status == "violated"
 
     def test_deep_tail_decided_against_mpmath(self):
         # the cdfs and pdfs lie near exp(-740) on this grid, below float64;
@@ -486,7 +491,7 @@ class TestRatioChecks:
                 v = check_order(kind, m1, m2, grid)
                 assert v.skipped_points == v.nonfinite_points == 0
                 assert v.status == _mp_status(kind, m1, m2, grid, v), (kind, m1, m2)
-        assert check_lr(deep, deep, grid).status == "holds_on_grid"
+        assert check_order("lr", deep, deep, grid).status == "holds_on_grid"
 
     def test_found_pair_is_decided_without_warnings(self):
         # the linear reversed hazards of this pair are 0/0 at 740 of the
@@ -494,11 +499,11 @@ class TestRatioChecks:
         m1 = _mix((0.5, 0.5), (1.0, 1.0), (400.0, 300.0))
         m2 = _mix((0.3, 0.7), (1.0, 1.0), (400.0, 300.0))
         for a, b in ((m1, m2), (m2, m1)):
-            v, caught = _with_warnings(check_r_rh, a, b)
+            v, caught = _with_warnings(check_order, "r_rh", a, b)
             assert caught == []
             assert v.status != "inconclusive" and v.nonfinite_points == 0
             assert v.status == _mp_status("r_rh", a, b, DEFAULT_GRID, v)
-        assert check_r_rh(m1, m2).status == "violated"
+        assert check_order("r_rh", m1, m2).status == "violated"
 
     def test_nonfinite_points_go_inconclusive(self):
         # alpha * x underflows to 0 below x = 4.9e-304, so u, the cdf and
@@ -523,7 +528,7 @@ class TestRatioChecks:
             check_order("hazard", m, m)
 
 
-# The usable-point gate and the pointwise tail of check_rh, copied here so
+# The usable-point gate and the pointwise tail of the rh check, copied here so
 # that the reference shares no decision code with the checks it is
 # compared against.
 
@@ -596,7 +601,7 @@ def _with_warnings(fn, *args):
 
 
 class TestRhOnePass:
-    """check_rh takes log cdf and log pdf from one kernel pass per mixture;
+    """The rh check takes log cdf and log pdf from one kernel pass per mixture;
     its verdicts equal the reference's, which makes a pass for each."""
 
     @pytest.mark.parametrize("grid", [DEFAULT_GRID, Grid(1e-4, 3e-4, 200)])
@@ -604,7 +609,7 @@ class TestRhOnePass:
         for fid in catalog.ids():
             po = catalog.checker_report(fid).orientation
             for m1, m2 in ((po.lhs, po.rhs), (po.rhs, po.lhs)):
-                got = _with_warnings(check_rh, m1, m2, grid)
+                got = _with_warnings(check_order, "rh", m1, m2, grid)
                 want = _with_warnings(_reference_check_rh, m1, m2, grid)
                 assert got[0].to_dict() == want[0].to_dict(), (fid, grid)
                 assert got[1] == want[1] == [], fid
@@ -614,7 +619,7 @@ class TestRhOnePass:
         m1 = _mix((0.5, 0.5), (1.0, 1.0), (400.0, 300.0))
         m2 = _mix((0.3, 0.7), (1.0, 1.0), (400.0, 300.0))
         for a, b in ((m1, m2), (m2, m1)):
-            got, got_warned = _with_warnings(check_rh, a, b)
+            got, got_warned = _with_warnings(check_order, "rh", a, b)
             want, want_warned = _with_warnings(_reference_check_rh, a, b)
             assert got.to_dict() == want.to_dict()
             assert got_warned == want_warned == []
@@ -630,13 +635,13 @@ class TestRhOnePass:
         m2 = _mix((1.0,), (1e306,), (1.0,))
         assert np.sum(mixture_reversed_hazard(grid.xs(), m1) == math.inf) == overflowing
         for a, b, status in ((m1, m2, "violated"), (m2, m1, "holds_on_grid")):
-            got, got_warned = _with_warnings(check_rh, a, b, grid)
+            got, got_warned = _with_warnings(check_order, "rh", a, b, grid)
             want, _ = _with_warnings(_reference_check_rh, a, b, grid)
             assert got.to_dict() == want.to_dict()
             assert got_warned == []
             assert got.nonfinite_points == 0
             assert got.status == status
-        v = check_rh(m1, m2, grid)
+        v = check_order("rh", m1, m2, grid)
         assert v.witness.x == grid.x_min
         assert v.witness.lhs == math.inf
         assert float(mp_mixture(grid.x_min, m1)["rh"]) == math.inf
@@ -967,8 +972,9 @@ def test_to_dict_keeps_the_literal_keys_and_order(catalog):
     po = catalog.checker_report("ce3.1").orientation
     verdicts = [check_order(kind, a, b) for kind in ORDER_KINDS
                 for a, b in ((po.lhs, po.rhs), (po.rhs, po.lhs))]
-    verdicts += [check_st(po.lhs, po.lhs),
-                 check_st(_mix((1.0,), (150.0,), (1.0,)), _mix((1.0,), (140.0,), (1.0,)))]
+    verdicts += [check_order("st", po.lhs, po.lhs),
+                 check_order("st", _mix((1.0,), (150.0,), (1.0,)),
+                             _mix((1.0,), (140.0,), (1.0,)))]
     assert {v.status for v in verdicts} == {"violated", "holds_on_grid", "inconclusive"}
     objects = [DEFAULT_GRID, Grid(1.0, 2.0, 5, "linear"), verdicts[0].witness, *verdicts,
                Hypothesis("h", True, "d"), CheckOutcome("c", False, "d"),
@@ -984,7 +990,7 @@ def test_to_dict_keeps_the_literal_keys_and_order(catalog):
 # ---------------------------------------------------------------------------
 
 
-_ALONE = {"st": check_st, "rh": check_rh, "lr": check_lr, "r_rh": check_r_rh}
+_ALONE = {kind: functools.partial(check_order, kind) for kind in ORDER_KINDS}
 
 
 def _scan_claims(theorem: str, samples: int, seed: int) -> list:

@@ -105,6 +105,13 @@ class TestScanConfig:
         cfg = ScanConfig.from_dict(dict(ALARM_CONFIG, grid="1e-2:1e2:500:log"))
         assert cfg.grid == Grid(1e-2, 1e2, 500, "logarithmic")
 
+    def test_grid_points_must_be_an_integer(self):
+        grid = {"x_min": 1e-4, "x_max": 1e4, "points": 2.7}
+        with pytest.raises(DomainError, match="grid points must be an integer"):
+            ScanConfig.from_dict(dict(ALARM_CONFIG, grid=grid))
+        cfg = ScanConfig.from_dict(dict(ALARM_CONFIG, grid=dict(grid, points=500)))
+        assert cfg.grid.points == 500
+
 
 # ---------------------------------------------------------------------------
 # sampling
