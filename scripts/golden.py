@@ -14,6 +14,12 @@ DIR receives, from the ikmix under this checkout's src/:
                                              orientation under each order
                                              kind, both ways round (crossings
                                              read)
+  reports.json, reports.exit                 the to_dict() of every catalog
+                                             fixture's theorem report and of
+                                             every draw's report in each
+                                             scan config, replayed as
+                                             run_scan draws it, each with
+                                             its orientation's to_dict()
 
 Every run turns RuntimeWarnings into errors, so a warning shows up as a
 changed .exit file rather than as noise on stderr.
@@ -48,6 +54,28 @@ for fid in catalog.ids():
 json.dump(rows, sys.stdout, indent=1)
 sys.stdout.write("\\n")
 """
+# the orientation is recorded too: to_dict() leaves it out when a
+# hypothesis fails
+_REPORTS = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from ikmix import FixtureCatalog
+from ikmix.scan import ScanConfig, draw_sample
+from ikmix.theorems import CHECKERS
+def row(report, **where):
+    return dict(where, report=report.to_dict(), orientation=report.orientation.to_dict())
+catalog = FixtureCatalog()
+rows = [row(catalog.checker_report(fid), fixture=fid) for fid in catalog.ids()]
+for path in sorted(Path("scripts", "scan_configs").glob("*.json")):
+    config = ScanConfig.from_file(path)
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    for index in range(config.samples):
+        report = CHECKERS[config.theorem](**draw_sample(config, rng))
+        rows.append(row(report, scan=path.stem, index=index))
+json.dump(rows, sys.stdout, indent=1)
+sys.stdout.write("\\n")
+"""
 
 
 def _run(args: list[str]) -> subprocess.CompletedProcess:
@@ -72,9 +100,10 @@ def write(outdir: Path) -> None:
         report = outdir / f"scan_{config.stem}.report.json"
         _record(outdir, f"scan_{config.stem}",
                 _run(["-c", _CLI, "scan", str(config), "--out", str(report)]))
-    verdicts = _run(["-c", _VERDICTS])
-    (outdir / "verdicts.json").write_bytes(verdicts.stdout)
-    (outdir / "verdicts.exit").write_text(f"{verdicts.returncode}\n")
+    for name, script in (("verdicts", _VERDICTS), ("reports", _REPORTS)):
+        proc = _run(["-c", script])
+        (outdir / f"{name}.json").write_bytes(proc.stdout)
+        (outdir / f"{name}.exit").write_text(f"{proc.returncode}\n")
     curves = _run([str(ROOT / "scripts" / "dump_curves.py"), "--outdir", str(outdir / "curves")])
     if curves.returncode != 0:
         raise SystemExit(f"dump_curves.py exited {curves.returncode}")

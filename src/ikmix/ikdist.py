@@ -55,14 +55,21 @@ class IKParams:
     beta: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Real) or isinstance(v, bool):
-                raise DomainError(f"{name} must be a real number, got {v!r}")
-            if not math.isfinite(v) or v <= 0:
-                raise DomainError(f"{name} must be positive and finite, got {v!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "alpha", _positive("alpha", self.alpha))
+        object.__setattr__(self, "beta", _positive("beta", self.beta))
+
+
+def _positive(name: str, v) -> float:
+    """v as a float if it is a positive finite real (not a bool), else DomainError."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        raise DomainError(f"{name} must be a real number, got {v!r}")
+    try:
+        f = float(v)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f) or f <= 0:
+        raise DomainError(f"{name} must be positive and finite, got {v!r}")
+    return f
 
 
 # ---------------------------------------------------------------------------

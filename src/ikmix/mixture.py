@@ -24,11 +24,12 @@ and the order checks' crossings lives here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ikdist import DomainError, IKParams, _as_x, _log_cdf, _log_pdf, _log_u, _sf, ik_quantile
+from .ikdist import (DomainError, IKParams, _as_x, _log_cdf, _log_pdf, _log_u, _positive, _sf,
+                     ik_quantile)
 
 __all__ = [
     "EVALUATORS",
@@ -72,71 +73,51 @@ def neumaier_sum(terms):
 
 @dataclass(frozen=True)
 class FiniteMixture:
-    """Weighted finite mixture.  Weights are validated against a raw-sum
-    tolerance of 1e-6 and then renormalized to sum to 1 exactly (in the
+    """Mixture of IK(alphas[i], betas[i]) components with weights[i], each a
+    positive finite real number, stored as tuples of floats; a scalar alpha
+    or beta broadcasts across the components.  The raw weights must sum to
+    1 within 1e-6 and are then renormalized to sum to 1 exactly (in the
     floating-point sense), so downstream code never sees drift."""
 
     weights: tuple[float, ...]
-    components: tuple[IKParams, ...] = field(default=())
+    alphas: tuple[float, ...]
+    betas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        weights = tuple(float(w) for w in self.weights)
-        components = tuple(self.components)
-        if len(weights) == 0:
+        try:
+            weights = tuple(self.weights)
+        except TypeError:
+            raise DomainError(f"weights must be a list of real numbers, "
+                              f"got {self.weights!r}") from None
+        n = len(weights)
+        if n == 0:
             raise DomainError("mixture needs at least one component")
-        if len(weights) != len(components):
-            raise DomainError(
-                f"{len(weights)} weights vs {len(components)} components"
-            )
-        for w in weights:
-            if not math.isfinite(w) or w <= 0:
-                raise DomainError(f"weights must be positive and finite, got {w!r}")
-        for comp in components:
-            if not isinstance(comp, IKParams):
-                raise DomainError(f"components must be IKParams, got {comp!r}")
+        weights = tuple(_positive("weights", w) for w in weights)
+        alphas = tuple(_positive("alpha", a) for a in _per_component("alpha", self.alphas, n))
+        betas = tuple(_positive("beta", b) for b in _per_component("beta", self.betas, n))
+        if len(alphas) != n or len(betas) != n:
+            raise DomainError(f"{n} weights vs {len(alphas)} alphas and {len(betas)} betas")
         total = math.fsum(weights)
         if abs(total - 1.0) > _RAW_WEIGHT_TOL:
             raise DomainError(f"raw weights sum to {total!r}, beyond 1e-6 of 1")
         object.__setattr__(self, "weights", tuple(w / total for w in weights))
-        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "betas", betas)
 
     @property
     def n(self) -> int:
         return len(self.weights)
 
-    @property
-    def alphas(self) -> tuple[float, ...]:
-        return tuple(c.alpha for c in self.components)
-
-    @property
-    def betas(self) -> tuple[float, ...]:
-        return tuple(c.beta for c in self.components)
-
-    @classmethod
-    def build(cls, weights, alpha, beta) -> "FiniteMixture":
-        """Mixture of IK(alpha_i, beta_i) components with the given weights.
-        A scalar alpha or beta broadcasts across all components; a vector
-        must have one entry per weight."""
-        weights = tuple(weights)
-        n = len(weights)
-        alphas = _per_component("alpha", alpha, n)
-        betas = _per_component("beta", beta, n)
-        if len(alphas) != n or len(betas) != n:
-            raise DomainError(f"{n} weights vs {len(alphas)} alphas and {len(betas)} betas")
-        return cls(weights, tuple(IKParams(a, b) for a, b in zip(alphas, betas)))
-
     # JSON round trip: {"weights": [...], "alpha": [...] | scalar,
-    # "beta": [...] | scalar}, read through build.
+    # "beta": [...] | scalar}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "FiniteMixture":
         try:
-            weights = list(obj["weights"])
-            alpha = obj["alpha"]
-            beta = obj["beta"]
+            weights, alpha, beta = obj["weights"], obj["alpha"], obj["beta"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"mixture dict needs weights/alpha/beta: {exc}") from exc
-        return cls.build(weights, alpha, beta)
+        return cls(weights, alpha, beta)
 
     def to_dict(self) -> dict:
         return {
@@ -310,7 +291,7 @@ def mixture_quantile(u: float, m: FiniteMixture) -> float:
     u = float(u)
     if not (0.0 < u < 1.0):
         raise DomainError(f"quantile level must lie in (0, 1), got {u!r}")
-    qs = [float(ik_quantile(u, c)) for c in m.components]
+    qs = [float(ik_quantile(u, IKParams(a, b))) for a, b in zip(m.alphas, m.betas)]
     lo, hi = min(qs), max(qs)
     if hi <= lo:
         return lo

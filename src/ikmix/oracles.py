@@ -322,8 +322,8 @@ def sweep_delta2(p, beta, alpha: float, xs) -> SignReport:
 
 
 def sweep_xi_310(p, beta, p_star, beta_star, alpha: float, xs) -> SignReport:
-    m1 = FiniteMixture.build(p, alpha, beta)
-    m2 = FiniteMixture.build(p_star, alpha, beta_star)
+    m1 = FiniteMixture(p, alpha, beta)
+    m2 = FiniteMixture(p_star, alpha, beta_star)
     values, derivs, fds = [], [], []
     for x in xs:
         v = xi_310(p, beta, p_star, beta_star, alpha, x)
@@ -340,8 +340,8 @@ def _sweep_ratio(function_id: str, xi, evaluator, p, alpha, beta,
     """xi against d/dx [f(m1)/f(m2)] = xi / f(m2)^2 for the mixture
     function f = evaluator, and that derivative against its finite
     difference."""
-    m1 = FiniteMixture.build(p, alpha, beta)
-    m2 = FiniteMixture.build(p_star, alpha_star, beta_star)
+    m1 = FiniteMixture(p, alpha, beta)
+    m2 = FiniteMixture(p_star, alpha_star, beta_star)
     values, derivs, fds = [], [], []
     for x in xs:
         v = xi(p, alpha, beta, p_star, alpha_star, beta_star, x)

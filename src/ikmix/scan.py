@@ -37,6 +37,8 @@ __all__ = [
 
 SCANNABLE_THEOREMS = tuple(SCAN_LAYOUTS)
 
+_GRID_KEYS = {"x_min", "x_max", "points", "spacing"}
+
 CATEGORIES = (
     "soundness_alarm",
     "consistent",
@@ -113,8 +115,11 @@ class ScanConfig:
             g = DEFAULT_GRID
         elif isinstance(grid, str):
             g = Grid.from_spec(grid)
-        else:
+        elif isinstance(grid, dict) and {"x_min", "x_max"} <= grid.keys() <= _GRID_KEYS:
             g = Grid(**grid)
+        else:
+            raise DomainError("scan config grid must be a spec string or a dict with keys "
+                              f"x_min, x_max and optionally points, spacing; got {grid!r}")
         missing = [k for k in ("theorem", "samples", "seed", "ranges")
                    if k not in d]
         if missing:

@@ -7,6 +7,10 @@ decide an order themselves; when every hypothesis holds they expose the
 predicted order in the normal form lhs <= rhs for the named order kind,
 and verify_prediction hands that claim to the grid engine.
 
+A vector checker builds the mixtures of its predicted order first, so
+FiniteMixture validates each weight and shape once (a scalar shape
+broadcasts), and the hypotheses read the shapes back from them.
+
 CHECKERS maps every condition id to its checker and is the one place
 where ids meet code; SCAN_LAYOUTS gives the draw layout of the ids that
 can be region-scanned.
@@ -20,13 +24,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import partial
 
-import numpy as np
-
 from .ikdist import DomainError
 from .majorization import (
     ParamMatrix2xN,
     TTransform,
-    _vec as _finite_vec,
     apply_t_transform,
     chain_majorization_verify,
     in_script_l,
@@ -161,13 +162,6 @@ def verify_prediction(report: ConditionReport, grid: Grid = DEFAULT_GRID) -> Ver
 # ---------------------------------------------------------------------------
 
 
-def _vec(v, name: str) -> tuple[float, ...]:
-    arr = _finite_vec(v, name)
-    if np.any(arr <= 0):
-        raise DomainError(f"{name} must be positive")
-    return tuple(float(x) for x in arr)
-
-
 def _script_l_hyp(name: str, row1, row2, what: str) -> Hypothesis:
     pm = ParamMatrix2xN(tuple(row1), tuple(row2))
     held = in_script_l(pm)
@@ -199,9 +193,12 @@ def _weight_shift_common_beta(theorem_id: str, alpha, beta: float, p, p_star,
     """Both weight vectors oppositely ordered to alpha, plus the weight
     relation (name, predicate(p, p*), detail if held, detail if not);
     concludes mixture(p*) <= mixture(p) in the usual stochastic order."""
-    alpha = _vec(alpha, "alpha")
-    p = _vec(p, "p")
-    p_star = _vec(p_star, "p_star")
+    orientation = PredictedOrder(
+        "st", FiniteMixture(p_star, alpha, beta), FiniteMixture(p, alpha, beta),
+        "mixture with shifted weights p*", "mixture with original weights p",
+    )
+    alpha = orientation.rhs.alphas
+    p, p_star = tuple(float(w) for w in p), tuple(float(w) for w in p_star)
     name, predicate, held_detail, failed_detail = relation
     held = predicate(p, p_star)
     hyps = (
@@ -209,17 +206,12 @@ def _weight_shift_common_beta(theorem_id: str, alpha, beta: float, p, p_star,
         _script_l_hyp("alpha_p_star_in_script_l", p_star, alpha, "(p*, alpha)"),
         Hypothesis(name, held, held_detail if held else failed_detail),
     )
-    orientation = PredictedOrder(
-        "st",
-        FiniteMixture.build(p_star, alpha, beta), FiniteMixture.build(p, alpha, beta),
-        "mixture with shifted weights p*", "mixture with original weights p",
-    )
     return ConditionReport(theorem_id, hyps, orientation)
 
 
 def check_theorem_3_1(alpha, beta: float, p, p_star) -> ConditionReport:
     """Weight shift under a common beta; concludes mixture(p*) <= mixture(p)
-    in the usual stochastic order."""
+    in the usual stochastic order.  A scalar alpha broadcasts."""
     return _weight_shift_common_beta("T3.1", alpha, beta, p, p_star, (
         "p_star_weakly_submajorized_by_p", weak_submajorizes,
         "ascending suffix sums of p dominate those of p*",
@@ -227,7 +219,8 @@ def check_theorem_3_1(alpha, beta: float, p, p_star) -> ConditionReport:
 
 
 def check_corollary_3_1(alpha, beta: float, p, p_star) -> ConditionReport:
-    """Plain-majorization variant of T3.1 (same conclusion)."""
+    """Plain-majorization variant of T3.1 (same conclusion).  A scalar alpha
+    broadcasts."""
     return _weight_shift_common_beta("C3.1", alpha, beta, p, p_star, (
         "p_star_majorized_by_p", majorizes,
         "majorizes(p, p*) = True", "majorizes(p, p*) = False"))
@@ -235,10 +228,13 @@ def check_corollary_3_1(alpha, beta: float, p, p_star) -> ConditionReport:
 
 def check_theorem_3_2(beta, alpha: float, p, p_star) -> ConditionReport:
     """Weight shift under a common alpha; concludes mixture(p) <= mixture(p*)
-    in the usual stochastic order."""
-    beta = _vec(beta, "beta")
-    p = _vec(p, "p")
-    p_star = _vec(p_star, "p_star")
+    in the usual stochastic order.  A scalar beta broadcasts."""
+    orientation = PredictedOrder(
+        "st", FiniteMixture(p, alpha, beta), FiniteMixture(p_star, alpha, beta),
+        "mixture with original weights p", "mixture with shifted weights p*",
+    )
+    beta = orientation.lhs.betas
+    p, p_star = tuple(float(w) for w in p), tuple(float(w) for w in p_star)
     sup = weak_supermajorizes(p, p_star)
     hyps = (
         _script_l_hyp("beta_p_in_script_l", p, beta, "(p, beta)"),
@@ -247,20 +243,19 @@ def check_theorem_3_2(beta, alpha: float, p, p_star) -> ConditionReport:
                    "ascending prefix sums of p stay below those of p*" if sup
                    else "some ascending prefix sum of p exceeds p*'s"),
     )
-    orientation = PredictedOrder(
-        "st",
-        FiniteMixture.build(p, alpha, beta), FiniteMixture.build(p_star, alpha, beta),
-        "mixture with original weights p", "mixture with shifted weights p*",
-    )
     return ConditionReport("T3.2", hyps, orientation)
 
 
 def check_theorem_3_3(alpha, alpha_star, beta: float, p) -> ConditionReport:
     """Shape shift in the alpha vector under fixed weights and a shared
-    beta inside (0,1); concludes mixture(alpha*) <= mixture(alpha)."""
-    alpha = _vec(alpha, "alpha")
-    alpha_star = _vec(alpha_star, "alpha_star")
-    p = _vec(p, "p")
+    beta inside (0,1); concludes mixture(alpha*) <= mixture(alpha).  A
+    scalar alpha or alpha* broadcasts."""
+    orientation = PredictedOrder(
+        "st", FiniteMixture(p, alpha_star, beta), FiniteMixture(p, alpha, beta),
+        "mixture with shifted shapes alpha*", "mixture with original shapes alpha",
+    )
+    alpha_star, alpha = orientation.lhs.alphas, orientation.rhs.alphas
+    p = tuple(float(w) for w in p)
     sup = weak_supermajorizes(alpha, alpha_star)
     hyps = (
         _beta_unit_hyp(beta),
@@ -269,11 +264,6 @@ def check_theorem_3_3(alpha, alpha_star, beta: float, p) -> ConditionReport:
         Hypothesis("alpha_star_weakly_supermajorized_by_alpha", sup,
                    "ascending prefix sums of alpha stay below those of alpha*" if sup
                    else "some ascending prefix sum of alpha exceeds alpha*'s"),
-    )
-    orientation = PredictedOrder(
-        "st",
-        FiniteMixture.build(p, alpha_star, beta), FiniteMixture.build(p, alpha, beta),
-        "mixture with shifted shapes alpha*", "mixture with original shapes alpha",
     )
     return ConditionReport("T3.3", hyps, orientation)
 
@@ -314,8 +304,8 @@ def _alpha_matrix_order(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN, beta: floa
     """(weights, alpha) rows under a shared beta: mixture(q) <= mixture(p)."""
     return PredictedOrder(
         "st",
-        FiniteMixture.build(q_mat.row1, q_mat.row2, beta),
-        FiniteMixture.build(p_mat.row1, p_mat.row2, beta),
+        FiniteMixture(q_mat.row1, q_mat.row2, beta),
+        FiniteMixture(p_mat.row1, p_mat.row2, beta),
         q_label, "mixture built from the source matrix p",
     )
 
@@ -325,8 +315,8 @@ def _beta_matrix_order(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
     """(weights, beta) rows under a shared alpha: mixture(p) <= mixture(q)."""
     return PredictedOrder(
         "st",
-        FiniteMixture.build(p_mat.row1, alpha, p_mat.row2),
-        FiniteMixture.build(q_mat.row1, alpha, q_mat.row2),
+        FiniteMixture(p_mat.row1, alpha, p_mat.row2),
+        FiniteMixture(q_mat.row1, alpha, q_mat.row2),
         "mixture built from the source matrix p",
         "mixture built from the transformed matrix q",
     )
@@ -407,11 +397,13 @@ def check_corollary_3_3(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
 
 def check_theorem_3_10(beta, beta_star, alpha: float, p, p_star) -> ConditionReport:
     """Gap condition on the beta vectors under a common alpha; claims the
-    reversed-hazard-ratio order mixture(beta; p) <= mixture(beta*; p*)."""
-    beta = _vec(beta, "beta")
-    beta_star = _vec(beta_star, "beta_star")
-    p = _vec(p, "p")
-    p_star = _vec(p_star, "p_star")
+    reversed-hazard-ratio order mixture(beta; p) <= mixture(beta*; p*).  A
+    scalar beta or beta* broadcasts."""
+    orientation = PredictedOrder(
+        "r_rh", FiniteMixture(p, alpha, beta), FiniteMixture(p_star, alpha, beta_star),
+        "mixture with tightly clustered betas", "mixture with spread betas",
+    )
+    beta, beta_star = orientation.lhs.betas, orientation.rhs.betas
     max_gap = _gap_extremes(beta)[0]
     min_gap_star = _gap_extremes(beta_star)[1]
     held = max_gap <= min_gap_star + _SLACK
@@ -420,19 +412,7 @@ def check_theorem_3_10(beta, beta_star, alpha: float, p, p_star) -> ConditionRep
                    f"max pairwise |beta gap| = {max_gap!r} vs "
                    f"min pairwise |beta* gap| = {min_gap_star!r}"),
     )
-    orientation = PredictedOrder(
-        "r_rh",
-        FiniteMixture.build(p, alpha, beta), FiniteMixture.build(p_star, alpha, beta_star),
-        "mixture with tightly clustered betas", "mixture with spread betas",
-    )
     return ConditionReport("T3.10", hyps, orientation)
-
-
-def _plain_and_starred(p, alpha, beta, p_star, alpha_star, beta_star):
-    plain = (_vec(p, "p"), _vec(alpha, "alpha"), _vec(beta, "beta"))
-    starred = (_vec(p_star, "p_star"), _vec(alpha_star, "alpha_star"),
-               _vec(beta_star, "beta_star"))
-    return plain, starred
 
 
 def _separated(theorem_id: str, kind: str, texts: tuple[str, ...],
@@ -443,7 +423,10 @@ def _separated(theorem_id: str, kind: str, texts: tuple[str, ...],
     holds the two hypothesis names, their detail templates (filled with
     max, min of each comparison) and the two labels."""
     a_name, a_detail, prod_name, prod_detail, lhs_label, rhs_label = texts
-    (_, alpha_lhs, beta_lhs), (_, alpha_rhs, beta_rhs) = lhs, rhs
+    orientation = PredictedOrder(kind, FiniteMixture(*lhs), FiniteMixture(*rhs),
+                                 lhs_label, rhs_label)
+    alpha_lhs, beta_lhs = orientation.lhs.alphas, orientation.lhs.betas
+    alpha_rhs, beta_rhs = orientation.rhs.alphas, orientation.rhs.betas
     prod_lhs = tuple(a * b for a, b in zip(alpha_lhs, beta_lhs))
     prod_rhs = tuple(a * b for a, b in zip(alpha_rhs, beta_rhs))
     hyps = (
@@ -452,34 +435,32 @@ def _separated(theorem_id: str, kind: str, texts: tuple[str, ...],
         Hypothesis(prod_name, max(prod_lhs) <= min(prod_rhs) + _SLACK,
                    prod_detail.format(max(prod_lhs), min(prod_rhs))),
     )
-    orientation = PredictedOrder(kind, FiniteMixture.build(*lhs), FiniteMixture.build(*rhs),
-                                 lhs_label, rhs_label)
     return ConditionReport(theorem_id, hyps, orientation)
 
 
 def check_theorem_3_11(p, alpha, beta, p_star, alpha_star, beta_star) -> ConditionReport:
     """Separation condition for the reversed hazard order between two fully
-    heterogeneous mixtures: mixture(alpha, beta; p) <= mixture(alpha*, beta*; p*)."""
-    plain, starred = _plain_and_starred(p, alpha, beta, p_star, alpha_star, beta_star)
+    heterogeneous mixtures: mixture(alpha, beta; p) <= mixture(alpha*, beta*; p*).
+    A scalar shape broadcasts across its mixture's components."""
     return _separated("T3.11", "rh", (
         "alpha_star_max_below_alpha_min", "max(alpha*) = {0!r} vs min(alpha) = {1!r}",
         "alpha_beta_products_below_starred",
         "max(alpha*beta) = {0!r} vs min(alpha**beta*) = {1!r}",
         "mixture with larger alphas", "mixture with larger alpha*beta products",
-    ), plain, starred)
+    ), (p, alpha, beta), (p_star, alpha_star, beta_star))
 
 
 def check_theorem_3_12(p, alpha, beta, p_star, alpha_star, beta_star) -> ConditionReport:
     """Separation condition for the likelihood ratio order:
     mixture(alpha*, beta*; p*) <= mixture(alpha, beta; p), i.e. T3.11 with
-    the roles of the two mixtures swapped."""
-    plain, starred = _plain_and_starred(p, alpha, beta, p_star, alpha_star, beta_star)
+    the roles of the two mixtures swapped.  A scalar shape broadcasts
+    across its mixture's components."""
     return _separated("T3.12", "lr", (
         "alpha_max_below_alpha_star_min", "max(alpha) = {0!r} vs min(alpha*) = {1!r}",
         "alpha_beta_products_above_starred",
         "min(alpha*beta) = {1!r} vs max(alpha**beta*) = {0!r}",
         "mixture with smaller alpha*beta products", "mixture with larger products",
-    ), starred, plain)
+    ), (p_star, alpha_star, beta_star), (p, alpha, beta))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ def random_mixture(rng: np.random.Generator, n: int | None = None,
         n = int(rng.integers(2, 4))
     raw = rng.uniform(0.05, 1.0, size=n)
     weights = tuple(raw / raw.sum())
-    comps = tuple(random_params(rng, alpha_range, beta_range) for _ in range(n))
-    return FiniteMixture(weights, comps)
+    comps = [random_params(rng, alpha_range, beta_range) for _ in range(n)]
+    return FiniteMixture(weights, [c.alpha for c in comps], [c.beta for c in comps])
 
 
 def random_script_l2(rng: np.random.Generator, row2_range=(0.3, 4.0)):
@@ -43,8 +43,8 @@ def mp_mixture(x, m: FiniteMixture, dps: int = 50) -> dict:
     with mp.workdps(dps):
         x = mp.mpf(float(x))
         F = S = f = fp = mp.mpf(0)
-        for w, c in zip(m.weights, m.components):
-            w, a, b = mp.mpf(w), mp.mpf(c.alpha), mp.mpf(c.beta)
+        for w, a, b in zip(m.weights, m.alphas, m.betas):
+            w, a, b = mp.mpf(w), mp.mpf(a), mp.mpf(b)
             # log u in the form that keeps its digits: from u = -expm1(-y)
             # while u is small, from t = exp(-y) = 1 - u once u nears 1
             y = a * mp.log1p(x)

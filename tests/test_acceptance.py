@@ -298,8 +298,9 @@ def test_criterion_6_implication_chain():
         for _ in range(2):
             w = rng.uniform(0.05, 1.0, n)
             w = w / w.sum()
-            comps = tuple(random_params(rng) for _ in range(n))
-            mixtures.append(FiniteMixture(tuple(w), comps))
+            comps = [random_params(rng) for _ in range(n)]
+            mixtures.append(FiniteMixture(tuple(w), [c.alpha for c in comps],
+                                          [c.beta for c in comps]))
         m1, m2 = mixtures
         verdicts = {kind: check_order(kind, m1, m2, ACCEPT_GRID)
                     for kind in ("lr", "rh", "st")}

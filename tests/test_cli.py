@@ -138,6 +138,17 @@ class TestEval:
         assert "error:" in err and "alpha must be a real number" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("weights, alpha, message", [
+        pytest.param([1.0], 10**400, "alpha must be positive and finite",
+                     id="401-digit alpha"),
+        pytest.param([None, 1.0], 1.0, "weights must be a real number", id="null weight")])
+    def test_bad_mixture_values_exit_1(self, capsys, tmp_path, weights, alpha, message):
+        m = write_mixture(tmp_path / "bad.json", weights, alpha, 1.0)
+        rc = main(["eval", "--mixture", m, "--x", "1", "--fn", "cdf"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
 
 # ---------------------------------------------------------------------------
 # order
@@ -382,3 +393,11 @@ class TestScan:
         assert main(["scan", str(cfg)]) == 1
         assert "missing required keys" in capsys.readouterr().err
         assert main(["scan", str(tmp_path / "nope.json")]) == 1
+
+    def test_bad_grid_exit_1(self, capsys, tmp_path):
+        cfg = tmp_path / "bad_grid.json"
+        cfg.write_text(json.dumps(dict(self.QUIET, grid={"x_min": 1e-4, "x_max": 1e4,
+                                                         "point": 100})))
+        assert main(["scan", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "x_min, x_max" in err

@@ -66,7 +66,9 @@ class TestValidation:
         assert type(p.alpha) is float and type(p.beta) is float
 
     @pytest.mark.parametrize("bad", [np.float64("nan"), np.float32("inf"), np.int64(0),
-                                     np.float64(-1.0), True, np.bool_(True), "1.0"])
+                                     np.float64(-1.0), True, np.bool_(True), "1.0",
+                                     pytest.param(10**400, id="401-digit int"),
+                                     pytest.param(-10**400, id="-(401-digit int)")])
     def test_bad_scalars_still_rejected(self, bad):
         with pytest.raises(DomainError):
             IKParams(bad, 1.0)

@@ -38,31 +38,26 @@ T310_GAP_PROBE = (Path(__file__).resolve().parents[1]
                   / "scripts" / "scan_configs" / "t310_gap_probe.json")
 
 
-def _mix(weights, alphas, betas) -> FiniteMixture:
-    return FiniteMixture(tuple(weights),
-                         tuple(IKParams(a, b) for a, b in zip(alphas, betas)))
-
-
-CE32_M = _mix((0.2, 0.6, 0.2), (1.0, 1.0, 1.0), (5.2, 15.8, 5.6))
-CE32_MSTAR = _mix((0.2, 0.5, 0.3), (1.0, 1.0, 1.0), (5.2, 15.8, 5.6))
+CE32_M = FiniteMixture((0.2, 0.6, 0.2), (1.0, 1.0, 1.0), (5.2, 15.8, 5.6))
+CE32_MSTAR = FiniteMixture((0.2, 0.5, 0.3), (1.0, 1.0, 1.0), (5.2, 15.8, 5.6))
 
 
 class TestConstruction:
     def test_weight_sum_tolerance(self):
-        FiniteMixture((0.5, 0.5000001), (IKParams(1, 1), IKParams(2, 1)))
+        FiniteMixture((0.5, 0.5000001), (1, 2), 1)
         with pytest.raises(DomainError):
-            FiniteMixture((0.5, 0.51), (IKParams(1, 1), IKParams(2, 1)))
+            FiniteMixture((0.5, 0.51), (1, 2), 1)
 
     def test_weights_positive(self):
         with pytest.raises(DomainError):
-            FiniteMixture((1.2, -0.2), (IKParams(1, 1), IKParams(2, 1)))
+            FiniteMixture((1.2, -0.2), (1, 2), 1)
 
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
-            FiniteMixture((0.5, 0.5), (IKParams(1, 1),))
+            FiniteMixture((0.5, 0.5), (1,), (1,))
 
     def test_renormalization_is_tight(self):
-        m = FiniteMixture((0.30000004, 0.6999999), (IKParams(1, 1), IKParams(2, 1)))
+        m = FiniteMixture((0.30000004, 0.6999999), (1, 2), 1)
         assert abs(sum(m.weights) - 1.0) <= 4e-16
 
     def test_weights_are_divided_by_their_fsum(self):
@@ -71,7 +66,7 @@ class TestConstruction:
             for _ in range(100):
                 raw = r.dirichlet(np.ones(n)) * (1.0 + r.uniform(-5e-7, 5e-7))
                 weights = tuple(raw.tolist())
-                m = FiniteMixture(weights, (IKParams(1, 1),) * n)
+                m = FiniteMixture(weights, 1, 1)
                 assert m.weights == tuple(w / math.fsum(weights) for w in weights)
 
     def test_two_weights_total_as_the_compensated_sum(self):
@@ -81,7 +76,7 @@ class TestConstruction:
         for a, shift in zip(r.uniform(1e-6, 1.0, 2000), r.uniform(-5e-7, 5e-7, 2000)):
             pair = (float(a), float(1.0 - a + shift))
             assert math.fsum(pair).hex() == neumaier_sum(pair).hex()
-            m = FiniteMixture(pair, (IKParams(1, 1), IKParams(2, 1)))
+            m = FiniteMixture(pair, (1, 2), 1)
             assert m.weights == tuple(w / neumaier_sum(pair) for w in pair)
 
     @pytest.mark.parametrize("alpha, beta, alphas, betas", [
@@ -90,7 +85,7 @@ class TestConstruction:
         (0.5, np.array(3), (0.5, 0.5), (3.0, 3.0)),
         (np.float32(0.5), np.array([np.int64(1), np.int64(4)]), (0.5, 0.5), (1.0, 4.0))])
     def test_build_takes_numpy_values(self, alpha, beta, alphas, betas):
-        m = FiniteMixture.build([0.5, 0.5], alpha, beta)
+        m = FiniteMixture([0.5, 0.5], alpha, beta)
         assert (m.alphas, m.betas) == (alphas, betas)
         assert all(type(v) is float for v in m.alphas + m.betas)
 
@@ -98,7 +93,7 @@ class TestConstruction:
                                      np.array([1.0, -1.0]), np.array(True), np.array("1")])
     def test_build_rejects_bad_numpy_values(self, bad):
         with pytest.raises(DomainError):
-            FiniteMixture.build([0.5, 0.5], bad, 1.0)
+            FiniteMixture([0.5, 0.5], bad, 1.0)
 
     def test_from_dict_broadcast(self):
         m = FiniteMixture.from_dict({"weights": [0.25, 0.75], "alpha": 2.0,
@@ -116,21 +111,36 @@ class TestConstruction:
                                      "beta": 1.0})
 
     def test_from_matrix_variants(self):
-        ma = FiniteMixture.build((0.4, 0.6), (1.0, 9.0), 0.5)
+        ma = FiniteMixture((0.4, 0.6), (1.0, 9.0), 0.5)
         assert ma.alphas == (1.0, 9.0) and ma.betas == (0.5, 0.5)
-        mb = FiniteMixture.build((0.4, 0.6), 0.5, (1.0, 9.0))
+        mb = FiniteMixture((0.4, 0.6), 0.5, (1.0, 9.0))
         assert mb.betas == (1.0, 9.0) and mb.alphas == (0.5, 0.5)
         with pytest.raises(DomainError, match="2 weights vs 3 alphas"):
-            FiniteMixture.build((0.4, 0.6), (1.0, 9.0, 2.0), 0.5)
+            FiniteMixture((0.4, 0.6), (1.0, 9.0, 2.0), 0.5)
         with pytest.raises(DomainError, match="1 betas"):
-            FiniteMixture.build((0.4, 0.6), 0.5, (1.0,))
+            FiniteMixture((0.4, 0.6), 0.5, (1.0,))
 
     @pytest.mark.parametrize("bad", [None, object()])
     def test_non_iterable_parameter_is_a_domain_error(self, bad):
         with pytest.raises(DomainError, match="alpha must be a real number"):
-            FiniteMixture.build((1.0,), bad, 1.0)
+            FiniteMixture((1.0,), bad, 1.0)
         with pytest.raises(DomainError, match="beta must be a real number"):
             FiniteMixture.from_dict({"weights": [1.0], "alpha": 1.0, "beta": bad})
+
+
+    @pytest.mark.parametrize("weights, alpha, message", [
+        pytest.param((10**400,), 1.0, "weights must be positive and finite",
+                     id="401-digit weight"),
+        pytest.param((1.0,), (10**400,), "alpha must be positive and finite",
+                     id="401-digit alpha"),
+        ((None, 1.0), 1.0, "weights must be a real number"),
+        (("0.5", "0.5"), 1.0, "weights must be a real number"),
+        ((True,), 1.0, "weights must be a real number"),
+        (None, 1.0, "weights must be a list of real numbers"),
+        (1.0, 1.0, "weights must be a list of real numbers")])
+    def test_weights_are_checked_as_strictly_as_shapes(self, weights, alpha, message):
+        with pytest.raises(DomainError, match=message):
+            FiniteMixture(weights, alpha, 1.0)
 
 
 class TestFrozenValues:
@@ -145,24 +155,24 @@ class TestFrozenValues:
         np.testing.assert_allclose(diff, -0.036459207209764251, rtol=1e-11)
 
     def test_two_parameter_families(self):
-        m = _mix((0.1, 0.7, 0.2), (5.0, 8.0, 6.0), (2.0, 1.0, 1.0))
-        mstar = _mix((0.2, 0.5, 0.3), (3.0, 4.0, 2.0), (5.0, 3.0, 6.0))
+        m = FiniteMixture((0.1, 0.7, 0.2), (5.0, 8.0, 6.0), (2.0, 1.0, 1.0))
+        mstar = FiniteMixture((0.2, 0.5, 0.3), (3.0, 4.0, 2.0), (5.0, 3.0, 6.0))
         np.testing.assert_allclose(mixture_cdf(5.0, m),
                                    0.99996957803318007, rtol=1e-12)
         np.testing.assert_allclose(mixture_cdf(5.0, mstar),
                                    0.94760279568855987, rtol=1e-12)
 
     def test_density_pair(self):
-        m = _mix((0.2, 0.4, 0.4), (2.0, 4.0, 6.0), (25.0, 13.0, 9.0))
-        mstar = _mix((0.3, 0.5, 0.2), (8.0, 10.0, 12.0), (3.0, 4.0, 1.0))
+        m = FiniteMixture((0.2, 0.4, 0.4), (2.0, 4.0, 6.0), (25.0, 13.0, 9.0))
+        mstar = FiniteMixture((0.3, 0.5, 0.2), (8.0, 10.0, 12.0), (3.0, 4.0, 1.0))
         np.testing.assert_allclose(mixture_pdf(2.0, m),
                                    0.1054377998470661, rtol=1e-12)
         np.testing.assert_allclose(mixture_pdf(2.0, mstar),
                                    0.00048008658909000593, rtol=1e-12)
 
     def test_reversed_hazard_pair(self):
-        m = _mix((0.1, 0.3, 0.6), (2.0, 2.0, 2.0), (0.1, 0.2, 0.3))
-        mstar = _mix((0.2, 0.3, 0.5), (2.0, 2.0, 2.0), (0.5, 1.0, 2.0))
+        m = FiniteMixture((0.1, 0.3, 0.6), (2.0, 2.0, 2.0), (0.1, 0.2, 0.3))
+        mstar = FiniteMixture((0.2, 0.3, 0.5), (2.0, 2.0, 2.0), (0.5, 1.0, 2.0))
         np.testing.assert_allclose(mixture_reversed_hazard(1.0, m),
                                    0.082897678703302862, rtol=1e-12)
         np.testing.assert_allclose(mixture_reversed_hazard(1.0, mstar),
@@ -181,7 +191,7 @@ class TestEvaluators:
 
     def test_identical_components_collapse(self):
         p = IKParams(1.7, 0.9)
-        m = FiniteMixture((0.2, 0.5, 0.3), (p, p, p))
+        m = FiniteMixture((0.2, 0.5, 0.3), p.alpha, p.beta)
         xs = np.geomspace(1e-3, 1e3, 40)
         np.testing.assert_allclose(mixture_cdf(xs, m), ik_cdf(xs, p), rtol=1e-15)
         np.testing.assert_allclose(mixture_sf(xs, m), ik_sf(xs, p), rtol=1e-15)
@@ -194,13 +204,13 @@ class TestEvaluators:
         assert np.all(np.diff(sf) <= 1e-15)
 
     def test_boundary_infinity_propagates(self):
-        m = _mix((0.5, 0.5), (1.0, 1.0), (0.5, 3.0))
+        m = FiniteMixture((0.5, 0.5), (1.0, 1.0), (0.5, 3.0))
         assert np.isinf(mixture_pdf(0.0, m))
         vals = mixture_pdf(np.array([0.0, 1.0]), m)
         assert np.isinf(vals[0]) and np.isfinite(vals[1])
 
     def test_rh_positive_x_only(self):
-        m = _mix((1.0,), (1.0,), (1.0,))
+        m = FiniteMixture((1.0,), (1.0,), (1.0,))
         with pytest.raises(DomainError):
             mixture_reversed_hazard(0.0, m)
 
@@ -215,19 +225,19 @@ class TestEvaluators:
 
 class TestQuantile:
     def test_single_component_matches_closed_form(self):
-        m = _mix((1.0,), (1.3,), (2.4,))
+        m = FiniteMixture((1.0,), (1.3,), (2.4,))
         for u in (0.05, 0.35, 0.9):
             np.testing.assert_allclose(mixture_quantile(u, m),
                                        ik_quantile(u, IKParams(1.3, 2.4)),
                                        rtol=1e-9)
 
     def test_round_trip(self):
-        m = _mix((0.3, 0.7), (2.0, 0.6), (0.8, 3.0))
+        m = FiniteMixture((0.3, 0.7), (2.0, 0.6), (0.8, 3.0))
         for u in (0.01, 0.2, 0.5, 0.8, 0.99):
             assert abs(mixture_cdf(mixture_quantile(u, m), m) - u) <= 1e-10
 
     def test_level_domain(self):
-        m = _mix((1.0,), (1.0,), (1.0,))
+        m = FiniteMixture((1.0,), (1.0,), (1.0,))
         for u in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(DomainError):
                 mixture_quantile(u, m)
@@ -241,7 +251,7 @@ class TestQuantile:
         ((0.3, 0.7), (0.5, 4.0), (0.7, 9.0)),
         WIDE])
     def test_against_mpmath_inversion(self, weights, alphas, betas):
-        m = _mix(weights, alphas, betas)
+        m = FiniteMixture(weights, alphas, betas)
         for u in (0.01, 0.3, 0.5, 0.9):
             with mp.workdps(40):
                 level = mp.mpf(u)
@@ -271,7 +281,7 @@ class TestQuantile:
             return root
 
         monkeypatch.setattr(mixture, "_refine_crossing", spy)
-        m = _mix(weights, alphas, betas)
+        m = FiniteMixture(weights, alphas, betas)
         for u in np.linspace(0.01, 0.99, 100):
             want = ik_quantile(float(u), IKParams(1.0, 2.0))
             assert abs(mixture_quantile(float(u), m) - want) <= 1e-12 * max(1.0, want), u
@@ -280,7 +290,7 @@ class TestQuantile:
     def test_tiny_quantile_keeps_its_digits(self):
         # the answer lies far below 1e-12, where a width absolute in x
         # would leave no correct digit; the root is 50-digit mpmath's
-        m = _mix((0.9, 0.1), (150.0, 0.2), (400.0, 0.3))
+        m = FiniteMixture((0.9, 0.1), (150.0, 0.2), (400.0, 0.3))
         got = mixture_quantile(1e-6, m)
         assert abs(got - 1.0772173450159419e-16) <= 1e-12 * 1.0772173450159419e-16
         assert mixture_cdf(got, m) == pytest.approx(1e-6, rel=1e-11)
@@ -297,8 +307,8 @@ class TestQuantile:
         # -0.0 before ik_quantile took log w from log1p), and 0 for the
         # third, whose u^(1/beta) underflows, so that the search starts at
         # 5e-324; the roots are 50-digit mpmath's
-        m = _mix(weights, alphas, betas)
-        lo = min(ik_quantile(1e-6, c) for c in m.components)
+        m = FiniteMixture(weights, alphas, betas)
+        lo = min(ik_quantile(1e-6, IKParams(a, b)) for a, b in zip(m.alphas, m.betas))
         assert 0.0 <= lo <= root and math.copysign(1.0, lo) == 1.0
         assert (lo == 0.0) == (root > 1e-18)
         assert abs(mixture_quantile(1e-6, m) - root) <= 1e-12 * root
@@ -309,7 +319,7 @@ class TestQuantile:
         evaluate = mixture._evaluate
         monkeypatch.setattr(mixture, "_evaluate",
                             lambda x, m, names: sizes.append(np.size(x)) or evaluate(x, m, names))
-        mixture_quantile(0.9, _mix(*self.WIDE))
+        mixture_quantile(0.9, FiniteMixture(*self.WIDE))
         assert len(sizes) <= 10
         assert max(sizes) == 64
 
@@ -343,15 +353,18 @@ class TestNeumaierSum:
 
 
 def _ref_cdf(x, m):
-    return neumaier_sum(w * ik_cdf(x, c) for w, c in zip(m.weights, m.components))
+    return neumaier_sum(w * ik_cdf(x, IKParams(a, b))
+                        for w, a, b in zip(m.weights, m.alphas, m.betas))
 
 
 def _ref_sf(x, m):
-    return neumaier_sum(w * ik_sf(x, c) for w, c in zip(m.weights, m.components))
+    return neumaier_sum(w * ik_sf(x, IKParams(a, b))
+                        for w, a, b in zip(m.weights, m.alphas, m.betas))
 
 
 def _ref_pdf(x, m):
-    return neumaier_sum(w * ik_pdf(x, c) for w, c in zip(m.weights, m.components))
+    return neumaier_sum(w * ik_pdf(x, IKParams(a, b))
+                        for w, a, b in zip(m.weights, m.alphas, m.betas))
 
 
 def _ref_rh(x, m):
@@ -389,7 +402,7 @@ def _spread_mixture(rng, n):
     alphas = 10.0 ** rng.uniform(-1.5, 2.0, size=n)
     betas = 10.0 ** rng.uniform(-1.5, 2.5, size=n)
     betas[::4] = 1.0
-    return FiniteMixture.build(tuple(raw / raw.sum()), tuple(alphas), tuple(betas))
+    return FiniteMixture(tuple(raw / raw.sum()), tuple(alphas), tuple(betas))
 
 
 def _shapes_mixture(rng, n):
@@ -398,7 +411,7 @@ def _shapes_mixture(rng, n):
     alphas = 10.0 ** rng.uniform(-0.3, 0.7, size=n)
     betas = np.resize([0.4, 1.0, 3.0], n) * rng.uniform(0.8, 1.2, size=n)
     betas[1::3] = 1.0
-    return FiniteMixture.build(tuple(raw / raw.sum()), tuple(alphas), tuple(betas))
+    return FiniteMixture(tuple(raw / raw.sum()), tuple(alphas), tuple(betas))
 
 
 MP_POINTS = (0.0, 1e-300, 1e-4, 1.0, 1e4, 1e300)
@@ -448,7 +461,7 @@ class TestKernelAccuracy:
 
     @pytest.mark.parametrize("beta", [0.4, 1.0, 3.0])
     def test_zero_boundary(self, beta):
-        m = FiniteMixture.build((0.2, 0.5, 0.3), (0.7, 2.0, 5.0), (1.5, beta, 2.5))
+        m = FiniteMixture((0.2, 0.5, 0.3), (0.7, 2.0, 5.0), (1.5, beta, 2.5))
         assert mixture_cdf(0.0, m) == 0.0
         assert mixture_sf(0.0, m) == 1.0
         want_pdf = {0.4: math.inf, 1.0: 0.5 * 2.0 * 1.0, 3.0: 0.0}[beta]
@@ -503,11 +516,11 @@ class TestKernelAccuracy:
     def test_r_rh_slope_against_mpmath_diff(self, x):
         # d/dx log rh = f'/f - rh, per mixture and as the r_rh slope of the
         # README's minimal T3.10 pair, against mpmath's numerical derivative
-        m1 = _mix((0.5, 0.5), (1.0, 1.0), (1.0, 2.0))
-        m2 = _mix((0.9, 0.1), (1.0, 1.0), (1.0, 2.0))
+        m1 = FiniteMixture((0.5, 0.5), (1.0, 1.0), (1.0, 2.0))
+        m2 = FiniteMixture((0.9, 0.1), (1.0, 1.0), (1.0, 2.0))
         def log_rh(t, m):
-            terms = [(w, c.alpha, c.beta, -mp.expm1(-c.alpha * mp.log1p(t)))
-                     for w, c in zip(m.weights, m.components)]
+            terms = [(w, a, b, -mp.expm1(-a * mp.log1p(t)))
+                     for w, a, b in zip(m.weights, m.alphas, m.betas)]
             F = mp.fsum(w * u ** b for w, _, b, u in terms)
             f = mp.fsum(w * a * b * (1 + t) ** (-a - 1) * u ** (b - 1) for w, a, b, u in terms)
             return mp.log(f / F)

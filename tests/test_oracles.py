@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from ikmix import DomainError
-from ikmix.ikdist import IKParams
 from ikmix.mixture import FiniteMixture, mixture_sf
 from ikmix.oracles import (
     delta1,
@@ -259,10 +258,8 @@ class TestTwoPaths:
 
     def test_k1_matches_mixture_evaluators(self):
         betas = (5.2, 15.8, 5.6)
-        orig = FiniteMixture((0.2, 0.6, 0.2),
-                             tuple(IKParams(1.0, b) for b in betas))
-        shifted = FiniteMixture((0.2, 0.5, 0.3),
-                                tuple(IKParams(1.0, b) for b in betas))
+        orig = FiniteMixture((0.2, 0.6, 0.2), 1.0, betas)
+        shifted = FiniteMixture((0.2, 0.5, 0.3), 1.0, betas)
         for x in DEFAULT_GRID.xs()[::67]:
             direct = k1(float(x))
             via_mix = mixture_sf(float(x), shifted) - mixture_sf(float(x), orig)

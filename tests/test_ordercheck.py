@@ -26,7 +26,6 @@ from ikmix import (
     DomainError,
     FiniteMixture,
     Grid,
-    IKParams,
     check_order,
     check_orders,
     difference_curve,
@@ -48,11 +47,6 @@ from ikmix.scan import ScanConfig, draw_sample, run_scan
 
 T310_GAP_PROBE = (Path(__file__).resolve().parents[1]
                   / "scripts" / "scan_configs" / "t310_gap_probe.json")
-
-
-def _mix(weights, alphas, betas) -> FiniteMixture:
-    return FiniteMixture(tuple(weights),
-                         tuple(IKParams(a, b) for a, b in zip(alphas, betas)))
 
 
 def _orientation_verdict(catalog, fid, grid=DEFAULT_GRID):
@@ -121,20 +115,20 @@ class TestGrid:
 
 class TestStOrder:
     def test_beta_shift_dominates(self):
-        lo = _mix((1.0,), (2.0,), (1.0,))
-        hi = _mix((1.0,), (2.0,), (3.0,))
+        lo = FiniteMixture((1.0,), (2.0,), (1.0,))
+        hi = FiniteMixture((1.0,), (2.0,), (3.0,))
         assert check_order("st", lo, hi).status == "holds_on_grid"
         v = check_order("st", hi, lo)
         assert v.status == "violated"
         assert v.witness is not None and v.witness.lhs > v.witness.rhs
 
     def test_identical_mixtures_hold(self):
-        m = _mix((0.4, 0.6), (1.0, 2.0), (0.5, 1.5))
+        m = FiniteMixture((0.4, 0.6), (1.0, 2.0), (0.5, 1.5))
         assert check_order("st", m, m).status == "holds_on_grid"
 
     def test_determinism(self):
-        m1 = _mix((0.4, 0.6), (1.0, 2.0), (0.5, 1.5))
-        m2 = _mix((0.6, 0.4), (1.0, 2.0), (0.5, 1.5))
+        m1 = FiniteMixture((0.4, 0.6), (1.0, 2.0), (0.5, 1.5))
+        m2 = FiniteMixture((0.6, 0.4), (1.0, 2.0), (0.5, 1.5))
         a = check_order("st", m1, m2).to_dict()
         b = check_order("st", m1, m2).to_dict()
         assert a == b
@@ -142,11 +136,11 @@ class TestStOrder:
     def test_skips_only_where_both_sides_underflow(self):
         # sf of IK(150, 1) underflows beyond x ~ 100, sf of IK(20, 1) never
         # does on the default grid, and sf of IK(140, 1) underflows too
-        steep = _mix((1.0,), (150.0,), (1.0,))
-        mild = _mix((1.0,), (20.0,), (1.0,))
+        steep = FiniteMixture((1.0,), (150.0,), (1.0,))
+        mild = FiniteMixture((1.0,), (20.0,), (1.0,))
         v = check_order("st", steep, mild)
         assert (v.status, v.skipped_points) == ("holds_on_grid", 0)
-        both = check_order("st", steep, _mix((1.0,), (140.0,), (1.0,)))
+        both = check_order("st", steep, FiniteMixture((1.0,), (140.0,), (1.0,)))
         assert both.status == "inconclusive"
         assert both.skipped_points == 465
         assert both.reason == "465 of 2000 grid points underflowed float64"
@@ -462,28 +456,28 @@ class TestBatchedRefinement:
 class TestRatioChecks:
     def test_lr_direction(self):
         # density ratio of (a, b2)/(a, b1) is monotone in the b2 > b1 sense
-        m1 = _mix((1.0,), (2.0,), (1.0,))
-        m2 = _mix((1.0,), (2.0,), (3.0,))
+        m1 = FiniteMixture((1.0,), (2.0,), (1.0,))
+        m2 = FiniteMixture((1.0,), (2.0,), (3.0,))
         assert check_order("lr", m1, m2).status == "holds_on_grid"
         assert check_order("lr", m2, m1).status == "violated"
 
     def test_r_rh_direction(self):
         # reversed hazards: rh1/rh2 nonincreasing wants m2 ageing slower
-        m1 = _mix((1.0,), (2.0,), (1.0,))
-        m2 = _mix((1.0,), (2.0,), (3.0,))
+        m1 = FiniteMixture((1.0,), (2.0,), (1.0,))
+        m2 = FiniteMixture((1.0,), (2.0,), (3.0,))
         assert check_order("r_rh", m2, m1).status == "holds_on_grid"
 
     def test_rh_direction(self):
-        m1 = _mix((1.0,), (2.0,), (1.0,))
-        m2 = _mix((1.0,), (2.0,), (3.0,))
+        m1 = FiniteMixture((1.0,), (2.0,), (1.0,))
+        m2 = FiniteMixture((1.0,), (2.0,), (3.0,))
         assert check_order("rh", m1, m2).status == "holds_on_grid"
         assert check_order("rh", m2, m1).status == "violated"
 
     def test_deep_tail_decided_against_mpmath(self):
         # the cdfs and pdfs lie near exp(-740) on this grid, below float64;
         # their logs decide every order, as 40-digit mpmath does
-        deep = _mix((0.5, 0.5), (50.0, 50.0), (140.0, 160.0))
-        deeper = _mix((0.3, 0.7), (50.0, 50.0), (140.0, 160.0))
+        deep = FiniteMixture((0.5, 0.5), (50.0, 50.0), (140.0, 160.0))
+        deeper = FiniteMixture((0.3, 0.7), (50.0, 50.0), (140.0, 160.0))
         grid = Grid(1e-4, 3e-4, 100)
         assert mixture_pdf(1e-4, deep) < 1e-300
         for kind in ORDER_KINDS:
@@ -496,8 +490,8 @@ class TestRatioChecks:
     def test_found_pair_is_decided_without_warnings(self):
         # the linear reversed hazards of this pair are 0/0 at 740 of the
         # 2000 grid points; their logs are finite everywhere
-        m1 = _mix((0.5, 0.5), (1.0, 1.0), (400.0, 300.0))
-        m2 = _mix((0.3, 0.7), (1.0, 1.0), (400.0, 300.0))
+        m1 = FiniteMixture((0.5, 0.5), (1.0, 1.0), (400.0, 300.0))
+        m2 = FiniteMixture((0.3, 0.7), (1.0, 1.0), (400.0, 300.0))
         for a, b in ((m1, m2), (m2, m1)):
             v, caught = _with_warnings(check_order, "r_rh", a, b)
             assert caught == []
@@ -508,8 +502,8 @@ class TestRatioChecks:
     def test_nonfinite_points_go_inconclusive(self):
         # alpha * x underflows to 0 below x = 4.9e-304, so u, the cdf and
         # the pdf of IK(1e-20, 2) are exactly 0 there and their logs -inf
-        m1 = _mix((1.0,), (1e-20,), (2.0,))
-        m2 = _mix((1.0,), (1.0,), (2.0,))
+        m1 = FiniteMixture((1.0,), (1e-20,), (2.0,))
+        m2 = FiniteMixture((1.0,), (1.0,), (2.0,))
         grid = Grid(1e-310, 1e-300, 100)
         zeros = int(np.count_nonzero(1e-20 * grid.xs() == 0.0))
         assert zeros > 10
@@ -523,7 +517,7 @@ class TestRatioChecks:
             assert v.to_dict()["nonfinite_points"] == zeros
 
     def test_unknown_kind_rejected(self):
-        m = _mix((1.0,), (1.0,), (1.0,))
+        m = FiniteMixture((1.0,), (1.0,), (1.0,))
         with pytest.raises(DomainError):
             check_order("hazard", m, m)
 
@@ -616,8 +610,8 @@ class TestRhOnePass:
 
     def test_nonfinite_pair(self):
         # the pair whose linear reversed hazards are 0/0 at 740 points
-        m1 = _mix((0.5, 0.5), (1.0, 1.0), (400.0, 300.0))
-        m2 = _mix((0.3, 0.7), (1.0, 1.0), (400.0, 300.0))
+        m1 = FiniteMixture((0.5, 0.5), (1.0, 1.0), (400.0, 300.0))
+        m2 = FiniteMixture((0.3, 0.7), (1.0, 1.0), (400.0, 300.0))
         for a, b in ((m1, m2), (m2, m1)):
             got, got_warned = _with_warnings(check_order, "rh", a, b)
             want, want_warned = _with_warnings(_reference_check_rh, a, b)
@@ -631,8 +625,8 @@ class TestRhOnePass:
         # with alpha = 1e306 the beta = 1000 component's pdf/cdf overflows
         # float64 near x = 1e-306; its log does not, and rh(m1) = 1000 rh(m2)
         # exactly, so m1 <= m2 fails at the first point and m2 <= m1 holds
-        m1 = _mix((1.0,), (1e306,), (1000.0,))
-        m2 = _mix((1.0,), (1e306,), (1.0,))
+        m1 = FiniteMixture((1.0,), (1e306,), (1000.0,))
+        m2 = FiniteMixture((1.0,), (1e306,), (1.0,))
         assert np.sum(mixture_reversed_hazard(grid.xs(), m1) == math.inf) == overflowing
         for a, b, status in ((m1, m2, "violated"), (m2, m1, "holds_on_grid")):
             got, got_warned = _with_warnings(check_order, "rh", a, b, grid)
@@ -686,36 +680,36 @@ class TestCurves:
             assert got.read_bytes() == want.read_bytes(), x
 
     def test_rows_hold_python_floats_and_bools(self):
-        m1 = _mix((1.0,), (1.0,), (1.0,))
-        deep = _mix((1.0,), (50.0,), (140.0,))
+        m1 = FiniteMixture((1.0,), (1.0,), (1.0,))
+        deep = FiniteMixture((1.0,), (50.0,), (140.0,))
         for which in ("sf", "pdf_ratio"):
             rows = difference_curve(m1, deep, Grid(1e-4, 3e-4, 20), which)
             assert {tuple(type(f) for f in row) for row in rows} == {(float, float, bool)}
 
     def test_self_difference_is_zero(self):
-        m = _mix((0.4, 0.6), (1.0, 2.0), (0.5, 1.5))
+        m = FiniteMixture((0.4, 0.6), (1.0, 2.0), (0.5, 1.5))
         rows = difference_curve(m, m, Grid(1e-2, 1e2, 50), "sf")
         assert all(v == 0.0 for _, v, _ in rows)
         assert all(d for _, _, d in rows)
 
     def test_rows_ascend(self):
-        m1 = _mix((1.0,), (1.0,), (1.0,))
-        m2 = _mix((1.0,), (2.0,), (1.0,))
+        m1 = FiniteMixture((1.0,), (1.0,), (1.0,))
+        m2 = FiniteMixture((1.0,), (2.0,), (1.0,))
         rows = difference_curve(m1, m2, Grid(1e-2, 1e2, 50), "cdf_ratio")
         xs = [r[0] for r in rows]
         assert xs == sorted(xs)
 
     def test_undefined_rows_flagged(self):
-        m1 = _mix((1.0,), (1.0,), (1.0,))
-        deep = _mix((1.0,), (50.0,), (140.0,))
+        m1 = FiniteMixture((1.0,), (1.0,), (1.0,))
+        deep = FiniteMixture((1.0,), (50.0,), (140.0,))
         rows = difference_curve(m1, deep, Grid(1e-4, 3e-4, 20), "pdf_ratio")
         assert any(not d for _, _, d in rows)
 
     def test_nonfinite_rows_undefined(self):
         # the pdf of IK(1e-20, 2) is exactly 0 where alpha * x underflows,
         # so the pdf ratio is inf there
-        m1 = _mix((1.0,), (1.0,), (2.0,))
-        m2 = _mix((1.0,), (1e-20,), (2.0,))
+        m1 = FiniteMixture((1.0,), (1.0,), (2.0,))
+        m2 = FiniteMixture((1.0,), (1e-20,), (2.0,))
         grid = Grid(1e-310, 1e-300, 100)
         rows, caught = _with_curve_warnings(m1, m2, grid, "pdf_ratio")
         assert caught == []
@@ -724,8 +718,8 @@ class TestCurves:
 
     def test_found_pair_rows_are_defined(self):
         # the linear reversed hazards of m1 are 0/0 at 740 of these points
-        m1 = _mix((0.5, 0.5), (1.0, 1.0), (400.0, 300.0))
-        m2 = _mix((0.3, 0.7), (1.0, 1.0), (1.0, 2.0))
+        m1 = FiniteMixture((0.5, 0.5), (1.0, 1.0), (400.0, 300.0))
+        m2 = FiniteMixture((0.3, 0.7), (1.0, 1.0), (1.0, 2.0))
         rows, caught = _with_curve_warnings(m1, m2, DEFAULT_GRID, "rh_ratio")
         assert caught == []
         assert all(d for _, _, d in rows)
@@ -738,13 +732,13 @@ class TestCurves:
             assert v == pytest.approx(float(want), rel=rel), x
 
     def test_unknown_kind(self):
-        m = _mix((1.0,), (1.0,), (1.0,))
+        m = FiniteMixture((1.0,), (1.0,), (1.0,))
         with pytest.raises(DomainError):
             difference_curve(m, m, Grid(1.0, 2.0, 5), "hazard_ratio")
 
     def test_csv_format_and_determinism(self, tmp_path):
-        m1 = _mix((0.4, 0.6), (1.0, 2.0), (0.5, 1.5))
-        m2 = _mix((0.6, 0.4), (1.0, 2.0), (0.5, 1.5))
+        m1 = FiniteMixture((0.4, 0.6), (1.0, 2.0), (0.5, 1.5))
+        m2 = FiniteMixture((0.6, 0.4), (1.0, 2.0), (0.5, 1.5))
         rows = difference_curve(m1, m2, Grid(1e-2, 1e2, 25), "sf")
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_curve_csv(rows, p1)
@@ -973,8 +967,8 @@ def test_to_dict_keeps_the_literal_keys_and_order(catalog):
     verdicts = [check_order(kind, a, b) for kind in ORDER_KINDS
                 for a, b in ((po.lhs, po.rhs), (po.rhs, po.lhs))]
     verdicts += [check_order("st", po.lhs, po.lhs),
-                 check_order("st", _mix((1.0,), (150.0,), (1.0,)),
-                             _mix((1.0,), (140.0,), (1.0,)))]
+                 check_order("st", FiniteMixture((1.0,), (150.0,), (1.0,)),
+                             FiniteMixture((1.0,), (140.0,), (1.0,)))]
     assert {v.status for v in verdicts} == {"violated", "holds_on_grid", "inconclusive"}
     objects = [DEFAULT_GRID, Grid(1.0, 2.0, 5, "linear"), verdicts[0].witness, *verdicts,
                Hypothesis("h", True, "d"), CheckOutcome("c", False, "d"),
@@ -1011,11 +1005,16 @@ def _scan_claims(theorem: str, samples: int, seed: int) -> list:
 # x = 5e-304, so log u is -inf there (non-finite points); alphas of 100
 # and more take both sfs below 1e-300 beyond x = 1e3 (skipped st points)
 _UNUSABLE_PAIRS = (
-    (_mix((0.5, 0.5), (1e-20, 1.0), (2.0, 3.0)), _mix((0.3, 0.7), (1e-20, 1.0), (2.5, 1.0))),
-    (_mix((0.3, 0.7), (1e-20, 1.0), (2.5, 1.0)), _mix((0.5, 0.5), (1e-20, 1.0), (2.0, 3.0))),
-    (_mix((0.5, 0.5), (1e-20, 1e-20), (2.0, 3.0)), _mix((0.5, 0.5), (1e-20, 1e-20), (3.0, 2.0))),
-    (_mix((0.5, 0.5), (100.0, 120.0), (2.0, 3.0)), _mix((0.4, 0.6), (100.0, 110.0), (1.5, 3.0))),
-    (_mix((0.4, 0.6), (100.0, 110.0), (1.5, 3.0)), _mix((0.5, 0.5), (100.0, 120.0), (2.0, 3.0))),
+    (FiniteMixture((0.5, 0.5), (1e-20, 1.0), (2.0, 3.0)),
+     FiniteMixture((0.3, 0.7), (1e-20, 1.0), (2.5, 1.0))),
+    (FiniteMixture((0.3, 0.7), (1e-20, 1.0), (2.5, 1.0)),
+     FiniteMixture((0.5, 0.5), (1e-20, 1.0), (2.0, 3.0))),
+    (FiniteMixture((0.5, 0.5), (1e-20, 1e-20), (2.0, 3.0)),
+     FiniteMixture((0.5, 0.5), (1e-20, 1e-20), (3.0, 2.0))),
+    (FiniteMixture((0.5, 0.5), (100.0, 120.0), (2.0, 3.0)),
+     FiniteMixture((0.4, 0.6), (100.0, 110.0), (1.5, 3.0))),
+    (FiniteMixture((0.4, 0.6), (100.0, 110.0), (1.5, 3.0)),
+     FiniteMixture((0.5, 0.5), (100.0, 120.0), (2.0, 3.0))),
 )
 
 
@@ -1067,8 +1066,8 @@ class TestStackedVerdicts:
         claims = [claim for theorem in ("T3.12", "T3.1", "T3.11", "T3.10")
                   for claim in _scan_claims(theorem, 5, seed=3)]
         claims.insert(7, ("lr", *_UNUSABLE_PAIRS[0]))
-        claims.insert(2, ("st", _mix((0.2, 0.3, 0.5), (1.0, 2.0, 3.0), (1.0, 1.0, 1.0)),
-                          _mix((1.0,), (2.0,), (1.0,))))
+        claims.insert(2, ("st", FiniteMixture((0.2, 0.3, 0.5), (1.0, 2.0, 3.0), (1.0, 1.0, 1.0)),
+                          FiniteMixture((1.0,), (2.0,), (1.0,))))
         self._assert_alone(claims, check_orders(claims, self.GRIDS[2]), self.GRIDS[2])
 
     def test_stack_of_one_and_none(self):

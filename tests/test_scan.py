@@ -112,6 +112,12 @@ class TestScanConfig:
         cfg = ScanConfig.from_dict(dict(ALARM_CONFIG, grid=dict(grid, points=500)))
         assert cfg.grid.points == 500
 
+    @pytest.mark.parametrize("grid", [{"x_min": 1e-4, "x_max": 1e4, "point": 100},
+                                      {"x_max": 1e4}, [1e-4, 1e4], 5])
+    def test_bad_grid_names_the_expected_keys(self, grid):
+        with pytest.raises(DomainError, match="x_min, x_max and optionally points, spacing"):
+            ScanConfig.from_dict(dict(ALARM_CONFIG, grid=grid))
+
 
 # ---------------------------------------------------------------------------
 # sampling

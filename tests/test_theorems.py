@@ -169,9 +169,9 @@ class TestWeightShiftCheckers:
         assert cor.theorem_id == "C3.1"
 
     @pytest.mark.parametrize("alpha, message", [
-        ((), "alpha must be a nonempty 1-d vector"),
-        (((0.5, 0.4),), "alpha must be a nonempty 1-d vector"),
-        ((0.5, float("nan"), 0.3), "alpha must be finite"),
+        ((), "3 weights vs 0 alphas"),
+        (((0.5, 0.4),), "alpha must be a real number"),
+        ((0.5, float("nan"), 0.3), "alpha must be positive and finite"),
         ((0.5, 0.0, 0.3), "alpha must be positive"),
     ])
     def test_vector_inputs_are_validated(self, alpha, message):
