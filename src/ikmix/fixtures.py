@@ -134,7 +134,7 @@ def run_fixture(fixture: dict, grid: Grid = DEFAULT_GRID) -> FixtureResult:
     for i, tt in enumerate(fixture.get("t_transforms", ())):
         src = ParamMatrix2xN.from_dict(tt["from"])
         want_prod = ParamMatrix2xN.from_dict(tt["product"])
-        got_prod = apply_t_transform(src, TTransform(tt["omega"], tuple(tt["pair"])))
+        got_prod = apply_t_transform(src, TTransform(tt["omega"], tt["pair"]))
         worst = max(abs(a - b) for a, b in
                     zip(got_prod.row1 + got_prod.row2, want_prod.row1 + want_prod.row2))
         checks.append(CheckOutcome(

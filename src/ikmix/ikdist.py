@@ -72,6 +72,13 @@ def _positive(name: str, v) -> float:
     return f
 
 
+def _count(name: str, v, least: int) -> int:
+    """v as an int if it is an integer (not a bool) >= least, else DomainError."""
+    if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {v!r}")
+    return int(v)
+
+
 # ---------------------------------------------------------------------------
 # argument handling
 # ---------------------------------------------------------------------------

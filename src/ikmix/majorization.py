@@ -17,12 +17,12 @@ Conventions, fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ikdist import DomainError
+from .ikdist import DomainError, _count, _positive
 
 __all__ = [
     "ParamMatrix2xN",
@@ -91,13 +91,10 @@ class ParamMatrix2xN:
     row2: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        r1 = tuple(float(v) for v in self.row1)
-        r2 = tuple(float(v) for v in self.row2)
+        r1 = tuple(_positive("matrix entries", v) for v in self.row1)
+        r2 = tuple(_positive("matrix entries", v) for v in self.row2)
         if len(r1) == 0 or len(r1) != len(r2):
             raise DomainError("rows must be nonempty and equally long")
-        for v in r1 + r2:
-            if not math.isfinite(v) or v <= 0:
-                raise DomainError(f"matrix entries must be positive, got {v!r}")
         object.__setattr__(self, "row1", r1)
         object.__setattr__(self, "row2", r2)
 
@@ -108,9 +105,10 @@ class ParamMatrix2xN:
     @classmethod
     def from_dict(cls, obj: dict) -> "ParamMatrix2xN":
         try:
-            return cls(tuple(obj["row1"]), tuple(obj["row2"]))
+            row1, row2 = tuple(obj["row1"]), tuple(obj["row2"])
         except (KeyError, TypeError) as exc:
             raise DomainError(f"matrix dict needs row1/row2: {exc}") from exc
+        return cls(row1, row2)
 
     def to_dict(self) -> dict:
         return {"row1": list(self.row1), "row2": list(self.row2)}
@@ -124,21 +122,25 @@ class TTransform:
     pair: tuple[int, int]
 
     def __post_init__(self) -> None:
-        w = float(self.omega)
-        if not math.isfinite(w) or not (0.0 <= w <= 1.0):
-            raise DomainError(f"omega must lie in [0, 1], got {w!r}")
-        i, j = (int(self.pair[0]), int(self.pair[1]))
-        if i == j or i < 1 or j < 1:
-            raise DomainError(f"pair must be two distinct 1-based indices, got {self.pair!r}")
-        object.__setattr__(self, "omega", w)
+        w, pair = self.omega, self.pair
+        if not isinstance(w, numbers.Real) or isinstance(w, bool) or not 0 <= w <= 1:
+            raise DomainError(f"omega must be a real number in [0, 1], got {w!r}")
+        bad = DomainError(f"pair must be two distinct 1-based indices, got {pair!r}")
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise bad
+        i, j = (_count("pair index", k, 1) for k in pair)
+        if i == j:
+            raise bad
+        object.__setattr__(self, "omega", float(w))
         object.__setattr__(self, "pair", (i, j))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TTransform":
         try:
-            return cls(float(obj["omega"]), (obj["pair"][0], obj["pair"][1]))
-        except (KeyError, TypeError, IndexError) as exc:
+            omega, pair = obj["omega"], obj["pair"]
+        except (KeyError, TypeError) as exc:
             raise DomainError(f"t-transform dict needs omega/pair: {exc}") from exc
+        return cls(omega, pair)
 
     def to_dict(self) -> dict:
         return {"omega": self.omega, "pair": [self.pair[0], self.pair[1]]}

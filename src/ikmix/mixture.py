@@ -97,7 +97,10 @@ class FiniteMixture:
         betas = tuple(_positive("beta", b) for b in _per_component("beta", self.betas, n))
         if len(alphas) != n or len(betas) != n:
             raise DomainError(f"{n} weights vs {len(alphas)} alphas and {len(betas)} betas")
-        total = math.fsum(weights)
+        try:
+            total = math.fsum(weights)
+        except OverflowError:  # finite weights whose sum exceeds float range
+            total = math.inf
         if abs(total - 1.0) > _RAW_WEIGHT_TOL:
             raise DomainError(f"raw weights sum to {total!r}, beyond 1e-6 of 1")
         object.__setattr__(self, "weights", tuple(w / total for w in weights))

@@ -49,15 +49,13 @@ fixture replays read only status and witness, so they never run it.
 
 from __future__ import annotations
 
-import math
-import numbers
 from array import array
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .ikdist import DomainError
+from .ikdist import DomainError, _count, _positive
 from .mixture import (_BLOCK_VALUES, FiniteMixture, _evaluate, _exp, _refine_crossing,
                       _survival, mixture_sf)
 
@@ -91,15 +89,12 @@ class Grid:
     def __post_init__(self) -> None:
         if self.spacing not in ("logarithmic", "linear"):
             raise DomainError(f"spacing must be logarithmic or linear, got {self.spacing!r}")
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise DomainError("grid bounds must be finite")
-        if not (0.0 < self.x_min < self.x_max):
+        x_min, x_max = _positive("grid x_min", self.x_min), _positive("grid x_max", self.x_max)
+        if not x_min < x_max:
             raise DomainError("grid requires 0 < x_min < x_max")
-        if not isinstance(self.points, numbers.Integral) or isinstance(self.points, bool):
-            raise DomainError(f"grid points must be an integer, got {self.points!r}")
-        if self.points < 2:
-            raise DomainError("grid needs at least 2 points")
-        object.__setattr__(self, "points", int(self.points))
+        object.__setattr__(self, "x_min", x_min)
+        object.__setattr__(self, "x_max", x_max)
+        object.__setattr__(self, "points", _count("grid points", self.points, 2))
 
     def xs(self) -> np.ndarray:
         """The grid points, computed on the first call and returned as the
@@ -125,10 +120,7 @@ class Grid:
             x_min, x_max, points = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise DomainError(f"bad grid spec {spec!r}: {exc}") from exc
-        spacing = {"log": "logarithmic", "logarithmic": "logarithmic",
-                   "lin": "linear", "linear": "linear"}.get(parts[3])
-        if spacing is None:
-            raise DomainError(f"unknown spacing {parts[3]!r}")
+        spacing = {"log": "logarithmic", "lin": "linear"}.get(parts[3], parts[3])
         return cls(x_min, x_max, points, spacing)
 
     to_dict = asdict

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ikdist import DomainError
+from .ikdist import DomainError, _count, _positive
 from .ordercheck import DEFAULT_GRID, Grid, check_orders
 from .theorems import CHECKERS, SCAN_LAYOUTS, ConditionReport
 
@@ -54,22 +54,19 @@ def _normalise_range(name: str, value, n: int) -> list[tuple[float, float]]:
         f"range for {name!r} must be [lo, hi] or a list of n such pairs")
     if not isinstance(value, (list, tuple)) or len(value) == 0:
         raise bad
-    if all(isinstance(v, (int, float)) for v in value):
-        if len(value) != 2:
+    if not isinstance(value[0], (list, tuple)):
+        value = [value] * n
+    if len(value) != n:
+        raise DomainError(
+            f"range list for {name!r} has {len(value)} pairs, expected {n}")
+    pairs = []
+    for v in value:
+        if not isinstance(v, (list, tuple)) or len(v) != 2:
             raise bad
-        pairs = [(float(value[0]), float(value[1]))] * n
-    else:
-        if len(value) != n:
-            raise DomainError(
-                f"range list for {name!r} has {len(value)} pairs, expected {n}")
-        pairs = []
-        for v in value:
-            if not isinstance(v, (list, tuple)) or len(v) != 2:
-                raise bad
-            pairs.append((float(v[0]), float(v[1])))
-    for lo, hi in pairs:
-        if not (0.0 < lo <= hi) or not np.isfinite(hi):
+        lo, hi = (_positive(f"range bound for {name!r} (0 < lo <= hi)", b) for b in v)
+        if lo > hi:
             raise DomainError(f"range for {name!r} must satisfy 0 < lo <= hi")
+        pairs.append((lo, hi))
     return pairs
 
 
@@ -83,17 +80,14 @@ class ScanConfig:
     grid: Grid = field(default=DEFAULT_GRID)
 
     def __post_init__(self) -> None:
-        if self.theorem not in SCAN_LAYOUTS:
+        if not isinstance(self.theorem, str) or self.theorem not in SCAN_LAYOUTS:
             raise DomainError(
-                f"scan supports {SCANNABLE_THEOREMS}, got {self.theorem!r}")
-        if int(self.samples) < 1:
-            raise DomainError("samples must be >= 1")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise DomainError("seed must be an integer and is mandatory")
-        if int(self.n_components) < 2:
-            raise DomainError("n_components must be >= 2")
-        object.__setattr__(self, "samples", int(self.samples))
-        object.__setattr__(self, "n_components", int(self.n_components))
+                f"scan supports theorems {SCANNABLE_THEOREMS}, got theorem {self.theorem!r}")
+        object.__setattr__(self, "samples", _count("samples", self.samples, 1))
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
+        object.__setattr__(self, "n_components", _count("n_components", self.n_components, 2))
+        if not isinstance(self.ranges, dict):
+            raise DomainError(f"scan config ranges must be an object, got {self.ranges!r}")
         layout = SCAN_LAYOUTS[self.theorem]
         missing = [n for n, _ in layout if n not in self.ranges]
         if missing:
@@ -110,6 +104,8 @@ class ScanConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScanConfig":
+        if not isinstance(d, dict):
+            raise DomainError(f"scan config must be a JSON object, got {d!r}")
         grid = d.get("grid")
         if grid is None:
             g = DEFAULT_GRID

@@ -394,6 +394,34 @@ class TestScan:
         assert "missing required keys" in capsys.readouterr().err
         assert main(["scan", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("change", [
+        {"grid": {"x_min": "1e-4", "x_max": 1e4}},
+        {"grid": {"x_min": 1e-4, "x_max": 10**400}},
+        {"seed": -1},
+        {"samples": 2.7},
+        {"n_components": 2.7},
+        {"ranges": dict(QUIET["ranges"], beta=[None, 2])},
+        {"ranges": dict(QUIET["ranges"], beta=["1", 2])},
+        {"ranges": dict(QUIET["ranges"], beta=[1, 10**400])},
+        {"theorem": ["T3.1"]},
+        {"ranges": 5},
+        {"ranges": None}], ids=[
+        "string grid bound", "huge grid bound", "negative seed", "float samples",
+        "float n_components", "null range bound", "string range bound", "huge range bound",
+        "list theorem", "int ranges", "null ranges"])
+    def test_malformed_config_exit_1(self, capsys, tmp_path, change):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(self.QUIET, **change)))
+        assert main(["scan", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    def test_config_that_is_not_an_object_exit_1(self, capsys, tmp_path):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1]")
+        assert main(["scan", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: scan config must be a JSON object, got [1]\n"
+
     def test_bad_grid_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "bad_grid.json"
         cfg.write_text(json.dumps(dict(self.QUIET, grid={"x_min": 1e-4, "x_max": 1e4,

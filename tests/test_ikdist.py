@@ -19,6 +19,7 @@ from ikmix import (
     ik_reversed_hazard,
     ik_sf,
 )
+from ikmix.ikdist import _count
 
 rng = np.random.default_rng(42)
 
@@ -74,6 +75,17 @@ class TestValidation:
             IKParams(bad, 1.0)
         with pytest.raises(DomainError):
             IKParams(1.0, bad)
+
+    @pytest.mark.parametrize("v, least", [(2, 2), (0, 0), (np.int64(5), 1),
+                                          pytest.param(10**400, 1, id="401-digit int")])
+    def test_count_returns_an_int(self, v, least):
+        got = _count("n", v, least)
+        assert got == v and type(got) is int
+
+    @pytest.mark.parametrize("v", [1, -1, 2.0, 2.7, "3", True, None, float("nan"), [3]])
+    def test_count_rejects(self, v):
+        with pytest.raises(DomainError, match=r"n must be an integer >= 2, got "):
+            _count("n", v, 2)
 
     @pytest.mark.parametrize("u", [0.0, 1.0, -0.2, 1.5])
     def test_quantile_level_open_interval(self, u):

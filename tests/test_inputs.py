@@ -1,0 +1,64 @@
+"""Every constructor that reads values from a JSON file either builds its
+object or raises DomainError: no other exception escapes to the command
+line as a traceback."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ikmix import DomainError, FiniteMixture, ParamMatrix2xN, ScanConfig, TTransform
+
+SCAN = {
+    "theorem": "T3.10",
+    "samples": 3,
+    "seed": 11,
+    "n_components": 2,
+    "ranges": {
+        "beta": [[1.0, 1.0], [2.0, 2.0]],
+        "beta_star": [[1.0, 1.0], [2.0, 2.0]],
+        "alpha": [1.0, 1.0],
+        "p": [[0.5, 0.5], [0.5, 0.5]],
+        "p_star": [[0.9, 0.9], [0.1, 0.1]],
+    },
+    "grid": {"x_min": 1e-4, "x_max": 1e3, "points": 400, "spacing": "logarithmic"},
+}
+
+# name: (constructor, valid dict); each example replaces one field of one dict
+VALID = {
+    "mixture": (FiniteMixture.from_dict,
+                {"weights": [0.4, 0.6], "alpha": [2.0, 3.5], "beta": 1.5}),
+    "scan": (ScanConfig.from_dict, SCAN),
+    "scan grid": (lambda grid: ScanConfig.from_dict(dict(SCAN, grid=grid)), SCAN["grid"]),
+    "scan ranges": (lambda ranges: ScanConfig.from_dict(dict(SCAN, ranges=ranges)),
+                    SCAN["ranges"]),
+    "matrix": (ParamMatrix2xN.from_dict, {"row1": [0.6, 0.4], "row2": [1.0, 9.0]}),
+    "t-transform": (TTransform.from_dict, {"omega": 0.3, "pair": [1, 2]}),
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400)
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@pytest.mark.parametrize("build, valid", VALID.values(), ids=VALID.keys())
+def test_valid_dicts_build(build, valid):
+    build(valid)
+
+
+@given(st.data())
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_one_bad_field_raises_domain_error_or_builds(data):
+    build, valid = data.draw(st.sampled_from(list(VALID.values())))
+    key = data.draw(st.sampled_from(sorted(valid)))
+    value = data.draw(json_values)
+    try:
+        build(dict(valid, **{key: value}))
+    except DomainError:
+        pass
+

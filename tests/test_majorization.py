@@ -70,6 +70,21 @@ class TestParamMatrix:
         with pytest.raises(DomainError):
             ParamMatrix2xN((0.5, 0.5), (1.0,))
 
+    @pytest.mark.parametrize("row", [("0.5", "0.5"), (True, True),
+                                     pytest.param((10**400, 1), id="401-digit int"),
+                                     (None, 1.0), (0.5, float("nan"))])
+    def test_entries_must_be_positive_reals(self, row):
+        with pytest.raises(DomainError, match="matrix entries must be"):
+            ParamMatrix2xN(row, (1.0, 2.0))
+        with pytest.raises(DomainError, match="matrix entries must be"):
+            ParamMatrix2xN.from_dict({"row1": [0.5, 0.5], "row2": list(row)})
+
+    @pytest.mark.parametrize("obj", [{"row1": 5, "row2": [1.0]}, {"row1": [1.0]},
+                                     {"row1": None, "row2": None}, [1.0, 2.0], None])
+    def test_from_dict_needs_two_rows(self, obj):
+        with pytest.raises(DomainError, match="matrix dict needs row1/row2"):
+            ParamMatrix2xN.from_dict(obj)
+
     def test_dict_round_trip(self):
         pm = ParamMatrix2xN((0.6, 0.4), (1.0, 9.0))
         assert ParamMatrix2xN.from_dict(pm.to_dict()) == pm
@@ -95,6 +110,24 @@ class TestTTransform:
             TTransform(1.1, (1, 2))
         with pytest.raises(DomainError):
             TTransform(0.5, (2, 2))
+
+    @pytest.mark.parametrize("omega", ["0.5", True, None, float("nan"), [0.5],
+                                       pytest.param(10**400, id="401-digit int")])
+    def test_omega_must_be_a_real_number(self, omega):
+        with pytest.raises(DomainError, match="omega must be a real number in"):
+            TTransform(omega, (1, 2))
+
+    @pytest.mark.parametrize("pair", [(1.7, 2.2), (1, 2, 3), (1,), (0, 1), (True, 2),
+                                      ("1", "2"), (1, 1), 12, None])
+    def test_pair_must_be_two_distinct_indices(self, pair):
+        with pytest.raises(DomainError, match="pair"):
+            TTransform(0.5, pair)
+        with pytest.raises(DomainError, match="pair"):
+            TTransform.from_dict({"omega": 0.5, "pair": pair})
+
+    def test_pair_of_numpy_integers_is_stored_as_ints(self):
+        t = TTransform(np.float64(0.25), [np.int64(2), np.int64(1)])
+        assert t == TTransform(0.25, (2, 1)) and type(t.pair[0]) is int
 
     def test_dict_round_trip(self):
         t = TTransform(0.3, (1, 2))

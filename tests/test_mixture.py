@@ -137,7 +137,8 @@ class TestConstruction:
         (("0.5", "0.5"), 1.0, "weights must be a real number"),
         ((True,), 1.0, "weights must be a real number"),
         (None, 1.0, "weights must be a list of real numbers"),
-        (1.0, 1.0, "weights must be a list of real numbers")])
+        (1.0, 1.0, "weights must be a list of real numbers"),
+        pytest.param((1e308, 1e308), 1.0, "raw weights sum to inf", id="sum overflows")])
     def test_weights_are_checked_as_strictly_as_shapes(self, weights, alpha, message):
         with pytest.raises(DomainError, match=message):
             FiniteMixture(weights, alpha, 1.0)

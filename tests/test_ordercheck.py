@@ -79,10 +79,25 @@ class TestGrid:
         with pytest.raises(DomainError):
             Grid.from_spec(spec)
 
-    @pytest.mark.parametrize("points", [2.7, 2000.0, np.float64(500.0), "2000", True])
+    @pytest.mark.parametrize("points", [2.7, 2000.0, np.float64(500.0), "2000", True, 1, -3])
     def test_points_must_be_an_integer(self, points):
         with pytest.raises(DomainError, match="grid points must be an integer"):
             Grid(1e-4, 1e4, points)
+
+    @pytest.mark.parametrize("bound", ["1e-4", True, None, [1e-4],
+                                       pytest.param(10**400, id="401-digit int")])
+    def test_bounds_must_be_positive_reals(self, bound):
+        with pytest.raises(DomainError, match="grid x_min"):
+            Grid(bound, 1e4)
+        with pytest.raises(DomainError, match="grid x_max"):
+            Grid(1e-4, bound)
+
+    def test_bounds_are_stored_as_floats(self):
+        g = Grid(1, 10, 5)
+        assert type(g.x_min) is float and type(g.x_max) is float
+        assert g.to_dict() == {"x_min": 1.0, "x_max": 10.0, "points": 5,
+                               "spacing": "logarithmic"}
+        assert g == Grid(1.0, 10.0, 5)
 
     def test_numpy_int_points(self):
         g = Grid(1e-4, 1e4, np.int64(2000))

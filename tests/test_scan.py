@@ -65,7 +65,7 @@ class TestScanConfig:
     def test_seed_is_mandatory_integer(self):
         ranges = {"alpha": [1, 2], "beta": [1, 2],
                   "p": [0.1, 1], "p_star": [0.1, 1]}
-        for bad in (None, 1.5, "7", True):
+        for bad in (None, 1.5, "7", True, -1):
             with pytest.raises(DomainError, match="seed"):
                 ScanConfig("T3.1", 10, bad, ranges)
 
@@ -85,6 +85,26 @@ class TestScanConfig:
             ScanConfig("T3.1", 10, 1, dict(base, alpha=[2, 1]))
         with pytest.raises(DomainError, match="0 < lo <= hi"):
             ScanConfig("T3.1", 10, 1, dict(base, alpha=[0.0, 1]))
+        for bad in ([None, 2], ["1", 2], [True, 2], [1, 10**400], [[1, 2], [1, "2"]]):
+            with pytest.raises(DomainError, match="0 < lo <= hi"):
+                ScanConfig("T3.1", 10, 1, dict(base, alpha=bad))
+
+    @pytest.mark.parametrize("field, least", [("samples", 1), ("n_components", 2)])
+    def test_counts_must_be_integers(self, field, least):
+        for bad in (2.7, 3.0, "3", True, None, least - 1):
+            with pytest.raises(DomainError, match=f"{field} must be an integer >= {least}"):
+                ScanConfig.from_dict(dict(ALARM_CONFIG, **{field: bad}))
+
+    @pytest.mark.parametrize("config, match", [
+        ([1], "scan config must be a JSON object"),
+        (dict(ALARM_CONFIG, theorem=["T3.10"]), "theorem"),
+        (dict(ALARM_CONFIG, theorem={"T3.10": 1}), "theorem"),
+        (dict(ALARM_CONFIG, ranges=5), "ranges must be an object"),
+        (dict(ALARM_CONFIG, ranges=None), "ranges must be an object"),
+        (dict(ALARM_CONFIG, ranges=[]), "ranges must be an object")])
+    def test_structural_errors_name_the_field(self, config, match):
+        with pytest.raises(DomainError, match=match):
+            ScanConfig.from_dict(config)
 
     def test_per_component_pair_count_must_match(self):
         base = {"beta": [1, 2], "p": [0.1, 1], "p_star": [0.1, 1]}
@@ -111,6 +131,13 @@ class TestScanConfig:
             ScanConfig.from_dict(dict(ALARM_CONFIG, grid=grid))
         cfg = ScanConfig.from_dict(dict(ALARM_CONFIG, grid=dict(grid, points=500)))
         assert cfg.grid.points == 500
+
+    @pytest.mark.parametrize("bound", ["1e-4", None, True,
+                                       pytest.param(10**400, id="401-digit int")])
+    def test_grid_bounds_must_be_positive_reals(self, bound):
+        grid = {"x_min": bound, "x_max": 1e4}
+        with pytest.raises(DomainError, match="grid x_min"):
+            ScanConfig.from_dict(dict(ALARM_CONFIG, grid=grid))
 
     @pytest.mark.parametrize("grid", [{"x_min": 1e-4, "x_max": 1e4, "point": 100},
                                       {"x_max": 1e4}, [1e-4, 1e4], 5])
