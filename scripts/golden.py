@@ -17,9 +17,12 @@ DIR receives, from the ikmix under this checkout's src/:
   reports.json, reports.exit                 the to_dict() of every catalog
                                              fixture's theorem report and of
                                              every draw's report in each
-                                             scan config, replayed as
-                                             run_scan draws it, each with
-                                             its orientation's to_dict()
+                                             scan config and in four inline
+                                             configs (T3.1, T3.2, T3.3,
+                                             T3.12), each draw replayed
+                                             here from the seed, each
+                                             report with its orientation's
+                                             to_dict()
 
 Every run turns RuntimeWarnings into errors, so a warning shows up as a
 changed .exit file rather than as noise on stderr.
@@ -55,24 +58,49 @@ json.dump(rows, sys.stdout, indent=1)
 sys.stdout.write("\\n")
 """
 # the orientation is recorded too: to_dict() leaves it out when a
-# hypothesis fails
+# hypothesis fails.  The draws are replayed here, one rng.uniform per
+# coordinate as the scan documents its stream, so that this script runs
+# unchanged against an older checkout; the inline configs give every
+# scannable checker seeded draws
 _REPORTS = """
 import json, sys
 from pathlib import Path
 import numpy as np
 from ikmix import FixtureCatalog
-from ikmix.scan import ScanConfig, draw_sample
-from ikmix.theorems import CHECKERS
+from ikmix.scan import ScanConfig
+from ikmix.theorems import CHECKERS, SCAN_LAYOUTS
+W = [0.05, 1.0]
+INLINE = {
+    "inline_t31_uniform": dict(theorem="T3.1", samples=60, seed=31, ranges=dict(
+        alpha=[0.3, 3.0], beta=[0.5, 2.0], p=W, p_star=W)),
+    "inline_t32": dict(theorem="T3.2", samples=60, seed=32, ranges=dict(
+        beta=[0.3, 3.0], alpha=[0.5, 2.0], p=W, p_star=W)),
+    "inline_t33": dict(theorem="T3.3", samples=60, seed=33, n_components=3, ranges=dict(
+        alpha=[0.5, 4.0], alpha_star=[0.5, 4.0], beta=[0.2, 1.5], p=W)),
+    "inline_t312": dict(theorem="T3.12", samples=60, seed=312, n_components=3, ranges=dict(
+        p=W, alpha=[1.0, 2.2], beta=[2.0, 4.0], p_star=W, alpha_star=[1.8, 4.0],
+        beta_star=[0.2, 0.6])),
+}
 def row(report, **where):
     return dict(where, report=report.to_dict(), orientation=report.orientation.to_dict())
+def draws(config):
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    for _ in range(config.samples):
+        params = {}
+        for name, kind in SCAN_LAYOUTS[config.theorem]:
+            vals = [rng.uniform(lo, hi) if hi > lo else lo for lo, hi in config.ranges[name]]
+            total = sum(vals)
+            params[name] = (vals[0] if kind == "scalar" else
+                            tuple(v / total for v in vals) if kind == "weights" else tuple(vals))
+        yield params
 catalog = FixtureCatalog()
 rows = [row(catalog.checker_report(fid), fixture=fid) for fid in catalog.ids()]
-for path in sorted(Path("scripts", "scan_configs").glob("*.json")):
-    config = ScanConfig.from_file(path)
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    for index in range(config.samples):
-        report = CHECKERS[config.theorem](**draw_sample(config, rng))
-        rows.append(row(report, scan=path.stem, index=index))
+configs = [(path.stem, ScanConfig.from_file(path))
+           for path in sorted(Path("scripts", "scan_configs").glob("*.json"))]
+configs += [(name, ScanConfig.from_dict(d)) for name, d in INLINE.items()]
+for name, config in configs:
+    for index, params in enumerate(draws(config)):
+        rows.append(row(CHECKERS[config.theorem](**params), scan=name, index=index))
 json.dump(rows, sys.stdout, indent=1)
 sys.stdout.write("\\n")
 """

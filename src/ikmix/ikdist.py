@@ -61,6 +61,8 @@ class IKParams:
 
 def _positive(name: str, v) -> float:
     """v as a float if it is a positive finite real (not a bool), else DomainError."""
+    if type(v) is float and 0.0 < v < math.inf:
+        return v
     if not isinstance(v, numbers.Real) or isinstance(v, bool):
         raise DomainError(f"{name} must be a real number, got {v!r}")
     try:
@@ -72,10 +74,11 @@ def _positive(name: str, v) -> float:
     return f
 
 
-def _count(name: str, v, least: int) -> int:
-    """v as an int if it is an integer (not a bool) >= least, else DomainError."""
-    if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {v!r}")
+def _count(name: str, v, least: int, most: float = math.inf) -> int:
+    """v as an int if it is an integer (not a bool) from least to most, else DomainError."""
+    if not isinstance(v, numbers.Integral) or isinstance(v, bool) or not least <= v <= most:
+        bound = "" if most == math.inf else f" and <= {most}"
+        raise DomainError(f"{name} must be an integer >= {least}{bound}, got {v!r}")
     return int(v)
 
 

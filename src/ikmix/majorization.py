@@ -13,6 +13,9 @@ Conventions, fixed once here and relied on everywhere else:
   multiplication, i.e. it mixes two columns.  Column pairs are addressed
   with 1-based indices, matching the JSON wire format
   {"omega": w, "pair": [i, j]}.
+
+The preorders also take stacks of vectors along the last axis, giving one
+bool per stack entry; _opposite is script-L over stacks of row pairs.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ _OMEGA_AGREE = 1e-9
 
 def _vec(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError(f"{name} must be a nonempty 1-d vector")
+    if arr.ndim == 0 or arr.shape[-1] == 0:
+        raise DomainError(f"{name} must be a nonempty vector or a stack of them")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite")
     return arr
@@ -55,31 +58,35 @@ def _vec(v, name: str) -> np.ndarray:
 def _pair(a, b):
     x = _vec(a, "a")
     y = _vec(b, "b")
-    if x.size != y.size:
-        raise DomainError(f"length mismatch: {x.size} vs {y.size}")
+    if x.shape[-1] != y.shape[-1]:
+        raise DomainError(f"length mismatch: {x.shape[-1]} vs {y.shape[-1]}")
     return np.sort(x), np.sort(y)
 
 
-def majorizes(a, b) -> bool:
+def _held(held: np.ndarray):
+    """A bool for a pair of vectors, the array for stacks of them."""
+    return bool(held) if held.ndim == 0 else held
+
+
+def majorizes(a, b):
     """a majorizes b: ascending prefix sums of a never exceed b's, totals equal."""
     x, y = _pair(a, b)
-    ca, cb = np.cumsum(x), np.cumsum(y)
-    if abs(ca[-1] - cb[-1]) > _PREFIX_TOL:
-        return False
-    return bool(np.all(ca[:-1] <= cb[:-1] + _PREFIX_TOL))
+    ca, cb = np.cumsum(x, axis=-1), np.cumsum(y, axis=-1)
+    return _held((np.abs(ca[..., -1] - cb[..., -1]) <= _PREFIX_TOL)
+                 & np.all(ca[..., :-1] <= cb[..., :-1] + _PREFIX_TOL, axis=-1))
 
 
-def weak_supermajorizes(a, b) -> bool:
+def weak_supermajorizes(a, b):
     x, y = _pair(a, b)
-    return bool(np.all(np.cumsum(x) <= np.cumsum(y) + _PREFIX_TOL))
+    return _held(np.all(np.cumsum(x, axis=-1) <= np.cumsum(y, axis=-1) + _PREFIX_TOL, axis=-1))
 
 
-def weak_submajorizes(a, b) -> bool:
+def weak_submajorizes(a, b):
     x, y = _pair(a, b)
     # suffix sums over the ascending arrangement
-    sa = np.cumsum(x[::-1])
-    sb = np.cumsum(y[::-1])
-    return bool(np.all(sa >= sb - _PREFIX_TOL))
+    sa = np.cumsum(x[..., ::-1], axis=-1)
+    sb = np.cumsum(y[..., ::-1], axis=-1)
+    return _held(np.all(sa >= sb - _PREFIX_TOL, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -150,11 +157,14 @@ def in_script_l(pm: ParamMatrix2xN) -> bool:
     """Membership in script-L: the two rows are oppositely ordered, i.e.
     (row1_i - row1_j) * (row2_i - row2_j) <= 0 for every column pair, with
     1e-12 slack for ties."""
-    r1 = np.asarray(pm.row1)
-    r2 = np.asarray(pm.row2)
-    d1 = r1[:, None] - r1[None, :]
-    d2 = r2[:, None] - r2[None, :]
-    return bool(np.all(d1 * d2 <= _PAIR_SLACK))
+    return bool(_opposite(np.asarray(pm.row1), np.asarray(pm.row2)))
+
+
+def _opposite(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """in_script_l for each stacked pair of rows along the last axis."""
+    d1 = r1[..., :, None] - r1[..., None, :]
+    d2 = r2[..., :, None] - r2[..., None, :]
+    return np.all(d1 * d2 <= _PAIR_SLACK, axis=(-2, -1))
 
 
 def apply_t_transform(pm: ParamMatrix2xN, t: TTransform) -> ParamMatrix2xN:

@@ -8,10 +8,12 @@ Draws whose hypotheses fail but whose order holds anyway are reported
 too, as a reminder that these conditions are sufficient, not necessary.
 
 The generator is counter-based (Philox), so a seed pins the exact
-sample stream on every platform.  A scan draws every sample and runs its
-checker first, in draw order, and then decides all predicted orders
-together with check_orders, in stacks of draws; each verdict is the one
-its pair gets alone.
+sample stream on every platform.  A scan works on arrays with a leading
+draw axis: draw_sample takes every sample from one call to the
+generator, theorems.check_stack decides each hypothesis for all draws at
+once, and check_orders decides all predicted orders together, in stacks
+of draws; each verdict is the one its pair gets alone.  Only the listed
+findings turn their draw back into Python floats.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ikdist import DomainError, _count, _positive
+from .mixture import FiniteMixture
 from .ordercheck import DEFAULT_GRID, Grid, check_orders
-from .theorems import CHECKERS, SCAN_LAYOUTS, ConditionReport
+from .theorems import SCAN_LAYOUTS, check_stack
 
 __all__ = [
     "SCANNABLE_THEOREMS",
@@ -36,6 +39,11 @@ __all__ = [
 ]
 
 SCANNABLE_THEOREMS = tuple(SCAN_LAYOUTS)
+
+# far above any scan's needs: a larger count is an input error, not a
+# request for gigabytes
+MAX_SAMPLES = 1_000_000
+MAX_COMPONENTS = 1_000
 
 _GRID_KEYS = {"x_min", "x_max", "points", "spacing"}
 
@@ -83,9 +91,10 @@ class ScanConfig:
         if not isinstance(self.theorem, str) or self.theorem not in SCAN_LAYOUTS:
             raise DomainError(
                 f"scan supports theorems {SCANNABLE_THEOREMS}, got theorem {self.theorem!r}")
-        object.__setattr__(self, "samples", _count("samples", self.samples, 1))
+        object.__setattr__(self, "samples", _count("samples", self.samples, 1, MAX_SAMPLES))
         object.__setattr__(self, "seed", _count("seed", self.seed, 0))
-        object.__setattr__(self, "n_components", _count("n_components", self.n_components, 2))
+        object.__setattr__(self, "n_components",
+                           _count("n_components", self.n_components, 2, MAX_COMPONENTS))
         if not isinstance(self.ranges, dict):
             raise DomainError(f"scan config ranges must be an object, got {self.ranges!r}")
         layout = SCAN_LAYOUTS[self.theorem]
@@ -137,18 +146,25 @@ class ScanConfig:
 
 
 def draw_sample(config: ScanConfig, rng: np.random.Generator) -> dict:
-    """One parameter set, drawn in the fixed layout order."""
-    out: dict = {}
-    for name, kind in SCAN_LAYOUTS[config.theorem]:
-        pairs = config.ranges[name]
-        vals = [rng.uniform(lo, hi) if hi > lo else lo for lo, hi in pairs]
-        if kind == "scalar":
-            out[name] = float(vals[0])
-        elif kind == "weights":
-            total = sum(vals)
-            out[name] = tuple(v / total for v in vals)
-        else:
-            out[name] = tuple(float(v) for v in vals)
+    """Every draw of the scan, as one array per layout name in layout
+    order with a leading draw axis: draws x components, or one value per
+    draw for a scalar.  One rng.random call takes a uniform u per draw and
+    coordinate whose range [lo, hi] is not a point, draw-major in layout
+    order, and the value is lo + (hi - lo) * u; a point range gives lo and
+    takes nothing.  Weights are divided by their sum, taken column by column
+    from the left as a Python sum over one draw would take it."""
+    layout = SCAN_LAYOUTS[config.theorem]
+    lo, hi = np.array([pair for name, _ in layout for pair in config.ranges[name]]).T
+    free = hi > lo
+    values = np.tile(lo, (config.samples, 1))
+    values[:, free] = lo[free] + (hi - lo)[free] * rng.random((config.samples, int(free.sum())))
+    out, start = {}, 0
+    for name, kind in layout:
+        v = values[:, start:start + len(config.ranges[name])]
+        start += v.shape[1]
+        if kind == "weights":
+            v = v / sum(v.T)[:, None]
+        out[name] = v[:, 0] if kind == "scalar" else v
     return out
 
 
@@ -160,12 +176,10 @@ class ScanFinding:
     witness: dict | None = None
 
     def to_dict(self) -> dict:
-        return {"index": self.index, "params": _jsonable(self.params),
+        return {"index": self.index,
+                "params": {k: list(v) if isinstance(v, tuple) else v
+                           for k, v in self.params.items()},
                 "category": self.category, "witness": self.witness}
-
-
-def _jsonable(params: dict) -> dict:
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()}
 
 
 @dataclass(frozen=True)
@@ -189,35 +203,29 @@ class ScanReport:
         }
 
 
-def _categorise(report: ConditionReport, verdict_status: str) -> str:
-    if verdict_status == "inconclusive":
-        return "undecided"
-    violated = verdict_status == "violated"
-    if report.all_held:
-        return "soundness_alarm" if violated else "consistent"
-    return ("hypotheses_false_order_violated" if violated
-            else "order_holds_without_hypotheses")
+# a draw's category by (every hypothesis held, verdict status)
+_CATEGORY = {(True, "violated"): "soundness_alarm", (True, "holds_on_grid"): "consistent",
+             (False, "violated"): "hypotheses_false_order_violated",
+             (False, "holds_on_grid"): "order_holds_without_hypotheses",
+             (True, "inconclusive"): "undecided", (False, "inconclusive"): "undecided"}
 
 
 def run_scan(config: ScanConfig) -> ScanReport:
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    checker = CHECKERS[config.theorem]
-    draws = []
-    for _ in range(config.samples):
-        params = draw_sample(config, rng)
-        draws.append((params, checker(**params)))
-    verdicts = check_orders([(r.orientation.kind, r.orientation.lhs, r.orientation.rhs)
-                             for _, r in draws], config.grid)
+    draws = draw_sample(config, np.random.Generator(np.random.Philox(config.seed)))
+    kind, lhs, rhs, hypotheses = check_stack(config.theorem, draws)
+    rows = [zip(*(a.tolist() for a in side)) for side in (lhs, rhs)]
+    verdicts = check_orders([(kind, FiniteMixture(*m1), FiniteMixture(*m2))
+                             for m1, m2 in zip(*rows)], config.grid)
     counts = {c: 0 for c in CATEGORIES}
-    alarms: list[ScanFinding] = []
-    free_holds: list[ScanFinding] = []
-    for index, ((params, report), verdict) in enumerate(zip(draws, verdicts)):
-        category = _categorise(report, verdict.status)
+    findings: dict = {"soundness_alarm": [], "order_holds_without_hypotheses": []}
+    for index, (all_held, verdict) in enumerate(
+            zip(np.logical_and.reduce(hypotheses).tolist(), verdicts)):
+        category = _CATEGORY[all_held, verdict.status]
         counts[category] += 1
-        if category == "soundness_alarm":
-            alarms.append(ScanFinding(
-                index, params, category,
-                verdict.witness.to_dict() if verdict.witness else None))
-        elif category == "order_holds_without_hypotheses":
-            free_holds.append(ScanFinding(index, params, category))
-    return ScanReport(config, counts, tuple(alarms), tuple(free_holds))
+        if category in findings:  # the draw as floats and tuples of floats
+            params = {name: tuple(v[index].tolist()) if v.ndim == 2 else v[index].item()
+                      for name, v in draws.items()}
+            findings[category].append(ScanFinding(
+                index, params, category, verdict.witness.to_dict() if verdict.witness else None))
+    return ScanReport(config, counts, tuple(findings["soundness_alarm"]),
+                      tuple(findings["order_holds_without_hypotheses"]))

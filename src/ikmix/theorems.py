@@ -7,9 +7,12 @@ decide an order themselves; when every hypothesis holds they expose the
 predicted order in the normal form lhs <= rhs for the named order kind,
 and verify_prediction hands that claim to the grid engine.
 
-A vector checker builds the mixtures of its predicted order first, so
-FiniteMixture validates each weight and shape once (a scalar shape
-broadcasts), and the hypotheses read the shapes back from them.
+The vector conditions (T3.1-T3.3, T3.10-T3.12, C3.1) are stated once, in
+_CONDITIONS, as numpy expressions along the last axis of (weights, alpha,
+beta) arrays with a leading draw axis, so check_stack decides a stack of
+scan draws in one call.  Their checker is the stack of one: it builds the
+mixtures of its predicted order first, so FiniteMixture validates each
+value once (a scalar shape broadcasts), and formats the details from it.
 
 CHECKERS maps every condition id to its checker and is the one place
 where ids meet code; SCAN_LAYOUTS gives the draw layout of the ids that
@@ -21,13 +24,17 @@ count as satisfied.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from functools import partial
+
+import numpy as np
 
 from .ikdist import DomainError
 from .majorization import (
     ParamMatrix2xN,
     TTransform,
+    _opposite,
     apply_t_transform,
     chain_majorization_verify,
     in_script_l,
@@ -46,6 +53,7 @@ __all__ = [
     "CHECKERS",
     "SCAN_LAYOUTS",
     "THEOREM_IDS",
+    "check_stack",
     "check_theorem_3_1",
     "check_theorem_3_2",
     "check_theorem_3_3",
@@ -158,29 +166,69 @@ def verify_prediction(report: ConditionReport, grid: Grid = DEFAULT_GRID) -> Ver
 
 
 # ---------------------------------------------------------------------------
-# small builders
+# conditions stated over stacks of draws
 # ---------------------------------------------------------------------------
 
 
-def _script_l_hyp(name: str, row1, row2, what: str) -> Hypothesis:
-    pm = ParamMatrix2xN(tuple(row1), tuple(row2))
-    held = in_script_l(pm)
-    return Hypothesis(name, held, f"{what} rows {'are' if held else 'are not'} oppositely ordered")
+def _hypothesis(name: str, held, texts, *values) -> Hypothesis:
+    """Draw 0 of a stacked hypothesis (name, held, texts, *values): held has
+    one bool per draw, and texts is the detail template, or the pair (if
+    held, if not), which the values of one draw fill in."""
+    ok = bool(held[0])
+    text = texts if isinstance(texts, str) else texts[not ok]
+    return Hypothesis(name, ok, text.format(*(float(v[0]) for v in values)))
 
 
-def _beta_unit_hyp(beta: float) -> Hypothesis:
-    held = 0.0 < beta < 1.0
-    return Hypothesis("beta_in_unit_interval", held, f"beta = {beta!r}")
+def _script_l(name: str, what: str, row1, row2) -> tuple:
+    return (name, _opposite(row1, row2),
+            (f"{what} rows are oppositely ordered", f"{what} rows are not oppositely ordered"))
 
 
-def _gap_extremes(v: tuple[float, ...]) -> tuple[float, float]:
-    """The largest and the smallest pairwise |gap| of v: max - min, and the
-    smallest difference of neighbours once v is sorted.  Rounding is
-    monotone, so these are the extremes of the rounded pairwise gaps."""
-    if len(v) < 2:
+def _beta_unit(beta) -> tuple:
+    """Every beta along the last axis lies in (0, 1); the detail shows the
+    first, the one shared beta of the conditions that use this."""
+    return ("beta_in_unit_interval", np.all((0.0 < beta) & (beta < 1.0), axis=-1),
+            "beta = {0!r}", beta[..., 0])
+
+
+def _gap_extremes(v) -> tuple:
+    """The largest and the smallest pairwise |gap| of each vector along the
+    last axis of v: max - min, and the smallest difference of neighbours
+    once it is sorted.  Rounding is monotone, so these are the extremes of
+    the rounded pairwise gaps."""
+    s = np.sort(v, axis=-1)
+    if s.shape[-1] < 2:
         raise DomainError("gap hypothesis needs at least two components")
-    s = sorted(v)
-    return s[-1] - s[0], min(b - a for a, b in zip(s, s[1:]))
+    return s[..., -1] - s[..., 0], np.diff(s, axis=-1).min(axis=-1)
+
+
+# lhs and rhs name the arguments that give the (weights, alpha, beta) of the
+# predicted smaller and larger mixture; hypotheses maps the two sides'
+# arrays (draws x components, weights as given) to stacked hypotheses
+_Condition = namedtuple("_Condition", "kind lhs rhs labels hypotheses")
+
+
+def _report(theorem_id: str, **args) -> ConditionReport:
+    """The condition on a stack of one draw, with every argument validated
+    by the mixture it belongs to."""
+    cond = _CONDITIONS[theorem_id]
+    pair = [FiniteMixture(*(args[name] for name in names)) for names in (cond.lhs, cond.rhs)]
+    sides = [(np.array([[float(w) for w in args[names[0]]]]), np.array([m.alphas]),
+              np.array([m.betas])) for names, m in zip((cond.lhs, cond.rhs), pair)]
+    return ConditionReport(theorem_id, tuple(_hypothesis(*h) for h in cond.hypotheses(*sides)),
+                           PredictedOrder(cond.kind, *pair, *cond.labels))
+
+
+def check_stack(theorem_id: str, draws: dict) -> tuple:
+    """The condition theorem_id on draws, one array per argument with a
+    leading draw axis, unvalidated.  Returns the order kind, the lhs and rhs
+    (weights, alpha, beta) arrays, draws x components, and one bool array
+    per hypothesis in the checker's order."""
+    cond = _CONDITIONS[theorem_id]
+    sides = tuple(tuple(np.broadcast_to(draws[name].reshape(len(draws[name]), -1),
+                                        draws[names[0]].shape) for name in names)
+                  for names in (cond.lhs, cond.rhs))
+    return (cond.kind, *sides, tuple(h[1] for h in cond.hypotheses(*sides)))
 
 
 # ---------------------------------------------------------------------------
@@ -188,84 +236,61 @@ def _gap_extremes(v: tuple[float, ...]) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _weight_shift_common_beta(theorem_id: str, alpha, beta: float, p, p_star,
-                              relation) -> ConditionReport:
+def _weight_shift_common_beta(name: str, predicate, held_detail: str, failed_detail: str):
     """Both weight vectors oppositely ordered to alpha, plus the weight
-    relation (name, predicate(p, p*), detail if held, detail if not);
-    concludes mixture(p*) <= mixture(p) in the usual stochastic order."""
-    orientation = PredictedOrder(
-        "st", FiniteMixture(p_star, alpha, beta), FiniteMixture(p, alpha, beta),
-        "mixture with shifted weights p*", "mixture with original weights p",
-    )
-    alpha = orientation.rhs.alphas
-    p, p_star = tuple(float(w) for w in p), tuple(float(w) for w in p_star)
-    name, predicate, held_detail, failed_detail = relation
-    held = predicate(p, p_star)
-    hyps = (
-        _script_l_hyp("alpha_p_in_script_l", p, alpha, "(p, alpha)"),
-        _script_l_hyp("alpha_p_star_in_script_l", p_star, alpha, "(p*, alpha)"),
-        Hypothesis(name, held, held_detail if held else failed_detail),
-    )
-    return ConditionReport(theorem_id, hyps, orientation)
+    relation predicate(p, p*)."""
+    def hypotheses(lhs, rhs):
+        (p_star, alpha, _), (p, _, _) = lhs, rhs
+        held = predicate(p, p_star)  # first: it rejects p and p* of unequal lengths
+        return (_script_l("alpha_p_in_script_l", "(p, alpha)", p, alpha),
+                _script_l("alpha_p_star_in_script_l", "(p*, alpha)", p_star, alpha),
+                (name, held, (held_detail, failed_detail)))
+    return hypotheses
+
+
+def _t3_2(lhs, rhs) -> tuple:
+    (p, _, beta), (p_star, _, _) = lhs, rhs
+    held = weak_supermajorizes(p, p_star)  # first, as in T3.1
+    return (_script_l("beta_p_in_script_l", "(p, beta)", p, beta),
+            _script_l("beta_p_star_in_script_l", "(p*, beta)", p_star, beta),
+            ("p_star_weakly_supermajorized_by_p", held,
+             ("ascending prefix sums of p stay below those of p*",
+              "some ascending prefix sum of p exceeds p*'s")))
+
+
+def _t3_3(lhs, rhs) -> tuple:
+    (p, alpha_star, beta), (_, alpha, _) = lhs, rhs
+    return (_beta_unit(beta),
+            _script_l("alpha_p_in_script_l", "(p, alpha)", p, alpha),
+            _script_l("alpha_star_p_in_script_l", "(p, alpha*)", p, alpha_star),
+            ("alpha_star_weakly_supermajorized_by_alpha", weak_supermajorizes(alpha, alpha_star),
+             ("ascending prefix sums of alpha stay below those of alpha*",
+              "some ascending prefix sum of alpha exceeds alpha*'s")))
 
 
 def check_theorem_3_1(alpha, beta: float, p, p_star) -> ConditionReport:
     """Weight shift under a common beta; concludes mixture(p*) <= mixture(p)
     in the usual stochastic order.  A scalar alpha broadcasts."""
-    return _weight_shift_common_beta("T3.1", alpha, beta, p, p_star, (
-        "p_star_weakly_submajorized_by_p", weak_submajorizes,
-        "ascending suffix sums of p dominate those of p*",
-        "some ascending suffix sum of p falls below p*'s"))
+    return _report("T3.1", alpha=alpha, beta=beta, p=p, p_star=p_star)
 
 
 def check_corollary_3_1(alpha, beta: float, p, p_star) -> ConditionReport:
     """Plain-majorization variant of T3.1 (same conclusion).  A scalar alpha
     broadcasts."""
-    return _weight_shift_common_beta("C3.1", alpha, beta, p, p_star, (
-        "p_star_majorized_by_p", majorizes,
-        "majorizes(p, p*) = True", "majorizes(p, p*) = False"))
+    return _report("C3.1", alpha=alpha, beta=beta, p=p, p_star=p_star)
 
 
 def check_theorem_3_2(beta, alpha: float, p, p_star) -> ConditionReport:
     """Weight shift under a common alpha; concludes mixture(p) <= mixture(p*)
     in the usual stochastic order.  A scalar beta broadcasts."""
-    orientation = PredictedOrder(
-        "st", FiniteMixture(p, alpha, beta), FiniteMixture(p_star, alpha, beta),
-        "mixture with original weights p", "mixture with shifted weights p*",
-    )
-    beta = orientation.lhs.betas
-    p, p_star = tuple(float(w) for w in p), tuple(float(w) for w in p_star)
-    sup = weak_supermajorizes(p, p_star)
-    hyps = (
-        _script_l_hyp("beta_p_in_script_l", p, beta, "(p, beta)"),
-        _script_l_hyp("beta_p_star_in_script_l", p_star, beta, "(p*, beta)"),
-        Hypothesis("p_star_weakly_supermajorized_by_p", sup,
-                   "ascending prefix sums of p stay below those of p*" if sup
-                   else "some ascending prefix sum of p exceeds p*'s"),
-    )
-    return ConditionReport("T3.2", hyps, orientation)
+    return _report("T3.2", beta=beta, alpha=alpha, p=p, p_star=p_star)
 
 
 def check_theorem_3_3(alpha, alpha_star, beta: float, p) -> ConditionReport:
     """Shape shift in the alpha vector under fixed weights and a shared
     beta inside (0,1); concludes mixture(alpha*) <= mixture(alpha).  A
     scalar alpha or alpha* broadcasts."""
-    orientation = PredictedOrder(
-        "st", FiniteMixture(p, alpha_star, beta), FiniteMixture(p, alpha, beta),
-        "mixture with shifted shapes alpha*", "mixture with original shapes alpha",
-    )
-    alpha_star, alpha = orientation.lhs.alphas, orientation.rhs.alphas
-    p = tuple(float(w) for w in p)
-    sup = weak_supermajorizes(alpha, alpha_star)
-    hyps = (
-        _beta_unit_hyp(beta),
-        _script_l_hyp("alpha_p_in_script_l", p, alpha, "(p, alpha)"),
-        _script_l_hyp("alpha_star_p_in_script_l", p, alpha_star, "(p, alpha*)"),
-        Hypothesis("alpha_star_weakly_supermajorized_by_alpha", sup,
-                   "ascending prefix sums of alpha stay below those of alpha*" if sup
-                   else "some ascending prefix sum of alpha exceeds alpha*'s"),
-    )
-    return ConditionReport("T3.3", hyps, orientation)
+    return _report("T3.3", alpha=alpha, alpha_star=alpha_star, beta=beta, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +353,8 @@ def check_theorem_3_4_or_3_5(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
     beta in (0,1); concludes mixture(q) <= mixture(p) in the usual order.
     One transform reports as T3.4, a longer chain as T3.5."""
     ts = _chain(ts)
-    hyps = (_beta_unit_hyp(beta), _p_mat_hyp(p_mat, "alpha"), _chain_hyp(p_mat, q_mat, ts))
+    hyps = (_hypothesis(*_beta_unit(np.array([[beta]]))), _p_mat_hyp(p_mat, "alpha"),
+            _chain_hyp(p_mat, q_mat, ts))
     return ConditionReport("T3.4" if len(ts) == 1 else "T3.5", hyps,
                            _alpha_matrix_order(p_mat, q_mat, beta))
 
@@ -338,7 +364,7 @@ def check_theorem_3_6(p_mat: ParamMatrix2xN, ts, beta: float) -> ConditionReport
     at its final step.  q is the chain result itself, so the hypotheses are
     the stagewise memberships."""
     ts = _chain(ts)
-    hyps = [_beta_unit_hyp(beta)]
+    hyps = [_hypothesis(*_beta_unit(np.array([[beta]])))]
     stage = p_mat
     for i, t in enumerate(ts):
         ok = in_script_l(stage)
@@ -355,8 +381,8 @@ def check_corollary_3_2(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
     """Chain of T-transforms acting on one fixed column pair (their product
     is again a single T-transform); otherwise as T3.5."""
     ts = _chain(ts)
-    hyps = (_beta_unit_hyp(beta), _p_mat_hyp(p_mat, "alpha"), _common_pair_hyp(ts),
-            _chain_hyp(p_mat, q_mat, ts))
+    hyps = (_hypothesis(*_beta_unit(np.array([[beta]]))), _p_mat_hyp(p_mat, "alpha"),
+            _common_pair_hyp(ts), _chain_hyp(p_mat, q_mat, ts))
     return ConditionReport("C3.2", hyps, _alpha_matrix_order(p_mat, q_mat, beta))
 
 
@@ -395,59 +421,40 @@ def check_corollary_3_3(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
 # ---------------------------------------------------------------------------
 
 
+def _t3_10(lhs, rhs) -> tuple:
+    max_gap, min_gap_star = _gap_extremes(lhs[2])[0], _gap_extremes(rhs[2])[1]
+    return (("beta_gap_dominated_by_beta_star_gap", max_gap <= min_gap_star + _SLACK,
+             "max pairwise |beta gap| = {0!r} vs min pairwise |beta* gap| = {1!r}",
+             max_gap, min_gap_star),)
+
+
+def _separated(a_name: str, a_detail: str, prod_name: str, prod_detail: str):
+    """Every rhs alpha lies below every lhs alpha, and every lhs alpha*beta
+    below every rhs one.  The detail templates are filled with the max and
+    the min of each comparison."""
+    def hypotheses(lhs, rhs):
+        (_, alpha_lhs, beta_lhs), (_, alpha_rhs, beta_rhs) = lhs, rhs
+        a_max, a_min = alpha_rhs.max(axis=-1), alpha_lhs.min(axis=-1)
+        prod_max = (alpha_lhs * beta_lhs).max(axis=-1)
+        prod_min = (alpha_rhs * beta_rhs).min(axis=-1)
+        return ((a_name, a_max <= a_min + _SLACK, a_detail, a_max, a_min),
+                (prod_name, prod_max <= prod_min + _SLACK, prod_detail, prod_max, prod_min))
+    return hypotheses
+
+
 def check_theorem_3_10(beta, beta_star, alpha: float, p, p_star) -> ConditionReport:
     """Gap condition on the beta vectors under a common alpha; claims the
     reversed-hazard-ratio order mixture(beta; p) <= mixture(beta*; p*).  A
     scalar beta or beta* broadcasts."""
-    orientation = PredictedOrder(
-        "r_rh", FiniteMixture(p, alpha, beta), FiniteMixture(p_star, alpha, beta_star),
-        "mixture with tightly clustered betas", "mixture with spread betas",
-    )
-    beta, beta_star = orientation.lhs.betas, orientation.rhs.betas
-    max_gap = _gap_extremes(beta)[0]
-    min_gap_star = _gap_extremes(beta_star)[1]
-    held = max_gap <= min_gap_star + _SLACK
-    hyps = (
-        Hypothesis("beta_gap_dominated_by_beta_star_gap", held,
-                   f"max pairwise |beta gap| = {max_gap!r} vs "
-                   f"min pairwise |beta* gap| = {min_gap_star!r}"),
-    )
-    return ConditionReport("T3.10", hyps, orientation)
-
-
-def _separated(theorem_id: str, kind: str, texts: tuple[str, ...],
-               lhs, rhs) -> ConditionReport:
-    """lhs and rhs are the (weights, alpha, beta) of the predicted smaller
-    and larger mixture.  The hypotheses ask every rhs alpha to lie below
-    every lhs alpha and every lhs alpha*beta below every rhs one.  texts
-    holds the two hypothesis names, their detail templates (filled with
-    max, min of each comparison) and the two labels."""
-    a_name, a_detail, prod_name, prod_detail, lhs_label, rhs_label = texts
-    orientation = PredictedOrder(kind, FiniteMixture(*lhs), FiniteMixture(*rhs),
-                                 lhs_label, rhs_label)
-    alpha_lhs, beta_lhs = orientation.lhs.alphas, orientation.lhs.betas
-    alpha_rhs, beta_rhs = orientation.rhs.alphas, orientation.rhs.betas
-    prod_lhs = tuple(a * b for a, b in zip(alpha_lhs, beta_lhs))
-    prod_rhs = tuple(a * b for a, b in zip(alpha_rhs, beta_rhs))
-    hyps = (
-        Hypothesis(a_name, max(alpha_rhs) <= min(alpha_lhs) + _SLACK,
-                   a_detail.format(max(alpha_rhs), min(alpha_lhs))),
-        Hypothesis(prod_name, max(prod_lhs) <= min(prod_rhs) + _SLACK,
-                   prod_detail.format(max(prod_lhs), min(prod_rhs))),
-    )
-    return ConditionReport(theorem_id, hyps, orientation)
+    return _report("T3.10", beta=beta, beta_star=beta_star, alpha=alpha, p=p, p_star=p_star)
 
 
 def check_theorem_3_11(p, alpha, beta, p_star, alpha_star, beta_star) -> ConditionReport:
     """Separation condition for the reversed hazard order between two fully
     heterogeneous mixtures: mixture(alpha, beta; p) <= mixture(alpha*, beta*; p*).
     A scalar shape broadcasts across its mixture's components."""
-    return _separated("T3.11", "rh", (
-        "alpha_star_max_below_alpha_min", "max(alpha*) = {0!r} vs min(alpha) = {1!r}",
-        "alpha_beta_products_below_starred",
-        "max(alpha*beta) = {0!r} vs min(alpha**beta*) = {1!r}",
-        "mixture with larger alphas", "mixture with larger alpha*beta products",
-    ), (p, alpha, beta), (p_star, alpha_star, beta_star))
+    return _report("T3.11", p=p, alpha=alpha, beta=beta,
+                   p_star=p_star, alpha_star=alpha_star, beta_star=beta_star)
 
 
 def check_theorem_3_12(p, alpha, beta, p_star, alpha_star, beta_star) -> ConditionReport:
@@ -455,12 +462,39 @@ def check_theorem_3_12(p, alpha, beta, p_star, alpha_star, beta_star) -> Conditi
     mixture(alpha*, beta*; p*) <= mixture(alpha, beta; p), i.e. T3.11 with
     the roles of the two mixtures swapped.  A scalar shape broadcasts
     across its mixture's components."""
-    return _separated("T3.12", "lr", (
+    return _report("T3.12", p=p, alpha=alpha, beta=beta,
+                   p_star=p_star, alpha_star=alpha_star, beta_star=beta_star)
+
+
+_PLAIN = ("p", "alpha", "beta")
+_STARRED = ("p_star", "alpha_star", "beta_star")
+_WEIGHT_SHIFT = (("p_star", "alpha", "beta"), _PLAIN,
+                 ("mixture with shifted weights p*", "mixture with original weights p"))
+_CONDITIONS = {
+    "T3.1": _Condition("st", *_WEIGHT_SHIFT, _weight_shift_common_beta(
+        "p_star_weakly_submajorized_by_p", weak_submajorizes,
+        "ascending suffix sums of p dominate those of p*",
+        "some ascending suffix sum of p falls below p*'s")),
+    "C3.1": _Condition("st", *_WEIGHT_SHIFT, _weight_shift_common_beta(
+        "p_star_majorized_by_p", majorizes,
+        "majorizes(p, p*) = True", "majorizes(p, p*) = False")),
+    "T3.2": _Condition("st", _PLAIN, ("p_star", "alpha", "beta"), (
+        "mixture with original weights p", "mixture with shifted weights p*"), _t3_2),
+    "T3.3": _Condition("st", ("p", "alpha_star", "beta"), _PLAIN, (
+        "mixture with shifted shapes alpha*", "mixture with original shapes alpha"), _t3_3),
+    "T3.10": _Condition("r_rh", _PLAIN, ("p_star", "alpha", "beta_star"), (
+        "mixture with tightly clustered betas", "mixture with spread betas"), _t3_10),
+    "T3.11": _Condition("rh", _PLAIN, _STARRED, (
+        "mixture with larger alphas", "mixture with larger alpha*beta products"), _separated(
+        "alpha_star_max_below_alpha_min", "max(alpha*) = {0!r} vs min(alpha) = {1!r}",
+        "alpha_beta_products_below_starred",
+        "max(alpha*beta) = {0!r} vs min(alpha**beta*) = {1!r}")),
+    "T3.12": _Condition("lr", _STARRED, _PLAIN, (
+        "mixture with smaller alpha*beta products", "mixture with larger products"), _separated(
         "alpha_max_below_alpha_star_min", "max(alpha) = {0!r} vs min(alpha*) = {1!r}",
         "alpha_beta_products_above_starred",
-        "min(alpha*beta) = {1!r} vs max(alpha**beta*) = {0!r}",
-        "mixture with smaller alpha*beta products", "mixture with larger products",
-    ), (p_star, alpha_star, beta_star), (p, alpha, beta))
+        "min(alpha*beta) = {1!r} vs max(alpha**beta*) = {0!r}")),
+}
 
 
 # ---------------------------------------------------------------------------

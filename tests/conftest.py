@@ -5,11 +5,20 @@ import numpy as np
 import pytest
 
 from ikmix import FiniteMixture, FixtureCatalog, IKParams
+from ikmix.scan import draw_sample
 
 
 @pytest.fixture(scope="session")
 def catalog() -> FixtureCatalog:
     return FixtureCatalog()
+
+
+def draw_rows(config) -> list[dict]:
+    """The draws of a scan config from its seed, one dict of floats and
+    tuples of floats per draw, as a checker takes them."""
+    draws = draw_sample(config, np.random.Generator(np.random.Philox(config.seed)))
+    return [{name: tuple(v[i].tolist()) if v.ndim == 2 else v[i].item()
+             for name, v in draws.items()} for i in range(config.samples)]
 
 
 def random_params(rng: np.random.Generator,

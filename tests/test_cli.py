@@ -400,6 +400,9 @@ class TestScan:
         {"seed": -1},
         {"samples": 2.7},
         {"n_components": 2.7},
+        {"n_components": 10**400},
+        {"n_components": 10**9},
+        {"samples": 10**9},
         {"ranges": dict(QUIET["ranges"], beta=[None, 2])},
         {"ranges": dict(QUIET["ranges"], beta=["1", 2])},
         {"ranges": dict(QUIET["ranges"], beta=[1, 10**400])},
@@ -407,7 +410,8 @@ class TestScan:
         {"ranges": 5},
         {"ranges": None}], ids=[
         "string grid bound", "huge grid bound", "negative seed", "float samples",
-        "float n_components", "null range bound", "string range bound", "huge range bound",
+        "float n_components", "401-digit n_components", "billion n_components",
+        "billion samples", "null range bound", "string range bound", "huge range bound",
         "list theorem", "int ranges", "null ranges"])
     def test_malformed_config_exit_1(self, capsys, tmp_path, change):
         cfg = tmp_path / "bad.json"

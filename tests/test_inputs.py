@@ -4,11 +4,17 @@ line as a traceback."""
 
 from __future__ import annotations
 
+import math
+import re
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ikmix import DomainError, FiniteMixture, ParamMatrix2xN, ScanConfig, TTransform
+from ikmix.ikdist import _positive
+from ikmix.scan import MAX_COMPONENTS, MAX_SAMPLES
 
 SCAN = {
     "theorem": "T3.10",
@@ -62,3 +68,34 @@ def test_one_bad_field_raises_domain_error_or_builds(data):
     except DomainError:
         pass
 
+
+@pytest.mark.parametrize("value", [1.0, 5e-324, 1.7976931348623157e308, 0.1, 3, 10**300,
+                                   np.float64(0.5), np.float32(2.5), np.int64(7)])
+def test_positive_accepts_positive_finite_reals(value):
+    got = _positive("x", value)
+    assert type(got) is float and got == float(value)
+
+
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "positive and finite"), (math.inf, "positive and finite"),
+    (-math.inf, "positive and finite"), (0.0, "positive and finite"),
+    (-0.0, "positive and finite"), (-1.5, "positive and finite"),
+    (np.float64(math.nan), "positive and finite"), (np.float64(math.inf), "positive and finite"),
+    (np.float64(0.0), "positive and finite"), (np.float64(-2.0), "positive and finite"),
+    (10**400, "positive and finite"), (True, "a real number"), (False, "a real number"),
+    ("1.0", "a real number"), (None, "a real number")])
+def test_positive_rejects_the_rest(value, message):
+    with pytest.raises(DomainError, match=f"x must be {message}, got {re.escape(repr(value))}$"):
+        _positive("x", value)
+
+
+@pytest.mark.parametrize("field, most", [("n_components", MAX_COMPONENTS),
+                                         ("samples", MAX_SAMPLES)])
+def test_scan_counts_have_a_ceiling(field, most):
+    # bare [lo, hi] ranges, which a config repeats n_components times
+    shared = dict(SCAN, ranges={name: [0.5, 1.0] for name in SCAN["ranges"]})
+    assert ScanConfig.from_dict(dict(shared, **{field: most})).to_dict()[field] == most
+    for huge in (most + 1, 10**9, 10**400):
+        with pytest.raises(DomainError,
+                           match=f"{field} must be an integer >= [12] and <= {most}, got "):
+            ScanConfig.from_dict(dict(shared, **{field: huge}))

@@ -18,7 +18,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import mp_mixture
+from conftest import draw_rows, mp_mixture
 from ikmix import mixture, ordercheck
 from ikmix import (
     DEFAULT_GRID,
@@ -43,7 +43,7 @@ from ikmix.theorems import (
 )
 from ikmix.fixtures import run_fixture
 from ikmix.mixture import mixture_cdf, mixture_pdf, mixture_reversed_hazard, mixture_sf
-from ikmix.scan import ScanConfig, draw_sample, run_scan
+from ikmix.scan import ScanConfig, run_scan
 
 T310_GAP_PROBE = (Path(__file__).resolve().parents[1]
                   / "scripts" / "scan_configs" / "t310_gap_probe.json")
@@ -342,10 +342,8 @@ def oracle_cases(catalog):
     for fid in catalog.ids():
         po = catalog.checker_report(fid).orientation
         pairs.append((fid, po.kind, po.lhs, po.rhs, DEFAULT_GRID))
-    config = ScanConfig.from_file(T310_GAP_PROBE)
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    for i in range(200):
-        q = draw_sample(config, rng)
+    config = dataclasses.replace(ScanConfig.from_file(T310_GAP_PROBE), samples=200)
+    for i, q in enumerate(draw_rows(config)):
         po = check_theorem_3_10(q["beta"], q["beta_star"], q["alpha"],
                                 q["p"], q["p_star"]).orientation
         pairs.append((f"draw {i}", po.kind, po.lhs, po.rhs, config.grid))
@@ -869,10 +867,8 @@ class TestLazyCrossing:
             po = catalog.checker_report(fid).orientation
             for grid in (DEFAULT_GRID, Grid(1e-4, 3e-4, 200)):
                 pairs += [(po.lhs, po.rhs, grid), (po.rhs, po.lhs, grid)]
-        config = ScanConfig.from_file(T310_GAP_PROBE)
-        rng = np.random.Generator(np.random.Philox(config.seed))
-        for _ in range(200):
-            q = draw_sample(config, rng)
+        config = dataclasses.replace(ScanConfig.from_file(T310_GAP_PROBE), samples=200)
+        for q in draw_rows(config):
             po = check_theorem_3_10(q["beta"], q["beta_star"], q["alpha"],
                                     q["p"], q["p_star"]).orientation
             pairs.append((po.lhs, po.rhs, config.grid))
@@ -1008,10 +1004,9 @@ def _scan_claims(theorem: str, samples: int, seed: int) -> list:
     ranges = {name: [0.05, 1.0] if kind == "weights" else [0.3, 3.0]
               for name, kind in SCAN_LAYOUTS[theorem]}
     config = ScanConfig(theorem, samples, seed, ranges)
-    rng = np.random.Generator(np.random.Philox(seed))
     claims = []
-    for _ in range(samples):
-        po = CHECKERS[theorem](**draw_sample(config, rng)).orientation
+    for q in draw_rows(config):
+        po = CHECKERS[theorem](**q).orientation
         claims.append((po.kind, po.lhs, po.rhs))
     return claims
 
@@ -1114,10 +1109,9 @@ class TestStackedVerdicts:
 
     def test_scan_equals_a_draw_by_draw_loop(self):
         config = dataclasses.replace(ScanConfig.from_file(T310_GAP_PROBE), samples=60)
-        rng = np.random.Generator(np.random.Philox(config.seed))
         statuses, witnesses = [], []
-        for _ in range(config.samples):
-            po = CHECKERS[config.theorem](**draw_sample(config, rng)).orientation
+        for q in draw_rows(config):
+            po = CHECKERS[config.theorem](**q).orientation
             v = check_order(po.kind, po.lhs, po.rhs, config.grid)
             statuses.append(v.status)
             witnesses.append(v.witness.to_dict() if v.witness else None)

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from ikmix import DomainError, Grid
-from ikmix.theorems import CHECKERS
+from conftest import draw_rows
+from ikmix import DomainError, Grid, check_order
+from ikmix.theorems import CHECKERS, SCAN_LAYOUTS
 from ikmix.scan import (
     CATEGORIES,
     SCANNABLE_THEOREMS,
@@ -153,24 +154,23 @@ class TestScanConfig:
 
 class TestDrawSample:
     def test_weights_normalised_and_in_range(self):
-        cfg = ScanConfig("T3.1", 5, 3,
+        cfg = ScanConfig("T3.1", 50, 3,
                          {"alpha": [0.5, 2.0], "beta": [0.3, 0.9],
                           "p": [0.1, 1.0], "p_star": [0.1, 1.0]})
-        rng = np.random.Generator(np.random.Philox(3))
-        for _ in range(50):
-            s = draw_sample(cfg, rng)
-            assert abs(sum(s["p"]) - 1.0) < 1e-12
-            assert abs(sum(s["p_star"]) - 1.0) < 1e-12
-            assert all(0.5 <= a <= 2.0 for a in s["alpha"])
-            assert 0.3 <= s["beta"] <= 0.9
+        s = draw_sample(cfg, np.random.Generator(np.random.Philox(3)))
+        assert list(s) == ["alpha", "beta", "p", "p_star"]
+        assert s["alpha"].shape == s["p"].shape == (50, 2) and s["beta"].shape == (50,)
+        assert np.all(np.abs(s["p"].sum(axis=1) - 1.0) < 1e-12)
+        assert np.all(np.abs(s["p_star"].sum(axis=1) - 1.0) < 1e-12)
+        assert np.all((0.5 <= s["alpha"]) & (s["alpha"] <= 2.0))
+        assert np.all((0.3 <= s["beta"]) & (s["beta"] <= 0.9))
 
     def test_point_mass_ranges_hit_exactly(self):
         cfg = ScanConfig.from_dict(ALARM_CONFIG)
-        rng = np.random.Generator(np.random.Philox(0))
-        s = draw_sample(cfg, rng)
-        assert s["beta"] == (1.0, 2.0)
-        assert s["p_star"] == (0.9, 0.1)
-        assert s["alpha"] == 1.0
+        s = draw_sample(cfg, np.random.Generator(np.random.Philox(0)))
+        assert s["beta"].tolist() == [[1.0, 2.0]] * 3
+        assert s["p_star"].tolist() == [[0.9, 0.1]] * 3
+        assert s["alpha"].tolist() == [1.0] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +281,107 @@ def test_point_config_encodes_its_fixture(catalog, config, fid):
             assert cfg["n_components"] == len(value), name
         else:
             assert cfg["ranges"][name] == [value, value], name
-    config = ScanConfig.from_dict(cfg)
-    params = draw_sample(config, np.random.Generator(np.random.Philox(config.seed)))
+    params = draw_rows(ScanConfig.from_dict(cfg))[0]
     assert CHECKERS[fx["theorem"]](**params).to_dict() == catalog.checker_report(fid).to_dict()
+
+
+# ---------------------------------------------------------------------------
+# the array draw against a per-coordinate loop, and the stacked scan
+# against the public checkers
+# ---------------------------------------------------------------------------
+
+
+def _looped_draws(config):
+    """The documented stream, one rng.uniform per coordinate whose range is
+    not a point, draw-major in layout order; weights over their Python sum."""
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    rows = []
+    for _ in range(config.samples):
+        row = {}
+        for name, kind in SCAN_LAYOUTS[config.theorem]:
+            vals = [rng.uniform(lo, hi) if hi > lo else lo for lo, hi in config.ranges[name]]
+            total = sum(vals)
+            row[name] = (vals[0] if kind == "scalar" else
+                         [v / total for v in vals] if kind == "weights" else vals)
+        rows.append(row)
+    return rows
+
+
+def _mixed_ranges(theorem, n):
+    """Per-component ranges where every third coordinate is a point."""
+    ranges = {}
+    for name, kind in SCAN_LAYOUTS[theorem]:
+        lo, hi = (0.05, 1.0) if kind == "weights" else (0.3, 3.0)
+        pairs = [[lo + 0.1 * i, lo + 0.1 * i] if i % 3 == 1 else [lo, hi]
+                 for i in range(1 if kind == "scalar" else n)]
+        ranges[name] = pairs
+    return ranges
+
+
+@pytest.mark.parametrize("theorem", SCAN_LAYOUTS)
+@pytest.mark.parametrize("n, mixed", [(2, False), (3, True), (9, False), (9, True)])
+def test_array_draw_equals_a_per_coordinate_loop(theorem, n, mixed):
+    # with 9 components numpy's pairwise sum along a row would round
+    # differently from the left-to-right total
+    ranges = (_mixed_ranges(theorem, n) if mixed else
+              {name: [0.05, 1.0] if kind == "weights" else [0.3, 3.0]
+               for name, kind in SCAN_LAYOUTS[theorem]})
+    config = ScanConfig(theorem, 40, 1000 + n, ranges, n_components=n)
+    draws = draw_sample(config, np.random.Generator(np.random.Philox(config.seed)))
+    assert list(draws) == [name for name, _ in SCAN_LAYOUTS[theorem]]
+    for i, want in enumerate(_looped_draws(config)):
+        got = {name: v[i].tolist() for name, v in draws.items()}
+        assert repr(got) == repr(want), i
+
+
+def test_point_ranges_take_nothing_from_the_stream():
+    config = ScanConfig.from_dict(ALARM_CONFIG)
+    draws = draw_sample(config, np.random.Generator(np.random.Philox(config.seed)))
+    assert repr([{k: v[i].tolist() for k, v in draws.items()} for i in range(3)]) == \
+        repr(_looped_draws(config))
+
+
+_CATEGORY_RANGES = {
+    "T3.1": {"alpha": [0.3, 3.0], "beta": [0.3, 3.0], "p": [0.05, 1.0], "p_star": [0.05, 1.0]},
+    "T3.2": {"beta": [0.3, 3.0], "alpha": [0.3, 3.0], "p": [0.05, 1.0], "p_star": [0.05, 1.0]},
+    "T3.3": {"alpha": [0.3, 3.0], "alpha_star": [0.3, 3.0], "beta": [0.3, 1.5],
+             "p": [0.05, 1.0]},
+    "T3.10": {"beta": [0.5, 3.0], "beta_star": [0.5, 3.0], "alpha": [0.5, 2.0],
+              "p": [0.05, 1.0], "p_star": [0.05, 1.0]},
+    "T3.11": {"p": [0.05, 1.0], "alpha": [1.5, 6.0], "beta": [0.2, 2.0],
+              "p_star": [0.05, 1.0], "alpha_star": [1.0, 3.0], "beta_star": [0.5, 6.0]},
+    "T3.12": {"p": [0.05, 1.0], "alpha": [1.0, 3.0], "beta": [0.5, 6.0],
+              "p_star": [0.05, 1.0], "alpha_star": [1.5, 6.0], "beta_star": [0.2, 2.0]},
+}
+
+
+@pytest.mark.parametrize("theorem", SCAN_LAYOUTS)
+def test_scan_categories_equal_the_checker_row_by_row(theorem):
+    config = ScanConfig(theorem, 64, sum(map(ord, theorem)), _CATEGORY_RANGES[theorem],
+                        grid=Grid(1e-3, 1e3, 200))
+    report = run_scan(config)
+    want, witnesses = [], {}
+    for i, params in enumerate(draw_rows(config)):
+        rep = CHECKERS[theorem](**params)
+        po = rep.orientation
+        verdict = check_order(po.kind, po.lhs, po.rhs, config.grid)
+        if verdict.status == "inconclusive":
+            category = "undecided"
+        elif rep.all_held:
+            category = ("soundness_alarm" if verdict.status == "violated" else "consistent")
+        else:
+            category = ("hypotheses_false_order_violated" if verdict.status == "violated"
+                        else "order_holds_without_hypotheses")
+        want.append(category)
+        witnesses[i] = (params, verdict.witness.to_dict() if verdict.witness else None)
+    assert report.counts == {c: want.count(c) for c in CATEGORIES}
+    for findings, category in ((report.soundness_alarms, "soundness_alarm"),
+                               (report.holds_without_hypotheses,
+                                "order_holds_without_hypotheses")):
+        assert [f.index for f in findings] == [i for i, c in enumerate(want) if c == category]
+        for f in findings:
+            assert f.category == category
+            assert repr(f.params) == repr(witnesses[f.index][0])
+            assert f.witness == witnesses[f.index][1]
+    # the ranges reach both sides of the hypotheses and of the order
+    assert len(set(want)) >= 2

@@ -178,6 +178,14 @@ class TestWeightShiftCheckers:
         with pytest.raises(DomainError, match=message):
             check_theorem_3_1(alpha, 1.0, (0.2, 0.2, 0.6), (0.3, 0.3, 0.4))
 
+    @pytest.mark.parametrize("checker", [check_theorem_3_1, check_corollary_3_1,
+                                         check_theorem_3_2])
+    @pytest.mark.parametrize("p", [(0.5, 0.5), (1.0,)])
+    def test_weight_vectors_of_unequal_length_are_rejected(self, checker, p):
+        # a scalar shared shape lets each mixture take its own length
+        with pytest.raises(DomainError, match=f"length mismatch: {len(p)} vs 3"):
+            checker(1.0, 1.0, p, (0.2, 0.3, 0.5))
+
     def test_common_alpha_variant(self, catalog):
         fx = catalog.load("ex3.2")
         rep = check_theorem_3_2(**fx["checker"])
