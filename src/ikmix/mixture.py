@@ -5,20 +5,19 @@ _evaluate, which returns logs.  It validates x and takes log1p(x) once,
 then walks the components in blocks of at most 8192 values per mixture
 (_stacked): each block computes log u once for its rows and derives
 every requested component log from it with the formulas of ikdist.  The
-kernel and the sf also take a tuple of mixtures with one component count
-and return one row per mixture, bit-identical to that mixture alone: the
-components are cut as for one mixture, and a block holds that cut of
-every mixture in the tuple, so the caller sizes the stack (only
-ordercheck.check_orders stacks, within 8192 values).  The terms are summed
-by a max-shifted log-sum-exp (Blanchard, Higham and Higham, IMA J.
-Numer. Anal. 2021), so a mixture whose values lie far below or above
-float64 still has a finite log.  The public evaluators are exp of those
-logs; the reversed hazard is exp(log pdf - log cdf), never 0/0.  The sf
-terms lie in [0, 1] and come linear from expm1, so mixture_sf adds them
-as they are, by a compensated sum in component order.
-
-The batched bracket search (_refine_crossing) behind mixture_quantile
-and the order checks' crossings lives here too.
+kernel and the sf take a FiniteMixture, its (weights, alphas, betas)
+array, or a stack of such arrays, giving one row per mixture, each
+bit-identical to that mixture alone; the caller sizes the stack (only
+ordercheck.check_orders stacks, within 8192 values).  The terms are
+summed by a max-shifted log-sum-exp (Blanchard, Higham and Higham, IMA
+J. Numer. Anal. 2021), so a mixture whose values lie far below or above
+float64 still has a finite log.  The public evaluators take a
+FiniteMixture and are exp of those logs; the reversed hazard is
+exp(log pdf - log cdf), never 0/0.  The sf terms lie in [0, 1] and come
+linear from expm1, so mixture_sf adds them as they are, by a compensated
+sum in component order.  _renormalised divides the raw weights of a
+FiniteMixture and of a scan's draws alike; the batched bracket search
+(_refine_crossing) behind mixture_quantile and the crossings lives here.
 """
 
 from __future__ import annotations
@@ -97,13 +96,7 @@ class FiniteMixture:
         betas = tuple(_positive("beta", b) for b in _per_component("beta", self.betas, n))
         if len(alphas) != n or len(betas) != n:
             raise DomainError(f"{n} weights vs {len(alphas)} alphas and {len(betas)} betas")
-        try:
-            total = math.fsum(weights)
-        except OverflowError:  # finite weights whose sum exceeds float range
-            total = math.inf
-        if abs(total - 1.0) > _RAW_WEIGHT_TOL:
-            raise DomainError(f"raw weights sum to {total!r}, beyond 1e-6 of 1")
-        object.__setattr__(self, "weights", tuple(w / total for w in weights))
+        object.__setattr__(self, "weights", _renormalised(weights))
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "betas", betas)
 
@@ -123,11 +116,21 @@ class FiniteMixture:
         return cls(weights, alpha, beta)
 
     def to_dict(self) -> dict:
-        return {
-            "weights": list(self.weights),
-            "alpha": list(self.alphas),
-            "beta": list(self.betas),
-        }
+        return {"weights": list(self.weights), "alpha": list(self.alphas),
+                "beta": list(self.betas)}
+
+
+def _renormalised(weights) -> tuple[float, ...]:
+    """One mixture's raw weights divided by their math.fsum, so that they
+    sum to 1 exactly in the floating-point sense; DomainError when that
+    sum lies beyond 1e-6 of 1 or overflows."""
+    try:
+        total = math.fsum(weights)
+    except OverflowError:  # finite weights whose sum exceeds float range
+        total = math.inf
+    if abs(total - 1.0) > _RAW_WEIGHT_TOL:
+        raise DomainError(f"raw weights sum to {total!r}, beyond 1e-6 of 1")
+    return tuple(w / total for w in weights)
 
 
 def _per_component(name: str, value, n: int) -> tuple:
@@ -148,29 +151,26 @@ def _per_component(name: str, value, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _stacked(x, ms, kernel) -> tuple:
+def _stacked(x, m, kernel) -> tuple:
     """The rows of kernel(L, x, cuts), where L is log1p(x) and kernel
-    returns a sequence of (mixtures, points) arrays.  ms is one mixture,
-    giving results shaped like x (a float for a scalar x), or a tuple of
-    mixtures with one component count, giving one row per mixture.  cuts
-    holds the weights, alphas and betas of the mixtures as columns of
-    shape (components, mixtures, 1), cut along the components, at most
-    _BLOCK_VALUES // points (at least one) to a (weights, alphas, betas)
-    array, in component order.  Every mixture is cut as it is alone, so
-    each row is bit-identical to that mixture's alone; how many mixtures
-    share a block is the caller's choice."""
+    returns a sequence of (mixtures, points) arrays.  m is a FiniteMixture
+    or its parameter array, (weights, alphas, betas) x components, giving
+    results shaped like x (a float for a scalar x), or a stack of them,
+    mixtures x 3 x components, giving one row per mixture.  cuts holds
+    the parameters as columns of shape (components, mixtures, 1), cut
+    along the components, at most _BLOCK_VALUES // points (at least one)
+    to a (weights, alphas, betas) array, in component order: each row is
+    bit-identical to that mixture's alone."""
     xs, scalar = _as_x(x)
     flat = xs.ravel()
-    stack = ms if isinstance(ms, tuple) else (ms,)
-    n = stack[0].n
-    if any(m.n != n for m in stack):
-        raise DomainError("stacked mixtures must share one component count")
-    params = np.array([(m.weights, m.alphas, m.betas) for m in stack])
-    params = params.transpose(1, 2, 0)[..., None]
+    params = np.array((m.weights, m.alphas, m.betas)) if isinstance(m, FiniteMixture) else m
+    one = params.ndim == 2
+    cols = (params[None] if one else params).transpose(1, 2, 0)[..., None]
     rows = max(1, _BLOCK_VALUES // flat.size)
-    out = kernel(np.log1p(flat), flat, [params[:, c:c + rows] for c in range(0, n, rows)])
-    if stack is ms:
-        return tuple(v.reshape((len(ms),) + np.shape(x)) for v in out)
+    out = kernel(np.log1p(flat), flat,
+                 [cols[:, c:c + rows] for c in range(0, cols.shape[1], rows)])
+    if not one:
+        return tuple(v.reshape((len(params),) + np.shape(x)) for v in out)
     return tuple(float(v[0, 0]) if scalar else v[0].reshape(xs.shape) for v in out)
 
 
@@ -205,7 +205,7 @@ def _add_block(sums: dict, name: str, w: np.ndarray, log_terms: np.ndarray,
 
 def _evaluate(x, m, names: tuple[str, ...], slope: bool = False) -> tuple:
     """The logs of the cdf, pdf or reversed hazard (rh) at x of m, one
-    mixture or a tuple of them (see _stacked), one per name in names,
+    mixture or a stack of them (see _stacked), one per name in names,
     followed with slope=True by the slope d/dx log pdf.
 
     The cdf and pdf terms are summed by _add_block; log rh is log pdf -
@@ -257,7 +257,7 @@ def mixture_sf(x, m: FiniteMixture):
 
 
 def _survival(x, m):
-    """mixture_sf of m, one mixture or a tuple of them (see _stacked)."""
+    """mixture_sf of m, one mixture or a stack of them (see _stacked)."""
     return _stacked(x, m, lambda L, flat, cuts: [neumaier_sum(
         row for w, a, b in cuts for row in w * _sf(b, _log_u(L, a)))])[0]
 

@@ -19,11 +19,12 @@ the larger sf for st and, for the log tests, the largest |log| a value
 is built from, since a log rounds in proportion to its size.
 
 The checks decide stacks of pairs: every array holds one row per pair,
-and the two tests run on the whole stack.  check_orders decides a list
-of claims in one stack per kind and pair of component counts, cut into
-chunks of as many pairs as one kernel block of 8192 values holds (8
-pairs of 2-component mixtures on 500 points); it is the only code that
-sizes a stack, and check_order decides the stack of one.
+and the two tests run on the whole stack.  check_orders takes one kind
+and the (weights, alphas, betas) arrays of both sides, as
+theorems.check_stack returns them, and cuts the pairs into chunks of as
+many as one kernel block of 8192 values holds (8 pairs of 2-component
+mixtures on 500 points); it is the only code that sizes a stack, and
+check_order decides the stack of one.
 
 One row loop (_verdicts) builds every verdict.  Points where a compared
 value or log is NaN or infinite are counted in nonfinite_points, and st
@@ -42,9 +43,10 @@ grid step found by the batched bracket search (64 interior points per
 vectorised round, down to a relative width of 1e-9): of the difference
 of the compared values for st and rh, and of the closed-form slope of
 the log ratio for lr and r-rh.  A violated verdict runs that search the
-first time its crossing is read, with the search function bound when the
-check ran; to_dict(), equality, hashing and repr read it.  Scans and
-fixture replays read only status and witness, so they never run it.
+first time its crossing is read, with the search function bound to its
+pair's parameter rows when the check ran; to_dict(), equality, hashing
+and repr read it.  Scans and fixture replays read only status and
+witness, so they never run it.
 """
 
 from __future__ import annotations
@@ -75,6 +77,8 @@ __all__ = [
 _TOL = 1e-12
 _UNDERFLOW = 1e-300
 _SKIP_FRACTION = 0.10
+# far above any grid's needs: a larger count is an input error
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,7 @@ class Grid:
             raise DomainError("grid requires 0 < x_min < x_max")
         object.__setattr__(self, "x_min", x_min)
         object.__setattr__(self, "x_max", x_max)
-        object.__setattr__(self, "points", _count("grid points", self.points, 2))
+        object.__setattr__(self, "points", _count("grid points", self.points, 2, MAX_GRID_POINTS))
 
     def xs(self) -> np.ndarray:
         """The grid points, computed on the first call and returned as the
@@ -247,7 +251,7 @@ def _verdicts(kind: str, grid: Grid, skip: np.ndarray, nonfinite: np.ndarray,
     return verdicts
 
 
-def _pointwise(xs: np.ndarray, v1: np.ndarray, v2: np.ndarray, prev: np.ndarray, gap, pairs,
+def _pointwise(xs: np.ndarray, v1: np.ndarray, v2: np.ndarray, prev: np.ndarray, gap, m1s, m2s,
                reason: str, value):
     """The violation of the st and rh checks, where v1 <= v2 must hold at
     every usable point.  The witness holds value(v1) and value(v2) at the
@@ -258,14 +262,14 @@ def _pointwise(xs: np.ndarray, v1: np.ndarray, v2: np.ndarray, prev: np.ndarray,
         witness = Witness(x=float(xs[k]), lhs=value(v1[i, k]), rhs=value(v2[i, k]))
         p, refined = prev[i, k], None
         if p >= 0 and v1[i, p] - v2[i, p] < 0.0:
-            refined = partial(_refine_crossing, partial(gap, *pairs[i]), float(xs[p]),
+            refined = partial(_refine_crossing, partial(gap, m1s[i], m2s[i]), float(xs[p]),
                               float(xs[k]))
         return witness, refined, reason.format(witness.x)
     return violation
 
 
 def _check_ratio_monotone(kind: str, grid: Grid, log_num: np.ndarray, log_den: np.ndarray,
-                          scale: np.ndarray, slope, pairs, *,
+                          scale: np.ndarray, slope, m1s, m2s, *,
                           nondecreasing: bool) -> list[OrderVerdict]:
     """Common body of the lr and r-rh checks: log_num - log_den must be
     monotone on the grid in the named direction, within the tolerance of
@@ -283,25 +287,25 @@ def _check_ratio_monotone(kind: str, grid: Grid, log_num: np.ndarray, log_den: n
         p = prev[i, j]
         x_lo, x_hi = float(xs[p]), float(xs[j])
         return (Witness(x=x_hi, lhs=_exp(log_ratio[i, p]), rhs=_exp(log_ratio[i, j])),
-                partial(_refine_crossing, partial(slope, *pairs[i]), x_lo, x_hi),
+                partial(_refine_crossing, partial(slope, m1s[i], m2s[i]), x_lo, x_hi),
                 f"ratio fails to be {direction} on the step ending at x={x_hi!r}")
 
     return _verdicts(kind, grid, np.zeros_like(nonfinite), nonfinite,
                      _bad_steps(log_ratio, scale, usable, prev, nondecreasing), violation)
 
 
-def _rh_slope(x, m: FiniteMixture) -> np.ndarray:
+def _rh_slope(x, m: np.ndarray) -> np.ndarray:
     """d/dx log rh of m at x: d/dx log pdf - rh, since d/dx log cdf = rh."""
     log_rh, slope = _evaluate(x, m, ("rh",), slope=True)
     return slope - _exp(log_rh)
 
 
 # ---------------------------------------------------------------------------
-# the four checks, each over a stack of pairs (m1s[i], m2s[i])
+# the four checks, each over the pairs (m1s[i], m2s[i]) of parameter arrays
 # ---------------------------------------------------------------------------
 
 
-def _st(m1s: tuple, m2s: tuple, grid: Grid) -> list[OrderVerdict]:
+def _st(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
     xs = grid.xs()
     s1 = _survival(xs, m1s)
     s2 = _survival(xs, m2s)
@@ -309,13 +313,13 @@ def _st(m1s: tuple, m2s: tuple, grid: Grid) -> list[OrderVerdict]:
     skip = ~nonfinite & (s1 < _UNDERFLOW) & (s2 < _UNDERFLOW)
     usable = ~(skip | nonfinite)
     violation = _pointwise(xs, s1, s2, _previous(usable, across_gaps=False),
-                           lambda m1, m2, x: mixture_sf(x, m1) - mixture_sf(x, m2),
-                           list(zip(m1s, m2s)), "sf(m1) exceeds sf(m2) at x={!r}", float)
+                           lambda m1, m2, x: _survival(x, m1) - _survival(x, m2),
+                           m1s, m2s, "sf(m1) exceeds sf(m2) at x={!r}", float)
     return _verdicts("st", grid, skip, nonfinite,
                      usable & _exceeds(s1, s2, np.maximum(s1, s2)), violation)
 
 
-def _rh(m1s: tuple, m2s: tuple, grid: Grid) -> list[OrderVerdict]:
+def _rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
     xs = grid.xs()
     F1, f1, h1 = _evaluate(xs, m1s, ("cdf", "pdf", "rh"))
     F2, f2, h2 = _evaluate(xs, m2s, ("cdf", "pdf", "rh"))
@@ -333,65 +337,63 @@ def _rh(m1s: tuple, m2s: tuple, grid: Grid) -> list[OrderVerdict]:
     violation = _pointwise(
         xs, h1, h2, prev,
         lambda m1, m2, x: _evaluate(x, m1, ("rh",))[0] - _evaluate(x, m2, ("rh",))[0],
-        list(zip(m1s, m2s)), "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", _exp)
+        m1s, m2s, "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", _exp)
     return _verdicts("rh", grid, np.zeros_like(nonfinite), nonfinite, viol, violation, split)
 
 
-def _lr(m1s: tuple, m2s: tuple, grid: Grid) -> list[OrderVerdict]:
+def _lr(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
     f1 = _evaluate(grid.xs(), m1s, ("pdf",))[0]
     f2 = _evaluate(grid.xs(), m2s, ("pdf",))[0]
     return _check_ratio_monotone(
         "lr", grid, f2, f1, _magnitude(f1, f2),
         lambda m1, m2, x: (_evaluate(x, m2, (), slope=True)[0]
                            - _evaluate(x, m1, (), slope=True)[0]),
-        list(zip(m1s, m2s)), nondecreasing=True)
+        m1s, m2s, nondecreasing=True)
 
 
-def _r_rh(m1s: tuple, m2s: tuple, grid: Grid) -> list[OrderVerdict]:
+def _r_rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
     F1, f1, h1 = _evaluate(grid.xs(), m1s, ("cdf", "pdf", "rh"))
     F2, f2, h2 = _evaluate(grid.xs(), m2s, ("cdf", "pdf", "rh"))
     return _check_ratio_monotone("r_rh", grid, h1, h2, _magnitude(F1, f1, F2, f2),
                                  lambda m1, m2, x: _rh_slope(x, m1) - _rh_slope(x, m2),
-                                 list(zip(m1s, m2s)), nondecreasing=False)
+                                 m1s, m2s, nondecreasing=False)
 
 
 _CHECKS = {"st": _st, "rh": _rh, "lr": _lr, "r_rh": _r_rh}
 ORDER_KINDS = tuple(_CHECKS)
 
 
-def check_orders(claims, grid: Grid = DEFAULT_GRID) -> list[OrderVerdict]:
-    """Decide each claim (kind, m1, m2), that m1 <= m2 in the order kind,
-    on grid; the verdicts come in the claims' order.
-
-    The claims are decided in stacks, one per kind and pair of component
-    counts, cut into chunks of as many pairs as one kernel block holds,
-    _BLOCK_VALUES // (components * grid.points) with the larger count
-    (at least one): each chunk takes one kernel pass per side and one
-    vectorised decision, and each verdict is the one its pair gets alone.
-    """
-    claims = list(claims)
-    stacks: dict[tuple, list[int]] = {}
-    for i, (kind, m1, m2) in enumerate(claims):
-        if kind not in _CHECKS:
-            raise DomainError(f"unknown order kind {kind!r}; expected one of {ORDER_KINDS}")
-        stacks.setdefault((kind, m1.n, m2.n), []).append(i)
-    verdicts: list = [None] * len(claims)
-    for (kind, n1, n2), rows in stacks.items():
-        chunk = max(1, _BLOCK_VALUES // (max(n1, n2) * grid.points))
-        for start in range(0, len(rows), chunk):
-            part = rows[start:start + chunk]
-            decided = _CHECKS[kind](tuple(claims[i][1] for i in part),
-                                    tuple(claims[i][2] for i in part), grid)
-            for i, verdict in zip(part, decided):
-                verdicts[i] = verdict
-    return verdicts
+def check_orders(kind: str, lhs: tuple, rhs: tuple,
+                 grid: Grid = DEFAULT_GRID) -> list[OrderVerdict]:
+    """Decide, for each pair i, that lhs mixture i <= rhs mixture i in the
+    order kind (one of ORDER_KINDS) on grid, in pair order.  lhs and rhs
+    are each a (weights, alphas, betas) triple of pairs x components
+    arrays, as theorems.check_stack returns them (weights as a
+    FiniteMixture holds them); the sides may differ in component count.
+    The pairs are decided in chunks of _BLOCK_VALUES // (components *
+    grid.points) with the larger count (at least one), one kernel pass per
+    side each; each verdict is the one its pair gets alone."""
+    if kind not in _CHECKS:
+        raise DomainError(f"unknown order kind {kind!r}; expected one of {ORDER_KINDS}")
+    for name, side in (("lhs", lhs), ("rhs", rhs)):
+        if len({np.shape(v) for v in side}) != 1:
+            raise DomainError(f"{name} needs one component count, got (weights, alphas, betas) "
+                              f"shaped {[np.shape(v) for v in side]}")
+    m1s, m2s = np.stack(lhs, axis=1), np.stack(rhs, axis=1)
+    if len(m1s) != len(m2s):
+        raise DomainError(f"{len(m1s)} lhs mixtures vs {len(m2s)} rhs mixtures")
+    chunk = max(1, _BLOCK_VALUES // (max(m1s.shape[2], m2s.shape[2]) * grid.points))
+    return [verdict for start in range(0, len(m1s), chunk)
+            for verdict in _CHECKS[kind](m1s[start:start + chunk], m2s[start:start + chunk],
+                                         grid)]
 
 
 def check_order(kind: str, m1: FiniteMixture, m2: FiniteMixture,
                 grid: Grid = DEFAULT_GRID) -> OrderVerdict:
     """m1 <= m2 in the order kind (one of ORDER_KINDS) on grid:
-    check_orders on one claim."""
-    return check_orders([(kind, m1, m2)], grid)[0]
+    check_orders on one-row arrays of m1 and m2."""
+    return check_orders(kind, *([[v] for v in (m.weights, m.alphas, m.betas)] for m in (m1, m2)),
+                        grid)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ too, as a reminder that these conditions are sufficient, not necessary.
 
 The generator is counter-based (Philox), so a seed pins the exact
 sample stream on every platform.  A scan works on arrays with a leading
-draw axis: draw_sample takes every sample from one call to the
-generator, theorems.check_stack decides each hypothesis for all draws at
-once, and check_orders decides all predicted orders together, in stacks
-of draws; each verdict is the one its pair gets alone.  Only the listed
-findings turn their draw back into Python floats.
+draw axis from draw to verdict: draw_sample takes every sample from one
+call to the generator, theorems.check_stack decides each hypothesis for
+all draws at once, and check_orders decides the predicted orders on the
+(weights, alpha, beta) arrays it returns, weights renormalised as a
+FiniteMixture's; each verdict is the one its pair gets alone.  No draw
+becomes a FiniteMixture; only the listed findings turn theirs back into
+Python floats.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ikdist import DomainError, _count, _positive
-from .mixture import FiniteMixture
+from .mixture import _renormalised
 from .ordercheck import DEFAULT_GRID, Grid, check_orders
 from .theorems import SCAN_LAYOUTS, check_stack
 
@@ -213,9 +215,8 @@ _CATEGORY = {(True, "violated"): "soundness_alarm", (True, "holds_on_grid"): "co
 def run_scan(config: ScanConfig) -> ScanReport:
     draws = draw_sample(config, np.random.Generator(np.random.Philox(config.seed)))
     kind, lhs, rhs, hypotheses = check_stack(config.theorem, draws)
-    rows = [zip(*(a.tolist() for a in side)) for side in (lhs, rhs)]
-    verdicts = check_orders([(kind, FiniteMixture(*m1), FiniteMixture(*m2))
-                             for m1, m2 in zip(*rows)], config.grid)
+    verdicts = check_orders(kind, *((np.array([_renormalised(row) for row in w.tolist()]), a, b)
+                                    for w, a, b in (lhs, rhs)), config.grid)
     counts = {c: 0 for c in CATEGORIES}
     findings: dict = {"soundness_alarm": [], "order_holds_without_hypotheses": []}
     for index, (all_held, verdict) in enumerate(

@@ -12,7 +12,8 @@ _CONDITIONS, as numpy expressions along the last axis of (weights, alpha,
 beta) arrays with a leading draw axis, so check_stack decides a stack of
 scan draws in one call.  Their checker is the stack of one: it builds the
 mixtures of its predicted order first, so FiniteMixture validates each
-value once (a scalar shape broadcasts), and formats the details from it.
+value once (a scalar shape broadcasts), and formats the details from it;
+the matrix checkers under a shared beta decide on the beta it validated.
 
 CHECKERS maps every condition id to its checker and is the one place
 where ids meet code; SCAN_LAYOUTS gives the draw layout of the ids that
@@ -325,14 +326,13 @@ def _common_pair_hyp(ts: tuple[TTransform, ...]) -> Hypothesis:
 
 def _alpha_matrix_order(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN, beta: float,
                         q_label: str = "mixture built from the transformed matrix q",
-                        ) -> PredictedOrder:
-    """(weights, alpha) rows under a shared beta: mixture(q) <= mixture(p)."""
-    return PredictedOrder(
-        "st",
-        FiniteMixture(q_mat.row1, q_mat.row2, beta),
-        FiniteMixture(p_mat.row1, p_mat.row2, beta),
-        q_label, "mixture built from the source matrix p",
-    )
+                        ) -> tuple[PredictedOrder, Hypothesis]:
+    """(weights, alpha) rows under a shared beta: mixture(q) <= mixture(p),
+    and beta_in_unit_interval on the beta those mixtures validated."""
+    order = PredictedOrder("st", FiniteMixture(q_mat.row1, q_mat.row2, beta),
+                           FiniteMixture(p_mat.row1, p_mat.row2, beta),
+                           q_label, "mixture built from the source matrix p")
+    return order, _hypothesis(*_beta_unit(np.array([order.lhs.betas])))
 
 
 def _beta_matrix_order(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
@@ -353,27 +353,24 @@ def check_theorem_3_4_or_3_5(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
     beta in (0,1); concludes mixture(q) <= mixture(p) in the usual order.
     One transform reports as T3.4, a longer chain as T3.5."""
     ts = _chain(ts)
-    hyps = (_hypothesis(*_beta_unit(np.array([[beta]]))), _p_mat_hyp(p_mat, "alpha"),
-            _chain_hyp(p_mat, q_mat, ts))
-    return ConditionReport("T3.4" if len(ts) == 1 else "T3.5", hyps,
-                           _alpha_matrix_order(p_mat, q_mat, beta))
+    order, beta_hyp = _alpha_matrix_order(p_mat, q_mat, beta)
+    hyps = (beta_hyp, _p_mat_hyp(p_mat, "alpha"), _chain_hyp(p_mat, q_mat, ts))
+    return ConditionReport("T3.4" if len(ts) == 1 else "T3.5", hyps, order)
 
 
 def check_theorem_3_6(p_mat: ParamMatrix2xN, ts, beta: float) -> ConditionReport:
     """Staged variant: the chain may leave the oppositely-ordered class only
     at its final step.  q is the chain result itself, so the hypotheses are
     the stagewise memberships."""
-    ts = _chain(ts)
-    hyps = [_hypothesis(*_beta_unit(np.array([[beta]])))]
-    stage = p_mat
-    for i, t in enumerate(ts):
-        ok = in_script_l(stage)
-        hyps.append(Hypothesis(
-            f"stage_{i}_in_script_l", ok,
-            f"matrix before transform {i + 1} {'is' if ok else 'is not'} oppositely ordered"))
-        stage = apply_t_transform(stage, t)
-    return ConditionReport("T3.6", tuple(hyps), _alpha_matrix_order(
-        p_mat, stage, beta, "mixture built from the chain result"))
+    stages = [p_mat]
+    for t in _chain(ts):
+        stages.append(apply_t_transform(stages[-1], t))
+    order, beta_hyp = _alpha_matrix_order(p_mat, stages.pop(), beta,
+                                          "mixture built from the chain result")
+    hyps = [Hypothesis(f"stage_{i}_in_script_l", ok, f"matrix before transform {i + 1} "
+                       f"{'is' if ok else 'is not'} oppositely ordered")
+            for i, ok in enumerate(map(in_script_l, stages))]
+    return ConditionReport("T3.6", (beta_hyp, *hyps), order)
 
 
 def check_corollary_3_2(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
@@ -381,9 +378,10 @@ def check_corollary_3_2(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
     """Chain of T-transforms acting on one fixed column pair (their product
     is again a single T-transform); otherwise as T3.5."""
     ts = _chain(ts)
-    hyps = (_hypothesis(*_beta_unit(np.array([[beta]]))), _p_mat_hyp(p_mat, "alpha"),
-            _common_pair_hyp(ts), _chain_hyp(p_mat, q_mat, ts))
-    return ConditionReport("C3.2", hyps, _alpha_matrix_order(p_mat, q_mat, beta))
+    order, beta_hyp = _alpha_matrix_order(p_mat, q_mat, beta)
+    hyps = (beta_hyp, _p_mat_hyp(p_mat, "alpha"), _common_pair_hyp(ts),
+            _chain_hyp(p_mat, q_mat, ts))
+    return ConditionReport("C3.2", hyps, order)
 
 
 def check_theorem_3_7_to_3_9(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,

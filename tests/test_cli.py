@@ -203,6 +203,21 @@ class TestOrder:
             assert (rc, out["status"]) == (rc_want, status)
             assert out["skipped_points"] == out["nonfinite_points"] == 0
 
+    @pytest.mark.parametrize("points", [10**6 + 1, 10**30], ids=["million and one", "10**30"])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_grid_points_over_the_ceiling_exit_1(self, capsys, monkeypatch, narrow, wide,
+                                                 points, via):
+        spec = f"1e-4:1e4:{points}:log"
+        args = ["order", "--kind", "st", "--m1", narrow, "--m2", wide]
+        if via == "flag":
+            args += ["--grid", spec]
+        else:
+            monkeypatch.setenv("IKMIX_GRID", spec)
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: grid points must be an integer >= 2 and <= 1000000")
+
     def test_reversed_rh_spellings_agree(self, capsys, narrow, wide):
         outs = []
         for spelling in ("r-rh", "r_rh"):
@@ -397,6 +412,8 @@ class TestScan:
     @pytest.mark.parametrize("change", [
         {"grid": {"x_min": "1e-4", "x_max": 1e4}},
         {"grid": {"x_min": 1e-4, "x_max": 10**400}},
+        {"grid": {"x_min": 1e-4, "x_max": 1e4, "points": 10**33}},
+        {"grid": "1e-4:1e4:1000001:log"},
         {"seed": -1},
         {"samples": 2.7},
         {"n_components": 2.7},
@@ -409,7 +426,8 @@ class TestScan:
         {"theorem": ["T3.1"]},
         {"ranges": 5},
         {"ranges": None}], ids=[
-        "string grid bound", "huge grid bound", "negative seed", "float samples",
+        "string grid bound", "huge grid bound", "huge grid points",
+        "grid points over the ceiling", "negative seed", "float samples",
         "float n_components", "401-digit n_components", "billion n_components",
         "billion samples", "null range bound", "string range bound", "huge range bound",
         "list theorem", "int ranges", "null ranges"])

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ikmix import DomainError, FiniteMixture, ParamMatrix2xN, ScanConfig, TTransform
+from ikmix import DomainError, FiniteMixture, Grid, ParamMatrix2xN, ScanConfig, TTransform
 from ikmix.ikdist import _positive
+from ikmix.ordercheck import MAX_GRID_POINTS
 from ikmix.scan import MAX_COMPONENTS, MAX_SAMPLES
 
 SCAN = {
@@ -99,3 +100,16 @@ def test_scan_counts_have_a_ceiling(field, most):
         with pytest.raises(DomainError,
                            match=f"{field} must be an integer >= [12] and <= {most}, got "):
             ScanConfig.from_dict(dict(shared, **{field: huge}))
+
+
+def test_grid_points_have_a_ceiling():
+    # a Grid computes its points on first use, so none of these allocates
+    assert Grid(1e-4, 1e4, MAX_GRID_POINTS).points == MAX_GRID_POINTS
+    message = f"grid points must be an integer >= 2 and <= {MAX_GRID_POINTS}, got "
+    for huge in (MAX_GRID_POINTS + 1, 10**9, 10**33, 10**400):
+        for build in (lambda: Grid(1e-4, 1e4, huge),
+                      lambda: Grid.from_spec(f"1e-4:1e4:{huge}:log"),
+                      lambda: ScanConfig.from_dict(dict(SCAN, grid=dict(SCAN["grid"],
+                                                                        points=huge)))):
+            with pytest.raises(DomainError, match=message):
+                build()

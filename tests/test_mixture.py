@@ -583,9 +583,9 @@ class TestKernelBitIdentity:
 
 
 class TestKernelStacks:
-    """The kernel and the sf on a tuple of mixtures that share a component
-    count: one row per mixture, each bit-identical to that mixture alone,
-    with the components cut as for each mixture alone."""
+    """The kernel and the sf on a stack of parameter arrays, mixtures x 3 x
+    components: one row per mixture, each bit-identical to that mixture
+    alone, with the components cut as for each mixture alone."""
 
     NAMES = ("cdf", "pdf", "rh")
 
@@ -601,32 +601,47 @@ class TestKernelStacks:
             monkeypatch.setattr(mixture, "_BLOCK_VALUES", block_values)
         r = np.random.default_rng(1000 * n + rows)
         ms = tuple(_spread_mixture(r, n) for _ in range(rows))
+        params = np.array([(m.weights, m.alphas, m.betas) for m in ms])
+        assert params.shape == (rows, 3, n)
         xs = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, points - 1)])
-        stacked = mixture._evaluate(xs, ms, self.NAMES, slope=True)
+        stacked = mixture._evaluate(xs, params, self.NAMES, slope=True)
         assert all(v.shape == (rows, points) for v in stacked)
-        singles = [mixture._evaluate(xs, ms, (name,))[0] for name in self.NAMES]
-        sf = mixture._survival(xs, ms)
+        singles = [mixture._evaluate(xs, params, (name,))[0] for name in self.NAMES]
+        sf = mixture._survival(xs, params)
         for i, m in enumerate(ms):
             alone = mixture._evaluate(xs, m, self.NAMES, slope=True)
-            for got, want in zip(stacked, alone):
-                assert got[i].tobytes() == want.tobytes()
+            for got, want, row in zip(stacked, alone,
+                                      mixture._evaluate(xs, params[i], self.NAMES, slope=True)):
+                assert got[i].tobytes() == want.tobytes() == row.tobytes()
             for got, want in zip(singles, alone):
                 assert got[i].tobytes() == want.tobytes()
             assert sf[i].tobytes() == mixture_sf(xs, m).tobytes() == _ref_sf(xs, m).tobytes()
+            assert mixture._survival(xs, params[i]).tobytes() == sf[i].tobytes()
 
     def test_shapes(self):
         ms = tuple(_spread_mixture(np.random.default_rng(k), 3) for k in range(4))
+        params = np.array([(m.weights, m.alphas, m.betas) for m in ms])
         xs = np.geomspace(1e-3, 1e3, 12)
-        assert mixture._evaluate(xs.reshape(3, 4), ms, ("cdf",))[0].shape == (4, 3, 4)
-        assert mixture._survival(xs.reshape(3, 4), ms).shape == (4, 3, 4)
-        scalar = mixture._evaluate(0.5, ms, ("pdf",))[0]
+        assert mixture._evaluate(xs.reshape(3, 4), params, ("cdf",))[0].shape == (4, 3, 4)
+        assert mixture._survival(xs.reshape(3, 4), params).shape == (4, 3, 4)
+        assert mixture._survival(xs.reshape(3, 4), params[0]).shape == (3, 4)
+        scalar = mixture._evaluate(0.5, params, ("pdf",))[0]
         assert scalar.shape == (4,)
         assert scalar.tolist() == [mixture._evaluate(0.5, m, ("pdf",))[0] for m in ms]
+        assert [mixture._evaluate(0.5, row, ("pdf",))[0] for row in params] == scalar.tolist()
+        assert isinstance(mixture._survival(0.5, params[0]), float)
 
     def test_component_counts_must_match(self):
+        # a stack holds one component count per side: weights of 2
+        # components with alphas and betas of 3 are refused before the
+        # kernel sees them
         r = np.random.default_rng(3)
-        with pytest.raises(DomainError, match="one component count"):
-            mixture._evaluate(1.0, (_spread_mixture(r, 2), _spread_mixture(r, 3)), ("cdf",))
+        two, three = _spread_mixture(r, 2), _spread_mixture(r, 3)
+        ragged = (np.array([two.weights]), np.array([three.alphas]), np.array([three.betas]))
+        fine = tuple(np.array([v]) for v in (three.weights, three.alphas, three.betas))
+        for lhs, rhs in ((ragged, fine), (fine, ragged)):
+            with pytest.raises(DomainError, match="one component count"):
+                ordercheck.check_orders("st", lhs, rhs)
 
     def test_scan_blocks_stay_bounded(self, monkeypatch):
         # every block passes through log u once: count its values over a

@@ -18,7 +18,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import draw_rows, mp_mixture
+from conftest import draw_rows, mp_mixture, random_mixture
 from ikmix import mixture, ordercheck
 from ikmix import (
     DEFAULT_GRID,
@@ -998,6 +998,14 @@ def test_to_dict_keeps_the_literal_keys_and_order(catalog):
 _ALONE = {kind: functools.partial(check_order, kind) for kind in ORDER_KINDS}
 
 
+def _sides(pairs) -> tuple:
+    """The lhs and rhs (weights, alphas, betas) arrays, pairs x components,
+    of a list of mixture pairs, as check_orders takes them."""
+    return tuple(tuple(np.array([getattr(m, field) for m in side])
+                       for field in ("weights", "alphas", "betas"))
+                 for side in zip(*pairs))
+
+
 def _scan_claims(theorem: str, samples: int, seed: int) -> list:
     """The predicted orders of a seeded 2-component scan of theorem over
     wide ranges, so that hypotheses and orders both hold and fail."""
@@ -1029,7 +1037,7 @@ _UNUSABLE_PAIRS = (
 
 
 class TestStackedVerdicts:
-    """check_orders decides claims in stacks; every verdict must equal the
+    """check_orders decides stacks of pairs; every verdict must equal the
     one its pair gets alone, crossing included."""
 
     # on the first grid the non-finite pairs lose 5 points and the st
@@ -1039,9 +1047,9 @@ class TestStackedVerdicts:
     GRIDS = (Grid(1e-305, 3e3, 1000), Grid(1e-310, 1e-300, 100), Grid(1e-4, 3e3, 400))
 
     @staticmethod
-    def _assert_alone(claims, verdicts, grid):
-        assert len(verdicts) == len(claims)
-        for (kind, m1, m2), v in zip(claims, verdicts):
+    def _assert_alone(kind, pairs, verdicts, grid):
+        assert len(verdicts) == len(pairs)
+        for (m1, m2), v in zip(pairs, verdicts):
             # to_dict reads the crossing; json keeps NaN witnesses comparable
             alone = _ALONE[kind](m1, m2, grid)
             assert json.dumps(v.to_dict()) == json.dumps(alone.to_dict())
@@ -1052,40 +1060,58 @@ class TestStackedVerdicts:
     def test_scans_with_unusable_rows(self, theorem, grid):
         claims = _scan_claims(theorem, 16, seed=len(theorem) + int(grid.points))
         kind = claims[0][0]
-        for k, (m1, m2) in enumerate(_UNUSABLE_PAIRS):
-            claims.insert(3 * k + 1, (kind, m1, m2))
-        verdicts = check_orders(claims, grid)
-        self._assert_alone(claims, verdicts, grid)
+        pairs = [claim[1:] for claim in claims]
+        for k, pair in enumerate(_UNUSABLE_PAIRS):
+            pairs.insert(3 * k + 1, pair)
+        verdicts = check_orders(kind, *_sides(pairs), grid)
+        self._assert_alone(kind, pairs, verdicts, grid)
         if grid is self.GRIDS[0]:
             unusable = [v.skipped_points + v.nonfinite_points for v in verdicts]
             assert any(unusable) and not all(unusable)
 
     def test_unusable_rows_are_counted(self):
-        verdicts = check_orders([(kind, m1, m2) for kind in ORDER_KINDS
-                                 for m1, m2 in _UNUSABLE_PAIRS], self.GRIDS[0])
+        verdicts = [v for kind in ORDER_KINDS
+                    for v in check_orders(kind, *_sides(_UNUSABLE_PAIRS), self.GRIDS[0])]
         assert {v.status for v in verdicts} >= {"violated", "holds_on_grid"}
         assert [v.nonfinite_points for v in verdicts[7::5]] == [5, 5, 5]
         assert [v.skipped_points for v in verdicts[3:5]] == [2, 2]
         assert verdicts[6].status == "inconclusive" and "disagree" in verdicts[6].reason
-        skipped = check_orders([("st", m1, m2) for m1, m2 in _UNUSABLE_PAIRS], self.GRIDS[2])
+        skipped = check_orders("st", *_sides(_UNUSABLE_PAIRS), self.GRIDS[2])
         assert [v.skipped_points for v in skipped] == [0, 0, 0, 26, 26]
-        gated = check_orders([("rh", *_UNUSABLE_PAIRS[2])], self.GRIDS[1])[0]
+        gated = check_orders("rh", *_sides(_UNUSABLE_PAIRS[2:3]), self.GRIDS[1])[0]
         assert gated.status == "inconclusive" and gated.nonfinite_points > 10
 
     def test_mixed_kinds_and_counts_keep_their_order(self):
-        claims = [claim for theorem in ("T3.12", "T3.1", "T3.11", "T3.10")
-                  for claim in _scan_claims(theorem, 5, seed=3)]
-        claims.insert(7, ("lr", *_UNUSABLE_PAIRS[0]))
-        claims.insert(2, ("st", FiniteMixture((0.2, 0.3, 0.5), (1.0, 2.0, 3.0), (1.0, 1.0, 1.0)),
-                          FiniteMixture((1.0,), (2.0,), (1.0,))))
-        self._assert_alone(claims, check_orders(claims, self.GRIDS[2]), self.GRIDS[2])
+        # the scans of four theorems, one stack per kind with an unusable
+        # pair inside, then 3-component mixtures against 1-component ones,
+        # 12 pairs, so the chunks of 6 pairs (400 points, 3 components)
+        # cut the stack twice
+        for theorem in ("T3.12", "T3.1", "T3.11", "T3.10"):
+            claims = _scan_claims(theorem, 5, seed=3)
+            kind = claims[0][0]
+            pairs = [claim[1:] for claim in claims]
+            pairs.insert(2, _UNUSABLE_PAIRS[0])
+            self._assert_alone(kind, pairs, check_orders(kind, *_sides(pairs), self.GRIDS[2]),
+                               self.GRIDS[2])
+        r = np.random.default_rng(3)
+        pairs = [(FiniteMixture((0.2, 0.3, 0.5), (1.0, 2.0, 3.0), (1.0, 1.0, 1.0)),
+                  FiniteMixture((1.0,), (2.0,), (1.0,)))]
+        pairs += [(random_mixture(r, 3), random_mixture(r, 1)) for _ in range(11)]
+        for kind in ORDER_KINDS:
+            verdicts = check_orders(kind, *_sides(pairs), self.GRIDS[2])
+            assert "violated" in {v.status for v in verdicts}
+            self._assert_alone(kind, pairs, verdicts, self.GRIDS[2])
 
     def test_stack_of_one_and_none(self):
-        claim = _scan_claims("T3.10", 1, seed=5)
-        self._assert_alone(claim, check_orders(claim, self.GRIDS[2]), self.GRIDS[2])
-        assert check_orders([], self.GRIDS[2]) == []
+        (kind, *pair), = _scan_claims("T3.10", 1, seed=5)
+        self._assert_alone(kind, [pair], check_orders(kind, *_sides([pair]), self.GRIDS[2]),
+                           self.GRIDS[2])
+        empty = tuple(np.empty((0, 2)) for _ in range(3))
+        assert check_orders(kind, empty, empty, self.GRIDS[2]) == []
         with pytest.raises(DomainError, match="unknown order kind"):
-            check_orders(claim + [("hr", *claim[0][1:])])
+            check_orders("hr", *_sides([pair]))
+        with pytest.raises(DomainError, match="2 lhs mixtures vs 1 rhs mixtures"):
+            check_orders(kind, _sides([pair, pair])[0], _sides([pair])[1])
 
     @pytest.mark.parametrize("nondecreasing", [True, False])
     def test_step_test_matches_compacted_rows(self, nondecreasing):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import draw_rows
-from ikmix import DomainError, Grid, check_order
+from ikmix import DomainError, FiniteMixture, Grid, check_order
 from ikmix.theorems import CHECKERS, SCAN_LAYOUTS
 from ikmix.scan import (
     CATEGORIES,
@@ -189,6 +189,20 @@ class TestRunScan:
         assert r1.to_dict() == r2.to_dict()
         r3 = run_scan(ScanConfig("T3.1", 40, 8, cfg.ranges, grid=cfg.grid))
         assert r3.to_dict() != r1.to_dict()
+
+    @pytest.mark.parametrize("name", ["t310_gap_probe", "t311_separated_region"])
+    def test_builds_no_mixture(self, monkeypatch, name):
+        # a scan decides its draws as arrays: none becomes a FiniteMixture
+        builds = []
+        init = FiniteMixture.__init__
+        monkeypatch.setattr(FiniteMixture, "__init__",
+                            lambda self, *args: builds.append(args) or init(self, *args))
+        config = ScanConfig.from_dict(
+            dict(json.loads((SCAN_CONFIGS / f"{name}.json").read_text()), samples=64))
+        assert sum(run_scan(config).counts.values()) == 64
+        assert builds == []
+        FiniteMixture((1.0,), 1.0, 1.0)  # the count sees a build
+        assert len(builds) == 1
 
     def test_counts_cover_all_samples(self):
         cfg = ScanConfig("T3.2", 30, 5,

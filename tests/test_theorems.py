@@ -289,6 +289,18 @@ class TestMatrixChainCheckers:
         assert not check_corollary_3_3(pm3, q3, t3, 0.5).hypothesis(
             "common_pair_chain").held
 
+    @pytest.mark.parametrize("beta", ["0.5", None, True, float("nan")])
+    @pytest.mark.parametrize("checker", ["T3.4", "T3.6", "C3.2"])
+    def test_bad_shared_beta_is_a_domain_error(self, checker, beta):
+        pm = ParamMatrix2xN((0.6, 0.4), (1.0, 9.0))
+        ts = [TTransform(0.3, (1, 2))]
+        q = apply_t_transform(pm, ts[0])
+        call = {"T3.4": lambda: check_theorem_3_4_or_3_5(pm, q, ts, beta),
+                "T3.6": lambda: check_theorem_3_6(pm, ts, beta),
+                "C3.2": lambda: check_corollary_3_2(pm, q, ts, beta)}[checker]
+        with pytest.raises(DomainError, match="beta must be "):
+            call()
+
 
 class TestTwoParameterCheckers:
     def test_gap_condition_arithmetic(self):
