@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+import numpy as np
+
 from ikmix import (
     CURVE_FOR_KIND,
     DEFAULT_GRID,
@@ -38,12 +40,12 @@ def main(argv: list[str] | None = None) -> int:
         report = catalog.checker_report(fid)
         po = report.orientation
         curve_kind = CURVE_FOR_KIND[po.kind]
-        rows = difference_curve(po.lhs, po.rhs, grid, curve_kind)
+        curve = difference_curve(po.lhs, po.rhs, grid, curve_kind)
         path = outdir / f"{fid.replace('.', '_')}_{curve_kind}.csv"
-        write_curve_csv(rows, path)
-        undefined = sum(1 for _, _, defined in rows if not defined)
+        write_curve_csv(curve, path)
+        undefined = int(np.count_nonzero(~curve.defined))
         note = f", {undefined} undefined points" if undefined else ""
-        print(f"{fid:<6} {po.kind:<4} -> {path} ({len(rows)} rows{note})")
+        print(f"{fid:<6} {po.kind:<4} -> {path} ({len(curve.x)} rows{note})")
     return 0
 
 

@@ -9,7 +9,14 @@ DIR receives, from the ikmix under this checkout's src/:
   reproduce_all.stdout, reproduce_all.exit   ikmix reproduce --all
   scan_<config>.stdout, .report.json, .exit  ikmix scan on each
                                              scripts/scan_configs/*.json
-  curves/*.csv                               scripts/dump_curves.py
+  curves/{default,wide}/*.csv, curves.exit   the four curve kinds of every
+                                             catalog orientation, on the
+                                             default grid and on
+                                             1e-100:1e100:3000:log
+                                             (exponent notation, zeros,
+                                             subnormals, undefined points)
+  dump_curves.stdout, .exit,                 scripts/dump_curves.py, run in
+  dump_curves/*.csv                          DIR
   verdicts.json, verdicts.exit               the to_dict() of every catalog
                                              orientation under each order
                                              kind, both ways round (crossings
@@ -56,6 +63,23 @@ for fid in catalog.ids():
                          "verdict": check_order(kind, m1, m2).to_dict()})
 json.dump(rows, sys.stdout, indent=1)
 sys.stdout.write("\\n")
+"""
+# 15 fixtures x 4 curve kinds x 2 grids = 120 CSVs under sys.argv[1]; only
+# difference_curve and write_curve_csv are called, so this runs unchanged
+# against an older checkout
+_CURVES = """
+import sys
+from pathlib import Path
+from ikmix import CURVE_KINDS, DEFAULT_GRID, FixtureCatalog, Grid, difference_curve, write_curve_csv
+catalog = FixtureCatalog()
+for name, grid in (("default", DEFAULT_GRID), ("wide", Grid.from_spec("1e-100:1e100:3000:log"))):
+    outdir = Path(sys.argv[1], name)
+    outdir.mkdir(parents=True)
+    for fid in catalog.ids():
+        po = catalog.checker_report(fid).orientation
+        for kind in CURVE_KINDS:
+            path = outdir / f"{fid.replace('.', '_')}_{kind}.csv"
+            write_curve_csv(difference_curve(po.lhs, po.rhs, grid, kind), path)
 """
 # the orientation is recorded too: to_dict() leaves it out when a
 # hypothesis fails.  The draws are replayed here, one rng.uniform per
@@ -106,13 +130,13 @@ sys.stdout.write("\\n")
 """
 
 
-def _run(args: list[str]) -> subprocess.CompletedProcess:
+def _run(args: list[str], cwd: Path = ROOT) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env.pop("IKMIX_GRID", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args], env=env,
-                          cwd=ROOT, stdout=subprocess.PIPE, check=False)
+                          cwd=cwd, stdout=subprocess.PIPE, check=False)
 
 
 def _record(outdir: Path, name: str, proc: subprocess.CompletedProcess) -> None:
@@ -132,9 +156,10 @@ def write(outdir: Path) -> None:
         proc = _run(["-c", script])
         (outdir / f"{name}.json").write_bytes(proc.stdout)
         (outdir / f"{name}.exit").write_text(f"{proc.returncode}\n")
-    curves = _run([str(ROOT / "scripts" / "dump_curves.py"), "--outdir", str(outdir / "curves")])
-    if curves.returncode != 0:
-        raise SystemExit(f"dump_curves.py exited {curves.returncode}")
+    _record(outdir, "curves", _run(["-c", _CURVES, str(outdir / "curves")]))
+    # run in DIR, so the printed paths are the same for every DIR
+    _record(outdir, "dump_curves", _run([str(ROOT / "scripts" / "dump_curves.py"), "--outdir",
+                                         "dump_curves"], cwd=outdir))
 
 
 def compare(a: Path, b: Path) -> int:

@@ -1,7 +1,8 @@
 """Inverted-Kumaraswamy mixtures: distribution functions, stochastic-order
-checks on grids, majorization-based sufficient-condition checkers, analytic
-derivative oracles, a replayable fixture catalog, and a seeded region
-scanner.  The ``ikmix`` console script fronts the same operations."""
+checks on grids, majorization-based sufficient-condition checkers, a
+replayable fixture catalog, and a seeded region scanner.  The ``ikmix``
+console script fronts the same operations.  The scalar reference oracles
+live in ``ikmix.oracles``, which this package does not import."""
 
 from .ikdist import (
     DomainError,
@@ -38,6 +39,7 @@ from .ordercheck import (
     CURVE_KINDS,
     DEFAULT_GRID,
     ORDER_KINDS,
+    Curve,
     Grid,
     OrderVerdict,
     Witness,
@@ -67,22 +69,6 @@ from .theorems import (
     check_theorem_3_11,
     check_theorem_3_12,
     verify_prediction,
-)
-from .oracles import (
-    SignReport,
-    delta1,
-    delta2,
-    fd_central,
-    k1,
-    sweep_delta1,
-    sweep_delta2,
-    sweep_xi_310,
-    sweep_xi_311,
-    sweep_xi_312,
-    xi_310,
-    xi_310_via_power_sums,
-    xi_311,
-    xi_312_prime,
 )
 from .fixtures import FixtureCatalog, FixtureResult, run_fixture
 from .scan import SCANNABLE_THEOREMS, ScanConfig, ScanReport, run_scan

@@ -23,6 +23,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .ikdist import DomainError, IKParams, ik_cdf, ik_pdf, ik_quantile, ik_reversed_hazard, ik_sf
 from .fixtures import FixtureCatalog
 from .mixture import (
@@ -31,8 +33,8 @@ from .mixture import (
     mixture_quantile,
     mixture_sf,
 )
-from .ordercheck import (DEFAULT_GRID, ORDER_KINDS, Grid, check_order, difference_curve,
-                         write_curve_csv)
+from .ordercheck import (DEFAULT_GRID, ORDER_KINDS, Curve, Grid, check_order,
+                         difference_curve, write_curve_csv)
 from .scan import ScanConfig, run_scan
 
 __all__ = ["main"]
@@ -148,15 +150,15 @@ def _cmd_curve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             parser.error("--which sf tabulates a single mixture; drop --m2 "
                          "or use sfdiff")
         xs = grid.xs()
-        rows = list(zip(xs.tolist(), mixture_sf(xs, m1).tolist(), [True] * xs.size))
+        curve = Curve(xs, mixture_sf(xs, m1), np.ones(xs.size, bool))
     else:
         if args.m2 is None:
             parser.error(f"--which {args.which} needs --m2 FILE")
         m2 = _load_mixture(args.m2)
         which = "sf" if args.which == "sfdiff" else _ALIASES.get(args.which, args.which)
-        rows = difference_curve(m1, m2, grid, which)
-    write_curve_csv(rows, args.out)
-    print(f"wrote {len(rows)} rows to {args.out}")
+        curve = difference_curve(m1, m2, grid, which)
+    write_curve_csv(curve, args.out)
+    print(f"wrote {len(curve.x)} rows to {args.out}")
     return EXIT_OK
 
 

@@ -51,9 +51,9 @@ witness, so they never run it.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +70,7 @@ __all__ = [
     "check_orders",
     "CURVE_FOR_KIND",
     "CURVE_KINDS",
+    "Curve",
     "difference_curve",
     "write_curve_csv",
 ]
@@ -139,7 +140,8 @@ class Witness:
     lhs: float
     rhs: float
 
-    to_dict = asdict
+    def to_dict(self) -> dict:
+        return {"x": self.x, "lhs": self.lhs, "rhs": self.rhs}
 
 
 class _Crossing:
@@ -406,14 +408,22 @@ CURVE_FOR_KIND = {"st": "sf", "rh": "cdf_ratio", "lr": "pdf_ratio", "r_rh": "rh_
 CURVE_KINDS = tuple(CURVE_FOR_KIND.values())
 
 
-def difference_curve(m1: FiniteMixture, m2: FiniteMixture, grid: Grid,
-                     which: str) -> list[tuple[float, float, bool]]:
-    """Tabulate the comparison curve between two mixtures.
+class Curve(NamedTuple):
+    """A comparison curve as three read-only columns of one length: the
+    points x (float64, ascending), the value at each (float64) and
+    whether that value is finite (bool)."""
+
+    x: np.ndarray
+    value: np.ndarray
+    defined: np.ndarray
+
+
+def difference_curve(m1: FiniteMixture, m2: FiniteMixture, grid: Grid, which: str) -> Curve:
+    """Tabulate the comparison curve between two mixtures on grid.
 
     which = 'sf' gives sf(m1) - sf(m2); the ratio variants give the m1/m2
     quotient of the named function, as exp of the difference of its logs.
-    Rows are (x, value, defined) in ascending x; a row is undefined when
-    its value is not finite.
+    A point is undefined when its value is not finite.
     """
     if which not in CURVE_KINDS:
         raise DomainError(f"unknown curve kind {which!r}; expected one of {CURVE_KINDS}")
@@ -424,23 +434,110 @@ def difference_curve(m1: FiniteMixture, m2: FiniteMixture, grid: Grid,
         name = which.removesuffix("_ratio")
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.exp(_evaluate(xs, m1, (name,))[0] - _evaluate(xs, m2, (name,))[0])
-    return list(zip(xs.tolist(), vals.tolist(), np.isfinite(vals).tolist()))
+    defined = np.isfinite(vals)
+    vals.flags.writeable = defined.flags.writeable = False
+    return Curve(xs, vals, defined)
+
+
+# Exact %.17g text for float64 arrays.  A finite v != 0 with exponent
+# E = floor(log10|v|) prints the 17 digits of N = |v| * 10**(16 - E), rounded.
+# N', that product in np.longdouble with the power parsed from its string, is
+# rounded twice by at most eps/2, so |N' - N| < 1e17 * eps (0.011 on x87).
+# Where N' clears 1e16 and lies more than a margin of 2e17 * eps from a tie,
+# N' rounds as N does and E is v's exponent; zeros take N = 0; every other
+# value (NaN, inf, a misjudged E, a near-tie; every value where np.longdouble
+# is no wider than float64, the margin then exceeding 0.5) goes through
+# _g17_exact.  The text matrix has one column per value and NULs in empty
+# slots; its rows: a sign, "0." and up to 3 zeros (E < 0, fixed notation),
+# the 17 digits with a slot for a point after each of the first 16, then
+# "e", a sign and 3 digits.
+_G17_HEIGHT = 44
+_Q_MIN = -292  # q = 16 - E lies in [-292, 340] for every finite v != 0
+_K = np.arange(17, dtype=np.int8)[:, None]
+_P9, _P8 = (10.0 ** np.arange(k - 1, -1, -1)[:, None] for k in (9, 8))
+_P3 = np.array([[100], [10], [1]])
 
 
 @lru_cache(maxsize=1)
-def _x_column(bits: bytes) -> tuple[str, ...]:
-    """The formatted x fields, each with its comma, of the float64 values
-    whose bytes are bits.  Keyed on the bytes, not the floats, because
-    0.0 == -0.0 but they print differently."""
-    return tuple(f"{x:.17g}," for x in array("d", bits))
+def _g17_tables() -> tuple:
+    """10**q for q in [_Q_MIN, 340], the margin 2e17 * eps and 1e16 +
+    margin, in np.longdouble; built on first use."""
+    margin = 2e17 * float(np.finfo(np.longdouble).eps)
+    pow10 = np.array([f"1e{q}" for q in range(_Q_MIN, 341)], dtype=np.longdouble)
+    return pow10, margin, np.longdouble(10**16) + np.longdouble(margin)
 
 
-def write_curve_csv(rows: list[tuple[float, float, bool]], path) -> None:
-    """CSV with header x,value,defined; 17 significant digits throughout.
-    The bytes are the csv module's: no field needs quoting, lines end in \\r\\n.
-    The x column is formatted once for consecutive calls on the same x values."""
-    xs = _x_column(array("d", [row[0] for row in rows]).tobytes())
-    lines = ["x,value,defined"]
-    lines += [f"{x}{v:.17g},{'true' if d else 'false'}" for x, (_, v, d) in zip(xs, rows)]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+def _g17_exact(v: float) -> bytes:
+    """format(v, ".17g"), NUL-padded to one column of the text matrix."""
+    return format(v, ".17g").encode().ljust(_G17_HEIGHT, b"\0")
+
+
+def _g17(values: np.ndarray) -> np.ndarray:
+    """The text of format(v, ".17g") for each float64 v in values, as a
+    (_G17_HEIGHT x values) uint8 matrix whose column i holds value i's
+    characters in order, with NULs between and after them."""
+    pow10, margin, least = _g17_tables()
+    a = np.abs(values)
+    finite = np.isfinite(a)
+    a = np.where(finite, a, 0.0)
+    e = np.floor(np.log10(np.where(a > 0.0, a, 1.0))).astype(np.int16)  # 0 for 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = a.astype(np.longdouble) * pow10[16 - _Q_MIN - e]
+        frac, whole = np.modf(big)
+        frac = frac.astype(np.float64)
+        n = whole.astype(np.uint64) + (frac > 0.5)
+    exact = (finite & (np.abs(frac - 0.5) > margin) & (n < 10**17)
+             & ((big >= least) | (a == 0.0)))
+    n *= exact
+    # the digits, exact in float64: floor(c / 10**k) for c below 1e9
+    hi, lo = (half.astype(np.float64) for half in np.divmod(n, 10**8))
+    digits = np.empty((17, values.size))
+    np.divide(hi, _P9, out=digits[:9])
+    np.divide(lo, _P8, out=digits[9:])
+    np.floor(digits, out=digits)
+    digits[1:9] -= 10.0 * digits[:8]
+    digits[10:] -= 10.0 * digits[9:16]
+    digits = digits.astype(np.uint8)
+    fixed = (e >= -4) & (e < 17)
+    point = np.where(fixed, np.maximum(e, -1), 0).astype(np.int8)  # -1: "0." leads
+    last = ((digits != 0) * _K).max(axis=0)  # of the significant digits
+    text = np.zeros((_G17_HEIGHT, values.size), np.uint8)
+    text[0] = np.signbit(values) * ord("-")
+    lead = fixed & (e < 0)
+    text[1], text[2] = lead * ord("0"), lead * ord(".")
+    text[3:6] = (lead & (_K[:3] < -1 - e)) * ord("0")
+    text[6:39:2] = (digits + ord("0")) * (_K <= np.maximum(point, last))
+    dotted = np.flatnonzero((point >= 0) & (last > point))
+    text[7 + 2 * point[dotted], dotted] = ord(".")
+    sci, exponent = ~fixed, np.abs(e)
+    text[39], text[40] = sci * ord("e"), sci * np.where(e < 0, ord("-"), ord("+"))
+    # the hundreds digit only from 100 on
+    text[41:] = (sci & (_K[:3] >= (exponent < 100))) * (ord("0") + exponent // _P3 % 10)
+    rest = np.flatnonzero(~exact)
+    if rest.size:
+        exact_text = b"".join(map(_g17_exact, values[rest].tolist()))
+        text[:, rest] = np.frombuffer(exact_text, np.uint8).reshape(rest.size, -1).T
+    return text
+
+
+@lru_cache(maxsize=1)
+def _x_text(bits: bytes) -> np.ndarray:
+    """_g17 of the float64 values whose bytes are bits.  Keyed on the
+    bytes, not the floats, because 0.0 == -0.0 but they print differently."""
+    return _g17(np.frombuffer(bits))
+
+
+# the ",false" and ",true" row ends, NUL-padded to one length
+_ROW_ENDS = np.frombuffer(b",false\r\n,true\r\n\0", np.uint8).reshape(2, 8).T
+
+
+def write_curve_csv(curve: Curve, path) -> None:
+    """CSV with header x,value,defined and one row per point of curve,
+    each float written as format(v, ".17g") is, by _g17.  The bytes are
+    the csv module's: no field needs quoting, lines end in \\r\\n.  The x
+    column is formatted once for consecutive calls on the same x values."""
+    x, value, defined = curve
+    text = np.vstack([_x_text(x.tobytes()), np.full((1, x.size), ord(","), np.uint8),
+                      _g17(value), _ROW_ENDS[:, defined.view(np.uint8)]])
+    with open(path, "wb") as fh:
+        fh.write(b"x,value,defined\r\n" + text.T.tobytes().translate(None, b"\0"))

@@ -12,17 +12,22 @@ import json
 import math
 import pickle
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import draw_rows, mp_mixture, random_mixture
 from ikmix import mixture, ordercheck
 from ikmix import (
+    CURVE_KINDS,
     DEFAULT_GRID,
     ORDER_KINDS,
+    Curve,
     DomainError,
     FiniteMixture,
     Grid,
@@ -196,9 +201,9 @@ class TestWitnessRefinement:
         # the difference drops back below zero afterwards
         assert v.refined_crossing is None
         assert v.witness.x < 3.55941
-        rows = difference_curve(po.lhs, po.rhs, DEFAULT_GRID, "sf")
-        downward = [x for (x, val, _), (x2, val2, _) in zip(rows, rows[1:])
-                    if val > 0.0 > val2 for x in (0.5 * (x + x2),)]
+        curve = difference_curve(po.lhs, po.rhs, DEFAULT_GRID, "sf")
+        xs, vals = curve.x, curve.value
+        downward = (0.5 * (xs[:-1] + xs[1:]))[(vals[:-1] > 0.0) & (0.0 > vals[1:])]
         assert len(downward) == 1
         assert 3.55941 < downward[0] < 3.72759
 
@@ -658,65 +663,149 @@ class TestRhOnePass:
 def _with_curve_warnings(m1, m2, grid, which):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
-        rows = difference_curve(m1, m2, grid, which)
-    return rows, [str(w.message) for w in caught]
+        curve = difference_curve(m1, m2, grid, which)
+    return curve, [str(w.message) for w in caught]
 
 
-def _reference_curve_csv(rows, path):
-    """The curve CSV written through the csv module's default dialect."""
+def _curve(rows) -> Curve:
+    """The columns of (x, value, defined) rows."""
+    x, value, defined = zip(*rows) if rows else ((), (), ())
+    return Curve(np.array(x, float), np.array(value, float), np.array(defined, bool))
+
+
+def _reference_curve_csv(curve, path):
+    """The curve CSV written through the csv module's default dialect,
+    one format(v, ".17g") per value."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "value", "defined"])
-        for x, v, d in rows:
+        for x, v, d in zip(*(column.tolist() for column in curve)):
             writer.writerow([format(x, ".17g"), format(v, ".17g"), "true" if d else "false"])
+
+
+def _assert_csv_matches_reference(curve, tmp_path, name="curve"):
+    got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
+    write_curve_csv(curve, got)
+    _reference_curve_csv(curve, want)
+    assert got.read_bytes() == want.read_bytes(), name
+
+
+_SPECIAL = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+            1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0, 1e-4, 1.0]
+
+
+def _near_tie(digits: int, exponent: int, step: int) -> float:
+    """The float nearest the 17-digit rounding tie (digits + 0.5) *
+    10**(exponent - 16), moved step ulps."""
+    tie = float(f"{digits}5e{exponent - 17}")
+    return float(np.nextafter(tie, math.copysign(math.inf, step))) if step else tie
+
+
+# float64 bit patterns (subnormals, NaNs and infinities among them), the
+# special values, powers of ten over the whole range, and values within an
+# ulp of a 17-digit tie, where the vectorised formatter must defer
+_FLOAT64S = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.array(bits, np.uint64).view(float))),
+    st.sampled_from(_SPECIAL),
+    st.integers(-320, 308).map(lambda k: float(f"1e{k}")),
+    st.builds(_near_tie, st.integers(10**16, 10**17 - 1), st.integers(-307, 307),
+              st.integers(-1, 1)),
+    # exact ties: |v| * 10**q = m * 5**q / 2 for an odd m below 2**53
+    st.integers(1, 23).flatmap(lambda q: st.integers(
+        2 * 10**16 // 5**q + 1, min(2 * 10**17 // 5**q, 2**53) - 1).map(
+            lambda m: (m | 1) * 2.0 ** -(q + 1))),
+)
 
 
 class TestCurves:
     def test_csv_bytes_match_the_csv_module(self, tmp_path):
-        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
-                   1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0, 1e-4]
-        rows = [(x, v, d) for x in special for v in special for d in (True, False)]
+        rows = [(x, v, d) for x in _SPECIAL for v in _SPECIAL for d in (True, False)]
         for name, case in (("empty", []), ("special", rows)):
-            got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
-            write_curve_csv(case, got)
-            _reference_curve_csv(case, want)
-            assert got.read_bytes() == want.read_bytes(), name
+            _assert_csv_matches_reference(_curve(case), tmp_path, name)
+        assert (tmp_path / "empty.csv").read_bytes() == b"x,value,defined\r\n"
+
+    def test_csv_bytes_match_the_reference_on_any_float64(self, tmp_path, monkeypatch):
+        exact = ordercheck._g17_exact
+        deferred, values = [], []
+        monkeypatch.setattr(ordercheck, "_g17_exact", lambda v: deferred.append(v) or exact(v))
+
+        @given(st.lists(st.tuples(_FLOAT64S, _FLOAT64S, st.booleans()), max_size=40))
+        @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+        def check(rows):
+            values.extend(v for _, v, _ in rows)
+            _assert_csv_matches_reference(_curve(rows), tmp_path)
+
+        check()
+        # both paths ran: some values went through format(v, ".17g"), and
+        # more values were written than that
+        assert 0 < len(deferred) < len(values)
+        assert any(math.isnan(v) for v in deferred)
+
+    def test_every_value_defers_where_longdouble_is_no_wider_than_float64(
+            self, tmp_path, monkeypatch):
+        # the tables as _g17_tables builds them, in float64: the margin
+        # 2e17 * eps exceeds 0.5, so no product decides a value
+        margin = 2e17 * np.finfo(np.float64).eps
+        pow10 = np.array([f"1e{q}" for q in range(ordercheck._Q_MIN, 341)], np.float64)
+        monkeypatch.setattr(ordercheck, "_g17_tables", lambda: (pow10, margin, 1e16 + margin))
+        exact = ordercheck._g17_exact
+        deferred = []
+        monkeypatch.setattr(ordercheck, "_g17_exact", lambda v: deferred.append(v) or exact(v))
+        values = np.concatenate([_SPECIAL, np.geomspace(1e-300, 1e300, 500)])
+        _assert_csv_matches_reference(Curve(values, values[::-1], np.isfinite(values)),
+                                      tmp_path)
+        assert len(deferred) == 2 * values.size
+
+    def test_powers_of_ten_are_correctly_rounded(self):
+        # the error bound of the vectorised formatter takes each 10**q to
+        # be within half an ulp of the exact power
+        pow10, margin, _ = ordercheck._g17_tables()
+        assert margin == 2e17 * float(np.finfo(np.longdouble).eps)
+        for q, power in zip(range(ordercheck._Q_MIN, 341), pow10):
+            exact = Fraction(10) ** q
+            ulp = Fraction(*(np.nextafter(power, np.inf) - power).as_integer_ratio())
+            assert abs(Fraction(*power.as_integer_ratio()) - exact) <= ulp / 2, q
+
+    def test_catalog_curves_match_the_reference(self, catalog, tmp_path):
+        for fid in catalog.ids():
+            po = catalog.checker_report(fid).orientation
+            for which in CURVE_KINDS:
+                curve = difference_curve(po.lhs, po.rhs, DEFAULT_GRID, which)
+                _assert_csv_matches_reference(curve, tmp_path, f"{fid}_{which}")
 
     def test_x_column_cache_keeps_signed_zeros_apart(self, tmp_path):
         # 0.0 == -0.0, so a cache keyed on the floats would print one as
         # the other on consecutive calls
         for i, x in enumerate((0.0, -0.0, 0.0, 1e-4)):
-            rows = [(x, 1.0, True), (1.0, -0.0, False)]
-            got, want = tmp_path / f"{i}.csv", tmp_path / f"{i}_ref.csv"
-            write_curve_csv(rows, got)
-            _reference_curve_csv(rows, want)
-            assert got.read_bytes() == want.read_bytes(), x
+            _assert_csv_matches_reference(_curve([(x, 1.0, True), (1.0, -0.0, False)]),
+                                          tmp_path, str(i))
 
-    def test_rows_hold_python_floats_and_bools(self):
+    def test_columns_hold_float64_float64_and_bool(self):
         m1 = FiniteMixture((1.0,), (1.0,), (1.0,))
         deep = FiniteMixture((1.0,), (50.0,), (140.0,))
         for which in ("sf", "pdf_ratio"):
-            rows = difference_curve(m1, deep, Grid(1e-4, 3e-4, 20), which)
-            assert {tuple(type(f) for f in row) for row in rows} == {(float, float, bool)}
+            curve = difference_curve(m1, deep, Grid(1e-4, 3e-4, 20), which)
+            assert [c.dtype for c in curve] == [np.float64, np.float64, np.bool_]
+            assert {c.shape for c in curve} == {(20,)}
+            assert not any(c.flags.writeable for c in curve)
 
     def test_self_difference_is_zero(self):
         m = FiniteMixture((0.4, 0.6), (1.0, 2.0), (0.5, 1.5))
-        rows = difference_curve(m, m, Grid(1e-2, 1e2, 50), "sf")
-        assert all(v == 0.0 for _, v, _ in rows)
-        assert all(d for _, _, d in rows)
+        curve = difference_curve(m, m, Grid(1e-2, 1e2, 50), "sf")
+        assert np.all(curve.value == 0.0)
+        assert np.all(curve.defined)
 
     def test_rows_ascend(self):
         m1 = FiniteMixture((1.0,), (1.0,), (1.0,))
         m2 = FiniteMixture((1.0,), (2.0,), (1.0,))
-        rows = difference_curve(m1, m2, Grid(1e-2, 1e2, 50), "cdf_ratio")
-        xs = [r[0] for r in rows]
-        assert xs == sorted(xs)
+        xs = difference_curve(m1, m2, Grid(1e-2, 1e2, 50), "cdf_ratio").x
+        assert np.all(np.diff(xs) > 0.0)
 
     def test_undefined_rows_flagged(self):
         m1 = FiniteMixture((1.0,), (1.0,), (1.0,))
         deep = FiniteMixture((1.0,), (50.0,), (140.0,))
-        rows = difference_curve(m1, deep, Grid(1e-4, 3e-4, 20), "pdf_ratio")
-        assert any(not d for _, _, d in rows)
+        curve = difference_curve(m1, deep, Grid(1e-4, 3e-4, 20), "pdf_ratio")
+        assert not np.all(curve.defined)
 
     def test_nonfinite_rows_undefined(self):
         # the pdf of IK(1e-20, 2) is exactly 0 where alpha * x underflows,
@@ -724,21 +813,21 @@ class TestCurves:
         m1 = FiniteMixture((1.0,), (1.0,), (2.0,))
         m2 = FiniteMixture((1.0,), (1e-20,), (2.0,))
         grid = Grid(1e-310, 1e-300, 100)
-        rows, caught = _with_curve_warnings(m1, m2, grid, "pdf_ratio")
+        curve, caught = _with_curve_warnings(m1, m2, grid, "pdf_ratio")
         assert caught == []
-        assert all(d == math.isfinite(v) for _, v, d in rows)
-        assert sum(not d for _, _, d in rows) == int(np.count_nonzero(1e-20 * grid.xs() == 0.0))
+        assert np.array_equal(curve.defined, np.isfinite(curve.value))
+        assert np.count_nonzero(~curve.defined) == np.count_nonzero(1e-20 * grid.xs() == 0.0)
 
     def test_found_pair_rows_are_defined(self):
         # the linear reversed hazards of m1 are 0/0 at 740 of these points
         m1 = FiniteMixture((0.5, 0.5), (1.0, 1.0), (400.0, 300.0))
         m2 = FiniteMixture((0.3, 0.7), (1.0, 1.0), (1.0, 2.0))
-        rows, caught = _with_curve_warnings(m1, m2, DEFAULT_GRID, "rh_ratio")
+        curve, caught = _with_curve_warnings(m1, m2, DEFAULT_GRID, "rh_ratio")
         assert caught == []
-        assert all(d for _, _, d in rows)
+        assert np.all(curve.defined)
         # log rh is log pdf - log cdf, where the logs reach -2200; each
         # rounds to eps times its size, which exp makes relative error
-        for x, v, _ in rows[::199]:
+        for x, v in zip(curve.x[::199].tolist(), curve.value[::199].tolist()):
             want = mp_mixture(x, m1)["rh"] / mp_mixture(x, m2)["rh"]
             size = sum(abs(v) for v in mixture._evaluate(x, m1, ("cdf", "pdf")))
             rel = 1e-13 + 4.0 * np.finfo(float).eps * size
@@ -752,10 +841,10 @@ class TestCurves:
     def test_csv_format_and_determinism(self, tmp_path):
         m1 = FiniteMixture((0.4, 0.6), (1.0, 2.0), (0.5, 1.5))
         m2 = FiniteMixture((0.6, 0.4), (1.0, 2.0), (0.5, 1.5))
-        rows = difference_curve(m1, m2, Grid(1e-2, 1e2, 25), "sf")
+        curve = difference_curve(m1, m2, Grid(1e-2, 1e2, 25), "sf")
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_curve_csv(rows, p1)
-        write_curve_csv(rows, p2)
+        write_curve_csv(curve, p1)
+        write_curve_csv(curve, p2)
         assert p1.read_bytes() == p2.read_bytes()
         with open(p1) as fh:
             parsed = list(csv.reader(fh))
@@ -763,8 +852,8 @@ class TestCurves:
         assert len(parsed) == 26
         assert parsed[1][2] in ("true", "false")
         # 17 significant digits survive the string round trip
-        assert float(parsed[3][0]) == rows[2][0]
-        assert float(parsed[3][1]) == rows[2][1]
+        assert float(parsed[3][0]) == curve.x[2]
+        assert float(parsed[3][1]) == curve.value[2]
 
 
 # The bracket search as the checks ran it before crossings were computed
