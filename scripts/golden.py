@@ -30,6 +30,13 @@ DIR receives, from the ikmix under this checkout's src/:
                                              here from the seed, each
                                              report with its orientation's
                                              to_dict()
+  kernel.json, kernel.exit                   the hex of the float64 bytes of
+                                             the mixture kernel's logs
+                                             (_evaluate: every name at once
+                                             with the slope, each name
+                                             alone, the slope alone) and of
+                                             the sf (_survival) on seeded
+                                             edge cases
 
 Every run turns RuntimeWarnings into errors, so a warning shows up as a
 changed .exit file rather than as noise on stderr.
@@ -129,6 +136,60 @@ json.dump(rows, sys.stdout, indent=1)
 sys.stdout.write("\\n")
 """
 
+# the kernel's own bytes on seeded edge cases: beta == 1 components, x = 0
+# and 1e300, 70 components on 2000 points (18 blocks), a stack of 8
+# two-component mixtures on 500 points, alpha * log1p(x) on both sides of
+# log 2, beta = 400 and an underflowing alpha * x (-inf log-cdf columns, so
+# the shift is clipped), shapes of 1e-300 and 1e300 (overflowing pdf
+# constants and slopes), and a scalar x.  Only the private _evaluate and
+# _survival are called, with the signatures they have had since the
+# kernel took stacks
+_KERNEL = """
+import json, math, sys
+import numpy as np
+from ikmix import FiniteMixture, mixture
+r = np.random.default_rng(2024)
+def spread(n):
+    w = r.uniform(0.05, 1.0, n)
+    return FiniteMixture(tuple(w / w.sum()), tuple(10.0 ** r.uniform(-1.0, 1.5, n)),
+                         tuple(10.0 ** r.uniform(-1.0, 1.5, n)))
+ends = [0.0, 5e-324, 1e-300, 1e300]
+wide = spread(70)
+wide = FiniteMixture(wide.weights, wide.alphas, wide.betas[:60] + (1.0,) * 10)
+a = np.array([0.5, 1.0, 3.0, 40.0])
+log2_x = np.expm1(np.outer(math.log(2.0) / a, 1.0 + np.linspace(-1e-12, 1e-12, 25))).ravel()
+stack = np.array([[(0.3, 0.7), tuple(10.0 ** r.uniform(-1, 1, 2)),
+                   tuple(10.0 ** r.uniform(-1, 1, 2))] for _ in range(8)])
+cases = {
+    "beta_one": (FiniteMixture((0.25,) * 4, (0.7, 2.0, 1.0, 5.0), (1.0, 0.5, 1.0, 2.5)),
+                 np.concatenate([ends, np.geomspace(1e-6, 1e6, 300)])),
+    "wide70": (wide, np.concatenate([ends, np.geomspace(1e-4, 1e4, 1996)])),
+    "stack8": (stack, np.concatenate([ends, np.geomspace(1e-3, 1e3, 496)])),
+    "log2_sides": (FiniteMixture((0.1, 0.2, 0.3, 0.4), tuple(a), (0.6, 1.0, 2.0, 7.0)),
+                   np.concatenate([ends, np.sort(log2_x)])),
+    "beta400": (FiniteMixture((0.5, 0.5), (1.0, 1.0), (400.0, 300.0)),
+                np.concatenate([ends, np.geomspace(1e-12, 1e4, 200)])),
+    "alpha_underflow": (FiniteMixture((0.6, 0.4), (1e-10, 2.0), (3.0, 0.4)),
+                        np.array([0.0, 5e-324, 1e-320, 1e-300, 1e-12, 1.0, 1e300])),
+    "extreme": (FiniteMixture((0.3, 0.3, 0.4), (1e300, 1e-300, 2.0), (1e10, 1e300, 1e-300)),
+                np.array([0.0, 5e-324, 1e-300, 1e-12, 1.0, 1e12, 1e300])),
+    "scalar": (FiniteMixture((0.4, 0.6), (1.5, 0.8), (1.0, 3.0)), 0.75),
+    "scalar_zero": (FiniteMixture((0.4, 0.6), (1.5, 0.8), (0.5, 3.0)), 0.0),
+}
+def record(values):
+    return [[list(np.shape(v)), np.asarray(v, dtype=np.float64).tobytes().hex()] for v in values]
+out = {}
+for name, (m, x) in cases.items():
+    calls = {"cdf+pdf+rh+slope": record(mixture._evaluate(x, m, ("cdf", "pdf", "rh"), slope=True))}
+    for single in ("cdf", "pdf", "rh"):
+        calls[single] = record(mixture._evaluate(x, m, (single,)))
+    calls["slope"] = record(mixture._evaluate(x, m, (), slope=True))
+    calls["sf"] = record([mixture._survival(x, m)])
+    out[name] = calls
+json.dump(out, sys.stdout, indent=1)
+sys.stdout.write("\\n")
+"""
+
 
 def _run(args: list[str], cwd: Path = ROOT) -> subprocess.CompletedProcess:
     env = dict(os.environ)
@@ -152,7 +213,7 @@ def write(outdir: Path) -> None:
         report = outdir / f"scan_{config.stem}.report.json"
         _record(outdir, f"scan_{config.stem}",
                 _run(["-c", _CLI, "scan", str(config), "--out", str(report)]))
-    for name, script in (("verdicts", _VERDICTS), ("reports", _REPORTS)):
+    for name, script in (("verdicts", _VERDICTS), ("reports", _REPORTS), ("kernel", _KERNEL)):
         proc = _run(["-c", script])
         (outdir / f"{name}.json").write_bytes(proc.stdout)
         (outdir / f"{name}.exit").write_text(f"{proc.returncode}\n")

@@ -108,10 +108,10 @@ def _ret(values: np.ndarray, scalar: bool):
 _LOG2 = math.log(2.0)
 
 
-def _log_u(L: np.ndarray, alpha) -> np.ndarray:
+def _log_u(L: np.ndarray, alpha, out: np.ndarray | None = None) -> np.ndarray:
     """log u(x) for u = 1 - (1+x)^(-alpha), from L = log1p(x); -inf
     exactly at x = 0.  alpha may be a column of shape (k, 1), giving one
-    row per alpha.
+    row per alpha; out, shaped like alpha * L, receives the result.
 
     Split at t = 1/2: for t = (1+x)^(-alpha) close to 1 the expm1 form
     log(-expm1(-y)) keeps the leading digits of the tiny u, while for t
@@ -119,14 +119,13 @@ def _log_u(L: np.ndarray, alpha) -> np.ndarray:
     Each branch is relative-accurate on its half, which the other is not,
     and each is evaluated only on its own half.
     """
-    y = alpha * L
-    large = y > _LOG2
+    # -y = (-alpha) * L is bitwise -(alpha * L): negation is exact
+    out = np.multiply(-alpha, L, out=out)
+    large = out < -_LOG2
     small = ~large
-    neg_y = np.negative(y)
-    out = np.empty_like(y)
     with np.errstate(divide="ignore"):
-        np.expm1(neg_y, out=out, where=small)
-        np.exp(neg_y, out=out, where=large)
+        np.expm1(out, out=out, where=small)
+        np.exp(out, out=out, where=large)
         np.negative(out, out=out)
         np.log(out, out=out, where=small)
         np.log1p(out, out=out, where=large)
@@ -134,24 +133,29 @@ def _log_u(L: np.ndarray, alpha) -> np.ndarray:
 
 
 # The formulas below take log u from _log_u and broadcast like it, so the
-# mixture kernel shares them with the single-component evaluators.
+# mixture kernel shares them with the single-component evaluators; out,
+# when given, receives the result.
 
 
-def _log_cdf(beta, log_u: np.ndarray) -> np.ndarray:
-    return beta * log_u
+def _log_cdf(beta, log_u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.multiply(beta, log_u, out=out)
 
 
-def _sf(beta, log_u: np.ndarray) -> np.ndarray:
-    return -np.expm1(beta * log_u)
+def _sf(beta, log_u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.negative(np.expm1(np.multiply(beta, log_u, out=out), out=out), out=out)
 
 
-def _log_pdf(log_ab, alpha, beta, L: np.ndarray, log_u: np.ndarray) -> np.ndarray:
-    """log density from log_ab = log(alpha) + log(beta), L = log1p(x) and log u.
-    At x = 0, (beta-1) * log u is the log of the boundary value, +inf for
-    beta < 1 and -inf for beta > 1; for beta = 1 it is left out (0 * -inf)."""
-    logf = log_ab - (alpha + 1.0) * L
+def _log_pdf(log_ab, alpha1, beta1, not_one, L: np.ndarray, log_u: np.ndarray,
+             out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """log density from log_ab = log(alpha) + log(beta), alpha1 = alpha + 1,
+    beta1 = beta - 1, L = log1p(x) and log u; work, shaped like out, takes
+    (beta-1) * log u.  At x = 0 that is the log of the boundary value, +inf
+    for beta < 1 and -inf for beta > 1; where not_one is False (beta = 1)
+    it is left out (0 * -inf)."""
+    logf = np.subtract(log_ab, np.multiply(alpha1, L, out=out), out=out)
     with np.errstate(invalid="ignore"):
-        return np.where(beta == 1.0, logf, logf + (beta - 1.0) * log_u)
+        # masked, not np.where: the beta = 1 rows keep log_ab - alpha1 * L as it is
+        return np.add(logf, np.multiply(beta1, log_u, out=work), out=logf, where=not_one)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +193,8 @@ def ik_pdf(x, params: IKParams):
     a, b = params.alpha, params.beta
     L = np.log1p(xs)
     with np.errstate(over="ignore"):
-        out = np.exp(_log_pdf(math.log(a) + math.log(b), a, b, L, _log_u(L, a)))
+        out = np.exp(_log_pdf(math.log(a) + math.log(b), a + 1.0, b - 1.0, b != 1.0, L,
+                              _log_u(L, a)))
     return _ret(out, scalar)
 
 

@@ -18,6 +18,23 @@ linear from expm1, so mixture_sf adds them as they are, by a compensated
 sum in component order.  _renormalised divides the raw weights of a
 FiniteMixture and of a scan's draws alike; the batched bracket search
 (_refine_crossing) behind mixture_quantile and the crossings lives here.
+
+Each kernel call makes one workspace, three arrays of one block, which
+every block's values are written into in place, and computes the column
+constants once: alpha + 1, beta - 1, log alpha + log beta, the slope's
+(beta - 1) alpha and which betas are not 1.  Four exact
+identities let the block body take fewer numpy passes than the plain
+formulas while rounding every value as they do:
+  - _log_u works on -y = (-alpha) * L, which is bitwise -(alpha * L);
+  - the pdf adds (beta - 1) log u under a mask of the beta != 1 rows
+    instead of choosing by np.where, so the beta = 1 rows keep their
+    value as it is;
+  - the merge of two shifted sums scales each side by exp(its shift -
+    the larger shift): exactly 1.0 on one side (x * 1.0 = x) and
+    exp(-|d|) on the other, since fl(a - b) = -fl(b - a);
+  - the sf's compensated sum takes each rounding error by branch-free
+    TwoSum, which gives the exact error of fl(s + t) as Neumaier's
+    |s| >= |t| branch does.
 """
 
 from __future__ import annotations
@@ -53,19 +70,28 @@ _REFINE_BATCH = 64
 
 def neumaier_sum(terms):
     """Compensated sum of a sequence of equally shaped arrays (or floats),
-    accumulated strictly in the given order."""
+    accumulated strictly in the given order: Neumaier's running sum plus
+    the sum of the rounding errors of its additions.  Each error is taken
+    branch-free by TwoSum (Knuth; Ogita, Rump and Oishi, SIAM J. Sci.
+    Comput. 2005) into buffers made once; like Neumaier's |s| >= |t|
+    branch it is the exact error of fl(s + t) when no step overflows, so
+    the two give the same bits."""
     it = iter(terms)
     try:
         first = next(it)
     except StopIteration:
         raise ValueError("nothing to sum") from None
-    s = np.asarray(first, dtype=float).copy()
-    c = np.zeros_like(s)
+    s = np.array(first, dtype=float)
+    c, total, t_part, err = (np.zeros(s.shape) for _ in range(4))
     for term in it:
         t = np.asarray(term, dtype=float)
-        total = s + t
-        c = c + np.where(np.abs(s) >= np.abs(t), (s - total) + t, (t - total) + s)
-        s = total
+        np.add(s, t, out=total)
+        # TwoSum: err = (s - (total - t_part)) + (t - t_part), exactly
+        # Neumaier's (s - total) + t or (t - total) + s for s + t
+        np.subtract(total, s, out=t_part)  # the part of t that total holds
+        np.subtract(s, np.subtract(total, t_part, out=err), out=err)
+        c += np.add(err, np.subtract(t, t_part, out=t_part), out=err)
+        s, total = total, s
     out = s + c
     return float(out) if out.ndim == 0 else out
 
@@ -152,23 +178,25 @@ def _per_component(name: str, value, n: int) -> tuple:
 
 
 def _stacked(x, m, kernel) -> tuple:
-    """The rows of kernel(L, x, cuts), where L is log1p(x) and kernel
-    returns a sequence of (mixtures, points) arrays.  m is a FiniteMixture
-    or its parameter array, (weights, alphas, betas) x components, giving
-    results shaped like x (a float for a scalar x), or a stack of them,
-    mixtures x 3 x components, giving one row per mixture.  cuts holds
-    the parameters as columns of shape (components, mixtures, 1), cut
-    along the components, at most _BLOCK_VALUES // points (at least one)
-    to a (weights, alphas, betas) array, in component order: each row is
+    """The rows of kernel(L, x, cols, cuts, work), where L is log1p(x) and
+    kernel returns a sequence of (mixtures, points) arrays.  m is a
+    FiniteMixture or its parameter array, (weights, alphas, betas) x
+    components, giving results shaped like x (a float for a scalar x), or
+    a stack of them, mixtures x 3 x components, giving one row per
+    mixture.  cols holds the parameters as columns of shape (3,
+    components, mixtures, 1); cuts slices the components into blocks of
+    at most _BLOCK_VALUES // points (at least one), in component order;
+    work is the call's workspace, three arrays shaped like the largest
+    block's values, (components, mixtures, points): each row is
     bit-identical to that mixture's alone."""
     xs, scalar = _as_x(x)
     flat = xs.ravel()
     params = np.array((m.weights, m.alphas, m.betas)) if isinstance(m, FiniteMixture) else m
     one = params.ndim == 2
     cols = (params[None] if one else params).transpose(1, 2, 0)[..., None]
-    rows = max(1, _BLOCK_VALUES // flat.size)
-    out = kernel(np.log1p(flat), flat,
-                 [cols[:, c:c + rows] for c in range(0, cols.shape[1], rows)])
+    rows = min(cols.shape[1], max(1, _BLOCK_VALUES // flat.size))
+    cuts = [slice(c, c + rows) for c in range(0, cols.shape[1], rows)]
+    out = kernel(np.log1p(flat), flat, cols, cuts, np.empty((3, rows, cols.shape[2], flat.size)))
     if not one:
         return tuple(v.reshape((len(params),) + np.shape(x)) for v in out)
     return tuple(float(v[0, 0]) if scalar else v[0].reshape(xs.shape) for v in out)
@@ -185,22 +213,27 @@ def _add_block(sums: dict, name: str, w: np.ndarray, log_terms: np.ndarray,
     are clipped to the finite range, so a column of zeros (log -inf) never
     keeps its shift and an infinite term gives inf.  log_terms is
     overwritten."""
-    shift = np.clip(log_terms.max(axis=0), -_LOG_MAX, _LOG_MAX)
+    shift = log_terms.max(axis=0)
+    # np.clip's bounds as two in-place ufuncs, without its wrapper
+    np.maximum(np.minimum(shift, _LOG_MAX, out=shift), -_LOG_MAX, out=shift)
     scaled = np.exp(np.subtract(log_terms, shift, out=log_terms), out=log_terms)
     scaled *= w
     block = [shift, scaled.sum(axis=0)]
     if slopes is not None:
-        block.append((scaled * slopes).sum(axis=0))
+        block.append(np.multiply(scaled, slopes, out=scaled).sum(axis=0))
     run = sums.setdefault(name, block)
     if run is block:
         return
-    d = shift - run[0]
-    down = np.exp(-np.abs(d))
-    keep_scale, block_scale = np.where(d > 0.0, down, 1.0), np.where(d > 0.0, 1.0, down)
+    # each side scales by exp(its shift - the larger shift): exactly 1.0 on
+    # the side that holds it, and on the other exp(-|d|) bit for bit, since
+    # fl(a - b) = -fl(b - a)
+    larger = np.maximum(run[0], shift)
+    keep = np.exp(np.subtract(run[0], larger, out=run[0]), out=run[0])
+    down = np.exp(np.subtract(shift, larger, out=shift), out=shift)
     for acc, part in zip(run[1:], block[1:]):
-        acc *= keep_scale
-        acc += part * block_scale
-    np.maximum(run[0], shift, out=run[0])
+        acc *= keep
+        acc += np.multiply(part, down, out=part)
+    run[0] = larger
 
 
 def _evaluate(x, m, names: tuple[str, ...], slope: bool = False) -> tuple:
@@ -217,18 +250,29 @@ def _evaluate(x, m, names: tuple[str, ...], slope: bool = False) -> tuple:
     want_cdf = "cdf" in names or "rh" in names
     want_pdf = slope or "pdf" in names or "rh" in names
 
-    def kernel(L, flat, cuts):
-        sums: dict[str, list] = {}
+    def kernel(L, flat, cols, cuts, work):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for w, a, b in cuts:
-                log_u = _log_u(L, a)
-                if want_cdf:
-                    _add_block(sums, "cdf", w, _log_cdf(b, log_u))
+            if want_pdf:
+                # the pdf's and the slope's columns, once for all blocks
+                _, a, b = cols
+                b1 = b - 1.0
+                pdf_cols = np.array((a + 1.0, b1, np.log(a) + np.log(b), b1 * a))
+                not_one = b1 != 0.0
+                one_x = 1.0 + flat
+            sums: dict[str, list] = {}
+            for cut in cuts:
+                w, a, b = cols[:, cut]
+                log_u, f, g = work[:, :len(w)]
+                _log_u(L, a, out=log_u)
                 if want_pdf:
-                    slopes = ((b - 1.0) * a / np.expm1(a * L) - (a + 1.0)) / (1.0 + flat) \
-                        if slope else None
-                    _add_block(sums, "pdf", w, _log_pdf(np.log(a) + np.log(b), a, b, L, log_u),
-                               slopes)
+                    a1, b1, log_ab, g1 = pdf_cols[:, cut]
+                    _log_pdf(log_ab, a1, b1, not_one[cut], L, log_u, out=f, work=g)
+                    if slope:
+                        np.expm1(np.multiply(a, L, out=g), out=g)
+                        np.divide(np.subtract(np.divide(g1, g, out=g), a1, out=g), one_x, out=g)
+                    _add_block(sums, "pdf", w, f, g if slope else None)
+                if want_cdf:
+                    _add_block(sums, "cdf", w, _log_cdf(b, log_u, out=log_u))
             logs = {name: acc[0] + np.log(acc[1]) for name, acc in sums.items()}
             if "rh" in names:
                 logs["rh"] = logs["pdf"] - logs["cdf"]
@@ -258,8 +302,15 @@ def mixture_sf(x, m: FiniteMixture):
 
 def _survival(x, m):
     """mixture_sf of m, one mixture or a stack of them (see _stacked)."""
-    return _stacked(x, m, lambda L, flat, cuts: [neumaier_sum(
-        row for w, a, b in cuts for row in w * _sf(b, _log_u(L, a)))])[0]
+    def rows(L, cols, cuts, work):
+        for cut in cuts:
+            w, a, b = cols[:, cut]
+            terms = _sf(b, _log_u(L, a, out=work[0, :len(w)]), out=work[0, :len(w)])
+            # neumaier_sum takes each row before the next block overwrites it
+            yield from np.multiply(terms, w, out=terms)
+
+    return _stacked(x, m, lambda L, flat, cols, cuts, work: [
+        neumaier_sum(rows(L, cols, cuts, work))])[0]
 
 
 def mixture_pdf(x, m: FiniteMixture):

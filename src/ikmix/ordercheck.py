@@ -222,52 +222,57 @@ def _magnitude(*logs: np.ndarray) -> np.ndarray:
 
 
 def _verdicts(kind: str, grid: Grid, skip: np.ndarray, nonfinite: np.ndarray,
-              bad: np.ndarray, violation, split: dict | None = None) -> list[OrderVerdict]:
+              bad: np.ndarray, violations, split: dict | None = None) -> list[OrderVerdict]:
     """Each row's verdict, built once.  A row with over 10% of the grid
     unusable (skip or nonfinite) is inconclusive and names each count;
     passing leaves at least two usable points on any grid.  Then a row in
     split is inconclusive with the reason it maps to; a row with no point
     in bad holds on the grid; any other row is violated, with the
-    (witness, refined_crossing, reason) of violation(row, k) for its first
-    bad point k."""
-    verdicts = []
-    rows = zip(skip.sum(axis=1).tolist(), nonfinite.sum(axis=1).tolist(),
-               bad.any(axis=1).tolist(), bad.argmax(axis=1).tolist())
-    for i, (n_skip, n_nonfinite, any_bad, k) in enumerate(rows):
-        status, witness, crossing, reason = "holds_on_grid", None, None, None
+    (witness, refined_crossing, reason) that violations(rows, points)
+    gives for it and its first bad point, in one call for every violated
+    row of the stack."""
+    rows = list(zip(skip.sum(axis=1).tolist(), nonfinite.sum(axis=1).tolist(),
+                    bad.any(axis=1).tolist(), bad.argmax(axis=1).tolist()))
+    reasons = []  # an inconclusive row's reason, else None
+    for i, (n_skip, n_nonfinite, _, _) in enumerate(rows):
+        causes = []
         if n_skip + n_nonfinite > _SKIP_FRACTION * grid.points:
-            causes = []
             if n_skip:
                 causes.append(f"{n_skip} of {grid.points} grid points underflowed float64")
             if n_nonfinite:
                 causes.append(f"{n_nonfinite} of {grid.points} grid points were non-finite "
                               "(NaN or inf)")
-            status, reason = "inconclusive", "; ".join(causes)
         elif split and i in split:
-            status, reason = "inconclusive", split[i]
-        elif any_bad:
-            status = "violated"
-            witness, crossing, reason = violation(i, k)
-        verdicts.append(OrderVerdict(kind, status, witness, crossing, reason, n_skip,
-                                     n_nonfinite, grid))
-    return verdicts
+            causes.append(split[i])
+        reasons.append("; ".join(causes) or None)
+    hit = [i for i, row in enumerate(rows) if row[2] and reasons[i] is None]
+    found = dict(zip(hit, violations(hit, [rows[i][3] for i in hit]))) if hit else {}
+    return [OrderVerdict(kind, "violated", *found[i], n_skip, n_nonfinite, grid) if i in found
+            else OrderVerdict(kind, "holds_on_grid" if reasons[i] is None else "inconclusive",
+                              None, None, reasons[i], n_skip, n_nonfinite, grid)
+            for i, (n_skip, n_nonfinite, _, _) in enumerate(rows)]
 
 
 def _pointwise(xs: np.ndarray, v1: np.ndarray, v2: np.ndarray, prev: np.ndarray, gap, m1s, m2s,
                reason: str, value):
-    """The violation of the st and rh checks, where v1 <= v2 must hold at
-    every usable point.  The witness holds value(v1) and value(v2) at the
-    first bad point k; the crossing of gap(m1, m2, x) = v1 - v2 is
-    refined, on first read, inside the step from point prev[k] when that
-    point is strictly ordered; reason is a template for the witness x."""
-    def violation(i: int, k: int) -> tuple:
-        witness = Witness(x=float(xs[k]), lhs=value(v1[i, k]), rhs=value(v2[i, k]))
-        p, refined = prev[i, k], None
-        if p >= 0 and v1[i, p] - v2[i, p] < 0.0:
-            refined = partial(_refine_crossing, partial(gap, m1s[i], m2s[i]), float(xs[p]),
-                              float(xs[k]))
-        return witness, refined, reason.format(witness.x)
-    return violation
+    """The violations of the st and rh checks, where v1 <= v2 must hold at
+    every usable point.  Each witness holds value(v1) and value(v2) at its
+    row's first bad point k, value taking the stack's witness values in
+    one array; the crossing of gap(m1, m2, x) = v1 - v2 is refined, on
+    first read, inside the step from point prev[k] when that point is
+    strictly ordered; reason is a template for the witness x."""
+    def violations(rows: list, ks: list) -> list:
+        lhs, rhs = value(np.stack((v1[rows, ks], v2[rows, ks]))).tolist()
+        out = []
+        for i, k, left, right in zip(rows, ks, lhs, rhs):
+            witness = Witness(x=float(xs[k]), lhs=left, rhs=right)
+            p, refined = prev[i, k], None
+            if p >= 0 and v1[i, p] - v2[i, p] < 0.0:
+                refined = partial(_refine_crossing, partial(gap, m1s[i], m2s[i]), float(xs[p]),
+                                  float(xs[k]))
+            out.append((witness, refined, reason.format(witness.x)))
+        return out
+    return violations
 
 
 def _check_ratio_monotone(kind: str, grid: Grid, log_num: np.ndarray, log_den: np.ndarray,
@@ -276,7 +281,8 @@ def _check_ratio_monotone(kind: str, grid: Grid, log_num: np.ndarray, log_den: n
     """Common body of the lr and r-rh checks: log_num - log_den must be
     monotone on the grid in the named direction, within the tolerance of
     scale.  A violated verdict refines the root of slope(m1, m2, x), the
-    vectorised derivative of that log ratio, inside the offending step."""
+    vectorised derivative of that log ratio, inside the offending step;
+    the ratios at the ends of every violated row's step take one exp."""
     xs = grid.xs()
     with np.errstate(invalid="ignore"):
         log_ratio = log_num - log_den
@@ -285,15 +291,19 @@ def _check_ratio_monotone(kind: str, grid: Grid, log_num: np.ndarray, log_den: n
     prev = _previous(usable, across_gaps=True)
     direction = "nondecreasing" if nondecreasing else "nonincreasing"
 
-    def violation(i: int, j: int) -> tuple:
-        p = prev[i, j]
-        x_lo, x_hi = float(xs[p]), float(xs[j])
-        return (Witness(x=x_hi, lhs=_exp(log_ratio[i, p]), rhs=_exp(log_ratio[i, j])),
-                partial(_refine_crossing, partial(slope, m1s[i], m2s[i]), x_lo, x_hi),
-                f"ratio fails to be {direction} on the step ending at x={x_hi!r}")
+    def violations(rows: list, js: list) -> list:
+        ps = prev[rows, js]
+        lhs, rhs = _exp(np.stack((log_ratio[rows, ps], log_ratio[rows, js]))).tolist()
+        out = []
+        for i, p, j, left, right in zip(rows, ps.tolist(), js, lhs, rhs):
+            x_lo, x_hi = float(xs[p]), float(xs[j])
+            out.append((Witness(x=x_hi, lhs=left, rhs=right),
+                        partial(_refine_crossing, partial(slope, m1s[i], m2s[i]), x_lo, x_hi),
+                        f"ratio fails to be {direction} on the step ending at x={x_hi!r}"))
+        return out
 
     return _verdicts(kind, grid, np.zeros_like(nonfinite), nonfinite,
-                     _bad_steps(log_ratio, scale, usable, prev, nondecreasing), violation)
+                     _bad_steps(log_ratio, scale, usable, prev, nondecreasing), violations)
 
 
 def _rh_slope(x, m: np.ndarray) -> np.ndarray:
@@ -314,11 +324,11 @@ def _st(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
     nonfinite = ~(np.isfinite(s1) & np.isfinite(s2))
     skip = ~nonfinite & (s1 < _UNDERFLOW) & (s2 < _UNDERFLOW)
     usable = ~(skip | nonfinite)
-    violation = _pointwise(xs, s1, s2, _previous(usable, across_gaps=False),
-                           lambda m1, m2, x: _survival(x, m1) - _survival(x, m2),
-                           m1s, m2s, "sf(m1) exceeds sf(m2) at x={!r}", float)
+    violations = _pointwise(xs, s1, s2, _previous(usable, across_gaps=False),
+                            lambda m1, m2, x: _survival(x, m1) - _survival(x, m2),
+                            m1s, m2s, "sf(m1) exceeds sf(m2) at x={!r}", np.asarray)
     return _verdicts("st", grid, skip, nonfinite,
-                     usable & _exceeds(s1, s2, np.maximum(s1, s2)), violation)
+                     usable & _exceeds(s1, s2, np.maximum(s1, s2)), violations)
 
 
 def _rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
@@ -336,11 +346,11 @@ def _rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
     for i in np.flatnonzero(ratio_bad != viol.any(axis=1)).tolist():
         which = "cdf-ratio monotonicity" if ratio_bad[i] else "pointwise reversed hazards"
         split[i] = f"the two rh criteria disagree (only {which} flagged a violation)"
-    violation = _pointwise(
+    violations = _pointwise(
         xs, h1, h2, prev,
         lambda m1, m2, x: _evaluate(x, m1, ("rh",))[0] - _evaluate(x, m2, ("rh",))[0],
         m1s, m2s, "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", _exp)
-    return _verdicts("rh", grid, np.zeros_like(nonfinite), nonfinite, viol, violation, split)
+    return _verdicts("rh", grid, np.zeros_like(nonfinite), nonfinite, viol, violations, split)
 
 
 def _lr(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:

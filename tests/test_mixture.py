@@ -344,6 +344,43 @@ class TestNeumaierSum:
         terms = [0.1, 0.2, 0.3, -0.4, 1e-17]
         assert neumaier_sum(terms) == neumaier_sum(list(terms))
 
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_branchy_reference(self, data):
+        # every column of a random stack of terms, and each column alone as
+        # floats, against the textbook loop, bit for bit: cancelling pairs,
+        # equal magnitudes, signed zeros, subnormals and +-1e300 (no sum of
+        # 12 such terms overflows)
+        special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                   -2.2250738585072014e-308, 1.0, -1.0, 1e300, -1e300])
+        value = st.one_of(special, st.floats(-1e300, 1e300), st.floats(-1.0, 1.0))
+        rows = data.draw(st.integers(1, 12))
+        columns = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            col = data.draw(st.lists(value, min_size=rows, max_size=rows))
+            flips = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+            # a negated earlier term cancels it exactly
+            columns.append([-col[i - 1] if flip and i else v
+                            for i, (v, flip) in enumerate(zip(col, flips))])
+        terms = [np.array(row) for row in zip(*columns)]
+        want = [_neumaier_reference(col).hex() for col in columns]
+        assert [v.hex() for v in neumaier_sum(terms).tolist()] == want
+        assert [neumaier_sum(col).hex() for col in columns] == want
+
+
+def _neumaier_reference(terms: list[float]) -> float:
+    """Neumaier's compensated sum one float at a time, with the textbook
+    branch on |s| >= |t|; it shares no code with neumaier_sum."""
+    s, c = terms[0], 0.0
+    for t in terms[1:]:
+        total = s + t
+        if abs(s) >= abs(t):
+            c += (s - total) + t
+        else:
+            c += (t - total) + s
+        s = total
+    return s + c
+
 
 # ---------------------------------------------------------------------------
 # the log-sum-exp kernel against 50-digit mpmath and a per-component reference
@@ -359,8 +396,11 @@ def _ref_cdf(x, m):
 
 
 def _ref_sf(x, m):
-    return neumaier_sum(w * ik_sf(x, IKParams(a, b))
-                        for w, a, b in zip(m.weights, m.alphas, m.betas))
+    # summed point by point by the branchy reference, not by neumaier_sum
+    terms = [np.ravel(w * ik_sf(x, IKParams(a, b))).tolist()
+             for w, a, b in zip(m.weights, m.alphas, m.betas)]
+    out = np.array([_neumaier_reference(col) for col in zip(*terms)]).reshape(np.shape(x))
+    return float(out) if out.ndim == 0 else out
 
 
 def _ref_pdf(x, m):
@@ -650,7 +690,8 @@ class TestKernelStacks:
         sizes = []
         log_u = mixture._log_u
         monkeypatch.setattr(mixture, "_log_u",
-                            lambda L, a: sizes.append(L.size * np.size(a)) or log_u(L, a))
+                            lambda L, a, out=None: sizes.append(L.size * np.size(a))
+                            or log_u(L, a, out=out))
         report = run_scan(ScanConfig.from_file(T310_GAP_PROBE))
         assert report.config.samples == 400
         assert max(sizes) <= mixture._BLOCK_VALUES
