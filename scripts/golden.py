@@ -30,6 +30,12 @@ DIR receives, from the ikmix under this checkout's src/:
                                              here from the seed, each
                                              report with its orientation's
                                              to_dict()
+  checkers.json, checkers.exit               the to_dict() of seeded reports
+                                             of all 15 checker ids, called
+                                             through CHECKERS, with each
+                                             orientation's to_dict(), and
+                                             the error text of every
+                                             single-fault input
   kernel.json, kernel.exit                   the hex of the float64 bytes of
                                              the mixture kernel's logs
                                              (_evaluate: every name at once
@@ -136,6 +142,108 @@ json.dump(rows, sys.stdout, indent=1)
 sys.stdout.write("\\n")
 """
 
+# every checker id on seeded inputs, through CHECKERS and the public types
+# alone, so that this runs unchanged against an older checkout.  Chain ids:
+# 120 valid cases each, chains of 1 to 3 transforms (one for T3.4, two or
+# three for T3.5) on 2 to 4 columns, half of them on one fixed column pair,
+# q the chain's image (worked here in plain floats), that image moved by
+# about 1e-10, or an unrelated matrix, and a shared shape inside or outside
+# (0, 1); then each single fault: an empty chain, an out-of-range pair, a q
+# of another width and a bad shared value.  Vector ids: 60 valid cases each
+# from their scan layout, then a bad shared value, weights of another
+# length and a zero entry
+_CHECKERS = """
+import inspect, json, math, sys
+import numpy as np
+from ikmix import DomainError, ParamMatrix2xN, TTransform
+from ikmix.theorems import CHECKERS, SCAN_LAYOUTS
+r = np.random.default_rng(1702)
+BAD_SHARED = [0.0, -1.0, math.nan, math.inf, "0.5", True, None, 10**400]
+ALPHA_FAMILY = ("T3.4", "T3.5", "T3.6", "C3.2")
+CHAIN_IDS = ALPHA_FAMILY + ("T3.7", "T3.8", "T3.9", "C3.3")
+def vec(n):
+    return r.uniform(0.2, 4.0, n).tolist()
+def weights(n):
+    w = r.uniform(0.05, 1.0, n)
+    return (w / w.sum()).tolist()
+def shared():
+    return float(r.uniform(0.05, 0.95) if r.random() < 0.5 else r.uniform(1.0, 3.0))
+def matrix(n):
+    w, s = weights(n), vec(n)
+    if r.random() < 0.5:  # oppositely ordered rows
+        w, s = sorted(w), sorted(s, reverse=True)
+    return ParamMatrix2xN(tuple(w), tuple(s))
+def pair(n):
+    return tuple(int(i) + 1 for i in r.choice(n, 2, replace=False))
+def chain(n, k):
+    fixed = pair(n) if r.random() < 0.5 else None
+    return [TTransform(float(r.choice([0.0, 1.0])) if r.random() < 0.15 else float(r.uniform()),
+                       fixed or pair(n)) for _ in range(k)]
+def image(pm, ts):
+    rows = [list(pm.row1), list(pm.row2)]
+    for t in ts:
+        i, j, w = t.pair[0] - 1, t.pair[1] - 1, t.omega
+        for row in rows:
+            row[i], row[j] = w * row[i] + (1.0 - w) * row[j], (1.0 - w) * row[i] + w * row[j]
+    return rows
+def q_for(pm, ts, how):
+    rows = image(pm, ts)
+    if how == 1:
+        rows = [[v + float(r.choice([-2e-10, -5e-11, 5e-11, 2e-10])) for v in row] for row in rows]
+    return ParamMatrix2xN(*map(tuple, rows)) if how < 2 else matrix(pm.n)
+def chain_args(tid, pm, q, ts, value):
+    args = dict(p_mat=pm, q_mat=q, ts=ts, beta=value, alpha=value)
+    return {k: v for k, v in args.items() if k in inspect.signature(CHECKERS[tid]).parameters}
+def vector_args(tid, n):
+    args = {}
+    for name, kind in SCAN_LAYOUTS[tid]:
+        sort = r.random() < 0.5  # weights ascending, shapes descending
+        args[name] = (shared() if kind == "scalar" else
+                      tuple(sorted(weights(n)) if sort else weights(n)) if kind == "weights" else
+                      tuple(sorted(vec(n), reverse=True) if sort else vec(n)))
+    return args
+rows = []
+def run(tid, case, args):
+    try:
+        report = CHECKERS[tid](**args)
+    except DomainError as exc:
+        rows.append(dict(id=tid, case=case, error=str(exc)))
+        return
+    rows.append(dict(id=tid, case=case, report=report.to_dict(),
+                     orientation=report.orientation.to_dict()))
+for tid in CHAIN_IDS:
+    for index in range(120):
+        n = int(r.integers(2, 5))
+        k = (1 if tid == "T3.4" else int(r.integers(2, 4)) if tid == "T3.5"
+             else int(r.integers(1, 4)))
+        pm, ts = matrix(n), chain(n, k)
+        run(tid, f"valid {index}", chain_args(tid, pm, q_for(pm, ts, index % 3), ts, shared()))
+    for n in (2, 3):
+        pm, ts, value = matrix(n), chain(n, 1 if tid == "T3.4" else 2), shared()
+        q = q_for(pm, ts, 0)
+        run(tid, f"empty chain, n={n}", chain_args(tid, pm, q, [], value))
+        run(tid, f"pair out of range, n={n}", chain_args(
+            tid, pm, pm, ts[:-1] + [TTransform(0.5, (1, n + 1))], value))
+        if tid != "T3.6":
+            run(tid, f"q of another width, n={n}", chain_args(tid, pm, matrix(n + 1), ts, value))
+        for bad in BAD_SHARED:
+            run(tid, f"shared {bad!r}, n={n}", chain_args(tid, pm, q, ts, bad))
+for tid, layout in SCAN_LAYOUTS.items():
+    for index in range(60):
+        run(tid, f"valid {index}", vector_args(tid, int(r.integers(2, 5))))
+    args = vector_args(tid, 3)
+    scalar = [name for name, kind in layout if kind == "scalar"]
+    for bad in BAD_SHARED if scalar else []:
+        run(tid, f"shared {bad!r}", dict(args, **{scalar[0]: bad}))
+    for name, kind in layout:
+        if kind != "scalar":
+            longer = args[name] + args[name][:1]
+            run(tid, f"{name} of another length", dict(args, **{name: longer}))
+            run(tid, f"{name} with a zero", dict(args, **{name: (0.0,) + args[name][1:]}))
+json.dump(rows, sys.stdout, indent=1)
+sys.stdout.write("\\n")
+"""
+
 # the kernel's own bytes on seeded edge cases: beta == 1 components, x = 0
 # and 1e300, 70 components on 2000 points (18 blocks), a stack of 8
 # two-component mixtures on 500 points, alpha * log1p(x) on both sides of
@@ -213,7 +321,8 @@ def write(outdir: Path) -> None:
         report = outdir / f"scan_{config.stem}.report.json"
         _record(outdir, f"scan_{config.stem}",
                 _run(["-c", _CLI, "scan", str(config), "--out", str(report)]))
-    for name, script in (("verdicts", _VERDICTS), ("reports", _REPORTS), ("kernel", _KERNEL)):
+    for name, script in (("verdicts", _VERDICTS), ("reports", _REPORTS),
+                         ("checkers", _CHECKERS), ("kernel", _KERNEL)):
         proc = _run(["-c", script])
         (outdir / f"{name}.json").write_bytes(proc.stdout)
         (outdir / f"{name}.exit").write_text(f"{proc.returncode}\n")

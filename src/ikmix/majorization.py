@@ -16,6 +16,10 @@ Conventions, fixed once here and relied on everywhere else:
 
 The preorders also take stacks of vectors along the last axis, giving one
 bool per stack entry; _opposite is script-L over stacks of row pairs.
+_t_chain is the one T-transform: it carries stacked (..., 2, N) rows
+through a chain and keeps every stage, and _chain_holds compares its end
+with q.  in_script_l, apply_t_transform and chain_majorization_verify are
+their stacks of one.
 """
 
 from __future__ import annotations
@@ -153,11 +157,15 @@ class TTransform:
         return {"omega": self.omega, "pair": [self.pair[0], self.pair[1]]}
 
 
+def _rows(pm: ParamMatrix2xN) -> np.ndarray:
+    return np.array([pm.row1, pm.row2])
+
+
 def in_script_l(pm: ParamMatrix2xN) -> bool:
     """Membership in script-L: the two rows are oppositely ordered, i.e.
     (row1_i - row1_j) * (row2_i - row2_j) <= 0 for every column pair, with
     1e-12 slack for ties."""
-    return bool(_opposite(np.asarray(pm.row1), np.asarray(pm.row2)))
+    return bool(_opposite(*_rows(pm)))
 
 
 def _opposite(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -167,33 +175,38 @@ def _opposite(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return np.all(d1 * d2 <= _PAIR_SLACK, axis=(-2, -1))
 
 
+def _t_chain(rows: np.ndarray, ts) -> list[np.ndarray]:
+    """Stacked (..., 2, N) rows, then the rows after each transform of ts in
+    turn.  Columns i, j become w*(c_i, c_j) + (1-w)*(c_j, c_i), elementwise
+    in float64, so each value has the bits that Python floats give it."""
+    stages = [rows]
+    for t in ts:
+        ij = [k - 1 for k in t.pair]
+        if max(ij) >= rows.shape[-1]:
+            raise DomainError(f"pair {t.pair} out of range for n={rows.shape[-1]}")
+        last, stage = stages[-1], stages[-1].copy()
+        stage[..., ij] = t.omega * last[..., ij] + (1.0 - t.omega) * last[..., ij[::-1]]
+        stages.append(stage)
+    return stages
+
+
+def _chain_holds(p: np.ndarray, q: np.ndarray, ts) -> np.ndarray:
+    """chain_majorization_verify for each stacked pair of (..., 2, N) rows of
+    p and q; q of another width fails before any transform runs."""
+    if p.shape[-1] != q.shape[-1]:
+        return np.zeros(p.shape[:-2], dtype=bool)
+    return np.all(np.abs(_t_chain(p, ts)[-1] - q) <= _CHAIN_TOL, axis=(-2, -1))
+
+
 def apply_t_transform(pm: ParamMatrix2xN, t: TTransform) -> ParamMatrix2xN:
-    i, j = t.pair[0] - 1, t.pair[1] - 1
-    if i >= pm.n or j >= pm.n:
-        raise DomainError(f"pair {t.pair} out of range for n={pm.n}")
-    w = t.omega
-    rows = []
-    for row in (list(pm.row1), list(pm.row2)):
-        ci, cj = row[i], row[j]
-        row[i] = w * ci + (1.0 - w) * cj
-        row[j] = (1.0 - w) * ci + w * cj
-        rows.append(tuple(row))
-    return ParamMatrix2xN(rows[0], rows[1])
+    return ParamMatrix2xN(*_t_chain(_rows(pm), (t,))[-1].tolist())
 
 
 def chain_majorization_verify(
     p: ParamMatrix2xN, q: ParamMatrix2xN, ts: list[TTransform] | tuple[TTransform, ...]
 ) -> bool:
     """True iff applying ts in order to p reproduces q entrywise within 1e-10."""
-    if p.n != q.n:
-        return False
-    cur = p
-    for t in ts:
-        cur = apply_t_transform(cur, t)
-    for got, want in zip(cur.row1 + cur.row2, q.row1 + q.row2):
-        if abs(got - want) > _CHAIN_TOL:
-            return False
-    return True
+    return bool(_chain_holds(_rows(p), _rows(q), ts))
 
 
 def infer_t_transform_2x2(p: ParamMatrix2xN, q: ParamMatrix2xN) -> TTransform | None:

@@ -15,7 +15,10 @@ all draws at once, and check_orders decides the predicted orders on the
 (weights, alpha, beta) arrays it returns, weights renormalised as a
 FiniteMixture's; each verdict is the one its pair gets alone.  No draw
 becomes a FiniteMixture; only the listed findings turn theirs back into
-Python floats.
+Python floats.  The two weight divisions are by design: the hypotheses
+see the weights as drawn, as a checker sees its arguments, and the
+verdicts see them renormalised, as the checker's mixtures hold them, so a
+finding's printed params replayed through CHECKERS give its witness.
 """
 
 from __future__ import annotations

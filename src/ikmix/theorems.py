@@ -7,13 +7,16 @@ decide an order themselves; when every hypothesis holds they expose the
 predicted order in the normal form lhs <= rhs for the named order kind,
 and verify_prediction hands that claim to the grid engine.
 
-The vector conditions (T3.1-T3.3, T3.10-T3.12, C3.1) are stated once, in
-_CONDITIONS, as numpy expressions along the last axis of (weights, alpha,
-beta) arrays with a leading draw axis, so check_stack decides a stack of
-scan draws in one call.  Their checker is the stack of one: it builds the
-mixtures of its predicted order first, so FiniteMixture validates each
-value once (a scalar shape broadcasts), and formats the details from it;
-the matrix checkers under a shared beta decide on the beta it validated.
+All fifteen conditions are stated once, in _CONDITIONS, as numpy
+expressions along the last axis of (weights, alpha, beta) arrays with a
+leading draw axis, so check_stack decides a stack of scan draws in one
+call.  The eight T-transform chain conditions (T3.4-T3.9, C3.2, C3.3)
+read the (weights, shape) rows of their matrices p and q from those
+arrays and take the chain, which every draw shares, as a required
+argument.  Every checker is the stack of one: it builds the mixtures of
+its predicted order first, so FiniteMixture validates each value once (a
+scalar shape broadcasts), then decides on the values read back from them
+and formats the details from that one row.
 
 CHECKERS maps every condition id to its checker and is the one place
 where ids meet code; SCAN_LAYOUTS gives the draw layout of the ids that
@@ -35,10 +38,10 @@ from .ikdist import DomainError
 from .majorization import (
     ParamMatrix2xN,
     TTransform,
+    _chain_holds,
     _opposite,
-    apply_t_transform,
-    chain_majorization_verify,
-    in_script_l,
+    _rows,
+    _t_chain,
     majorizes,
     weak_submajorizes,
     weak_supermajorizes,
@@ -180,9 +183,9 @@ def _hypothesis(name: str, held, texts, *values) -> Hypothesis:
     return Hypothesis(name, ok, text.format(*(float(v[0]) for v in values)))
 
 
-def _script_l(name: str, what: str, row1, row2) -> tuple:
+def _script_l(name: str, subject: str, row1, row2) -> tuple:
     return (name, _opposite(row1, row2),
-            (f"{what} rows are oppositely ordered", f"{what} rows are not oppositely ordered"))
+            (f"{subject} oppositely ordered", f"{subject} not oppositely ordered"))
 
 
 def _beta_unit(beta) -> tuple:
@@ -205,31 +208,35 @@ def _gap_extremes(v) -> tuple:
 
 # lhs and rhs name the arguments that give the (weights, alpha, beta) of the
 # predicted smaller and larger mixture; hypotheses maps the two sides'
-# arrays (draws x components, weights as given) to stacked hypotheses
+# arrays (draws x components, weights as given), and for a chain condition
+# the chain of T-transforms, to stacked hypotheses
 _Condition = namedtuple("_Condition", "kind lhs rhs labels hypotheses")
 
 
-def _report(theorem_id: str, **args) -> ConditionReport:
+def _report(theorem_id: str, *chain, **args) -> ConditionReport:
     """The condition on a stack of one draw, with every argument validated
-    by the mixture it belongs to."""
+    by the mixture it belongs to; a chain condition takes its chain of
+    T-transforms first."""
     cond = _CONDITIONS[theorem_id]
     pair = [FiniteMixture(*(args[name] for name in names)) for names in (cond.lhs, cond.rhs)]
     sides = [(np.array([[float(w) for w in args[names[0]]]]), np.array([m.alphas]),
               np.array([m.betas])) for names, m in zip((cond.lhs, cond.rhs), pair)]
-    return ConditionReport(theorem_id, tuple(_hypothesis(*h) for h in cond.hypotheses(*sides)),
+    hyps = cond.hypotheses(*sides, *chain)
+    return ConditionReport(theorem_id, tuple(_hypothesis(*h) for h in hyps),
                            PredictedOrder(cond.kind, *pair, *cond.labels))
 
 
-def check_stack(theorem_id: str, draws: dict) -> tuple:
+def check_stack(theorem_id: str, draws: dict, *chain) -> tuple:
     """The condition theorem_id on draws, one array per argument with a
-    leading draw axis, unvalidated.  Returns the order kind, the lhs and rhs
-    (weights, alpha, beta) arrays, draws x components, and one bool array
-    per hypothesis in the checker's order."""
+    leading draw axis, unvalidated, and for a chain condition the one chain
+    of T-transforms that every draw shares.  Returns the order kind, the lhs
+    and rhs (weights, alpha, beta) arrays, draws x components, and one bool
+    array per hypothesis in the checker's order."""
     cond = _CONDITIONS[theorem_id]
     sides = tuple(tuple(np.broadcast_to(draws[name].reshape(len(draws[name]), -1),
                                         draws[names[0]].shape) for name in names)
                   for names in (cond.lhs, cond.rhs))
-    return (cond.kind, *sides, tuple(h[1] for h in cond.hypotheses(*sides)))
+    return (cond.kind, *sides, tuple(h[1] for h in cond.hypotheses(*sides, *chain)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +250,8 @@ def _weight_shift_common_beta(name: str, predicate, held_detail: str, failed_det
     def hypotheses(lhs, rhs):
         (p_star, alpha, _), (p, _, _) = lhs, rhs
         held = predicate(p, p_star)  # first: it rejects p and p* of unequal lengths
-        return (_script_l("alpha_p_in_script_l", "(p, alpha)", p, alpha),
-                _script_l("alpha_p_star_in_script_l", "(p*, alpha)", p_star, alpha),
+        return (_script_l("alpha_p_in_script_l", "(p, alpha) rows are", p, alpha),
+                _script_l("alpha_p_star_in_script_l", "(p*, alpha) rows are", p_star, alpha),
                 (name, held, (held_detail, failed_detail)))
     return hypotheses
 
@@ -252,8 +259,8 @@ def _weight_shift_common_beta(name: str, predicate, held_detail: str, failed_det
 def _t3_2(lhs, rhs) -> tuple:
     (p, _, beta), (p_star, _, _) = lhs, rhs
     held = weak_supermajorizes(p, p_star)  # first, as in T3.1
-    return (_script_l("beta_p_in_script_l", "(p, beta)", p, beta),
-            _script_l("beta_p_star_in_script_l", "(p*, beta)", p_star, beta),
+    return (_script_l("beta_p_in_script_l", "(p, beta) rows are", p, beta),
+            _script_l("beta_p_star_in_script_l", "(p*, beta) rows are", p_star, beta),
             ("p_star_weakly_supermajorized_by_p", held,
              ("ascending prefix sums of p stay below those of p*",
               "some ascending prefix sum of p exceeds p*'s")))
@@ -262,8 +269,8 @@ def _t3_2(lhs, rhs) -> tuple:
 def _t3_3(lhs, rhs) -> tuple:
     (p, alpha_star, beta), (_, alpha, _) = lhs, rhs
     return (_beta_unit(beta),
-            _script_l("alpha_p_in_script_l", "(p, alpha)", p, alpha),
-            _script_l("alpha_star_p_in_script_l", "(p, alpha*)", p, alpha_star),
+            _script_l("alpha_p_in_script_l", "(p, alpha) rows are", p, alpha),
+            _script_l("alpha_star_p_in_script_l", "(p, alpha*) rows are", p, alpha_star),
             ("alpha_star_weakly_supermajorized_by_alpha", weak_supermajorizes(alpha, alpha_star),
              ("ascending prefix sums of alpha stay below those of alpha*",
               "some ascending prefix sum of alpha exceeds alpha*'s")))
@@ -306,45 +313,53 @@ def _chain(ts) -> tuple[TTransform, ...]:
     return ts
 
 
-def _chain_hyp(p: ParamMatrix2xN, q: ParamMatrix2xN, ts: tuple[TTransform, ...]) -> Hypothesis:
-    ok = chain_majorization_verify(p, q, ts)
-    return Hypothesis("chain_reproduces_q", ok,
-                      f"{len(ts)} transform(s) {'reproduce' if ok else 'do not reproduce'} q from p")
+_P_LABEL = "mixture built from the source matrix p"
 
 
-def _p_mat_hyp(p_mat: ParamMatrix2xN, shape: str) -> Hypothesis:
-    held = in_script_l(p_mat)
-    return Hypothesis("p_mat_in_script_l", held,
-                      f"rows of (p, {shape}) {'are' if held else 'are not'} oppositely ordered")
+def _chain_condition(shape: str, *parts, q_label="mixture built from the transformed matrix q"):
+    """Chain majorization of the (weights, shape) matrix p onto q under the
+    other shape, which both share; concludes the usual stochastic order.
+    Under a shared beta, which must lie in (0, 1), q's mixture is the
+    smaller one, under a shared alpha p's.  Each of parts maps the
+    (draws, 2, N) rows of p and q, the chain and the shape to a list of
+    stacked hypotheses."""
+    def hypotheses(lhs, rhs, ts):
+        if shape == "alpha":
+            (q, q_shape, beta), (p, p_shape, _) = lhs, rhs
+        else:
+            (p, _, p_shape), (q, _, q_shape) = lhs, rhs
+        p, q = np.stack([p, p_shape], axis=1), np.stack([q, q_shape], axis=1)
+        first = [_beta_unit(beta)] if shape == "alpha" else []
+        return first + [h for part in parts for h in part(p, q, ts, shape)]
+    if shape == "alpha":
+        return _Condition("st", ("q", "q_alpha", "beta"), _PLAIN, (q_label, _P_LABEL), hypotheses)
+    return _Condition("st", _PLAIN, ("q", "alpha", "q_beta"), (_P_LABEL, q_label), hypotheses)
 
 
-def _common_pair_hyp(ts: tuple[TTransform, ...]) -> Hypothesis:
-    pairs = {tuple(sorted(t.pair)) for t in ts}
-    return Hypothesis("common_pair_chain", len(pairs) == 1,
-                      f"transforms act on column pairs {sorted(pairs)}")
+def _p_in_script_l(p, q, ts, shape: str) -> list:
+    return [_script_l("p_mat_in_script_l", f"rows of (p, {shape}) are", p[:, 0], p[:, 1])]
 
 
-def _alpha_matrix_order(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN, beta: float,
-                        q_label: str = "mixture built from the transformed matrix q",
-                        ) -> tuple[PredictedOrder, Hypothesis]:
-    """(weights, alpha) rows under a shared beta: mixture(q) <= mixture(p),
-    and beta_in_unit_interval on the beta those mixtures validated."""
-    order = PredictedOrder("st", FiniteMixture(q_mat.row1, q_mat.row2, beta),
-                           FiniteMixture(p_mat.row1, p_mat.row2, beta),
-                           q_label, "mixture built from the source matrix p")
-    return order, _hypothesis(*_beta_unit(np.array([order.lhs.betas])))
+def _common_pair(p, q, ts, shape: str) -> list:
+    pairs = sorted({tuple(sorted(t.pair)) for t in ts})
+    return [("common_pair_chain", np.full(len(p), len(pairs) == 1),
+             f"transforms act on column pairs {pairs}")]
 
 
-def _beta_matrix_order(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
-                       alpha: float) -> PredictedOrder:
-    """(weights, beta) rows under a shared alpha: mixture(p) <= mixture(q)."""
-    return PredictedOrder(
-        "st",
-        FiniteMixture(p_mat.row1, alpha, p_mat.row2),
-        FiniteMixture(q_mat.row1, alpha, q_mat.row2),
-        "mixture built from the source matrix p",
-        "mixture built from the transformed matrix q",
-    )
+def _reproduces(p, q, ts, shape: str) -> list:
+    texts = [f"{len(ts)} transform(s) {verb}reproduce q from p" for verb in ("", "do not ")]
+    return [("chain_reproduces_q", _chain_holds(p, q, ts), texts)]
+
+
+def _stages(where: str, first: int):
+    """stage_i_in_script_l for each matrix p.T_1...T_i that the chain passes
+    before its last transform, from i = first on, described as the matrix
+    `where` (before or after) transform i + 1 - first."""
+    def part(p, q, ts, shape: str) -> list:
+        stages = _t_chain(p, ts[:-1])[first:]
+        return [_script_l(f"stage_{i}_in_script_l", f"matrix {where} transform {i + 1 - first} is",
+                          s[:, 0], s[:, 1]) for i, s in enumerate(stages, first)]
+    return part
 
 
 def check_theorem_3_4_or_3_5(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
@@ -353,35 +368,25 @@ def check_theorem_3_4_or_3_5(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
     beta in (0,1); concludes mixture(q) <= mixture(p) in the usual order.
     One transform reports as T3.4, a longer chain as T3.5."""
     ts = _chain(ts)
-    order, beta_hyp = _alpha_matrix_order(p_mat, q_mat, beta)
-    hyps = (beta_hyp, _p_mat_hyp(p_mat, "alpha"), _chain_hyp(p_mat, q_mat, ts))
-    return ConditionReport("T3.4" if len(ts) == 1 else "T3.5", hyps, order)
+    return _report("T3.4" if len(ts) == 1 else "T3.5", ts, p=p_mat.row1, alpha=p_mat.row2,
+                   q=q_mat.row1, q_alpha=q_mat.row2, beta=beta)
 
 
 def check_theorem_3_6(p_mat: ParamMatrix2xN, ts, beta: float) -> ConditionReport:
     """Staged variant: the chain may leave the oppositely-ordered class only
     at its final step.  q is the chain result itself, so the hypotheses are
     the stagewise memberships."""
-    stages = [p_mat]
-    for t in _chain(ts):
-        stages.append(apply_t_transform(stages[-1], t))
-    order, beta_hyp = _alpha_matrix_order(p_mat, stages.pop(), beta,
-                                          "mixture built from the chain result")
-    hyps = [Hypothesis(f"stage_{i}_in_script_l", ok, f"matrix before transform {i + 1} "
-                       f"{'is' if ok else 'is not'} oppositely ordered")
-            for i, ok in enumerate(map(in_script_l, stages))]
-    return ConditionReport("T3.6", (beta_hyp, *hyps), order)
+    ts = _chain(ts)
+    q, q_alpha = _t_chain(_rows(p_mat), ts)[-1].tolist()
+    return _report("T3.6", ts, p=p_mat.row1, alpha=p_mat.row2, q=q, q_alpha=q_alpha, beta=beta)
 
 
 def check_corollary_3_2(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
                         ts, beta: float) -> ConditionReport:
     """Chain of T-transforms acting on one fixed column pair (their product
     is again a single T-transform); otherwise as T3.5."""
-    ts = _chain(ts)
-    order, beta_hyp = _alpha_matrix_order(p_mat, q_mat, beta)
-    hyps = (beta_hyp, _p_mat_hyp(p_mat, "alpha"), _common_pair_hyp(ts),
-            _chain_hyp(p_mat, q_mat, ts))
-    return ConditionReport("C3.2", hyps, order)
+    return _report("C3.2", _chain(ts), p=p_mat.row1, alpha=p_mat.row2,
+                   q=q_mat.row1, q_alpha=q_mat.row2, beta=beta)
 
 
 def check_theorem_3_7_to_3_9(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
@@ -392,26 +397,15 @@ def check_theorem_3_7_to_3_9(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
     intermediate memberships."""
     if variant not in ("3.7", "3.8", "3.9"):
         raise DomainError(f"variant must be 3.7, 3.8 or 3.9, got {variant!r}")
-    ts = _chain(ts)
-    hyps = [_p_mat_hyp(p_mat, "beta")]
-    if variant == "3.9":
-        stage = p_mat
-        for i, t in enumerate(ts[:-1]):
-            stage = apply_t_transform(stage, t)
-            ok = in_script_l(stage)
-            hyps.append(Hypothesis(
-                f"stage_{i + 1}_in_script_l", ok,
-                f"matrix after transform {i + 1} {'is' if ok else 'is not'} oppositely ordered"))
-    hyps.append(_chain_hyp(p_mat, q_mat, ts))
-    return ConditionReport(f"T{variant}", tuple(hyps), _beta_matrix_order(p_mat, q_mat, alpha))
+    return _report(f"T{variant}", _chain(ts), p=p_mat.row1, beta=p_mat.row2,
+                   q=q_mat.row1, q_beta=q_mat.row2, alpha=alpha)
 
 
 def check_corollary_3_3(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
                         ts, alpha: float) -> ConditionReport:
     """Common-pair chain on a (weights, beta) matrix; otherwise as T3.8."""
-    ts = _chain(ts)
-    hyps = (_p_mat_hyp(p_mat, "beta"), _common_pair_hyp(ts), _chain_hyp(p_mat, q_mat, ts))
-    return ConditionReport("C3.3", hyps, _beta_matrix_order(p_mat, q_mat, alpha))
+    return _report("C3.3", _chain(ts), p=p_mat.row1, beta=p_mat.row2,
+                   q=q_mat.row1, q_beta=q_mat.row2, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +462,8 @@ _PLAIN = ("p", "alpha", "beta")
 _STARRED = ("p_star", "alpha_star", "beta_star")
 _WEIGHT_SHIFT = (("p_star", "alpha", "beta"), _PLAIN,
                  ("mixture with shifted weights p*", "mixture with original weights p"))
+_ALPHA_CHAIN = _chain_condition("alpha", _p_in_script_l, _reproduces)
+_BETA_CHAIN = _chain_condition("beta", _p_in_script_l, _reproduces)
 _CONDITIONS = {
     "T3.1": _Condition("st", *_WEIGHT_SHIFT, _weight_shift_common_beta(
         "p_star_weakly_submajorized_by_p", weak_submajorizes,
@@ -492,6 +488,15 @@ _CONDITIONS = {
         "alpha_max_below_alpha_star_min", "max(alpha) = {0!r} vs min(alpha*) = {1!r}",
         "alpha_beta_products_above_starred",
         "min(alpha*beta) = {1!r} vs max(alpha**beta*) = {0!r}")),
+    "T3.4": _ALPHA_CHAIN,
+    "T3.5": _ALPHA_CHAIN,
+    "T3.6": _chain_condition("alpha", _stages("before", 0),
+                             q_label="mixture built from the chain result"),
+    "C3.2": _chain_condition("alpha", _p_in_script_l, _common_pair, _reproduces),
+    "T3.7": _BETA_CHAIN,
+    "T3.8": _BETA_CHAIN,
+    "T3.9": _chain_condition("beta", _p_in_script_l, _stages("after", 1), _reproduces),
+    "C3.3": _chain_condition("beta", _p_in_script_l, _common_pair, _reproduces),
 }
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_script_l2
 from ikmix import (
@@ -20,6 +22,7 @@ from ikmix import (
     weak_submajorizes,
     weak_supermajorizes,
 )
+from ikmix.majorization import _chain_holds, _t_chain
 
 rng = np.random.default_rng(42)
 
@@ -248,6 +251,124 @@ class TestChainVerify:
     def test_empty_chain_requires_equality(self):
         pm = ParamMatrix2xN((0.6, 0.4), (1.0, 9.0))
         assert chain_majorization_verify(pm, pm, ())
+
+
+def _reference_apply(pm: ParamMatrix2xN, t: TTransform) -> ParamMatrix2xN:
+    """One T-transform on one matrix, a column pair of Python floats at a
+    time; it shares no arithmetic with the stacked routine."""
+    i, j = t.pair[0] - 1, t.pair[1] - 1
+    if i >= pm.n or j >= pm.n:
+        raise DomainError(f"pair {t.pair} out of range for n={pm.n}")
+    w = t.omega
+    rows = []
+    for row in (list(pm.row1), list(pm.row2)):
+        ci, cj = row[i], row[j]
+        row[i] = w * ci + (1.0 - w) * cj
+        row[j] = (1.0 - w) * ci + w * cj
+        rows.append(tuple(row))
+    return ParamMatrix2xN(rows[0], rows[1])
+
+
+def _reference_verify(p: ParamMatrix2xN, q: ParamMatrix2xN, ts) -> bool:
+    """chain_majorization_verify through _reference_apply."""
+    if p.n != q.n:
+        return False
+    cur = p
+    for t in ts:
+        cur = _reference_apply(cur, t)
+    for got, want in zip(cur.row1 + cur.row2, q.row1 + q.row2):
+        if abs(got - want) > 1e-10:
+            return False
+    return True
+
+
+def _hexed(rows) -> list:
+    return [[float(v).hex() for v in row] for row in rows]
+
+
+def _hexed_matrix(pm: ParamMatrix2xN) -> list:
+    return _hexed((pm.row1, pm.row2))
+
+
+def _outcome(fn):
+    """fn()'s value, or the text of the DomainError it raises."""
+    try:
+        return fn()
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+# entries from 1e-300 up, so that no T-transform of them rounds to zero
+_ENTRY = st.floats(1e-300, 1e300)
+_OMEGA = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _stacked_chains(draw):
+    """A stack of 1-4 matrices of 2-4 columns and a chain of 0-3 transforms
+    whose indices reach one past the last column."""
+    n = draw(st.integers(2, 4))
+    mats = [ParamMatrix2xN(*(tuple(draw(st.lists(_ENTRY, min_size=n, max_size=n)))
+                             for _ in range(2))) for _ in range(draw(st.integers(1, 4)))]
+    pair = st.lists(st.integers(1, n + 1), min_size=2, max_size=2, unique=True)
+    return mats, draw(st.lists(st.builds(TTransform, _OMEGA, pair), max_size=3))
+
+
+_PM3 = ParamMatrix2xN((0.5, 0.2, 0.3), (1.0, 3.0, 2.0))
+
+
+class TestStackedTTransform:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(_stacked_chains())
+    @example(([_PM3], [TTransform(0.0, (1, 2)), TTransform(1.0, (3, 2))]))
+    @example(([_PM3, _PM3], [TTransform(0.5, (1, 2)), TTransform(0.5, (2, 4))]))
+    def test_stages_and_apply_match_the_reference(self, case):
+        # every stage of every stack entry, and apply_t_transform on each
+        # matrix and transform, bit for bit, or the same DomainError text
+        mats, ts = case
+
+        def reference(pm):
+            stages = [pm]
+            for t in ts:
+                stages.append(_reference_apply(stages[-1], t))
+            return [_hexed_matrix(s) for s in stages]
+
+        want = [_outcome(lambda pm=pm: reference(pm)) for pm in mats]
+        got = _outcome(lambda: [[_hexed(s[k]) for s in _t_chain(
+            np.array([(pm.row1, pm.row2) for pm in mats]), ts)] for k in range(len(mats))])
+        assert got == (want[0] if isinstance(want[0], str) else want)
+        for pm in mats:
+            for t in ts:
+                assert (_outcome(lambda: _hexed_matrix(apply_t_transform(pm, t)))
+                        == _outcome(lambda: _hexed_matrix(_reference_apply(pm, t))))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(_stacked_chains(), st.sampled_from(["image", "moved", "other", "wider"]),
+           st.floats(-1e-9, 1e-9))
+    @example(([_PM3], [TTransform(0.5, (1, 4))]), "wider", 0.0)
+    @example(([_PM3], [TTransform(1.0, (1, 2)), TTransform(0.0, (2, 3))]), "image", 0.0)
+    def test_chain_verify_matches_the_reference(self, case, how, shift):
+        # q the chain's image, that image scaled by 1 + shift, the next
+        # matrix of the stack, or a matrix one column wider: a q of another
+        # width fails before any transform runs, so an out-of-range pair
+        # raises nothing there
+        mats, ts = case
+        p = image = mats[0]
+        try:
+            for t in ts:
+                image = _reference_apply(image, t)
+        except DomainError:  # a pair out of range: no image to reproduce
+            how = "other" if how in ("image", "moved") else how
+        q = {"image": lambda: image,
+             "moved": lambda: ParamMatrix2xN(*([v * (1.0 + shift) for v in row]
+                                               for row in (image.row1, image.row2))),
+             "other": lambda: mats[-1],
+             "wider": lambda: ParamMatrix2xN(p.row1 + (1.0,), p.row2 + (1.0,))}[how]()
+        want = _outcome(lambda: _reference_verify(p, q, ts))
+        assert _outcome(lambda: chain_majorization_verify(p, q, ts)) == want
+        stacked = _outcome(lambda: _chain_holds(np.array([[p.row1, p.row2]] * 2),
+                                                np.array([[q.row1, q.row2]] * 2), ts).tolist())
+        assert stacked == (want if isinstance(want, str) else [want, want])
 
 
 class TestSchurProbe:

@@ -4,6 +4,7 @@ orientation construction, grid confrontation, and the staged chain."""
 from __future__ import annotations
 
 import inspect
+import re
 from functools import partial
 
 import numpy as np
@@ -113,6 +114,9 @@ MINIMAL_INPUTS = {
 }
 
 
+CHAIN_IDS = ("T3.4", "T3.5", "T3.6", "T3.7", "T3.8", "T3.9", "C3.2", "C3.3")
+
+
 class TestRegistry:
     def test_ids_are_the_registry_keys(self):
         assert THEOREM_IDS == tuple(CHECKERS) == tuple(MINIMAL_INPUTS)
@@ -137,8 +141,10 @@ class TestRegistry:
         names = [name for name, _ in SCAN_LAYOUTS[tid]]
         assert names == list(inspect.signature(CHECKERS[tid]).parameters)
 
-    @pytest.mark.parametrize("tid", ["T3.4", "T3.5", "T3.6", "T3.7", "T3.8", "T3.9",
-                                     "C3.2", "C3.3"])
+    def test_every_id_has_one_condition(self):
+        assert set(theorems._CONDITIONS) == set(CHECKERS)
+
+    @pytest.mark.parametrize("tid", CHAIN_IDS)
     def test_empty_chain_rejected(self, tid):
         full = dict(p_mat=_PM2, q_mat=_PM2, ts=[], beta=0.5, alpha=0.5)
         params = inspect.signature(CHECKERS[tid]).parameters
@@ -300,6 +306,95 @@ class TestMatrixChainCheckers:
                 "C3.2": lambda: check_corollary_3_2(pm, q, ts, beta)}[checker]
         with pytest.raises(DomainError, match="beta must be "):
             call()
+
+    @pytest.mark.parametrize("tid", CHAIN_IDS)
+    def test_the_pair_is_built_before_deciding(self, tid):
+        # a bad shared shape and an out-of-range pair: the mixtures are
+        # built first, so the shared shape's error wins in both families;
+        # T3.6 works out its q from the chain before it builds the pair
+        params = inspect.signature(CHECKERS[tid]).parameters
+        args = dict(p_mat=_PM2, q_mat=_PM2, ts=[TTransform(0.5, (1, 3))], beta=0.0, alpha=0.0)
+        shared = "beta" if "beta" in params else "alpha"
+        message = "pair (1, 3) out of range" if tid == "T3.6" else f"{shared} must be positive"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            CHECKERS[tid](**{k: v for k, v in args.items() if k in params})
+
+
+def _vector_draws(tid: str, k: int, r) -> dict:
+    """k draws of a vector condition's arguments, half of them with the
+    weights ascending and the shape vectors descending; C3.1 takes T3.1's
+    arguments."""
+    draws = {}
+    for name, kind in SCAN_LAYOUTS["T3.1" if tid == "C3.1" else tid]:
+        if kind == "scalar":
+            draws[name] = r.uniform(0.2, 3.0, k)
+            continue
+        v = r.uniform(0.05, 1.0, (k, 3)) if kind == "weights" else r.uniform(0.2, 4.0, (k, 3))
+        v[::2] = np.sort(v[::2], axis=1)[:, ::-1 if kind == "vector" else 1]
+        draws[name] = v / v.sum(axis=1, keepdims=True) if kind == "weights" else v
+    if tid == "T3.10":  # tightly clustered betas in half the draws
+        draws["beta"][::2] = 1.0 + 0.01 * draws["beta"][::2]
+    return draws
+
+
+def _chain_draws(tid: str, ts, k: int, r) -> tuple[dict, list]:
+    """k draws of a chain condition's rows and the checker arguments of
+    each: p oppositely ordered in half of them, q the chain's image in two
+    of three (in all for T3.6, whose q is the chain's result) and another
+    matrix otherwise, a shared shape inside or outside (0, 1)."""
+    cond = theorems._CONDITIONS[tid]
+    shape = "alpha" if "q_alpha" in cond.lhs + cond.rhs else "beta"
+    w = r.uniform(0.05, 1.0, (k, 3))
+    s = r.uniform(0.2, 4.0, (k, 3))
+    w[::2], s[::2] = np.sort(w[::2], axis=1), np.sort(s[::2], axis=1)[:, ::-1]
+    w /= w.sum(axis=1, keepdims=True)
+    shared = r.uniform(0.2, 3.0, k)
+    p_mats = [ParamMatrix2xN(tuple(w[i].tolist()), tuple(s[i].tolist())) for i in range(k)]
+    q_mats = [_chained(pm, ts) if i % 3 or tid == "T3.6" else p_mats[(i + 1) % k]
+              for i, pm in enumerate(p_mats)]
+    draws = {"p": w, shape: s, "q": np.array([q.row1 for q in q_mats]),
+             f"q_{shape}": np.array([q.row2 for q in q_mats]),
+             "alpha" if shape == "beta" else "beta": shared}
+    params = inspect.signature(CHECKERS[tid]).parameters
+    full = [dict(p_mat=pm, q_mat=q, ts=ts, alpha=float(x), beta=float(x))
+            for pm, q, x in zip(p_mats, q_mats, shared)]
+    return draws, [{name: v for name, v in one.items() if name in params} for one in full]
+
+
+_SHARED_CHAINS = {"T3.4": _ONE, "C3.2": _TWO, "C3.3": _TWO}
+_THREE_STEPS = (TTransform(0.9, (1, 2)), TTransform(0.7, (2, 3)), TTransform(0.0, (3, 1)))
+
+
+class TestCheckStack:
+    @pytest.mark.parametrize("tid", THEOREM_IDS)
+    def test_a_stack_decides_as_each_draw_alone(self, tid):
+        # k seeded draws at once against each draw's own report, row by
+        # row: every hypothesis and the shapes of both predicted mixtures;
+        # the chain ids share one chain
+        r = np.random.default_rng(int(tid[1:].replace(".", "")) * 7 + (tid[0] == "C"))
+        k = 12
+        if tid in CHAIN_IDS:
+            chain = (_SHARED_CHAINS.get(tid, _THREE_STEPS),)
+            draws, args = _chain_draws(tid, chain[0], k, r)
+        else:
+            chain, draws = (), _vector_draws(tid, k, r)
+            args = [{name: v[i].item() if v.ndim == 1 else tuple(v[i].tolist())
+                     for name, v in draws.items()} for i in range(k)]
+        kind, lhs, rhs, held = theorems.check_stack(tid, draws, *chain)
+        for i, one in enumerate(args):
+            report = CHECKERS[tid](**one)
+            assert [bool(h[i]) for h in held] == [h.held for h in report.hypotheses], i
+            assert kind == report.orientation.kind
+            for side, m in ((lhs, report.orientation.lhs), (rhs, report.orientation.rhs)):
+                assert (tuple(side[1][i].tolist()), tuple(side[2][i].tolist())) == (
+                    m.alphas, m.betas)
+        assert any(h.any() and not h.all() for h in held)  # the rows differ
+
+    @pytest.mark.parametrize("tid", CHAIN_IDS)
+    def test_a_chain_condition_needs_its_chain(self, tid):
+        draws, _ = _chain_draws(tid, _ONE, 2, np.random.default_rng(0))
+        with pytest.raises(TypeError):
+            theorems.check_stack(tid, draws)
 
 
 class TestTwoParameterCheckers:
