@@ -2,7 +2,7 @@
 checks on grids, majorization-based sufficient-condition checkers, a
 replayable fixture catalog, and a seeded region scanner.  The ``ikmix``
 console script fronts the same operations.  The scalar reference oracles
-live in ``ikmix.oracles``, which this package does not import."""
+the tests check it against live outside the package, in tests/oracles.py."""
 
 from .ikdist import (
     DomainError,

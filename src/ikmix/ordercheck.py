@@ -32,8 +32,11 @@ also skips the points where both survival functions underflow float64
 (below 1e-300), counted in skipped_points.  When more than 10% of the
 grid is unusable the verdict is inconclusive; so is an rh verdict whose
 two criteria disagree.  Otherwise the row's first bad point, if any,
-gives the witness, the reason and the pending crossing (each test
-supplies that violation), and the verdict is violated.
+makes the verdict violated, and _verdicts builds its witness, reason and
+pending crossing from the test's own arrays: the usable point before
+each point, the two compared arrays (a log ratio twice for a step test),
+the search function, the reason template and the witness value
+transform.
 
 Witness semantics: for pointwise checks, (x, lhs, rhs) are the two
 compared values (sf or rh) at the offending x.  For monotonicity checks,
@@ -221,16 +224,22 @@ def _magnitude(*logs: np.ndarray) -> np.ndarray:
     return np.max(np.abs(logs), axis=0)
 
 
-def _verdicts(kind: str, grid: Grid, skip: np.ndarray, nonfinite: np.ndarray,
-              bad: np.ndarray, violations, split: dict | None = None) -> list[OrderVerdict]:
+def _verdicts(kind: str, grid: Grid, m1s, m2s, skip: np.ndarray, nonfinite: np.ndarray,
+              bad: np.ndarray, prev: np.ndarray, v1: np.ndarray, v2: np.ndarray, step: bool,
+              search, reason: str, value, split: dict | None = None) -> list[OrderVerdict]:
     """Each row's verdict, built once.  A row with over 10% of the grid
     unusable (skip or nonfinite) is inconclusive and names each count;
     passing leaves at least two usable points on any grid.  Then a row in
     split is inconclusive with the reason it maps to; a row with no point
-    in bad holds on the grid; any other row is violated, with the
-    (witness, refined_crossing, reason) that violations(rows, points)
-    gives for it and its first bad point, in one call for every violated
-    row of the stack."""
+    in bad holds on the grid; any other row is violated at its first bad
+    point k, with p = prev[k].  Its witness holds x[k], v1 at p for a step
+    test (v1 = v2, a log ratio) or at k for a pointwise one, and v2 at k,
+    through value, which takes the stack's witness values in one array;
+    reason is a template for the witness x.  Its crossing, the root of
+    search(m1, m2, x) bound to the pair's parameter rows, is refined on
+    first read inside the step from p to k: always for a step test, and
+    for a pointwise test when p is strictly ordered (v1 < v2 there)."""
+    xs = grid.xs()
     rows = list(zip(skip.sum(axis=1).tolist(), nonfinite.sum(axis=1).tolist(),
                     bad.any(axis=1).tolist(), bad.argmax(axis=1).tolist()))
     reasons = []  # an inconclusive row's reason, else None
@@ -246,33 +255,21 @@ def _verdicts(kind: str, grid: Grid, skip: np.ndarray, nonfinite: np.ndarray,
             causes.append(split[i])
         reasons.append("; ".join(causes) or None)
     hit = [i for i, row in enumerate(rows) if row[2] and reasons[i] is None]
-    found = dict(zip(hit, violations(hit, [rows[i][3] for i in hit]))) if hit else {}
+    found = {}
+    if hit:
+        ks = [rows[i][3] for i in hit]
+        ps = prev[hit, ks]
+        lhs, rhs = value(np.stack((v1[hit, ps if step else ks], v2[hit, ks]))).tolist()
+        for i, k, p, left, right in zip(hit, ks, ps.tolist(), lhs, rhs):
+            x, refined = float(xs[k]), None
+            if step or (p >= 0 and v1[i, p] - v2[i, p] < 0.0):
+                refined = partial(_refine_crossing, partial(search, m1s[i], m2s[i]),
+                                  float(xs[p]), x)
+            found[i] = (Witness(x, left, right), refined, reason.format(x))
     return [OrderVerdict(kind, "violated", *found[i], n_skip, n_nonfinite, grid) if i in found
             else OrderVerdict(kind, "holds_on_grid" if reasons[i] is None else "inconclusive",
                               None, None, reasons[i], n_skip, n_nonfinite, grid)
             for i, (n_skip, n_nonfinite, _, _) in enumerate(rows)]
-
-
-def _pointwise(xs: np.ndarray, v1: np.ndarray, v2: np.ndarray, prev: np.ndarray, gap, m1s, m2s,
-               reason: str, value):
-    """The violations of the st and rh checks, where v1 <= v2 must hold at
-    every usable point.  Each witness holds value(v1) and value(v2) at its
-    row's first bad point k, value taking the stack's witness values in
-    one array; the crossing of gap(m1, m2, x) = v1 - v2 is refined, on
-    first read, inside the step from point prev[k] when that point is
-    strictly ordered; reason is a template for the witness x."""
-    def violations(rows: list, ks: list) -> list:
-        lhs, rhs = value(np.stack((v1[rows, ks], v2[rows, ks]))).tolist()
-        out = []
-        for i, k, left, right in zip(rows, ks, lhs, rhs):
-            witness = Witness(x=float(xs[k]), lhs=left, rhs=right)
-            p, refined = prev[i, k], None
-            if p >= 0 and v1[i, p] - v2[i, p] < 0.0:
-                refined = partial(_refine_crossing, partial(gap, m1s[i], m2s[i]), float(xs[p]),
-                                  float(xs[k]))
-            out.append((witness, refined, reason.format(witness.x)))
-        return out
-    return violations
 
 
 def _check_ratio_monotone(kind: str, grid: Grid, log_num: np.ndarray, log_den: np.ndarray,
@@ -283,27 +280,16 @@ def _check_ratio_monotone(kind: str, grid: Grid, log_num: np.ndarray, log_den: n
     scale.  A violated verdict refines the root of slope(m1, m2, x), the
     vectorised derivative of that log ratio, inside the offending step;
     the ratios at the ends of every violated row's step take one exp."""
-    xs = grid.xs()
     with np.errstate(invalid="ignore"):
         log_ratio = log_num - log_den
     nonfinite = ~np.isfinite(log_ratio)
     usable = ~nonfinite
     prev = _previous(usable, across_gaps=True)
     direction = "nondecreasing" if nondecreasing else "nonincreasing"
-
-    def violations(rows: list, js: list) -> list:
-        ps = prev[rows, js]
-        lhs, rhs = _exp(np.stack((log_ratio[rows, ps], log_ratio[rows, js]))).tolist()
-        out = []
-        for i, p, j, left, right in zip(rows, ps.tolist(), js, lhs, rhs):
-            x_lo, x_hi = float(xs[p]), float(xs[j])
-            out.append((Witness(x=x_hi, lhs=left, rhs=right),
-                        partial(_refine_crossing, partial(slope, m1s[i], m2s[i]), x_lo, x_hi),
-                        f"ratio fails to be {direction} on the step ending at x={x_hi!r}"))
-        return out
-
-    return _verdicts(kind, grid, np.zeros_like(nonfinite), nonfinite,
-                     _bad_steps(log_ratio, scale, usable, prev, nondecreasing), violations)
+    return _verdicts(kind, grid, m1s, m2s, np.zeros_like(nonfinite), nonfinite,
+                     _bad_steps(log_ratio, scale, usable, prev, nondecreasing), prev,
+                     log_ratio, log_ratio, True, slope,
+                     f"ratio fails to be {direction} on the step ending at x={{!r}}", _exp)
 
 
 def _rh_slope(x, m: np.ndarray) -> np.ndarray:
@@ -324,11 +310,11 @@ def _st(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
     nonfinite = ~(np.isfinite(s1) & np.isfinite(s2))
     skip = ~nonfinite & (s1 < _UNDERFLOW) & (s2 < _UNDERFLOW)
     usable = ~(skip | nonfinite)
-    violations = _pointwise(xs, s1, s2, _previous(usable, across_gaps=False),
-                            lambda m1, m2, x: _survival(x, m1) - _survival(x, m2),
-                            m1s, m2s, "sf(m1) exceeds sf(m2) at x={!r}", np.asarray)
-    return _verdicts("st", grid, skip, nonfinite,
-                     usable & _exceeds(s1, s2, np.maximum(s1, s2)), violations)
+    return _verdicts("st", grid, m1s, m2s, skip, nonfinite,
+                     usable & _exceeds(s1, s2, np.maximum(s1, s2)),
+                     _previous(usable, across_gaps=False), s1, s2, False,
+                     lambda m1, m2, x: _survival(x, m1) - _survival(x, m2),
+                     "sf(m1) exceeds sf(m2) at x={!r}", np.asarray)
 
 
 def _rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
@@ -346,11 +332,10 @@ def _rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
     for i in np.flatnonzero(ratio_bad != viol.any(axis=1)).tolist():
         which = "cdf-ratio monotonicity" if ratio_bad[i] else "pointwise reversed hazards"
         split[i] = f"the two rh criteria disagree (only {which} flagged a violation)"
-    violations = _pointwise(
-        xs, h1, h2, prev,
-        lambda m1, m2, x: _evaluate(x, m1, ("rh",))[0] - _evaluate(x, m2, ("rh",))[0],
-        m1s, m2s, "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", _exp)
-    return _verdicts("rh", grid, np.zeros_like(nonfinite), nonfinite, viol, violations, split)
+    return _verdicts("rh", grid, m1s, m2s, np.zeros_like(nonfinite), nonfinite, viol, prev,
+                     h1, h2, False,
+                     lambda m1, m2, x: _evaluate(x, m1, ("rh",))[0] - _evaluate(x, m2, ("rh",))[0],
+                     "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", _exp, split)
 
 
 def _lr(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ikdist import DomainError
-from .mixture import (
+from ikmix.ikdist import DomainError
+from ikmix.mixture import (
     FiniteMixture,
     mixture_cdf,
     mixture_pdf,

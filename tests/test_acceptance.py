@@ -41,14 +41,6 @@ from ikmix import (
     ik_quantile,
     infer_t_transform_2x2,
 )
-from ikmix.oracles import (
-    k1,
-    sweep_delta1,
-    sweep_delta2,
-    sweep_xi_310,
-    sweep_xi_311,
-    sweep_xi_312,
-)
 from ikmix.majorization import weak_submajorizes, weak_supermajorizes
 from ikmix.theorems import (
     check_theorem_3_1,
@@ -60,6 +52,14 @@ from ikmix.theorems import (
 )
 
 from conftest import random_params, random_script_l2
+from oracles import (
+    k1,
+    sweep_delta1,
+    sweep_delta2,
+    sweep_xi_310,
+    sweep_xi_311,
+    sweep_xi_312,
+)
 
 ACCEPT_GRID = Grid(1e-3, 1e3, 400)
 

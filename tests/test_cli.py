@@ -6,6 +6,8 @@ shell user sees: printed output and the documented exit codes.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import mpmath as mp
@@ -13,6 +15,8 @@ import numpy as np
 import pytest
 
 from ikmix.cli import main
+from ikmix.mixture import FiniteMixture, mixture_sf
+from ikmix.ordercheck import Grid
 
 
 def write_mixture(path, weights, alpha, beta):
@@ -109,6 +113,10 @@ class TestEval:
             ["eval", "--alpha", "2", "--x", "1", "--fn", "cdf"],
             ["eval", "--dist", "ik", "--alpha", "1", "--beta", "1",
              "--x", "1", "--fn", "nope"],
+            ["eval", "--dist", "ik", "--alpha", "1", "--beta", "1",
+             "--x", "1", "--fn", "sfdiff"],
+            ["eval", "--dist", "ik", "--alpha", "1", "--beta", "1",
+             "--against", narrow, "--x", "1", "--fn", "sfdiff"],
         ]
         for argv in cases:
             with pytest.raises(SystemExit) as exc:
@@ -129,6 +137,14 @@ class TestEval:
         rc = main(["eval", "--mixture", str(bad), "--x", "1", "--fn", "cdf"])
         assert rc == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fn, x", [("cdf", "nan"), ("pdf", "inf")])
+    def test_non_finite_x_exits_1(self, capsys, fn, x):
+        # argparse's float accepts both spellings; the evaluator rejects them
+        rc = main(["eval", "--dist", "ik", "--alpha", "1", "--beta", "1",
+                   "--x", x, "--fn", fn])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: x must be finite\n"
 
     def test_null_parameter_exits_1(self, capsys, tmp_path):
         m = write_mixture(tmp_path / "null.json", [1.0], None, 1.0)
@@ -335,6 +351,22 @@ class TestCurve:
                        "--grid", "1e-3:1e3:80:log", "--out", str(paths[which])])
             assert rc == 0
         assert paths[alias].read_bytes() == paths[name].read_bytes()
+
+    def test_single_sf_csv(self, capsys, tmp_path):
+        m = write_mixture(tmp_path / "m.json", [0.3, 0.7], [1.5, 2.5], [2.0, 0.8])
+        out = tmp_path / "sf.csv"
+        rc = main(["curve", "--which", "sf", "--m1", m, "--out", str(out),
+                   "--grid", "1e-3:1e3:60:log"])
+        assert rc == 0
+        assert capsys.readouterr().out == f"wrote 60 rows to {out}\n"
+        xs = Grid.from_spec("1e-3:1e3:60:log").xs()
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["x", "value", "defined"])
+        sf = mixture_sf(xs, FiniteMixture([0.3, 0.7], [1.5, 2.5], [2.0, 0.8]))
+        for x, v in zip(xs.tolist(), sf.tolist()):
+            writer.writerow([format(x, ".17g"), format(v, ".17g"), "true"])
+        assert out.read_bytes() == want.getvalue().encode()
 
     def test_single_sf_rejects_m2(self, tmp_path, narrow, wide):
         with pytest.raises(SystemExit) as exc:

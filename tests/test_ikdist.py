@@ -20,6 +20,7 @@ from ikmix import (
     ik_sf,
 )
 from ikmix.ikdist import _count
+from ikmix.mixture import FiniteMixture, mixture_cdf
 
 rng = np.random.default_rng(42)
 
@@ -91,6 +92,26 @@ class TestValidation:
     def test_quantile_level_open_interval(self, u):
         with pytest.raises(DomainError):
             ik_quantile(u, IKParams(1.0, 1.0))
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf"),
+                                   [1.0, float("nan")], np.array([2.0, np.inf])])
+    def test_x_must_be_finite(self, x):
+        # checked before the sign, so -inf names finiteness, not x >= 0
+        for evaluate in (ik_cdf, ik_sf):
+            with pytest.raises(DomainError, match=r"^x must be finite$"):
+                evaluate(x, IKParams(1.0, 1.0))
+        with pytest.raises(DomainError, match=r"^x must be finite$"):
+            mixture_cdf(x, FiniteMixture([1.0], [1.0], [1.0]))
+
+    def test_empty_x_rejected(self):
+        with pytest.raises(DomainError, match=r"^empty x array$"):
+            ik_cdf(np.array([]), IKParams(1.0, 1.0))
+        with pytest.raises(DomainError, match=r"^empty x array$"):
+            mixture_cdf(np.array([]), FiniteMixture([1.0], [1.0], [1.0]))
+
+    def test_empty_probability_array_rejected(self):
+        with pytest.raises(DomainError, match=r"^empty probability array$"):
+            ik_quantile(np.array([]), IKParams(1.0, 1.0))
 
 
 class TestFrozenValues:

@@ -65,6 +65,15 @@ class TestPredicates:
         with pytest.raises(DomainError):
             majorizes((1.0, 2.0), (1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("a, b, message", [
+        ([], [1.0], "a must be a nonempty vector or a stack of them"),
+        ([1.0], 2.0, "b must be a nonempty vector or a stack of them"),
+        ((1.0, float("nan")), (1.0, 1.0), "a must be finite"),
+        ((1.0, 1.0), (float("inf"), 1.0), "b must be finite")])
+    def test_bad_vectors_rejected(self, a, b, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            majorizes(a, b)
+
 
 class TestParamMatrix:
     def test_positivity_enforced(self):
@@ -136,6 +145,10 @@ class TestTTransform:
         t = TTransform(0.3, (1, 2))
         assert TTransform.from_dict(t.to_dict()) == t
 
+    def test_from_dict_needs_a_pair(self):
+        with pytest.raises(DomainError, match=r"^t-transform dict needs omega/pair: 'pair'$"):
+            TTransform.from_dict({"omega": 0.5})
+
     def test_known_product(self):
         pm = ParamMatrix2xN((0.6, 0.4), (1.0, 9.0))
         q = apply_t_transform(pm, TTransform(0.3, (1, 2)))
@@ -206,6 +219,30 @@ class TestInference:
         pm = ParamMatrix2xN((0.6, 0.4), (1.0, 9.0))
         t = infer_t_transform_2x2(pm, pm)
         assert t is not None and abs(t.omega - 1.0) <= 1e-12
+
+    def test_needs_two_columns(self):
+        pm = ParamMatrix2xN((0.2, 0.3, 0.5), (1.0, 2.0, 3.0))
+        with pytest.raises(DomainError, match=r"^infer_t_transform_2x2 expects 2x2 matrices$"):
+            infer_t_transform_2x2(pm, pm)
+        with pytest.raises(DomainError, match=r"^infer_t_transform_2x2 expects 2x2 matrices$"):
+            infer_t_transform_2x2(ParamMatrix2xN((0.5, 0.5), (1.0, 3.0)), pm)
+
+    @pytest.mark.parametrize("p, q, want", [
+        # row1 is constant, so only row2 names omega: (2.5 - 3) / (1 - 3)
+        pytest.param(((0.5, 0.5), (1.0, 3.0)), ((0.5, 0.5), (2.5, 1.5)), TTransform(0.25, (1, 2)),
+                     id="constant row that agrees"),
+        pytest.param(((0.5, 0.5), (1.0, 3.0)), ((0.4, 0.6), (2.5, 1.5)), None,
+                     id="constant row that disagrees"),
+        pytest.param(((0.5, 0.5), (2.0, 2.0)), ((0.5, 0.5), (2.0, 2.0)), TTransform(1.0, (1, 2)),
+                     id="two constant rows"),
+        # row1 names omega = 0.25, row2 omega = 0.5
+        pytest.param(((0.3, 0.7), (1.0, 3.0)), ((0.6, 0.4), (2.0, 2.0)), None,
+                     id="rows that disagree"),
+        # both rows name omega = -0.25
+        pytest.param(((0.3, 0.7), (1.0, 3.0)), ((0.8, 0.2), (3.5, 0.5)), None,
+                     id="omega below 0")])
+    def test_constant_rows_and_rejected_omegas(self, p, q, want):
+        assert infer_t_transform_2x2(ParamMatrix2xN(*p), ParamMatrix2xN(*q)) == want
 
 
 class TestScriptLStability:

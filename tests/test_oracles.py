@@ -16,7 +16,10 @@ import pytest
 
 from ikmix import DomainError
 from ikmix.mixture import FiniteMixture, mixture_sf
-from ikmix.oracles import (
+from ikmix.ordercheck import DEFAULT_GRID
+
+from conftest import random_script_l2
+from oracles import (
     delta1,
     delta2,
     fd_central,
@@ -31,9 +34,6 @@ from ikmix.oracles import (
     xi_311,
     xi_312_prime,
 )
-from ikmix.ordercheck import DEFAULT_GRID
-
-from conftest import random_script_l2
 
 # ---------------------------------------------------------------------------
 # frozen reference values (mpmath, 30 digits, rounded to 17)
