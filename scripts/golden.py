@@ -42,7 +42,9 @@ DIR receives, from the ikmix under this checkout's src/:
                                              with the slope, each name
                                              alone, the slope alone) and of
                                              the sf (_survival) on seeded
-                                             edge cases
+                                             edge cases, among them stacks
+                                             of 8 mixtures and of one pair
+                                             of 70-component mixtures
 
 Every run turns RuntimeWarnings into errors, so a warning shows up as a
 changed .exit file rather than as noise on stderr.
@@ -268,11 +270,15 @@ a = np.array([0.5, 1.0, 3.0, 40.0])
 log2_x = np.expm1(np.outer(math.log(2.0) / a, 1.0 + np.linspace(-1e-12, 1e-12, 25))).ravel()
 stack = np.array([[(0.3, 0.7), tuple(10.0 ** r.uniform(-1, 1, 2)),
                    tuple(10.0 ** r.uniform(-1, 1, 2))] for _ in range(8)])
+# one pair's sides as one two-row stack, as the order checks evaluate them:
+# 2,000 points cut both rows into blocks of 4 components
+pair = np.array([(m.weights, m.alphas, m.betas) for m in (spread(70), spread(70))])
 cases = {
     "beta_one": (FiniteMixture((0.25,) * 4, (0.7, 2.0, 1.0, 5.0), (1.0, 0.5, 1.0, 2.5)),
                  np.concatenate([ends, np.geomspace(1e-6, 1e6, 300)])),
     "wide70": (wide, np.concatenate([ends, np.geomspace(1e-4, 1e4, 1996)])),
     "stack8": (stack, np.concatenate([ends, np.geomspace(1e-3, 1e3, 496)])),
+    "pair70": (pair, np.concatenate([ends, np.geomspace(1e-4, 1e4, 1996)])),
     "log2_sides": (FiniteMixture((0.1, 0.2, 0.3, 0.4), tuple(a), (0.6, 1.0, 2.0, 7.0)),
                    np.concatenate([ends, np.sort(log2_x)])),
     "beta400": (FiniteMixture((0.5, 0.5), (1.0, 1.0), (400.0, 300.0)),

@@ -33,7 +33,7 @@ from .mixture import (
     mixture_quantile,
     mixture_sf,
 )
-from .ordercheck import (DEFAULT_GRID, ORDER_KINDS, Curve, Grid, check_order,
+from .ordercheck import (DEFAULT_GRID, ORDER_KINDS, Curve, Grid, _sf_difference, check_order,
                          difference_curve, write_curve_csv)
 from .scan import ScanConfig, run_scan
 
@@ -88,6 +88,8 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error("give either --mixture FILE or --alpha/--beta, not both")
     if args.mixture is None and not dist_mode:
         parser.error("eval needs either --mixture FILE or --dist ik with --alpha/--beta")
+    if args.fn == "sfdiff" and dist_mode:
+        parser.error("--fn sfdiff needs --mixture/--against, not --dist")
     if args.fn == "sfdiff" and args.against is None:
         parser.error("--fn sfdiff needs --against FILE")
     if args.fn != "sfdiff" and args.against is not None:
@@ -96,8 +98,7 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.mixture is not None:
         m = _load_mixture(args.mixture)
         if args.fn == "sfdiff":
-            other = _load_mixture(args.against)
-            _print_value(mixture_sf(args.x, m) - mixture_sf(args.x, other))
+            _print_value(_sf_difference(m, _load_mixture(args.against), args.x))
             return EXIT_OK
         fn = mixture_quantile if args.fn == "quantile" else EVALUATORS[args.fn]
         _print_value(fn(args.x, m))
@@ -105,8 +106,6 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     if args.alpha is None or args.beta is None:
         parser.error("--dist ik needs both --alpha and --beta")
-    if args.fn == "sfdiff":
-        parser.error("--fn sfdiff needs --mixture/--against, not --dist")
     params = IKParams(args.alpha, args.beta)
     fn = {"cdf": ik_cdf, "pdf": ik_pdf, "sf": ik_sf,
           "rh": ik_reversed_hazard, "quantile": ik_quantile}[args.fn]

@@ -21,8 +21,8 @@ from .majorization import (
     apply_t_transform,
     infer_t_transform_2x2,
 )
-from .mixture import EVALUATORS, mixture_sf
-from .ordercheck import DEFAULT_GRID, Grid, check_order
+from .mixture import EVALUATORS
+from .ordercheck import DEFAULT_GRID, Grid, _sf_difference, check_order
 from .theorems import CHECKERS, ConditionReport
 
 __all__ = ["FixtureCatalog", "FixtureResult", "CheckOutcome", "run_fixture"]
@@ -113,7 +113,7 @@ def run_fixture(fixture: dict, grid: Grid = DEFAULT_GRID) -> FixtureResult:
         if ev["quantity"] == "sfdiff":
             minuend = po.lhs if ev["minuend"] == "lhs" else po.rhs
             subtrahend = po.lhs if ev["subtrahend"] == "lhs" else po.rhs
-            have = mixture_sf(x, minuend) - mixture_sf(x, subtrahend)
+            have = float(_sf_difference(minuend, subtrahend, x))
             label = f"value:sfdiff@x={x:g}"
         else:
             fn = EVALUATORS[ev["quantity"]]

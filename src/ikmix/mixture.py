@@ -7,8 +7,9 @@ then walks the components in blocks of at most 8192 values per mixture
 every requested component log from it with the formulas of ikdist.  The
 kernel and the sf take a FiniteMixture, its (weights, alphas, betas)
 array, or a stack of such arrays, giving one row per mixture, each
-bit-identical to that mixture alone; the caller sizes the stack (only
-ordercheck.check_orders stacks, within 8192 values).  The terms are
+bit-identical to that mixture alone; the caller sizes the stack:
+ordercheck.check_orders stacks pairs within 8192 values per side, and
+ordercheck._pair stacks the two sides of one pair.  The terms are
 summed by a max-shifted log-sum-exp (Blanchard, Higham and Higham, IMA
 J. Numer. Anal. 2021), so a mixture whose values lie far below or above
 float64 still has a finite log.  The public evaluators take a
@@ -177,6 +178,11 @@ def _per_component(name: str, value, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _params(m) -> np.ndarray:
+    """The (weights, alphas, betas) array of m, a FiniteMixture, or m itself."""
+    return np.array((m.weights, m.alphas, m.betas)) if isinstance(m, FiniteMixture) else m
+
+
 def _stacked(x, m, kernel) -> tuple:
     """The rows of kernel(L, x, cols, cuts, work), where L is log1p(x) and
     kernel returns a sequence of (mixtures, points) arrays.  m is a
@@ -191,7 +197,7 @@ def _stacked(x, m, kernel) -> tuple:
     bit-identical to that mixture's alone."""
     xs, scalar = _as_x(x)
     flat = xs.ravel()
-    params = np.array((m.weights, m.alphas, m.betas)) if isinstance(m, FiniteMixture) else m
+    params = _params(m)
     one = params.ndim == 2
     cols = (params[None] if one else params).transpose(1, 2, 0)[..., None]
     rows = min(cols.shape[1], max(1, _BLOCK_VALUES // flat.size))

@@ -23,8 +23,12 @@ and the two tests run on the whole stack.  check_orders takes one kind
 and the (weights, alphas, betas) arrays of both sides, as
 theorems.check_stack returns them, and cuts the pairs into chunks of as
 many as one kernel block of 8192 values holds (8 pairs of 2-component
-mixtures on 500 points); it is the only code that sizes a stack, and
-check_order decides the stack of one.
+mixtures on 500 points), and check_order decides the stack of one.  A
+stack of one pair whose sides share a component count evaluates both
+sides in one kernel call, on their two-row stack (_pair); so do its
+crossing search, round by round, and difference_curve.  Each row of a
+stack holds the bits of its mixture alone, so every value is the same
+either way.
 
 One row loop (_verdicts) builds every verdict.  Points where a compared
 value or log is NaN or infinite are counted in nonfinite_points, and st
@@ -61,8 +65,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .ikdist import DomainError, _count, _positive
-from .mixture import (_BLOCK_VALUES, FiniteMixture, _evaluate, _exp, _refine_crossing,
-                      _survival, mixture_sf)
+# mixture_sf is no longer called here; perfbench's span test reads it from
+# this module, so it stays imported
+from .mixture import (_BLOCK_VALUES, FiniteMixture, _evaluate, _exp, _params, _refine_crossing,
+                      _survival, mixture_sf)  # noqa: F401
 
 __all__ = [
     "Grid",
@@ -224,6 +230,31 @@ def _magnitude(*logs: np.ndarray) -> np.ndarray:
     return np.max(np.abs(logs), axis=0)
 
 
+def _pair(fn, x, m1, m2, *args, **kwargs) -> tuple:
+    """fn(x, m, ...) for m = m1 and for m = m2: the two sides' values, or
+    with fn = _evaluate the two sides' values of each output.  fn takes a
+    stack of mixtures, one row per mixture (_survival, _rh_slope and
+    _evaluate do); m1 and m2 are mixtures, parameter arrays or stacks of
+    them (see _stacked).  A single pair whose sides share a component
+    count takes one call on its two-row stack: each row keeps the bits of
+    its mixture alone, and the components are cut by the number of
+    points only.  Stacks of several pairs, which check_orders sizes per
+    side, and sides of two component counts take one call per side."""
+    m1, m2 = _params(m1), _params(m2)
+    if m1.shape != m2.shape or m1.ndim == 3 and len(m1) > 1:
+        v1, v2 = fn(x, m1, *args, **kwargs), fn(x, m2, *args, **kwargs)
+        return tuple(zip(v1, v2)) if isinstance(v1, tuple) else (v1, v2)
+    out = fn(x, np.stack((m1, m2)).reshape(-1, *m1.shape[-2:]), *args, **kwargs)
+    shape = (2,) + m1.shape[:-2] + np.shape(x)
+    return tuple(v.reshape(shape) for v in out) if isinstance(out, tuple) else out.reshape(shape)
+
+
+def _sf_difference(m1, m2, x):
+    """sf(m1) - sf(m2) at x, by one _pair: the st check's search, the sf
+    curve and the sf-difference spot values."""
+    return np.subtract(*_pair(_survival, x, m1, m2))
+
+
 def _verdicts(kind: str, grid: Grid, m1s, m2s, skip: np.ndarray, nonfinite: np.ndarray,
               bad: np.ndarray, prev: np.ndarray, v1: np.ndarray, v2: np.ndarray, step: bool,
               search, reason: str, value, split: dict | None = None) -> list[OrderVerdict]:
@@ -293,7 +324,8 @@ def _check_ratio_monotone(kind: str, grid: Grid, log_num: np.ndarray, log_den: n
 
 
 def _rh_slope(x, m: np.ndarray) -> np.ndarray:
-    """d/dx log rh of m at x: d/dx log pdf - rh, since d/dx log cdf = rh."""
+    """d/dx log rh of m, one mixture or a stack, at x: d/dx log pdf - rh,
+    since d/dx log cdf = rh."""
     log_rh, slope = _evaluate(x, m, ("rh",), slope=True)
     return slope - _exp(log_rh)
 
@@ -304,23 +336,18 @@ def _rh_slope(x, m: np.ndarray) -> np.ndarray:
 
 
 def _st(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
-    xs = grid.xs()
-    s1 = _survival(xs, m1s)
-    s2 = _survival(xs, m2s)
+    s1, s2 = _pair(_survival, grid.xs(), m1s, m2s)
     nonfinite = ~(np.isfinite(s1) & np.isfinite(s2))
     skip = ~nonfinite & (s1 < _UNDERFLOW) & (s2 < _UNDERFLOW)
     usable = ~(skip | nonfinite)
     return _verdicts("st", grid, m1s, m2s, skip, nonfinite,
                      usable & _exceeds(s1, s2, np.maximum(s1, s2)),
-                     _previous(usable, across_gaps=False), s1, s2, False,
-                     lambda m1, m2, x: _survival(x, m1) - _survival(x, m2),
+                     _previous(usable, across_gaps=False), s1, s2, False, _sf_difference,
                      "sf(m1) exceeds sf(m2) at x={!r}", np.asarray)
 
 
 def _rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
-    xs = grid.xs()
-    F1, f1, h1 = _evaluate(xs, m1s, ("cdf", "pdf", "rh"))
-    F2, f2, h2 = _evaluate(xs, m2s, ("cdf", "pdf", "rh"))
+    (F1, F2), (f1, f2), (h1, h2) = _pair(_evaluate, grid.xs(), m1s, m2s, ("cdf", "pdf", "rh"))
     nonfinite = ~(np.isfinite(h1) & np.isfinite(h2))
     usable = ~nonfinite
     prev = _previous(usable, across_gaps=True)
@@ -334,25 +361,23 @@ def _rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
         split[i] = f"the two rh criteria disagree (only {which} flagged a violation)"
     return _verdicts("rh", grid, m1s, m2s, np.zeros_like(nonfinite), nonfinite, viol, prev,
                      h1, h2, False,
-                     lambda m1, m2, x: _evaluate(x, m1, ("rh",))[0] - _evaluate(x, m2, ("rh",))[0],
+                     lambda m1, m2, x: np.subtract(*_pair(_evaluate, x, m1, m2, ("rh",))[0]),
                      "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", _exp, split)
 
 
 def _lr(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
-    f1 = _evaluate(grid.xs(), m1s, ("pdf",))[0]
-    f2 = _evaluate(grid.xs(), m2s, ("pdf",))[0]
+    (f1, f2), = _pair(_evaluate, grid.xs(), m1s, m2s, ("pdf",))
+    # m2 first: the slope of log pdf(m2) - log pdf(m1), as np.subtract(v2, v1)
     return _check_ratio_monotone(
         "lr", grid, f2, f1, _magnitude(f1, f2),
-        lambda m1, m2, x: (_evaluate(x, m2, (), slope=True)[0]
-                           - _evaluate(x, m1, (), slope=True)[0]),
+        lambda m1, m2, x: np.subtract(*_pair(_evaluate, x, m2, m1, (), slope=True)[0]),
         m1s, m2s, nondecreasing=True)
 
 
 def _r_rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
-    F1, f1, h1 = _evaluate(grid.xs(), m1s, ("cdf", "pdf", "rh"))
-    F2, f2, h2 = _evaluate(grid.xs(), m2s, ("cdf", "pdf", "rh"))
+    (F1, F2), (f1, f2), (h1, h2) = _pair(_evaluate, grid.xs(), m1s, m2s, ("cdf", "pdf", "rh"))
     return _check_ratio_monotone("r_rh", grid, h1, h2, _magnitude(F1, f1, F2, f2),
-                                 lambda m1, m2, x: _rh_slope(x, m1) - _rh_slope(x, m2),
+                                 lambda m1, m2, x: np.subtract(*_pair(_rh_slope, x, m1, m2)),
                                  m1s, m2s, nondecreasing=False)
 
 
@@ -369,7 +394,9 @@ def check_orders(kind: str, lhs: tuple, rhs: tuple,
     FiniteMixture holds them); the sides may differ in component count.
     The pairs are decided in chunks of _BLOCK_VALUES // (components *
     grid.points) with the larger count (at least one), one kernel pass per
-    side each; each verdict is the one its pair gets alone."""
+    side each, but one pass on both sides' two-row stack for a chunk of
+    one pair whose sides share a component count; each verdict is the one
+    its pair gets alone."""
     if kind not in _CHECKS:
         raise DomainError(f"unknown order kind {kind!r}; expected one of {ORDER_KINDS}")
     for name, side in (("lhs", lhs), ("rhs", rhs)):
@@ -418,17 +445,19 @@ def difference_curve(m1: FiniteMixture, m2: FiniteMixture, grid: Grid, which: st
 
     which = 'sf' gives sf(m1) - sf(m2); the ratio variants give the m1/m2
     quotient of the named function, as exp of the difference of its logs.
-    A point is undefined when its value is not finite.
+    Both mixtures are evaluated in one kernel call when their component
+    counts match (_pair).  A point is undefined when its value is not
+    finite.
     """
     if which not in CURVE_KINDS:
         raise DomainError(f"unknown curve kind {which!r}; expected one of {CURVE_KINDS}")
     xs = grid.xs()
     if which == "sf":
-        vals = mixture_sf(xs, m1) - mixture_sf(xs, m2)
+        vals = _sf_difference(m1, m2, xs)
     else:
         name = which.removesuffix("_ratio")
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.exp(_evaluate(xs, m1, (name,))[0] - _evaluate(xs, m2, (name,))[0])
+            vals = np.exp(np.subtract(*_pair(_evaluate, xs, m1, m2, (name,))[0]))
     defined = np.isfinite(vals)
     vals.flags.writeable = defined.flags.writeable = False
     return Curve(xs, vals, defined)

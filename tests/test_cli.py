@@ -123,6 +123,34 @@ class TestEval:
                 main(argv)
             assert exc.value.code == 2, argv
 
+    def test_sfdiff_with_dist_names_the_mode(self, capsys, narrow):
+        # with or without --against, the message says that --dist cannot
+        # give an sf difference, instead of asking first for --against
+        for against in ([], ["--against", narrow]):
+            with pytest.raises(SystemExit) as exc:
+                main(["eval", "--dist", "ik", "--alpha", "1", "--beta", "1", *against,
+                      "--x", "1", "--fn", "sfdiff"])
+            assert exc.value.code == 2
+            assert ("error: --fn sfdiff needs --mixture/--against, not --dist"
+                    in capsys.readouterr().err)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--mixture", narrow, "--x", "1", "--fn", "sfdiff"])
+        assert exc.value.code == 2
+        assert "error: --fn sfdiff needs --against FILE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("other", [([0.6, 0.4], [1.0, 3.0], [1.2, 2.0]),
+                                       ([0.2, 0.5, 0.3], 2.0, [0.5, 1.0, 4.0])])
+    def test_sfdiff_prints_the_difference_of_the_sfs(self, capsys, tmp_path, other):
+        # one pair of equal and one of unequal component counts
+        params = (([0.3, 0.7], [1.5, 2.5], [2.0, 0.8]), other)
+        a, b = (write_mixture(tmp_path / f"{name}.json", *p) for name, p in zip("ab", params))
+        rc = main(["eval", "--mixture", a, "--against", b, "--x", "0.7", "--fn", "sfdiff"])
+        assert rc == 0
+        m_a, m_b = (FiniteMixture(*p) for p in params)
+        want = mixture_sf(0.7, m_a) - mixture_sf(0.7, m_b)
+        assert want != 0.0
+        assert capsys.readouterr().out == format(want, ".17g") + "\n"
+
     def test_domain_errors_exit_1(self, capsys, tmp_path):
         rc = main(["eval", "--dist", "ik", "--alpha", "-1", "--beta", "1",
                    "--x", "1", "--fn", "cdf"])

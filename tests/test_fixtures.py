@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from ikmix import DomainError, FixtureCatalog, Grid, run_fixture
+from ikmix import DomainError, FixtureCatalog, Grid, mixture_sf, run_fixture
 
 EXPECTED_IDS = [
     "ex3.1", "ce3.1", "ex3.2", "ce3.2", "ex3.3", "ce3.3",
@@ -80,6 +80,19 @@ class TestRunAll:
         details = {c.label: c.detail for c in results["ce3.2"].failures()}
         assert "-0.0364592" in details["value:sfdiff@x=10"]
         assert "-0.0091282" in details["value:sfdiff@x=100"]
+
+    def test_sfdiff_spot_values_are_the_difference_of_the_sfs(self, catalog, results):
+        # the two sfs of a spot value come from one kernel call on the
+        # pair's stack, with each side's bits: the reported float is the
+        # difference of the two evaluated alone
+        po = catalog.checker_report("ce3.2").orientation
+        sides = {"lhs": po.lhs, "rhs": po.rhs}
+        details = {c.label: c.detail for c in results["ce3.2"].checks}
+        for ev in catalog.load("ce3.2")["expected_values"]:
+            assert ev["quantity"] == "sfdiff"
+            want = (mixture_sf(ev["x"], sides[ev["minuend"]])
+                    - mixture_sf(ev["x"], sides[ev["subtrahend"]]))
+            assert details[f"value:sfdiff@x={ev['x']:g}"].endswith(f"got {want!r}")
 
     def test_ex36_fails_exactly_the_verdict(self, results):
         r = results["ex3.6"]

@@ -1235,3 +1235,106 @@ class TestStackedVerdicts:
         assert len(alarms) == statuses.count("violated") > 50
         for index, witness in alarms.items():
             assert witness == witnesses[index]
+
+
+def _counting_kernel(monkeypatch):
+    """Patch the kernel's entry, mixture._stacked, with a wrapper that
+    counts calls; every kernel call and sf call passes through it once."""
+    real = mixture._stacked
+
+    def counted(*args):
+        counted.calls += 1
+        return real(*args)
+
+    counted.calls = 0
+    monkeypatch.setattr(mixture, "_stacked", counted)
+    return counted
+
+
+class TestOneKernelCallPerPair:
+    """A single pair whose sides share a component count is evaluated in
+    one kernel call, on its two-row stack: in the checks, in each round of
+    a crossing search and in difference_curve.  Stacks of several pairs
+    and pairs of two component counts take one call per side."""
+
+    GRID = Grid(1e-3, 1e3, 300)
+
+    @staticmethod
+    def _mixtures(n1, n2, seed=19):
+        r = np.random.default_rng(seed)
+        return random_mixture(r, n1), random_mixture(r, n2)
+
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    def test_a_check_makes_one_call_when_the_counts_match(self, monkeypatch, kind):
+        kernel = _counting_kernel(monkeypatch)
+        for (n1, n2), calls in (((3, 3), 1), ((3, 2), 2), ((1, 4), 2)):
+            kernel.calls = 0
+            check_order(kind, *self._mixtures(n1, n2), self.GRID)
+            assert kernel.calls == calls, (n1, n2)
+
+    @pytest.mark.parametrize("which", CURVE_KINDS)
+    def test_a_curve_makes_one_call_when_the_counts_match(self, monkeypatch, which):
+        kernel = _counting_kernel(monkeypatch)
+        difference_curve(*self._mixtures(3, 3), self.GRID, which)
+        assert kernel.calls == 1
+        difference_curve(*self._mixtures(2, 3), self.GRID, which)
+        assert kernel.calls == 3
+
+    # seeds of a 3-3 and a 3-2 component pair whose crossing is found
+    @pytest.mark.parametrize("kind, seeds", [("st", (19, 19)), ("rh", (19, 19)),
+                                             ("lr", (22, 21)), ("r_rh", (20, 21))])
+    def test_each_search_round_makes_one_call(self, monkeypatch, kind, seeds):
+        rounds = []
+        search = ordercheck._refine_crossing
+
+        def spy(fn, lo, hi, *rest):
+            return search(lambda x: rounds.append(x.size) or fn(x), lo, hi, *rest)
+
+        monkeypatch.setattr(ordercheck, "_refine_crossing", spy)
+        for counts, seed in zip(((3, 3), (3, 2)), seeds):
+            v = check_order(kind, *self._mixtures(*counts, seed), self.GRID)
+            assert v.status == "violated"
+            kernel = _counting_kernel(monkeypatch)
+            rounds.clear()
+            assert v.refined_crossing is not None
+            # the two ends, then one call of 64 points per round
+            assert rounds[0] == 2 and set(rounds[1:]) == {64} and len(rounds) > 2
+            assert kernel.calls == len(rounds) * (1 if counts[0] == counts[1] else 2)
+
+    def test_scans_keep_one_call_per_side(self, monkeypatch):
+        # 400 draws of 2 components on 500 points: 50 chunks of 8 pairs
+        kernel = _counting_kernel(monkeypatch)
+        report = run_scan(ScanConfig.from_file(T310_GAP_PROBE))
+        assert report.config.samples == 400
+        assert kernel.calls == 2 * 50
+
+    @pytest.mark.parametrize("block_values", [None, 300])
+    def test_joined_pairs_match_the_per_side_stack(self, monkeypatch, block_values):
+        # 100 random pairs of 2 to 70 components per run, under every kind:
+        # the verdict of each pair alone (one call on its two-row stack)
+        # against the one it gets beside its mirror in a two-pair stack,
+        # which check_orders evaluates side by side; 70 components on 58
+        # points still fit two pairs in a chunk.  A kernel budget of 300
+        # values cuts the mixtures into blocks of 5 and 6 components.
+        if block_values is not None:
+            monkeypatch.setattr(mixture, "_BLOCK_VALUES", block_values)
+        r = np.random.default_rng(19 if block_values is None else 20)
+        grids = (Grid(1e-3, 1e3, 50), Grid(1e-4, 1e4, 58, "linear"))
+        kernel = _counting_kernel(monkeypatch)
+        statuses, crossings = set(), 0
+        for t in range(100):
+            n = int(r.integers(2, 71))
+            m1 = random_mixture(r, n, alpha_range=(0.1, 10.0), beta_range=(0.1, 30.0))
+            m2 = random_mixture(r, n, alpha_range=(0.1, 10.0), beta_range=(0.1, 30.0))
+            grid = grids[t % 2]
+            for kind in ORDER_KINDS:
+                kernel.calls = 0
+                stacked = check_orders(kind, *_sides([(m1, m2), (m2, m1)]), grid)
+                assert kernel.calls == 2
+                for (a, b), v in zip(((m1, m2), (m2, m1)), stacked):
+                    alone = check_order(kind, a, b, grid)
+                    # to_dict reads the crossing; json keeps NaN comparable
+                    assert json.dumps(alone.to_dict()) == json.dumps(v.to_dict()), (kind, t)
+                    statuses.add(alone.status)
+                    crossings += alone.refined_crossing is not None
+        assert statuses >= {"violated", "holds_on_grid"} and crossings > 100
