@@ -25,7 +25,8 @@ import sys
 
 import numpy as np
 
-from .ikdist import DomainError, IKParams, ik_cdf, ik_pdf, ik_quantile, ik_reversed_hazard, ik_sf
+from .ikdist import (DomainError, IKParams, _read_json, ik_cdf, ik_pdf, ik_quantile,
+                     ik_reversed_hazard, ik_sf)
 from .fixtures import FixtureCatalog
 from .mixture import (
     EVALUATORS,
@@ -63,14 +64,7 @@ def _resolve_grid(spec: str | None) -> Grid:
 
 
 def _load_mixture(path: str) -> FiniteMixture:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise DomainError(f"cannot read mixture file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"mixture file {path!r} is not valid JSON: {exc}") from exc
-    return FiniteMixture.from_dict(obj)
+    return FiniteMixture.from_dict(_read_json("mixture", path))
 
 
 def _print_value(v: float) -> None:

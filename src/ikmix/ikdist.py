@@ -25,6 +25,7 @@ DomainError rather than propagating NaNs.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -80,6 +81,18 @@ def _count(name: str, v, least: int, most: float = math.inf) -> int:
         bound = "" if most == math.inf else f" and <= {most}"
         raise DomainError(f"{name} must be an integer >= {least}{bound}, got {v!r}")
     return int(v)
+
+
+def _read_json(what: str, path):
+    """The JSON value in the UTF-8 file at path, else DomainError naming the
+    file as a `what` file: unreadable, or not UTF-8 or not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot read {what} file {path!r}: {exc}") from exc
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise DomainError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,12 @@ FiniteMixture and of a scan's draws alike; the batched bracket search
 (_refine_crossing) behind mixture_quantile and the crossings lives here.
 
 Each kernel call makes one workspace, three arrays of one block, which
-every block's values are written into in place, and computes the column
-constants once: alpha + 1, beta - 1, log alpha + log beta, the slope's
-(beta - 1) alpha and which betas are not 1.  Four exact
+every block's values are written into in place.  Each block computes its
+column constants from its own columns: alpha + 1, beta - 1, log alpha +
+log beta and which betas are not 1, and with the slope (beta - 1) alpha
+and 1 + x.  A table of them for the whole call rounds the same, but a
+call of one block, as a scalar or a scan chunk is, pays its setup for
+nothing.  Four exact
 identities let the block body take fewer numpy passes than the plain
 formulas while rounding every value as they do:
   - _log_u works on -y = (-alpha) * L, which is bitwise -(alpha * L);
@@ -258,24 +261,18 @@ def _evaluate(x, m, names: tuple[str, ...], slope: bool = False) -> tuple:
 
     def kernel(L, flat, cols, cuts, work):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if want_pdf:
-                # the pdf's and the slope's columns, once for all blocks
-                _, a, b = cols
-                b1 = b - 1.0
-                pdf_cols = np.array((a + 1.0, b1, np.log(a) + np.log(b), b1 * a))
-                not_one = b1 != 0.0
-                one_x = 1.0 + flat
             sums: dict[str, list] = {}
             for cut in cuts:
                 w, a, b = cols[:, cut]
                 log_u, f, g = work[:, :len(w)]
                 _log_u(L, a, out=log_u)
                 if want_pdf:
-                    a1, b1, log_ab, g1 = pdf_cols[:, cut]
-                    _log_pdf(log_ab, a1, b1, not_one[cut], L, log_u, out=f, work=g)
+                    a1, b1 = a + 1.0, b - 1.0
+                    _log_pdf(np.log(a) + np.log(b), a1, b1, b1 != 0.0, L, log_u, out=f, work=g)
                     if slope:
                         np.expm1(np.multiply(a, L, out=g), out=g)
-                        np.divide(np.subtract(np.divide(g1, g, out=g), a1, out=g), one_x, out=g)
+                        np.divide(np.subtract(np.divide(b1 * a, g, out=g), a1, out=g), 1.0 + flat,
+                                  out=g)
                     _add_block(sums, "pdf", w, f, g if slope else None)
                 if want_cdf:
                     _add_block(sums, "cdf", w, _log_cdf(b, log_u, out=log_u))

@@ -23,12 +23,11 @@ finding's printed params replayed through CHECKERS give its witness.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ikdist import DomainError, _count, _positive
+from .ikdist import DomainError, _count, _positive, _read_json
 from .mixture import _renormalised
 from .ordercheck import DEFAULT_GRID, Grid, check_orders
 from .theorems import SCAN_LAYOUTS, check_stack
@@ -140,8 +139,7 @@ class ScanConfig:
 
     @classmethod
     def from_file(cls, path) -> "ScanConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_read_json("scan config", path))
 
     def to_dict(self) -> dict:
         return {"theorem": self.theorem, "samples": self.samples,

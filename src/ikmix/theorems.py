@@ -18,9 +18,11 @@ its predicted order first, so FiniteMixture validates each value once (a
 scalar shape broadcasts), then decides on the values read back from them
 and formats the details from that one row.
 
-CHECKERS maps every condition id to its checker and is the one place
-where ids meet code; SCAN_LAYOUTS gives the draw layout of the ids that
-can be region-scanned.
+_CONDITIONS is the one place where ids meet code: an id's entry also
+names its public checker and, if the id can be region-scanned, its draw
+layout; CHECKERS, THEOREM_IDS and SCAN_LAYOUTS are views of it, in its
+order.  Call a checker through CHECKERS or its module-level name, never
+through the entry, so that a tracer swapping module functions sees it.
 
 Hypothesis comparisons between real numbers carry 1e-12 slack so ties
 count as satisfied.
@@ -209,8 +211,11 @@ def _gap_extremes(v) -> tuple:
 # lhs and rhs name the arguments that give the (weights, alpha, beta) of the
 # predicted smaller and larger mixture; hypotheses maps the two sides'
 # arrays (draws x components, weights as given), and for a chain condition
-# the chain of T-transforms, to stacked hypotheses
-_Condition = namedtuple("_Condition", "kind lhs rhs labels hypotheses")
+# the chain of T-transforms, to stacked hypotheses; checker is the public
+# function that reports the id, and layout its scan draw layout, None for
+# an id that cannot be scanned
+_Condition = namedtuple("_Condition", "kind lhs rhs labels hypotheses checker layout",
+                        defaults=(None,))
 
 
 def _report(theorem_id: str, *chain, **args) -> ConditionReport:
@@ -316,13 +321,14 @@ def _chain(ts) -> tuple[TTransform, ...]:
 _P_LABEL = "mixture built from the source matrix p"
 
 
-def _chain_condition(shape: str, *parts, q_label="mixture built from the transformed matrix q"):
+def _chain_condition(shape: str, checker, *parts,
+                     q_label="mixture built from the transformed matrix q"):
     """Chain majorization of the (weights, shape) matrix p onto q under the
-    other shape, which both share; concludes the usual stochastic order.
-    Under a shared beta, which must lie in (0, 1), q's mixture is the
-    smaller one, under a shared alpha p's.  Each of parts maps the
-    (draws, 2, N) rows of p and q, the chain and the shape to a list of
-    stacked hypotheses."""
+    other shape, which both share, reported by checker; concludes the usual
+    stochastic order.  Under a shared beta, which must lie in (0, 1), q's
+    mixture is the smaller one, under a shared alpha p's.  Each of parts
+    maps the (draws, 2, N) rows of p and q, the chain and the shape to a
+    list of stacked hypotheses.  A chain id has no scan layout."""
     def hypotheses(lhs, rhs, ts):
         if shape == "alpha":
             (q, q_shape, beta), (p, p_shape, _) = lhs, rhs
@@ -332,8 +338,10 @@ def _chain_condition(shape: str, *parts, q_label="mixture built from the transfo
         first = [_beta_unit(beta)] if shape == "alpha" else []
         return first + [h for part in parts for h in part(p, q, ts, shape)]
     if shape == "alpha":
-        return _Condition("st", ("q", "q_alpha", "beta"), _PLAIN, (q_label, _P_LABEL), hypotheses)
-    return _Condition("st", _PLAIN, ("q", "alpha", "q_beta"), (_P_LABEL, q_label), hypotheses)
+        return _Condition("st", ("q", "q_alpha", "beta"), _PLAIN, (q_label, _P_LABEL),
+                          hypotheses, checker)
+    return _Condition("st", _PLAIN, ("q", "alpha", "q_beta"), (_P_LABEL, q_label), hypotheses,
+                      checker)
 
 
 def _p_in_script_l(p, q, ts, shape: str) -> list:
@@ -462,83 +470,67 @@ _PLAIN = ("p", "alpha", "beta")
 _STARRED = ("p_star", "alpha_star", "beta_star")
 _WEIGHT_SHIFT = (("p_star", "alpha", "beta"), _PLAIN,
                  ("mixture with shifted weights p*", "mixture with original weights p"))
-_ALPHA_CHAIN = _chain_condition("alpha", _p_in_script_l, _reproduces)
-_BETA_CHAIN = _chain_condition("beta", _p_in_script_l, _reproduces)
+_ALPHA_CHAIN = _chain_condition("alpha", check_theorem_3_4_or_3_5, _p_in_script_l, _reproduces)
+# a layout is (name, kind) per checker argument, in argument order, which is
+# also the scan's draw order; kind is "scalar", "vector" (one positive value
+# per component) or "weights" (drawn per component, then normalised to sum one)
+_SEPARATION_LAYOUT = (("p", "weights"), ("alpha", "vector"), ("beta", "vector"),
+                      ("p_star", "weights"), ("alpha_star", "vector"),
+                      ("beta_star", "vector"))
 _CONDITIONS = {
     "T3.1": _Condition("st", *_WEIGHT_SHIFT, _weight_shift_common_beta(
         "p_star_weakly_submajorized_by_p", weak_submajorizes,
         "ascending suffix sums of p dominate those of p*",
-        "some ascending suffix sum of p falls below p*'s")),
-    "C3.1": _Condition("st", *_WEIGHT_SHIFT, _weight_shift_common_beta(
-        "p_star_majorized_by_p", majorizes,
-        "majorizes(p, p*) = True", "majorizes(p, p*) = False")),
+        "some ascending suffix sum of p falls below p*'s"), check_theorem_3_1,
+        (("alpha", "vector"), ("beta", "scalar"), ("p", "weights"), ("p_star", "weights"))),
     "T3.2": _Condition("st", _PLAIN, ("p_star", "alpha", "beta"), (
-        "mixture with original weights p", "mixture with shifted weights p*"), _t3_2),
+        "mixture with original weights p", "mixture with shifted weights p*"), _t3_2,
+        check_theorem_3_2,
+        (("beta", "vector"), ("alpha", "scalar"), ("p", "weights"), ("p_star", "weights"))),
     "T3.3": _Condition("st", ("p", "alpha_star", "beta"), _PLAIN, (
-        "mixture with shifted shapes alpha*", "mixture with original shapes alpha"), _t3_3),
+        "mixture with shifted shapes alpha*", "mixture with original shapes alpha"), _t3_3,
+        check_theorem_3_3,
+        (("alpha", "vector"), ("alpha_star", "vector"), ("beta", "scalar"), ("p", "weights"))),
+    "T3.4": _ALPHA_CHAIN,
+    "T3.5": _ALPHA_CHAIN,
+    "T3.6": _chain_condition("alpha", check_theorem_3_6, _stages("before", 0),
+                             q_label="mixture built from the chain result"),
+    "T3.7": _chain_condition("beta", check_theorem_3_7_to_3_9, _p_in_script_l, _reproduces),
+    "T3.8": _chain_condition("beta", partial(check_theorem_3_7_to_3_9, variant="3.8"),
+                             _p_in_script_l, _reproduces),
+    "T3.9": _chain_condition("beta", partial(check_theorem_3_7_to_3_9, variant="3.9"),
+                             _p_in_script_l, _stages("after", 1), _reproduces),
     "T3.10": _Condition("r_rh", _PLAIN, ("p_star", "alpha", "beta_star"), (
-        "mixture with tightly clustered betas", "mixture with spread betas"), _t3_10),
+        "mixture with tightly clustered betas", "mixture with spread betas"), _t3_10,
+        check_theorem_3_10, (("beta", "vector"), ("beta_star", "vector"), ("alpha", "scalar"),
+                             ("p", "weights"), ("p_star", "weights"))),
     "T3.11": _Condition("rh", _PLAIN, _STARRED, (
         "mixture with larger alphas", "mixture with larger alpha*beta products"), _separated(
         "alpha_star_max_below_alpha_min", "max(alpha*) = {0!r} vs min(alpha) = {1!r}",
         "alpha_beta_products_below_starred",
-        "max(alpha*beta) = {0!r} vs min(alpha**beta*) = {1!r}")),
+        "max(alpha*beta) = {0!r} vs min(alpha**beta*) = {1!r}"),
+        check_theorem_3_11, _SEPARATION_LAYOUT),
     "T3.12": _Condition("lr", _STARRED, _PLAIN, (
         "mixture with smaller alpha*beta products", "mixture with larger products"), _separated(
         "alpha_max_below_alpha_star_min", "max(alpha) = {0!r} vs min(alpha*) = {1!r}",
         "alpha_beta_products_above_starred",
-        "min(alpha*beta) = {1!r} vs max(alpha**beta*) = {0!r}")),
-    "T3.4": _ALPHA_CHAIN,
-    "T3.5": _ALPHA_CHAIN,
-    "T3.6": _chain_condition("alpha", _stages("before", 0),
-                             q_label="mixture built from the chain result"),
-    "C3.2": _chain_condition("alpha", _p_in_script_l, _common_pair, _reproduces),
-    "T3.7": _BETA_CHAIN,
-    "T3.8": _BETA_CHAIN,
-    "T3.9": _chain_condition("beta", _p_in_script_l, _stages("after", 1), _reproduces),
-    "C3.3": _chain_condition("beta", _p_in_script_l, _common_pair, _reproduces),
+        "min(alpha*beta) = {1!r} vs max(alpha**beta*) = {0!r}"),
+        check_theorem_3_12, _SEPARATION_LAYOUT),
+    "C3.1": _Condition("st", *_WEIGHT_SHIFT, _weight_shift_common_beta(
+        "p_star_majorized_by_p", majorizes,
+        "majorizes(p, p*) = True", "majorizes(p, p*) = False"), check_corollary_3_1),
+    "C3.2": _chain_condition("alpha", check_corollary_3_2, _p_in_script_l, _common_pair,
+                             _reproduces),
+    "C3.3": _chain_condition("beta", check_corollary_3_3, _p_in_script_l, _common_pair,
+                             _reproduces),
 }
 
 
 # ---------------------------------------------------------------------------
-# the registry
+# the registry: views of _CONDITIONS
 # ---------------------------------------------------------------------------
 
-CHECKERS = {
-    "T3.1": check_theorem_3_1,
-    "T3.2": check_theorem_3_2,
-    "T3.3": check_theorem_3_3,
-    "T3.4": check_theorem_3_4_or_3_5,
-    "T3.5": check_theorem_3_4_or_3_5,
-    "T3.6": check_theorem_3_6,
-    "T3.7": check_theorem_3_7_to_3_9,
-    "T3.8": partial(check_theorem_3_7_to_3_9, variant="3.8"),
-    "T3.9": partial(check_theorem_3_7_to_3_9, variant="3.9"),
-    "T3.10": check_theorem_3_10,
-    "T3.11": check_theorem_3_11,
-    "T3.12": check_theorem_3_12,
-    "C3.1": check_corollary_3_1,
-    "C3.2": check_corollary_3_2,
-    "C3.3": check_corollary_3_3,
-}
-
-THEOREM_IDS = tuple(CHECKERS)
-
-# (name, kind) per checker argument, in argument order, which is also the
-# scan's draw order; kind is "scalar", "vector" (one positive value per
-# component) or "weights" (drawn per component, then normalised to sum one)
-_SEPARATION_LAYOUT = (("p", "weights"), ("alpha", "vector"), ("beta", "vector"),
-                      ("p_star", "weights"), ("alpha_star", "vector"),
-                      ("beta_star", "vector"))
+CHECKERS = {tid: cond.checker for tid, cond in _CONDITIONS.items()}
+THEOREM_IDS = tuple(_CONDITIONS)
 SCAN_LAYOUTS: dict[str, tuple[tuple[str, str], ...]] = {
-    "T3.1": (("alpha", "vector"), ("beta", "scalar"),
-             ("p", "weights"), ("p_star", "weights")),
-    "T3.2": (("beta", "vector"), ("alpha", "scalar"),
-             ("p", "weights"), ("p_star", "weights")),
-    "T3.3": (("alpha", "vector"), ("alpha_star", "vector"),
-             ("beta", "scalar"), ("p", "weights")),
-    "T3.10": (("beta", "vector"), ("beta_star", "vector"),
-              ("alpha", "scalar"), ("p", "weights"), ("p_star", "weights")),
-    "T3.11": _SEPARATION_LAYOUT,
-    "T3.12": _SEPARATION_LAYOUT,
-}
+    tid: cond.layout for tid, cond in _CONDITIONS.items() if cond.layout}

@@ -166,6 +166,24 @@ class TestEval:
         assert rc == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, content", [
+        (["scan", "{file}"], b'{"theorem": "T3.1",'),
+        (["scan", "{file}"], b"\xff\xfe"),
+        (["eval", "--mixture", "{file}", "--x", "1", "--fn", "cdf"], b"\xff\xfe"),
+        (["order", "--kind", "st", "--m1", "{narrow}", "--m2", "{file}"], b"\xff\xfe"),
+        (["curve", "--which", "sf", "--m1", "{file}", "--out", "{out}"], b"\xff\xfe")],
+        ids=["truncated scan config", "non-UTF-8 scan config", "non-UTF-8 eval mixture",
+             "non-UTF-8 order mixture", "non-UTF-8 curve mixture"])
+    def test_malformed_files_exit_1(self, capsys, tmp_path, narrow, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        rc = main([arg.format(file=bad, narrow=narrow, out=tmp_path / "out.csv")
+                   for arg in command])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "not valid JSON" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("fn, x", [("cdf", "nan"), ("pdf", "inf")])
     def test_non_finite_x_exits_1(self, capsys, fn, x):
         # argparse's float accepts both spellings; the evaluator rejects them
