@@ -8,27 +8,29 @@ every requested component log from it with the formulas of ikdist.  The
 kernel and the sf take a FiniteMixture, its (weights, alphas, betas)
 array, or a stack of such arrays, giving one row per mixture, each
 bit-identical to that mixture alone; the caller sizes the stack:
-ordercheck.check_orders stacks pairs within 8192 values per side, and
-ordercheck._pair stacks the two sides of one pair.  The terms are
-summed by a max-shifted log-sum-exp (Blanchard, Higham and Higham, IMA
-J. Numer. Anal. 2021), so a mixture whose values lie far below or above
-float64 still has a finite log.  The public evaluators take a
-FiniteMixture and are exp of those logs; the reversed hazard is
-exp(log pdf - log cdf), never 0/0.  The sf terms lie in [0, 1] and come
-linear from expm1, so mixture_sf adds them as they are, by a compensated
-sum in component order.  _renormalised divides the raw weights of a
-FiniteMixture and of a scan's draws alike; the batched bracket search
-(_refine_crossing) behind mixture_quantile and the crossings lives here.
+ordercheck.check_orders stacks pairs within 32,768 values per side
+(_STACK_VALUES, four blocks), and ordercheck._pair stacks the two sides
+of one pair.  The terms are summed by a max-shifted log-sum-exp
+(Blanchard, Higham and Higham, IMA J. Numer. Anal. 2021), so a mixture
+whose values lie far below or above float64 still has a finite log.
+The public evaluators take a FiniteMixture and are exp of those logs;
+the reversed hazard is exp(log pdf - log cdf), never 0/0.  The sf terms
+lie in [0, 1] and come linear from expm1, so mixture_sf adds them as
+they are, by a compensated sum in component order.  _renormalised
+divides the raw weights of a FiniteMixture and of a scan's draws alike;
+the batched bracket search (_refine_crossing) behind mixture_quantile
+and the crossings lives here.
 
 Each kernel call makes one workspace, three arrays of one block, which
-every block's values are written into in place.  Each block computes its
-column constants from its own columns: alpha + 1, beta - 1, log alpha +
-log beta and which betas are not 1, and with the slope (beta - 1) alpha
-and 1 + x.  A table of them for the whole call rounds the same, but a
-call of one block, as a scalar or a scan chunk is, pays its setup for
-nothing.  Four exact
-identities let the block body take fewer numpy passes than the plain
-formulas while rounding every value as they do:
+every block's values are written into in place, and takes its last logs
+in the arrays of its running sums, after the slope has read the pdf sum.
+Each block computes its column constants from its own columns: alpha +
+1, beta - 1, log alpha + log beta and which betas are not 1, and with
+the slope (beta - 1) alpha and 1 + x.  A table of them for the whole
+call rounds the same, but a call of one block, as a scalar or a scan
+chunk is, pays its setup for nothing.  Four exact identities let the
+block body take fewer numpy passes than the plain formulas while
+rounding every value as they do:
   - _log_u works on -y = (-alpha) * L, which is bitwise -(alpha * L);
   - the pdf adds (beta - 1) log u under a mask of the beta != 1 rows
     instead of choosing by np.where, so the beta = 1 rows keep their
@@ -64,7 +66,8 @@ __all__ = [
 
 _RAW_WEIGHT_TOL = 1e-6
 # largest (components x points) block of one mixture the kernel evaluates
-# at once, 64 KiB; check_orders stacks pairs within the same budget
+# at once, 64 KiB; each row's bits depend on this cut, and check_orders
+# stacks pairs within four times this budget (ordercheck._STACK_VALUES)
 _BLOCK_VALUES = 8192
 # the largest float, the bound of a log-sum-exp shift
 _LOG_MAX = float(np.finfo(float).max)
@@ -276,13 +279,14 @@ def _evaluate(x, m, names: tuple[str, ...], slope: bool = False) -> tuple:
                     _add_block(sums, "pdf", w, f, g if slope else None)
                 if want_cdf:
                     _add_block(sums, "cdf", w, _log_cdf(b, log_u, out=log_u))
-            logs = {name: acc[0] + np.log(acc[1]) for name, acc in sums.items()}
+            # the slope reads the pdf's scaled sum before its log replaces it
+            slopes = [sums["pdf"][2] / sums["pdf"][1]] if slope else []
+            # each log is built in its scaled sum's array
+            logs = {name: np.add(acc[0], np.log(acc[1], out=acc[1]), out=acc[1])
+                    for name, acc in sums.items()}
             if "rh" in names:
                 logs["rh"] = logs["pdf"] - logs["cdf"]
-            out = [logs[name] for name in names]
-            if slope:
-                out.append(sums["pdf"][2] / sums["pdf"][1])
-        return out
+        return [logs[name] for name in names] + slopes
 
     return _stacked(x, m, kernel)
 

@@ -22,13 +22,13 @@ The checks decide stacks of pairs: every array holds one row per pair,
 and the two tests run on the whole stack.  check_orders takes one kind
 and the (weights, alphas, betas) arrays of both sides, as
 theorems.check_stack returns them, and cuts the pairs into chunks of as
-many as one kernel block of 8192 values holds (8 pairs of 2-component
-mixtures on 500 points), and check_order decides the stack of one.  A
-stack of one pair whose sides share a component count evaluates both
-sides in one kernel call, on their two-row stack (_pair); so do its
-crossing search, round by round, and difference_curve.  Each row of a
-stack holds the bits of its mixture alone, so every value is the same
-either way.
+many as 32,768 values per side hold (_STACK_VALUES: 32 pairs of
+2-component mixtures on 500 points), and check_order decides the stack
+of one.  A stack of one pair whose sides share a component count
+evaluates both sides in one kernel call, on their two-row stack (_pair);
+so do its crossing search, round by round, and difference_curve.  Each
+row of a stack holds the bits of its mixture alone, so every value is
+the same either way.
 
 One row loop (_verdicts) builds every verdict.  Points where a compared
 value or log is NaN or infinite are counted in nonfinite_points, and st
@@ -85,6 +85,10 @@ __all__ = [
 ]
 
 _TOL = 1e-12
+# values per side that check_orders stacks into one chunk, 256 KiB: four
+# kernel blocks, so a scan pays the per-call cost of the kernel and the
+# decision once for four times as many pairs
+_STACK_VALUES = 4 * _BLOCK_VALUES
 _UNDERFLOW = 1e-300
 _SKIP_FRACTION = 0.10
 # far above any grid's needs: a larger count is an input error
@@ -226,8 +230,13 @@ def _bad_steps(r: np.ndarray, scale: np.ndarray, usable: np.ndarray, prev: np.nd
 
 
 def _magnitude(*logs: np.ndarray) -> np.ndarray:
-    """The tolerance scale of values built from logs: the largest |log|."""
-    return np.max(np.abs(logs), axis=0)
+    """The tolerance scale of values built from logs: the largest |log|,
+    kept in one array (max and abs are exact and keep NaN, so the bits are
+    those of np.max(np.abs(logs), axis=0))."""
+    out = np.abs(logs[0])
+    for log in logs[1:]:
+        np.maximum(out, np.abs(log), out=out)
+    return out
 
 
 def _pair(fn, x, m1, m2, *args, **kwargs) -> tuple:
@@ -241,8 +250,10 @@ def _pair(fn, x, m1, m2, *args, **kwargs) -> tuple:
     points only.  Stacks of several pairs, which check_orders sizes per
     side, and sides of two component counts take one call per side: joined
     stacks would cut a scan's chunks of 3-component pairs on 500 points
-    from 5 pairs to 2, whose extra decisions cost more than the calls
-    saved (scan_quiet 13-21% slower on a 2-core machine)."""
+    from 21 pairs to 10; measured at 8192 values per side (5 pairs to 2),
+    scan_quiet ran 13-21% slower on a 2-core machine, and at 16-pair
+    chunks, though 5-9% faster, its traced peak rose from 1,278 to 2,095
+    KiB."""
     m1, m2 = _params(m1), _params(m2)
     if m1.shape != m2.shape or m1.ndim == 3 and len(m1) > 1:
         v1, v2 = fn(x, m1, *args, **kwargs), fn(x, m2, *args, **kwargs)
@@ -394,22 +405,36 @@ def check_orders(kind: str, lhs: tuple, rhs: tuple,
     order kind (one of ORDER_KINDS) on grid, in pair order.  lhs and rhs
     are each a (weights, alphas, betas) triple of pairs x components
     arrays, as theorems.check_stack returns them (weights as a
-    FiniteMixture holds them); the sides may differ in component count.
-    The pairs are decided in chunks of _BLOCK_VALUES // (components *
-    grid.points) with the larger count (at least one), one kernel pass per
-    side each, but one pass on both sides' two-row stack for a chunk of
-    one pair whose sides share a component count; each verdict is the one
-    its pair gets alone."""
+    FiniteMixture holds them), every entry finite and > 0; the sides may
+    differ in component count.  The pairs are decided in chunks of
+    _STACK_VALUES // (components * grid.points) with the larger count (at
+    least one; 32 pairs of 2-component mixtures on 500 points), one kernel
+    pass per side each, but one pass on both sides' two-row stack for a
+    chunk of one pair whose sides share a component count; each verdict
+    is the one its pair gets alone."""
     if kind not in _CHECKS:
         raise DomainError(f"unknown order kind {kind!r}; expected one of {ORDER_KINDS}")
+    stacks = []
     for name, side in (("lhs", lhs), ("rhs", rhs)):
-        if len({np.shape(v) for v in side}) != 1:
+        arrays = [np.asarray(v, dtype=float) for v in side]
+        shapes = [v.shape for v in arrays]
+        if len(set(shapes)) != 1:
             raise DomainError(f"{name} needs one component count, got (weights, alphas, betas) "
-                              f"shaped {[np.shape(v) for v in side]}")
-    m1s, m2s = np.stack(lhs, axis=1), np.stack(rhs, axis=1)
+                              f"shaped {shapes}")
+        if len(shapes[0]) != 2:
+            raise DomainError(f"{name} needs (weights, alphas, betas) arrays of pairs x "
+                              f"components, got shape {shapes[0]}")
+        m = np.stack(arrays, axis=1)
+        ok = (m > 0.0) & (m < np.inf)  # NaN fails both
+        if not ok.all():
+            i, j, k = np.argwhere(~ok)[0].tolist()
+            raise DomainError(f"{name} {('weights', 'alphas', 'betas')[j]} must be finite and "
+                              f"> 0, got {float(m[i, j, k])!r} in pair {i}")
+        stacks.append(m)
+    m1s, m2s = stacks
     if len(m1s) != len(m2s):
         raise DomainError(f"{len(m1s)} lhs mixtures vs {len(m2s)} rhs mixtures")
-    chunk = max(1, _BLOCK_VALUES // (max(m1s.shape[2], m2s.shape[2]) * grid.points))
+    chunk = max(1, _STACK_VALUES // (max(m1s.shape[2], m2s.shape[2]) * grid.points))
     return [verdict for start in range(0, len(m1s), chunk)
             for verdict in _CHECKS[kind](m1s[start:start + chunk], m2s[start:start + chunk],
                                          grid)]

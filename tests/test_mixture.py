@@ -686,7 +686,7 @@ class TestKernelStacks:
     def test_scan_blocks_stay_bounded(self, monkeypatch):
         # every block passes through log u once: count its values over a
         # 400-draw T3.10 scan (2 components, 500 points), whose chunks of
-        # 8 draws put 8 mixtures into each block
+        # 32 draws put 32 mixtures into each block
         sizes = []
         log_u = mixture._log_u
         monkeypatch.setattr(mixture, "_log_u",
@@ -694,8 +694,40 @@ class TestKernelStacks:
                             or log_u(L, a, out=out))
         report = run_scan(ScanConfig.from_file(T310_GAP_PROBE))
         assert report.config.samples == 400
-        assert max(sizes) <= mixture._BLOCK_VALUES
-        assert max(sizes) == 8 * 2 * 500
+        assert max(sizes) <= ordercheck._STACK_VALUES
+        assert max(sizes) == 32 * 2 * 500
+
+    @pytest.mark.parametrize("slope", [False, True])
+    @pytest.mark.parametrize("n", [3, 70])
+    def test_logs_are_built_in_the_sums(self, monkeypatch, n, slope):
+        # the kernel takes each log in its scaled sum's array; against the
+        # log step written out, shift + log(sum), pdf - cdf and the slope
+        # sum over the pdf sum, on the sums _add_block leaves, for 32
+        # mixtures in one block (3 components) or five (70 on 500 points)
+        final = {}
+        add_block = mixture._add_block
+
+        def spy(sums, *args, **kwargs):
+            add_block(sums, *args, **kwargs)
+            final.update({name: [v.copy() for v in acc] for name, acc in sums.items()})
+
+        monkeypatch.setattr(mixture, "_add_block", spy)
+        r = np.random.default_rng(n + slope)
+        params = np.array([(m.weights, m.alphas, m.betas)
+                           for m in (_spread_mixture(r, n) for _ in range(32))])
+        params[0, 1] = 1e-20  # log u of -inf below x = 5e-304
+        xs = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-4, 1e4, 495),
+                             [1e150, 1e300]])
+        got = mixture._evaluate(xs, params, self.NAMES, slope=slope)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = {name: acc[0] + np.log(acc[1]) for name, acc in final.items()}
+            want = [logs["cdf"], logs["pdf"], logs["pdf"] - logs["cdf"]]
+            if slope:
+                want.append(final["pdf"][2] / final["pdf"][1])
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == (32, 500) and g.tobytes() == w.tobytes()
+        assert not np.all(np.isfinite(got[0])) and np.any(np.isfinite(got[0]))
 
 def _two_branch_log_u(L, alpha):
     """log u with both branches evaluated everywhere and one picked by

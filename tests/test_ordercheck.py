@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import pickle
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -1132,7 +1133,7 @@ class TestStackedVerdicts:
     # on the first grid the non-finite pairs lose 5 points and the st
     # pairs with large alphas skip 2; on the second, the non-finite pairs
     # lose all but a third (inconclusive); on the third, st skips 26
-    # points.  4, 40 and 10 pairs of 2-component mixtures fill a chunk.
+    # points.  16, 163 and 40 pairs of 2-component mixtures fill a chunk.
     GRIDS = (Grid(1e-305, 3e3, 1000), Grid(1e-310, 1e-300, 100), Grid(1e-4, 3e3, 400))
 
     @staticmethod
@@ -1170,11 +1171,12 @@ class TestStackedVerdicts:
         gated = check_orders("rh", *_sides(_UNUSABLE_PAIRS[2:3]), self.GRIDS[1])[0]
         assert gated.status == "inconclusive" and gated.nonfinite_points > 10
 
-    def test_mixed_kinds_and_counts_keep_their_order(self):
+    def test_mixed_kinds_and_counts_keep_their_order(self, monkeypatch):
         # the scans of four theorems, one stack per kind with an unusable
         # pair inside, then 3-component mixtures against 1-component ones,
-        # 12 pairs, so the chunks of 6 pairs (400 points, 3 components)
-        # cut the stack twice
+        # 12 pairs; a budget of 8192 values per side makes chunks of 6
+        # pairs (400 points, 3 components), which cut the stack twice
+        monkeypatch.setattr(ordercheck, "_STACK_VALUES", 8192)
         for theorem in ("T3.12", "T3.1", "T3.11", "T3.10"):
             claims = _scan_claims(theorem, 5, seed=3)
             kind = claims[0][0]
@@ -1202,6 +1204,34 @@ class TestStackedVerdicts:
         with pytest.raises(DomainError, match="2 lhs mixtures vs 1 rhs mixtures"):
             check_orders(kind, _sides([pair, pair])[0], _sides([pair])[1])
 
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("where, value, text", [
+        ((2, 0, 0), -1.0, "betas must be finite and > 0, got -1.0 in pair 0"),
+        ((2, 1, 1), math.nan, "betas must be finite and > 0, got nan in pair 1"),
+        ((1, 1, 0), math.inf, "alphas must be finite and > 0, got inf in pair 1"),
+        ((0, 0, 1), 0.0, "weights must be finite and > 0, got 0.0 in pair 0"),
+    ])
+    def test_invalid_parameters_are_refused(self, side, where, value, text):
+        # one bad entry in either side's (weights, alphas, betas) of a
+        # two-pair stack is refused, naming the side, the array and the pair
+        sides = [[np.array([[0.5, 0.5], [0.3, 0.7]]), np.ones((2, 2)), np.full((2, 2), 2.0)]
+                 for _ in range(2)]
+        array, pair, component = where
+        sides[side][array][pair, component] = value
+        with pytest.raises(DomainError, match=("lhs ", "rhs ")[side] + text):
+            check_orders("st", *sides, Grid(1e-2, 1e2, 20))
+
+    def test_single_mixture_triples_are_refused(self):
+        # a FiniteMixture's own 1-D (weights, alphas, betas) is one mixture,
+        # not a stack of pairs
+        triple = ([0.5, 0.5], [1.0, 2.0], [1.0, 3.0])
+        grid = Grid(1e-2, 1e2, 20)
+        with pytest.raises(DomainError, match=r"lhs needs .* components, got shape \(2,\)"):
+            check_orders("st", triple, triple, grid)
+        stack = tuple([v] for v in triple)
+        with pytest.raises(DomainError, match=r"rhs needs .* components, got shape \(\)"):
+            check_orders("st", stack, (0.5, 1.0, 1.0), grid)
+
     @pytest.mark.parametrize("nondecreasing", [True, False])
     def test_step_test_matches_compacted_rows(self, nondecreasing):
         # the stacked step test against np.diff over each row's usable
@@ -1221,6 +1251,36 @@ class TestStackedVerdicts:
             want = np.zeros(ratio.shape[1], dtype=bool)
             want[idx[1:]] = diffs < -tau if nondecreasing else diffs > tau
             assert got[i].tolist() == want.tolist()
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_magnitude_is_the_max_of_the_stacked_abs(self, count):
+        # the running max of |log| against the max over the stacked |logs|,
+        # bit for bit, on logs that hold NaN (of either sign), +-inf and
+        # +-0.0 at random points; the logs themselves are left as they are
+        r = np.random.default_rng(count)
+        logs = [r.normal(scale=1e3, size=(8, 60)) for _ in range(count)]
+        for log in logs:
+            spots = r.choice(log.size, size=24, replace=False)
+            log.flat[spots] = np.tile([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0], 4)
+        before = [log.tobytes() for log in logs]
+        got = ordercheck._magnitude(*logs)
+        want = np.max(np.abs(np.stack(logs)), axis=0)
+        assert np.isnan(want).any() and np.isinf(want).any()
+        assert got.tobytes() == want.tobytes()
+        assert [log.tobytes() for log in logs] == before
+
+    def test_magnitude_holds_two_arrays_at_most(self):
+        # the scale of four (32, 500) logs, an r_rh chunk of a T3.10 scan,
+        # takes the result and one |log| at a time: 250 KiB traced, where
+        # the stacked copy and its abs took 1,000 KiB
+        logs = [np.random.default_rng(k).normal(size=(32, 500)) for k in range(4)]
+        tracemalloc.start()
+        try:
+            ordercheck._magnitude(*logs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * logs[0].nbytes + 4096, peak
 
     def test_scan_equals_a_draw_by_draw_loop(self):
         config = dataclasses.replace(ScanConfig.from_file(T310_GAP_PROBE), samples=60)
@@ -1302,11 +1362,12 @@ class TestOneKernelCallPerPair:
             assert kernel.calls == len(rounds) * (1 if counts[0] == counts[1] else 2)
 
     def test_scans_keep_one_call_per_side(self, monkeypatch):
-        # 400 draws of 2 components on 500 points: 50 chunks of 8 pairs
+        # 400 draws of 2 components on 500 points: 13 chunks of up to 32
+        # pairs
         kernel = _counting_kernel(monkeypatch)
         report = run_scan(ScanConfig.from_file(T310_GAP_PROBE))
         assert report.config.samples == 400
-        assert kernel.calls == 2 * 50
+        assert kernel.calls == 2 * 13
 
     @pytest.mark.parametrize("block_values", [None, 300])
     def test_joined_pairs_match_the_per_side_stack(self, monkeypatch, block_values):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -203,6 +205,23 @@ class TestRunScan:
         assert builds == []
         FiniteMixture((1.0,), 1.0, 1.0)  # the count sees a build
         assert len(builds) == 1
+
+    def test_scan_memory_stays_bounded(self):
+        # the traced peak of one 48-draw T3.10 scan (2 components, 500
+        # points, chunks of 32 draws), after a first scan has filled the
+        # caches: 1,778 KiB on x86-64 with numpy 2.4, 2,029 KiB if the
+        # kernel's logs get their own arrays again, and 565 KiB with
+        # chunks of 8 draws; a larger chunk fails here
+        config = dataclasses.replace(ScanConfig.from_file(SCAN_CONFIGS / "t310_gap_probe.json"),
+                                     samples=48)
+        run_scan(config)
+        tracemalloc.start()
+        try:
+            run_scan(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.85 * 2**20, f"traced peak {peak / 1024:.0f} KiB"
 
     def test_counts_cover_all_samples(self):
         cfg = ScanConfig("T3.2", 30, 5,
