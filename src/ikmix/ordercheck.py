@@ -67,8 +67,8 @@ import numpy as np
 from .ikdist import DomainError, _count, _positive
 # mixture_sf is no longer called here; perfbench's span test reads it from
 # this module, so it stays imported
-from .mixture import (_BLOCK_VALUES, FiniteMixture, _evaluate, _exp, _params, _refine_crossing,
-                      _survival, mixture_sf)  # noqa: F401
+from .mixture import (_BLOCK_VALUES, _RAW_WEIGHT_TOL, FiniteMixture, _evaluate, _exp, _params,
+                      _refine_crossing, _survival, mixture_sf)  # noqa: F401
 
 __all__ = [
     "Grid",
@@ -405,13 +405,15 @@ def check_orders(kind: str, lhs: tuple, rhs: tuple,
     order kind (one of ORDER_KINDS) on grid, in pair order.  lhs and rhs
     are each a (weights, alphas, betas) triple of pairs x components
     arrays, as theorems.check_stack returns them (weights as a
-    FiniteMixture holds them), every entry finite and > 0; the sides may
-    differ in component count.  The pairs are decided in chunks of
-    _STACK_VALUES // (components * grid.points) with the larger count (at
-    least one; 32 pairs of 2-component mixtures on 500 points), one kernel
-    pass per side each, but one pass on both sides' two-row stack for a
-    chunk of one pair whose sides share a component count; each verdict
-    is the one its pair gets alone."""
+    FiniteMixture holds them), every entry finite and > 0 and each row's
+    weights summing to 1 within 1e-6, as FiniteMixture's raw weights must
+    (they are not renormalised); the sides may differ in component count.
+    The pairs are decided in chunks of _STACK_VALUES // (components *
+    grid.points) with the larger count (at least one; 32 pairs of
+    2-component mixtures on 500 points), one kernel pass per side each,
+    but one pass on both sides' two-row stack for a chunk of one pair
+    whose sides share a component count; each verdict is the one its pair
+    gets alone."""
     if kind not in _CHECKS:
         raise DomainError(f"unknown order kind {kind!r}; expected one of {ORDER_KINDS}")
     stacks = []
@@ -430,6 +432,11 @@ def check_orders(kind: str, lhs: tuple, rhs: tuple,
             i, j, k = np.argwhere(~ok)[0].tolist()
             raise DomainError(f"{name} {('weights', 'alphas', 'betas')[j]} must be finite and "
                               f"> 0, got {float(m[i, j, k])!r} in pair {i}")
+        sums = m[:, 0].sum(axis=1)
+        off = np.flatnonzero(np.abs(sums - 1.0) > _RAW_WEIGHT_TOL)
+        if off.size:
+            raise DomainError(f"{name} weights sum to {float(sums[off[0]])!r} in pair {off[0]}, "
+                              "beyond 1e-6 of 1")
         stacks.append(m)
     m1s, m2s = stacks
     if len(m1s) != len(m2s):
@@ -500,14 +507,16 @@ def difference_curve(m1: FiniteMixture, m2: FiniteMixture, grid: Grid, which: st
 # value (NaN, inf, a misjudged E, a near-tie; every value where np.longdouble
 # is no wider than float64, the margin then exceeding 0.5) goes through
 # _g17_exact.  The text matrix has one column per value and NULs in empty
-# slots; its rows: a sign, "0." and up to 3 zeros (E < 0, fixed notation),
-# the 17 digits with a slot for a point after each of the first 16, then
-# "e", a sign and 3 digits.
-_G17_HEIGHT = 44
+# cells, 29 rows: the sign; "0." and up to 3 zeros (E < 0, fixed notation);
+# 18 rows for the 17 digits and the point, which follows digit `point`, so
+# that the digits after it sit one row lower; then "e", the exponent's sign
+# and its digits (the hundreds only from 100 on).  The digits are read from
+# a table of every 4-digit group, and the rows before and after them, which
+# depend on E alone, from tables indexed by E (_text_tables).
+_G17_HEIGHT = 29
 _Q_MIN = -292  # q = 16 - E lies in [-292, 340] for every finite v != 0
-_K = np.arange(17, dtype=np.int8)[:, None]
-_P9, _P8 = (10.0 ** np.arange(k - 1, -1, -1)[:, None] for k in (9, 8))
-_P3 = np.array([[100], [10], [1]])
+_E_MIN = -324  # and E in [-324, 308]
+_K = np.arange(18, dtype=np.int8)[:, None]
 
 
 @lru_cache(maxsize=1)
@@ -519,52 +528,77 @@ def _g17_tables() -> tuple:
     return pow10, margin, np.longdouble(10**16) + np.longdouble(margin)
 
 
+@lru_cache(maxsize=1)
+def _text_tables() -> tuple:
+    """The ASCII digits of every group of 4 digits, a (4 x 10,000) matrix;
+    for each E in [_E_MIN, 308], the rows 1-5 and 24-28 of the text
+    matrix, two (5 x 633) matrices, and the digit the point follows (-1
+    where "0." leads); built on first use."""
+    # in int16, so the table's temporaries stay small
+    digits = np.arange(10_000, dtype=np.int16) // np.array([[1000], [100], [10], [1]], np.int16)
+    digits = (digits % 10 + ord("0")).astype(np.uint8)
+    es = range(_E_MIN, 309)
+    before = ["0." + "0" * (-1 - e) if -4 <= e < 0 else "" for e in es]
+    after = ["" if -4 <= e < 17 else f"e{e:+03d}" for e in es]
+    before, after = (np.frombuffer("".join(t.ljust(5, "\0") for t in texts).encode(), np.uint8)
+                     .reshape(-1, 5).T.copy() for texts in (before, after))
+    point = np.array([max(e, -1) if -4 <= e < 17 else 0 for e in es], np.int8)
+    return digits, before, after, point
+
+
 def _g17_exact(v: float) -> bytes:
     """format(v, ".17g"), NUL-padded to one column of the text matrix."""
     return format(v, ".17g").encode().ljust(_G17_HEIGHT, b"\0")
 
 
-def _g17(values: np.ndarray) -> np.ndarray:
-    """The text of format(v, ".17g") for each float64 v in values, as a
-    (_G17_HEIGHT x values) uint8 matrix whose column i holds value i's
-    characters in order, with NULs between and after them."""
+def _g17_digits(values: np.ndarray) -> tuple:
+    """For each float64 v in values: E - _E_MIN (E taken as 0 for zeros
+    and non-finite values), whether the product decides v, and the ASCII
+    digits of N, a (17 x values) matrix, all zeros where the product does
+    not decide.  Apart from _g17, so that its np.longdouble and int64
+    temporaries are freed before the text is laid out."""
     pow10, margin, least = _g17_tables()
     a = np.abs(values)
     finite = np.isfinite(a)
     a = np.where(finite, a, 0.0)
-    e = np.floor(np.log10(np.where(a > 0.0, a, 1.0))).astype(np.int16)  # 0 for 0
+    e = (np.floor(np.log10(np.where(a > 0.0, a, 1.0))) - _E_MIN).astype(np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
-        big = a.astype(np.longdouble) * pow10[16 - _Q_MIN - e]
+        big = a.astype(np.longdouble) * pow10[16 - _Q_MIN - _E_MIN - e]
         frac, whole = np.modf(big)
         frac = frac.astype(np.float64)
         n = whole.astype(np.uint64) + (frac > 0.5)
     exact = (finite & (np.abs(frac - 0.5) > margin) & (n < 10**17)
              & ((big >= least) | (a == 0.0)))
     n *= exact
-    # the digits, exact in float64: floor(c / 10**k) for c below 1e9
-    hi, lo = (half.astype(np.float64) for half in np.divmod(n, 10**8))
-    digits = np.empty((17, values.size))
-    np.divide(hi, _P9, out=digits[:9])
-    np.divide(lo, _P8, out=digits[9:])
-    np.floor(digits, out=digits)
-    digits[1:9] -= 10.0 * digits[:8]
-    digits[10:] -= 10.0 * digits[9:16]
-    digits = digits.astype(np.uint8)
-    fixed = (e >= -4) & (e < 17)
-    point = np.where(fixed, np.maximum(e, -1), 0).astype(np.int8)  # -1: "0." leads
-    last = ((digits != 0) * _K).max(axis=0)  # of the significant digits
-    text = np.zeros((_G17_HEIGHT, values.size), np.uint8)
+    # N's leading digit and four groups of 4 digits, from its two halves
+    hi, lo = np.divmod(n.view(np.int64), 10**8)
+    lead, high, low = hi // 10**8, hi // 10**4, lo // 10**4
+    digits = np.empty((17, values.size), np.uint8)
+    digits[0] = lead + ord("0")
+    for i, group in enumerate((high - lead * 10**4, hi - high * 10**4, low, lo - low * 10**4)):
+        np.take(_text_tables()[0], group, axis=1, out=digits[1 + 4 * i:5 + 4 * i], mode="clip")
+    return e, exact, digits
+
+
+def _g17(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The text of format(v, ".17g") for each float64 v in values, as a
+    (_G17_HEIGHT x values) uint8 matrix whose column i holds value i's
+    characters in order, with NULs between and after them; written into
+    out when given."""
+    _, before, after, points = _text_tables()
+    e, exact, digits = _g17_digits(values)
+    text = np.empty((_G17_HEIGHT, values.size), np.uint8) if out is None else out
     text[0] = np.signbit(values) * ord("-")
-    lead = fixed & (e < 0)
-    text[1], text[2] = lead * ord("0"), lead * ord(".")
-    text[3:6] = (lead & (_K[:3] < -1 - e)) * ord("0")
-    text[6:39:2] = (digits + ord("0")) * (_K <= np.maximum(point, last))
-    dotted = np.flatnonzero((point >= 0) & (last > point))
-    text[7 + 2 * point[dotted], dotted] = ord(".")
-    sci, exponent = ~fixed, np.abs(e)
-    text[39], text[40] = sci * ord("e"), sci * np.where(e < 0, ord("-"), ord("+"))
-    # the hundreds digit only from 100 on
-    text[41:] = (sci & (_K[:3] >= (exponent < 100))) * (ord("0") + exponent // _P3 % 10)
+    np.take(before, e, axis=1, out=text[1:6], mode="clip")
+    point = points[e]  # -1: "0." leads
+    last = ((digits != ord("0")) * _K[:17]).max(axis=0)  # of the significant digits
+    dotted = (point >= 0) & (last > point)
+    # the digits after a point one row down, the point in the row they left
+    text[6:23] = digits
+    np.copyto(text[7:24], digits, where=_K[:17] > np.where(dotted, point, 16))
+    text[7 + point[dotted], dotted] = ord(".")
+    np.copyto(text[6:24], 0, where=_K > np.maximum(point, last) + dotted)
+    np.take(after, e, axis=1, out=text[24:], mode="clip")
     rest = np.flatnonzero(~exact)
     if rest.size:
         exact_text = b"".join(map(_g17_exact, values[rest].tolist()))
@@ -574,9 +608,18 @@ def _g17(values: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _x_text(bits: bytes) -> np.ndarray:
-    """_g17 of the float64 values whose bytes are bits.  Keyed on the
-    bytes, not the floats, because 0.0 == -0.0 but they print differently."""
-    return _g17(np.frombuffer(bits))
+    """The x rows of a curve's text matrix: _g17 of the float64 values whose
+    bytes are bits, each column's text moved to its top and followed by a
+    comma, in as many rows as the longest needs.  Keyed on the bytes, not
+    the floats, because 0.0 == -0.0 but they print differently."""
+    chars = _g17(np.frombuffer(bits)).T
+    size = np.count_nonzero(chars, axis=1)
+    text = np.zeros((len(chars), size.max(initial=0) + 1), np.uint8)
+    text[np.arange(text.shape[1]) < size[:, None]] = chars[chars != 0]
+    text[np.arange(len(chars)), size] = ord(",")
+    text = np.ascontiguousarray(text.T)
+    text.flags.writeable = False
+    return text
 
 
 # the ",false" and ",true" row ends, NUL-padded to one length
@@ -586,10 +629,21 @@ _ROW_ENDS = np.frombuffer(b",false\r\n,true\r\n\0", np.uint8).reshape(2, 8).T
 def write_curve_csv(curve: Curve, path) -> None:
     """CSV with header x,value,defined and one row per point of curve,
     each float written as format(v, ".17g") is, by _g17.  The bytes are
-    the csv module's: no field needs quoting, lines end in \\r\\n.  The x
-    column is formatted once for consecutive calls on the same x values."""
-    x, value, defined = curve
-    text = np.vstack([_x_text(x.tobytes()), np.full((1, x.size), ord(","), np.uint8),
-                      _g17(value), _ROW_ENDS[:, defined.view(np.uint8)]])
+    the csv module's: no field needs quoting, lines end in \\r\\n.  The
+    columns are read as float64, float64 and bool; DomainError unless
+    they are 1-D and of one length.  The x column is formatted once for
+    consecutive calls on the same x values."""
+    x, value, defined = (np.asarray(c, t) for c, t in zip(curve, (float, float, bool)))
+    shapes = [x.shape, value.shape, defined.shape]
+    if len(shapes[0]) != 1 or len(set(shapes)) != 1:
+        raise DomainError(f"curve columns must be 1-D and of one length, got shapes {shapes}")
+    x_text = _x_text(x.tobytes())
+    rows = len(x_text)
+    # one column per row of the file: x and its comma, the value, the row end
+    text = np.empty((rows + _G17_HEIGHT + len(_ROW_ENDS), x.size), np.uint8)
+    text[:rows] = x_text
+    _g17(value, out=text[rows:rows + _G17_HEIGHT])
+    np.take(_ROW_ENDS, defined.view(np.uint8), axis=1, out=text[rows + _G17_HEIGHT:])
     with open(path, "wb") as fh:
-        fh.write(b"x,value,defined\r\n" + text.T.tobytes().translate(None, b"\0"))
+        fh.write(b"x,value,defined\r\n")
+        fh.write(text.T.tobytes().translate(None, b"\0"))

@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import pickle
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from conftest import draw_rows, mp_mixture, random_mixture
 from ikmix import mixture, ordercheck
 from ikmix import (
+    CURVE_FOR_KIND,
     CURVE_KINDS,
     DEFAULT_GRID,
     ORDER_KINDS,
@@ -718,6 +720,42 @@ _FLOAT64S = st.one_of(
 )
 
 
+def _text_cell(text: str) -> tuple:
+    """Where the %.17g text of a nonzero float puts its digits: the
+    notation, the decimal exponent E of the leading digit, the place of
+    the last significant digit after it, and the exponent's digit count
+    (0 in fixed notation)."""
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    digits = mantissa.replace(".", "")
+    significant = digits.strip("0")
+    if exponent:
+        return "sci", int(exponent), len(significant) - 1, len(exponent) - 1
+    leading_zeros = len(digits) - len(digits.lstrip("0"))
+    whole = mantissa.find(".") if "." in mantissa else len(mantissa)
+    return "fixed", whole - 1 - leading_zeros, len(significant) - 1, 0
+
+
+def _cell_values(exponent: int, last: int) -> list[float]:
+    """Up to 8 floats whose %.17g text has its leading digit at
+    10**exponent and its last significant digit `last` places after it:
+    the floats nearest D * 10**(exponent - last), for (last + 1)-digit
+    integers D from 10**last up that end in a nonzero digit, and their
+    neighbours."""
+    found = []
+    for digits in range(10**last + (last > 0), min(10**(last + 1), 10**last + 10**4)):
+        if digits % 10 == 0:
+            continue
+        v = float(f"{digits}e{exponent - last}")
+        for w in (v, np.nextafter(v, -math.inf), np.nextafter(v, math.inf)):
+            w = float(w)
+            if _text_cell(format(w, ".17g"))[1:3] == (exponent, last) and w not in found:
+                found.append(w)
+        if len(found) >= 8:
+            break
+    assert found, (exponent, last)
+    return found
+
+
 class TestCurves:
     def test_csv_bytes_match_the_csv_module(self, tmp_path):
         rows = [(x, v, d) for x in _SPECIAL for v in _SPECIAL for d in (True, False)]
@@ -780,6 +818,94 @@ class TestCurves:
         for i, x in enumerate((0.0, -0.0, 0.0, 1e-4)):
             _assert_csv_matches_reference(_curve([(x, 1.0, True), (1.0, -0.0, False)]),
                                           tmp_path, str(i))
+
+    def test_every_layout_cell_matches_the_reference(self, tmp_path, monkeypatch):
+        # every fixed-notation cell (leading digit at 10**-4 to 10**16, last
+        # significant digit 0 to 16 places after it), scientific notation
+        # with 2- and 3-digit exponents of either sign, with and without a
+        # point, both signs and +-0, each reached by a value the product
+        # decides, not by format(v, ".17g")
+        fixed = [(exponent, last) for exponent in range(-4, 17) for last in range(17)]
+        sci = [(-324, 16), (-100, 0), (-100, 1), (-99, 0), (-99, 16), (-5, 1), (17, 0),
+               (17, 16), (99, 1), (100, 0), (308, 16)]
+        values = np.array([0.0] + [v for cell in fixed + sci for v in _cell_values(*cell)])
+        values = np.concatenate([values, -values])
+        exact = ordercheck._g17_exact
+        deferred = []
+        monkeypatch.setattr(ordercheck, "_g17_exact", lambda v: deferred.append(v) or exact(v))
+        _assert_csv_matches_reference(Curve(values, values[::-1], np.isfinite(values)), tmp_path)
+        decided = [format(v, ".17g") for v in values.tolist() if v not in deferred]
+        cells = {_text_cell(text) for text in decided if text.lstrip("-") != "0"}
+        # "0.0001" is the text of 1e-4 alone, whose product lies within the
+        # margin of a tie
+        assert {cell[1:3] for cell in cells if cell[0] == "fixed"} == set(fixed) - {(-4, 0)}
+        assert {(cell[1] < 0, cell[2] > 0, cell[3]) for cell in cells if cell[0] == "sci"} == {
+            (negative, dotted, size) for negative in (True, False) for dotted in (True, False)
+            for size in (2, 3)}
+        assert {text[0] == "-" for text in decided} == {True, False}
+        assert {"0", "-0"} <= set(decided)
+        # with no margin the product decides it, and rounds it right
+        pow10, _, _ = ordercheck._g17_tables()
+        monkeypatch.setattr(ordercheck, "_g17_tables", lambda: (pow10, 0.0, 1e16))
+        deferred.clear()
+        _assert_csv_matches_reference(_curve([(1e-4, -1e-4, True)]), tmp_path, "margin")
+        assert deferred == []
+
+    @pytest.mark.parametrize("name, columns", [
+        ("int64 x", (np.array([1, 2, 3]), np.array([0.5, -0.0, np.nan]),
+                     np.array([True, True, False]))),
+        ("float32 x", (np.array([0.1, 2.5, 1e-30], np.float32), np.array([1.0, 2.0, 3.0]),
+                       np.array([True, False, True]))),
+        ("lists", ([1e-4, 1.0, 7], [0.25, float("inf"), -3], [1, 0, 1])),
+    ])
+    def test_columns_of_other_types_are_read_as_float64_and_bool(self, tmp_path, name,
+                                                                   columns):
+        # an int64 x column was read as the float64 bits of its integers,
+        # a float32 one raised, and lists had no tobytes
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_curve_csv(Curve(*columns), got)
+        _reference_curve_csv(Curve(*(np.asarray(c, t) for c, t in zip(columns,
+                                                                      (float, float, bool)))),
+                             want)
+        assert got.read_bytes() == want.read_bytes(), name
+
+    @pytest.mark.parametrize("columns", [
+        (np.ones(3), np.ones(2), np.ones(3, bool)),
+        (np.ones(3), np.ones(3), np.ones(4, bool)),
+        (np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3), bool)),
+        (1.0, 2.0, True),
+    ])
+    def test_columns_of_other_shapes_are_refused(self, tmp_path, columns):
+        with pytest.raises(DomainError, match="curve columns must be 1-D and of one length"):
+            write_curve_csv(Curve(*columns), tmp_path / "curve.csv")
+        assert not (tmp_path / "curve.csv").exists()
+
+    def test_catalog_curves_format_each_column_once(self, catalog, tmp_path, monkeypatch):
+        # the 15 catalog curves on DEFAULT_GRID, written in a row, format
+        # one x column and 15 value columns: the x text is cached
+        curves = [difference_curve(po.lhs, po.rhs, DEFAULT_GRID, CURVE_FOR_KIND[po.kind])
+                  for po in (catalog.checker_report(fid).orientation for fid in catalog.ids())]
+        g17, calls = ordercheck._g17, []
+        monkeypatch.setattr(ordercheck, "_g17", lambda *a, **k: calls.append(1) or g17(*a, **k))
+        ordercheck._x_text.cache_clear()
+        for i, curve in enumerate(curves):
+            write_curve_csv(curve, tmp_path / f"{i}.csv")
+        assert len(curves) == 15
+        assert len(calls) == 16
+
+    def test_one_write_stays_within_its_memory_budget(self, catalog, tmp_path):
+        # one 2,000-point write after a warm-up: 573 KiB traced with a
+        # 97-row text matrix, about 420 KiB with the 60-row one
+        po = catalog.checker_report("ex3.1").orientation
+        curve = difference_curve(po.lhs, po.rhs, DEFAULT_GRID, "sf")
+        write_curve_csv(curve, tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            write_curve_csv(curve, tmp_path / "curve.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 520 * 1024, peak
 
     def test_columns_hold_float64_float64_and_bool(self):
         m1 = FiniteMixture((1.0,), (1.0,), (1.0,))
@@ -1220,6 +1346,21 @@ class TestStackedVerdicts:
         sides[side][array][pair, component] = value
         with pytest.raises(DomainError, match=("lhs ", "rhs ")[side] + text):
             check_orders("st", *sides, Grid(1e-2, 1e2, 20))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_weights_that_do_not_sum_to_one_are_refused(self, side):
+        # weights (2, 2) are the distribution of weights (0.5, 0.5), yet
+        # st read violated against it; rows are refused beyond 1e-6 of 1,
+        # as FiniteMixture refuses raw weights, and never renormalised
+        ones = np.ones((1, 2))
+        sides = [[np.array([[0.5, 0.5]]), ones, ones] for _ in range(2)]
+        sides[side][0] = np.array([[2.0, 2.0]])
+        with pytest.raises(DomainError, match=("lhs ", "rhs ")[side] + re.escape(
+                "weights sum to 4.0 in pair 0, beyond 1e-6 of 1")):
+            check_orders("st", *sides, Grid(1e-2, 1e2, 20))
+        # within the tolerance the row is decided as given
+        sides[side][0] = np.array([[0.5, 0.5 + 9e-7]])
+        assert [v.kind for v in check_orders("st", *sides, Grid(1e-2, 1e2, 20))] == ["st"]
 
     def test_single_mixture_triples_are_refused(self):
         # a FiniteMixture's own 1-D (weights, alphas, betas) is one mixture,
