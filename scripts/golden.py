@@ -44,7 +44,10 @@ DIR receives, from the ikmix under this checkout's src/:
                                              the sf (_survival) on seeded
                                              edge cases, among them stacks
                                              of 8 mixtures and of one pair
-                                             of 70-component mixtures
+                                             of 70-component mixtures, and
+                                             rows of 15, 16, 17, 64 and
+                                             8193 points, the edges of the
+                                             kernel's ufunc buffer
 
 Every run turns RuntimeWarnings into errors, so a warning shows up as a
 changed .exit file rather than as noise on stderr.
@@ -273,6 +276,12 @@ stack = np.array([[(0.3, 0.7), tuple(10.0 ** r.uniform(-1, 1, 2)),
 # one pair's sides as one two-row stack, as the order checks evaluate them:
 # 2,000 points cut both rows into blocks of 4 components
 pair = np.array([(m.weights, m.alphas, m.betas) for m in (spread(70), spread(70))])
+# the ufunc buffer is cut to the row of points, a multiple of 16 from 16 to
+# 8192: rows of 15, 16 and 17 points, a crossing search's 64-point round on
+# the pair, and a row longer than the default buffer
+edges = {f"wide70_{n}": (wide, np.concatenate([ends, np.geomspace(1e-4, 1e4, n - 4)]))
+         for n in (15, 16, 17, 8193)}
+edges["pair70_round64"] = (pair, np.linspace(0.5, 2.0, 66)[1:-1])
 cases = {
     "beta_one": (FiniteMixture((0.25,) * 4, (0.7, 2.0, 1.0, 5.0), (1.0, 0.5, 1.0, 2.5)),
                  np.concatenate([ends, np.geomspace(1e-6, 1e6, 300)])),
@@ -289,6 +298,7 @@ cases = {
                 np.array([0.0, 5e-324, 1e-300, 1e-12, 1.0, 1e12, 1e300])),
     "scalar": (FiniteMixture((0.4, 0.6), (1.5, 0.8), (1.0, 3.0)), 0.75),
     "scalar_zero": (FiniteMixture((0.4, 0.6), (1.5, 0.8), (0.5, 3.0)), 0.0),
+    **edges,
 }
 def record(values):
     return [[list(np.shape(v)), np.asarray(v, dtype=np.float64).tobytes().hex()] for v in values]

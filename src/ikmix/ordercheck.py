@@ -491,7 +491,7 @@ def difference_curve(m1: FiniteMixture, m2: FiniteMixture, grid: Grid, which: st
         vals = _sf_difference(m1, m2, xs)
     else:
         name = which.removesuffix("_ratio")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             vals = np.exp(np.subtract(*_pair(_evaluate, xs, m1, m2, (name,))[0]))
     defined = np.isfinite(vals)
     vals.flags.writeable = defined.flags.writeable = False

@@ -729,6 +729,125 @@ class TestKernelStacks:
             assert g.shape == (32, 500) and g.tobytes() == w.tobytes()
         assert not np.all(np.isfinite(got[0])) and np.any(np.isfinite(got[0]))
 
+
+WIDE_GRID = ordercheck.Grid.from_spec("1e-100:1e100:3000:log")
+SCAN_CONFIGS = sorted(T310_GAP_PROBE.parent.glob("*.json"))
+
+
+def _recording_log_u(monkeypatch, seen, fail=False):
+    """Replace mixture._log_u by one that records numpy's buffer size and
+    error settings at each block, and raises RuntimeError when fail."""
+    log_u = mixture._log_u
+
+    def spy(L, a, out=None):
+        seen.append((np.getbufsize(), np.geterr()))
+        if fail:
+            raise RuntimeError("log u failed")
+        return log_u(L, a, out=out)
+
+    monkeypatch.setattr(mixture, "_log_u", spy)
+
+
+def _settings():
+    return np.getbufsize(), np.geterr()
+
+
+class TestKernelScope:
+    """The one numpy scope of mixture._stacked: a ufunc buffer no longer
+    than one row of points, every floating-point error ignored, and the
+    caller's settings back as they were once the call returns or raises."""
+
+    @pytest.mark.parametrize("points, size", [(None, 16), (15, 16), (64, 64), (500, 496),
+                                              (2000, 2000), (10_000, 8192)])
+    def test_buffer_is_no_longer_than_a_row(self, monkeypatch, points, size):
+        seen = []
+        _recording_log_u(monkeypatch, seen)
+        m = _spread_mixture(np.random.default_rng(5), 3)
+        x = 0.5 if points is None else np.geomspace(1e-3, 1e3, points)
+        # the caller's own settings, restored by its scope after the test
+        with np.errstate(divide="raise", under="warn"):
+            np.setbufsize(4096)
+            caller = _settings()
+            mixture._evaluate(x, m, ("cdf", "pdf", "rh"), slope=True)
+            assert _settings() == caller
+            mixture._survival(x, m)
+            assert _settings() == caller
+        ignore = dict.fromkeys(("divide", "over", "under", "invalid"), "ignore")
+        assert len(seen) >= 2 and all(block == (size, ignore) for block in seen)
+        assert points is None or points < 16 or size <= points
+
+    def test_settings_are_restored_when_the_kernel_raises(self, monkeypatch):
+        seen = []
+        _recording_log_u(monkeypatch, seen, fail=True)
+        m = _spread_mixture(np.random.default_rng(6), 3)
+        with np.errstate(over="raise"):
+            np.setbufsize(1024)
+            caller = _settings()
+            for fn in (lambda x: mixture._evaluate(x, m, ("cdf",)),
+                       lambda x: mixture._survival(x, m)):
+                with pytest.raises(RuntimeError, match="log u failed"):
+                    fn(np.geomspace(1e-3, 1e3, 64))
+                assert _settings() == caller
+        assert [size for size, _ in seen] == [64, 64]
+
+    @pytest.mark.parametrize("points", [1, 15, 16, 17, 64, 500, 2000, 8193])
+    @pytest.mark.parametrize("rows, n", [(None, 11), (2, 70), (21, 3)])
+    def test_bits_do_not_depend_on_the_buffer(self, monkeypatch, points, rows, n):
+        # the short buffer only changes how numpy walks a broadcast, so
+        # every row keeps the bits it has on numpy's default buffer
+        r = np.random.default_rng(points + n)
+        if rows is None:
+            m = _spread_mixture(r, n)
+        else:
+            m = np.array([(s.weights, s.alphas, s.betas)
+                          for s in (_spread_mixture(r, n) for _ in range(rows))])
+        xs = np.geomspace(1e-8, 1e8, points)
+        if points > 2:
+            xs[[0, -1]] = 0.0, 1e300
+
+        def values():
+            return [*mixture._evaluate(xs, m, TestKernelStacks.NAMES, slope=True),
+                    mixture._survival(xs, m)]
+
+        short = values()
+        seen = []
+        _recording_log_u(monkeypatch, seen)
+        monkeypatch.setattr(np, "setbufsize", lambda size: None)
+        default = values()
+        assert {size for size, _ in seen} == {8192}
+        for got, want in zip(short, default):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("grid", [ordercheck.DEFAULT_GRID, WIDE_GRID],
+                             ids=["default", "wide"])
+    def test_raising_errstate_changes_nothing(self, catalog, grid):
+        # underflow is expected in the shifted log-sum-exp and in exp of a
+        # log ratio, so a caller's all="raise" neither raises nor changes
+        # a bit of the checks, curves, evaluators, fixtures or scans
+        xs = grid.xs()
+        _unchanged_when_raising(lambda: [r.to_dict() for r in catalog.run_all(grid)])
+        for fid in catalog.ids():
+            po = catalog.checker_report(fid).orientation
+            for kind in ordercheck.ORDER_KINDS:
+                _unchanged_when_raising(
+                    lambda: ordercheck.check_order(kind, po.lhs, po.rhs, grid).to_dict())
+            for kind in ordercheck.CURVE_KINDS:
+                _unchanged_when_raising(lambda: [
+                    v.tobytes() for v in ordercheck.difference_curve(po.lhs, po.rhs, grid, kind)])
+            for fn in mixture.EVALUATORS.values():
+                _unchanged_when_raising(lambda: fn(xs, po.lhs).tobytes())
+        assert len(SCAN_CONFIGS) == 4
+        for path in SCAN_CONFIGS:
+            _unchanged_when_raising(lambda: run_scan(ScanConfig.from_file(path)).to_dict())
+
+
+def _unchanged_when_raising(call):
+    want = call()
+    with np.errstate(all="raise"):
+        got = call()
+    assert repr(got) == repr(want)
+
+
 def _two_branch_log_u(L, alpha):
     """log u with both branches evaluated everywhere and one picked by
     np.where, as before each branch ran only on its own half."""
