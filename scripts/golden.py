@@ -19,7 +19,13 @@ DIR receives, from the ikmix under this checkout's src/:
   dump_curves/*.csv                          DIR
   verdicts.json, verdicts.exit               the to_dict() of every catalog
                                              orientation under each order
-                                             kind, both ways round (crossings
+                                             kind, both ways round, on the
+                                             default grid and on
+                                             1e-100:1e100:3000:log, and of
+                                             one check_orders stack per kind
+                                             whose rows with every point
+                                             usable sit between rows with
+                                             unusable points (crossings
                                              read)
   reports.json, reports.exit                 the to_dict() of every catalog
                                              fixture's theorem report and of
@@ -67,18 +73,49 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 _CLI = "import sys; from ikmix.cli import main; sys.exit(main())"
-# 15 fixtures x 4 kinds x 2 directions = 120 verdicts, as JSON on stdout
+# 15 fixtures x 4 kinds x 2 directions x 2 grids = 240 verdicts, then 4
+# kinds x 31 pairs decided by check_orders on Grid(1e-305, 3e3, 1000), in
+# chunks of 16 pairs: 24 seeded pairs of 2-component mixtures with seven
+# pairs put between them whose rows hold unusable points.  Where both
+# alphas are 1e-20 the first 5 points are non-finite for rh, lr and r_rh,
+# and two of those pairs are violated in rh and lr; alphas of 100 and more
+# make st skip the 2 points where both sfs underflow.  As JSON on stdout
 _VERDICTS = """
 import json, sys
-from ikmix import ORDER_KINDS, FixtureCatalog, check_order
+import numpy as np
+from ikmix import DEFAULT_GRID, ORDER_KINDS, FixtureCatalog, FiniteMixture, Grid, check_order
+from ikmix.ordercheck import check_orders
 catalog = FixtureCatalog()
 rows = []
-for fid in catalog.ids():
-    po = catalog.checker_report(fid).orientation
-    for kind in ORDER_KINDS:
-        for direction, m1, m2 in (("lhs<=rhs", po.lhs, po.rhs), ("rhs<=lhs", po.rhs, po.lhs)):
-            rows.append({"fixture": fid, "kind": kind, "claim": direction,
-                         "verdict": check_order(kind, m1, m2).to_dict()})
+for name, grid in (("default", DEFAULT_GRID), ("wide", Grid.from_spec("1e-100:1e100:3000:log"))):
+    for fid in catalog.ids():
+        po = catalog.checker_report(fid).orientation
+        for kind in ORDER_KINDS:
+            for direction, m1, m2 in (("lhs<=rhs", po.lhs, po.rhs), ("rhs<=lhs", po.rhs, po.lhs)):
+                rows.append({"grid": name, "fixture": fid, "kind": kind, "claim": direction,
+                             "verdict": check_order(kind, m1, m2, grid).to_dict()})
+r = np.random.default_rng(2025)
+def spread():
+    w = r.uniform(0.05, 1.0, 2)
+    return FiniteMixture(tuple(w / w.sum()), tuple(10.0 ** r.uniform(-1.0, 1.0, 2)),
+                         tuple(10.0 ** r.uniform(-1.0, 1.0, 2)))
+pairs = [(spread(), spread()) for _ in range(24)]
+tiny = (FiniteMixture((0.5, 0.5), (1e-20, 1.0), (2.0, 3.0)),
+        FiniteMixture((0.3, 0.7), (1e-20, 1.0), (2.5, 1.0)))
+large = (FiniteMixture((0.5, 0.5), (100.0, 120.0), (2.0, 3.0)),
+         FiniteMixture((0.4, 0.6), (100.0, 110.0), (1.5, 3.0)))
+def both_tiny(w1, b1, w2, b2):
+    return FiniteMixture(w1, (1e-20, 1e-20), b1), FiniteMixture(w2, (1e-20, 1e-20), b2)
+gaps = [tiny, tiny[::-1], both_tiny((0.5, 0.5), (2.0, 3.0), (0.5, 0.5), (3.0, 2.0)),
+        both_tiny((0.3, 0.7), (2.0, 3.0), (0.6, 0.4), (1.5, 4.0)),
+        both_tiny((0.5, 0.5), (1.0, 2.0), (0.5, 0.5), (0.5, 3.0)), large, large[::-1]]
+for k, pair in enumerate(gaps):
+    pairs.insert(4 * k + 2, pair)
+sides = [tuple(np.array([getattr(pair[s], v) for pair in pairs])
+               for v in ("weights", "alphas", "betas")) for s in (0, 1)]
+for kind in ORDER_KINDS:
+    for index, verdict in enumerate(check_orders(kind, *sides, Grid(1e-305, 3e3, 1000))):
+        rows.append({"stack": index, "kind": kind, "verdict": verdict.to_dict()})
 json.dump(rows, sys.stdout, indent=1)
 sys.stdout.write("\\n")
 """

@@ -20,7 +20,9 @@ neither underflow silently nor lose the leading digits:
 
 All evaluators accept a float or an array of x values and return a
 matching float or array.  Invalid x (negative, NaN, infinite) raises
-DomainError rather than propagating NaNs.
+DomainError rather than propagating NaNs.  Each evaluator, and the
+quantile, computes in one numpy scope that ignores every floating-point
+error, so a caller's np.errstate changes neither a result nor a warning.
 """
 
 from __future__ import annotations
@@ -136,18 +138,19 @@ def _log_u(L: np.ndarray, alpha, out: np.ndarray | None = None) -> np.ndarray:
     out = np.multiply(-alpha, L, out=out)
     large = out < -_LOG2
     small = ~large
-    with np.errstate(divide="ignore"):
-        np.expm1(out, out=out, where=small)
-        np.exp(out, out=out, where=large)
-        np.negative(out, out=out)
-        np.log(out, out=out, where=small)
-        np.log1p(out, out=out, where=large)
+    np.expm1(out, out=out, where=small)
+    np.exp(out, out=out, where=large)
+    np.negative(out, out=out)
+    np.log(out, out=out, where=small)
+    np.log1p(out, out=out, where=large)
     return out
 
 
 # The formulas below take log u from _log_u and broadcast like it, so the
 # mixture kernel shares them with the single-component evaluators; out,
-# when given, receives the result.
+# when given, receives the result.  _log_u and they run inside their
+# caller's numpy scope, which ignores every floating-point error: log u is
+# -inf at x = 0, and the exps under- and overflow at the extremes.
 
 
 def _log_cdf(beta, log_u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -166,9 +169,8 @@ def _log_pdf(log_ab, alpha1, beta1, not_one, L: np.ndarray, log_u: np.ndarray,
     for beta < 1 and -inf for beta > 1; where not_one is False (beta = 1)
     it is left out (0 * -inf)."""
     logf = np.subtract(log_ab, np.multiply(alpha1, L, out=out), out=out)
-    with np.errstate(invalid="ignore"):
-        # masked, not np.where: the beta = 1 rows keep log_ab - alpha1 * L as it is
-        return np.add(logf, np.multiply(beta1, log_u, out=work), out=logf, where=not_one)
+    # masked, not np.where: the beta = 1 rows keep log_ab - alpha1 * L as it is
+    return np.add(logf, np.multiply(beta1, log_u, out=work), out=logf, where=not_one)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +181,8 @@ def _log_pdf(log_ab, alpha1, beta1, not_one, L: np.ndarray, log_u: np.ndarray,
 def ik_cdf(x, params: IKParams):
     """Distribution function; exactly 0.0 at x = 0 and increasing to 1."""
     xs, scalar = _as_x(x)
-    out = np.exp(_log_cdf(params.beta, _log_u(np.log1p(xs), params.alpha)))
+    with np.errstate(all="ignore"):
+        out = np.exp(_log_cdf(params.beta, _log_u(np.log1p(xs), params.alpha)))
     return _ret(out, scalar)
 
 
@@ -190,7 +193,8 @@ def ik_sf(x, params: IKParams):
     cdf is within an ulp of 1.
     """
     xs, scalar = _as_x(x)
-    out = _sf(params.beta, _log_u(np.log1p(xs), params.alpha))
+    with np.errstate(all="ignore"):
+        out = _sf(params.beta, _log_u(np.log1p(xs), params.alpha))
     return _ret(out, scalar)
 
 
@@ -204,8 +208,8 @@ def ik_pdf(x, params: IKParams):
     """
     xs, scalar = _as_x(x)
     a, b = params.alpha, params.beta
-    L = np.log1p(xs)
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
+        L = np.log1p(xs)
         out = np.exp(_log_pdf(math.log(a) + math.log(b), a + 1.0, b - 1.0, b != 1.0, L,
                               _log_u(L, a)))
     return _ret(out, scalar)
@@ -217,9 +221,10 @@ def ik_reversed_hazard(x, params: IKParams):
         raise DomainError("x must be > 0")
     xs, scalar = _as_x(x)
     a, b = params.alpha, params.beta
-    L = np.log1p(xs)
-    u = -np.expm1(-a * L)
-    out = a * b * np.exp(-(a + 1.0) * L) / u
+    with np.errstate(all="ignore"):
+        L = np.log1p(xs)
+        u = -np.expm1(-a * L)
+        out = a * b * np.exp(-(a + 1.0) * L) / u
     return _ret(out, scalar)
 
 
@@ -240,7 +245,9 @@ def ik_quantile(u, params: IKParams):
     if not np.all(np.isfinite(flat)) or np.any(flat <= 0.0) or np.any(flat >= 1.0):
         raise DomainError("quantile argument must lie strictly in (0, 1)")
     us = arr.reshape(1) if scalar else arr
-    # log w for w = 1 - u^(1/beta) = 1 - exp(-y), with _log_u's split at 1/2
-    log_w = _log_u(-np.log(us) / params.beta, 1.0)
-    out = np.expm1(-log_w / params.alpha)
+    with np.errstate(all="ignore"):
+        # log w for w = 1 - u^(1/beta) = 1 - exp(-y), with _log_u's split at
+        # 1/2; x overflows to inf where w^(-1/alpha) does
+        log_w = _log_u(-np.log(us) / params.beta, 1.0)
+        out = np.expm1(-log_w / params.alpha)
     return _ret(out, scalar)

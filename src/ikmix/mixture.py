@@ -366,6 +366,9 @@ def mixture_quantile(u: float, m: FiniteMixture) -> float:
     searched in y = log x down to a width of 5e-13, a relative width of
     5e-13 in x at any scale.  When rounding leaves both ends of the
     bracket on one side of u, the answer is lo if cdf(lo) >= u, else hi.
+    A component quantile that overflows to inf leaves the bracket at the
+    largest float; the answer is inf, as ik_quantile's, when the cdf there
+    is still below u.
     """
     u = float(u)
     if not (0.0 < u < 1.0):
@@ -374,11 +377,14 @@ def mixture_quantile(u: float, m: FiniteMixture) -> float:
     lo, hi = min(qs), max(qs)
     if hi <= lo:
         return lo
+    if hi == math.inf and mixture_cdf(_LOG_MAX, m) < u:
+        return math.inf
+    hi = min(hi, _LOG_MAX)
     # lo is 0 where u^(1/beta) rounds to 0; the search starts at 5e-324 then,
     # where log cdf may be -inf (alpha * x underflows): clipped, it reads as
     # below u, so the bracket's low end stays finite
     y = _refine_crossing(
-        lambda y: np.maximum(_evaluate(np.exp(y), m, ("cdf",))[0], -_LOG_MAX) - math.log(u),
+        lambda y: np.maximum(_evaluate(_exp(y), m, ("cdf",))[0], -_LOG_MAX) - math.log(u),
         math.log(max(lo, 5e-324)), math.log(hi), 5e-13)
     if y is None:
         return lo if mixture_cdf(lo, m) >= u else hi

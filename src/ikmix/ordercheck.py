@@ -37,10 +37,18 @@ also skips the points where both survival functions underflow float64
 grid is unusable the verdict is inconclusive; so is an rh verdict whose
 two criteria disagree.  Otherwise the row's first bad point, if any,
 makes the verdict violated, and _verdicts builds its witness, reason and
-pending crossing from the test's own arrays: the usable point before
-each point, the two compared arrays (a log ratio twice for a step test),
-the search function, the reason template and the witness value
-transform.
+pending crossing from the test's own arrays: the step map, the two
+compared arrays (a log ratio twice for a step test), the search
+function, the reason template and the witness value transform.
+
+A row whose every point is usable steps into point j from point j - 1:
+the step test compares neighbour slices of the ratio, with the tolerance
+of the left one, and a witness's left point is k - 1, with no index map
+and no gather.  Only the rows that hold an unusable point get a map
+(_previous), from each point to the usable point before it (for st, the
+point before it if usable); their steps and left points go through it.
+The choice is made per row from the usable mask, so one such row leaves
+the rest of its chunk on neighbour slices.
 
 Witness semantics: for pointwise checks, (x, lhs, rhs) are the two
 compared values (sf or rh) at the offending x.  For monotonicity checks,
@@ -200,13 +208,27 @@ class OrderVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _previous(usable: np.ndarray, across_gaps: bool) -> np.ndarray:
-    """Per point, the index of the point before it if that one is usable,
-    or with across_gaps the last usable point before it; -1 if none."""
-    prev = np.full(usable.shape, -1)
-    before = np.where(usable[:, :-1], np.arange(usable.shape[1] - 1), -1)
-    prev[:, 1:] = np.maximum.accumulate(before, axis=1) if across_gaps else before
-    return prev
+def _previous(usable: np.ndarray, across_gaps: bool) -> tuple:
+    """The step map of a stack: the indices of the rows that hold an
+    unusable point, and for each point of those rows the index of the point
+    before it if that one is usable, or with across_gaps the last usable
+    point before it; -1 if none.  A row with every point usable has no map:
+    its step into point j is from point j - 1 (_bad_steps, _left)."""
+    rows = np.flatnonzero(~usable.all(axis=1))
+    prev = np.full((rows.size, usable.shape[1]), -1)
+    if rows.size:
+        before = np.where(usable[rows, :-1], np.arange(usable.shape[1] - 1), -1)
+        prev[:, 1:] = np.maximum.accumulate(before, axis=1) if across_gaps else before
+    return rows, prev
+
+
+def _left(previous: tuple, rows: list, ks: list) -> list:
+    """The left point of the step into point ks[n] of row rows[n], by the
+    step map previous (_previous): ks[n] - 1 in a row with no map (-1 at
+    the first point)."""
+    mapped, prev = previous
+    maps = dict(zip(mapped.tolist(), prev))
+    return [int(maps[i][k]) if i in maps else k - 1 for i, k in zip(rows, ks)]
 
 
 def _exceeds(v1: np.ndarray, v2: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -215,18 +237,30 @@ def _exceeds(v1: np.ndarray, v2: np.ndarray, scale: np.ndarray) -> np.ndarray:
         return v1 > v2 + _TOL * (1.0 + scale)
 
 
-def _bad_steps(r: np.ndarray, scale: np.ndarray, usable: np.ndarray, prev: np.ndarray,
+def _bad_steps(r: np.ndarray, scale: np.ndarray, usable: np.ndarray, previous: tuple,
                nondecreasing: bool) -> np.ndarray:
     """Steps of r between consecutive usable points that break monotonicity
     in the named direction beyond the tolerance _TOL * (1 + scale) at the
-    step's left end; entry j is the step from point prev[j] to point j."""
-    # prev as indices into the flattened rows; a -1 reads the row's first
-    # point, and the mask below drops that step
-    left = np.maximum(prev, 0) + np.arange(0, r.size, r.shape[1])[:, None]
+    step's left end; entry j is the step into point j.  Every row takes
+    its steps from neighbouring points, slices with no gather; the rows of
+    the step map previous (_previous) then take theirs from point prev[j]
+    instead, through the map."""
     with np.errstate(invalid="ignore"):
-        diffs = r - r.take(left)
-    tau = _TOL * (1.0 + scale.take(left))
-    return (diffs < -tau if nondecreasing else diffs > tau) & usable & (prev >= 0)
+        diffs = r[:, 1:] - r[:, :-1]
+    tau = _TOL * (1.0 + scale[:, :-1])
+    bad = np.zeros(r.shape, dtype=bool)
+    bad[:, 1:] = diffs < -tau if nondecreasing else diffs > tau
+    rows, prev = previous
+    if rows.size:
+        # prev as indices into the flattened rows; a -1 reads the row's
+        # first point, and the mask below drops that step
+        r, scale = r[rows], scale[rows]
+        left = np.maximum(prev, 0) + np.arange(0, r.size, r.shape[1])[:, None]
+        with np.errstate(invalid="ignore"):
+            diffs = r - r.take(left)
+        tau = _TOL * (1.0 + scale.take(left))
+        bad[rows] = (diffs < -tau if nondecreasing else diffs > tau) & usable[rows] & (prev >= 0)
+    return bad
 
 
 def _magnitude(*logs: np.ndarray) -> np.ndarray:
@@ -270,20 +304,21 @@ def _sf_difference(m1, m2, x):
 
 
 def _verdicts(kind: str, grid: Grid, m1s, m2s, skip: np.ndarray, nonfinite: np.ndarray,
-              bad: np.ndarray, prev: np.ndarray, v1: np.ndarray, v2: np.ndarray, step: bool,
+              bad: np.ndarray, previous: tuple, v1: np.ndarray, v2: np.ndarray, step: bool,
               search, reason: str, value, split: dict | None = None) -> list[OrderVerdict]:
     """Each row's verdict, built once.  A row with over 10% of the grid
     unusable (skip or nonfinite) is inconclusive and names each count;
     passing leaves at least two usable points on any grid.  Then a row in
     split is inconclusive with the reason it maps to; a row with no point
     in bad holds on the grid; any other row is violated at its first bad
-    point k, with p = prev[k].  Its witness holds x[k], v1 at p for a step
-    test (v1 = v2, a log ratio) or at k for a pointwise one, and v2 at k,
-    through value, which takes the stack's witness values in one array;
-    reason is a template for the witness x.  Its crossing, the root of
-    search(m1, m2, x) bound to the pair's parameter rows, is refined on
-    first read inside the step from p to k: always for a step test, and
-    for a pointwise test when p is strictly ordered (v1 < v2 there)."""
+    point k, whose step starts at p, read from the step map previous
+    (_left).  Its witness holds x[k], v1 at p for a step test (v1 = v2, a
+    log ratio) or at k for a pointwise one, and v2 at k, through value,
+    which takes the stack's witness values in one array; reason is a
+    template for the witness x.  Its crossing, the root of search(m1, m2,
+    x) bound to the pair's parameter rows, is refined on first read inside
+    the step from p to k: always for a step test, and for a pointwise test
+    when p is strictly ordered (v1 < v2 there)."""
     xs = grid.xs()
     rows = list(zip(skip.sum(axis=1).tolist(), nonfinite.sum(axis=1).tolist(),
                     bad.any(axis=1).tolist(), bad.argmax(axis=1).tolist()))
@@ -303,9 +338,9 @@ def _verdicts(kind: str, grid: Grid, m1s, m2s, skip: np.ndarray, nonfinite: np.n
     found = {}
     if hit:
         ks = [rows[i][3] for i in hit]
-        ps = prev[hit, ks]
+        ps = _left(previous, hit, ks)
         lhs, rhs = value(np.stack((v1[hit, ps if step else ks], v2[hit, ks]))).tolist()
-        for i, k, p, left, right in zip(hit, ks, ps.tolist(), lhs, rhs):
+        for i, k, p, left, right in zip(hit, ks, ps, lhs, rhs):
             x, refined = float(xs[k]), None
             if step or (p >= 0 and v1[i, p] - v2[i, p] < 0.0):
                 refined = partial(_refine_crossing, partial(search, m1s[i], m2s[i]),
@@ -329,10 +364,10 @@ def _check_ratio_monotone(kind: str, grid: Grid, log_num: np.ndarray, log_den: n
         log_ratio = log_num - log_den
     nonfinite = ~np.isfinite(log_ratio)
     usable = ~nonfinite
-    prev = _previous(usable, across_gaps=True)
+    previous = _previous(usable, across_gaps=True)
     direction = "nondecreasing" if nondecreasing else "nonincreasing"
     return _verdicts(kind, grid, m1s, m2s, np.zeros_like(nonfinite), nonfinite,
-                     _bad_steps(log_ratio, scale, usable, prev, nondecreasing), prev,
+                     _bad_steps(log_ratio, scale, usable, previous, nondecreasing), previous,
                      log_ratio, log_ratio, True, slope,
                      f"ratio fails to be {direction} on the step ending at x={{!r}}", _exp)
 
@@ -364,16 +399,16 @@ def _rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
     (F1, F2), (f1, f2), (h1, h2) = _pair(_evaluate, grid.xs(), m1s, m2s, ("cdf", "pdf", "rh"))
     nonfinite = ~(np.isfinite(h1) & np.isfinite(h2))
     usable = ~nonfinite
-    prev = _previous(usable, across_gaps=True)
+    previous = _previous(usable, across_gaps=True)
     scale = _magnitude(F1, f1, F2, f2)
     with np.errstate(invalid="ignore"):
-        ratio_bad = _bad_steps(F2 - F1, scale, usable, prev, nondecreasing=True).any(axis=1)
+        ratio_bad = _bad_steps(F2 - F1, scale, usable, previous, nondecreasing=True).any(axis=1)
     viol = usable & _exceeds(h1, h2, scale)
     split = {}
     for i in np.flatnonzero(ratio_bad != viol.any(axis=1)).tolist():
         which = "cdf-ratio monotonicity" if ratio_bad[i] else "pointwise reversed hazards"
         split[i] = f"the two rh criteria disagree (only {which} flagged a violation)"
-    return _verdicts("rh", grid, m1s, m2s, np.zeros_like(nonfinite), nonfinite, viol, prev,
+    return _verdicts("rh", grid, m1s, m2s, np.zeros_like(nonfinite), nonfinite, viol, previous,
                      h1, h2, False,
                      lambda m1, m2, x: np.subtract(*_pair(_evaluate, x, m1, m2, ("rh",))[0]),
                      "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", _exp, split)

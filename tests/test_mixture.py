@@ -5,6 +5,7 @@ compensated weight sum, and the log-sum-exp kernel's accuracy against
 from __future__ import annotations
 
 import math
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -22,6 +23,7 @@ from ikmix import (
     ik_cdf,
     ik_pdf,
     ik_quantile,
+    ik_reversed_hazard,
     ik_sf,
     mixture_cdf,
     mixture_pdf,
@@ -313,6 +315,20 @@ class TestQuantile:
         assert 0.0 <= lo <= root and math.copysign(1.0, lo) == 1.0
         assert (lo == 0.0) == (root > 1e-18)
         assert abs(mixture_quantile(1e-6, m) - root) <= 1e-12 * root
+
+    def test_overflowing_component_quantile(self):
+        # alpha = 1e-10 puts the first component's quantile at 0.5 beyond
+        # the largest float, so the bracket ends at that float.  With 0.9
+        # on IK(2, 0.4) the cdf there is 0.9 and the root is 40-digit
+        # mpmath's; with 0.4 the cdf there is 0.4, below u, and the answer
+        # is inf, as the lone component's.  Neither warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ik_quantile(0.5, IKParams(1e-10, 3.0)) == math.inf
+            got = mixture_quantile(0.5, FiniteMixture((0.1, 0.9), (1e-10, 2.0), (3.0, 0.4)))
+            beyond = mixture_quantile(0.5, FiniteMixture((0.6, 0.4), (1e-10, 2.0), (3.0, 0.4)))
+        assert abs(got - 0.13964139436412884) <= 1e-12 * 0.13964139436412884
+        assert beyond == math.inf
 
     def test_few_vectorised_cdf_calls(self, monkeypatch):
         # the search evaluates the log cdf through the kernel
@@ -841,6 +857,34 @@ class TestKernelScope:
             _unchanged_when_raising(lambda: run_scan(ScanConfig.from_file(path)).to_dict())
 
 
+class TestEvaluatorScope:
+    """The single-component evaluators, ik_quantile and mixture_quantile
+    each compute in one numpy scope that ignores every floating-point
+    error, so a caller's all="raise" changes no result."""
+
+    XS = np.array([0.0, 5e-324, 1e-300, 1e-12, 1.0, 1e12, 1e300])
+    LEVELS = np.array([1e-300, 1e-12, 0.5, 1.0 - 1e-16])
+
+    @pytest.mark.parametrize("params", [
+        IKParams(1.0, 2.0), IKParams(1e-10, 3.0), IKParams(300.0, 0.4), IKParams(1.0, 1.0),
+        IKParams(1e300, 1e-300), IKParams(1e-300, 1e300)], ids=repr)
+    def test_evaluators_and_quantile(self, params):
+        # x = 0 takes log 0; 1e-300 and 1e300 under- and overflow the exps
+        for fn, xs in ((ik_cdf, self.XS), (ik_sf, self.XS), (ik_pdf, self.XS),
+                       (ik_reversed_hazard, self.XS[1:]), (ik_quantile, self.LEVELS)):
+            _unchanged_when_raising(lambda: fn(xs, params).tobytes())
+            for x in xs.tolist():
+                _unchanged_when_raising(lambda: fn(x, params))
+
+    @pytest.mark.parametrize("weights, alphas, betas", [
+        ((0.5, 0.5), (1.0, 2.0), (3.0, 0.4)), ((0.1, 0.9), (1e-10, 2.0), (3.0, 0.4)),
+        ((0.6, 0.4), (1e-10, 2.0), (3.0, 0.4)), ((0.5, 0.5), (0.2, 0.3), (0.3, 400.0))])
+    def test_mixture_quantile(self, weights, alphas, betas):
+        m = FiniteMixture(weights, alphas, betas)
+        for u in self.LEVELS.tolist():
+            _unchanged_when_raising(lambda: mixture_quantile(u, m))
+
+
 def _unchanged_when_raising(call):
     want = call()
     with np.errstate(all="raise"):
@@ -868,10 +912,13 @@ class TestLogU:
                             r.uniform(0.0, 3.0, size=3000)])
         L = np.log1p(x)
         alphas = 10.0 ** r.uniform(-3.0, 3.0, size=(5, 1))
-        got = ikdist._log_u(L, alphas)
+        # log u runs in its caller's scope, which must ignore log(0) at x = 0
+        with np.errstate(divide="ignore"):
+            got = ikdist._log_u(L, alphas)
+            singles = [ikdist._log_u(L, float(alpha)) for alpha in alphas[:, 0]]
         assert got.tobytes() == _two_branch_log_u(L, alphas).tobytes()
-        for k in range(alphas.shape[0]):
-            assert ikdist._log_u(L, float(alphas[k, 0])).tobytes() == got[k].tobytes()
+        for k, single in enumerate(singles):
+            assert single.tobytes() == got[k].tobytes()
 
 
 class TestLogSumExp:

@@ -1376,22 +1376,54 @@ class TestStackedVerdicts:
     @pytest.mark.parametrize("nondecreasing", [True, False])
     def test_step_test_matches_compacted_rows(self, nondecreasing):
         # the stacked step test against np.diff over each row's usable
-        # points, on rows with unusable points anywhere, ties and NaNs
+        # points, on three stacks: rows with unusable points anywhere, ties
+        # and NaNs; rows whose every point is usable, which step from
+        # their neighbours with no map; and such rows between rows with
+        # unusable points at the ends and inside.  On the last two the
+        # scale puts the tolerance near the ratio's 0.1 steps, so that one
+        # read at the step's right end flips steps.  Every point's left
+        # point (_left) is the last usable point before it, or with
+        # across_gaps=False the point before it if usable
         r = np.random.default_rng(int(nondecreasing))
         ratio = np.round(np.cumsum(r.normal(size=(40, 30)), axis=1), 1)
         usable = r.random(size=ratio.shape) < 0.8
         usable[0], usable[1], usable[2, 1:] = True, False, False
         ratio[~usable & (r.random(size=ratio.shape) < 0.5)] = np.nan
         scale = np.abs(r.normal(size=ratio.shape)) * 1e10
-        got = ordercheck._bad_steps(ratio, scale, usable, ordercheck._previous(usable, True),
-                                    nondecreasing)
-        for i in range(len(ratio)):
-            idx = np.flatnonzero(usable[i])
-            diffs = np.diff(ratio[i, idx])
-            tau = 1e-12 * (1.0 + scale[i, idx[:-1]])
-            want = np.zeros(ratio.shape[1], dtype=bool)
-            want[idx[1:]] = diffs < -tau if nondecreasing else diffs > tau
-            assert got[i].tolist() == want.tolist()
+        stacks = [(ratio, usable, scale)]
+        for mixed in (False, True):
+            ratio = np.round(np.cumsum(r.normal(size=(40, 30)), axis=1), 1)
+            usable = np.ones(ratio.shape, dtype=bool)
+            if mixed:
+                usable[1::2] = r.random(size=(20, 30)) < 0.8
+                usable[1, :3], usable[3, -3:], usable[5, 10:20] = False, False, False
+                ratio[~usable] = np.nan
+            stacks.append((ratio, usable, np.abs(r.normal(size=ratio.shape)) * 1e11))
+        flips = 0
+        for ratio, usable, scale in stacks:
+            got = ordercheck._bad_steps(ratio, scale, usable, ordercheck._previous(usable, True),
+                                        nondecreasing)
+            for i in range(len(ratio)):
+                idx = np.flatnonzero(usable[i])
+                diffs = np.diff(ratio[i, idx])
+                tau = 1e-12 * (1.0 + scale[i, idx[:-1]])
+                want = np.zeros(ratio.shape[1], dtype=bool)
+                want[idx[1:]] = diffs < -tau if nondecreasing else diffs > tau
+                assert got[i].tolist() == want.tolist()
+                right = 1e-12 * (1.0 + scale[i, idx[1:]])
+                flips += np.count_nonzero(want[idx[1:]] != (diffs < -right if nondecreasing
+                                                            else diffs > right))
+            rows, ks = np.nonzero(np.ones(ratio.shape, dtype=bool))
+            for across_gaps in (True, False):
+                left = ordercheck._left(ordercheck._previous(usable, across_gaps),
+                                        rows.tolist(), ks.tolist())
+                want = []
+                for i, k in zip(rows.tolist(), ks.tolist()):
+                    before = np.flatnonzero(usable[i, :k])
+                    last = int(before[-1]) if before.size else -1
+                    want.append(last if across_gaps or last == k - 1 else -1)
+                assert left == want
+        assert flips > 0
 
     @pytest.mark.parametrize("count", [2, 4])
     def test_magnitude_is_the_max_of_the_stacked_abs(self, count):
