@@ -17,9 +17,10 @@ The public evaluators take a FiniteMixture and are exp of those logs;
 the reversed hazard is exp(log pdf - log cdf), never 0/0.  The sf terms
 lie in [0, 1] and come linear from expm1, so mixture_sf adds them as
 they are, by a compensated sum in component order.  _renormalised
-divides the raw weights of a FiniteMixture and of a scan's draws alike;
-the batched bracket search (_refine_crossing) behind mixture_quantile
-and the crossings lives here.
+divides the raw weights of a FiniteMixture by their math.fsum, and
+_renormalised_rows each row of a scan's draws, bit for bit alike; the
+batched bracket search (_refine_crossing) behind mixture_quantile and
+the crossings lives here.
 
 Each kernel call makes one workspace, three arrays of one block, which
 every block's values are written into in place, and takes its last logs
@@ -178,6 +179,17 @@ def _renormalised(weights) -> tuple[float, ...]:
     if abs(total - 1.0) > _RAW_WEIGHT_TOL:
         raise DomainError(f"raw weights sum to {total!r}, beyond 1e-6 of 1")
     return tuple(w / total for w in weights)
+
+
+def _renormalised_rows(weights: np.ndarray) -> np.ndarray:
+    """_renormalised of each row of a stack of raw weights, bit for bit,
+    with its DomainError for the first row whose sum is out of bounds; a
+    scan's draws take it, whose sums cannot overflow."""
+    totals = np.array([math.fsum(row) for row in weights.tolist()])
+    off = np.flatnonzero(np.abs(totals - 1.0) > _RAW_WEIGHT_TOL)
+    if off.size:
+        raise DomainError(f"raw weights sum to {totals[off[0]].item()!r}, beyond 1e-6 of 1")
+    return weights / totals[:, None]
 
 
 def _per_component(name: str, value, n: int) -> tuple:

@@ -30,25 +30,33 @@ so do its crossing search, round by round, and difference_curve.  Each
 row of a stack holds the bits of its mixture alone, so every value is
 the same either way.
 
-One row loop (_verdicts) builds every verdict.  Points where a compared
-value or log is NaN or infinite are counted in nonfinite_points, and st
-also skips the points where both survival functions underflow float64
-(below 1e-300), counted in skipped_points.  When more than 10% of the
-grid is unusable the verdict is inconclusive; so is an rh verdict whose
-two criteria disagree.  Otherwise the row's first bad point, if any,
-makes the verdict violated, and _verdicts builds its witness, reason and
-pending crossing from the test's own arrays: the step map, the two
-compared arrays (a log ratio twice for a step test), the search
-function, the reason template and the witness value transform.
+A chunk's verdicts are decided as columns, with no loop over its rows
+(_verdicts): each row's status code, its skipped and non-finite point
+counts, and for a violated row its witness and the left end of its
+crossing search, in one array.  Points where a compared value or log is
+NaN or infinite are counted in nonfinite_points, and st also skips the
+points where both survival functions underflow float64 (below 1e-300),
+counted in skipped_points.  When more than 10% of the grid is unusable
+the verdict is inconclusive; so is an rh verdict whose two criteria
+disagree; only these rows get a reason as the chunk is decided.
+Otherwise the row's first bad point, if any, makes the verdict violated,
+its witness read from the test's own arrays: the step map, the two
+compared arrays (a log ratio twice for a step test) and the witness value
+transform.  One function (_verdict) builds a row's OrderVerdict from the
+columns, with its Witness, its reason (from the test's template) and its
+pending crossing (the test's search function bound to the pair's
+parameter rows); check_orders and check_order build every verdict they
+return through it, and a scan reads the columns instead (scan.run_scan).
 
 A row whose every point is usable steps into point j from point j - 1:
 the step test compares neighbour slices of the ratio, with the tolerance
 of the left one, and a witness's left point is k - 1, with no index map
 and no gather.  Only the rows that hold an unusable point get a map
 (_previous), from each point to the usable point before it (for st, the
-point before it if usable); their steps and left points go through it.
-The choice is made per row from the usable mask, so one such row leaves
-the rest of its chunk on neighbour slices.
+point before it if usable); their steps go through it, and their left
+points through one lookup of the violated rows among the mapped ones
+(_left).  The choice is made per row from the usable mask, so one such
+row leaves the rest of its chunk on neighbour slices.
 
 Witness semantics: for pointwise checks, (x, lhs, rhs) are the two
 compared values (sf or rh) at the offending x.  For monotonicity checks,
@@ -59,13 +67,14 @@ vectorised round, down to a relative width of 1e-9): of the difference
 of the compared values for st and rh, and of the closed-form slope of
 the log ratio for lr and r-rh.  A violated verdict runs that search the
 first time its crossing is read, with the search function bound to its
-pair's parameter rows when the check ran; to_dict(), equality, hashing
-and repr read it.  Scans and fixture replays read only status and
+pair's parameter rows when the verdict was built; to_dict(), equality,
+hashing and repr read it.  Scans and fixture replays read only status and
 witness, so they never run it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -128,10 +137,8 @@ class Grid:
         dataclass fields, so equality, hashing and repr ignore it."""
         xs = self.__dict__.get("_xs")
         if xs is None:
-            if self.spacing == "logarithmic":
-                xs = np.geomspace(self.x_min, self.x_max, self.points)
-            else:
-                xs = np.linspace(self.x_min, self.x_max, self.points)
+            xs = (np.geomspace if self.spacing == "logarithmic" else np.linspace)(
+                self.x_min, self.x_max, self.points)
             xs.flags.writeable = False
             self.__dict__["_xs"] = xs
         return xs
@@ -161,8 +168,7 @@ class Witness:
     lhs: float
     rhs: float
 
-    def to_dict(self) -> dict:
-        return {"x": self.x, "lhs": self.lhs, "rhs": self.rhs}
+    to_dict = asdict
 
 
 class _Crossing:
@@ -222,13 +228,17 @@ def _previous(usable: np.ndarray, across_gaps: bool) -> tuple:
     return rows, prev
 
 
-def _left(previous: tuple, rows: list, ks: list) -> list:
+def _left(previous: tuple, rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """The left point of the step into point ks[n] of row rows[n], by the
     step map previous (_previous): ks[n] - 1 in a row with no map (-1 at
-    the first point)."""
+    the first point), else the map's entry, found by one searchsorted of
+    rows into the mapped rows."""
     mapped, prev = previous
-    maps = dict(zip(mapped.tolist(), prev))
-    return [int(maps[i][k]) if i in maps else k - 1 for i, k in zip(rows, ks)]
+    left = ks - 1
+    if mapped.size:
+        on = np.isin(rows, mapped)
+        left[on] = prev[mapped.searchsorted(rows[on]), ks[on]]
+    return left
 
 
 def _exceeds(v1: np.ndarray, v2: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -292,7 +302,7 @@ def _pair(fn, x, m1, m2, *args, **kwargs) -> tuple:
     if m1.shape != m2.shape or m1.ndim == 3 and len(m1) > 1:
         v1, v2 = fn(x, m1, *args, **kwargs), fn(x, m2, *args, **kwargs)
         return tuple(zip(v1, v2)) if isinstance(v1, tuple) else (v1, v2)
-    out = fn(x, np.stack((m1, m2)).reshape(-1, *m1.shape[-2:]), *args, **kwargs)
+    out = fn(x, np.concatenate((m1, m2)).reshape(-1, *m1.shape[-2:]), *args, **kwargs)
     shape = (2,) + m1.shape[:-2] + np.shape(x)
     return tuple(v.reshape(shape) for v in out) if isinstance(out, tuple) else out.reshape(shape)
 
@@ -303,11 +313,24 @@ def _sf_difference(m1, m2, x):
     return np.subtract(*_pair(_survival, x, m1, m2))
 
 
+# a verdict's status by its code (0, 1 or 2) in _Columns.status
+_STATUSES = ("holds_on_grid", "violated", "inconclusive")
+# The verdicts of one chunk of pairs (_verdicts), one entry per row (pair)
+# in each column, and what _verdict needs to build a row's OrderVerdict:
+# the chunk's order kind, grid and parameter rows; each row's int8 status
+# code and its skipped and non-finite point counts; an inconclusive row's
+# reason, by row; a 4 x rows array of a violated row's witness x, lhs and
+# rhs and the left end of its crossing search (NaN where it has none); the
+# search function and the reason template.
+_Columns = namedtuple("_Columns", "kind grid m1s m2s status skipped nonfinite reasons witness "
+                                  "search template")
+
+
 def _verdicts(kind: str, grid: Grid, m1s, m2s, skip: np.ndarray, nonfinite: np.ndarray,
               bad: np.ndarray, previous: tuple, v1: np.ndarray, v2: np.ndarray, step: bool,
-              search, reason: str, value, split: dict | None = None) -> list[OrderVerdict]:
-    """Each row's verdict, built once.  A row with over 10% of the grid
-    unusable (skip or nonfinite) is inconclusive and names each count;
+              search, reason: str, value, split: dict | None = None) -> _Columns:
+    """Every row's verdict, decided as columns.  A row with over 10% of the
+    grid unusable (skip or nonfinite) is inconclusive and names each count;
     passing leaves at least two usable points on any grid.  Then a row in
     split is inconclusive with the reason it maps to; a row with no point
     in bad holds on the grid; any other row is violated at its first bad
@@ -316,45 +339,48 @@ def _verdicts(kind: str, grid: Grid, m1s, m2s, skip: np.ndarray, nonfinite: np.n
     log ratio) or at k for a pointwise one, and v2 at k, through value,
     which takes the stack's witness values in one array; reason is a
     template for the witness x.  Its crossing, the root of search(m1, m2,
-    x) bound to the pair's parameter rows, is refined on first read inside
-    the step from p to k: always for a step test, and for a pointwise test
-    when p is strictly ordered (v1 < v2 there)."""
-    xs = grid.xs()
-    rows = list(zip(skip.sum(axis=1).tolist(), nonfinite.sum(axis=1).tolist(),
-                    bad.any(axis=1).tolist(), bad.argmax(axis=1).tolist()))
-    reasons = []  # an inconclusive row's reason, else None
-    for i, (n_skip, n_nonfinite, _, _) in enumerate(rows):
-        causes = []
-        if n_skip + n_nonfinite > _SKIP_FRACTION * grid.points:
-            if n_skip:
-                causes.append(f"{n_skip} of {grid.points} grid points underflowed float64")
-            if n_nonfinite:
-                causes.append(f"{n_nonfinite} of {grid.points} grid points were non-finite "
-                              "(NaN or inf)")
-        elif split and i in split:
-            causes.append(split[i])
-        reasons.append("; ".join(causes) or None)
-    hit = [i for i, row in enumerate(rows) if row[2] and reasons[i] is None]
-    found = {}
-    if hit:
-        ks = [rows[i][3] for i in hit]
+    x) bound to the pair's parameter rows, is searched inside the step from
+    p to k: always for a step test, and for a pointwise test when p is
+    strictly ordered (v1 < v2 there)."""
+    # no pass over the rows when the chunk has no such point
+    n_skip, n_nonfinite = (m.sum(axis=1) if m.any() else np.zeros(len(m), np.intp)
+                           for m in (skip, nonfinite))
+    gated = (n_skip + n_nonfinite > _SKIP_FRACTION * grid.points).nonzero()[0]
+    causes = ((n_skip, "underflowed float64"), (n_nonfinite, "were non-finite (NaN or inf)"))
+    reasons = (split or {}) | {i: "; ".join(f"{n[i]} of {grid.points} grid points {what}"
+                                            for n, what in causes if n[i]) for i in gated.tolist()}
+    status = bad.any(axis=1).astype(np.int8)
+    status[list(reasons)] = 2
+    hit = (status == 1).nonzero()[0]
+    witness = np.full((4, len(status)), np.nan)
+    if hit.size:
+        ks = bad[hit].argmax(axis=1)
         ps = _left(previous, hit, ks)
-        lhs, rhs = value(np.stack((v1[hit, ps if step else ks], v2[hit, ks]))).tolist()
-        for i, k, p, left, right in zip(hit, ks, ps, lhs, rhs):
-            x, refined = float(xs[k]), None
-            if step or (p >= 0 and v1[i, p] - v2[i, p] < 0.0):
-                refined = partial(_refine_crossing, partial(search, m1s[i], m2s[i]),
-                                  float(xs[p]), x)
-            found[i] = (Witness(x, left, right), refined, reason.format(x))
-    return [OrderVerdict(kind, "violated", *found[i], n_skip, n_nonfinite, grid) if i in found
-            else OrderVerdict(kind, "holds_on_grid" if reasons[i] is None else "inconclusive",
-                              None, None, reasons[i], n_skip, n_nonfinite, grid)
-            for i, (n_skip, n_nonfinite, _, _) in enumerate(rows)]
+        xs = grid.xs()
+        searched = (ps >= 0) & (step or v1[hit, ps] < v2[hit, ps])
+        witness[:, hit] = (xs[ks], *value(np.array((v1[hit, ps if step else ks], v2[hit, ks]))),
+                           np.where(searched, xs[ps], np.nan))
+    return _Columns(kind, grid, m1s, m2s, status, n_skip, n_nonfinite, reasons, witness, search,
+                    reason)
+
+
+def _verdict(c: _Columns, i: int) -> OrderVerdict:
+    """Row i of the columns c as an OrderVerdict: a violated row gets its
+    Witness, its reason and its crossing search, bound to the pair's
+    parameter rows and run on first read."""
+    status, witness, crossing, reason = _STATUSES[c.status[i]], None, None, c.reasons.get(i)
+    if status == "violated":
+        x, lhs, rhs, lo = c.witness[:, i].tolist()
+        witness, reason = Witness(x, lhs, rhs), c.template.format(x)
+        if not np.isnan(lo):
+            crossing = partial(_refine_crossing, partial(c.search, c.m1s[i], c.m2s[i]), lo, x)
+    return OrderVerdict(c.kind, status, witness, crossing, reason, int(c.skipped[i]),
+                        int(c.nonfinite[i]), c.grid)
 
 
 def _check_ratio_monotone(kind: str, grid: Grid, log_num: np.ndarray, log_den: np.ndarray,
                           scale: np.ndarray, slope, m1s, m2s, *,
-                          nondecreasing: bool) -> list[OrderVerdict]:
+                          nondecreasing: bool) -> _Columns:
     """Common body of the lr and r-rh checks: log_num - log_den must be
     monotone on the grid in the named direction, within the tolerance of
     scale.  A violated verdict refines the root of slope(m1, m2, x), the
@@ -384,7 +410,7 @@ def _rh_slope(x, m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _st(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
+def _st(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> _Columns:
     s1, s2 = _pair(_survival, grid.xs(), m1s, m2s)
     nonfinite = ~(np.isfinite(s1) & np.isfinite(s2))
     skip = ~nonfinite & (s1 < _UNDERFLOW) & (s2 < _UNDERFLOW)
@@ -395,7 +421,7 @@ def _st(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
                      "sf(m1) exceeds sf(m2) at x={!r}", np.asarray)
 
 
-def _rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
+def _rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> _Columns:
     (F1, F2), (f1, f2), (h1, h2) = _pair(_evaluate, grid.xs(), m1s, m2s, ("cdf", "pdf", "rh"))
     nonfinite = ~(np.isfinite(h1) & np.isfinite(h2))
     usable = ~nonfinite
@@ -414,7 +440,7 @@ def _rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
                      "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", _exp, split)
 
 
-def _lr(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
+def _lr(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> _Columns:
     (f1, f2), = _pair(_evaluate, grid.xs(), m1s, m2s, ("pdf",))
     # m2 first: the slope of log pdf(m2) - log pdf(m1), as np.subtract(v2, v1)
     return _check_ratio_monotone(
@@ -423,7 +449,7 @@ def _lr(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
         m1s, m2s, nondecreasing=True)
 
 
-def _r_rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> list[OrderVerdict]:
+def _r_rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> _Columns:
     (F1, F2), (f1, f2), (h1, h2) = _pair(_evaluate, grid.xs(), m1s, m2s, ("cdf", "pdf", "rh"))
     return _check_ratio_monotone("r_rh", grid, h1, h2, _magnitude(F1, f1, F2, f2),
                                  lambda m1, m2, x: np.subtract(*_pair(_rh_slope, x, m1, m2)),
@@ -434,21 +460,8 @@ _CHECKS = {"st": _st, "rh": _rh, "lr": _lr, "r_rh": _r_rh}
 ORDER_KINDS = tuple(_CHECKS)
 
 
-def check_orders(kind: str, lhs: tuple, rhs: tuple,
-                 grid: Grid = DEFAULT_GRID) -> list[OrderVerdict]:
-    """Decide, for each pair i, that lhs mixture i <= rhs mixture i in the
-    order kind (one of ORDER_KINDS) on grid, in pair order.  lhs and rhs
-    are each a (weights, alphas, betas) triple of pairs x components
-    arrays, as theorems.check_stack returns them (weights as a
-    FiniteMixture holds them), every entry finite and > 0 and each row's
-    weights summing to 1 within 1e-6, as FiniteMixture's raw weights must
-    (they are not renormalised); the sides may differ in component count.
-    The pairs are decided in chunks of _STACK_VALUES // (components *
-    grid.points) with the larger count (at least one; 32 pairs of
-    2-component mixtures on 500 points), one kernel pass per side each,
-    but one pass on both sides' two-row stack for a chunk of one pair
-    whose sides share a component count; each verdict is the one its pair
-    gets alone."""
+def _decide(kind: str, lhs: tuple, rhs: tuple, grid: Grid) -> list[_Columns]:
+    """The columns of check_orders(kind, lhs, rhs, grid), one per chunk."""
     if kind not in _CHECKS:
         raise DomainError(f"unknown order kind {kind!r}; expected one of {ORDER_KINDS}")
     stacks = []
@@ -477,9 +490,26 @@ def check_orders(kind: str, lhs: tuple, rhs: tuple,
     if len(m1s) != len(m2s):
         raise DomainError(f"{len(m1s)} lhs mixtures vs {len(m2s)} rhs mixtures")
     chunk = max(1, _STACK_VALUES // (max(m1s.shape[2], m2s.shape[2]) * grid.points))
-    return [verdict for start in range(0, len(m1s), chunk)
-            for verdict in _CHECKS[kind](m1s[start:start + chunk], m2s[start:start + chunk],
-                                         grid)]
+    return [_CHECKS[kind](m1s[start:start + chunk], m2s[start:start + chunk], grid)
+            for start in range(0, len(m1s), chunk)]
+
+
+def check_orders(kind: str, lhs: tuple, rhs: tuple,
+                 grid: Grid = DEFAULT_GRID) -> list[OrderVerdict]:
+    """Decide, for each pair i, that lhs mixture i <= rhs mixture i in the
+    order kind (one of ORDER_KINDS) on grid, in pair order.  lhs and rhs
+    are each a (weights, alphas, betas) triple of pairs x components
+    arrays, as theorems.check_stack returns them (weights as a
+    FiniteMixture holds them), every entry finite and > 0 and each row's
+    weights summing to 1 within 1e-6, as FiniteMixture's raw weights must
+    (they are not renormalised); the sides may differ in component count.
+    The pairs are decided in chunks of _STACK_VALUES // (components *
+    grid.points) with the larger count (at least one; 32 pairs of
+    2-component mixtures on 500 points), one kernel pass per side each,
+    but one pass on both sides' two-row stack for a chunk of one pair
+    whose sides share a component count; each verdict is the one its pair
+    gets alone, built from its chunk's columns (_verdict)."""
+    return [_verdict(c, i) for c in _decide(kind, lhs, rhs, grid) for i in range(len(c.status))]
 
 
 def check_order(kind: str, m1: FiniteMixture, m2: FiniteMixture,

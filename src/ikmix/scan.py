@@ -9,16 +9,21 @@ too, as a reminder that these conditions are sufficient, not necessary.
 
 The generator is counter-based (Philox), so a seed pins the exact
 sample stream on every platform.  A scan works on arrays with a leading
-draw axis from draw to verdict: draw_sample takes every sample from one
+draw axis from draw to report: draw_sample takes every sample from one
 call to the generator, theorems.check_stack decides each hypothesis for
-all draws at once, and check_orders decides the predicted orders on the
+all draws at once, and ordercheck decides the predicted orders on the
 (weights, alpha, beta) arrays it returns, weights renormalised as a
-FiniteMixture's; each verdict is the one its pair gets alone.  No draw
-becomes a FiniteMixture; only the listed findings turn theirs back into
-Python floats.  The two weight divisions are by design: the hypotheses
-see the weights as drawn, as a checker sees its arguments, and the
-verdicts see them renormalised, as the checker's mixtures hold them, so a
-finding's printed params replayed through CHECKERS give its witness.
+FiniteMixture's (mixture._renormalised_rows: each row's math.fsum, one
+division); each verdict is the one its pair gets alone.  run_scan reads
+the verdicts as the columns they are decided in (ordercheck._decide), so
+no OrderVerdict is built: a table maps each draw's hypotheses and status
+code to its category, and the witnesses and the draws of the findings
+are gathered from their arrays, each turned into Python floats once per
+scan.  No draw becomes a FiniteMixture.  The two weight divisions are by
+design: the hypotheses see the weights as drawn, as a checker sees its
+arguments, and the verdicts see them renormalised, as the checker's
+mixtures hold them, so a finding's printed params replayed through
+CHECKERS give its witness.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ikdist import DomainError, _count, _positive, _read_json
-from .mixture import _renormalised
-from .ordercheck import DEFAULT_GRID, Grid, check_orders
+from .mixture import _renormalised_rows
+from .ordercheck import DEFAULT_GRID, Grid, _decide
 from .theorems import SCAN_LAYOUTS, check_stack
 
 __all__ = [
@@ -206,28 +211,29 @@ class ScanReport:
         }
 
 
-# a draw's category by (every hypothesis held, verdict status)
-_CATEGORY = {(True, "violated"): "soundness_alarm", (True, "holds_on_grid"): "consistent",
-             (False, "violated"): "hypotheses_false_order_violated",
-             (False, "holds_on_grid"): "order_holds_without_hypotheses",
-             (True, "inconclusive"): "undecided", (False, "inconclusive"): "undecided"}
+# a draw's category, as an index into CATEGORIES, by whether every
+# hypothesis held (row) and by its verdict's status code (column, as in
+# ordercheck._STATUSES: holds_on_grid, violated, inconclusive)
+_CATEGORY = np.array([[2, 3, 4], [1, 0, 4]])
 
 
 def run_scan(config: ScanConfig) -> ScanReport:
     draws = draw_sample(config, np.random.Generator(np.random.Philox(config.seed)))
     kind, lhs, rhs, hypotheses = check_stack(config.theorem, draws)
-    verdicts = check_orders(kind, *((np.array([_renormalised(row) for row in w.tolist()]), a, b)
-                                    for w, a, b in (lhs, rhs)), config.grid)
-    counts = {c: 0 for c in CATEGORIES}
-    findings: dict = {"soundness_alarm": [], "order_holds_without_hypotheses": []}
-    for index, (all_held, verdict) in enumerate(
-            zip(np.logical_and.reduce(hypotheses).tolist(), verdicts)):
-        category = _CATEGORY[all_held, verdict.status]
-        counts[category] += 1
-        if category in findings:  # the draw as floats and tuples of floats
-            params = {name: tuple(v[index].tolist()) if v.ndim == 2 else v[index].item()
-                      for name, v in draws.items()}
-            findings[category].append(ScanFinding(
-                index, params, category, verdict.witness.to_dict() if verdict.witness else None))
-    return ScanReport(config, counts, tuple(findings["soundness_alarm"]),
-                      tuple(findings["order_holds_without_hypotheses"]))
+    chunks = _decide(kind, *((_renormalised_rows(w), a, b) for w, a, b in (lhs, rhs)),
+                     config.grid)
+    category = _CATEGORY[np.logical_and.reduce(hypotheses).astype(np.intp),
+                         np.concatenate([c.status for c in chunks])]
+    witness = np.concatenate([c.witness[:3] for c in chunks], axis=1)
+    findings = []
+    for code in (0, 2):  # soundness_alarm, order_holds_without_hypotheses
+        index = np.flatnonzero(category == code)
+        # the draws as floats and tuples of floats; an alarm's witness
+        params = zip(*(map(tuple, v[index].tolist()) if v.ndim == 2 else v[index].tolist()
+                       for v in draws.values()))
+        found = ([{"x": x, "lhs": y1, "rhs": y2} for x, y1, y2 in witness[:, index].T.tolist()]
+                 if code == 0 else [None] * index.size)
+        findings.append(tuple(ScanFinding(i, dict(zip(draws, p)), CATEGORIES[code], w)
+                              for i, p, w in zip(index.tolist(), params, found)))
+    counts = np.bincount(category, minlength=len(CATEGORIES)).tolist()
+    return ScanReport(config, dict(zip(CATEGORIES, counts)), *findings)

@@ -9,9 +9,12 @@ that the reversed-hazard ratio contradicts near the left grid edge.
 
 from __future__ import annotations
 
+import mpmath as mp
 import pytest
 
+from conftest import mp_mixture
 from ikmix import DomainError, FixtureCatalog, Grid, mixture_sf, run_fixture
+from ikmix.theorems import check_theorem_3_10
 
 EXPECTED_IDS = [
     "ex3.1", "ce3.1", "ex3.2", "ce3.2", "ex3.3", "ce3.3",
@@ -183,3 +186,42 @@ class TestRunFixturePlumbing:
         fx["theorem"] = "T9.9"
         with pytest.raises(DomainError, match="no checker"):
             run_fixture(fx)
+
+
+# ---------------------------------------------------------------------------
+# README "Known discrepancies" 2 and 3, at 50 digits
+# ---------------------------------------------------------------------------
+
+
+def _mp_log_rh_ratio_slope(m1, m2, x):
+    """d/dx log(rh(m1) / rh(m2)) at x in mpmath at 50 digits: for each
+    side d/dx log rh = d/dx log pdf - rh."""
+    a, b = mp_mixture(x, m1, 50), mp_mixture(x, m2, 50)
+    with mp.workdps(50):
+        return (a["slope"] - a["rh"]) - (b["slope"] - b["rh"])
+
+
+def test_ex36_ratio_rises_below_the_window_and_turns_once():
+    # the ratio rises at every quarter decade from x = 1e-12 to 5.6e-4
+    # (1e-12, 1e-8 and 1e-6 among them, below the default window), and
+    # falls at every quarter decade from 1e-3 to 1e4; its slope changes
+    # sign once, at x = 9.41771409285e-4
+    po = check_theorem_3_10(beta=(0.1, 0.2, 0.3), beta_star=(0.5, 1.0, 2.0), alpha=2.0,
+                            p=(0.1, 0.3, 0.6), p_star=(0.2, 0.3, 0.5)).orientation
+    assert po.kind == "r_rh"
+    xs = [10.0 ** (k / 4) for k in range(-48, 17)]
+    signs = [mp.sign(_mp_log_rh_ratio_slope(po.lhs, po.rhs, x)) for x in xs]
+    assert signs == [1] * 36 + [-1] * 29 and xs[35] < 5.7e-4 and xs[36] == 1e-3
+    assert _mp_log_rh_ratio_slope(po.lhs, po.rhs, 9.41771409284e-4) > 0
+    assert _mp_log_rh_ratio_slope(po.lhs, po.rhs, 9.41771409286e-4) < 0
+
+
+def test_t310_minimal_instance_ratio_rises_everywhere_sampled():
+    # both gaps equal 1 and the hypothesis holds, yet the ratio rises at
+    # every half decade from x = 1e-12 to 1e6, not only near the origin
+    report = check_theorem_3_10(beta=(1.0, 2.0), beta_star=(1.0, 2.0), alpha=1.0,
+                                p=(0.5, 0.5), p_star=(0.9, 0.1))
+    po = report.orientation
+    assert report.all_held and po.kind == "r_rh"
+    slopes = [_mp_log_rh_ratio_slope(po.lhs, po.rhs, 10.0 ** (k / 2)) for k in range(-24, 13)]
+    assert all(s > 0 for s in slopes)

@@ -1416,7 +1416,7 @@ class TestStackedVerdicts:
             rows, ks = np.nonzero(np.ones(ratio.shape, dtype=bool))
             for across_gaps in (True, False):
                 left = ordercheck._left(ordercheck._previous(usable, across_gaps),
-                                        rows.tolist(), ks.tolist())
+                                        rows, ks).tolist()
                 want = []
                 for i, k in zip(rows.tolist(), ks.tolist()):
                     before = np.flatnonzero(usable[i, :k])
@@ -1468,6 +1468,157 @@ class TestStackedVerdicts:
         assert len(alarms) == statuses.count("violated") > 50
         for index, witness in alarms.items():
             assert witness == witnesses[index]
+
+
+# one grid that puts every sort of row in one stack: alpha = 1e-20 in every
+# component leaves the first 11 of its points non-finite (gap rows),
+# alpha = 1e-45 the first 28 (over the 10% limit); alphas of 20 take both
+# sfs below 1e-300 on the last 17 points (st skip rows) and alphas of 700
+# on the last 27 (over the limit)
+_COLUMN_GRID = Grid(1e-320, 1e40, 240)
+_COLUMN_PAIRS = (
+    (FiniteMixture((0.5, 0.5), (1e-20, 1e-20), (2.0, 3.0)),
+     FiniteMixture((0.3, 0.7), (1e-20, 1e-20), (2.5, 1.0))),
+    (FiniteMixture((0.3, 0.7), (1e-20, 1e-20), (2.5, 1.0)),
+     FiniteMixture((0.5, 0.5), (1e-20, 1e-20), (2.0, 3.0))),
+    (FiniteMixture((0.36, 0.64), (1e-20, 1e-20), (1.25, 1.6)),
+     FiniteMixture((0.73, 0.27), (1e-20, 1e-20), (0.85, 1.5))),
+    (FiniteMixture((0.5, 0.5), (1e-45, 1e-45), (2.0, 3.0)),
+     FiniteMixture((0.3, 0.7), (1e-45, 1e-45), (2.5, 1.0))),
+    (FiniteMixture((0.5, 0.5), (20.0, 24.0), (2.0, 3.0)),
+     FiniteMixture((0.4, 0.6), (20.0, 22.0), (1.5, 3.0))),
+    (FiniteMixture((0.4, 0.6), (20.0, 22.0), (1.5, 3.0)),
+     FiniteMixture((0.5, 0.5), (20.0, 24.0), (2.0, 3.0))),
+    (FiniteMixture((0.5, 0.5), (700.0, 720.0), (2.0, 3.0)),
+     FiniteMixture((0.4, 0.6), (700.0, 710.0), (1.5, 3.0))),
+)
+
+
+def _json_verdicts(verdicts) -> list[str]:
+    # to_dict reads the crossing; json keeps NaN witnesses comparable
+    return [json.dumps(v.to_dict()) for v in verdicts]
+
+
+class TestColumnarVerdicts:
+    """A chunk is decided as columns (_verdicts) and each OrderVerdict is
+    built from them (_verdict): every verdict must equal the one its pair
+    gets alone, whatever the chunk, the order of reading or the slice."""
+
+    @staticmethod
+    def _pairs() -> list:
+        # 30 random pairs, one of them (index 29) an rh row whose two
+        # criteria disagree, with the pairs above between them
+        r = np.random.default_rng(5)
+        pairs = [(random_mixture(r, 2), random_mixture(r, 2)) for _ in range(30)]
+        for k, pair in enumerate(_COLUMN_PAIRS):
+            pairs.insert(4 * k + 1, pair)
+        return pairs
+
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    def test_stacks_equal_each_pair_alone(self, monkeypatch, kind):
+        # chunks of 10 pairs (4800 values per side on 240 points), so the
+        # 37 pairs take four chunks
+        monkeypatch.setattr(ordercheck, "_STACK_VALUES", 4800)
+        pairs = self._pairs()
+        assert len(ordercheck._decide(kind, *_sides(pairs), _COLUMN_GRID)) == 4
+        verdicts = check_orders(kind, *_sides(pairs), _COLUMN_GRID)
+        assert _json_verdicts(verdicts) == _json_verdicts(
+            check_order(kind, m1, m2, _COLUMN_GRID) for m1, m2 in pairs)
+        for (m1, m2), v in zip(pairs, verdicts):
+            if v.status == "violated":
+                # the step's left point and the bound pair, independently;
+                # the reference's slope warns on inf - inf near x = 0
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    want = _eager_crossing(kind, m1, m2, _COLUMN_GRID, v.witness.x)[1]
+                assert repr(v.refined_crossing) == repr(want), (kind, m1, m2)
+        unusable = [v.status for v in verdicts if v.skipped_points + v.nonfinite_points]
+        assert {"holds_on_grid", "inconclusive"} <= {v.status for v in verdicts}
+        assert "violated" in unusable
+        if kind == "rh":
+            assert "disagree" in verdicts[29 + 7].reason
+
+    def test_reads_out_of_order_and_by_slice(self, monkeypatch):
+        monkeypatch.setattr(ordercheck, "_STACK_VALUES", 4800)
+        sides = _sides(self._pairs())
+        r = np.random.default_rng(2)
+        for kind in ORDER_KINDS:
+            want = _json_verdicts(check_orders(kind, *sides, _COLUMN_GRID))
+            rows = [(c, i) for c in ordercheck._decide(kind, *sides, _COLUMN_GRID)
+                    for i in range(len(c.status))]
+            got = {}
+            for n in r.permutation(len(rows)).tolist() * 2:
+                got.setdefault(n, []).append(json.dumps(ordercheck._verdict(*rows[n]).to_dict()))
+            assert [got[n] for n in range(len(rows))] == [[w, w] for w in want]
+            # cut at other chunk boundaries
+            for start, stop in ((3, 17), (9, 37), (36, 37)):
+                sliced = check_orders(kind, *(tuple(a[start:stop] for a in side)
+                                              for side in sides), _COLUMN_GRID)
+                assert _json_verdicts(sliced) == want[start:stop]
+            assert check_orders(kind, *sides, _COLUMN_GRID)[::-3] == \
+                [ordercheck._verdict(*rows[n]) for n in range(len(rows))][::-3]
+
+    @pytest.mark.parametrize("step", [True, False])
+    def test_gaps_inside_rows_against_a_row_reference(self, step):
+        # synthetic stacks whose unusable points lie anywhere in a row,
+        # which the library's checks do not produce: each row's status,
+        # witness, reason and crossing against a reference that finds the
+        # row's first bad point and its left point by a loop over the row.
+        # Each pair's search is sin(a * x) with a of its row, so a crossing
+        # searched for the wrong row or from the wrong point differs.
+        r = np.random.default_rng(int(step))
+        grid = Grid(1.0, 2.0, 40, "linear")
+        xs = grid.xs()
+        rows = 90
+        # rising rows with a few falls (step) or reversals (pointwise)
+        unusable = r.random(size=(rows, 40)) < np.linspace(0.0, 0.2, rows)[:, None]
+        unusable[::3] = False  # rows with no map
+        flips = r.random(size=(rows, 40)) < 0.05
+        rising = np.round(np.cumsum(np.abs(r.normal(size=(rows, 40))) - 3.0 * flips, axis=1), 1)
+        v1 = np.where(unusable, np.nan, rising)
+        v2 = v1 if step else rising + np.where(flips, -0.5, 0.5)
+        skip = unusable & (r.random(size=v1.shape) < 0.5)
+        nonfinite = unusable & ~skip
+        scale = np.zeros(v1.shape)
+        previous = ordercheck._previous(~unusable, across_gaps=step)
+        if step:
+            bad = ordercheck._bad_steps(v1, scale, ~unusable, previous, nondecreasing=True)
+        else:
+            bad = ~unusable & ordercheck._exceeds(v1, v2, scale)
+        m1s = np.arange(rows)[:, None, None] + np.zeros((rows, 3, 2))
+
+        def search(m1, m2, x):
+            return np.sin((100.0 + m1[0, 0]) * x)
+
+        columns = ordercheck._verdicts("lr", grid, m1s, m1s, skip, nonfinite, bad, previous,
+                                       v1, v2, step, search, "at {!r}", np.asarray)
+        counts = {"violated": 0, "searched": 0, "mapped": 0}
+        for i in range(rows):
+            v = ordercheck._verdict(columns, i)
+            assert (v.skipped_points, v.nonfinite_points) == (skip[i].sum(), nonfinite[i].sum())
+            if unusable[i].sum() > 4:
+                assert v.status == "inconclusive" and "of 40 grid points" in v.reason
+                continue
+            ks = np.flatnonzero(bad[i]).tolist()
+            if not ks:
+                assert (v.status, v.witness, v.refined_crossing) == ("holds_on_grid", None, None)
+                continue
+            k = ks[0]
+            usable_before = [j for j in range(k) if not unusable[i, j]]
+            p = usable_before[-1] if usable_before else -1
+            if not step and p != k - 1:
+                p = -1
+            assert v.status == "violated" and v.reason == f"at {float(xs[k])!r}"
+            assert v.witness == ordercheck.Witness(float(xs[k]), float(v1[i, p if step else k]),
+                                                   float(v2[i, k]))
+            searched = step or (p >= 0 and v1[i, p] < v2[i, p])
+            want = (mixture._refine_crossing(lambda x: np.sin((100.0 + i) * x),
+                                             float(xs[p]), float(xs[k])) if searched else None)
+            assert repr(v.refined_crossing) == repr(want)
+            counts["violated"] += 1
+            counts["searched"] += want is not None
+            counts["mapped"] += bool(unusable[i, :k].any())
+        assert min(counts.values()) > 5, counts
 
 
 def _counting_kernel(monkeypatch):

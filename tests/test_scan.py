@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 
 from conftest import draw_rows
 from ikmix import DomainError, FiniteMixture, Grid, check_order
+from ikmix.mixture import _renormalised, _renormalised_rows
 from ikmix.theorems import CHECKERS, SCAN_LAYOUTS
 from ikmix.scan import (
     CATEGORIES,
@@ -418,3 +420,81 @@ def test_scan_categories_equal_the_checker_row_by_row(theorem):
             assert f.witness == witnesses[f.index][1]
     # the ranges reach both sides of the hypotheses and of the order
     assert len(set(want)) >= 2
+
+
+# ---------------------------------------------------------------------------
+# the scan's weights, and whole reports against a draw-by-draw rebuild
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 50])
+@pytest.mark.parametrize("off", [0.0, 1e-7, 2e-6])
+def test_renormalised_rows_equal_each_row_alone(n, off):
+    # a scan divides each draw's weights by their math.fsum at once; each
+    # row must get the bits, or the DomainError, that a FiniteMixture's
+    # weights get from _renormalised; rows 7 and 20 are off by about off
+    raw = np.random.default_rng(n).uniform(0.05, 1.0, size=(40, n))
+    weights = raw / raw.sum(axis=1)[:, None]
+    weights[7] *= 1.0 + off
+    weights[20] *= 1.0 + 3.0 * off
+    rows = weights.tolist()
+    if off > 1e-6:
+        with pytest.raises(DomainError) as alone:
+            _renormalised(rows[7])
+        with pytest.raises(DomainError, match=f"^{re.escape(str(alone.value))}$"):
+            _renormalised_rows(weights)
+        return
+    got = _renormalised_rows(weights)
+    assert [repr(tuple(row)) for row in got.tolist()] == [repr(_renormalised(r)) for r in rows]
+
+
+_CATEGORY_OF = {(True, "violated"): "soundness_alarm", (True, "holds_on_grid"): "consistent",
+                (False, "violated"): "hypotheses_false_order_violated",
+                (False, "holds_on_grid"): "order_holds_without_hypotheses"}
+
+
+def _rebuilt_report(config) -> dict:
+    """The report of config rebuilt draw by draw: each draw's checker
+    builds its pair of FiniteMixtures and check_order decides the pair."""
+    counts = dict.fromkeys(CATEGORIES, 0)
+    findings = {"soundness_alarm": [], "order_holds_without_hypotheses": []}
+    for index, params in enumerate(draw_rows(config)):
+        report = CHECKERS[config.theorem](**params)
+        po = report.orientation
+        verdict = check_order(po.kind, po.lhs, po.rhs, config.grid)
+        category = _CATEGORY_OF.get((report.all_held, verdict.status), "undecided")
+        counts[category] += 1
+        if category in findings:
+            findings[category].append({
+                "index": index,
+                "params": {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()},
+                "category": category,
+                "witness": verdict.witness.to_dict() if verdict.witness else None})
+    return {"config": config.to_dict(), "counts": counts,
+            "soundness_alarms": findings["soundness_alarm"],
+            "holds_without_hypotheses": findings["order_holds_without_hypotheses"]}
+
+
+# alphas from 1e-41 to 1e-39 leave the first 24 or 25 of these 240 points
+# non-finite, so the draws with 25, over the 10% limit, are undecided
+_UNDECIDED_CONFIG = ScanConfig(
+    "T3.10", 24, 3, {"beta": [0.5, 3.0], "beta_star": [0.5, 3.0], "alpha": [1e-41, 1e-39],
+                     "p": [0.05, 1.0], "p_star": [0.05, 1.0]}, grid=Grid(1e-320, 1e40, 240))
+
+
+@pytest.mark.parametrize("config", [
+    *sorted(p.stem for p in SCAN_CONFIGS.glob("*.json")), "undecided"])
+def test_scan_equals_a_draw_by_draw_rebuild(config):
+    config = (_UNDECIDED_CONFIG if config == "undecided"
+              else ScanConfig.from_file(SCAN_CONFIGS / f"{config}.json"))
+    want, got = _rebuilt_report(config), run_scan(config).to_dict()
+    # finding by finding first, so that a failure names its draw quickly
+    assert got["counts"] == want["counts"]
+    for key in ("soundness_alarms", "holds_without_hypotheses"):
+        assert [f["index"] for f in got[key]] == [f["index"] for f in want[key]]
+        for found, rebuilt in zip(got[key], want[key]):
+            assert json.dumps(found) == json.dumps(rebuilt)
+    assert json.dumps(got) == json.dumps(want)
+    if config is _UNDECIDED_CONFIG:
+        assert min(want["counts"][c] for c in ("undecided", "soundness_alarm",
+                                                "order_holds_without_hypotheses")) > 0
