@@ -60,7 +60,9 @@ changed .exit file rather than as noise on stderr.
 
 To check a change against its parent, run the script in a checkout of
 each and compare the two directories; --compare exits 1 on any missing,
-extra or differing file.
+extra or differing file.  Both modes exit 2 without writing or comparing
+anything when DIR exists and is not empty, or when either directory to
+compare is missing or holds no file.
 """
 
 from __future__ import annotations
@@ -366,8 +368,18 @@ def _record(outdir: Path, name: str, proc: subprocess.CompletedProcess) -> None:
     (outdir / f"{name}.exit").write_text(f"{proc.returncode}\n")
 
 
-def write(outdir: Path) -> None:
+def _refuse(message: str) -> int:
+    print(f"golden.py: {message}", file=sys.stderr)
+    return 2
+
+
+def write(outdir: Path) -> int:
+    """Write every output into outdir, which must be new or empty: a
+    reused directory would keep an earlier run's files wherever this run
+    fails to replace them, and could then compare equal on stale output."""
     outdir = outdir.resolve()
+    if outdir.exists() and (not outdir.is_dir() or any(outdir.iterdir())):
+        return _refuse(f"{outdir} exists and is not an empty directory; write into a new one")
     outdir.mkdir(parents=True, exist_ok=True)
     _record(outdir, "reproduce_all", _run(["-c", _CLI, "reproduce", "--all"]))
     for config in sorted((ROOT / "scripts" / "scan_configs").glob("*.json")):
@@ -383,11 +395,15 @@ def write(outdir: Path) -> None:
     # run in DIR, so the printed paths are the same for every DIR
     _record(outdir, "dump_curves", _run([str(ROOT / "scripts" / "dump_curves.py"), "--outdir",
                                          "dump_curves"], cwd=outdir))
+    return 0
 
 
 def compare(a: Path, b: Path) -> int:
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    for d, files in ((a, files_a), (b, files_b)):
+        if not files:  # a missing or empty directory is no run to compare
+            return _refuse(f"{d} holds no file; give two directories written by this script")
     problems = [f"only in {a}: {p}" for p in sorted(files_a - files_b)]
     problems += [f"only in {b}: {p}" for p in sorted(files_b - files_a)]
     problems += [f"differs: {p}" for p in sorted(files_a & files_b)
@@ -411,8 +427,7 @@ def main(argv: list[str] | None = None) -> int:
         return compare(*args.dirs)
     if len(args.dirs) != 1:
         parser.error("give one output directory")
-    write(args.dirs[0])
-    return 0
+    return write(args.dirs[0])
 
 
 if __name__ == "__main__":

@@ -161,6 +161,10 @@ class FiniteMixture:
             weights, alpha, beta = obj["weights"], obj["alpha"], obj["beta"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"mixture dict needs weights/alpha/beta: {exc}") from exc
+        extra = set(obj) - {"weights", "alpha", "beta"}
+        if extra:
+            raise DomainError(f"mixture dict has unknown keys {sorted(extra, key=str)}; "
+                              "expected only weights, alpha, beta")
         return cls(weights, alpha, beta)
 
     def to_dict(self) -> dict:

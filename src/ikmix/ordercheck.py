@@ -90,6 +90,7 @@ from .mixture import (_BLOCK_VALUES, _RAW_WEIGHT_TOL, FiniteMixture, _evaluate, 
 __all__ = [
     "Grid",
     "DEFAULT_GRID",
+    "ORDER_KINDS",
     "Witness",
     "OrderVerdict",
     "check_order",
@@ -466,7 +467,13 @@ def _decide(kind: str, lhs: tuple, rhs: tuple, grid: Grid) -> list[_Columns]:
         raise DomainError(f"unknown order kind {kind!r}; expected one of {ORDER_KINDS}")
     stacks = []
     for name, side in (("lhs", lhs), ("rhs", rhs)):
-        arrays = [np.asarray(v, dtype=float) for v in side]
+        try:
+            arrays = [np.asarray(v, dtype=float) for v in side]
+        except (TypeError, ValueError) as exc:  # ragged or non-numeric
+            raise DomainError(f"{name} needs (weights, alphas, betas) arrays of numbers: "
+                              f"{exc}") from None
+        if len(arrays) != 3:
+            raise DomainError(f"{name} needs (weights, alphas, betas), got {len(arrays)} arrays")
         shapes = [v.shape for v in arrays]
         if len(set(shapes)) != 1:
             raise DomainError(f"{name} needs one component count, got (weights, alphas, betas) "

@@ -28,7 +28,7 @@ CHECKERS give its witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -124,6 +124,11 @@ class ScanConfig:
     def from_dict(cls, d: dict) -> "ScanConfig":
         if not isinstance(d, dict):
             raise DomainError(f"scan config must be a JSON object, got {d!r}")
+        known = [f.name for f in fields(cls)]
+        extra = set(d) - set(known)
+        if extra:
+            raise DomainError(f"scan config has unknown keys {sorted(extra, key=str)}; "
+                              f"expected only {', '.join(known)}")
         grid = d.get("grid")
         if grid is None:
             g = DEFAULT_GRID

@@ -1,0 +1,58 @@
+"""The public API is declared once, in each module's __all__, and the
+package re-exports every one of them; the order kinds have one spelling
+wherever a module names them."""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import inspect
+import pkgutil
+from collections import Counter
+
+import ikmix
+from ikmix import CURVE_FOR_KIND, ORDER_KINDS, cli, ordercheck, theorems
+
+# the command line is the console script's entry point, not library API
+_NOT_REEXPORTED = {"cli"}
+
+
+def _modules():
+    return [importlib.import_module(f"ikmix.{info.name}")
+            for info in pkgutil.iter_modules(ikmix.__path__)
+            if info.name not in _NOT_REEXPORTED]
+
+
+def test_public_names_are_the_union_of_the_module_all():
+    public = {name for name, value in vars(ikmix).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    declared = {name for module in _modules() for name in module.__all__}
+    assert public == declared
+    assert len(declared) == 69
+
+
+def test_each_name_resolves_to_its_module_object():
+    for module in _modules():
+        for name in module.__all__:
+            assert getattr(ikmix, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_no_two_modules_export_the_same_name():
+    counts = Counter(name for module in _modules() for name in module.__all__)
+    assert [name for name, n in counts.items() if n > 1] == []
+
+
+def _order_kind_choices() -> list:
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices["order"]._actions if a.dest == "kind").choices
+
+
+def test_one_spelling_per_order_kind():
+    assert ORDER_KINDS == ("st", "rh", "lr", "r_rh")
+    assert tuple(ordercheck._CHECKS) == ORDER_KINDS
+    assert tuple(CURVE_FOR_KIND) == ORDER_KINDS
+    assert {cond.kind for cond in theorems._CONDITIONS.values()} == set(ORDER_KINDS)
+    # the CLI accepts the library's names and one documented alias
+    assert _order_kind_choices() == [*ORDER_KINDS, "r-rh"]
+    assert cli._ALIASES["r-rh"] == "r_rh"

@@ -102,6 +102,19 @@ def test_scan_counts_have_a_ceiling(field, most):
             ScanConfig.from_dict(dict(shared, **{field: huge}))
 
 
+@pytest.mark.parametrize("build, valid, extra, message", [
+    (ScanConfig.from_dict, SCAN, {"n_component": 3, "grids": "1e-3:1e3:50:log"},
+     "scan config has unknown keys ['grids', 'n_component']; expected only theorem, samples, "
+     "seed, ranges, n_components, grid"),
+    (FiniteMixture.from_dict, VALID["mixture"][1], {"betas": [1.0, 2.0]},
+     "mixture dict has unknown keys ['betas']; expected only weights, alpha, beta"),
+])
+def test_unknown_keys_are_refused(build, valid, extra, message):
+    # a misspelt key would otherwise be ignored, and its default used
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        build(dict(valid, **extra))
+
+
 def test_grid_points_have_a_ceiling():
     # a Grid computes its points on first use, so none of these allocates
     assert Grid(1e-4, 1e4, MAX_GRID_POINTS).points == MAX_GRID_POINTS

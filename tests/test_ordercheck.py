@@ -1373,6 +1373,24 @@ class TestStackedVerdicts:
         with pytest.raises(DomainError, match=r"rhs needs .* components, got shape \(\)"):
             check_orders("st", stack, (0.5, 1.0, 1.0), grid)
 
+    _GOOD = ([[0.5, 0.5]], [[1.0, 2.0]], [[1.0, 3.0]])
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("malformed, text", [
+        (_GOOD[:2], re.escape("needs (weights, alphas, betas), got 2 arrays")),
+        (([[0.5, 0.5], [1.0]],) + _GOOD[1:],
+         re.escape("needs (weights, alphas, betas) arrays of numbers: ") + ".*inhomogeneous"),
+        (_GOOD[:2] + ([["1.0", "x"]],),
+         re.escape("needs (weights, alphas, betas) arrays of numbers: could not convert")),
+    ], ids=["two arrays", "ragged", "non-numeric"])
+    def test_malformed_sides_are_refused(self, side, malformed, text):
+        # refused before the kernel, naming the side, not as numpy's
+        # ValueError or the kernel's unpacking error
+        sides = [self._GOOD, self._GOOD]
+        sides[side] = malformed
+        with pytest.raises(DomainError, match=("lhs ", "rhs ")[side] + text):
+            check_orders("st", *sides, Grid(1e-2, 1e2, 20))
+
     @pytest.mark.parametrize("nondecreasing", [True, False])
     def test_step_test_matches_compacted_rows(self, nondecreasing):
         # the stacked step test against np.diff over each row's usable
