@@ -17,6 +17,14 @@ DIR receives, from the ikmix under this checkout's src/:
                                              subnormals, undefined points)
   dump_curves.stdout, .exit,                 scripts/dump_curves.py, run in
   dump_curves/*.csv                          DIR
+  g17_edges.csv                              write_curve_csv of the values
+                                             hardest to print: exact 17-digit
+                                             ties, every power of ten from
+                                             1e-320 to 1e308 with both
+                                             neighbours, subnormal and normal
+                                             extremes, +-0, NaN and +-inf; as
+                                             x and, negated in reverse order,
+                                             as value
   verdicts.json, verdicts.exit               the to_dict() of every catalog
                                              orientation under each order
                                              kind, both ways round, on the
@@ -137,6 +145,27 @@ for name, grid in (("default", DEFAULT_GRID), ("wide", Grid.from_spec("1e-100:1e
         for kind in CURVE_KINDS:
             path = outdir / f"{fid.replace('.', '_')}_{kind}.csv"
             write_curve_csv(difference_curve(po.lhs, po.rhs, grid, kind), path)
+"""
+# the formatter's hard values: exact ties (|v| * 10**q = m * 5**q / 2 for
+# an odd m, the only ties a float64 has, q = 1 to 24; and 1e15 plus a
+# quarter, as large ratios in the catalog are), each power of ten with
+# both neighbours (the nearest float64 lies on either side of the power,
+# and that below 1e153 prints as 1e+153), the ends of the subnormal and
+# normal ranges and the special values.  Only Curve and write_curve_csv
+# are called, so this runs unchanged against an older checkout
+_G17_EDGES = """
+import math, sys
+import numpy as np
+from ikmix.ordercheck import Curve, write_curve_csv
+ties = [1e15 + f for f in (0.25, 0.75, 2.25, 2.75)]
+ties += [(m | 1) * 2.0 ** -(q + 1) for q in range(1, 25)
+         for m in (2 * 10**16 // 5**q + 1, min(2 * 10**17 // 5**q, 2**53) - 1)]
+powers = [float(w) for k in range(-320, 309) for v in [float(f"1e{k}")]
+          for w in (np.nextafter(v, -math.inf), v, np.nextafter(v, math.inf))]
+ends = [5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308,
+        1.7976931348623157e308, 0.0, -0.0, math.nan, math.inf, -math.inf]
+x = np.array(ties + powers + ends)
+write_curve_csv(Curve(x, -x[::-1], np.isfinite(x[::-1])), sys.argv[1])
 """
 # the orientation is recorded too: to_dict() leaves it out when a
 # hypothesis fails.  The draws are replayed here, one rng.uniform per
@@ -392,6 +421,7 @@ def write(outdir: Path) -> int:
         (outdir / f"{name}.json").write_bytes(proc.stdout)
         (outdir / f"{name}.exit").write_text(f"{proc.returncode}\n")
     _record(outdir, "curves", _run(["-c", _CURVES, str(outdir / "curves")]))
+    _run(["-c", _G17_EDGES, str(outdir / "g17_edges.csv")])
     # run in DIR, so the printed paths are the same for every DIR
     _record(outdir, "dump_curves", _run([str(ROOT / "scripts" / "dump_curves.py"), "--outdir",
                                          "dump_curves"], cwd=outdir))

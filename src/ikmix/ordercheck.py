@@ -74,6 +74,7 @@ witness, so they never run it.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
@@ -461,10 +462,16 @@ _CHECKS = {"st": _st, "rh": _rh, "lr": _lr, "r_rh": _r_rh}
 ORDER_KINDS = tuple(_CHECKS)
 
 
-def _decide(kind: str, lhs: tuple, rhs: tuple, grid: Grid) -> list[_Columns]:
-    """The columns of check_orders(kind, lhs, rhs, grid), one per chunk."""
+def _check(kind: str):
+    """The check of the order kind; DomainError for an unknown kind."""
     if kind not in _CHECKS:
         raise DomainError(f"unknown order kind {kind!r}; expected one of {ORDER_KINDS}")
+    return _CHECKS[kind]
+
+
+def _decide(kind: str, lhs: tuple, rhs: tuple, grid: Grid) -> list[_Columns]:
+    """The columns of check_orders(kind, lhs, rhs, grid), one per chunk."""
+    check = _check(kind)
     stacks = []
     for name, side in (("lhs", lhs), ("rhs", rhs)):
         try:
@@ -497,7 +504,7 @@ def _decide(kind: str, lhs: tuple, rhs: tuple, grid: Grid) -> list[_Columns]:
     if len(m1s) != len(m2s):
         raise DomainError(f"{len(m1s)} lhs mixtures vs {len(m2s)} rhs mixtures")
     chunk = max(1, _STACK_VALUES // (max(m1s.shape[2], m2s.shape[2]) * grid.points))
-    return [_CHECKS[kind](m1s[start:start + chunk], m2s[start:start + chunk], grid)
+    return [check(m1s[start:start + chunk], m2s[start:start + chunk], grid)
             for start in range(0, len(m1s), chunk)]
 
 
@@ -521,10 +528,10 @@ def check_orders(kind: str, lhs: tuple, rhs: tuple,
 
 def check_order(kind: str, m1: FiniteMixture, m2: FiniteMixture,
                 grid: Grid = DEFAULT_GRID) -> OrderVerdict:
-    """m1 <= m2 in the order kind (one of ORDER_KINDS) on grid:
-    check_orders on one-row arrays of m1 and m2."""
-    return check_orders(kind, *([[v] for v in (m.weights, m.alphas, m.betas)] for m in (m1, m2)),
-                        grid)[0]
+    """m1 <= m2 in the order kind (one of ORDER_KINDS) on grid: the
+    verdict check_orders gives the pair, without its checks of the
+    parameters, which a FiniteMixture has passed."""
+    return _verdict(_check(kind)(_params(m1)[None], _params(m2)[None], grid), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -570,34 +577,68 @@ def difference_curve(m1: FiniteMixture, m2: FiniteMixture, grid: Grid, which: st
     return Curve(xs, vals, defined)
 
 
-# Exact %.17g text for float64 arrays.  A finite v != 0 with exponent
-# E = floor(log10|v|) prints the 17 digits of N = |v| * 10**(16 - E), rounded.
-# N', that product in np.longdouble with the power parsed from its string, is
-# rounded twice by at most eps/2, so |N' - N| < 1e17 * eps (0.011 on x87).
-# Where N' clears 1e16 and lies more than a margin of 2e17 * eps from a tie,
-# N' rounds as N does and E is v's exponent; zeros take N = 0; every other
-# value (NaN, inf, a misjudged E, a near-tie; every value where np.longdouble
-# is no wider than float64, the margin then exceeding 0.5) goes through
-# _g17_exact.  The text matrix has one column per value and NULs in empty
-# cells, 29 rows: the sign; "0." and up to 3 zeros (E < 0, fixed notation);
-# 18 rows for the 17 digits and the point, which follows digit `point`, so
-# that the digits after it sit one row lower; then "e", the exponent's sign
-# and its digits (the hundreds only from 100 on).  The digits are read from
-# a table of every 4-digit group, and the rows before and after them, which
-# depend on E alone, from tables indexed by E (_text_tables).
+# Exact %.17g text for float64 arrays.  A finite v != 0 whose text has the
+# exponent E prints the 17 digits of N = |v| * 10**(16 - E), rounded half to
+# even, and 10**16 - 0.5 <= N < 10**17 - 0.5: 17 digits that round up to
+# 10**17 carry into the next exponent (the float64 below 1e153 prints as
+# 1e+153), and the float64 below 1e-6 prints as 9.9999999999999995e-07.  E
+# is read from tables: np.frexp names the binade [2**(k-1), 2**k) of |v|,
+# whose values have one of two exponents, and |v| takes the higher one from
+# the least float64 whose text has it on.  N is |v| * 2**s times 10**(16 -
+# E) / 2**s = hi + lo, a double-double within 2**-106 of it, the power of
+# two keeping both factors normal for every E (subnormal v included).
+# Dekker's exact product (with Veltkamp's split; Numer. Math. 18, 1971)
+# gives |v| * 2**s * hi = P + err, P an integer, as every float64 from
+# 2**53 up is, and T = err + |v| * 2**s * lo misses N - P by at most
+# 2**-105 * N (the rounding of lo and of its product) plus half an ulp of a
+# number below 32 (the sum), under 5e-15.  N then rounds to P + rint(T)
+# wherever T lies more than _G17_TIE from a half-integer; the values that
+# do not (the exact ties, which round half to even, and any value that near
+# one) and NaN and inf go through _g17_exact; zeros take N = 0.  The text
+# matrix has one column per value and NULs in empty cells, 29 rows: the
+# sign; "0." and up to 3 zeros (E < 0, fixed notation); 18 rows for the 17
+# digits and the point, which follows digit `point`, so that the digits
+# after it sit one row lower; then "e", the exponent's sign and its digits
+# (the hundreds only from 100 on).  The digits are read from a table of
+# every 4-digit group, and the rows before and after them, which depend on
+# E alone, from tables indexed by E (_text_tables).
 _G17_HEIGHT = 29
-_Q_MIN = -292  # q = 16 - E lies in [-292, 340] for every finite v != 0
-_E_MIN = -324  # and E in [-324, 308]
+_G17_TIE = 1e-14  # twice the bound on T's error
+_E_MIN = -324  # E lies in [-324, 308] for every finite v != 0
+_K_MIN = -1073  # and k in [-1073, 1024]
+_SPLITTER = 2.0**27 + 1  # splits a float64 into two halves of 26 bits and a sign
 _K = np.arange(18, dtype=np.int8)[:, None]
+
+
+def _split(x: np.ndarray) -> tuple:
+    """x as high + low, each with at most 26 significant bits (Veltkamp)."""
+    c = _SPLITTER * x
+    high = c - (c - x)
+    return high, x - high
 
 
 @lru_cache(maxsize=1)
 def _g17_tables() -> tuple:
-    """10**q for q in [_Q_MIN, 340], the margin 2e17 * eps and 1e16 +
-    margin, in np.longdouble; built on first use."""
-    margin = 2e17 * float(np.finfo(np.longdouble).eps)
-    pow10 = np.array([f"1e{q}" for q in range(_Q_MIN, 341)], dtype=np.longdouble)
-    return pow10, margin, np.longdouble(10**16) + np.longdouble(margin)
+    """The tables of _g17_product, built on first use from exact integers:
+    for each binade k in [_K_MIN, 1024], E - _E_MIN for the exponent E of
+    2**(k-1) and the least float64 whose exponent is E + 1; for each E in
+    [_E_MIN, 308], 2**s and hi + lo = 10**(16 - E) / 2**s, hi correctly
+    rounded (as int / int is) and split into its halves, lo the rest
+    rounded, and hi in (1/2, 2) unless that makes 2**s overflow."""
+    least, rows = [], []
+    for e in range(_E_MIN, 309):
+        # the least float64 whose exponent is E: (10**17 - 0.5) * 10**(E - 17), rounded up
+        num, den = (2 * 10**17 - 1) * 10**max(e - 17, 0), 2 * 10**max(17 - e, 0)
+        a, b = (num / den).as_integer_ratio()
+        least.append(math.nextafter(num / den, math.inf) if a * den < num * b else num / den)
+        num, den = 10**max(16 - e, 0), 10**max(e - 16, 0)
+        s = min(num.bit_length() - den.bit_length(), 1023)
+        num, den = num << max(-s, 0), den << max(s, 0)
+        a, b = (num / den).as_integer_ratio()
+        rows.append((2.0**s, *_split(num / den), (num * b - a * den) / (den * b)))
+    least = np.array(least + [math.inf])  # no float64 reaches E = 309
+    first = np.searchsorted(least, np.ldexp(1.0, np.arange(_K_MIN, 1025) - 1), "right") - 1
+    return first, least[first + 1], *np.array(rows).T.copy()
 
 
 @lru_cache(maxsize=1)
@@ -623,32 +664,37 @@ def _g17_exact(v: float) -> bytes:
     return format(v, ".17g").encode().ljust(_G17_HEIGHT, b"\0")
 
 
+def _g17_product(a: np.ndarray) -> tuple:
+    """For each finite float64 a >= 0: E - _E_MIN, E being the exponent of
+    a's text (0 for zeros), and N = a * 10**(16 - E) as P + T, P a float64
+    integer and T within 5e-15 of N - P."""
+    first, bound, scale, high, low, rest = _g17_tables()
+    k = np.subtract(np.frexp(a)[1], _K_MIN, dtype=np.intp)
+    e = first[k] + ((a >= bound[k]) | (a == 0.0))  # zeros, in the binade of E = -1, take E = 0
+    a = a * scale[e]
+    (ah, al), bh, bl = _split(a), high[e], low[e]
+    p = a * (bh + bl)  # a * hi, rounded
+    return e, p, ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * rest[e]
+
+
 def _g17_digits(values: np.ndarray) -> tuple:
     """For each float64 v in values: E - _E_MIN (E taken as 0 for zeros
     and non-finite values), whether the product decides v, and the ASCII
     digits of N, a (17 x values) matrix, all zeros where the product does
-    not decide.  Apart from _g17, so that its np.longdouble and int64
-    temporaries are freed before the text is laid out."""
-    pow10, margin, least = _g17_tables()
-    a = np.abs(values)
-    finite = np.isfinite(a)
-    a = np.where(finite, a, 0.0)
-    e = (np.floor(np.log10(np.where(a > 0.0, a, 1.0))) - _E_MIN).astype(np.intp)
-    with np.errstate(over="ignore", invalid="ignore"):
-        big = a.astype(np.longdouble) * pow10[16 - _Q_MIN - _E_MIN - e]
-        frac, whole = np.modf(big)
-        frac = frac.astype(np.float64)
-        n = whole.astype(np.uint64) + (frac > 0.5)
-    exact = (finite & (np.abs(frac - 0.5) > margin) & (n < 10**17)
-             & ((big >= least) | (a == 0.0)))
-    n *= exact
+    not decide.  Apart from _g17, so that its temporaries are freed before
+    the text is laid out."""
+    finite = np.isfinite(values)
+    e, p, t = _g17_product(np.where(finite, np.abs(values), 0.0))
+    whole = np.rint(t)
+    exact = finite & (np.abs(t - whole) < 0.5 - _G17_TIE)
+    n = (p.astype(np.int64) + whole.astype(np.int64)) * exact
     # N's leading digit and four groups of 4 digits, from its two halves
-    hi, lo = np.divmod(n.view(np.int64), 10**8)
+    hi, lo = np.divmod(n, 10**8)
     lead, high, low = hi // 10**8, hi // 10**4, lo // 10**4
     digits = np.empty((17, values.size), np.uint8)
     digits[0] = lead + ord("0")
     for i, group in enumerate((high - lead * 10**4, hi - high * 10**4, low, lo - low * 10**4)):
-        np.take(_text_tables()[0], group, axis=1, out=digits[1 + 4 * i:5 + 4 * i], mode="clip")
+        np.take(_text_tables()[0], group, axis=1, out=digits[1 + 4 * i:5 + 4 * i])
     return e, exact, digits
 
 

@@ -720,6 +720,36 @@ _FLOAT64S = st.one_of(
 )
 
 
+def _significant_bits(v: float) -> int:
+    """The bits from the first to the last set one of |v|'s significand."""
+    n = abs(Fraction(v)).numerator
+    return (n // (n & -n)).bit_length() if n else 0
+
+
+def _is_tie(v: float) -> bool:
+    """Whether N = |v| * 10**(16 - E), E the exponent of v's text, ends in
+    exactly one half: a tie that format(v, ".17g") rounds half to even."""
+    exponent = int(format(v, ".16e").partition("e")[2])
+    return (Fraction(abs(v)) * Fraction(10) ** (16 - exponent)).denominator == 2
+
+
+def _near_ties() -> list[float]:
+    """Float64s v = M * 2**-(j + q) whose N = M * 5**q / 2**j lies 1 to 3
+    units of 2**-j from a tie, for q = 16 - E from 23 to 26, where 10**q
+    is inexact and the product carries its error: M * 5**q = 2**(j - 1) +
+    off modulo 2**j, M of 53 bits and N of 17 digits."""
+    found = set()
+    for q in range(23, 27):
+        for j in range(40, 60):
+            inverse = pow(5**q, -1, 2**j)
+            for off in (-3, -2, -1, 1, 2, 3):
+                r = (2 ** (j - 1) + off) * inverse % 2**j
+                for m in range(r + (2**52 - r + 2**j - 1) // 2**j * 2**j, 2**53, 2**j):
+                    if 10**16 <= Fraction(m * 5**q, 2**j) < 10**17:
+                        found.add(math.ldexp(m, -j - q))
+    return sorted(found)
+
+
 def _text_cell(text: str) -> tuple:
     """Where the %.17g text of a nonzero float puts its digits: the
     notation, the decimal exponent E of the leading digit, the place of
@@ -780,30 +810,106 @@ class TestCurves:
         assert 0 < len(deferred) < len(values)
         assert any(math.isnan(v) for v in deferred)
 
-    def test_every_value_defers_where_longdouble_is_no_wider_than_float64(
-            self, tmp_path, monkeypatch):
-        # the tables as _g17_tables builds them, in float64: the margin
-        # 2e17 * eps exceeds 0.5, so no product decides a value
-        margin = 2e17 * np.finfo(np.float64).eps
-        pow10 = np.array([f"1e{q}" for q in range(ordercheck._Q_MIN, 341)], np.float64)
-        monkeypatch.setattr(ordercheck, "_g17_tables", lambda: (pow10, margin, 1e16 + margin))
+    def test_the_product_decides_every_finite_value_but_exact_ties(self, tmp_path, monkeypatch):
+        # lognormal values over 100 decades, subnormals, and exact ties:
+        # every finite value the product leaves to format(v, ".17g") has an
+        # N = |v| * 10**(16 - E) that ends in exactly one half
+        rng = np.random.default_rng(28)
+        subnormals = np.array(rng.integers(1, 2**52, 1500, dtype=np.uint64)).view(float)
+        ties = [(m | 1) * 2.0 ** -(q + 1) for q in range(1, 25)
+                for m in rng.integers(2 * 10**16 // 5**q + 1, min(2 * 10**17 // 5**q, 2**53), 4)]
+        values = np.concatenate([rng.lognormal(0.0, 50.0, 3000), subnormals, ties, _SPECIAL])
+        values = np.concatenate([values, -values])
         exact = ordercheck._g17_exact
         deferred = []
         monkeypatch.setattr(ordercheck, "_g17_exact", lambda v: deferred.append(v) or exact(v))
-        values = np.concatenate([_SPECIAL, np.geomspace(1e-300, 1e300, 500)])
-        _assert_csv_matches_reference(Curve(values, values[::-1], np.isfinite(values)),
-                                      tmp_path)
-        assert len(deferred) == 2 * values.size
+        _assert_csv_matches_reference(Curve(values, values[::-1], np.isfinite(values)), tmp_path)
+        # each value is written twice, as an x and as a value
+        finite = [v for v in values.tolist() if math.isfinite(v)] * 2
+        assert sorted(v for v in deferred if math.isfinite(v)) == sorted(filter(_is_tie, finite))
+        assert sum(map(_is_tie, finite)) >= 4 * len(ties)
+        # the 4 NaNs and infinities of _SPECIAL, negated too, each written twice
+        assert sum(not math.isfinite(v) for v in deferred) == 4 * 2 * 2
+
+    def test_the_product_is_within_its_error_bound(self):
+        # N = |v| * 10**(16 - E) as P + T, E the exponent of v's text, P an
+        # integer, and T within 5e-15 of N - P: over lognormal values, random
+        # bit patterns, subnormals and each power of ten with its neighbours
+        rng = np.random.default_rng(2806)
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        bits = np.array(rng.integers(0, 0x7FF0 << 48, 3000, dtype=np.uint64)).view(float)
+        values = np.concatenate([
+            rng.lognormal(0.0, 50.0, 3000), bits, powers, np.nextafter(powers, 0.0),
+            np.nextafter(powers, math.inf), [5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]])
+        e, whole, rest = ordercheck._g17_product(values)
+        bound = Fraction(5, 10**15)
+        for v, k, p, t in zip(values.tolist(), e.tolist(), whole.tolist(), rest.tolist()):
+            exponent = k + ordercheck._E_MIN
+            assert exponent == int(format(v, ".16e").partition("e")[2]), v
+            n = Fraction(v) * Fraction(10) ** (16 - exponent)
+            assert p == int(p) and abs(Fraction(p) + Fraction(t) - n) <= bound, v
+        e, whole, rest = ordercheck._g17_product(np.zeros(2))
+        assert e.tolist() == [-ordercheck._E_MIN] * 2 and not whole.any() and not rest.any()
+
+    def test_powers_of_ten_and_their_neighbours_match_the_reference(self, tmp_path, monkeypatch):
+        # the nearest float64 to 10**k lies on either side of it, and that
+        # below 1e153 prints as 1e+153, with the higher exponent: every one
+        # of them and its neighbours, from 1e-320 to 1e308, is decided but
+        # for exact ties (the float64 below 1e15, 999999999999999.875)
+        powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+        values = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, math.inf)])
+        exact = ordercheck._g17_exact
+        deferred = []
+        monkeypatch.setattr(ordercheck, "_g17_exact", lambda v: deferred.append(v) or exact(v))
+        _assert_csv_matches_reference(Curve(values, -values, np.ones(values.size, bool)), tmp_path)
+        assert format(1e153, ".17g") == "1e+153" and 1e153 < 10**153
+        assert sorted(deferred) == [-999999999999999.875, 999999999999999.875]
+        assert all(map(_is_tie, deferred))
+
+    def test_values_a_hair_from_a_tie_round_as_format_does(self, tmp_path):
+        # where 10**q is inexact, T carries the table's error, and for an N
+        # within 5e-15 of a tie it can land on 0.5 (it does for some of
+        # these): such values must still print as format(v, ".17g") does
+        values = np.array(_near_ties())
+        assert len(values) >= 40
+        _assert_csv_matches_reference(Curve(values, -values, np.ones(values.size, bool)), tmp_path)
 
     def test_powers_of_ten_are_correctly_rounded(self):
-        # the error bound of the vectorised formatter takes each 10**q to
-        # be within half an ulp of the exact power
-        pow10, margin, _ = ordercheck._g17_tables()
-        assert margin == 2e17 * float(np.finfo(np.longdouble).eps)
-        for q, power in zip(range(ordercheck._Q_MIN, 341), pow10):
-            exact = Fraction(10) ** q
-            ulp = Fraction(*(np.nextafter(power, np.inf) - power).as_integer_ratio())
-            assert abs(Fraction(*power.as_integer_ratio()) - exact) <= ulp / 2, q
+        # the error bound of the product takes each scaled 10**q as hi + lo,
+        # hi correctly rounded, and within 2**-106 * 10**q of it, hi split
+        # into halves of at most 26 bits, and a power of two that keeps
+        # every product's factors normal
+        first, bound, scale, high, low, rest = ordercheck._g17_tables()
+        tiny = np.finfo(np.float64).smallest_normal
+        for e, (two_s, bh, bl, lo) in enumerate(zip(*(c.tolist() for c in (scale, high, low, rest)))):
+            power = Fraction(10) ** (16 - e - ordercheck._E_MIN) / Fraction(two_s)
+            hi = bh + bl
+            assert Fraction(hi) == Fraction(bh) + Fraction(bl)
+            toward = math.nextafter(hi, math.inf if power > hi else -math.inf)
+            assert abs(Fraction(hi) - power) <= abs(Fraction(toward) - Fraction(hi)) / 2, e
+            assert abs(Fraction(hi) + Fraction(lo) - power) <= power / 2**106, e
+            assert all(_significant_bits(half) <= 26 for half in (bh, bl)), e
+            assert two_s == 2.0 ** round(math.log2(two_s)) and tiny <= two_s < math.inf
+            # |v| * 2**s, about N / hi, is normal and splits without overflow
+            assert tiny < 1e16 / hi and 1e17 / hi < 1e300, e
+        # each binade's exponent and the least float64 of the next one, as
+        # format(v, ".17g") prints them
+        for k, (e, least) in enumerate(zip(first.tolist(), bound.tolist())):
+            exponent = e + ordercheck._E_MIN
+            below = math.ldexp(1.0, k + ordercheck._K_MIN - 1)
+            assert int(format(below, ".16e").partition("e")[2]) == exponent, k
+            if least < math.inf:
+                assert int(format(least, ".16e").partition("e")[2]) == exponent + 1, k
+                assert int(format(math.nextafter(least, 0.0), ".16e").partition("e")[2]) == exponent
+
+    def test_split_halves_hold_26_bits_and_sum_exactly(self):
+        # Dekker's product is exact only for Veltkamp halves of 26 bits
+        rng = np.random.default_rng(27)
+        values = np.concatenate([rng.lognormal(0.0, 30.0, 2000), [1.0, 2.0**53 - 1, 1e16, 1e17]])
+        high, low = ordercheck._split(values)
+        for v, h, lo in zip(values.tolist(), high.tolist(), low.tolist()):
+            assert Fraction(h) + Fraction(lo) == Fraction(v)
+            assert _significant_bits(h) <= 26 and _significant_bits(lo) <= 26, v
 
     def test_catalog_curves_match_the_reference(self, catalog, tmp_path):
         for fid in catalog.ids():
@@ -836,20 +942,12 @@ class TestCurves:
         _assert_csv_matches_reference(Curve(values, values[::-1], np.isfinite(values)), tmp_path)
         decided = [format(v, ".17g") for v in values.tolist() if v not in deferred]
         cells = {_text_cell(text) for text in decided if text.lstrip("-") != "0"}
-        # "0.0001" is the text of 1e-4 alone, whose product lies within the
-        # margin of a tie
-        assert {cell[1:3] for cell in cells if cell[0] == "fixed"} == set(fixed) - {(-4, 0)}
+        assert {cell[1:3] for cell in cells if cell[0] == "fixed"} == set(fixed)
         assert {(cell[1] < 0, cell[2] > 0, cell[3]) for cell in cells if cell[0] == "sci"} == {
             (negative, dotted, size) for negative in (True, False) for dotted in (True, False)
             for size in (2, 3)}
         assert {text[0] == "-" for text in decided} == {True, False}
         assert {"0", "-0"} <= set(decided)
-        # with no margin the product decides it, and rounds it right
-        pow10, _, _ = ordercheck._g17_tables()
-        monkeypatch.setattr(ordercheck, "_g17_tables", lambda: (pow10, 0.0, 1e16))
-        deferred.clear()
-        _assert_csv_matches_reference(_curve([(1e-4, -1e-4, True)]), tmp_path, "margin")
-        assert deferred == []
 
     @pytest.mark.parametrize("name, columns", [
         ("int64 x", (np.array([1, 2, 3]), np.array([0.5, -0.0, np.nan]),
