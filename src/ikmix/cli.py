@@ -34,8 +34,8 @@ from .mixture import (
     mixture_quantile,
     mixture_sf,
 )
-from .ordercheck import (DEFAULT_GRID, ORDER_KINDS, Curve, Grid, _sf_difference, check_order,
-                         difference_curve, write_curve_csv)
+from .ordercheck import (CURVE_KINDS, DEFAULT_GRID, ORDER_KINDS, Curve, Grid, _sf_difference,
+                         check_order, difference_curve, write_curve_csv)
 from .scan import ScanConfig, run_scan
 
 __all__ = ["main"]
@@ -207,9 +207,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=_cmd_reproduce)
 
     p_curve = sub.add_parser("curve", help="write a comparison curve as CSV")
+    # sf is one mixture's sf; the library's sf curve, the sf difference, is sfdiff
     p_curve.add_argument("--which", required=True,
-                         choices=["sf", "sfdiff", "cdf_ratio", "pdf_ratio", "rh_ratio",
-                                  "cdfratio", "pdfratio", "rhratio"])
+                         choices=["sf", *("sfdiff" if k == "sf" else k for k in CURVE_KINDS),
+                                  *(a for a, k in _ALIASES.items() if k in CURVE_KINDS)])
     p_curve.add_argument("--m1", required=True, metavar="FILE")
     p_curve.add_argument("--m2", metavar="FILE")
     p_curve.add_argument("--out", required=True, metavar="FILE")

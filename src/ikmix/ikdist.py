@@ -85,6 +85,14 @@ def _count(name: str, v, least: int, most: float = math.inf) -> int:
     return int(v)
 
 
+def _known_keys(what: str, obj: dict, keys) -> None:
+    """DomainError naming the keys of obj that are not in keys, if any."""
+    extra = set(obj) - set(keys)
+    if extra:
+        raise DomainError(f"{what} has unknown keys {sorted(extra, key=str)}; "
+                          f"expected only {', '.join(keys)}")
+
+
 def _read_json(what: str, path):
     """The JSON value in the UTF-8 file at path, else DomainError naming the
     file as a `what` file: unreadable, or not UTF-8 or not JSON."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ikdist import DomainError, _count, _positive
+from .ikdist import DomainError, _count, _known_keys, _positive
 
 __all__ = [
     "ParamMatrix2xN",
@@ -119,6 +119,7 @@ class ParamMatrix2xN:
             row1, row2 = tuple(obj["row1"]), tuple(obj["row2"])
         except (KeyError, TypeError) as exc:
             raise DomainError(f"matrix dict needs row1/row2: {exc}") from exc
+        _known_keys("matrix dict", obj, ("row1", "row2"))
         return cls(row1, row2)
 
     def to_dict(self) -> dict:
@@ -151,6 +152,7 @@ class TTransform:
             omega, pair = obj["omega"], obj["pair"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"t-transform dict needs omega/pair: {exc}") from exc
+        _known_keys("t-transform dict", obj, ("omega", "pair"))
         return cls(omega, pair)
 
     def to_dict(self) -> dict:

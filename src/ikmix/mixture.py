@@ -65,8 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ikdist import (DomainError, IKParams, _as_x, _log_cdf, _log_pdf, _log_u, _positive, _sf,
-                     ik_quantile)
+from .ikdist import (DomainError, IKParams, _as_x, _known_keys, _log_cdf, _log_pdf, _log_u,
+                     _positive, _sf, ik_quantile)
 
 __all__ = [
     "EVALUATORS",
@@ -161,10 +161,7 @@ class FiniteMixture:
             weights, alpha, beta = obj["weights"], obj["alpha"], obj["beta"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"mixture dict needs weights/alpha/beta: {exc}") from exc
-        extra = set(obj) - {"weights", "alpha", "beta"}
-        if extra:
-            raise DomainError(f"mixture dict has unknown keys {sorted(extra, key=str)}; "
-                              "expected only weights, alpha, beta")
+        _known_keys("mixture dict", obj, ("weights", "alpha", "beta"))
         return cls(weights, alpha, beta)
 
     def to_dict(self) -> dict:

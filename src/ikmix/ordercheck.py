@@ -40,7 +40,7 @@ counted in skipped_points.  When more than 10% of the grid is unusable
 the verdict is inconclusive; so is an rh verdict whose two criteria
 disagree; only these rows get a reason as the chunk is decided.
 Otherwise the row's first bad point, if any, makes the verdict violated,
-its witness read from the test's own arrays: the step map, the two
+its witness read from the test's own arrays: the usable mask, the two
 compared arrays (a log ratio twice for a step test) and the witness value
 transform.  One function (_verdict) builds a row's OrderVerdict from the
 columns, with its Witness, its reason (from the test's template) and its
@@ -48,15 +48,16 @@ pending crossing (the test's search function bound to the pair's
 parameter rows); check_orders and check_order build every verdict they
 return through it, and a scan reads the columns instead (scan.run_scan).
 
-A row whose every point is usable steps into point j from point j - 1:
-the step test compares neighbour slices of the ratio, with the tolerance
-of the left one, and a witness's left point is k - 1, with no index map
-and no gather.  Only the rows that hold an unusable point get a map
-(_previous), from each point to the usable point before it (for st, the
-point before it if usable); their steps go through it, and their left
-points through one lookup of the violated rows among the mapped ones
-(_left).  The choice is made per row from the usable mask, so one such
-row leaves the rest of its chunk on neighbour slices.
+Every step is taken between neighbouring points: the step test compares
+neighbour slices of the ratio, with the tolerance of the left one
+(_bad_steps).  A row that holds an unusable point is first prepared, on
+copies: each usable point's ratio and tolerance scale are carried over the
+unusable points after it, so that a step into an unusable point is 0 (NaN
+before the row's first usable point) and never bad, and a step into a
+usable point is taken from the last usable point before it.  Rows whose
+every point is usable are used as they are.  A witness's left point is
+k - 1 when that point is usable, and otherwise the last usable point
+before k (for st, none), read from the usable mask (_left).
 
 Witness semantics: for pointwise checks, (x, lhs, rhs) are the two
 compared values (sf or rh) at the offending x.  For monotonicity checks,
@@ -145,6 +146,11 @@ class Grid:
             self.__dict__["_xs"] = xs
         return xs
 
+    def __getstate__(self) -> dict:
+        # copies and pickles leave the points out and compute them again,
+        # read-only: a pickled array would come back writeable
+        return {k: v for k, v in self.__dict__.items() if k != "_xs"}
+
     @classmethod
     def from_spec(cls, spec: str) -> "Grid":
         """Parse 'xmin:xmax:points:spacing', e.g. '1e-4:1e4:2000:log'."""
@@ -216,30 +222,16 @@ class OrderVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _previous(usable: np.ndarray, across_gaps: bool) -> tuple:
-    """The step map of a stack: the indices of the rows that hold an
-    unusable point, and for each point of those rows the index of the point
-    before it if that one is usable, or with across_gaps the last usable
-    point before it; -1 if none.  A row with every point usable has no map:
-    its step into point j is from point j - 1 (_bad_steps, _left)."""
-    rows = np.flatnonzero(~usable.all(axis=1))
-    prev = np.full((rows.size, usable.shape[1]), -1)
-    if rows.size:
-        before = np.where(usable[rows, :-1], np.arange(usable.shape[1] - 1), -1)
-        prev[:, 1:] = np.maximum.accumulate(before, axis=1) if across_gaps else before
-    return rows, prev
-
-
-def _left(previous: tuple, rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """The left point of the step into point ks[n] of row rows[n], by the
-    step map previous (_previous): ks[n] - 1 in a row with no map (-1 at
-    the first point), else the map's entry, found by one searchsorted of
-    rows into the mapped rows."""
-    mapped, prev = previous
+def _left(usable: np.ndarray, rows: np.ndarray, ks: np.ndarray, across: bool) -> np.ndarray:
+    """The left point of the step into point ks[n] of row rows[n]: ks[n] - 1
+    when that point is usable, else with across the last usable point
+    before ks[n], or -1 if there is none (always -1 at the first point)."""
     left = ks - 1
-    if mapped.size:
-        on = np.isin(rows, mapped)
-        left[on] = prev[mapped.searchsorted(rows[on]), ks[on]]
+    gap = (ks > 0) & ~usable[rows, left]
+    left[gap] = -1
+    if across and gap.any():
+        at = np.arange(usable.shape[1])
+        left[gap] = np.where(usable[rows[gap]] & (at < ks[gap, None]), at, -1).max(axis=1)
     return left
 
 
@@ -249,29 +241,28 @@ def _exceeds(v1: np.ndarray, v2: np.ndarray, scale: np.ndarray) -> np.ndarray:
         return v1 > v2 + _TOL * (1.0 + scale)
 
 
-def _bad_steps(r: np.ndarray, scale: np.ndarray, usable: np.ndarray, previous: tuple,
+def _bad_steps(r: np.ndarray, scale: np.ndarray, usable: np.ndarray,
                nondecreasing: bool) -> np.ndarray:
     """Steps of r between consecutive usable points that break monotonicity
     in the named direction beyond the tolerance _TOL * (1 + scale) at the
     step's left end; entry j is the step into point j.  Every row takes
-    its steps from neighbouring points, slices with no gather; the rows of
-    the step map previous (_previous) then take theirs from point prev[j]
-    instead, through the map."""
+    its steps from neighbouring points, by slices.  A row that holds an
+    unusable point does so on copies of r and scale in which each usable
+    point's values are carried over the unusable points after it, and r is
+    NaN before the row's first usable point: a step into an unusable point
+    is then 0 or NaN, never bad, and a step into a usable one is taken from
+    the last usable point before it.  r and scale are left as they are."""
+    rows = np.flatnonzero(~usable.all(axis=1))
+    if rows.size:
+        last = np.maximum.accumulate(np.where(usable[rows], np.arange(r.shape[1]), -1), axis=1)
+        r, scale = r.copy(), scale.copy()
+        r[rows] = np.where(last < 0, np.nan, np.take_along_axis(r[rows], last, axis=1))
+        scale[rows] = np.take_along_axis(scale[rows], last, axis=1)
     with np.errstate(invalid="ignore"):
         diffs = r[:, 1:] - r[:, :-1]
     tau = _TOL * (1.0 + scale[:, :-1])
     bad = np.zeros(r.shape, dtype=bool)
     bad[:, 1:] = diffs < -tau if nondecreasing else diffs > tau
-    rows, prev = previous
-    if rows.size:
-        # prev as indices into the flattened rows; a -1 reads the row's
-        # first point, and the mask below drops that step
-        r, scale = r[rows], scale[rows]
-        left = np.maximum(prev, 0) + np.arange(0, r.size, r.shape[1])[:, None]
-        with np.errstate(invalid="ignore"):
-            diffs = r - r.take(left)
-        tau = _TOL * (1.0 + scale.take(left))
-        bad[rows] = (diffs < -tau if nondecreasing else diffs > tau) & usable[rows] & (prev >= 0)
     return bad
 
 
@@ -329,18 +320,19 @@ _Columns = namedtuple("_Columns", "kind grid m1s m2s status skipped nonfinite re
 
 
 def _verdicts(kind: str, grid: Grid, m1s, m2s, skip: np.ndarray, nonfinite: np.ndarray,
-              bad: np.ndarray, previous: tuple, v1: np.ndarray, v2: np.ndarray, step: bool,
+              bad: np.ndarray, v1: np.ndarray, v2: np.ndarray, step: bool,
               search, reason: str, value, split: dict | None = None) -> _Columns:
     """Every row's verdict, decided as columns.  A row with over 10% of the
     grid unusable (skip or nonfinite) is inconclusive and names each count;
     passing leaves at least two usable points on any grid.  Then a row in
     split is inconclusive with the reason it maps to; a row with no point
     in bad holds on the grid; any other row is violated at its first bad
-    point k, whose step starts at p, read from the step map previous
-    (_left).  Its witness holds x[k], v1 at p for a step test (v1 = v2, a
-    log ratio) or at k for a pointwise one, and v2 at k, through value,
-    which takes the stack's witness values in one array; reason is a
-    template for the witness x.  Its crossing, the root of search(m1, m2,
+    point k, whose step starts at p: the last usable point (neither skip
+    nor nonfinite) before k, or for st k - 1 if usable, else none (_left).
+    Its witness holds x[k], v1 at p for a step test (v1 = v2, a log ratio)
+    or at k for a pointwise one, and v2 at k, through value, which takes
+    the stack's witness values in one array; reason is a template for the
+    witness x.  Its crossing, the root of search(m1, m2,
     x) bound to the pair's parameter rows, is searched inside the step from
     p to k: always for a step test, and for a pointwise test when p is
     strictly ordered (v1 < v2 there)."""
@@ -357,7 +349,7 @@ def _verdicts(kind: str, grid: Grid, m1s, m2s, skip: np.ndarray, nonfinite: np.n
     witness = np.full((4, len(status)), np.nan)
     if hit.size:
         ks = bad[hit].argmax(axis=1)
-        ps = _left(previous, hit, ks)
+        ps = _left(~(skip | nonfinite), hit, ks, across=kind != "st")
         xs = grid.xs()
         searched = (ps >= 0) & (step or v1[hit, ps] < v2[hit, ps])
         witness[:, hit] = (xs[ks], *value(np.array((v1[hit, ps if step else ks], v2[hit, ks]))),
@@ -391,11 +383,9 @@ def _check_ratio_monotone(kind: str, grid: Grid, log_num: np.ndarray, log_den: n
     with np.errstate(invalid="ignore"):
         log_ratio = log_num - log_den
     nonfinite = ~np.isfinite(log_ratio)
-    usable = ~nonfinite
-    previous = _previous(usable, across_gaps=True)
     direction = "nondecreasing" if nondecreasing else "nonincreasing"
     return _verdicts(kind, grid, m1s, m2s, np.zeros_like(nonfinite), nonfinite,
-                     _bad_steps(log_ratio, scale, usable, previous, nondecreasing), previous,
+                     _bad_steps(log_ratio, scale, ~nonfinite, nondecreasing),
                      log_ratio, log_ratio, True, slope,
                      f"ratio fails to be {direction} on the step ending at x={{!r}}", _exp)
 
@@ -416,10 +406,9 @@ def _st(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> _Columns:
     s1, s2 = _pair(_survival, grid.xs(), m1s, m2s)
     nonfinite = ~(np.isfinite(s1) & np.isfinite(s2))
     skip = ~nonfinite & (s1 < _UNDERFLOW) & (s2 < _UNDERFLOW)
-    usable = ~(skip | nonfinite)
     return _verdicts("st", grid, m1s, m2s, skip, nonfinite,
-                     usable & _exceeds(s1, s2, np.maximum(s1, s2)),
-                     _previous(usable, across_gaps=False), s1, s2, False, _sf_difference,
+                     ~(skip | nonfinite) & _exceeds(s1, s2, np.maximum(s1, s2)),
+                     s1, s2, False, _sf_difference,
                      "sf(m1) exceeds sf(m2) at x={!r}", np.asarray)
 
 
@@ -427,17 +416,16 @@ def _rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> _Columns:
     (F1, F2), (f1, f2), (h1, h2) = _pair(_evaluate, grid.xs(), m1s, m2s, ("cdf", "pdf", "rh"))
     nonfinite = ~(np.isfinite(h1) & np.isfinite(h2))
     usable = ~nonfinite
-    previous = _previous(usable, across_gaps=True)
     scale = _magnitude(F1, f1, F2, f2)
     with np.errstate(invalid="ignore"):
-        ratio_bad = _bad_steps(F2 - F1, scale, usable, previous, nondecreasing=True).any(axis=1)
+        ratio_bad = _bad_steps(F2 - F1, scale, usable, nondecreasing=True).any(axis=1)
     viol = usable & _exceeds(h1, h2, scale)
     split = {}
     for i in np.flatnonzero(ratio_bad != viol.any(axis=1)).tolist():
         which = "cdf-ratio monotonicity" if ratio_bad[i] else "pointwise reversed hazards"
         split[i] = f"the two rh criteria disagree (only {which} flagged a violation)"
-    return _verdicts("rh", grid, m1s, m2s, np.zeros_like(nonfinite), nonfinite, viol, previous,
-                     h1, h2, False,
+    return _verdicts("rh", grid, m1s, m2s, np.zeros_like(nonfinite), nonfinite, viol, h1, h2,
+                     False,
                      lambda m1, m2, x: np.subtract(*_pair(_evaluate, x, m1, m2, ("rh",))[0]),
                      "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", _exp, split)
 

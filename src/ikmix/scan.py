@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .ikdist import DomainError, _count, _positive, _read_json
+from .ikdist import DomainError, _count, _known_keys, _positive, _read_json
 from .mixture import _renormalised_rows
 from .ordercheck import DEFAULT_GRID, Grid, _decide
 from .theorems import SCAN_LAYOUTS, check_stack
@@ -124,11 +124,7 @@ class ScanConfig:
     def from_dict(cls, d: dict) -> "ScanConfig":
         if not isinstance(d, dict):
             raise DomainError(f"scan config must be a JSON object, got {d!r}")
-        known = [f.name for f in fields(cls)]
-        extra = set(d) - set(known)
-        if extra:
-            raise DomainError(f"scan config has unknown keys {sorted(extra, key=str)}; "
-                              f"expected only {', '.join(known)}")
+        _known_keys("scan config", d, [f.name for f in fields(cls)])
         grid = d.get("grid")
         if grid is None:
             g = DEFAULT_GRID

@@ -11,7 +11,7 @@ import pkgutil
 from collections import Counter
 
 import ikmix
-from ikmix import CURVE_FOR_KIND, ORDER_KINDS, cli, ordercheck, theorems
+from ikmix import CURVE_FOR_KIND, CURVE_KINDS, ORDER_KINDS, cli, ordercheck, theorems
 
 # the command line is the console script's entry point, not library API
 _NOT_REEXPORTED = {"cli"}
@@ -42,10 +42,10 @@ def test_no_two_modules_export_the_same_name():
     assert [name for name, n in counts.items() if n > 1] == []
 
 
-def _order_kind_choices() -> list:
+def _choices(command: str, dest: str) -> list:
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a for a in sub.choices["order"]._actions if a.dest == "kind").choices
+    return next(a for a in sub.choices[command]._actions if a.dest == dest).choices
 
 
 def test_one_spelling_per_order_kind():
@@ -54,5 +54,15 @@ def test_one_spelling_per_order_kind():
     assert tuple(CURVE_FOR_KIND) == ORDER_KINDS
     assert {cond.kind for cond in theorems._CONDITIONS.values()} == set(ORDER_KINDS)
     # the CLI accepts the library's names and one documented alias
-    assert _order_kind_choices() == [*ORDER_KINDS, "r-rh"]
+    assert _choices("order", "kind") == [*ORDER_KINDS, "r-rh"]
     assert cli._ALIASES["r-rh"] == "r_rh"
+
+
+def test_one_name_per_curve_kind():
+    # the CLI's curve kinds are the library's, with its sf curve (the sf
+    # difference) spelt sfdiff, sf for one mixture's sf, and aliases of them
+    choices = _choices("curve", "which")
+    assert choices == ["sf", "sfdiff", "cdf_ratio", "pdf_ratio", "rh_ratio",
+                       "cdfratio", "pdfratio", "rhratio"]
+    for choice in choices:
+        assert choice in ("sf", "sfdiff", *CURVE_KINDS) or cli._ALIASES[choice] in CURVE_KINDS

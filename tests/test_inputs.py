@@ -108,6 +108,10 @@ def test_scan_counts_have_a_ceiling(field, most):
      "seed, ranges, n_components, grid"),
     (FiniteMixture.from_dict, VALID["mixture"][1], {"betas": [1.0, 2.0]},
      "mixture dict has unknown keys ['betas']; expected only weights, alpha, beta"),
+    (ParamMatrix2xN.from_dict, VALID["matrix"][1], {"rows3": 1},
+     "matrix dict has unknown keys ['rows3']; expected only row1, row2"),
+    (TTransform.from_dict, VALID["t-transform"][1], {"pairs": [1, 2], "Omega": 0.5},
+     "t-transform dict has unknown keys ['Omega', 'pairs']; expected only omega, pair"),
 ])
 def test_unknown_keys_are_refused(build, valid, extra, message):
     # a misspelt key would otherwise be ignored, and its default used

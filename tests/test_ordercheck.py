@@ -135,6 +135,21 @@ class TestGrid:
         assert [f.name for f in dataclasses.fields(Grid)] == ["x_min", "x_max", "points",
                                                               "spacing"]
 
+    @pytest.mark.parametrize("duplicate", [lambda g: pickle.loads(pickle.dumps(g)),
+                                           copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_copies_keep_the_points_read_only(self, duplicate):
+        # a copy of a grid that has computed its points computes them again:
+        # a pickled array would come back writeable, and a write to it would
+        # change every later check on that copy
+        g = Grid(1e-2, 1e2, 50)
+        xs = g.xs()
+        other = duplicate(g)
+        assert other == g and hash(other) == hash(g)
+        assert not other.xs().flags.writeable
+        assert other.xs().tobytes() == xs.tobytes()
+        with pytest.raises(ValueError):
+            other.xs()[0] = 1.0
+
 
 class TestStOrder:
     def test_beta_shift_dominates(self):
@@ -1493,13 +1508,13 @@ class TestStackedVerdicts:
     def test_step_test_matches_compacted_rows(self, nondecreasing):
         # the stacked step test against np.diff over each row's usable
         # points, on three stacks: rows with unusable points anywhere, ties
-        # and NaNs; rows whose every point is usable, which step from
-        # their neighbours with no map; and such rows between rows with
-        # unusable points at the ends and inside.  On the last two the
-        # scale puts the tolerance near the ratio's 0.1 steps, so that one
-        # read at the step's right end flips steps.  Every point's left
-        # point (_left) is the last usable point before it, or with
-        # across_gaps=False the point before it if usable
+        # and NaNs; rows whose every point is usable; and such rows between
+        # rows with unusable points at the ends and inside, with no usable
+        # point and with one.  On the last two the scale puts the tolerance
+        # near the ratio's 0.1 steps, so that one read at the step's right
+        # end flips steps.  The ratio and the scale are left as they are.
+        # Every point's left point (_left) is the last usable point before
+        # it, or with across=False the point before it if usable
         r = np.random.default_rng(int(nondecreasing))
         ratio = np.round(np.cumsum(r.normal(size=(40, 30)), axis=1), 1)
         usable = r.random(size=ratio.shape) < 0.8
@@ -1513,12 +1528,14 @@ class TestStackedVerdicts:
             if mixed:
                 usable[1::2] = r.random(size=(20, 30)) < 0.8
                 usable[1, :3], usable[3, -3:], usable[5, 10:20] = False, False, False
+                usable[7], usable[9], usable[9, 17] = False, False, True
                 ratio[~usable] = np.nan
             stacks.append((ratio, usable, np.abs(r.normal(size=ratio.shape)) * 1e11))
         flips = 0
         for ratio, usable, scale in stacks:
-            got = ordercheck._bad_steps(ratio, scale, usable, ordercheck._previous(usable, True),
-                                        nondecreasing)
+            before = ratio.tobytes(), scale.tobytes()
+            got = ordercheck._bad_steps(ratio, scale, usable, nondecreasing)
+            assert (ratio.tobytes(), scale.tobytes()) == before
             for i in range(len(ratio)):
                 idx = np.flatnonzero(usable[i])
                 diffs = np.diff(ratio[i, idx])
@@ -1530,14 +1547,13 @@ class TestStackedVerdicts:
                 flips += np.count_nonzero(want[idx[1:]] != (diffs < -right if nondecreasing
                                                             else diffs > right))
             rows, ks = np.nonzero(np.ones(ratio.shape, dtype=bool))
-            for across_gaps in (True, False):
-                left = ordercheck._left(ordercheck._previous(usable, across_gaps),
-                                        rows, ks).tolist()
+            for across in (True, False):
+                left = ordercheck._left(usable, rows, ks, across).tolist()
                 want = []
                 for i, k in zip(rows.tolist(), ks.tolist()):
                     before = np.flatnonzero(usable[i, :k])
                     last = int(before[-1]) if before.size else -1
-                    want.append(last if across_gaps or last == k - 1 else -1)
+                    want.append(last if across or last == k - 1 else -1)
                 assert left == want
         assert flips > 0
 
@@ -1679,7 +1695,9 @@ class TestColumnarVerdicts:
         # synthetic stacks whose unusable points lie anywhere in a row,
         # which the library's checks do not produce: each row's status,
         # witness, reason and crossing against a reference that finds the
-        # row's first bad point and its left point by a loop over the row.
+        # row's first bad point and its left point by a loop over the row
+        # (a step test's left point is the last usable point before k, a
+        # pointwise test's, as for st, is k - 1 if usable, else none).
         # Each pair's search is sin(a * x) with a of its row, so a crossing
         # searched for the wrong row or from the wrong point differs.
         r = np.random.default_rng(int(step))
@@ -1688,7 +1706,7 @@ class TestColumnarVerdicts:
         rows = 90
         # rising rows with a few falls (step) or reversals (pointwise)
         unusable = r.random(size=(rows, 40)) < np.linspace(0.0, 0.2, rows)[:, None]
-        unusable[::3] = False  # rows with no map
+        unusable[::3] = False  # rows whose every point is usable
         flips = r.random(size=(rows, 40)) < 0.05
         rising = np.round(np.cumsum(np.abs(r.normal(size=(rows, 40))) - 3.0 * flips, axis=1), 1)
         v1 = np.where(unusable, np.nan, rising)
@@ -1696,9 +1714,8 @@ class TestColumnarVerdicts:
         skip = unusable & (r.random(size=v1.shape) < 0.5)
         nonfinite = unusable & ~skip
         scale = np.zeros(v1.shape)
-        previous = ordercheck._previous(~unusable, across_gaps=step)
         if step:
-            bad = ordercheck._bad_steps(v1, scale, ~unusable, previous, nondecreasing=True)
+            bad = ordercheck._bad_steps(v1, scale, ~unusable, nondecreasing=True)
         else:
             bad = ~unusable & ordercheck._exceeds(v1, v2, scale)
         m1s = np.arange(rows)[:, None, None] + np.zeros((rows, 3, 2))
@@ -1706,9 +1723,9 @@ class TestColumnarVerdicts:
         def search(m1, m2, x):
             return np.sin((100.0 + m1[0, 0]) * x)
 
-        columns = ordercheck._verdicts("lr", grid, m1s, m1s, skip, nonfinite, bad, previous,
-                                       v1, v2, step, search, "at {!r}", np.asarray)
-        counts = {"violated": 0, "searched": 0, "mapped": 0}
+        columns = ordercheck._verdicts("lr" if step else "st", grid, m1s, m1s, skip, nonfinite,
+                                       bad, v1, v2, step, search, "at {!r}", np.asarray)
+        counts = {"violated": 0, "searched": 0, "after a gap": 0}
         for i in range(rows):
             v = ordercheck._verdict(columns, i)
             assert (v.skipped_points, v.nonfinite_points) == (skip[i].sum(), nonfinite[i].sum())
@@ -1733,7 +1750,7 @@ class TestColumnarVerdicts:
             assert repr(v.refined_crossing) == repr(want)
             counts["violated"] += 1
             counts["searched"] += want is not None
-            counts["mapped"] += bool(unusable[i, :k].any())
+            counts["after a gap"] += bool(unusable[i, :k].any())
         assert min(counts.values()) > 5, counts
 
 
