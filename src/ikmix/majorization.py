@@ -171,10 +171,12 @@ def in_script_l(pm: ParamMatrix2xN) -> bool:
 
 
 def _opposite(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """in_script_l for each stacked pair of rows along the last axis."""
+    """in_script_l for each stacked pair of rows along the last axis.  A
+    product that overflows keeps its sign, so its test is unchanged."""
     d1 = r1[..., :, None] - r1[..., None, :]
     d2 = r2[..., :, None] - r2[..., None, :]
-    return np.all(d1 * d2 <= _PAIR_SLACK, axis=(-2, -1))
+    with np.errstate(over="ignore"):
+        return np.all(d1 * d2 <= _PAIR_SLACK, axis=(-2, -1))
 
 
 def _t_chain(rows: np.ndarray, ts) -> list[np.ndarray]:

@@ -1,15 +1,10 @@
 """Grid verification and refutation of stochastic orders between mixtures.
 
-Each of the four checks comes down to one of two tests on the grid: a
-pointwise comparison within tolerance, or a log ratio whose every step
-must move in one direction (_bad_steps).
-
-  st    sf(m1) <= sf(m2) pointwise
-  rh    log cdf(m2) - log cdf(m1) nondecreasing AND log rh(m1) <= log rh(m2)
-        pointwise; the two criteria must agree or the verdict degrades to
-        inconclusive
-  lr    log pdf(m2) - log pdf(m1) nondecreasing  (m1 <= m2 in likelihood ratio)
-  r-rh  log rh(m1) - log rh(m2) nonincreasing
+Each order kind is one entry of _KINDS, which holds all that is its own:
+its test on the grid, a pointwise comparison within tolerance or a log
+ratio whose every step must move in one direction (_bad_steps), its
+crossing search, witness values, reason and curve.  ORDER_KINDS,
+CURVE_FOR_KIND and CURVE_KINDS are views of it.
 
 A verdict of holds_on_grid is exactly that: a statement about the sampled
 grid, not a proof.  violated, by contrast, is a hard refutation and comes
@@ -41,10 +36,10 @@ the verdict is inconclusive; so is an rh verdict whose two criteria
 disagree; only these rows get a reason as the chunk is decided.
 Otherwise the row's first bad point, if any, makes the verdict violated,
 its witness read from the test's own arrays: the usable mask, the two
-compared arrays (a log ratio twice for a step test) and the witness value
-transform.  One function (_verdict) builds a row's OrderVerdict from the
-columns, with its Witness, its reason (from the test's template) and its
-pending crossing (the test's search function bound to the pair's
+compared arrays (a log ratio twice for a step test) and the entry's
+value transform.  One function (_verdict) builds a row's OrderVerdict
+from the columns, with its Witness, its reason (the entry's template)
+and its pending crossing (the entry's search bound to the pair's
 parameter rows); check_orders and check_order build every verdict they
 return through it, and a scan reads the columns instead (scan.run_scan).
 
@@ -313,81 +308,70 @@ _STATUSES = ("holds_on_grid", "violated", "inconclusive")
 # the chunk's order kind, grid and parameter rows; each row's int8 status
 # code and its skipped and non-finite point counts; an inconclusive row's
 # reason, by row; a 4 x rows array of a violated row's witness x, lhs and
-# rhs and the left end of its crossing search (NaN where it has none); the
-# search function and the reason template.
-_Columns = namedtuple("_Columns", "kind grid m1s m2s status skipped nonfinite reasons witness "
-                                  "search template")
+# rhs and the left end of its crossing search (NaN where it has none).
+_Columns = namedtuple("_Columns", "kind grid m1s m2s status skipped nonfinite reasons witness")
 
 
-def _verdicts(kind: str, grid: Grid, m1s, m2s, skip: np.ndarray, nonfinite: np.ndarray,
-              bad: np.ndarray, v1: np.ndarray, v2: np.ndarray, step: bool,
-              search, reason: str, value, split: dict | None = None) -> _Columns:
-    """Every row's verdict, decided as columns.  A row with over 10% of the
+def _verdicts(kind: str, grid: Grid, m1s, m2s) -> _Columns:
+    """Every row's verdict, decided as columns from the arrays of the test
+    of the kind's entry e in _KINDS on grid.  A row with over 10% of the
     grid unusable (skip or nonfinite) is inconclusive and names each count;
     passing leaves at least two usable points on any grid.  Then a row in
     split is inconclusive with the reason it maps to; a row with no point
     in bad holds on the grid; any other row is violated at its first bad
-    point k, whose step starts at p: the last usable point (neither skip
-    nor nonfinite) before k, or for st k - 1 if usable, else none (_left).
-    Its witness holds x[k], v1 at p for a step test (v1 = v2, a log ratio)
-    or at k for a pointwise one, and v2 at k, through value, which takes
-    the stack's witness values in one array; reason is a template for the
-    witness x.  Its crossing, the root of search(m1, m2,
-    x) bound to the pair's parameter rows, is searched inside the step from
-    p to k: always for a step test, and for a pointwise test when p is
-    strictly ordered (v1 < v2 there)."""
+    point k, whose step starts at p: k - 1 if usable, else with e.across
+    the last usable point (neither skip nor nonfinite) before k, or none
+    (_left).  Its witness holds x[k], v1 at p when bad marks steps (e.step;
+    v1 = v2, a log ratio) or at k when it marks points, and v2 at k,
+    through e.value, which takes the stack's witness values in one array.
+    Its crossing is searched inside the step from p to k: always for a
+    step test, and for a pointwise one when v1 < v2 at p."""
+    e = _kind(kind)
+    skip, nonfinite, bad, v1, v2, split = e.test(m1s, m2s, grid.xs())
     # no pass over the rows when the chunk has no such point
     n_skip, n_nonfinite = (m.sum(axis=1) if m.any() else np.zeros(len(m), np.intp)
                            for m in (skip, nonfinite))
     gated = (n_skip + n_nonfinite > _SKIP_FRACTION * grid.points).nonzero()[0]
     causes = ((n_skip, "underflowed float64"), (n_nonfinite, "were non-finite (NaN or inf)"))
-    reasons = (split or {}) | {i: "; ".join(f"{n[i]} of {grid.points} grid points {what}"
-                                            for n, what in causes if n[i]) for i in gated.tolist()}
+    reasons = split | {i: "; ".join(f"{n[i]} of {grid.points} grid points {what}"
+                                    for n, what in causes if n[i]) for i in gated.tolist()}
     status = bad.any(axis=1).astype(np.int8)
     status[list(reasons)] = 2
     hit = (status == 1).nonzero()[0]
     witness = np.full((4, len(status)), np.nan)
     if hit.size:
         ks = bad[hit].argmax(axis=1)
-        ps = _left(~(skip | nonfinite), hit, ks, across=kind != "st")
+        ps = _left(~(skip | nonfinite), hit, ks, e.across)
         xs = grid.xs()
-        searched = (ps >= 0) & (step or v1[hit, ps] < v2[hit, ps])
-        witness[:, hit] = (xs[ks], *value(np.array((v1[hit, ps if step else ks], v2[hit, ks]))),
-                           np.where(searched, xs[ps], np.nan))
-    return _Columns(kind, grid, m1s, m2s, status, n_skip, n_nonfinite, reasons, witness, search,
-                    reason)
+        searched = (ps >= 0) & (e.step or v1[hit, ps] < v2[hit, ps])
+        ends = np.array((v1[hit, ps if e.step else ks], v2[hit, ks]))
+        witness[:, hit] = (xs[ks], *e.value(ends), np.where(searched, xs[ps], np.nan))
+    return _Columns(kind, grid, m1s, m2s, status, n_skip, n_nonfinite, reasons, witness)
 
 
 def _verdict(c: _Columns, i: int) -> OrderVerdict:
     """Row i of the columns c as an OrderVerdict: a violated row gets its
-    Witness, its reason and its crossing search, bound to the pair's
-    parameter rows and run on first read."""
+    Witness, its reason from the kind's template and its crossing search,
+    bound to the pair's parameter rows and run on first read."""
     status, witness, crossing, reason = _STATUSES[c.status[i]], None, None, c.reasons.get(i)
     if status == "violated":
+        e = _KINDS[c.kind]
         x, lhs, rhs, lo = c.witness[:, i].tolist()
-        witness, reason = Witness(x, lhs, rhs), c.template.format(x)
+        witness, reason = Witness(x, lhs, rhs), e.template.format(x)
         if not np.isnan(lo):
-            crossing = partial(_refine_crossing, partial(c.search, c.m1s[i], c.m2s[i]), lo, x)
+            crossing = partial(_refine_crossing, partial(e.search, c.m1s[i], c.m2s[i]), lo, x)
     return OrderVerdict(c.kind, status, witness, crossing, reason, int(c.skipped[i]),
                         int(c.nonfinite[i]), c.grid)
 
 
-def _check_ratio_monotone(kind: str, grid: Grid, log_num: np.ndarray, log_den: np.ndarray,
-                          scale: np.ndarray, slope, m1s, m2s, *,
-                          nondecreasing: bool) -> _Columns:
-    """Common body of the lr and r-rh checks: log_num - log_den must be
-    monotone on the grid in the named direction, within the tolerance of
-    scale.  A violated verdict refines the root of slope(m1, m2, x), the
-    vectorised derivative of that log ratio, inside the offending step;
-    the ratios at the ends of every violated row's step take one exp."""
+def _ratio_steps(log_num, log_den, scale, nondecreasing: bool) -> tuple:
+    """The step test of lr and r-rh: log_num - log_den monotone in the named
+    direction within the tolerance of scale; none of its points is skipped."""
     with np.errstate(invalid="ignore"):
         log_ratio = log_num - log_den
     nonfinite = ~np.isfinite(log_ratio)
-    direction = "nondecreasing" if nondecreasing else "nonincreasing"
-    return _verdicts(kind, grid, m1s, m2s, np.zeros_like(nonfinite), nonfinite,
-                     _bad_steps(log_ratio, scale, ~nonfinite, nondecreasing),
-                     log_ratio, log_ratio, True, slope,
-                     f"ratio fails to be {direction} on the step ending at x={{!r}}", _exp)
+    return (np.zeros_like(nonfinite), nonfinite,
+            _bad_steps(log_ratio, scale, ~nonfinite, nondecreasing), log_ratio, log_ratio, {})
 
 
 def _rh_slope(x, m: np.ndarray) -> np.ndarray:
@@ -398,22 +382,19 @@ def _rh_slope(x, m: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the four checks, each over the pairs (m1s[i], m2s[i]) of parameter arrays
+# the four tests, each over the pairs (m1s[i], m2s[i]) of parameter arrays
 # ---------------------------------------------------------------------------
 
 
-def _st(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> _Columns:
-    s1, s2 = _pair(_survival, grid.xs(), m1s, m2s)
+def _st(m1s: np.ndarray, m2s: np.ndarray, xs: np.ndarray) -> tuple:
+    s1, s2 = _pair(_survival, xs, m1s, m2s)
     nonfinite = ~(np.isfinite(s1) & np.isfinite(s2))
     skip = ~nonfinite & (s1 < _UNDERFLOW) & (s2 < _UNDERFLOW)
-    return _verdicts("st", grid, m1s, m2s, skip, nonfinite,
-                     ~(skip | nonfinite) & _exceeds(s1, s2, np.maximum(s1, s2)),
-                     s1, s2, False, _sf_difference,
-                     "sf(m1) exceeds sf(m2) at x={!r}", np.asarray)
+    return skip, nonfinite, ~(skip | nonfinite) & _exceeds(s1, s2, np.maximum(s1, s2)), s1, s2, {}
 
 
-def _rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> _Columns:
-    (F1, F2), (f1, f2), (h1, h2) = _pair(_evaluate, grid.xs(), m1s, m2s, ("cdf", "pdf", "rh"))
+def _rh(m1s: np.ndarray, m2s: np.ndarray, xs: np.ndarray) -> tuple:
+    (F1, F2), (f1, f2), (h1, h2) = _pair(_evaluate, xs, m1s, m2s, ("cdf", "pdf", "rh"))
     nonfinite = ~(np.isfinite(h1) & np.isfinite(h2))
     usable = ~nonfinite
     scale = _magnitude(F1, f1, F2, f2)
@@ -424,49 +405,80 @@ def _rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> _Columns:
     for i in np.flatnonzero(ratio_bad != viol.any(axis=1)).tolist():
         which = "cdf-ratio monotonicity" if ratio_bad[i] else "pointwise reversed hazards"
         split[i] = f"the two rh criteria disagree (only {which} flagged a violation)"
-    return _verdicts("rh", grid, m1s, m2s, np.zeros_like(nonfinite), nonfinite, viol, h1, h2,
-                     False,
-                     lambda m1, m2, x: np.subtract(*_pair(_evaluate, x, m1, m2, ("rh",))[0]),
-                     "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", _exp, split)
+    return np.zeros_like(nonfinite), nonfinite, viol, h1, h2, split
 
 
-def _lr(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> _Columns:
-    (f1, f2), = _pair(_evaluate, grid.xs(), m1s, m2s, ("pdf",))
+def _lr(m1s: np.ndarray, m2s: np.ndarray, xs: np.ndarray) -> tuple:
+    (f1, f2), = _pair(_evaluate, xs, m1s, m2s, ("pdf",))
+    return _ratio_steps(f2, f1, _magnitude(f1, f2), nondecreasing=True)
+
+
+def _r_rh(m1s: np.ndarray, m2s: np.ndarray, xs: np.ndarray) -> tuple:
+    (F1, F2), (f1, f2), (h1, h2) = _pair(_evaluate, xs, m1s, m2s, ("cdf", "pdf", "rh"))
+    return _ratio_steps(h1, h2, _magnitude(F1, f1, F2, f2), nondecreasing=False)
+
+
+# One entry per order kind; m1 <= m2 holds on the grid when its test flags none:
+#   st    sf(m1) <= sf(m2) pointwise
+#   rh    log rh(m1) <= log rh(m2) pointwise AND log cdf(m2) - log cdf(m1)
+#         nondecreasing; the two criteria must agree or the verdict degrades
+#         to inconclusive (split)
+#   lr    log pdf(m2) - log pdf(m1) nondecreasing  (m1 <= m2 in likelihood ratio)
+#   r_rh  log rh(m1) - log rh(m2) nonincreasing
+# An entry holds its test, (m1s, m2s, xs) -> (skip, nonfinite, bad, v1, v2,
+# split): stacked masks, compared values and the reasons of the rows it
+# finds inconclusive; step, whether bad marks steps or points; across,
+# whether a witness's left point may lie before an unusable point; its
+# crossing search, (m1, m2, x) -> the difference of the compared values
+# (st, rh) or the closed-form slope of the log ratio (lr, r_rh); the
+# witness value transform; the reason template for the witness x; and its
+# curve.  Public callables stay out: a tracer swaps them by name.
+_Kind = namedtuple("_Kind", "test step across search value template curve")
+_KINDS = {
+    "st": _Kind(_st, False, False, _sf_difference, np.asarray,
+                "sf(m1) exceeds sf(m2) at x={!r}", "sf"),
+    "rh": _Kind(_rh, False, True,
+                lambda m1, m2, x: np.subtract(*_pair(_evaluate, x, m1, m2, ("rh",))[0]), _exp,
+                "rh(m1) exceeds rh(m2) at x={!r}, confirmed by the cdf ratio", "cdf_ratio"),
     # m2 first: the slope of log pdf(m2) - log pdf(m1), as np.subtract(v2, v1)
-    return _check_ratio_monotone(
-        "lr", grid, f2, f1, _magnitude(f1, f2),
-        lambda m1, m2, x: np.subtract(*_pair(_evaluate, x, m2, m1, (), slope=True)[0]),
-        m1s, m2s, nondecreasing=True)
+    "lr": _Kind(_lr, True, True,
+                lambda m1, m2, x: np.subtract(*_pair(_evaluate, x, m2, m1, (), slope=True)[0]),
+                _exp, "ratio fails to be nondecreasing on the step ending at x={!r}",
+                "pdf_ratio"),
+    "r_rh": _Kind(_r_rh, True, True, lambda m1, m2, x: np.subtract(*_pair(_rh_slope, x, m1, m2)),
+                  _exp, "ratio fails to be nonincreasing on the step ending at x={!r}",
+                  "rh_ratio"),
+}
+ORDER_KINDS = tuple(_KINDS)
+# the curve that shows each order kind: the sf difference for st, the m1/m2
+# ratio of the named function for the others
+CURVE_FOR_KIND = {kind: e.curve for kind, e in _KINDS.items()}
+CURVE_KINDS = tuple(CURVE_FOR_KIND.values())
 
 
-def _r_rh(m1s: np.ndarray, m2s: np.ndarray, grid: Grid) -> _Columns:
-    (F1, F2), (f1, f2), (h1, h2) = _pair(_evaluate, grid.xs(), m1s, m2s, ("cdf", "pdf", "rh"))
-    return _check_ratio_monotone("r_rh", grid, h1, h2, _magnitude(F1, f1, F2, f2),
-                                 lambda m1, m2, x: np.subtract(*_pair(_rh_slope, x, m1, m2)),
-                                 m1s, m2s, nondecreasing=False)
-
-
-_CHECKS = {"st": _st, "rh": _rh, "lr": _lr, "r_rh": _r_rh}
-ORDER_KINDS = tuple(_CHECKS)
-
-
-def _check(kind: str):
-    """The check of the order kind; DomainError for an unknown kind."""
-    if kind not in _CHECKS:
+def _kind(kind: str) -> _Kind:
+    """The entry of the order kind; DomainError for an unknown kind."""
+    if kind not in _KINDS:
         raise DomainError(f"unknown order kind {kind!r}; expected one of {ORDER_KINDS}")
-    return _CHECKS[kind]
+    return _KINDS[kind]
 
 
 def _decide(kind: str, lhs: tuple, rhs: tuple, grid: Grid) -> list[_Columns]:
     """The columns of check_orders(kind, lhs, rhs, grid), one per chunk."""
-    check = _check(kind)
+    _kind(kind)  # refused before the sides are read, even with no pairs
     stacks = []
     for name, side in (("lhs", lhs), ("rhs", rhs)):
         try:
-            arrays = [np.asarray(v, dtype=float) for v in side]
+            raw = [np.asarray(v) for v in side]
+            arrays = [np.asarray(v, dtype=float) for v in raw]
         except (TypeError, ValueError) as exc:  # ragged or non-numeric
             raise DomainError(f"{name} needs (weights, alphas, betas) arrays of numbers: "
                               f"{exc}") from None
+        # text and bools convert, but FiniteMixture refuses them
+        for what, v in zip(("weights", "alphas", "betas"), raw):
+            if v.dtype.kind in "bSU":
+                raise DomainError(f"{name} {what} must be real numbers, got "
+                                  f"{'bools' if v.dtype.kind == 'b' else 'text'}")
         if len(arrays) != 3:
             raise DomainError(f"{name} needs (weights, alphas, betas), got {len(arrays)} arrays")
         shapes = [v.shape for v in arrays]
@@ -492,7 +504,7 @@ def _decide(kind: str, lhs: tuple, rhs: tuple, grid: Grid) -> list[_Columns]:
     if len(m1s) != len(m2s):
         raise DomainError(f"{len(m1s)} lhs mixtures vs {len(m2s)} rhs mixtures")
     chunk = max(1, _STACK_VALUES // (max(m1s.shape[2], m2s.shape[2]) * grid.points))
-    return [check(m1s[start:start + chunk], m2s[start:start + chunk], grid)
+    return [_verdicts(kind, grid, m1s[start:start + chunk], m2s[start:start + chunk])
             for start in range(0, len(m1s), chunk)]
 
 
@@ -519,18 +531,12 @@ def check_order(kind: str, m1: FiniteMixture, m2: FiniteMixture,
     """m1 <= m2 in the order kind (one of ORDER_KINDS) on grid: the
     verdict check_orders gives the pair, without its checks of the
     parameters, which a FiniteMixture has passed."""
-    return _verdict(_check(kind)(_params(m1)[None], _params(m2)[None], grid), 0)
+    return _verdict(_verdicts(kind, grid, _params(m1)[None], _params(m2)[None]), 0)
 
 
 # ---------------------------------------------------------------------------
 # curve extraction
 # ---------------------------------------------------------------------------
-
-# the curve that shows each order kind: the sf difference for st, the m1/m2
-# ratio of the named function for the others
-CURVE_FOR_KIND = {"st": "sf", "rh": "cdf_ratio", "lr": "pdf_ratio", "r_rh": "rh_ratio"}
-CURVE_KINDS = tuple(CURVE_FOR_KIND.values())
-
 
 class Curve(NamedTuple):
     """A comparison curve as three read-only columns of one length: the

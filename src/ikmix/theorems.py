@@ -431,14 +431,21 @@ def _t3_10(lhs, rhs) -> tuple:
 def _separated(a_name: str, a_detail: str, prod_name: str, prod_detail: str):
     """Every rhs alpha lies below every lhs alpha, and every lhs alpha*beta
     below every rhs one.  The detail templates are filled with the max and
-    the min of each comparison."""
+    the min of each comparison.  A product may overflow to inf: a draw
+    whose two extremes both do is decided by log alpha + log beta."""
     def hypotheses(lhs, rhs):
         (_, alpha_lhs, beta_lhs), (_, alpha_rhs, beta_rhs) = lhs, rhs
         a_max, a_min = alpha_rhs.max(axis=-1), alpha_lhs.min(axis=-1)
-        prod_max = (alpha_lhs * beta_lhs).max(axis=-1)
-        prod_min = (alpha_rhs * beta_rhs).min(axis=-1)
+        with np.errstate(over="ignore"):
+            prod_max = (alpha_lhs * beta_lhs).max(axis=-1)
+            prod_min = (alpha_rhs * beta_rhs).min(axis=-1)
+        held = prod_max <= prod_min + _SLACK
+        both = np.isinf(prod_max) & np.isinf(prod_min)
+        if both.any():
+            held[both] = ((np.log(alpha_lhs[both]) + np.log(beta_lhs[both])).max(axis=-1)
+                          <= (np.log(alpha_rhs[both]) + np.log(beta_rhs[both])).min(axis=-1))
         return ((a_name, a_max <= a_min + _SLACK, a_detail, a_max, a_min),
-                (prod_name, prod_max <= prod_min + _SLACK, prod_detail, prod_max, prod_min))
+                (prod_name, held, prod_detail, prod_max, prod_min))
     return hypotheses
 
 

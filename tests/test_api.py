@@ -50,8 +50,10 @@ def _choices(command: str, dest: str) -> list:
 
 def test_one_spelling_per_order_kind():
     assert ORDER_KINDS == ("st", "rh", "lr", "r_rh")
-    assert tuple(ordercheck._CHECKS) == ORDER_KINDS
-    assert tuple(CURVE_FOR_KIND) == ORDER_KINDS
+    # the kind tables are views of one registry entry per kind
+    assert ORDER_KINDS == tuple(ordercheck._KINDS)
+    assert CURVE_FOR_KIND == {kind: e.curve for kind, e in ordercheck._KINDS.items()}
+    assert CURVE_KINDS == ("sf", "cdf_ratio", "pdf_ratio", "rh_ratio")
     assert {cond.kind for cond in theorems._CONDITIONS.values()} == set(ORDER_KINDS)
     # the CLI accepts the library's names and one documented alias
     assert _choices("order", "kind") == [*ORDER_KINDS, "r-rh"]

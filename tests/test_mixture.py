@@ -20,11 +20,14 @@ from ikmix import (
     DomainError,
     FiniteMixture,
     IKParams,
+    ParamMatrix2xN,
+    check_theorem_3_11,
     ik_cdf,
     ik_pdf,
     ik_quantile,
     ik_reversed_hazard,
     ik_sf,
+    in_script_l,
     mixture_cdf,
     mixture_pdf,
     mixture_quantile,
@@ -855,6 +858,18 @@ class TestKernelScope:
         assert len(SCAN_CONFIGS) == 4
         for path in SCAN_CONFIGS:
             _unchanged_when_raising(lambda: run_scan(ScanConfig.from_file(path)).to_dict())
+
+    def test_raising_errstate_with_overflowing_products(self):
+        # alpha*beta products and script-L's d1*d2 overflow to inf where
+        # the answer does not depend on their size
+        _unchanged_when_raising(lambda: check_theorem_3_11(
+            [0.5, 0.5], [1e200, 2e200], [1e200, 1e200], [0.5, 0.5], [1, 2], [1, 2]).to_dict())
+        huge = {"p": (0.05, 1.0), "alpha": (1e200, 2e200), "beta": (1e200, 2e200),
+                "p_star": (0.05, 1.0), "alpha_star": (1.5, 3.9), "beta_star": (2.5, 6.0)}
+        config = ScanConfig("T3.11", 20, 3, huge, grid=ordercheck.Grid(1e-3, 1e3, 200))
+        _unchanged_when_raising(lambda: run_scan(config).to_dict())
+        _unchanged_when_raising(
+            lambda: in_script_l(ParamMatrix2xN((1e200, 2e200), (1e200, 3e200))))
 
 
 class TestEvaluatorScope:

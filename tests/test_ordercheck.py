@@ -1495,7 +1495,10 @@ class TestStackedVerdicts:
          re.escape("needs (weights, alphas, betas) arrays of numbers: ") + ".*inhomogeneous"),
         (_GOOD[:2] + ([["1.0", "x"]],),
          re.escape("needs (weights, alphas, betas) arrays of numbers: could not convert")),
-    ], ids=["two arrays", "ragged", "non-numeric"])
+        # numeric text and bools, which FiniteMixture refuses too
+        (([["0.5", "0.5"]],) + _GOOD[1:], "weights must be real numbers, got text"),
+        (([[True]], [[1.0]], [[1.0]]), "weights must be real numbers, got bools"),
+    ], ids=["two arrays", "ragged", "non-numeric", "numeric text", "bools"])
     def test_malformed_sides_are_refused(self, side, malformed, text):
         # refused before the kernel, naming the side, not as numpy's
         # ValueError or the kernel's unpacking error
@@ -1690,16 +1693,28 @@ class TestColumnarVerdicts:
             assert check_orders(kind, *sides, _COLUMN_GRID)[::-3] == \
                 [ordercheck._verdict(*rows[n]) for n in range(len(rows))][::-3]
 
+    def test_each_kind_s_step_and_left_point_rules(self):
+        # bad marks steps for the two log-ratio tests and points for st and
+        # rh; only st never takes a witness's left point from before an
+        # unusable point.  A library check rarely meets that case (st's
+        # unusable points lie at the grid's ends), so the rule is pinned here
+        rules = {kind: (e.step, e.across) for kind, e in ordercheck._KINDS.items()}
+        assert rules == {"st": (False, False), "rh": (False, True), "lr": (True, True),
+                         "r_rh": (True, True)}
+
     @pytest.mark.parametrize("step", [True, False])
-    def test_gaps_inside_rows_against_a_row_reference(self, step):
+    def test_gaps_inside_rows_against_a_row_reference(self, monkeypatch, step):
         # synthetic stacks whose unusable points lie anywhere in a row,
         # which the library's checks do not produce: each row's status,
         # witness, reason and crossing against a reference that finds the
         # row's first bad point and its left point by a loop over the row
         # (a step test's left point is the last usable point before k, a
         # pointwise test's, as for st, is k - 1 if usable, else none).
-        # Each pair's search is sin(a * x) with a of its row, so a crossing
-        # searched for the wrong row or from the wrong point differs.
+        # The stacks come from the lr or st entry with its test, search,
+        # value and template replaced, so its step and across rules are
+        # the library's.  Each pair's search is sin(a * x) with a of its
+        # row, so a crossing searched for the wrong row or from the wrong
+        # point differs.
         r = np.random.default_rng(int(step))
         grid = Grid(1.0, 2.0, 40, "linear")
         xs = grid.xs()
@@ -1723,8 +1738,11 @@ class TestColumnarVerdicts:
         def search(m1, m2, x):
             return np.sin((100.0 + m1[0, 0]) * x)
 
-        columns = ordercheck._verdicts("lr" if step else "st", grid, m1s, m1s, skip, nonfinite,
-                                       bad, v1, v2, step, search, "at {!r}", np.asarray)
+        kind = "lr" if step else "st"
+        monkeypatch.setitem(ordercheck._KINDS, kind, ordercheck._KINDS[kind]._replace(
+            test=lambda *stacks: (skip, nonfinite, bad, v1, v2, {}), search=search,
+            template="at {!r}", value=np.asarray))
+        columns = ordercheck._verdicts(kind, grid, m1s, m1s)
         counts = {"violated": 0, "searched": 0, "after a gap": 0}
         for i in range(rows):
             v = ordercheck._verdict(columns, i)

@@ -431,6 +431,27 @@ class TestTwoParameterCheckers:
             got = {h.name: h.held for h in rep.hypotheses}
             assert got == fx["expected_hypotheses"], fid
 
+    def test_overflowing_products_are_decided_by_their_logs(self):
+        # max alpha*beta = 6e400 exceeds min alpha*beta* = 1e400, though
+        # both are inf in float64; T3.12 is the mirror.  Swapped, the
+        # hypothesis holds.  In a stack, the draws whose products overflow
+        # decide as they do alone, beside a finite draw
+        big, small = ([3e200, 3e200], [2e200, 2e200]), ([1e200, 1e200], [1e200, 1e200])
+        for checker, name, lhs, rhs in (
+                (check_theorem_3_11, "alpha_beta_products_below_starred", big, small),
+                (check_theorem_3_12, "alpha_beta_products_above_starred", small, big)):
+            assert not checker([0.5, 0.5], *lhs, [0.5, 0.5], *rhs).hypothesis(name).held
+            assert checker([0.5, 0.5], *rhs, [0.5, 0.5], *lhs).hypothesis(name).held
+        finite = ([3.0, 4.0], [1.0, 2.0])
+        sides = [(big, small), (small, big), (finite, finite), (big, finite), (finite, big)]
+        draws = {"p": np.full((5, 2), 0.5), "p_star": np.full((5, 2), 0.5)}
+        for i, key in enumerate(("alpha", "beta", "alpha_star", "beta_star")):
+            draws[key] = np.array([side[i // 2][i % 2] for side in sides])
+        held = theorems.check_stack("T3.11", draws)[3][1]
+        assert held.tolist() == [
+            check_theorem_3_11([0.5, 0.5], *lhs, [0.5, 0.5], *rhs).hypotheses[1].held
+            for lhs, rhs in sides] == [False, True, False, False, True]
+
     def test_predicted_kinds(self, catalog):
         kinds = {"ex3.6": ("T3.10", "r_rh"), "ex3.7": ("T3.11", "rh"),
                  "ex3.8": ("T3.12", "lr")}
