@@ -68,7 +68,9 @@ changed .exit file rather than as noise on stderr.
 
 To check a change against its parent, run the script in a checkout of
 each and compare the two directories; --compare exits 1 on any missing,
-extra or differing file.  Both modes exit 2 without writing or comparing
+extra or differing file.  Under a differing JSON file whose top level is
+a list in both runs, it names each differing entry: its index and its
+id, case, fixture, scan and index fields, where it has them.  Both modes exit 2 without writing or comparing
 anything when DIR exists and is not empty, or when either directory to
 compare is missing or holds no file.
 """
@@ -76,6 +78,7 @@ compare is missing or holds no file.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -428,6 +431,28 @@ def write(outdir: Path) -> int:
     return 0
 
 
+_NAMING = ("id", "case", "fixture", "scan", "index")
+
+
+def _entries(a: Path, b: Path) -> list[str]:
+    """One line per differing entry of two JSON files whose top level is a
+    list in both; entries past the shorter list count as differing."""
+    try:
+        lists = [json.loads(path.read_bytes()) for path in (a, b)]
+    except ValueError:
+        return []
+    if not all(isinstance(v, list) for v in lists):
+        return []
+    lines = []
+    for i in range(max(map(len, lists))):
+        entries = [v[i] if i < len(v) else None for v in lists]
+        if entries[0] != entries[1]:
+            entry = entries[0] if entries[0] is not None else entries[1]
+            names = [f"{k}={entry[k]!r}" for k in _NAMING if isinstance(entry, dict) and k in entry]
+            lines.append(f"  [{i}] {' '.join(names)}".rstrip())
+    return lines
+
+
 def compare(a: Path, b: Path) -> int:
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
@@ -436,10 +461,12 @@ def compare(a: Path, b: Path) -> int:
             return _refuse(f"{d} holds no file; give two directories written by this script")
     problems = [f"only in {a}: {p}" for p in sorted(files_a - files_b)]
     problems += [f"only in {b}: {p}" for p in sorted(files_b - files_a)]
-    problems += [f"differs: {p}" for p in sorted(files_a & files_b)
-                 if (a / p).read_bytes() != (b / p).read_bytes()]
     for line in problems:
         print(line)
+    for p in sorted(files_a & files_b):
+        if (a / p).read_bytes() != (b / p).read_bytes():
+            problems.append(p)
+            print(f"differs: {p}", *_entries(a / p, b / p), sep="\n")
     print(f"{len(files_a & files_b)} common files, {len(problems)} differences")
     return 1 if problems else 0
 

@@ -16,9 +16,11 @@ from importlib import resources
 
 from .ikdist import DomainError
 from .majorization import (
+    _SLACK,
     ParamMatrix2xN,
     TTransform,
     apply_t_transform,
+    chain_majorization_verify,
     infer_t_transform_2x2,
 )
 from .mixture import EVALUATORS
@@ -26,9 +28,6 @@ from .ordercheck import DEFAULT_GRID, Grid, _sf_difference, check_order
 from .theorems import CHECKERS, ConditionReport
 
 __all__ = ["FixtureCatalog", "FixtureResult", "CheckOutcome", "run_fixture"]
-
-_ENTRYWISE_TOL = 1e-12
-_OMEGA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,16 +128,18 @@ def run_fixture(fixture: dict, grid: Grid = DEFAULT_GRID) -> FixtureResult:
     for i, tt in enumerate(fixture.get("t_transforms", ())):
         src = ParamMatrix2xN.from_dict(tt["from"])
         want_prod = ParamMatrix2xN.from_dict(tt["product"])
-        got_prod = apply_t_transform(src, TTransform(tt["omega"], tt["pair"]))
+        t = TTransform(tt["omega"], tt["pair"])
+        got_prod = apply_t_transform(src, t)
         worst = max(abs(a - b) for a, b in
                     zip(got_prod.row1 + got_prod.row2, want_prod.row1 + want_prod.row2))
         checks.append(CheckOutcome(
-            f"t_transform:{i}:product", worst <= _ENTRYWISE_TOL,
+            f"t_transform:{i}:product", chain_majorization_verify(src, want_prod, (t,)),
             f"max entrywise deviation {worst:.3e}"))
         if src.n == 2:
             inferred = infer_t_transform_2x2(src, want_prod)
             want_omega = tt["inferred_omega"]
-            ok = inferred is not None and abs(inferred.omega - want_omega) <= _OMEGA_TOL
+            # omega lies in [0, 1], so it is in its own units
+            ok = inferred is not None and abs(inferred.omega - want_omega) <= _SLACK
             checks.append(CheckOutcome(
                 f"t_transform:{i}:omega", ok,
                 f"expected omega {want_omega!r}, inferred "

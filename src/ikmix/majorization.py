@@ -16,6 +16,15 @@ Conventions, fixed once here and relied on everywhere else:
 
 The preorders also take stacks of vectors along the last axis, giving one
 bool per stack entry; _opposite is script-L over stacks of row pairs.
+
+Every comparison is scale-free.  The compared values are first divided by
+one power of two, which brings their largest magnitude into [0.5, 1)
+(_units): exact, and no sum of them can overflow.  A running sum then
+passes within _SLACK times the magnitudes summed over the same terms, the
+size of its rounding error; script L's pairwise products pass within
+_SLACK, each row in its own units.  So scaling the inputs by 2^k changes
+no answer.  A T-transform chain reproduces q when each entry of its image
+lies within _CHAIN_SLACK of the larger magnitude of it and q's entry.
 _t_chain is the one T-transform: it carries stacked (..., 2, N) rows
 through a chain and keeps every stage, and _chain_holds compares its end
 with q.  in_script_l, apply_t_transform and chain_majorization_verify are
@@ -26,6 +35,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -44,10 +54,8 @@ __all__ = [
     "schur_probe",
 ]
 
-_PREFIX_TOL = 1e-12
-_PAIR_SLACK = 1e-12
-_CHAIN_TOL = 1e-10
-_OMEGA_AGREE = 1e-9
+_SLACK = 1e-12
+_CHAIN_SLACK = 1e-10
 
 
 def _vec(v, name: str) -> np.ndarray:
@@ -67,6 +75,25 @@ def _pair(a, b):
     return np.sort(x), np.sort(y)
 
 
+def _units(*vs) -> tuple:
+    """e, then each of vs divided by 2^e, where 2^e is the least power of
+    two above the largest magnitude of the vs along the last axis, per
+    stack entry (e keeps that axis, of length one)."""
+    e = np.frexp(reduce(np.maximum, [np.abs(v).max(axis=-1, keepdims=True) for v in vs]))[1]
+    return (e, *(np.ldexp(v, -e) for v in vs))
+
+
+def _sums(a, b, suffix: bool = False) -> tuple:
+    """The running sums of a's and b's ascending arrangements, from the top
+    when suffix, in the pair's units, and the slack of each."""
+    x, y = _pair(a, b)
+    if suffix:
+        x, y = x[..., ::-1], y[..., ::-1]
+    _, x, y = _units(x, y)
+    return (np.cumsum(x, axis=-1), np.cumsum(y, axis=-1),
+            _SLACK * np.cumsum(np.abs(x) + np.abs(y), axis=-1))
+
+
 def _held(held: np.ndarray):
     """A bool for a pair of vectors, the array for stacks of them."""
     return bool(held) if held.ndim == 0 else held
@@ -74,23 +101,18 @@ def _held(held: np.ndarray):
 
 def majorizes(a, b):
     """a majorizes b: ascending prefix sums of a never exceed b's, totals equal."""
-    x, y = _pair(a, b)
-    ca, cb = np.cumsum(x, axis=-1), np.cumsum(y, axis=-1)
-    return _held((np.abs(ca[..., -1] - cb[..., -1]) <= _PREFIX_TOL)
-                 & np.all(ca[..., :-1] <= cb[..., :-1] + _PREFIX_TOL, axis=-1))
+    ca, cb, slack = _sums(a, b)
+    return _held(np.all(ca <= cb + slack, axis=-1) & (cb[..., -1] <= ca[..., -1] + slack[..., -1]))
 
 
 def weak_supermajorizes(a, b):
-    x, y = _pair(a, b)
-    return _held(np.all(np.cumsum(x, axis=-1) <= np.cumsum(y, axis=-1) + _PREFIX_TOL, axis=-1))
+    ca, cb, slack = _sums(a, b)
+    return _held(np.all(ca <= cb + slack, axis=-1))
 
 
 def weak_submajorizes(a, b):
-    x, y = _pair(a, b)
-    # suffix sums over the ascending arrangement
-    sa = np.cumsum(x[..., ::-1], axis=-1)
-    sb = np.cumsum(y[..., ::-1], axis=-1)
-    return _held(np.all(sa >= sb - _PREFIX_TOL, axis=-1))
+    sa, sb, slack = _sums(a, b, suffix=True)
+    return _held(np.all(sa >= sb - slack, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -165,18 +187,17 @@ def _rows(pm: ParamMatrix2xN) -> np.ndarray:
 
 def in_script_l(pm: ParamMatrix2xN) -> bool:
     """Membership in script-L: the two rows are oppositely ordered, i.e.
-    (row1_i - row1_j) * (row2_i - row2_j) <= 0 for every column pair, with
-    1e-12 slack for ties."""
+    (row1_i - row1_j) * (row2_i - row2_j) <= 0 for every column pair, each
+    row in its own units, with _SLACK for ties."""
     return bool(_opposite(*_rows(pm)))
 
 
 def _opposite(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """in_script_l for each stacked pair of rows along the last axis.  A
-    product that overflows keeps its sign, so its test is unchanged."""
+    """in_script_l for each stacked pair of rows along the last axis."""
+    r1, r2 = _units(r1)[1], _units(r2)[1]
     d1 = r1[..., :, None] - r1[..., None, :]
     d2 = r2[..., :, None] - r2[..., None, :]
-    with np.errstate(over="ignore"):
-        return np.all(d1 * d2 <= _PAIR_SLACK, axis=(-2, -1))
+    return np.all(d1 * d2 <= _SLACK, axis=(-2, -1))
 
 
 def _t_chain(rows: np.ndarray, ts) -> list[np.ndarray]:
@@ -199,7 +220,9 @@ def _chain_holds(p: np.ndarray, q: np.ndarray, ts) -> np.ndarray:
     p and q; q of another width fails before any transform runs."""
     if p.shape[-1] != q.shape[-1]:
         return np.zeros(p.shape[:-2], dtype=bool)
-    return np.all(np.abs(_t_chain(p, ts)[-1] - q) <= _CHAIN_TOL, axis=(-2, -1))
+    image = _t_chain(p, ts)[-1]
+    return np.all(np.abs(image - q) <= _CHAIN_SLACK * np.maximum(np.abs(image), np.abs(q)),
+                  axis=(-2, -1))
 
 
 def apply_t_transform(pm: ParamMatrix2xN, t: TTransform) -> ParamMatrix2xN:
@@ -209,49 +232,35 @@ def apply_t_transform(pm: ParamMatrix2xN, t: TTransform) -> ParamMatrix2xN:
 def chain_majorization_verify(
     p: ParamMatrix2xN, q: ParamMatrix2xN, ts: list[TTransform] | tuple[TTransform, ...]
 ) -> bool:
-    """True iff applying ts in order to p reproduces q entrywise within 1e-10."""
+    """True iff applying ts in order to p reproduces q: every entry of the
+    image lies within _CHAIN_SLACK (1e-10) of the larger magnitude of it
+    and q's entry."""
     return bool(_chain_holds(_rows(p), _rows(q), ts))
 
 
 def infer_t_transform_2x2(p: ParamMatrix2xN, q: ParamMatrix2xN) -> TTransform | None:
     """Recover the single T-transform carrying a 2x2 matrix p onto q.
 
-    Each row independently determines omega through
-    q[0] = omega*p[0] + (1-omega)*p[1]; a row with p[0] == p[1] only
-    constrains q to match that constant.  Returns None when the rows
-    disagree by more than 1e-9, when omega falls outside [0, 1], or when a
-    degenerate row fails its consistency check.
+    omega comes from q[0] = omega*p[0] + (1-omega)*p[1] in the row whose
+    two entries differ most for their size (1 when both rows are
+    constant), clipped to [0, 1].  Returns None unless the transform with
+    that omega reproduces q, as chain_majorization_verify decides it.
     """
     if p.n != 2 or q.n != 2:
         raise DomainError("infer_t_transform_2x2 expects 2x2 matrices")
-    omegas = []
-    for prow, qrow in ((p.row1, q.row1), (p.row2, q.row2)):
-        denom = prow[0] - prow[1]
-        if abs(denom) <= 1e-15 * max(abs(prow[0]), abs(prow[1])):
-            if abs(qrow[0] - prow[0]) > _OMEGA_AGREE or abs(qrow[1] - prow[1]) > _OMEGA_AGREE:
-                return None
-            continue
-        omegas.append((qrow[0] - prow[1]) / denom)
-    if not omegas:
-        return TTransform(1.0, (1, 2))
-    if len(omegas) == 2 and abs(omegas[0] - omegas[1]) > _OMEGA_AGREE:
-        return None
-    omega = omegas[0]
-    if omega < -_PREFIX_TOL or omega > 1.0 + _PREFIX_TOL:
-        return None
+    rows, want = _rows(p), _rows(q)
+    k = np.argmax(np.abs(rows[:, 0] - rows[:, 1]) / rows.max(axis=1))
+    gap = float(rows[k, 0] - rows[k, 1])  # a float's quotient may overflow to inf quietly
+    omega = float(want[k, 0] - rows[k, 1]) / gap if gap else 1.0
     t = TTransform(min(1.0, max(0.0, omega)), (1, 2))
-    # omega came from the first columns only; insist the reconstruction
-    # matches everywhere, otherwise q is not a T-transform image at all
-    rec = apply_t_transform(p, t)
-    for got, want in zip(rec.row1 + rec.row2, q.row1 + q.row2):
-        if abs(got - want) > _OMEGA_AGREE * max(1.0, abs(want)):
-            return None
-    return t
+    return t if _chain_holds(rows, want, (t,)) else None
 
 
 def schur_probe(f, a, b) -> bool:
     """Given majorizes(a, b), report whether f respects the order, i.e.
-    f(a) >= f(b) up to 1e-12.  Raises if the precondition fails."""
+    f(a) >= f(b) up to _SLACK times |f(a)| + |f(b)|.  Raises if the
+    precondition fails."""
     if not majorizes(a, b):
         raise DomainError("schur_probe requires majorizes(a, b)")
-    return bool(f(a) >= f(b) - _PREFIX_TOL)
+    fa, fb = f(a), f(b)
+    return bool(fa >= fb - _SLACK * (abs(fa) + abs(fb)))

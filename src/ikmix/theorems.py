@@ -24,8 +24,9 @@ layout; CHECKERS, THEOREM_IDS and SCAN_LAYOUTS are views of it, in its
 order.  Call a checker through CHECKERS or its module-level name, never
 through the entry, so that a tracer swapping module functions sees it.
 
-Hypothesis comparisons between real numbers carry 1e-12 slack so ties
-count as satisfied.
+Hypothesis comparisons between real numbers follow majorization's one
+scale-free rule: the compared values are divided by one power of two
+(_units), and ties within _SLACK of those units count as satisfied.
 """
 
 from __future__ import annotations
@@ -38,12 +39,14 @@ import numpy as np
 
 from .ikdist import DomainError
 from .majorization import (
+    _SLACK,
     ParamMatrix2xN,
     TTransform,
     _chain_holds,
     _opposite,
     _rows,
     _t_chain,
+    _units,
     majorizes,
     weak_submajorizes,
     weak_supermajorizes,
@@ -74,9 +77,6 @@ __all__ = [
     "check_corollary_3_3",
     "verify_prediction",
 ]
-
-_SLACK = 1e-12
-
 
 @dataclass(frozen=True)
 class Hypothesis:
@@ -423,29 +423,34 @@ def check_corollary_3_3(p_mat: ParamMatrix2xN, q_mat: ParamMatrix2xN,
 
 def _t3_10(lhs, rhs) -> tuple:
     max_gap, min_gap_star = _gap_extremes(lhs[2])[0], _gap_extremes(rhs[2])[1]
-    return (("beta_gap_dominated_by_beta_star_gap", max_gap <= min_gap_star + _SLACK,
+    _, beta, beta_star = _units(lhs[2], rhs[2])
+    held = _gap_extremes(beta)[0] <= _gap_extremes(beta_star)[1] + _SLACK
+    return (("beta_gap_dominated_by_beta_star_gap", held,
              "max pairwise |beta gap| = {0!r} vs min pairwise |beta* gap| = {1!r}",
              max_gap, min_gap_star),)
 
 
 def _separated(a_name: str, a_detail: str, prod_name: str, prod_detail: str):
     """Every rhs alpha lies below every lhs alpha, and every lhs alpha*beta
-    below every rhs one.  The detail templates are filled with the max and
-    the min of each comparison.  A product may overflow to inf: a draw
-    whose two extremes both do is decided by log alpha + log beta."""
+    below every rhs one, decided in the units of the alphas and of the
+    betas.  The detail templates are filled with the max and the min of
+    each comparison; where a product overflows, those of the products in
+    their units, which the detail names.  Only draw 0 has a detail."""
     def hypotheses(lhs, rhs):
         (_, alpha_lhs, beta_lhs), (_, alpha_rhs, beta_rhs) = lhs, rhs
-        a_max, a_min = alpha_rhs.max(axis=-1), alpha_lhs.min(axis=-1)
-        with np.errstate(over="ignore"):
-            prod_max = (alpha_lhs * beta_lhs).max(axis=-1)
-            prod_min = (alpha_rhs * beta_rhs).min(axis=-1)
-        held = prod_max <= prod_min + _SLACK
-        both = np.isinf(prod_max) & np.isinf(prod_min)
-        if both.any():
-            held[both] = ((np.log(alpha_lhs[both]) + np.log(beta_lhs[both])).max(axis=-1)
-                          <= (np.log(alpha_rhs[both]) + np.log(beta_rhs[both])).min(axis=-1))
-        return ((a_name, a_max <= a_min + _SLACK, a_detail, a_max, a_min),
-                (prod_name, held, prod_detail, prod_max, prod_min))
+        e_alpha, a_lhs, a_rhs = _units(alpha_lhs, alpha_rhs)
+        e_beta, b_lhs, b_rhs = _units(beta_lhs, beta_rhs)
+        with np.errstate(over="ignore", under="ignore"):
+            prods = np.array([(a_lhs * b_lhs).max(axis=-1), (a_rhs * b_rhs).min(axis=-1)])
+            shown = np.array([(alpha_lhs * beta_lhs).max(axis=-1),
+                              (alpha_rhs * beta_rhs).min(axis=-1)])
+        over = np.isinf(shown).any(axis=0)
+        shown[:, over] = prods[:, over]
+        units = ", in units of 2**{2:.0f}" if over[:1].any() else ""
+        return ((a_name, a_rhs.max(axis=-1) <= a_lhs.min(axis=-1) + _SLACK, a_detail,
+                 alpha_rhs.max(axis=-1), alpha_lhs.min(axis=-1)),
+                (prod_name, prods[0] <= prods[1] + _SLACK, prod_detail + units, *shown,
+                 (e_alpha + e_beta)[..., 0]))
     return hypotheses
 
 

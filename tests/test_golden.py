@@ -2,11 +2,13 @@
 pass without comparing fresh outputs: a write into a directory that
 already holds files, whose stale files a failed step would leave behind,
 and a comparison with a missing or empty directory, which has no file to
-differ.  The script is loaded by path; no test here writes the outputs."""
+differ.  A differing JSON list names its differing entries.  The script
+is loaded by path; no test here writes the outputs."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -70,4 +72,22 @@ def test_compare_counts_common_files_and_differences(golden, tmp_path, capsys):
     assert capsys.readouterr().out == "2 common files, 0 differences\n"
     (b / "verdicts.json").write_text("[1]\n")
     assert golden.main(["--compare", str(a), str(b)]) == 1
-    assert capsys.readouterr().out == "differs: verdicts.json\n2 common files, 1 differences\n"
+    assert capsys.readouterr().out == ("differs: verdicts.json\n  [0]\n"
+                                       "2 common files, 1 differences\n")
+
+
+def test_compare_names_the_differing_entries_of_a_json_list(golden, tmp_path, capsys):
+    rows = [{"id": "T3.1", "case": "valid 0", "held": True},
+            {"fixture": "ex3.1", "held": True},
+            {"scan": "t310", "index": 4, "held": True}, [1.0]]
+    a = _outputs(tmp_path / "a", {"checkers.json": json.dumps(rows), "kernel.json": "{}",
+                                  "g17_edges.csv": "x\n"})
+    rows[1]["held"], rows[2]["held"] = False, False
+    b = _outputs(tmp_path / "b", {"checkers.json": json.dumps(rows + [{"case": "extra"}]),
+                                  "kernel.json": '{"a": 1}', "g17_edges.csv": "y\n"})
+    assert golden.main(["--compare", str(a), str(b)]) == 1
+    # an object or a file that is no JSON differs as a whole
+    assert capsys.readouterr().out == (
+        "differs: checkers.json\n  [1] fixture='ex3.1'\n  [2] scan='t310' index=4\n"
+        "  [4] case='extra'\ndiffers: g17_edges.csv\ndiffers: kernel.json\n"
+        "3 common files, 3 differences\n")

@@ -240,7 +240,10 @@ class TestInference:
                      id="rows that disagree"),
         # both rows name omega = -0.25
         pytest.param(((0.3, 0.7), (1.0, 3.0)), ((0.8, 0.2), (3.5, 0.5)), None,
-                     id="omega below 0")])
+                     id="omega below 0"),
+        # row1's gap is subnormal, so its omega overflows: clipped to 1
+        pytest.param(((5e-324, 1e-323), (1.0, 1.0)), ((1.0, 1.0), (1.0, 1.0)), None,
+                     id="omega overflows")])
     def test_constant_rows_and_rejected_omegas(self, p, q, want):
         assert infer_t_transform_2x2(ParamMatrix2xN(*p), ParamMatrix2xN(*q)) == want
 
@@ -307,14 +310,15 @@ def _reference_apply(pm: ParamMatrix2xN, t: TTransform) -> ParamMatrix2xN:
 
 
 def _reference_verify(p: ParamMatrix2xN, q: ParamMatrix2xN, ts) -> bool:
-    """chain_majorization_verify through _reference_apply."""
+    """chain_majorization_verify through _reference_apply: each entry of
+    the image within 1e-10 of the larger magnitude of it and q's entry."""
     if p.n != q.n:
         return False
     cur = p
     for t in ts:
         cur = _reference_apply(cur, t)
     for got, want in zip(cur.row1 + cur.row2, q.row1 + q.row2):
-        if abs(got - want) > 1e-10:
+        if abs(got - want) > 1e-10 * max(abs(got), abs(want)):
             return False
     return True
 
@@ -406,6 +410,118 @@ class TestStackedTTransform:
         stacked = _outcome(lambda: _chain_holds(np.array([[p.row1, p.row2]] * 2),
                                                 np.array([[q.row1, q.row2]] * 2), ts).tolist())
         assert stacked == (want if isinstance(want, str) else [want, want])
+
+
+_K = range(-60, 61)
+
+
+def _scaled_answers(decide, *args) -> list:
+    """decide(*args) with every argument scaled by 2^k, for every k in _K:
+    the answer at k = 0 first, then each k whose answer differs from it."""
+    want = decide(*args)
+    return [want] + [k for k in _K if decide(*(a * 2.0 ** k for a in args)) != want]
+
+
+def _images(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The T-transform of weight w on the first two entries of each row of
+    x, worked in plain floats."""
+    y = x.copy()
+    y[:, 0], y[:, 1] = w * x[:, 0] + (1.0 - w) * x[:, 1], (1.0 - w) * x[:, 0] + w * x[:, 1]
+    return y
+
+
+class TestScaleFree:
+    """Scaling both compared vectors by 2^k cannot change whether one
+    majorizes the other, is oppositely ordered to it or is a chain's image
+    of it, so no answer may depend on k."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_preorders(self, n):
+        # x against its exact T-transform images, which it majorizes, and
+        # against unrelated vectors, ties among them
+        r = np.random.default_rng(1500 + n)
+        x = r.lognormal(size=(600, n))
+        x[::7, -1] = x[::7, 0]
+        y = np.concatenate([_images(x[:300], r.uniform(size=300)), r.lognormal(size=(300, n))])
+        y[::5] = x[::5]
+        for decide in (majorizes, weak_supermajorizes, weak_submajorizes):
+            for a, b in ((x, y), (y, x)):
+                want, *moved = _scaled_answers(lambda a, b: decide(a, b).tolist(), a, b)
+                assert moved == [] and 0 < sum(want) < len(want), decide.__name__
+        assert all(majorizes(x[:300], y[:300]))
+
+    def test_script_l(self):
+        r = np.random.default_rng(1510)
+        for _ in range(150):
+            n = int(r.integers(2, 5))
+            rows = r.lognormal(size=(2, n))
+            if r.random() < 0.5:
+                rows = np.stack([np.sort(rows[0]), np.sort(rows[1])[::-1]])
+            rows[int(r.integers(2)), :2] = rows[0, 0]  # a tie
+            want, *moved = _scaled_answers(lambda a: in_script_l(ParamMatrix2xN(*a)), rows)
+            assert moved == []
+
+    def test_chain_verify(self):
+        # q the chain's image, moved by 0.5 or 2 times the rule's 1e-10 of
+        # each entry, or an unrelated matrix
+        r = np.random.default_rng(1520)
+        seen = set()
+        for index in range(150):
+            n = int(r.integers(2, 5))
+            p = r.lognormal(size=(2, n))
+            ts = [TTransform(float(r.uniform()), tuple(int(i) + 1 for i in r.choice(n, 2, False)))
+                  for _ in range(int(r.integers(1, 4)))]
+            image = ParamMatrix2xN(*p.tolist())
+            for t in ts:
+                image = _reference_apply(image, t)
+            q = np.array([image.row1, image.row2])
+            if index % 3 == 1:
+                q = q * (1.0 + r.choice([-2e-10, -5e-11, 5e-11, 2e-10], size=q.shape))
+            elif index % 3 == 2:
+                q = r.lognormal(size=(2, n))
+            want, *moved = _scaled_answers(lambda a, b: chain_majorization_verify(
+                ParamMatrix2xN(*a), ParamMatrix2xN(*b), ts), p, q)
+            assert moved == []
+            seen.add(want)
+        assert seen == {True, False}
+
+
+class TestScaleFreeRegressions:
+    def test_prefix_sums_of_the_largest_floats(self):
+        # their running sums overflow float64 unless scaled first
+        big = (1e308, 1e308)
+        assert majorizes(big, big) and weak_supermajorizes(big, big)
+        assert weak_submajorizes(big, big)
+        assert not weak_submajorizes((1e308, 1.7e308), (1.7e308, 1.7e308))
+        assert weak_submajorizes((1.7e308, 1.7e308), (1e308, 1.7e308))
+
+    @pytest.mark.parametrize("n", [1000, 5000])
+    def test_long_vectors_majorize_their_mean(self, n):
+        # the rounding of n-term sums grows with the magnitudes summed: a
+        # slack of 1e-12 alone, in any units, is below it on most rows
+        x = np.random.default_rng(n).uniform(0.5, 1.0, size=(50, n))
+        mean = np.broadcast_to(x.mean(axis=-1, keepdims=True), x.shape)
+        for decide in (majorizes, weak_supermajorizes, weak_submajorizes):
+            assert all(decide(x, mean)), decide.__name__
+
+    @pytest.mark.parametrize("s", [1.0, 1e3, 1e5, 1e7, 1e300])
+    def test_same_pair_chain_reproduces_its_product_at_any_shape_size(self, s):
+        # C3.2's premise: two transforms on one pair are the single
+        # transform of weight w1*w2 + (1-w1)*(1-w2); from s = 1e5 on the
+        # two images differ by more than an absolute 1e-10
+        p = ParamMatrix2xN((0.3, 0.7), (1.2345 * s, 9.8765 * s))
+        ts = (TTransform(0.85, (1, 2)), TTransform(0.6, (1, 2)))
+        q = apply_t_transform(p, TTransform(0.85 * 0.6 + 0.15 * 0.4, (1, 2)))
+        assert chain_majorization_verify(p, q, ts)
+        assert not chain_majorization_verify(p, q, ts[:1])
+
+    def test_image_one_ulp_off_reproduces(self):
+        p = ParamMatrix2xN((0.3, 0.7), (1.2345e5, 9.8765e5))
+        t = TTransform(0.3, (1, 2))
+        image = apply_t_transform(p, t)
+        q = ParamMatrix2xN(image.row1, (float(np.nextafter(image.row2[0], np.inf)),
+                                        image.row2[1]))
+        assert chain_majorization_verify(p, q, (t,))
 
 
 class TestSchurProbe:

@@ -365,21 +365,25 @@ _SHARED_CHAINS = {"T3.4": _ONE, "C3.2": _TWO, "C3.3": _TWO}
 _THREE_STEPS = (TTransform(0.9, (1, 2)), TTransform(0.7, (2, 3)), TTransform(0.0, (3, 1)))
 
 
+def _stack_case(tid: str, k: int) -> tuple:
+    """The chain (empty for a vector id), k seeded draws of tid's arguments
+    and the checker arguments of each draw."""
+    r = np.random.default_rng(int(tid[1:].replace(".", "")) * 7 + (tid[0] == "C"))
+    if tid in CHAIN_IDS:
+        chain = (_SHARED_CHAINS.get(tid, _THREE_STEPS),)
+        return (chain, *_chain_draws(tid, chain[0], k, r))
+    draws = _vector_draws(tid, k, r)
+    return (), draws, [{name: v[i].item() if v.ndim == 1 else tuple(v[i].tolist())
+                        for name, v in draws.items()} for i in range(k)]
+
+
 class TestCheckStack:
     @pytest.mark.parametrize("tid", THEOREM_IDS)
     def test_a_stack_decides_as_each_draw_alone(self, tid):
         # k seeded draws at once against each draw's own report, row by
         # row: every hypothesis and the shapes of both predicted mixtures;
         # the chain ids share one chain
-        r = np.random.default_rng(int(tid[1:].replace(".", "")) * 7 + (tid[0] == "C"))
-        k = 12
-        if tid in CHAIN_IDS:
-            chain = (_SHARED_CHAINS.get(tid, _THREE_STEPS),)
-            draws, args = _chain_draws(tid, chain[0], k, r)
-        else:
-            chain, draws = (), _vector_draws(tid, k, r)
-            args = [{name: v[i].item() if v.ndim == 1 else tuple(v[i].tolist())
-                     for name, v in draws.items()} for i in range(k)]
+        chain, draws, args = _stack_case(tid, 12)
         kind, lhs, rhs, held = theorems.check_stack(tid, draws, *chain)
         for i, one in enumerate(args):
             report = CHECKERS[tid](**one)
@@ -395,6 +399,29 @@ class TestCheckStack:
         draws, _ = _chain_draws(tid, _ONE, 2, np.random.default_rng(0))
         with pytest.raises(TypeError):
             theorems.check_stack(tid, draws)
+
+
+# the one hypothesis whose answer changes when its inputs are scaled: a
+# shared beta must lie in (0, 1) (T3.3, T3.4, T3.5, T3.6 and C3.2)
+NOT_HOMOGENEOUS = {"beta_in_unit_interval"}
+
+
+class TestScaleFree:
+    @pytest.mark.parametrize("tid", THEOREM_IDS)
+    def test_hypotheses_ignore_a_power_of_two(self, tid):
+        # every input of 60 draws scaled by 2^k, as check_stack takes them
+        # unvalidated: each homogeneous hypothesis answers as at k = 0
+        chain, draws, args = _stack_case(tid, 60)
+        names = [h.name for h in CHECKERS[tid](**args[0]).hypotheses]
+        assert set(names) - NOT_HOMOGENEOUS
+
+        def answers(scale):
+            held = theorems.check_stack(tid, {n: v * scale for n, v in draws.items()}, *chain)[3]
+            return [h.tolist() for name, h in zip(names, held) if name not in NOT_HOMOGENEOUS]
+
+        want = answers(1.0)
+        assert [k for k in range(-60, 61) if answers(2.0 ** k) != want] == []
+        assert any(any(h) and not all(h) for h in want)
 
 
 class TestTwoParameterCheckers:
@@ -431,11 +458,12 @@ class TestTwoParameterCheckers:
             got = {h.name: h.held for h in rep.hypotheses}
             assert got == fx["expected_hypotheses"], fid
 
-    def test_overflowing_products_are_decided_by_their_logs(self):
+    def test_overflowing_products_are_decided_in_units(self):
         # max alpha*beta = 6e400 exceeds min alpha*beta* = 1e400, though
-        # both are inf in float64; T3.12 is the mirror.  Swapped, the
-        # hypothesis holds.  In a stack, the draws whose products overflow
-        # decide as they do alone, beside a finite draw
+        # both are inf in float64: in units of 2^666, for the alphas as
+        # for the betas, they are finite.  T3.12 is the mirror.
+        # Swapped, the hypothesis holds.  In a stack, the draws whose
+        # products overflow decide as they do alone, beside a finite draw
         big, small = ([3e200, 3e200], [2e200, 2e200]), ([1e200, 1e200], [1e200, 1e200])
         for checker, name, lhs, rhs in (
                 (check_theorem_3_11, "alpha_beta_products_below_starred", big, small),
@@ -451,6 +479,23 @@ class TestTwoParameterCheckers:
         assert held.tolist() == [
             check_theorem_3_11([0.5, 0.5], *lhs, [0.5, 0.5], *rhs).hypotheses[1].held
             for lhs, rhs in sides] == [False, True, False, False, True]
+
+    def test_overflowing_products_show_the_extremes_they_were_decided_on(self):
+        big, small = ([3e200, 3e200], [2e200, 2e200]), ([1e200, 1e200], [1e200, 1e200])
+        # 6e400 and 1e400 in units of 2^1332
+        six, one = 3e200 * 2.0 ** -666 * (2e200 * 2.0 ** -666), (1e200 * 2.0 ** -666) ** 2
+        for lhs, rhs, held, first, second in ((big, small, False, six, one),
+                                              (small, big, True, one, six)):
+            h = check_theorem_3_11([0.5, 0.5], *lhs, [0.5, 0.5], *rhs).hypotheses[1]
+            assert (h.held, h.detail) == (held, f"max(alpha*beta) = {first!r} vs "
+                                                f"min(alpha**beta*) = {second!r}, in units of 2**1332")
+            h = check_theorem_3_12([0.5, 0.5], *rhs, [0.5, 0.5], *lhs).hypotheses[1]
+            assert (h.held, h.detail) == (held, f"min(alpha*beta) = {second!r} vs "
+                                                f"max(alpha**beta*) = {first!r}, in units of 2**1332")
+        # a finite draw's detail names no units
+        h = check_theorem_3_11([0.5, 0.5], [3.0, 4.0], [1.0, 2.0], [0.5, 0.5], [1.0, 2.0],
+                               [9.0, 9.5]).hypotheses[1]
+        assert h.detail == "max(alpha*beta) = 8.0 vs min(alpha**beta*) = 9.0"
 
     def test_predicted_kinds(self, catalog):
         kinds = {"ex3.6": ("T3.10", "r_rh"), "ex3.7": ("T3.11", "rh"),
