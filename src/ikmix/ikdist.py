@@ -19,10 +19,11 @@ neither underflow silently nor lose the leading digits:
     sf(x)     = -expm1(beta * log u(x))
 
 All evaluators accept a float or an array of x values and return a
-matching float or array.  Invalid x (negative, NaN, infinite) raises
-DomainError rather than propagating NaNs.  Each evaluator, and the
-quantile, computes in one numpy scope that ignores every floating-point
-error, so a caller's np.errstate changes neither a result nor a warning.
+matching float or array.  Invalid x (negative, NaN, infinite, bools or
+text) raises DomainError rather than propagating NaNs.  Each evaluator,
+and the quantile, computes in one numpy scope that ignores every
+floating-point error, so a caller's np.errstate changes neither a result
+nor a warning.
 """
 
 from __future__ import annotations
@@ -110,15 +111,26 @@ def _read_json(what: str, path):
 # ---------------------------------------------------------------------------
 
 
-def _as_x(x):
-    """Validate x, finite and >= 0, and return (array, was_scalar)."""
-    arr = np.asarray(x, dtype=float)
+def _as_x(x, not_positive: str = ""):
+    """Validate x, real numbers (not bools or text), finite and >= 0, and
+    return (array, was_scalar); given a not_positive message, x must also
+    be > 0, and that message is the DomainError otherwise."""
+    raw = np.asarray(x)
+    if raw.dtype.kind in "bSU":
+        raise DomainError(f"x must be real numbers, got "
+                          f"{'bools' if raw.dtype.kind == 'b' else 'text'}")
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):  # objects that are not numbers
+        raise DomainError(f"x must be real numbers, got {x!r}") from None
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr)
     if flat.size == 0:
         raise DomainError("empty x array")
     if not np.all(np.isfinite(flat)):
         raise DomainError("x must be finite")
+    if not_positive and np.any(flat <= 0.0):
+        raise DomainError(not_positive)
     if np.any(flat < 0.0):
         raise DomainError("x must be >= 0")
     return arr if not scalar else arr.reshape(1), scalar
@@ -225,9 +237,7 @@ def ik_pdf(x, params: IKParams):
 
 def ik_reversed_hazard(x, params: IKParams):
     """pdf/cdf on x > 0; the beta power cancels so only 1/u remains."""
-    if np.any(np.asarray(x, dtype=float) <= 0.0):
-        raise DomainError("x must be > 0")
-    xs, scalar = _as_x(x)
+    xs, scalar = _as_x(x, "x must be > 0")
     a, b = params.alpha, params.beta
     with np.errstate(all="ignore"):
         L = np.log1p(xs)

@@ -16,15 +16,20 @@ whose values lie far below or above float64 still has a finite log.
 The public evaluators take a FiniteMixture and are exp of those logs;
 the reversed hazard is exp(log pdf - log cdf), never 0/0.  The sf terms
 lie in [0, 1] and come linear from expm1, so mixture_sf adds them as
-they are, by a compensated sum in component order.  _renormalised
-divides the raw weights of a FiniteMixture by their math.fsum, and
-_renormalised_rows each row of a scan's draws, bit for bit alike; the
-batched bracket search (_refine_crossing) behind mixture_quantile and
-the crossings lives here.
+they are, by a compensated sum in component order.  One rule decides
+raw weights: their math.fsum lies within 1e-6 of 1 (_weight_sums, which
+FiniteMixture and check_orders apply), and a FiniteMixture divides them
+by it, as _renormalised_rows does each row of a scan's draws, bit for
+bit alike; the batched bracket search (_refine_crossing) behind
+mixture_quantile and the crossings lives here.
 
 Each kernel call makes one workspace, three arrays of one block, which
-every block's values are written into in place, and takes its last logs
-in the arrays of its running sums, after the slope has read the pdf sum.
+every block's values are written into in place: log u, then the log pdf
+beside it, then the slope terms, and the log cdf over log u once the pdf
+has read it.  So the requested log cdf and log pdf lie side by side, and
+one _add_block call per block sums both, with one merge into the running
+[shift, sums(, slope sum)].  The call takes its last logs in the array
+of those sums, after the slope has read the pdf sum.
 Each block computes its column constants from its own columns: alpha +
 1, beta - 1, log alpha + log beta and which betas are not 1, and with
 the slope (beta - 1) alpha and 1 + x.  A table of them for the whole
@@ -144,7 +149,8 @@ class FiniteMixture:
         betas = tuple(_positive("beta", b) for b in _per_component("beta", self.betas, n))
         if len(alphas) != n or len(betas) != n:
             raise DomainError(f"{n} weights vs {len(alphas)} alphas and {len(betas)} betas")
-        object.__setattr__(self, "weights", _renormalised(weights))
+        total, = _weight_sums([weights])
+        object.__setattr__(self, "weights", tuple(w / total for w in weights))
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "betas", betas)
 
@@ -169,28 +175,32 @@ class FiniteMixture:
                 "beta": list(self.betas)}
 
 
-def _renormalised(weights) -> tuple[float, ...]:
-    """One mixture's raw weights divided by their math.fsum, so that they
-    sum to 1 exactly in the floating-point sense; DomainError when that
-    sum lies beyond 1e-6 of 1 or overflows."""
+def _weight_sums(rows: list, side: str = "") -> list[float]:
+    """The math.fsum of each row of raw weights, a list of rows; DomainError
+    for the first whose sum lies beyond 1e-6 of 1 or overflows, naming its
+    side (lhs or rhs) and pair when side is given."""
+    totals = [_fsum(row) for row in rows]
+    for i, total in enumerate(totals):
+        if abs(total - 1.0) > _RAW_WEIGHT_TOL:
+            raise DomainError(f"{side} weights sum to {total!r} in pair {i}, beyond 1e-6 of 1"
+                              if side else f"raw weights sum to {total!r}, beyond 1e-6 of 1")
+    return totals
+
+
+def _fsum(row: list) -> float:
+    """math.fsum of row; inf where finite weights sum beyond float range."""
     try:
-        total = math.fsum(weights)
-    except OverflowError:  # finite weights whose sum exceeds float range
-        total = math.inf
-    if abs(total - 1.0) > _RAW_WEIGHT_TOL:
-        raise DomainError(f"raw weights sum to {total!r}, beyond 1e-6 of 1")
-    return tuple(w / total for w in weights)
+        return math.fsum(row)
+    except OverflowError:
+        return math.inf
 
 
 def _renormalised_rows(weights: np.ndarray) -> np.ndarray:
-    """_renormalised of each row of a stack of raw weights, bit for bit,
-    with its DomainError for the first row whose sum is out of bounds; a
-    scan's draws take it, whose sums cannot overflow."""
-    totals = np.array([math.fsum(row) for row in weights.tolist()])
-    off = np.flatnonzero(np.abs(totals - 1.0) > _RAW_WEIGHT_TOL)
-    if off.size:
-        raise DomainError(f"raw weights sum to {totals[off[0]].item()!r}, beyond 1e-6 of 1")
-    return weights / totals[:, None]
+    """Each row of a stack of raw weights divided by its math.fsum
+    (_weight_sums), so that it sums to 1 exactly in the floating-point
+    sense, bit for bit as a FiniteMixture divides its weights; a scan's
+    draws take it."""
+    return weights / np.array(_weight_sums(weights.tolist()))[:, None]
 
 
 def _per_component(name: str, value, n: int) -> tuple:
@@ -246,38 +256,40 @@ def _stacked(x, m, kernel) -> tuple:
     return tuple(float(v[0, 0]) if scalar else v[0].reshape(xs.shape) for v in out)
 
 
-def _add_block(sums: dict, name: str, w: np.ndarray, log_terms: np.ndarray,
-               slopes: np.ndarray | None = None) -> None:
-    """Add one block of component logs to the running log-sum-exp of name,
-    sums[name] = [shift, scaled sum(, scaled slope sum)], whose weighted
-    sum is exp(shift) * scaled sum.  The components run along the first
-    axis.  The block is shifted by its largest log, so its scaled terms
-    w * exp(log - shift) are at most w; the running pair keeps the larger
-    shift and scales the other side down by exp(-|difference|).  Shifts
-    are clipped to the finite range, so a column of zeros (log -inf) never
+def _add_block(run: list | None, w: np.ndarray, log_terms: np.ndarray,
+               slopes: np.ndarray | None = None) -> list:
+    """Add one block of component logs to the running log-sum-exp run and
+    return it: run is None before the first block, then [shift, scaled
+    sums(, scaled slope sum)], whose weighted sums are exp(shift) * scaled
+    sums.  log_terms holds one quantity per entry of its first axis, the
+    components along its second; slopes, shaped like one quantity, weight
+    the terms of the last.  Each quantity is shifted by its largest log,
+    so its scaled terms w * exp(log - shift) are at most w; the running
+    sums keep the larger shift and scale the other side down by
+    exp(-|difference|), the slope sum by its quantity's.  Shifts are
+    clipped to the finite range, so a column of zeros (log -inf) never
     keeps its shift and an infinite term gives inf.  log_terms is
     overwritten."""
-    shift = log_terms.max(axis=0)
+    shift = log_terms.max(axis=1)
     # np.clip's bounds as two in-place ufuncs, without its wrapper
     np.maximum(np.minimum(shift, _LOG_MAX, out=shift), -_LOG_MAX, out=shift)
-    scaled = np.exp(np.subtract(log_terms, shift, out=log_terms), out=log_terms)
+    scaled = np.exp(np.subtract(log_terms, shift[:, None], out=log_terms), out=log_terms)
     scaled *= w
-    block = [shift, scaled.sum(axis=0)]
+    block = [shift, scaled.sum(axis=1)]
     if slopes is not None:
-        block.append(np.multiply(scaled, slopes, out=scaled).sum(axis=0))
-    run = sums.setdefault(name, block)
-    if run is block:
-        return
+        block.append(np.multiply(scaled[-1], slopes, out=scaled[-1]).sum(axis=0))
+    if run is None:
+        return block
     # each side scales by exp(its shift - the larger shift): exactly 1.0 on
     # the side that holds it, and on the other exp(-|d|) bit for bit, since
     # fl(a - b) = -fl(b - a)
     larger = np.maximum(run[0], shift)
     keep = np.exp(np.subtract(run[0], larger, out=run[0]), out=run[0])
     down = np.exp(np.subtract(shift, larger, out=shift), out=shift)
-    for acc, part in zip(run[1:], block[1:]):
-        acc *= keep
-        acc += np.multiply(part, down, out=part)
-    run[0] = larger
+    for acc, part, k, d in zip(run[1:], block[1:], (keep, keep[-1]), (down, down[-1])):
+        acc *= k
+        acc += np.multiply(part, d, out=part)
+    return [larger, *run[1:]]
 
 
 def _evaluate(x, m, names: tuple[str, ...], slope: bool = False) -> tuple:
@@ -285,39 +297,40 @@ def _evaluate(x, m, names: tuple[str, ...], slope: bool = False) -> tuple:
     mixture or a stack of them (see _stacked), one per name in names,
     followed with slope=True by the slope d/dx log pdf.
 
-    The cdf and pdf terms are summed by _add_block; log rh is log pdf -
-    log cdf.  The slope is the mean of the component slopes under the pdf
-    sum's softmax weights: g_i = ((beta_i-1) alpha_i / expm1(alpha_i L) -
-    (alpha_i+1)) / (1+x) = -(alpha_i+1)/(1+x) + (beta_i-1) alpha_i
-    (1+x)^(-alpha_i-1) / u_i.
+    Each block writes its log cdf over log u once the pdf has read it, so
+    the requested log cdf and log pdf lie side by side in the workspace,
+    and one _add_block call sums both; log rh is log pdf - log cdf.  The
+    slope is the mean of the component slopes under the pdf sum's softmax
+    weights: g_i = ((beta_i-1) alpha_i / expm1(alpha_i L) - (alpha_i+1)) /
+    (1+x) = -(alpha_i+1)/(1+x) + (beta_i-1) alpha_i (1+x)^(-alpha_i-1) /
+    u_i.
     """
-    want_cdf = "cdf" in names or "rh" in names
-    want_pdf = slope or "pdf" in names or "rh" in names
+    cdf = "cdf" in names or "rh" in names
+    pdf = slope or "pdf" in names or "rh" in names
 
     def kernel(L, flat, cols, cuts, work):
-        sums: dict[str, list] = {}
+        run = None
         for cut in cuts:
             w, a, b = cols[:, cut]
             log_u, f, g = work[:, :len(w)]
             _log_u(L, a, out=log_u)
-            if want_pdf:
+            if pdf:
                 a1, b1 = a + 1.0, b - 1.0
                 _log_pdf(np.log(a) + np.log(b), a1, b1, b1 != 0.0, L, log_u, out=f, work=g)
                 if slope:
                     np.expm1(np.multiply(a, L, out=g), out=g)
                     np.divide(np.subtract(np.divide(b1 * a, g, out=g), a1, out=g), 1.0 + flat,
                               out=g)
-                _add_block(sums, "pdf", w, f, g if slope else None)
-            if want_cdf:
-                _add_block(sums, "cdf", w, _log_cdf(b, log_u, out=log_u))
+            if cdf:
+                _log_cdf(b, log_u, out=log_u)
+            run = _add_block(run, w, work[1 - cdf:1 + pdf, :len(w)], g if slope else None)
+        shift, sums = run[:2]
         # the slope reads the pdf's scaled sum before its log replaces it
-        slopes = [sums["pdf"][2] / sums["pdf"][1]] if slope else []
-        # each log is built in its scaled sum's array
-        logs = {name: np.add(acc[0], np.log(acc[1], out=acc[1]), out=acc[1])
-                for name, acc in sums.items()}
-        if "rh" in names:
-            logs["rh"] = logs["pdf"] - logs["cdf"]
-        return [logs[name] for name in names] + slopes
+        slopes = [run[2] / sums[-1]] if slope else []
+        # the logs are built in the scaled sums' array: cdf first, pdf last
+        logs = np.add(shift, np.log(sums, out=sums), out=sums)
+        return [logs[-1] - logs[0] if name == "rh" else logs[-1 if name == "pdf" else 0]
+                for name in names] + slopes
 
     return _stacked(x, m, kernel)
 
@@ -359,8 +372,7 @@ def mixture_pdf(x, m: FiniteMixture):
 
 def mixture_reversed_hazard(x, m: FiniteMixture):
     """pdf/cdf of the mixture, defined on x > 0."""
-    if np.any(np.asarray(x, dtype=float) <= 0.0):
-        raise DomainError("reversed hazard requires x > 0")
+    _as_x(x, "reversed hazard requires x > 0")  # x = 0 passes the kernel's check
     return _exp(_evaluate(x, m, ("rh",))[0])
 
 

@@ -81,8 +81,8 @@ import numpy as np
 from .ikdist import DomainError, _count, _positive
 # mixture_sf is no longer called here; perfbench's span test reads it from
 # this module, so it stays imported
-from .mixture import (_BLOCK_VALUES, _RAW_WEIGHT_TOL, FiniteMixture, _evaluate, _exp, _params,
-                      _refine_crossing, _survival, mixture_sf)  # noqa: F401
+from .mixture import (_BLOCK_VALUES, FiniteMixture, _evaluate, _exp, _params, _refine_crossing,
+                      _survival, _weight_sums, mixture_sf)  # noqa: F401
 
 __all__ = [
     "Grid",
@@ -494,11 +494,7 @@ def _decide(kind: str, lhs: tuple, rhs: tuple, grid: Grid) -> list[_Columns]:
             i, j, k = np.argwhere(~ok)[0].tolist()
             raise DomainError(f"{name} {('weights', 'alphas', 'betas')[j]} must be finite and "
                               f"> 0, got {float(m[i, j, k])!r} in pair {i}")
-        sums = m[:, 0].sum(axis=1)
-        off = np.flatnonzero(np.abs(sums - 1.0) > _RAW_WEIGHT_TOL)
-        if off.size:
-            raise DomainError(f"{name} weights sum to {float(sums[off[0]])!r} in pair {off[0]}, "
-                              "beyond 1e-6 of 1")
+        _weight_sums(m[:, 0].tolist(), name)
         stacks.append(m)
     m1s, m2s = stacks
     if len(m1s) != len(m2s):
@@ -515,8 +511,9 @@ def check_orders(kind: str, lhs: tuple, rhs: tuple,
     are each a (weights, alphas, betas) triple of pairs x components
     arrays, as theorems.check_stack returns them (weights as a
     FiniteMixture holds them), every entry finite and > 0 and each row's
-    weights summing to 1 within 1e-6, as FiniteMixture's raw weights must
-    (they are not renormalised); the sides may differ in component count.
+    weights' math.fsum lying within 1e-6 of 1, as FiniteMixture's raw
+    weights must (mixture._weight_sums; the rows are not renormalised); the
+    sides may differ in component count.
     The pairs are decided in chunks of _STACK_VALUES // (components *
     grid.points) with the larger count (at least one; 32 pairs of
     2-component mixtures on 500 points), one kernel pass per side each,

@@ -20,7 +20,8 @@ from ikmix import (
     ik_sf,
 )
 from ikmix.ikdist import _count
-from ikmix.mixture import FiniteMixture, mixture_cdf
+from ikmix.mixture import (FiniteMixture, mixture_cdf, mixture_pdf, mixture_reversed_hazard,
+                           mixture_sf)
 
 rng = np.random.default_rng(42)
 
@@ -102,6 +103,23 @@ class TestValidation:
                 evaluate(x, IKParams(1.0, 1.0))
         with pytest.raises(DomainError, match=r"^x must be finite$"):
             mixture_cdf(x, FiniteMixture([1.0], [1.0], [1.0]))
+
+    @pytest.mark.parametrize("evaluate", [
+        ik_cdf, ik_sf, ik_pdf, ik_reversed_hazard,
+        mixture_cdf, mixture_sf, mixture_pdf, mixture_reversed_hazard], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("x, got", [
+        (True, "bools"), (np.array([True, False]), "bools"), (np.bool_(True), "bools"),
+        ("1.5", "text"), ("a", "text"), ([1.0, "2"], "text"), (np.array(["0.5"]), "text"),
+        (np.array([0.5, "x"], dtype=object), r"array\(\[0\.5, 'x'\]"), ({}, r"\{\}")],
+        ids=["True", "bool_array", "np_bool", "number_text", "text", "mixed_list", "text_array",
+             "object_array", "dict"])
+    def test_bools_and_text_are_refused(self, evaluate, x, got):
+        # as FiniteMixture, Grid and check_orders refuse them: a bool is not
+        # read as 0 or 1, nor text as the number it spells
+        shapes = (IKParams(1.0, 2.0) if evaluate.__name__.startswith("ik_")
+                  else FiniteMixture([0.5, 0.5], [1.0, 2.0], [2.0, 3.0]))
+        with pytest.raises(DomainError, match=f"^x must be real numbers, got {got}"):
+            evaluate(x, shapes)
 
     def test_empty_x_rejected(self):
         with pytest.raises(DomainError, match=r"^empty x array$"):

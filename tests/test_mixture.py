@@ -726,9 +726,12 @@ class TestKernelStacks:
         final = {}
         add_block = mixture._add_block
 
-        def spy(sums, *args, **kwargs):
-            add_block(sums, *args, **kwargs)
-            final.update({name: [v.copy() for v in acc] for name, acc in sums.items()})
+        def spy(*args, **kwargs):
+            run = add_block(*args, **kwargs)
+            # the running sums stack cdf before pdf along their first axis
+            final.update({name: [run[0][i].copy(), run[1][i].copy(), *(v.copy() for v in run[2:])]
+                          for i, name in enumerate(("cdf", "pdf"))})
+            return run
 
         monkeypatch.setattr(mixture, "_add_block", spy)
         r = np.random.default_rng(n + slope)
@@ -747,6 +750,34 @@ class TestKernelStacks:
         for g, w in zip(got, want):
             assert g.shape == (32, 500) and g.tobytes() == w.tobytes()
         assert not np.all(np.isfinite(got[0])) and np.any(np.isfinite(got[0]))
+
+    @pytest.mark.parametrize("names, slope", [
+        (("cdf",), False), (("pdf",), False), (("rh",), False), (("pdf", "cdf"), False),
+        (("cdf", "pdf", "rh"), False), ((), True), (("cdf",), True), (("cdf", "pdf", "rh"), True)])
+    @pytest.mark.parametrize("n, points, rows", [(70, 2000, 1), (70, 2000, 5), (3, 500, 32),
+                                                 (13, 1, 1)])
+    def test_one_add_block_per_block(self, monkeypatch, names, slope, n, points, rows):
+        # whatever the names, each block (one log u) is summed by one
+        # _add_block call, on the log cdf and the log pdf it needs stacked
+        calls, blocks = [], []
+        add_block, log_u = mixture._add_block, mixture._log_u
+
+        def spy(run, w, logs, slopes=None):
+            calls.append(logs.shape[0])
+            return add_block(run, w, logs, slopes)
+
+        monkeypatch.setattr(mixture, "_add_block", spy)
+        monkeypatch.setattr(mixture, "_log_u",
+                            lambda L, a, out=None: blocks.append(1) or log_u(L, a, out=out))
+        r = np.random.default_rng(n * points + rows)
+        params = np.array([(m.weights, m.alphas, m.betas)
+                           for m in (_spread_mixture(r, n) for _ in range(rows))])
+        got = mixture._evaluate(np.geomspace(1e-3, 1e3, points), params, names, slope=slope)
+        assert len(got) == len(names) + slope
+        per_block = min(n, max(1, mixture._BLOCK_VALUES // points))
+        cdf = "cdf" in names or "rh" in names
+        pdf = slope or "pdf" in names or "rh" in names
+        assert calls == [cdf + pdf] * len(blocks) == [cdf + pdf] * -(-n // per_block)
 
 
 WIDE_GRID = ordercheck.Grid.from_spec("1e-100:1e100:3000:log")
@@ -941,11 +972,13 @@ class TestLogSumExp:
 
     @staticmethod
     def _run(blocks, slopes=False):
-        sums = {}
+        run = None
         for w, logs, g in blocks:
-            mixture._add_block(sums, "f", w, logs.copy(), g if slopes else None)
+            run = mixture._add_block(run, w, logs[None].copy(), g if slopes else None)
+        # the one quantity's [shift, scaled sum(, scaled slope sum)]
+        sums = [run[0][0], run[1][0], *run[2:]]
         with np.errstate(divide="ignore"):
-            return sums["f"][0] + np.log(sums["f"][1]), sums["f"]
+            return sums[0] + np.log(sums[1]), sums
 
     @pytest.mark.parametrize("seed", range(8))
     def test_against_mpmath(self, seed):
@@ -992,3 +1025,60 @@ class TestLogSumExp:
         # an infinite term makes the sum infinite, before or after finite ones
         assert np.all(self._run([(w, finite, None), (w, pos, None)])[0] == np.inf)
         assert np.all(self._run([(w, pos, None), (w, finite, None)])[0] == np.inf)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stacked_sums_match_per_name_sums(self, seed):
+        # one call on the quantities stacked along the first axis gives, row
+        # by row, the bits of one call per quantity (_per_name_add_block,
+        # the running sums as a dict by name), the slope sum the last
+        # quantity's; blocks far above and below the others rescale the
+        # running sums both ways, and -inf columns and +inf terms are mixed in
+        r = np.random.default_rng(seed)
+        q, slope = 1 + seed % 2, seed % 3 != 0
+        mixtures, points = int(r.integers(1, 5)), int(r.integers(1, 40))
+        run, sums = None, {}
+        for _ in range(int(r.integers(1, 8))):
+            k = int(r.integers(1, 6))
+            logs = r.uniform(-800.0, 700.0, size=(q, k, mixtures, points))
+            logs += r.choice([-900.0, 0.0, 900.0])
+            logs[:, :, r.random(size=(mixtures, points)) < 0.2] = -np.inf
+            logs[r.random(size=logs.shape) < 0.1] = -np.inf
+            logs[r.random(size=logs.shape) < 0.02] = np.inf
+            w = r.uniform(1e-3, 1.0, size=(k, mixtures, 1))
+            g = r.normal(size=(k, mixtures, points)) * 10.0 ** r.uniform(-3, 3)
+            # in the kernel's scope: inf - the largest float overflows, 0 * inf
+            with np.errstate(all="ignore"):
+                run = mixture._add_block(run, w, logs.copy(), g.copy() if slope else None)
+                for i in range(q):
+                    _per_name_add_block(sums, i, w, logs[i].copy(),
+                                        g.copy() if slope and i == q - 1 else None)
+        assert len(run) == 2 + slope
+        for i in range(q):
+            assert run[0][i].tobytes() == sums[i][0].tobytes()
+            assert run[1][i].tobytes() == sums[i][1].tobytes()
+        if slope:
+            assert run[2].tobytes() == sums[q - 1][2].tobytes()
+
+
+def _per_name_add_block(sums, name, w, log_terms, slopes=None):
+    """The running log-sum-exp kept as one entry per quantity name, sums[name]
+    = [shift, scaled sum(, scaled slope sum)], with the components along
+    the first axis of log_terms: the reference that _add_block's stacked
+    quantities must match bit for bit."""
+    shift = log_terms.max(axis=0)
+    np.maximum(np.minimum(shift, mixture._LOG_MAX, out=shift), -mixture._LOG_MAX, out=shift)
+    scaled = np.exp(np.subtract(log_terms, shift, out=log_terms), out=log_terms)
+    scaled *= w
+    block = [shift, scaled.sum(axis=0)]
+    if slopes is not None:
+        block.append(np.multiply(scaled, slopes, out=scaled).sum(axis=0))
+    run = sums.setdefault(name, block)
+    if run is block:
+        return
+    larger = np.maximum(run[0], shift)
+    keep = np.exp(np.subtract(run[0], larger, out=run[0]), out=run[0])
+    down = np.exp(np.subtract(shift, larger, out=shift), out=shift)
+    for acc, part in zip(run[1:], block[1:]):
+        acc *= keep
+        acc += np.multiply(part, down, out=part)
+    run[0] = larger

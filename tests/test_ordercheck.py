@@ -1475,6 +1475,23 @@ class TestStackedVerdicts:
         sides[side][0] = np.array([[0.5, 0.5 + 9e-7]])
         assert [v.kind for v in check_orders("st", *sides, Grid(1e-2, 1e2, 20))] == ["st"]
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_weights_are_summed_as_finite_mixture_sums_them(self, side):
+        # the row's math.fsum is 1.000001, within 1e-6 of 1, though a plain
+        # np.sum gives 1.0000010000000001; FiniteMixture takes the row, so
+        # check_orders must too, and beyond it refuse with side and pair
+        row = [0.3586292589837843, 0.24473553206660278, 0.39663620894961293]
+        assert np.sum(row) - 1.0 > 1e-6 >= math.fsum(row) - 1.0
+        FiniteMixture(row, 1.0, 1.0)
+        ones = np.ones((2, 3))
+        sides = [[np.full((2, 3), 1.0 / 3.0), ones, ones] for _ in range(2)]
+        sides[side][0] = np.array([row, row])
+        assert [v.kind for v in check_orders("st", *sides, Grid(1e-2, 1e2, 20))] == ["st"] * 2
+        sides[side][0][1, 0] += 1e-6
+        with pytest.raises(DomainError, match=("lhs ", "rhs ")[side] + re.escape(
+                f"weights sum to {math.fsum(sides[side][0][1])!r} in pair 1, beyond 1e-6 of 1")):
+            check_orders("st", *sides, Grid(1e-2, 1e2, 20))
+
     def test_single_mixture_triples_are_refused(self):
         # a FiniteMixture's own 1-D (weights, alphas, betas) is one mixture,
         # not a stack of pairs

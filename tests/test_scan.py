@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 from conftest import draw_rows
 from ikmix import DomainError, FiniteMixture, Grid, check_order
-from ikmix.mixture import _renormalised, _renormalised_rows
+from ikmix.mixture import _renormalised_rows
 from ikmix.theorems import CHECKERS, SCAN_LAYOUTS
 from ikmix.scan import (
     CATEGORIES,
@@ -432,7 +433,7 @@ def test_scan_categories_equal_the_checker_row_by_row(theorem):
 def test_renormalised_rows_equal_each_row_alone(n, off):
     # a scan divides each draw's weights by their math.fsum at once; each
     # row must get the bits, or the DomainError, that a FiniteMixture's
-    # weights get from _renormalised; rows 7 and 20 are off by about off
+    # weights get alone; rows 7 and 20 are off by about off
     raw = np.random.default_rng(n).uniform(0.05, 1.0, size=(40, n))
     weights = raw / raw.sum(axis=1)[:, None]
     weights[7] *= 1.0 + off
@@ -440,12 +441,14 @@ def test_renormalised_rows_equal_each_row_alone(n, off):
     rows = weights.tolist()
     if off > 1e-6:
         with pytest.raises(DomainError) as alone:
-            _renormalised(rows[7])
+            FiniteMixture(rows[7], 1.0, 1.0)
         with pytest.raises(DomainError, match=f"^{re.escape(str(alone.value))}$"):
             _renormalised_rows(weights)
         return
     got = _renormalised_rows(weights)
-    assert [repr(tuple(row)) for row in got.tolist()] == [repr(_renormalised(r)) for r in rows]
+    assert [repr(tuple(row)) for row in got.tolist()] == [
+        repr(FiniteMixture(r, 1.0, 1.0).weights) for r in rows] == [
+        repr(tuple(w / math.fsum(r) for w in r)) for r in rows]
 
 
 _CATEGORY_OF = {(True, "violated"): "soundness_alarm", (True, "holds_on_grid"): "consistent",
